@@ -218,14 +218,18 @@ def run_tmatrix(config: RunConfig, out=None):
     return tm
 
 
+def _robustness_rows(config: RunConfig) -> list:
+    """Robustness scan over n < min(11, pair_modes - 1), shared by the
+    entangle subcommand and its sweep summary."""
+    n_top = min(11, config.pair_modes - 1)
+    return robustness_scan(
+        _kernel(config), _spec(config), config.fixed_mode, range(n_top), dim=config.pair_modes
+    )
+
+
 def run_entangle(config: RunConfig, out=None) -> list:
     out = out or sys.stdout
-    kernel = _kernel(config)
-    spec = _spec(config)
-    n_top = min(11, config.pair_modes - 1)
-    rows = robustness_scan(
-        kernel, spec, config.fixed_mode, range(n_top), dim=config.pair_modes
-    )
+    rows = _robustness_rows(config)
     table = [
         (r.n, r.en_initial, r.en_final, r.fidelity, int(r.degenerate))
         for r in rows
@@ -334,9 +338,6 @@ def sweep(config: RunConfig, subcommand: str, threads: int = 1, out=None) -> int
             config,
             sweep_axes=(),
             sweep_values=(),
-            output_dir=os.path.join(
-                config.output_dir, "sweep_" + "_".join(_fmt(v) for v in point)
-            ),
             **dict(zip(config.sweep_axes, point)),
         )
         validate_config(local)
@@ -376,7 +377,7 @@ def _point_header(subcommand: str) -> str:
 
 
 def _point_summary(subcommand: str, config: RunConfig) -> tuple:
-    """One scalar summary per sweep point (full outputs land per-point on disk)."""
+    """One scalar summary per sweep point; only the sweep CSV is written."""
     if subcommand == "beam":
         geom = _geometry(config)
         value = ipe.analytic_decay(
@@ -394,9 +395,7 @@ def _point_summary(subcommand: str, config: RunConfig) -> tuple:
         tm = temporal.transmission_matrix(_kernel(config), _spec(config), config.max_mode)
         return (float(np.min(np.diag(tm.matrix))),)
     if subcommand == "entangle":
-        rows = robustness_scan(
-            _kernel(config), _spec(config), config.fixed_mode, range(11), dim=config.pair_modes
-        )
+        rows = _robustness_rows(config)
         return (min(r.en_final for r in rows if not r.degenerate),)
     if subcommand == "coupling":
         i00 = LGIndex(l=0, r=0)

@@ -22,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-SPEED_OF_LIGHT = 299792458.0
+from .turbulence import SPEED_OF_LIGHT
 
 
 class ConfigError(ValueError):
@@ -129,7 +129,6 @@ RANGES = {
     "sigma_b_trad": (1e-3, 1e4, "T rad/s"),
     "pump_trad": (1.0, 1e5, "T rad/s"),
     "extinction_per_km": (0.0, 100.0, "1/km"),
-    "outer_scale_wavenumber": (1e-6, 1e3, "1/m"),
     "cutoff": (0, 8, ""),
     "grid_order": (4, 64, ""),
     "steps": (16, 100000, ""),
@@ -144,8 +143,6 @@ class RunConfig:
     """Validated configuration for every subcommand.
 
     Frequencies in the file are T rad/s (1e12 rad/s); lengths are meters.
-    The random seed is reserved for future stochastic extensions; the core
-    is deterministic and ignores it.
     """
 
     distance_m: float = 30000.0
@@ -155,7 +152,6 @@ class RunConfig:
     receiver_height_m: float = 19.0
     cn2: float = 1e-15
     profile_csv: str = ""
-    outer_scale_wavenumber: float = 1.0
     extinction_per_km: float = 0.0
     sigma_a_trad: float = 10.0
     sigma_b_trad: float = 80.0
@@ -170,7 +166,6 @@ class RunConfig:
     pair_modes: int = 12
     fixed_mode: int = 0
     output_dir: str = "."
-    seed: int = 0
     sweep_axes: tuple = ()
     sweep_values: tuple = ()
 
@@ -197,18 +192,17 @@ _SECTION_KEYS = {
         "transmitter_height_m",
         "receiver_height_m",
     ),
-    "turbulence": ("cn2", "profile_csv", "outer_scale_wavenumber", "extinction_per_km"),
+    "turbulence": ("cn2", "profile_csv", "extinction_per_km"),
     "source": ("sigma_a_trad", "sigma_b_trad", "pump_trad"),
     "solver": ("cutoff", "scheme", "steps", "check_convergence"),
     "channel": ("grid_order", "kernel_fidelity", "max_mode"),
     "entangle": ("pair_modes", "fixed_mode"),
     "output": ("output_dir",),
-    "run": ("seed",),
 }
 
 _KEY_SECTION = {key: section for section, keys in _SECTION_KEYS.items() for key in keys}
 
-_INT_KEYS = {"cutoff", "steps", "grid_order", "max_mode", "pair_modes", "fixed_mode", "seed"}
+_INT_KEYS = {"cutoff", "steps", "grid_order", "max_mode", "pair_modes", "fixed_mode"}
 
 
 def _check_range(key: str, value):
@@ -281,6 +275,10 @@ def validate_config(config: RunConfig):
     if config.max_mode + 1 > config.grid_order // 2:
         raise ConfigError(
             f"value for 'max_mode' out of range: {config.max_mode} needs grid_order >= {2 * (config.max_mode + 1)}"
+        )
+    if config.fixed_mode >= config.pair_modes:
+        raise ConfigError(
+            f"value for 'fixed_mode' out of range: {config.fixed_mode} must be below pair_modes = {config.pair_modes}"
         )
 
 

@@ -99,15 +99,12 @@ def propagate_pair(
     kernel: ChannelKernel,
     spec: BiphotonSpec,
     dim: int | None = None,
-    single_sided: bool = False,
 ) -> tuple:
     """Send both photons through independent copies of the channel.
 
     Returns (TwoPhotonDensity, transmitted_mass): the density is normalized
     and the mass is the pre-normalization trace (joint survival probability
-    within the truncated mode space).  With single_sided=True the second
-    photon is kept ideal (identity channel); no reference values are claimed
-    for that mode, it exists for exploratory use.
+    within the truncated mode space).
     """
     dim = state.dim if dim is None else dim
     if dim > MAX_PAIR_MODES:
@@ -119,10 +116,7 @@ def propagate_pair(
     tensor = channel_tensor(kernel, spec, dim)
     # first[u, v, m', n] = sum_m C[u, v, m, m'] psi[m, n]
     first = np.einsum("uvmp,mn->uvpn", tensor, psi)
-    if single_sided:
-        out = np.einsum("uvpn,pq->unvq", first, np.conj(psi))
-    else:
-        out = np.einsum("uvpn,UVnq,pq->uUvV", first, tensor, np.conj(psi))
+    out = np.einsum("uvpn,UVnq,pq->uUvV", first, tensor, np.conj(psi))
     matrix = out.reshape(dim * dim, dim * dim)
     matrix = 0.5 * (matrix + matrix.conj().T)
     mass = float(np.trace(matrix).real)

@@ -15,6 +15,10 @@ phase b(z)^{Gouy order} (b = (1+it)/(1-it), t = z/z_R).  The solver works in
 the rotating frame that removes those phases, leaving a constant sparse
 superoperator plus a diagonal commutator, so one propagation is a few
 hundred sparse matrix-vector products regardless of the path.
+
+Every propagation path (`propagate`, `cutoff_bracketing` and the full-IPE
+kernel in `temporal`) advances its state with the one fixed-step `rk4_step`;
+the first two share one rotating-frame derivative built on `generator_parts`.
 """
 from __future__ import annotations
 
@@ -32,8 +36,7 @@ from .lgmodes import (
     LGIndex,
     ModeBasis,
     coefficient_stack,
-    gamma_weight_matrix,
-    selection_mask,
+    pair_tensor,
 )
 from .turbulence import (
     LinkGeometry,
@@ -43,7 +46,6 @@ from .turbulence import (
     l_strength,
 )
 
-MAX_DENSE_VECTORIZED_DIM = 2048
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
 # trace may overshoot 1 by the fixed-step integrator's truncation error at
@@ -58,10 +60,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.coarse = coarse
         self.fine = fine
-
-
-class DimensionGuardError(ValueError):
-    """Vectorized dimension too large for dense superoperator assembly."""
 
 
 class PropagationScheme(Enum):
@@ -126,131 +124,96 @@ class GeneratorParts:
            coupling at t = 0 (multiply by PREF * l(z) and dress with Gouy
            phases to get the physical gain superoperator);
     gamma0: basis-summed rate matrix (Hermitian, same normalization);
-    gouy:  per-mode half Gouy orders r + |l| / 2;
-    phase_exponent: (S^2, S^2) array of integer phase orders for dressing
-           (with gain0_dense, only kept within the dense-assembly guard).
+    gouy:  per-mode half Gouy orders r + |l| / 2.
     """
 
     basis: ModeBasis
     gain0: sparse.csr_matrix = field(repr=False)
-    gain0_dense: np.ndarray | None = field(repr=False)
     gamma0: np.ndarray = field(repr=False)
     gouy: np.ndarray = field(repr=False)
-    phase_exponent: np.ndarray | None = field(repr=False)
+
+
+def superoperator(tensor: np.ndarray) -> np.ndarray:
+    """Reorder a [m, u, n, v] tensor into the (S^2, S^2) map [(u,v), (m,n)]
+    acting on the row-major vectorized density."""
+    size = tensor.shape[0]
+    return np.transpose(tensor, (1, 3, 0, 2)).reshape(size * size, size * size)
 
 
 @lru_cache(maxsize=8)
 def generator_parts(cutoff: int) -> GeneratorParts:
     basis = ModeBasis(cutoff)
-    size = basis.size
     stack = coefficient_stack(basis, 0.0)
-    weights = gamma_weight_matrix(stack.shape[0])
-    flat = stack.reshape(stack.shape[0], size * size)
-    pairs = flat.T @ weights @ np.conj(flat)
-    tensor = pairs.reshape(size, size, size, size)  # [m, u, n, v]
-    tensor *= selection_mask(basis)
-    gamma0 = np.einsum("nanb->ab", tensor)
-    gain0 = np.ascontiguousarray(
-        np.transpose(tensor, (1, 3, 0, 2)).reshape(size * size, size * size)
-    )
-    gouy = np.array([idx.gouy_weight for idx in basis.indices])
-    if size * size <= MAX_DENSE_VECTORIZED_DIM:
-        diff = gouy[:, None] - gouy[None, :]  # gamma_a - gamma_b on (a, b)
-        # [(u,v),(m,n)] -> (gamma_m - gamma_u) - (gamma_n - gamma_v)
-        phase_exponent = (
-            (diff[None, None, :, :] - diff[:, :, None, None])
-            .transpose(3, 1, 2, 0)
-            .reshape(size * size, size * size)
-        )
-        gain0_dense = gain0
-    else:
-        # beyond the dense-assembly guard only the solver fast path is
-        # served; do not hold the dense artifacts in the cache
-        phase_exponent = None
-        gain0_dense = None
+    tensor = pair_tensor(basis, stack, np.conj(stack))  # [m, u, n, v]
     return GeneratorParts(
         basis=basis,
-        gain0=sparse.csr_matrix(gain0),
-        gain0_dense=gain0_dense,
-        gamma0=gamma0,
-        gouy=gouy,
-        phase_exponent=phase_exponent,
+        gain0=sparse.csr_matrix(superoperator(tensor)),
+        gamma0=np.einsum("nanb->ab", tensor),
+        gouy=np.array([idx.gouy_weight for idx in basis.indices]),
     )
 
 
-def assemble_superoperator(
-    basis: ModeBasis,
-    z: float,
-    profile: TurbulenceProfile,
-    geom: LinkGeometry,
-    scheme: PropagationScheme,
-) -> np.ndarray:
-    """Dense superoperator R(z) acting on the row-major vectorized density.
+def rk4_step(derivative, z: float, state: np.ndarray, h: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of d state / dz."""
+    k1 = derivative(z, state)
+    k2 = derivative(z + 0.5 * h, state + 0.5 * h * k1)
+    k3 = derivative(z + 0.5 * h, state + 0.5 * h * k2)
+    k4 = derivative(z + h, state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _derivative(parts: GeneratorParts, scheme: PropagationScheme, profile=None, geom=None):
+    """d rho / dz in the rotating frame: PREF l(z) (R0 rho - [Q rho + rho Q^dagger] / 2)
+    plus the Gouy commutator, the bracket only for LINDBLAD_TRUNCATED.
 
     For TRUNCATED_EXACT the scalar total-rate loss has already been
     cancelled against the diagonal of the gain (the two are equal and the
     combination is outer-scale free); for LINDBLAD_TRUNCATED the
-    basis-summed anticommutator replaces it.
+    basis-summed anticommutator with Q(z) = Gamma(z)^T replaces it.  Without
+    a link (geom None) the generator is frozen at t = 0 with l = 1 and no
+    Gouy term, which makes z the path-integrated decay density.
     """
-    size = basis.size
-    if size * size > MAX_DENSE_VECTORIZED_DIM:
-        raise DimensionGuardError(
-            f"vectorized dimension {size * size} exceeds {MAX_DENSE_VECTORIZED_DIM}"
-        )
-    parts = generator_parts(basis.cutoff)
-    cn2 = cn2_at(profile, geom, z)
-    rate = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
-    theta = math.atan2(z, geom.rayleigh_range)
-    gain = rate * np.exp(2j * theta * parts.phase_exponent) * parts.gain0_dense
-    if scheme is PropagationScheme.TRUNCATED_EXACT:
-        return gain
-    # Gamma(z)[m, u] carries the phase e^{2i theta (gamma_u - gamma_m)}
-    gamma = rate * np.exp(2j * theta * (parts.gouy[None, :] - parts.gouy[:, None])) * parts.gamma0
-    q = gamma.T  # anticommutator matrix Q = Gamma^T, Hermitian
-    eye = np.eye(size)
-    return gain - 0.5 * (np.kron(q, eye) + np.kron(eye, q.T))
-
-
-def _gauge_phases(parts: GeneratorParts, theta: float) -> np.ndarray:
-    return np.exp(-2j * theta * (parts.gouy[:, None] - parts.gouy[None, :]))
-
-
-def _propagate_fixed(rho0, profile, geom, config, steps):
-    parts = generator_parts(config.cutoff)
     size = parts.basis.size
-    z_r = geom.rayleigh_range
-    lindblad = config.scheme is PropagationScheme.LINDBLAD_TRUNCATED
+    lindblad = scheme is PropagationScheme.LINDBLAD_TRUNCATED
+    frozen = geom is None
+    z_r = None if frozen else geom.rayleigh_range
     gamma0_t = parts.gamma0.T
     gouy_comm = parts.gouy[:, None] - parts.gouy[None, :]
 
     def derivative(z, rho):
-        cn2 = cn2_at(profile, geom, z)
-        rate = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
+        if frozen:
+            rate = COUPLING_PREFACTOR
+        else:
+            cn2 = cn2_at(profile, geom, z)
+            rate = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
         out = rate * (parts.gain0 @ rho.reshape(-1)).reshape(size, size)
         if lindblad:
-            theta = math.atan2(z, z_r)
-            phase = np.exp(4j * theta * parts.gouy)
-            q = (phase[:, None] * gamma0_t) * np.conj(phase)[None, :]
+            q = gamma0_t
+            if not frozen:
+                phase = np.exp(4j * math.atan2(z, z_r) * parts.gouy)
+                q = (phase[:, None] * gamma0_t) * np.conj(phase)[None, :]
             out -= 0.5 * rate * (q @ rho + rho @ q.conj().T)
-        theta_rate = z_r / (z_r * z_r + z * z)
-        out += 2j * theta_rate * gouy_comm * rho
+        if not frozen:
+            theta_rate = z_r / (z_r * z_r + z * z)
+            out += 2j * theta_rate * gouy_comm * rho
         return out
 
-    rho = rho0.matrix.astype(complex).copy()
+    return derivative
+
+
+def _propagate_fixed(rho0, profile, geom, config, steps):
+    parts = generator_parts(config.cutoff)
+    derivative = _derivative(parts, config.scheme, profile, geom)
+    rho = rho0.matrix.astype(complex)
     h = geom.path_length / steps
     z = 0.0
     for _ in range(steps):
-        k1 = derivative(z, rho)
-        k2 = derivative(z + 0.5 * h, rho + 0.5 * h * k1)
-        k3 = derivative(z + 0.5 * h, rho + 0.5 * h * k2)
-        k4 = derivative(z + h, rho + h * k3)
-        rho += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = rk4_step(derivative, z, rho, h)
         rho = 0.5 * (rho + rho.conj().T)
         z += h
     # undo the rotating-frame (Gouy) gauge at the receiver plane
-    theta_f = math.atan2(geom.path_length, z_r)
-    phases = _gauge_phases(parts, theta_f)
-    return phases * rho
+    theta_f = math.atan2(geom.path_length, geom.rayleigh_range)
+    return np.exp(-2j * theta_f * (parts.gouy[:, None] - parts.gouy[None, :])) * rho
 
 
 def propagate(
@@ -324,20 +287,11 @@ def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
     results = {}
     for cutoff in cutoffs:
         parts = generator_parts(cutoff)
-        size = parts.basis.size
         fundamental = parts.basis.fundamental
-        diag_index = fundamental * size + fundamental
         for scheme in schemes:
-            operator = COUPLING_PREFACTOR * parts.gain0
-            if scheme is PropagationScheme.LINDBLAD_TRUNCATED:
-                q = sparse.csr_matrix(parts.gamma0.T)
-                eye = sparse.identity(size, format="csr")
-                operator = operator - 0.5 * COUPLING_PREFACTOR * (
-                    sparse.kron(q, eye, format="csr")
-                    + sparse.kron(eye, q.T, format="csr")
-                )
-            state = np.zeros(size * size, dtype=complex)
-            state[diag_index] = 1.0
+            derivative = _derivative(parts, scheme)
+            rho = np.zeros((parts.basis.size, parts.basis.size), dtype=complex)
+            rho[fundamental, fundamental] = 1.0
             probabilities = np.empty(len(l_values))
             tau = 0.0
             base_step = l_values[-1] / 512.0 if l_values[-1] > 0 else 1.0
@@ -347,13 +301,9 @@ def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
                     n_steps = max(1, int(math.ceil(span / max(base_step, 1e-30))))
                     h = span / n_steps
                     for _ in range(n_steps):
-                        k1 = operator @ state
-                        k2 = operator @ (state + 0.5 * h * k1)
-                        k3 = operator @ (state + 0.5 * h * k2)
-                        k4 = operator @ (state + h * k3)
-                        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                        rho = rk4_step(derivative, tau, rho, h)
                     tau = target
-                probabilities[k] = state[diag_index].real
+                probabilities[k] = rho[fundamental, fundamental].real
             results[(scheme, cutoff)] = probabilities
     return results
 

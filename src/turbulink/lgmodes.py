@@ -28,6 +28,7 @@ import numpy as np
 from .mathcore import TruncatedBivariateSeries, gamma_fn, series_product
 from .turbulence import (
     SPECTRUM_AMPLITUDE,
+    SPEED_OF_LIGHT,
     SpectrumParams,
     big_l_t,
     l_cross,
@@ -340,15 +341,18 @@ def free_prop_S_numeric(m: LGIndex, n: LGIndex, z_r: float, w0: float, order: in
     return complex(0.5j / k * values.sum() * step * step / (4.0 * math.pi**2))
 
 
+@lru_cache(maxsize=64)
 def gamma_weight_matrix(j_count: int) -> np.ndarray:
     """Weights M[j1, j2] = 2^{-(j1+j2)/2} Gamma((j1+j2)/2 - 5/6) of the
-    coefficient double sum (the radial integral in closed form)."""
+    coefficient double sum (the radial integral in closed form).  Cached;
+    the returned array is read-only."""
     js = np.arange(j_count)
     total = js[:, None] + js[None, :]
     out = np.zeros((j_count, j_count))
     for value in np.unique(total):
         half = 0.5 * value
         out[total == value] = 2.0**-half * gamma_fn(half - 5.0 / 6.0)
+    out.setflags(write=False)
     return out
 
 
@@ -384,9 +388,8 @@ def coupling_strength(
         finite = 0j
     elif isinstance(frequencies, tuple):
         omega1, omega2 = frequencies
-        c = 299792458.0
-        lam1 = 2.0 * math.pi * c / omega1
-        lam2 = 2.0 * math.pi * c / omega2
+        lam1 = 2.0 * math.pi * SPEED_OF_LIGHT / omega1
+        lam2 = 2.0 * math.pi * SPEED_OF_LIGHT / omega2
         t1 = lam1 * z / (math.pi * w0**2)
         t2 = lam2 * z / (math.pi * w0**2)
         a1 = (1.0 + t1 * t1) * w0**2
@@ -407,9 +410,8 @@ def coupling_strength(
             raise ValueError("include_total_rate requires SpectrumParams")
         if m == u and n == v:
             if isinstance(frequencies, tuple):
-                c = 299792458.0
-                lam1 = 2.0 * math.pi * c / frequencies[0]
-                lam2 = 2.0 * math.pi * c / frequencies[1]
+                lam1 = 2.0 * math.pi * SPEED_OF_LIGHT / frequencies[0]
+                lam2 = 2.0 * math.pi * SPEED_OF_LIGHT / frequencies[1]
             else:
                 lam1 = lam2 = float(frequencies)
             finite += big_l_t(lam1, lam2, cn2, spectrum)
@@ -465,9 +467,8 @@ def coupling_numeric_oracle(
     _check_oracle_scale(m, n, u, v)
     if isinstance(frequencies, tuple):
         omega1, omega2 = frequencies
-        c = 299792458.0
-        lam1 = 2.0 * math.pi * c / omega1
-        lam2 = 2.0 * math.pi * c / omega2
+        lam1 = 2.0 * math.pi * SPEED_OF_LIGHT / omega1
+        lam2 = 2.0 * math.pi * SPEED_OF_LIGHT / omega2
     else:
         lam1 = lam2 = float(frequencies)
     t1 = lam1 * z / (math.pi * w0**2)
@@ -566,6 +567,25 @@ def selection_mask(basis: ModeBasis) -> np.ndarray:
     return diff[:, :, None, None] == diff[None, None, :, :]
 
 
+def pair_tensor(basis: ModeBasis, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Selection-masked coefficient double sum over two coefficient stacks.
+
+    left and right are (j_count, size, size) stacks, or the same flattened
+    to (j_count, size^2); returns T[m, u, n, v] =
+    sum_{j1 j2} left[j1, m, u] M[j1, j2] right[j2, n, v] with M the Gamma
+    weights, zeroed where the azimuthal rule fails.  The single-frequency
+    tensor passes (stack, conj(stack)); dressed stacks give the
+    cross-frequency one.
+    """
+    size = basis.size
+    left = left.reshape(left.shape[0], size * size)
+    right = right.reshape(right.shape[0], size * size)
+    pairs = left.T @ gamma_weight_matrix(left.shape[0]) @ right  # [(m,u), (n,v)]
+    tensor = pairs.reshape(size, size, size, size)
+    tensor *= selection_mask(basis)
+    return tensor
+
+
 def coupling_tensor(
     basis: ModeBasis,
     z: float,
@@ -581,12 +601,7 @@ def coupling_tensor(
     """
     t = z * wavelength / (math.pi * w0**2)
     stack = coefficient_stack(basis, t)
-    weights = gamma_weight_matrix(stack.shape[0])
-    size = basis.size
-    flat = stack.reshape(stack.shape[0], size * size)
-    pairs = flat.T @ weights @ np.conj(flat)  # [(m,u), (n,v)]
-    tensor = pairs.reshape(size, size, size, size)
-    tensor *= selection_mask(basis)
+    tensor = pair_tensor(basis, stack, np.conj(stack))
     tensor *= COUPLING_PREFACTOR * l_strength(z, cn2, wavelength, w0)
     rate = None if spectrum is None else big_l_t(wavelength, wavelength, cn2, spectrum)
     # reorder (m, u, n, v) -> (m, n, u, v)

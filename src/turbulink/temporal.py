@@ -11,27 +11,32 @@ Two kernel fidelities:
             the regime in which the reference transmission matrix lives.
   FULL_IPE  propagate the cross-frequency coherence over a truncated LG basis
             and read off the fundamental-fundamental element; quadratically
-            more expensive, kept as a validation path.
+            more expensive, kept as a validation path.  Its generator is
+            `lgmodes.pair_tensor` over the two carriers' dressed coefficient
+            stacks, advanced with `ipe.rk4_step`; at omega1 = omega2 it is
+            the single-frequency propagation of `ipe.propagate`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .ipe import DECAY_CONSTANT, generator_parts
-from .lgmodes import (
-    COUPLING_PREFACTOR,
-    ModeBasis,
-    coefficient_stack,
-    gamma_weight_matrix,
-    selection_mask,
-)
+from .ipe import DECAY_CONSTANT, generator_parts, rk4_step, superoperator
+from .lgmodes import COUPLING_PREFACTOR, coefficient_stack, pair_tensor
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, integrated_l, l_cross
+from .turbulence import (
+    SPEED_OF_LIGHT,
+    LinkGeometry,
+    TurbulenceProfile,
+    cn2_at,
+    integrated_l,
+    l_cross,
+)
 
 MAX_GRID_ORDER = 64
 MAX_FULL_IPE_GRID = 12
@@ -88,20 +93,19 @@ def _cross_frequency_full_ipe(
     parts = generator_parts(cutoff)
     basis = parts.basis
     size = basis.size
-    weights = gamma_weight_matrix(6 * cutoff + 1)
-    mask = selection_mask(basis)
-    gouy = parts.gouy
-    c = 299792458.0
-    lam1 = 2.0 * math.pi * c / omega1
-    lam2 = 2.0 * math.pi * c / omega2
+    lam1 = 2.0 * math.pi * SPEED_OF_LIGHT / omega1
+    lam2 = 2.0 * math.pi * SPEED_OF_LIGHT / omega2
     zr1 = math.pi * geom.waist**2 / lam1
     zr2 = math.pi * geom.waist**2 / lam2
-    stack0 = generator_coefficients(cutoff)
+    stack0 = coefficient_stack(basis, 0.0)
     j_count = stack0.shape[0]
     js = np.arange(j_count)
     flat0 = stack0.reshape(j_count, size * size)
-    pair_phase = gouy[:, None] - gouy[None, :]
+    pair_phase = parts.gouy[:, None] - parts.gouy[None, :]
 
+    # RK4 evaluates its midpoint twice and each step starts where the last
+    # one ended, so a one-entry memo saves a third of the rebuilds
+    @lru_cache(maxsize=1)
     def generator(z):
         cn2 = cn2_at(profile, geom, z)
         t1 = z / zr1
@@ -115,11 +119,12 @@ def _cross_frequency_full_ipe(
         phase2 = np.exp(-2j * math.atan(t2) * pair_phase).reshape(-1)
         left = (flat0 * scale1[:, None]) * phase1[None, :]
         right = (np.conj(flat0) * scale2[:, None]) * phase2[None, :]
-        pairs = left.T @ weights[:j_count, :j_count] @ right
-        tensor = pairs.reshape(size, size, size, size)
-        tensor *= mask
+        tensor = pair_tensor(basis, left, right)
         rate = COUPLING_PREFACTOR * l_cross(z, omega1, omega2, cn2, geom.waist)
-        return rate * np.transpose(tensor, (1, 3, 0, 2)).reshape(size * size, size * size)
+        return rate * superoperator(tensor)
+
+    def derivative(z, state):
+        return generator(z) @ state
 
     fundamental = basis.fundamental
     state = np.zeros(size * size, dtype=complex)
@@ -127,14 +132,7 @@ def _cross_frequency_full_ipe(
     h = geom.path_length / steps
     z = 0.0
     for _ in range(steps):
-        r1 = generator(z)
-        r2 = generator(z + 0.5 * h)
-        r4 = generator(z + h)
-        k1 = r1 @ state
-        k2 = r2 @ (state + 0.5 * h * k1)
-        k3 = r2 @ (state + 0.5 * h * k2)
-        k4 = r4 @ (state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        state = rk4_step(derivative, z, state, h)
         z += h
     value = complex(state[fundamental * size + fundamental])
     # off-diagonal frequency pairs acquire a small dispersive phase (the two
@@ -144,11 +142,6 @@ def _cross_frequency_full_ipe(
     if abs(value.imag) > 0.05 * max(abs(value.real), 1e-12):
         raise RuntimeError(f"cross-frequency population has imaginary part {value.imag:.2e}")
     return float(value.real)
-
-
-def generator_coefficients(cutoff: int) -> np.ndarray:
-    """t = 0 coefficient stack shared with the single-frequency solver."""
-    return coefficient_stack(ModeBasis(cutoff), 0.0)
 
 
 def channel_kernel(

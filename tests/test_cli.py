@@ -95,6 +95,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid_order"):
             apply_overrides(RunConfig(), {"kernel_fidelity": "full_ipe", "grid_order": "32"})
 
+    def test_fixed_mode_outside_pair_modes(self):
+        with pytest.raises(ConfigError, match="fixed_mode"):
+            apply_overrides(RunConfig(), {"pair_modes": "4", "fixed_mode": "6"})
+        with pytest.raises(ConfigError, match="fixed_mode"):
+            config_from_tables({"entangle": {"pair_modes": 3, "fixed_mode": 3}})
+        assert main(["--set", "pair_modes=4", "--set", "fixed_mode=6", "entangle"]) == EXIT_CONFIG
+
+    def test_unread_keys_rejected(self):
+        with pytest.raises(ConfigError, match="unknown table"):
+            config_from_tables({"run": {"seed": 1}})
+        with pytest.raises(ConfigError, match="unknown key"):
+            config_from_tables({"turbulence": {"outer_scale_wavenumber": 1.0}})
+
 
 def run_cli(tmp_path, *args):
     return main(["--set", f"output_dir={tmp_path}", *args])
@@ -279,6 +292,28 @@ class TestSweep:
             assert code == EXIT_OK
             outputs.append((out_dir / "sweep_beam.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_entangle_sweep_matches_direct_scan(self, tmp_path):
+        # the sweep summary scans the same n range as the entangle subcommand,
+        # which stops below pair_modes
+        block = "\n[entangle]\npair_modes = 4\n\n[sweep]\naxes = [\"waist_m\"]\nwaist_m = [0.1, 0.2]\n"
+        config_path = self.make_config(tmp_path, block)
+        code = main(["--config", config_path, "--set", f"output_dir={tmp_path}", "sweep", "entangle"])
+        assert code == EXIT_OK
+        lines = (tmp_path / "sweep_entangle.csv").read_text().splitlines()
+        assert lines[0] == "waist_m,EN_final_min"
+        assert len(lines) == 3
+        for line in lines[1:]:
+            waist, en_min = map(float, line.split(","))
+            direct = tmp_path / f"direct_{waist}"
+            code = main([
+                "--config", config_path, "--set", f"output_dir={direct}",
+                "--set", f"waist_m={waist}", "entangle",
+            ])
+            assert code == EXIT_OK
+            rows = [row.split(",") for row in (direct / "entangle.csv").read_text().splitlines()[1:]]
+            assert [int(row[0]) for row in rows] == [0, 1, 2]
+            assert en_min == min(float(row[2]) for row in rows if row[4] == "0")
 
     def test_axis_ordering_in_output(self, tmp_path):
         block = "\n[sweep]\naxes = [\"cn2\"]\ncn2 = [1e-14, 1e-16, 1e-15]\n"

@@ -104,12 +104,6 @@ class TestPropagatePair:
         expected = np.kron(normalized, normalized)
         assert np.max(np.abs(rho.matrix - expected)) < 1e-10
 
-    def test_single_sided_mode(self, paper_spec, kernel_1e16):
-        state = TwoPhotonState.mode_pair(0, 2, 6)
-        rho, mass = propagate_pair(state, kernel_1e16, paper_spec, dim=6, single_sided=True)
-        assert 0 < mass <= 1.0 + 1e-9
-        assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-10
-
     def test_dimension_guard(self, paper_spec, kernel_1e16):
         with pytest.raises(ValueError):
             propagate_pair(TwoPhotonState.mode_pair(0, 1, 15), kernel_1e16, paper_spec)

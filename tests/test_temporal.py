@@ -1,9 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from turbulink.ipe import analytic_decay
+from turbulink.ipe import (
+    DensityMatrix,
+    SolverConfig,
+    analytic_decay,
+    lowest_mode_probability,
+    propagate,
+)
+from turbulink.lgmodes import LGIndex, ModeBasis
 from turbulink.temporal import (
     CostGuardError,
     KernelFidelity,
@@ -114,6 +122,25 @@ class TestFullPropagationKernel:
             fidelity=KernelFidelity.FULL_IPE, cutoff=0,
         )
         assert np.max(np.abs(full.matrix - analytic.matrix)) < 1e-7
+
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_equal_frequencies_match_single_frequency_propagation(
+        self, paper_spec, paper_geometry, cutoff
+    ):
+        # at omega1 = omega2 the cross-frequency generator is the
+        # single-frequency one in the lab frame; the fundamental population
+        # is gauge invariant, so both integrators must agree
+        profile = TurbulenceProfile.from_constant(1e-16)
+        steps = 128
+        full = channel_kernel(
+            paper_spec, profile, paper_geometry, grid_order=4,
+            fidelity=KernelFidelity.FULL_IPE, cutoff=cutoff, steps=steps,
+        )
+        rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=0, r=0))
+        for i, omega in enumerate(full.omegas):
+            geom = replace(paper_geometry, wavelength=2.0 * math.pi * C / omega)
+            rho = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, steps=steps))
+            assert full.matrix[i, i] == pytest.approx(lowest_mode_probability(rho), rel=1e-9)
 
     def test_symmetry_and_range(self, kernels_8):
         _, full = kernels_8
