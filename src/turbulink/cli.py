@@ -219,11 +219,10 @@ def run_tmatrix(config: RunConfig, out=None):
 
 
 def _robustness_rows(config: RunConfig) -> list:
-    """Robustness scan over n < min(11, pair_modes - 1), shared by the
-    entangle subcommand and its sweep summary."""
-    n_top = min(11, config.pair_modes - 1)
+    """Robustness scan over `config.scan_modes`, shared by the entangle
+    subcommand and its sweep summary."""
     return robustness_scan(
-        _kernel(config), _spec(config), config.fixed_mode, range(n_top), dim=config.pair_modes
+        _kernel(config), _spec(config), config.fixed_mode, config.scan_modes, dim=config.pair_modes
     )
 
 
@@ -306,6 +305,7 @@ def run_subcommand(name: str, config: RunConfig, out=None) -> int:
     """Dispatch one subcommand; returns the process exit code."""
     out = out or sys.stdout
     try:
+        validate_config(config, name)
         result = _SUBCOMMANDS[name](config, out=out)
     except ValueError as exc:  # ConfigError, ProfileError, guard violations
         print(f"config error: {exc}", file=sys.stderr)
@@ -340,7 +340,7 @@ def sweep(config: RunConfig, subcommand: str, threads: int = 1, out=None) -> int
             sweep_values=(),
             **dict(zip(config.sweep_axes, point)),
         )
-        validate_config(local)
+        validate_config(local, subcommand)
         summary = _point_summary(subcommand, local)
         return point, summary
 

@@ -183,6 +183,11 @@ class RunConfig:
     def sigma_b_rad(self) -> float:
         return self.sigma_b_trad * 1e12
 
+    @property
+    def scan_modes(self) -> range:
+        """Second modes n of the entangle scan: n < min(11, pair_modes - 1)."""
+        return range(min(11, self.pair_modes - 1))
+
 
 _SECTION_KEYS = {
     "link": (
@@ -256,7 +261,12 @@ def config_from_tables(tables: dict) -> RunConfig:
     return config
 
 
-def validate_config(config: RunConfig):
+def validate_config(config: RunConfig, command: str = ""):
+    """Reject out-of-range values and inconsistent key pairs.
+
+    `command` adds the rules of keys only that subcommand reads, so that
+    (say) a coarse kernel grid is not refused over the entangle defaults.
+    """
     for key in RANGES:
         if hasattr(config, key):
             if key == "pump_trad" and config.pump_trad == 0.0:
@@ -279,6 +289,17 @@ def validate_config(config: RunConfig):
     if config.fixed_mode >= config.pair_modes:
         raise ConfigError(
             f"value for 'fixed_mode' out of range: {config.fixed_mode} must be below pair_modes = {config.pair_modes}"
+        )
+    if command != "entangle":
+        return
+    if config.pair_modes > config.grid_order // 2:
+        raise ConfigError(
+            f"value for 'pair_modes' out of range: {config.pair_modes} needs grid_order >= {2 * config.pair_modes}"
+        )
+    if all(n == config.fixed_mode for n in config.scan_modes):
+        raise ConfigError(
+            f"value for 'pair_modes' out of range: {config.pair_modes} scans only "
+            f"n = {config.fixed_mode} = fixed_mode, the degenerate row"
         )
 
 

@@ -6,6 +6,12 @@ P(omega1, omega2) P(omega1', omega2'), so the mode-basis map is the tensor
 square of the one-photon channel tensor.  Entanglement is scored by the
 negativity of the partial transpose and by overlap fidelity with the input.
 
+The pair map out[u, U, v, V] = sum psi[m, n] conj(psi[p, q]) C[u, v, m, p]
+C[U, V, n, q] is contracted one index pair at a time: psi over m, conj(psi)
+over p (two dim^5 tensordots), then one (dim^2, dim^2) GEMM against C over
+(n, q) (dim^6), so no step costs more than dim^6.  A robustness scan builds
+C once and reuses it for every row.
+
 Basis ordering for the pair density is first-photon-major: the matrix index
 of |f_m> |f_n> is m * dim + n.
 """
@@ -55,14 +61,6 @@ class TwoPhotonState:
             psi[n, n] = 1.0 / math.sqrt(2.0)
         return cls(coefficients=psi)
 
-    @classmethod
-    def qudit_bell(cls, modes, dim: int) -> "TwoPhotonState":
-        """Maximally entangled state over the given mode list."""
-        psi = np.zeros((dim, dim), dtype=complex)
-        for m in modes:
-            psi[m, m] = 1.0 / math.sqrt(len(modes))
-        return cls(coefficients=psi)
-
 
 @dataclass(frozen=True)
 class TwoPhotonDensity:
@@ -94,6 +92,21 @@ def channel_tensor(kernel: ChannelKernel, spec: BiphotonSpec, dim: int) -> np.nd
     return block.reshape(dim, dim, dim, dim).transpose(0, 3, 1, 2)
 
 
+def _pair_density(psi: np.ndarray, tensor: np.ndarray) -> tuple:
+    """Apply C (x) C to |psi><psi| and normalize; returns (density, mass)."""
+    dim = psi.shape[0]
+    if dim > MAX_PAIR_MODES:
+        raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
+    size = dim * dim
+    half = np.tensordot(tensor, psi, axes=(2, 0))  # [u, v, p, n]
+    half = np.tensordot(half, np.conj(psi), axes=(2, 0))  # [u, v, n, q]
+    out = half.reshape(size, size) @ tensor.reshape(size, size).T  # [(u, v), (U, V)]
+    matrix = out.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(size, size)
+    matrix = 0.5 * (matrix + matrix.conj().T)
+    mass = float(np.trace(matrix).real)
+    return TwoPhotonDensity(dim=dim, matrix=matrix / mass, normalized=True), mass
+
+
 def propagate_pair(
     state: TwoPhotonState,
     kernel: ChannelKernel,
@@ -104,26 +117,16 @@ def propagate_pair(
 
     Returns (TwoPhotonDensity, transmitted_mass): the density is normalized
     and the mass is the pre-normalization trace (joint survival probability
-    within the truncated mode space).
+    within the truncated mode space).  The map is contracted as two dim^5
+    tensordots (psi over m, conj(psi) over p) and one dim^6 GEMM against the
+    channel tensor over (n, q).
     """
     dim = state.dim if dim is None else dim
-    if dim > MAX_PAIR_MODES:
-        raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
     if dim < state.dim:
         raise ValueError("target dimension smaller than the state")
     psi = np.zeros((dim, dim), dtype=complex)
     psi[: state.dim, : state.dim] = state.coefficients
-    tensor = channel_tensor(kernel, spec, dim)
-    # first[u, v, m', n] = sum_m C[u, v, m, m'] psi[m, n]
-    first = np.einsum("uvmp,mn->uvpn", tensor, psi)
-    out = np.einsum("uvpn,UVnq,pq->uUvV", first, tensor, np.conj(psi))
-    matrix = out.reshape(dim * dim, dim * dim)
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    mass = float(np.trace(matrix).real)
-    return (
-        TwoPhotonDensity(dim=dim, matrix=matrix / mass, normalized=True),
-        mass,
-    )
+    return _pair_density(psi, channel_tensor(kernel, spec, dim))
 
 
 def log_negativity(rho: TwoPhotonDensity) -> float:
@@ -168,12 +171,13 @@ def robustness_scan(
     The n == fixed_mode row degenerates to a product state; it is reported
     with zero initial negativity and flagged rather than skipped.
     """
+    tensor = channel_tensor(kernel, spec, dim)
     rows = []
     for n in n_range:
         degenerate = n == fixed_mode
         state = TwoPhotonState.mode_pair(fixed_mode, n, dim)
         en_initial = 0.0 if degenerate else 1.0
-        rho, mass = propagate_pair(state, kernel, spec, dim)
+        rho, mass = _pair_density(state.coefficients, tensor)
         rows.append(
             RobustnessRow(
                 n=n,

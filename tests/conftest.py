@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from turbulink.schmidt import BiphotonSpec
 from turbulink.temporal import channel_kernel
@@ -8,6 +9,11 @@ from turbulink.turbulence import LinkGeometry, TurbulenceProfile
 
 SPEED_OF_LIGHT = 299792458.0
 CENTER_WAVELENGTH = 3.95e-6
+
+# Derandomized examples keep property tests reproducible run to run; no
+# deadline because single examples are timed on shared, noisy machines.
+settings.register_profile("turbulink", derandomize=True, deadline=None, database=None)
+settings.load_profile("turbulink")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from turbulink import cli
@@ -10,6 +12,7 @@ from turbulink.config import (
     parse_config,
     parse_table_text,
     serialize_config,
+    validate_config,
 )
 from turbulink.ipe import SolverError
 
@@ -101,6 +104,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="fixed_mode"):
             config_from_tables({"entangle": {"pair_modes": 3, "fixed_mode": 3}})
         assert main(["--set", "pair_modes=4", "--set", "fixed_mode=6", "entangle"]) == EXIT_CONFIG
+
+    def test_pair_modes_resolvable_on_grid(self, tmp_path, capsys):
+        coarse = replace(RunConfig(), grid_order=16)
+        with pytest.raises(ConfigError, match="pair_modes"):
+            validate_config(coarse, "entangle")
+        validate_config(coarse, "kernel")  # only the entangle scan reads pair_modes
+        assert run_cli(tmp_path, "--set", "grid_order=16", "entangle") == EXIT_CONFIG
+        assert "'pair_modes'" in capsys.readouterr().err
+        assert run_cli(tmp_path, "--set", "grid_order=16", "kernel") == EXIT_OK
+
+    def test_scan_without_nondegenerate_row_rejected(self, tmp_path, capsys):
+        # pair_modes = 2 scans n < 1, and with fixed_mode = 0 that is the degenerate row only
+        assert run_cli(tmp_path, "--set", "pair_modes=2", "entangle") == EXIT_CONFIG
+        assert "'pair_modes'" in capsys.readouterr().err
+        config_path = tmp_path / "sweep.cfg"
+        config_path.write_text(
+            "[entangle]\npair_modes = 2\n\n[sweep]\naxes = [\"waist_m\"]\nwaist_m = [0.1, 0.2]\n"
+        )
+        assert run_cli(tmp_path, "--config", str(config_path), "sweep", "entangle") == EXIT_CONFIG
+        assert "'pair_modes'" in capsys.readouterr().err
+        assert run_cli(tmp_path, "--set", "pair_modes=2", "--set", "fixed_mode=1", "entangle") == EXIT_OK
 
     def test_unread_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown table"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from turbulink.entanglement import (
     RobustnessRow,
@@ -14,6 +16,35 @@ from turbulink.entanglement import (
     robustness_scan,
 )
 from turbulink.temporal import apply_channel_single
+
+
+def qudit_bell(modes, dim):
+    """Maximally entangled state over the given mode list."""
+    psi = np.zeros((dim, dim), dtype=complex)
+    for m in modes:
+        psi[m, m] = 1.0 / math.sqrt(len(modes))
+    return TwoPhotonState(coefficients=psi)
+
+
+def random_state(dim, seed):
+    """Normalized complex state with every psi[m, n] nonzero."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return TwoPhotonState(coefficients=psi / np.linalg.norm(psi))
+
+
+def einsum_pair_density(state, kernel, spec):
+    """Oracle: the pair map as one unoptimized three-operand einsum (dim^7)."""
+    dim = state.dim
+    psi = state.coefficients
+    tensor = channel_tensor(kernel, spec, dim)
+    # first[u, v, m', n] = sum_m C[u, v, m, m'] psi[m, n]
+    first = np.einsum("uvmp,mn->uvpn", tensor, psi)
+    out = np.einsum("uvpn,UVnq,pq->uUvV", first, tensor, np.conj(psi))
+    matrix = out.reshape(dim * dim, dim * dim)
+    matrix = 0.5 * (matrix + matrix.conj().T)
+    mass = float(np.trace(matrix).real)
+    return matrix / mass, mass
 
 
 def bell_density(dim=2):
@@ -108,6 +139,34 @@ class TestPropagatePair:
         with pytest.raises(ValueError):
             propagate_pair(TwoPhotonState.mode_pair(0, 1, 15), kernel_1e16, paper_spec)
 
+    @pytest.mark.parametrize("dim", [2, 6, 9, 12, 14])
+    @pytest.mark.parametrize("kind", ["mode_pair", "qudit_bell", "random"])
+    def test_matches_einsum_oracle(self, paper_spec, kernel_1e15, dim, kind):
+        state = {
+            "mode_pair": TwoPhotonState.mode_pair(0, dim - 1, dim),
+            "qudit_bell": qudit_bell(range(0, dim, 2), dim),
+            "random": random_state(dim, seed=dim),
+        }[kind]
+        rho, mass = propagate_pair(state, kernel_1e15, paper_spec)
+        expected, expected_mass = einsum_pair_density(state, kernel_1e15, paper_spec)
+        np.testing.assert_allclose(rho.matrix, expected, rtol=0.0, atol=1e-12)
+        assert mass == pytest.approx(expected_mass, rel=1e-12)
+
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_zero_turbulence_identity_property(self, paper_spec, kernel_zero, dim, seed):
+        state = random_state(dim, seed)
+        rho, mass = propagate_pair(state, kernel_zero, paper_spec)
+        vec = state.coefficients.reshape(-1)
+        np.testing.assert_allclose(rho.matrix, np.outer(vec, vec.conj()), rtol=0.0, atol=1e-10)
+        assert fidelity_to_input(rho, state) == pytest.approx(1.0, abs=1e-10)
+        assert mass == pytest.approx(1.0, abs=1e-10)
+
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_hermitian_with_bounded_mass_property(self, paper_spec, kernel_1e16, dim, seed):
+        rho, mass = propagate_pair(random_state(dim, seed), kernel_1e16, paper_spec)
+        assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
+        assert 0.0 < mass <= 1.0
+
     def test_fidelity_of_orthogonal_state(self):
         rho = bell_density(4)
         other = TwoPhotonState.mode_pair(2, 3, 4)
@@ -153,6 +212,14 @@ class TestRobustnessScan:
         for weak, strong in zip(scan_1e16, scan_1e15):
             assert strong.en_final <= weak.en_final + 5e-3
 
+    def test_rows_match_propagate_pair(self, paper_spec, kernel_1e16, scan_1e16):
+        for row in scan_1e16:
+            state = TwoPhotonState.mode_pair(0, row.n, 12)
+            rho, mass = propagate_pair(state, kernel_1e16, paper_spec)
+            assert row.en_final == pytest.approx(log_negativity(rho), abs=1e-13)
+            assert row.fidelity == pytest.approx(fidelity_to_input(rho, state), abs=1e-13)
+            assert row.transmitted_mass == pytest.approx(mass, rel=1e-13)
+
     def test_outputs_nearly_positive(self, paper_spec, kernel_1e16):
         for n in (1, 5, 10):
             state = TwoPhotonState.mode_pair(0, n, 12)
@@ -160,8 +227,8 @@ class TestRobustnessScan:
             assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-2
 
     def test_even_mode_qudit_more_robust(self, paper_spec, kernel_1e16):
-        even = TwoPhotonState.qudit_bell([0, 2, 4], 12)
-        consecutive = TwoPhotonState.qudit_bell([0, 1, 2], 12)
+        even = qudit_bell([0, 2, 4], 12)
+        consecutive = qudit_bell([0, 1, 2], 12)
         rho_even, _ = propagate_pair(even, kernel_1e16, paper_spec)
         rho_cons, _ = propagate_pair(consecutive, kernel_1e16, paper_spec)
         initial = math.log2(3.0)
