@@ -166,19 +166,17 @@ def channel_kernel(
     matrix = np.ones((grid_order, grid_order))
     extinction = math.exp(-extinction_per_km * geom.path_length / 1000.0)
     if not profile.is_zero:
-        for i in range(grid_order):
-            for j in range(i, grid_order):
-                if fidelity is KernelFidelity.ANALYTIC:
-                    exponent = DECAY_CONSTANT * integrated_l(
-                        profile, geom, (omegas[i], omegas[j])
-                    )
-                    value = math.exp(-exponent)
-                else:
-                    value = _cross_frequency_full_ipe(
-                        omegas[i], omegas[j], profile, geom, cutoff, steps=steps
-                    )
-                matrix[i, j] = value
-                matrix[j, i] = value
+        # the upper triangle, mirrored: the kernel is exactly symmetric
+        rows, cols = np.triu_indices(grid_order)
+        if fidelity is KernelFidelity.ANALYTIC:
+            exponent = DECAY_CONSTANT * integrated_l(profile, geom, (omegas[rows], omegas[cols]))
+            values = np.exp(-exponent)
+        else:
+            values = [
+                _cross_frequency_full_ipe(omegas[i], omegas[j], profile, geom, cutoff, steps=steps)
+                for i, j in zip(rows, cols)
+            ]
+        matrix[rows, cols] = matrix[cols, rows] = values
     matrix = matrix * extinction
     return ChannelKernel(
         spec=spec,

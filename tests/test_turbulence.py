@@ -1,13 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import golden
 
+from turbulink import turbulence
+from turbulink.ipe import DECAY_CONSTANT
+from turbulink.mathcore import gauss_hermite_rule
+from turbulink.schmidt import frequency_grid
+from turbulink.temporal import channel_kernel
 from turbulink.turbulence import (
     LinkGeometry,
     ProfileError,
+    QuadratureError,
     SpectrumParams,
     TurbulenceProfile,
     big_l_t,
@@ -16,7 +26,6 @@ from turbulink.turbulence import (
     integrated_l,
     l_cross,
     l_strength,
-    optimal_waist_for_minimum_l,
     path_height,
     vonkarman_psd,
 )
@@ -220,7 +229,8 @@ class TestDecayDensity:
         lam, z = 3.95e-6, 3.0e4
         bracket = (0.05, 0.5)
         found = golden(lambda w: l_strength(z, 1e-16, lam, w), brack=bracket, tol=1e-10)
-        assert found == pytest.approx(optimal_waist_for_minimum_l(lam, z), rel=1e-3)
+        # closed form of dl/dw0 = 0: w0 = sqrt(lambda z / pi)
+        assert found == pytest.approx(math.sqrt(lam * z / math.pi), rel=1e-3)
 
 
 class TestFried:
@@ -269,3 +279,88 @@ class TestIntegratedL:
         single = integrated_l(profile, geom)
         cross = integrated_l(profile, geom, (omega, omega))
         assert cross == pytest.approx(single, rel=1e-9)
+
+
+# 30 km over 19 m endpoints sags to 1.4 m mid-path, under the 5 m lowest height
+CROSSING_TABLE = [(5.0, 3e-14), (60.0, 4e-15), (400.0, 5e-16), (2000.0, 6e-17)]
+
+
+def quad_exponents(profile, geom, omegas):
+    """Oracle: one adaptive quad per frequency pair of the decay exponent."""
+    size = len(omegas)
+    exponents = np.empty((size, size))
+    for i in range(size):
+        for j in range(i, size):
+            value = quad(
+                lambda z: l_cross(z, omegas[i], omegas[j], cn2_at(profile, geom, z), geom.waist),
+                0.0, geom.path_length, epsrel=1e-8, epsabs=0.0, limit=200,
+            )[0]
+            exponents[i, j] = exponents[j, i] = DECAY_CONSTANT * value
+    return exponents
+
+
+def waist_for(t_end, path_length, wavelength=3.95e-6):
+    """Waist whose Rayleigh range puts the receiver at t = z_f / z_R = t_end."""
+    return math.sqrt(path_length * wavelength / (math.pi * t_end))
+
+
+class TestPathRule:
+    def check_kernel(self, spec, profile, geom, grid_order):
+        kernel = channel_kernel(spec, profile, geom, grid_order=grid_order)
+        assert np.array_equal(kernel.matrix, kernel.matrix.T)
+        oracle = quad_exponents(profile, geom, kernel.omegas)
+        np.testing.assert_allclose(-np.log(kernel.matrix), oracle, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("grid_order", [16, 32, 64])
+    @pytest.mark.parametrize("t_end", [0.5, 1.8, 5.0])
+    def test_constant_kernel_matches_quad(self, paper_spec, grid_order, t_end):
+        geom = paper_geom(waist=waist_for(t_end, 3.0e4))
+        self.check_kernel(paper_spec, TurbulenceProfile.from_constant(1e-16), geom, grid_order)
+
+    def test_tabulated_kernel_inside_table_matches_quad(self, paper_spec):
+        profile = TurbulenceProfile.from_table([(5.0, 3e-15), (60.0, 4e-16), (400.0, 5e-17)])
+        geom = paper_geom(path_length=8.0e3, receiver_height=31.0, waist=waist_for(1.2, 8.0e3))
+        assert 5.0 < min(path_height(geom, z) for z in np.linspace(0, 8.0e3, 81))
+        self.check_kernel(paper_spec, profile, geom, 16)
+
+    def test_kernel_across_table_heights_matches_quad(self, paper_spec):
+        profile = TurbulenceProfile.from_table(CROSSING_TABLE)
+        geom = paper_geom()
+        assert path_height(geom, 1.5e4) < 5.0
+        self.check_kernel(paper_spec, profile, geom, 8)
+
+    @pytest.mark.parametrize("t_end", [40.0, 6.0e5])
+    def test_graded_panels_far_past_rayleigh_range(self, t_end):
+        geom = paper_geom(waist=waist_for(t_end, 3.0e4))
+        oracle = quad(
+            lambda z: l_strength(z, 1e-16, geom.wavelength, geom.waist),
+            0.0, geom.path_length, epsrel=1e-8, epsabs=0.0, limit=200,
+        )[0]
+        value = integrated_l(TurbulenceProfile.from_constant(1e-16), geom)
+        assert value == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [TurbulenceProfile.from_constant(1e-16), TurbulenceProfile.from_table(CROSSING_TABLE)],
+        ids=["constant", "crossing"],
+    )
+    def test_array_matches_scalar_calls(self, paper_spec, profile):
+        geom = paper_geom()
+        omegas = frequency_grid(paper_spec, gauss_hermite_rule(8).nodes)
+        array = integrated_l(profile, geom, (omegas[:, None], omegas[None, :]))
+        assert array.shape == (8, 8)
+        scalar = [[integrated_l(profile, geom, (w1, w2)) for w2 in omegas] for w1 in omegas]
+        np.testing.assert_allclose(array, scalar, rtol=1e-14, atol=0.0)
+        assert isinstance(integrated_l(profile, geom, (omegas[0], omegas[1])), float)
+
+    def test_error_estimate_guard(self, monkeypatch):
+        # 2 against 1 node per panel: the estimate is far above the 1e-6 bound
+        monkeypatch.setattr(turbulence, "PANEL_NODES", 2)
+        with pytest.raises(QuadratureError):
+            integrated_l(TurbulenceProfile.from_constant(1e-16), paper_geom())
+
+    def test_cli_import_leaves_scipy_integrate_out(self):
+        code = "import sys, turbulink.cli; sys.exit('scipy.integrate' in sys.modules)"
+        src = str(Path(turbulence.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
