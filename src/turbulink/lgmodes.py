@@ -6,16 +6,21 @@ transverse wavenumber K.  Each W is a finite expansion
 
     W_{m,n} = sum_j c_{m,n,j} (K^2 a / 8)^{j/2} e^{-K^2 a / 8} e^{i(l_m - l_n) phi}
 
-with a = (1 + t^2) w_0^2 and t = z / z_R.  The c coefficients come from
-derivative extraction of a two-parameter generating function; here the
-extraction is done with truncated bivariate series arithmetic, so every
-coefficient is exact up to float rounding.
+with a = (1 + t^2) w_0^2 and t = z / z_R.  The c coefficients are in closed
+form.  An LG mode (r, l) is the product of two circular oscillator states
+with quanta n+- = r + (|l| +- l)/2 (Nienhuis & Allen, PRA 48, 656 (1993)),
+and a displacement by K acts on each oscillator separately, so c_{m,n,.} at
+t = 0 is the convolution of two one-axis displaced-Fock matrix elements,
+sqrt(b!/a!) x0^{(a-b)/2} L_b^{(a-b)}(x0) for a >= b (Cahill & Glauber,
+Phys. Rev. 177, 1857 (1969)).  The t dependence is the pure Gouy phase
+b^{g_m - g_n}, b = (1 + it)/(1 - it), g = r + |l|/2, so the t = 0
+coefficients of a basis are computed once per cutoff.
 
 Radially integrating W W* against the von Karman spectrum (outer scale sent
 to zero, the divergent total-rate piece cancelled analytically) leaves a
 Gamma-function sum over coefficient pairs; that is `coupling_strength`.  A
 direct quadrature of the defining integral with a small but finite outer
-scale is kept alongside as an oracle for tests.
+scale is kept alongside as an oracle.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mathcore import TruncatedBivariateSeries, gamma_fn, series_product
+from .mathcore import gamma_fn
 from .turbulence import (
     SPECTRUM_AMPLITUDE,
     SPEED_OF_LIGHT,
@@ -46,7 +51,7 @@ DECAY_CONSTANT = COUPLING_PREFACTOR * abs(math.gamma(-5.0 / 6.0))  # = 54.100...
 
 
 class OracleIndexError(ValueError):
-    """Mode index beyond the supported extraction range."""
+    """Mode index beyond the supported range."""
 
 
 @dataclass(frozen=True, order=True)
@@ -108,75 +113,44 @@ def _check_oracle_scale(*indices: LGIndex):
             raise OracleIndexError(f"{idx} beyond supported index range {MAX_ORACLE_INDEX}")
 
 
-def _inv_one_minus_d1d2(power: int, max_i: int, max_j: int) -> TruncatedBivariateSeries:
-    # (1 - d1 d2)^{-power}: diagonal binomial coefficients
-    out = TruncatedBivariateSeries.zero(max_i, max_j)
-    for k in range(min(max_i, max_j) + 1):
-        out.coeff[k, k] = math.comb(power - 1 + k, k)
+def _laguerre_coefficients(n: int, alpha: int) -> np.ndarray:
+    """Power-series coefficients of the generalized Laguerre polynomial L_n^(alpha)."""
+    return np.array(
+        [(-1.0) ** k * math.comb(n + alpha, n - k) / math.factorial(k) for k in range(n + 1)]
+    )
+
+
+def _circular_quanta(idx: LGIndex) -> tuple:
+    """Quanta n+, n- of the two circular oscillators that make up mode idx."""
+    return idx.r + (abs(idx.l) + idx.l) // 2, idx.r + (abs(idx.l) - idx.l) // 2
+
+
+@lru_cache(maxsize=None)
+def _axis_coefficients(p: int, q: int) -> np.ndarray:
+    # one oscillator's displaced-Fock element <p|D|q> as coefficients of
+    # x0^{j/2}: i^{a-b} sqrt(b!/a!) L_b^(a-b) on j = a-b, a-b+2, ..., a+b
+    # (a >= b); keys are bounded by the index guard
+    a, b = max(p, q), min(p, q)
+    out = np.zeros(a + b + 1, dtype=complex)
+    out[a - b :: 2] = (
+        1j ** (a - b) * math.sqrt(math.factorial(b) / math.factorial(a))
+        * _laguerre_coefficients(b, a - b)
+    )
+    out.setflags(write=False)
     return out
 
 
-def _binomial_axis(value: complex, power: int, axis: int, max_i: int, max_j: int) -> TruncatedBivariateSeries:
-    # (1 - value * d)^power along d1 (axis 0) or d2 (axis 1), power >= 0
-    out = TruncatedBivariateSeries.zero(max_i, max_j)
-    top = max_i if axis == 0 else max_j
-    for k in range(min(power, top) + 1):
-        coeff = math.comb(power, k) * (-value) ** k
-        if axis == 0:
-            out.coeff[k, 0] = coeff
-        else:
-            out.coeff[0, k] = coeff
-    return out
+def _c0(m: LGIndex, n: LGIndex) -> np.ndarray:
+    # the t = 0 coefficients: one displaced-Fock element per circular axis
+    _check_oracle_scale(m, n)
+    (pm, qm), (pn, qn) = _circular_quanta(m), _circular_quanta(n)
+    plus, minus = _axis_coefficients(pm, pn), _axis_coefficients(qm, qn)
+    return (-1.0) ** (m.r + n.r) * np.convolve(plus, minus)
 
 
-@lru_cache(maxsize=100_000)
-def _c_coefficients_cached(r1: int, l1: int, r2: int, l2: int, t: float) -> tuple:
-    L1, L2 = abs(l1), abs(l2)
-    theta = math.atan(t)
-    b = complex(math.cos(2 * theta), math.sin(2 * theta))  # (1 + it)/(1 - it)
-    pair_max = (L1 + L2 - abs(l1 - l2)) // 2
-
-    j_top = 2 * (r1 + r2) + L1 + L2
-    coeffs = np.zeros(j_top + 1, dtype=complex)
-
-    norm = math.sqrt(
-        1.0
-        / (
-            math.factorial(r1)
-            * math.factorial(r1 + L1)
-            * math.factorial(r2)
-            * math.factorial(r2 + L2)
-        )
-    )
-    kappa = (1j) ** (L1 + L2) * np.exp(1j * theta * (L1 - L2)) * norm
-    extraction_scale = math.factorial(r1) * math.factorial(r2)
-
-    # psi carries the d-dependence of the shared Gaussian exponent:
-    # exp(-X) = e^{-x0} exp(x0 * psi),  psi = (b d1 + d2/b - 2 d1 d2) / (1 - d1 d2)
-    psi_num = TruncatedBivariateSeries.from_terms(
-        {(1, 0): b, (0, 1): 1.0 / b, (1, 1): -2.0}, r1, r2
-    )
-    psi = series_product(psi_num, _inv_one_minus_d1d2(1, r1, r2))
-
-    for s in range(pair_max + 1):
-        base = series_product(
-            _binomial_axis(b, L2 - s, 0, r1, r2),
-            _binomial_axis(1.0 / b, L1 - s, 1, r1, r2),
-        )
-        base = series_product(base, _inv_one_minus_d1d2(L1 + L2 - s + 1, r1, r2))
-        pair_count = (
-            math.factorial(L1)
-            * math.factorial(L2)
-            / (math.factorial(s) * math.factorial(L1 - s) * math.factorial(L2 - s))
-        )
-        term_scale = kappa * (-1.0) ** s * pair_count * extraction_scale
-        series = base
-        for p in range(r1 + r2 + 1):
-            j = L1 + L2 - 2 * s + 2 * p
-            coeffs[j] += term_scale * series.coeff[r1, r2]
-            if p < r1 + r2:
-                series = series_product(series, psi).scaled(1.0 / (p + 1))
-    return tuple(coeffs)
+def _gouy_phase(weight_difference, t: float):
+    """Gouy phase b^{g_m - g_n} with b = (1 + it)/(1 - it), g = r + |l|/2."""
+    return np.exp(2j * math.atan(t) * weight_difference)
 
 
 def c_coefficients(m: LGIndex, n: LGIndex, t: float) -> np.ndarray:
@@ -185,36 +159,7 @@ def c_coefficients(m: LGIndex, n: LGIndex, t: float) -> np.ndarray:
     Returns the dense j-array (length 2(r_m + r_n) + |l_m| + |l_n| + 1);
     entries with j of the opposite parity to |l_m| + |l_n| are exactly zero.
     """
-    _check_oracle_scale(m, n)
-    return np.array(_c_coefficients_cached(m.r, m.l, n.r, n.l, float(t)), dtype=complex)
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """All c_{m,n,j} arrays for one basis at one normalized distance."""
-
-    basis: ModeBasis
-    t: float
-
-    def slice(self, m: LGIndex, n: LGIndex) -> np.ndarray:
-        return c_coefficients(m, n, self.t)
-
-    def get(self, m: LGIndex, n: LGIndex, j: int) -> complex:
-        values = self.slice(m, n)
-        return complex(values[j]) if j < len(values) else 0.0
-
-
-def overlap_W(m: LGIndex, n: LGIndex, K: float, phi: float, z: float, w0: float, wavelength: float) -> complex:
-    """Modal correlation function W_{m,n}(K, phi, z) via the coefficient expansion."""
-    _check_oracle_scale(m, n)
-    z_r = math.pi * w0**2 / wavelength
-    t = z / z_r
-    a = (1.0 + t * t) * w0**2
-    x0 = K * K * a / 8.0
-    coeffs = c_coefficients(m, n, t)
-    js = np.arange(len(coeffs))
-    radial = np.sum(coeffs * x0 ** (0.5 * js)) * math.exp(-x0)
-    return complex(radial * np.exp(1j * (m.l - n.l) * phi))
+    return _c0(m, n) * _gouy_phase(m.gouy_weight - n.gouy_weight, t)
 
 
 def lg_momentum_amplitude(idx: LGIndex, K, phi, t: float, w0: float):
@@ -224,36 +169,7 @@ def lg_momentum_amplitude(idx: LGIndex, K, phi, t: float, w0: float):
     transverse wavenumber (1/m); scalar or array inputs broadcast.
     """
     _check_oracle_scale(idx)
-    r, l = idx.r, idx.l
-    L = abs(l)
-    max_p = r
-
-    # series in the radial generating parameter d, coefficients in kappa^2
-    one = TruncatedBivariateSeries.constant(1.0, r, 0)
-    inv_1pd = TruncatedBivariateSeries.zero(r, 0)
-    for k in range(r + 1):
-        inv_1pd.coeff[k, 0] = (-1.0) ** k
-    base = one
-    for _ in range(L + 1):
-        base = series_product(base, inv_1pd)
-
-    # Omega/(4(1+d)) with Omega = (1-d) - i t (1+d); subtract its d=0 value
-    omega_series = TruncatedBivariateSeries.from_terms(
-        {(0, 0): (1.0 - 1j * t) / 4.0, (1, 0): (-1.0 - 1j * t) / 4.0}, r, 0
-    )
-    s_series = series_product(omega_series, inv_1pd)
-    s0 = complex(s_series.coeff[0, 0])
-    delta = TruncatedBivariateSeries(r, 0, s_series.coeff.copy())
-    delta.coeff[0, 0] = 0.0
-
-    # d^r coefficient of base * (-Delta)^p / p!  for each power of kappa^2
-    poly = np.zeros(max_p + 1, dtype=complex)
-    series = base
-    for p in range(max_p + 1):
-        poly[p] = series.coeff[r, 0]
-        if p < max_p:
-            series = series_product(series, delta).scaled(-1.0 / (p + 1))
-
+    r, L = idx.r, abs(idx.l)
     norm = math.sqrt(
         math.factorial(r) * 2.0 ** (L + 1) / (math.pi * math.factorial(r + L))
     )
@@ -261,47 +177,17 @@ def lg_momentum_amplitude(idx: LGIndex, K, phi, t: float, w0: float):
     phi_arr = np.asarray(phi, dtype=float)
     kappa = w0 * K
     y = kappa * kappa
-    radial_poly = np.zeros(np.broadcast(K, phi_arr).shape, dtype=complex)
-    for p in range(max_p, -1, -1):
-        radial_poly = radial_poly * y + poly[p]
     value = (
-        w0
+        (-1.0) ** r
+        * w0
         * norm
         * math.pi
         * (0.5j * kappa) ** L
-        * np.exp(1j * l * phi_arr)
-        * np.exp(-y * s0)
-        * radial_poly
+        * np.exp(1j * idx.l * phi_arr)
+        * np.exp(-0.25 * y * (1.0 - 1j * t))
+        * np.polynomial.polynomial.polyval(0.5 * y, _laguerre_coefficients(r, L))
     )
     return complex(value) if value.ndim == 0 else value
-
-
-def overlap_W_numeric(
-    m: LGIndex, n: LGIndex, K: float, phi: float, z: float, w0: float,
-    wavelength: float, grid_points: int = 121, grid_halfwidth: float = 9.0,
-) -> complex:
-    """Oracle evaluation of W_{m,n} by direct 2D convolution of momentum amplitudes.
-
-    W(K) = int G_m(K1) G_n*(K1 - K) d^2K1 / 4 pi^2 on a trapezoid grid; the
-    Gaussian decay of the amplitudes makes the trapezoid rule spectrally
-    accurate once the grid covers the support.
-    """
-    z_r = math.pi * w0**2 / wavelength
-    t = z / z_r
-    half = grid_halfwidth * math.sqrt(1.0 + t * t) / w0
-    axis = np.linspace(-half, half, grid_points)
-    step = axis[1] - axis[0]
-    kx, ky = np.meshgrid(axis, axis, indexing="ij")
-    k_r = np.hypot(kx, ky)
-    k_phi = np.arctan2(ky, kx)
-    shifted_x = kx - K * math.cos(phi)
-    shifted_y = ky - K * math.sin(phi)
-    s_r = np.hypot(shifted_x, shifted_y)
-    s_phi = np.arctan2(shifted_y, shifted_x)
-    values = lg_momentum_amplitude(m, k_r, k_phi, t, w0) * np.conj(
-        lg_momentum_amplitude(n, s_r, s_phi, t, w0)
-    )
-    return complex(values.sum() * step * step / (4.0 * math.pi**2))
 
 
 def free_prop_S(m: LGIndex, n: LGIndex, z_r: float) -> complex:
@@ -547,16 +433,23 @@ class CouplingTensor:
     total_rate: float | None = None
 
 
-def coefficient_stack(basis: ModeBasis, t: float) -> np.ndarray:
-    """c_{m,u,j} for all basis pairs as an array of shape (j_count, size, size)."""
-    size = basis.size
-    j_count = 4 * basis.cutoff + 2 * basis.cutoff + 1
-    stack = np.zeros((j_count, size, size), dtype=complex)
+@lru_cache(maxsize=None)
+def _c0_stack(cutoff: int) -> np.ndarray:
+    # read-only; keys are bounded by the index guard
+    basis = ModeBasis(cutoff)
+    stack = np.zeros((6 * cutoff + 1, basis.size, basis.size), dtype=complex)
     for a, m in enumerate(basis.indices):
         for b, u in enumerate(basis.indices):
-            values = c_coefficients(m, u, t)
+            values = _c0(m, u)
             stack[: len(values), a, b] = values
+    stack.setflags(write=False)
     return stack
+
+
+def coefficient_stack(basis: ModeBasis, t: float) -> np.ndarray:
+    """c_{m,u,j} for all basis pairs as a new array of shape (j_count, size, size)."""
+    weights = np.array([idx.gouy_weight for idx in basis.indices])
+    return _c0_stack(basis.cutoff) * _gouy_phase(weights[:, None] - weights[None, :], t)
 
 
 def selection_mask(basis: ModeBasis) -> np.ndarray:

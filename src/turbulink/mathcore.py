@@ -1,4 +1,5 @@
-"""Special functions, quadrature rules, and truncated bivariate series.
+"""Special functions and quadrature rules: orthonormal Hermite functions,
+a guarded Gamma function and Gauss-Hermite rules.
 
 Everything here is a pure function of its inputs; the returned objects are
 immutable (or treated as such) and safe to share between threads.
@@ -6,7 +7,7 @@ immutable (or treated as such) and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -24,27 +25,6 @@ class UnsupportedOrderError(ValueError):
 
 class DomainError(ValueError):
     """Argument outside the function's numerical domain."""
-
-
-def hermite_poly(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
-
-    The recurrence H_{k+1} = 2 x H_k - 2 k H_{k-1} is used instead of the
-    explicit factorial sum; it stays accurate and overflow-free up to the
-    order guard.
-    """
-    if n < 0:
-        raise UnsupportedOrderError(f"Hermite order must be >= 0, got {n}")
-    if n > MAX_HERMITE_ORDER:
-        raise UnsupportedOrderError(
-            f"Hermite order {n} exceeds supported maximum {MAX_HERMITE_ORDER}"
-        )
-    h_prev, h = 1.0, 2.0 * x
-    if n == 0:
-        return 1.0
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
-    return h
 
 
 def hermite_function(n: int, x):
@@ -98,11 +78,6 @@ class QuadratureRule:
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
 
-    def integrate(self, values) -> float:
-        """Sum weights * values; `values` are samples of g at the nodes for
-        integrals of the form  int e^{-x^2} g(x) dx."""
-        return float(np.dot(self.weights, values))
-
 
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Gauss-Hermite rule of the given order for weight e^{-x^2}.
@@ -117,84 +92,3 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
         )
     nodes, weights = hermgauss(order)
     return QuadratureRule(nodes=nodes, weights=weights)
-
-
-@dataclass(frozen=True)
-class TruncatedBivariateSeries:
-    """Dense truncated formal power series in two variables.
-
-    coeff[i, j] is the coefficient of d1^i d2^j with 0 <= i <= max_i and
-    0 <= j <= max_j.  Products are convolutions truncated to the same
-    rectangle, which is all the generating-function extractions need:
-    truncation orders equal the radial indices being extracted and never
-    exceed single digits.
-    """
-
-    max_i: int
-    max_j: int
-    coeff: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.coeff.shape != (self.max_i + 1, self.max_j + 1):
-            raise ValueError("coefficient array shape does not match truncation orders")
-
-    @classmethod
-    def zero(cls, max_i: int, max_j: int) -> "TruncatedBivariateSeries":
-        return cls(max_i, max_j, np.zeros((max_i + 1, max_j + 1), dtype=complex))
-
-    @classmethod
-    def constant(cls, value: complex, max_i: int, max_j: int) -> "TruncatedBivariateSeries":
-        out = np.zeros((max_i + 1, max_j + 1), dtype=complex)
-        out[0, 0] = value
-        return cls(max_i, max_j, out)
-
-    @classmethod
-    def from_terms(cls, terms: dict, max_i: int, max_j: int) -> "TruncatedBivariateSeries":
-        """Build a series from a {(i, j): value} map, dropping terms beyond
-        the truncation rectangle."""
-        out = np.zeros((max_i + 1, max_j + 1), dtype=complex)
-        for (i, j), value in terms.items():
-            if i <= max_i and j <= max_j:
-                out[i, j] = value
-        return cls(max_i, max_j, out)
-
-    def __add__(self, other: "TruncatedBivariateSeries") -> "TruncatedBivariateSeries":
-        self._check_compatible(other)
-        return TruncatedBivariateSeries(self.max_i, self.max_j, self.coeff + other.coeff)
-
-    def scaled(self, factor: complex) -> "TruncatedBivariateSeries":
-        return TruncatedBivariateSeries(self.max_i, self.max_j, self.coeff * factor)
-
-    def _check_compatible(self, other: "TruncatedBivariateSeries"):
-        if (self.max_i, self.max_j) != (other.max_i, other.max_j):
-            raise ValueError("incompatible truncation orders")
-
-
-def series_product(
-    a: TruncatedBivariateSeries, b: TruncatedBivariateSeries
-) -> TruncatedBivariateSeries:
-    """Truncated product: coefficient (i, j) of the result is the double
-    convolution sum of the factors up to the shared truncation order."""
-    a._check_compatible(b)
-    out = np.zeros_like(a.coeff)
-    for i in range(a.max_i + 1):
-        for j in range(a.max_j + 1):
-            c = a.coeff[i, j]
-            if c == 0:
-                continue
-            out[i:, j:] += c * b.coeff[: a.max_i + 1 - i, : a.max_j + 1 - j]
-    return TruncatedBivariateSeries(a.max_i, a.max_j, out)
-
-
-def series_coefficient(a: TruncatedBivariateSeries, i: int, j: int) -> complex:
-    """Stored coefficient of d1^i d2^j.
-
-    Multiplying by i! j! turns this into the mixed partial derivative at the
-    origin used by the mode-correlation extractions.
-    """
-    if not (0 <= i <= a.max_i and 0 <= j <= a.max_j):
-        raise IndexError(
-            f"coefficient index ({i}, {j}) outside truncation "
-            f"({a.max_i}, {a.max_j})"
-        )
-    return complex(a.coeff[i, j])

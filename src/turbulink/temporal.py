@@ -12,9 +12,10 @@ Two kernel fidelities:
   FULL_IPE  propagate the cross-frequency coherence over a truncated LG basis
             and read off the fundamental-fundamental element; quadratically
             more expensive, kept as a validation path.  Its generator is
-            `lgmodes.pair_tensor` over the two carriers' dressed coefficient
-            stacks, advanced with `ipe.rk4_step`; at omega1 = omega2 it is
-            the single-frequency propagation of `ipe.propagate`.
+            `lgmodes.pair_tensor` over the two carriers' coefficient stacks,
+            each at its own Gouy phase and scaled to the mean beam area,
+            advanced with `ipe.rk4_step`; at omega1 = omega2 it is the
+            single-frequency propagation of `ipe.propagate`.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ipe import DECAY_CONSTANT, generator_parts, rk4_step, superoperator
-from .lgmodes import COUPLING_PREFACTOR, coefficient_stack, pair_tensor
+from .ipe import DECAY_CONSTANT, rk4_step, superoperator
+from .lgmodes import COUPLING_PREFACTOR, ModeBasis, coefficient_stack, pair_tensor
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
 from .turbulence import (
@@ -90,18 +91,12 @@ def _cross_frequency_full_ipe(
 ) -> float:
     """Fundamental-to-fundamental damping of the |omega1><omega2| coherence
     by propagating the cross-frequency block over the truncated LG basis."""
-    parts = generator_parts(cutoff)
-    basis = parts.basis
+    basis = ModeBasis(cutoff)
     size = basis.size
     lam1 = 2.0 * math.pi * SPEED_OF_LIGHT / omega1
     lam2 = 2.0 * math.pi * SPEED_OF_LIGHT / omega2
     zr1 = math.pi * geom.waist**2 / lam1
     zr2 = math.pi * geom.waist**2 / lam2
-    stack0 = coefficient_stack(basis, 0.0)
-    j_count = stack0.shape[0]
-    js = np.arange(j_count)
-    flat0 = stack0.reshape(j_count, size * size)
-    pair_phase = parts.gouy[:, None] - parts.gouy[None, :]
 
     # RK4 evaluates its midpoint twice and each step starts where the last
     # one ended, so a one-entry memo saves a third of the rebuilds
@@ -113,12 +108,11 @@ def _cross_frequency_full_ipe(
         a1 = (1.0 + t1 * t1) * geom.waist**2
         a2 = (1.0 + t2 * t2) * geom.waist**2
         a_mean = 0.5 * (a1 + a2)
-        scale1 = (a1 / a_mean) ** (0.5 * js)
-        scale2 = (a2 / a_mean) ** (0.5 * js)
-        phase1 = np.exp(2j * math.atan(t1) * pair_phase).reshape(-1)
-        phase2 = np.exp(-2j * math.atan(t2) * pair_phase).reshape(-1)
-        left = (flat0 * scale1[:, None]) * phase1[None, :]
-        right = (np.conj(flat0) * scale2[:, None]) * phase2[None, :]
+        left = coefficient_stack(basis, t1)
+        right = np.conj(coefficient_stack(basis, t2))
+        js = np.arange(left.shape[0])[:, None, None]
+        left *= (a1 / a_mean) ** (0.5 * js)
+        right *= (a2 / a_mean) ** (0.5 * js)
         tensor = pair_tensor(basis, left, right)
         rate = COUPLING_PREFACTOR * l_cross(z, omega1, omega2, cn2, geom.waist)
         return rate * superoperator(tensor)

@@ -128,6 +128,10 @@ class TurbulenceProfile:
         heights = [h for h, _ in points]
         if any(b <= a for a, b in zip(heights, heights[1:])):
             raise ProfileError("profile heights must be strictly increasing")
+        if heights[0] <= 0:
+            raise ProfileError(
+                f"profile height {heights[0]} m must be > 0 (heights are log-interpolated)"
+            )
         for _, c in points:
             _check_cn2(c)
         return cls(table=points)

@@ -234,6 +234,16 @@ class TestSubcommands:
         lines = (tmp_path / "kernel.csv").read_text().splitlines()
         assert len(lines) == 65
 
+    def test_profile_csv_zero_height_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "prof.csv"
+        path.write_text("height_m,cn2\n0.0,1e-15\n30.0,1e-16\n")
+        code = main([
+            "--set", f"output_dir={tmp_path}", "--set", f"profile_csv={path}",
+            "--set", "grid_order=8", "kernel",
+        ])
+        assert code == EXIT_CONFIG
+        assert "profile height 0.0 m must be > 0" in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, monkeypatch):
         def explode(config, out):
             raise SolverError("unconverged", 0.0, 1.0)

@@ -1,13 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from series_oracle import series_c_coefficients
 
 from turbulink.lgmodes import (
     COUPLING_PREFACTOR,
     DECAY_CONSTANT,
-    CoeffTable,
     LGIndex,
     ModeBasis,
     OracleIndexError,
@@ -21,8 +22,6 @@ from turbulink.lgmodes import (
     free_prop_S_numeric,
     gamma_weight_matrix,
     lg_momentum_amplitude,
-    overlap_W,
-    overlap_W_numeric,
     selection_mask,
 )
 from turbulink.turbulence import SpectrumParams, big_l_t, l_strength
@@ -33,6 +32,34 @@ Z_R = math.pi * W0**2 / LAM
 CN2 = 1e-15
 
 LOW_ORDER = [LGIndex(l=l, r=r) for l in (-2, -1, 0, 1, 2) for r in (0, 1, 2)]
+
+
+def overlap_W(m, n, K, phi, z, w0, wavelength):
+    """Modal correlation function W_{m,n}(K, phi, z) via the coefficient expansion."""
+    t = z / (math.pi * w0**2 / wavelength)
+    x0 = K * K * (1.0 + t * t) * w0**2 / 8.0
+    coeffs = c_coefficients(m, n, t)
+    radial = np.sum(coeffs * x0 ** (0.5 * np.arange(len(coeffs)))) * math.exp(-x0)
+    return complex(radial * np.exp(1j * (m.l - n.l) * phi))
+
+
+def overlap_W_numeric(m, n, K, phi, z, w0, wavelength, grid_points=121, grid_halfwidth=9.0):
+    """Oracle evaluation of W_{m,n} by direct 2D convolution of momentum amplitudes.
+
+    W(K) = int G_m(K1) G_n*(K1 - K) d^2K1 / 4 pi^2 on a trapezoid grid; the
+    Gaussian decay of the amplitudes makes the trapezoid rule spectrally
+    accurate once the grid covers the support.
+    """
+    t = z / (math.pi * w0**2 / wavelength)
+    half = grid_halfwidth * math.sqrt(1.0 + t * t) / w0
+    axis = np.linspace(-half, half, grid_points)
+    step = axis[1] - axis[0]
+    kx, ky = np.meshgrid(axis, axis, indexing="ij")
+    sx, sy = kx - K * math.cos(phi), ky - K * math.sin(phi)
+    values = lg_momentum_amplitude(m, np.hypot(kx, ky), np.arctan2(ky, kx), t, w0) * np.conj(
+        lg_momentum_amplitude(n, np.hypot(sx, sy), np.arctan2(sy, sx), t, w0)
+    )
+    return complex(values.sum() * step * step / (4.0 * math.pi**2))
 
 
 class TestBasis:
@@ -78,10 +105,11 @@ class TestMomentumAmplitude:
         shifted = lg_momentum_amplitude(idx, 3.0 / W0, 0.4 + 0.9, 0.6, W0)
         assert shifted == pytest.approx(base * np.exp(1j * 2 * 0.9), rel=1e-12)
 
-    @pytest.mark.parametrize("l,r", [(0, 0), (0, 1), (1, 0), (1, 1), (-2, 1), (3, 2)])
+    @pytest.mark.parametrize("l,r", [(0, 0), (0, 1), (1, 0), (1, 1), (-2, 1), (3, 2), (8, 8)])
     def test_normalization(self, l, r):
         idx = LGIndex(l=l, r=r)
-        half = 9.0 / W0
+        # the grid covers the mode's support, which passes 9 / w0 only at high order
+        half = max(9.0, 3.0 * math.sqrt(2 * r + abs(l) + 1)) / W0
         axis = np.linspace(-half, half, 161)
         step = axis[1] - axis[0]
         kx, ky = np.meshgrid(axis, axis, indexing="ij")
@@ -142,6 +170,29 @@ class TestCoefficients:
             direct = c_coefficients(m, n, t)
             mapped = phase * c_coefficients(m, n, 0.0)
             assert np.max(np.abs(direct - mapped)) < 1e-12
+        # and so does the whole stack of a basis
+        basis = ModeBasis(4)
+        weights = np.array([idx.gouy_weight for idx in basis.indices])
+        phases = b ** (weights[:, None] - weights[None, :])
+        dressed = phases[None, :, :] * coefficient_stack(basis, 0.0)
+        assert np.max(np.abs(coefficient_stack(basis, t) - dressed)) < 1e-12
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
+    def test_matches_series_oracle(self, t):
+        # every pair up to the index guard, against the generating-function
+        # extraction, relative to each pair's largest coefficient
+        basis = ModeBasis(8)
+        for m, n in itertools.product(basis.indices, basis.indices):
+            expected = series_c_coefficients(m, n, t)
+            values = c_coefficients(m, n, t)
+            assert len(values) == len(expected)
+            assert np.max(np.abs(values - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_index_guard(self):
+        with pytest.raises(OracleIndexError):
+            c_coefficients(LGIndex(l=0, r=9), LGIndex(l=0, r=0), 0.0)
+        with pytest.raises(OracleIndexError):
+            coefficient_stack(ModeBasis(9), 0.0)
 
     def test_oracle_agreement_first_radial(self):
         # (r=1,l=0) x (0,0) against the convolution oracle at 20 wavenumbers
@@ -150,11 +201,6 @@ class TestCoefficients:
             a = overlap_W(m, n, K, 0.3, 0.0, W0, LAM)
             b = overlap_W_numeric(m, n, K, 0.3, 0.0, W0, LAM)
             assert abs(a - b) <= 1e-8 * abs(a)
-
-    def test_coeff_table_interface(self):
-        table = CoeffTable(basis=ModeBasis(1), t=0.0)
-        assert table.get(LGIndex(l=0, r=1), LGIndex(l=0, r=0), 2) == pytest.approx(1.0)
-        assert table.get(LGIndex(l=0, r=0), LGIndex(l=0, r=0), 5) == 0.0
 
 
 class TestOverlapW:
@@ -410,3 +456,24 @@ class TestGammaWeights:
                 values = c_coefficients(m, n, 0.6)
                 assert np.allclose(stack[: len(values), a, b], values, atol=1e-15)
                 assert np.all(stack[len(values):, a, b] == 0)
+
+    def test_stack_is_a_fresh_array(self):
+        basis = ModeBasis(2)
+        first = coefficient_stack(basis, 0.4)
+        expected = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(coefficient_stack(basis, 0.4), expected)
+
+    def test_stack_memory_bounded_over_distances(self):
+        # one stack per cutoff is kept, not one per distance: a sweep of
+        # fresh distances must not grow memory
+        basis = ModeBasis(2)
+        coefficient_stack(basis, 0.0)
+        tracemalloc.start()
+        try:
+            for t in np.linspace(0.01, 3.0, 50):
+                coefficient_stack(basis, float(t))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000

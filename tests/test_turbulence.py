@@ -113,6 +113,15 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             TurbulenceProfile.from_table([(10.0, 1e-13), (20.0, 1e-9)])
 
+    @pytest.mark.parametrize(
+        "points,height",
+        [([(0.0, 1e-15), (30.0, 1e-16)], "0.0"), ([(-5.0, 1e-15), (10.0, 1e-16)], "-5.0")],
+        ids=["zero", "negative"],
+    )
+    def test_nonpositive_height_rejected(self, points, height):
+        with pytest.raises(ProfileError, match=f"profile height {height} m must be > 0"):
+            TurbulenceProfile.from_table(points)
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("height_m,cn2\n10.0,1e-13\n100.0,1e-15\n")
