@@ -265,7 +265,7 @@ def run_validate(config: RunConfig, out=None) -> bool:
     w0, lam, cn2 = config.waist_m, config.wavelength_m, max(config.cn2, 1e-16)
     i00 = LGIndex(l=0, r=0)
     z = 0.5 * math.pi * w0**2 / lam
-    closed = lgmodes.coupling_strength(i00, i00, i00, i00, z, cn2, w0, lam)
+    closed = lgmodes.coupling_tensor(ModeBasis(0), z, cn2, w0, lam).entries[0, 0, 0, 0]
     oracle = lgmodes.coupling_oracle_extrapolated(i00, i00, i00, i00, z, cn2, w0, lam, 1e-4 / w0)
     rel = abs(closed - oracle) / abs(closed)
     checks.append(("coupling_oracle_0.5%", rel < 5e-3, rel))
@@ -398,11 +398,10 @@ def _point_summary(subcommand: str, config: RunConfig) -> tuple:
         rows = _robustness_rows(config)
         return (min(r.en_final for r in rows if not r.degenerate),)
     if subcommand == "coupling":
-        i00 = LGIndex(l=0, r=0)
-        value = lgmodes.coupling_strength(
-            i00, i00, i00, i00, config.distance_m, config.cn2, config.waist_m, config.wavelength_m
+        tensor = lgmodes.coupling_tensor(
+            ModeBasis(0), config.distance_m, config.cn2, config.waist_m, config.wavelength_m
         )
-        return (value.real,)
+        return (tensor.entries[0, 0, 0, 0].real,)
     raise ConfigError(f"no sweep summary for '{subcommand}'")
 
 

@@ -18,11 +18,13 @@ physical value is range-checked against the keys listed in RANGES.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 
-from .turbulence import SPEED_OF_LIGHT
+from .entanglement import MAX_PAIR_MODES
+from .lgmodes import MAX_ORACLE_INDEX
+from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER
+from .turbulence import CN2_MAX, CN2_MIN, two_pi_c_over
 
 
 class ConfigError(ValueError):
@@ -117,11 +119,12 @@ def parse_table_text(text: str) -> dict:
     return tables
 
 
-# key -> (lower, upper, unit label); checked when present
+# key -> (lower, upper, unit label); the upper bounds that a library module
+# enforces are read from that module
 RANGES = {
     "wavelength_m": (0.3e-6, 15e-6, "m"),
     "distance_m": (1.0, 5.0e5, "m"),
-    "cn2": (0.0, 1e-11, "m^-2/3"),
+    "cn2": (CN2_MIN, CN2_MAX, "m^-2/3"),
     "waist_m": (1e-3, 10.0, "m"),
     "transmitter_height_m": (0.1, 1e4, "m"),
     "receiver_height_m": (0.1, 1e4, "m"),
@@ -129,11 +132,11 @@ RANGES = {
     "sigma_b_trad": (1e-3, 1e4, "T rad/s"),
     "pump_trad": (1.0, 1e5, "T rad/s"),
     "extinction_per_km": (0.0, 100.0, "1/km"),
-    "cutoff": (0, 8, ""),
-    "grid_order": (4, 64, ""),
+    "cutoff": (0, MAX_ORACLE_INDEX, ""),
+    "grid_order": (4, MAX_GRID_ORDER, ""),
     "steps": (16, 100000, ""),
     "max_mode": (0, 14, ""),
-    "pair_modes": (2, 14, ""),
+    "pair_modes": (2, MAX_PAIR_MODES, ""),
     "fixed_mode": (0, 10, ""),
 }
 
@@ -173,7 +176,7 @@ class RunConfig:
     def pump_rad(self) -> float:
         if self.pump_trad > 0:
             return self.pump_trad * 1e12
-        return 2.0 * (2.0 * math.pi * SPEED_OF_LIGHT / self.wavelength_m)
+        return 2.0 * two_pi_c_over(self.wavelength_m)
 
     @property
     def sigma_a_rad(self) -> float:
@@ -268,20 +271,23 @@ def validate_config(config: RunConfig, command: str = ""):
     (say) a coarse kernel grid is not refused over the entangle defaults.
     """
     for key in RANGES:
-        if hasattr(config, key):
-            if key == "pump_trad" and config.pump_trad == 0.0:
-                continue  # 0 means "derive from the carrier wavelength"
-            _check_range(key, getattr(config, key))
+        value = getattr(config, key)
+        # 0 derives the pump from the carrier wavelength, and switches turbulence off
+        if key in ("pump_trad", "cn2") and value == 0.0:
+            continue
+        _check_range(key, value)
     if config.profile_csv and not os.path.exists(config.profile_csv):
         raise ConfigError(f"value for 'profile_csv' invalid: no such file {config.profile_csv!r}")
     if config.scheme not in ("truncated_exact", "lindblad_truncated"):
         raise ConfigError(f"unknown solver scheme '{config.scheme}'")
     if config.kernel_fidelity not in ("analytic", "full_ipe"):
         raise ConfigError(f"unknown kernel fidelity '{config.kernel_fidelity}'")
-    if config.kernel_fidelity == "full_ipe" and config.grid_order > 12:
-        raise ConfigError("value for 'grid_order' out of range: full_ipe kernels allow at most 12")
-    if config.cn2 != 0.0 and not (1e-19 <= config.cn2 <= 1e-11):
-        raise ConfigError(f"value for 'cn2' out of range: {config.cn2}")
+    if config.kernel_fidelity == "full_ipe":
+        for key, limit in (("grid_order", MAX_FULL_IPE_GRID), ("cutoff", MAX_FULL_IPE_CUTOFF)):
+            if getattr(config, key) > limit:
+                raise ConfigError(
+                    f"value for '{key}' out of range: full_ipe kernels allow at most {limit}"
+                )
     if config.max_mode + 1 > config.grid_order // 2:
         raise ConfigError(
             f"value for 'max_mode' out of range: {config.max_mode} needs grid_order >= {2 * (config.max_mode + 1)}"

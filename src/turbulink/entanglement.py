@@ -26,7 +26,6 @@ from .schmidt import BiphotonSpec
 from .temporal import ChannelKernel
 
 MAX_PAIR_MODES = 14
-PAIR_POSITIVITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,6 @@ class TwoPhotonDensity:
 
     dim: int
     matrix: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         size = self.dim * self.dim
@@ -104,7 +102,7 @@ def _pair_density(psi: np.ndarray, tensor: np.ndarray) -> tuple:
     matrix = out.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(size, size)
     matrix = 0.5 * (matrix + matrix.conj().T)
     mass = float(np.trace(matrix).real)
-    return TwoPhotonDensity(dim=dim, matrix=matrix / mass, normalized=True), mass
+    return TwoPhotonDensity(dim=dim, matrix=matrix / mass), mass
 
 
 def propagate_pair(

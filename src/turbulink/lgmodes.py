@@ -18,9 +18,10 @@ coefficients of a basis are computed once per cutoff.
 
 Radially integrating W W* against the von Karman spectrum (outer scale sent
 to zero, the divergent total-rate piece cancelled analytically) leaves a
-Gamma-function sum over coefficient pairs; that is `coupling_strength`.  A
-direct quadrature of the defining integral with a small but finite outer
-scale is kept alongside as an oracle.
+Gamma-function sum over coefficient pairs.  `coupling_tensor` evaluates it
+over a whole basis, at one wavelength or for a pair of angular frequencies;
+it is the only closed-form coupling.  A direct quadrature of the defining
+integral with a small but finite outer scale is kept alongside as an oracle.
 """
 from __future__ import annotations
 
@@ -31,14 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mathcore import gamma_fn
-from .turbulence import (
-    SPECTRUM_AMPLITUDE,
-    SPEED_OF_LIGHT,
-    SpectrumParams,
-    big_l_t,
-    l_cross,
-    l_strength,
-)
+from .turbulence import SPECTRUM_AMPLITUDE, l_cross, l_strength, two_pi_c_over
 
 MAX_ORACLE_INDEX = 8
 
@@ -242,68 +236,6 @@ def gamma_weight_matrix(j_count: int) -> np.ndarray:
     return out
 
 
-def _coefficient_sum(c1: np.ndarray, c2: np.ndarray) -> complex:
-    weights = gamma_weight_matrix(max(len(c1), len(c2)))
-    n1, n2 = len(c1), len(c2)
-    return complex(c1 @ weights[:n1, :n2] @ np.conj(c2))
-
-
-def coupling_strength(
-    m: LGIndex,
-    n: LGIndex,
-    u: LGIndex,
-    v: LGIndex,
-    z: float,
-    cn2: float,
-    w0: float,
-    frequencies,
-    include_total_rate: bool = False,
-    spectrum: SpectrumParams | None = None,
-) -> complex:
-    """Turbulence coupling tensor element L_{m,n,u,v}(z).
-
-    frequencies: a single wavelength (m) or an angular-frequency pair
-    (omega1, omega2) in rad/s for cross-frequency coherences.
-
-    By default the divergent total-rate part delta_mu delta_nv L_T is left
-    out (it cancels identically in the propagation equations); pass
-    include_total_rate=True with a SpectrumParams to add it back for
-    diagnostics against the finite-outer-scale oracle.
-    """
-    if m.l - u.l != n.l - v.l:
-        finite = 0j
-    elif isinstance(frequencies, tuple):
-        omega1, omega2 = frequencies
-        lam1 = 2.0 * math.pi * SPEED_OF_LIGHT / omega1
-        lam2 = 2.0 * math.pi * SPEED_OF_LIGHT / omega2
-        t1 = lam1 * z / (math.pi * w0**2)
-        t2 = lam2 * z / (math.pi * w0**2)
-        a1 = (1.0 + t1 * t1) * w0**2
-        a2 = (1.0 + t2 * t2) * w0**2
-        a_mean = 0.5 * (a1 + a2)
-        c1 = c_coefficients(m, u, t1) * (a1 / a_mean) ** (0.5 * np.arange(2 * (m.r + u.r) + abs(m.l) + abs(u.l) + 1))
-        c2 = c_coefficients(n, v, t2) * (a2 / a_mean) ** (0.5 * np.arange(2 * (n.r + v.r) + abs(n.l) + abs(v.l) + 1))
-        finite = COUPLING_PREFACTOR * l_cross(z, omega1, omega2, cn2, w0) * _coefficient_sum(c1, c2)
-    else:
-        wavelength = float(frequencies)
-        t = wavelength * z / (math.pi * w0**2)
-        c1 = c_coefficients(m, u, t)
-        c2 = c_coefficients(n, v, t)
-        finite = COUPLING_PREFACTOR * l_strength(z, cn2, wavelength, w0) * _coefficient_sum(c1, c2)
-
-    if include_total_rate:
-        if spectrum is None:
-            raise ValueError("include_total_rate requires SpectrumParams")
-        if m == u and n == v:
-            if isinstance(frequencies, tuple):
-                lam1 = 2.0 * math.pi * SPEED_OF_LIGHT / frequencies[0]
-                lam2 = 2.0 * math.pi * SPEED_OF_LIGHT / frequencies[1]
-            else:
-                lam1 = lam2 = float(frequencies)
-            finite += big_l_t(lam1, lam2, cn2, spectrum)
-    return finite
-
-
 def _log_radial_grid(lower: float, upper: float, nodes_per_panel: int = 16):
     # composite Gauss-Legendre panels in v = ln K, one panel per ~half decade
     lo, hi = math.log(lower), math.log(upper)
@@ -352,9 +284,7 @@ def coupling_numeric_oracle(
         raise ValueError("oracle needs a positive outer-scale wavenumber")
     _check_oracle_scale(m, n, u, v)
     if isinstance(frequencies, tuple):
-        omega1, omega2 = frequencies
-        lam1 = 2.0 * math.pi * SPEED_OF_LIGHT / omega1
-        lam2 = 2.0 * math.pi * SPEED_OF_LIGHT / omega2
+        lam1, lam2 = (two_pi_c_over(omega) for omega in frequencies)
     else:
         lam1 = lam2 = float(frequencies)
     t1 = lam1 * z / (math.pi * w0**2)
@@ -422,15 +352,14 @@ def coupling_oracle_extrapolated(
 class CouplingTensor:
     """Dense coupling tensor over a mode basis at one evaluation point.
 
-    entries[a, b, c, d] = L_{m_a, n_b, u_c, v_d} with the total-rate part
-    excluded (total_rate holds the would-be delta-delta coefficient for a
-    given outer scale, or None when no spectrum was supplied).
+    entries[a, b, c, d] = L_{m_a, n_b, u_c, v_d} with the divergent
+    total-rate part delta_mu delta_nv L_T excluded (it cancels identically in
+    the propagation equations).
     """
 
     basis: ModeBasis
     z: float
     entries: np.ndarray
-    total_rate: float | None = None
 
 
 @lru_cache(maxsize=None)
@@ -484,20 +413,36 @@ def coupling_tensor(
     z: float,
     cn2: float,
     w0: float,
-    wavelength: float,
-    spectrum: SpectrumParams | None = None,
+    frequencies,
 ) -> CouplingTensor:
-    """Assemble the full tensor (total-rate part excluded) at distance z.
+    """Assemble the full tensor L_{m,n,u,v}(z) (total-rate part excluded).
 
-    With a SpectrumParams the would-be delta-delta total rate for that outer
-    scale is reported in total_rate (it is never added to the entries).
+    frequencies: a wavelength (m), or an angular-frequency pair
+    (omega1, omega2) in rad/s for the coherences between two carriers.  In
+    the pair case each carrier's coefficients take its own Gouy phase and
+    are rescaled from its beam area a_i = (1 + t_i^2) w0^2 to the mean of
+    the two, and l(z) is the two-frequency decay density; at
+    omega1 = omega2 this is the single-wavelength tensor.
     """
-    t = z * wavelength / (math.pi * w0**2)
-    stack = coefficient_stack(basis, t)
-    tensor = pair_tensor(basis, stack, np.conj(stack))
-    tensor *= COUPLING_PREFACTOR * l_strength(z, cn2, wavelength, w0)
-    rate = None if spectrum is None else big_l_t(wavelength, wavelength, cn2, spectrum)
+    if isinstance(frequencies, tuple):
+        omega1, omega2 = frequencies
+        t1 = z / (math.pi * w0**2 / two_pi_c_over(omega1))
+        t2 = z / (math.pi * w0**2 / two_pi_c_over(omega2))
+        a1 = (1.0 + t1 * t1) * w0**2
+        a2 = (1.0 + t2 * t2) * w0**2
+        a_mean = 0.5 * (a1 + a2)
+        left = coefficient_stack(basis, t1)
+        right = np.conj(coefficient_stack(basis, t2))
+        js = np.arange(left.shape[0])[:, None, None]
+        left *= (a1 / a_mean) ** (0.5 * js)
+        right *= (a2 / a_mean) ** (0.5 * js)
+        rate = COUPLING_PREFACTOR * l_cross(z, omega1, omega2, cn2, w0)
+    else:
+        t = z * frequencies / (math.pi * w0**2)
+        left = coefficient_stack(basis, t)
+        right = np.conj(left)
+        rate = COUPLING_PREFACTOR * l_strength(z, cn2, frequencies, w0)
+    tensor = pair_tensor(basis, left, right)
+    tensor *= rate
     # reorder (m, u, n, v) -> (m, n, u, v)
-    return CouplingTensor(
-        basis=basis, z=z, entries=np.transpose(tensor, (0, 2, 1, 3)), total_rate=rate
-    )
+    return CouplingTensor(basis=basis, z=z, entries=np.transpose(tensor, (0, 2, 1, 3)))

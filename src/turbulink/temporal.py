@@ -12,8 +12,7 @@ Two kernel fidelities:
   FULL_IPE  propagate the cross-frequency coherence over a truncated LG basis
             and read off the fundamental-fundamental element; quadratically
             more expensive, kept as a validation path.  Its generator is
-            `lgmodes.pair_tensor` over the two carriers' coefficient stacks,
-            each at its own Gouy phase and scaled to the mean beam area,
+            `lgmodes.coupling_tensor` at the carrier pair (omega1, omega2),
             advanced with `ipe.rk4_step`; at omega1 = omega2 it is the
             single-frequency propagation of `ipe.propagate`.
 """
@@ -27,20 +26,19 @@ from functools import lru_cache
 import numpy as np
 
 from .ipe import DECAY_CONSTANT, rk4_step, superoperator
-from .lgmodes import COUPLING_PREFACTOR, ModeBasis, coefficient_stack, pair_tensor
+from .lgmodes import ModeBasis, coupling_tensor
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import (
-    SPEED_OF_LIGHT,
-    LinkGeometry,
-    TurbulenceProfile,
-    cn2_at,
-    integrated_l,
-    l_cross,
-)
+from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, integrated_l
 
 MAX_GRID_ORDER = 64
 MAX_FULL_IPE_GRID = 12
+# Peak RSS of one full-IPE kernel, measured at cutoffs 1-5, is about
+# 50 MB + 3.1 x 16 S^4 bytes (S = (2c+1)(c+1) modes): the memoized generator,
+# the coupling tensor and its reordered copy are live together.  Cutoff 5 peaks
+# at 0.95 GB; cutoff 6 would need about 3.4 GB, half of a 7 GB machine, and
+# cutoff 7 about 10 GB.
+MAX_FULL_IPE_CUTOFF = 5
 
 
 class KernelFidelity(Enum):
@@ -65,8 +63,6 @@ class ChannelKernel:
     nodes: np.ndarray
     weights: np.ndarray
     matrix: np.ndarray
-    fidelity: KernelFidelity
-    cutoff: int | None = None
 
     @property
     def order(self) -> int:
@@ -93,29 +89,14 @@ def _cross_frequency_full_ipe(
     by propagating the cross-frequency block over the truncated LG basis."""
     basis = ModeBasis(cutoff)
     size = basis.size
-    lam1 = 2.0 * math.pi * SPEED_OF_LIGHT / omega1
-    lam2 = 2.0 * math.pi * SPEED_OF_LIGHT / omega2
-    zr1 = math.pi * geom.waist**2 / lam1
-    zr2 = math.pi * geom.waist**2 / lam2
 
     # RK4 evaluates its midpoint twice and each step starts where the last
     # one ended, so a one-entry memo saves a third of the rebuilds
     @lru_cache(maxsize=1)
     def generator(z):
         cn2 = cn2_at(profile, geom, z)
-        t1 = z / zr1
-        t2 = z / zr2
-        a1 = (1.0 + t1 * t1) * geom.waist**2
-        a2 = (1.0 + t2 * t2) * geom.waist**2
-        a_mean = 0.5 * (a1 + a2)
-        left = coefficient_stack(basis, t1)
-        right = np.conj(coefficient_stack(basis, t2))
-        js = np.arange(left.shape[0])[:, None, None]
-        left *= (a1 / a_mean) ** (0.5 * js)
-        right *= (a2 / a_mean) ** (0.5 * js)
-        tensor = pair_tensor(basis, left, right)
-        rate = COUPLING_PREFACTOR * l_cross(z, omega1, omega2, cn2, geom.waist)
-        return rate * superoperator(tensor)
+        tensor = coupling_tensor(basis, z, cn2, geom.waist, (omega1, omega2)).entries
+        return superoperator(np.transpose(tensor, (0, 2, 1, 3)))  # (m, n, u, v) -> (m, u, n, v)
 
     def derivative(z, state):
         return generator(z) @ state
@@ -151,9 +132,12 @@ def channel_kernel(
     """Sample the two-frequency survival probability on the source grid."""
     if grid_order > MAX_GRID_ORDER:
         raise CostGuardError(f"grid order {grid_order} exceeds {MAX_GRID_ORDER}")
-    if fidelity is KernelFidelity.FULL_IPE and grid_order > MAX_FULL_IPE_GRID:
+    if fidelity is KernelFidelity.FULL_IPE and (
+        grid_order > MAX_FULL_IPE_GRID or cutoff > MAX_FULL_IPE_CUTOFF
+    ):
         raise CostGuardError(
             f"full propagation kernels are limited to grid order {MAX_FULL_IPE_GRID}"
+            f" and cutoff {MAX_FULL_IPE_CUTOFF}"
         )
     rule = gauss_hermite_rule(grid_order)
     omegas = frequency_grid(spec, rule.nodes)
@@ -178,8 +162,6 @@ def channel_kernel(
         nodes=rule.nodes,
         weights=rule.weights,
         matrix=matrix,
-        fidelity=fidelity,
-        cutoff=cutoff if fidelity is KernelFidelity.FULL_IPE else None,
     )
 
 
@@ -217,17 +199,3 @@ def transmission_matrix(kernel: ChannelKernel, spec: BiphotonSpec, max_mode: int
     overlap = psi[:, None, :] * psi[None, :, :]  # (n, m, grid)
     s = np.einsum("nmi,ij,nmj->nm", overlap, kernel.matrix, overlap)
     return TransmissionMatrix(matrix=s / traces[:, None], traces=traces)
-
-
-def apply_channel_single(
-    kernel: ChannelKernel, spec: BiphotonSpec, n: int, max_mode: int
-) -> tuple:
-    """Normalized output density over temporal modes 0..max_mode for input
-    mode n, plus the leakage mass above the truncation."""
-    psi = kernel.mode_vectors(max(max_mode, n) + 1)
-    weighted = psi[n] * psi[: max_mode + 1]  # (m, grid)
-    block = weighted @ kernel.matrix @ weighted.T
-    trace_n = float(np.sum(psi[n] * psi[n] * np.diag(kernel.matrix)))
-    density = block / trace_n
-    leakage = 1.0 - float(np.trace(density).real)
-    return density, leakage

@@ -32,7 +32,6 @@ SPECTRUM_AMPLITUDE = 0.033  # Kolmogorov spectral constant in the von Karman den
 EARTH_RADIUS_M = 6.371e6
 CN2_MIN = 1e-19
 CN2_MAX = 1e-11
-SPEED_OF_LIGHT = 299792458.0
 
 # k1 k2 * int Phi(K) d^2K / 4 pi^2 = TOTAL_RATE_CONSTANT * C_n^2 / (l1 l2 kappa_0^{5/3})
 TOTAL_RATE_CONSTANT = SPECTRUM_AMPLITUDE * 0.6 * 16.0 * math.pi**4  # = 30.857...
@@ -41,6 +40,14 @@ PANEL_NODES = 16  # Gauss-Legendre nodes per path panel; the estimate uses half
 GRADING = 8  # panels past GRADING Rayleigh ranges are 1/GRADING of their start wide
 RELATIVE_ERROR_BOUND = 1e-6
 CHUNK_ELEMENTS = 1 << 13  # (pairs x nodes) block of the broadcast, 64 KB of float64
+
+SPEED_OF_LIGHT = 299792458.0
+
+
+def two_pi_c_over(x):
+    """2 pi c / x: the wavelength (m) of angular frequency x (rad/s), or the
+    angular frequency of wavelength x; arrays broadcast."""
+    return 2.0 * math.pi * SPEED_OF_LIGHT / x
 
 
 class ProfileError(ValueError):
@@ -216,13 +223,6 @@ def cn2_at(profile: TurbulenceProfile, geom: LinkGeometry, z: float) -> float:
     return float(_table_cn2(profile, math.log(max(height, 1e-12))))
 
 
-def vonkarman_psd(K: float, cn2: float, sp: SpectrumParams) -> float:
-    """von Karman refractive-index power spectral density at radial wavenumber K."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    return SPECTRUM_AMPLITUDE * (2.0 * math.pi) ** 3 * cn2 / (K * K + sp.kappa_0**2) ** (11.0 / 6.0)
-
-
 def big_l_t(lambda1: float, lambda2: float, cn2: float, sp: SpectrumParams) -> float:
     """Total scattering rate k1 k2 int Phi(K) d^2K / 4 pi^2 (units 1/m).
 
@@ -249,19 +249,11 @@ def l_cross(z: float, omega1: float, omega2: float, cn2: float, waist: float) ->
     """
     if omega1 <= 0 or omega2 <= 0:
         raise ValueError("frequencies must be positive")
-    lambda1 = 2.0 * math.pi * SPEED_OF_LIGHT / omega1
-    lambda2 = 2.0 * math.pi * SPEED_OF_LIGHT / omega2
+    lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
     t1 = lambda1 * z / (math.pi * waist**2)
     t2 = lambda2 * z / (math.pi * waist**2)
     bracket = 1.0 + 0.5 * t1 * t1 + 0.5 * t2 * t2
     return cn2 / (lambda1 * lambda2) * waist ** (5.0 / 3.0) * bracket ** (5.0 / 6.0)
-
-
-def fried_parameter(wavelength: float, cn2: float, z: float) -> float:
-    """Fried coherence length r_0 = 0.185 (lambda^2 / (C_n^2 z))^{3/5} (m)."""
-    if wavelength <= 0 or cn2 <= 0 or z <= 0:
-        raise ValueError("all arguments must be positive")
-    return 0.185 * (wavelength**2 / (cn2 * z)) ** 0.6
 
 
 def integrated_l(
@@ -283,8 +275,7 @@ def integrated_l(
         omega1, omega2 = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in frequencies))
         if np.any(omega1 <= 0) or np.any(omega2 <= 0):
             raise ValueError("frequencies must be positive")
-        lambda1 = 2.0 * math.pi * SPEED_OF_LIGHT / omega1
-        lambda2 = 2.0 * math.pi * SPEED_OF_LIGHT / omega2
+        lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
     else:
         lambda1 = lambda2 = np.asarray(float(frequencies))
     # l(z) = C_n^2(z) w^{5/3} / (lambda1 lambda2) * (1 + half_sum (z / pi w^2)^2)^{5/6}

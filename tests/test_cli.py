@@ -91,12 +91,23 @@ class TestConfigParsing:
         assert config.cutoff == 2
         with pytest.raises(ConfigError):
             apply_overrides(RunConfig(), {"nonsense": "1"})
-        with pytest.raises(ConfigError, match="cn2"):
-            apply_overrides(RunConfig(), {"cn2": "1e-5"})
+        for cn2 in ("1e-5", "1e-20", "-1e-15"):
+            with pytest.raises(ConfigError, match="'cn2'"):
+                apply_overrides(RunConfig(), {"cn2": cn2})
 
     def test_full_ipe_grid_guard(self):
         with pytest.raises(ConfigError, match="grid_order"):
             apply_overrides(RunConfig(), {"kernel_fidelity": "full_ipe", "grid_order": "32"})
+
+    def test_full_ipe_cutoff_guard(self):
+        # the dense generator is 1.1 GB at cutoff 6 and 3.3 GB at cutoff 7, with
+        # three copies live; validation alone must refuse them (nothing is built)
+        full_ipe = replace(RunConfig(), kernel_fidelity="full_ipe", grid_order=8)
+        for cutoff in (6, 7, 8):
+            with pytest.raises(ConfigError, match="'cutoff'"):
+                validate_config(replace(full_ipe, cutoff=cutoff))
+        validate_config(replace(full_ipe, cutoff=5))
+        validate_config(replace(RunConfig(), cutoff=8))  # analytic kernels do not read it
 
     def test_fixed_mode_outside_pair_modes(self):
         with pytest.raises(ConfigError, match="fixed_mode"):

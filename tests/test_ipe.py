@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from spectrum_oracle import fried_parameter
 
 from turbulink.ipe import (
     COUPLING_PREFACTOR,
@@ -18,13 +19,7 @@ from turbulink.ipe import (
     propagate,
 )
 from turbulink.lgmodes import LGIndex, ModeBasis
-from turbulink.turbulence import (
-    LinkGeometry,
-    TurbulenceProfile,
-    cn2_at,
-    fried_parameter,
-    l_strength,
-)
+from turbulink.turbulence import LinkGeometry, TurbulenceProfile, cn2_at, l_strength
 
 LAM = 3.95e-6
 W0 = 0.1457

@@ -16,7 +16,6 @@ from turbulink.lgmodes import (
     coefficient_stack,
     coupling_numeric_oracle,
     coupling_oracle_extrapolated,
-    coupling_strength,
     coupling_tensor,
     free_prop_S,
     free_prop_S_numeric,
@@ -24,7 +23,7 @@ from turbulink.lgmodes import (
     lg_momentum_amplitude,
     selection_mask,
 )
-from turbulink.turbulence import SpectrumParams, big_l_t, l_strength
+from turbulink.turbulence import SpectrumParams, big_l_t, l_cross, l_strength
 
 W0 = 0.1457
 LAM = 3.95e-6
@@ -32,6 +31,38 @@ Z_R = math.pi * W0**2 / LAM
 CN2 = 1e-15
 
 LOW_ORDER = [LGIndex(l=l, r=r) for l in (-2, -1, 0, 1, 2) for r in (0, 1, 2)]
+OMEGA_C = 2.0 * math.pi * 299792458.0 / LAM
+
+
+def coupling_element(m, n, u, v, z, cn2, w0, frequencies):
+    """Reference L_{m,n,u,v}(z), one element at a time: the Gamma-weighted
+    double sum over the coefficient arrays of (m, u) and (n, v).
+
+    frequencies is a wavelength (m) or an angular-frequency pair (rad/s); a
+    pair evaluates each array at its own normalized distance and rescales it
+    from its beam area to the mean of the two.
+    """
+    if m.l - u.l != n.l - v.l:
+        return 0j
+    if isinstance(frequencies, tuple):
+        omega1, omega2 = frequencies
+        lam1, lam2 = (2.0 * math.pi * 299792458.0 / omega for omega in frequencies)
+        t1 = lam1 * z / (math.pi * w0**2)
+        t2 = lam2 * z / (math.pi * w0**2)
+        a1 = (1.0 + t1 * t1) * w0**2
+        a2 = (1.0 + t2 * t2) * w0**2
+        a_mean = 0.5 * (a1 + a2)
+        c1 = c_coefficients(m, u, t1)
+        c2 = c_coefficients(n, v, t2)
+        c1 = c1 * (a1 / a_mean) ** (0.5 * np.arange(len(c1)))
+        c2 = c2 * (a2 / a_mean) ** (0.5 * np.arange(len(c2)))
+        rate = l_cross(z, omega1, omega2, cn2, w0)
+    else:
+        t = frequencies * z / (math.pi * w0**2)
+        c1, c2 = c_coefficients(m, u, t), c_coefficients(n, v, t)
+        rate = l_strength(z, cn2, frequencies, w0)
+    weights = gamma_weight_matrix(max(len(c1), len(c2)))[: len(c1), : len(c2)]
+    return COUPLING_PREFACTOR * rate * complex(c1 @ weights @ np.conj(c2))
 
 
 def overlap_W(m, n, K, phi, z, w0, wavelength):
@@ -281,9 +312,8 @@ class TestFreeProp:
 
 class TestCouplingStrength:
     def test_fundamental_decay_rate(self):
-        i00 = LGIndex(l=0, r=0)
         for z in (0.0, 0.5 * Z_R, Z_R):
-            value = coupling_strength(i00, i00, i00, i00, z, CN2, W0, LAM)
+            value = coupling_tensor(ModeBasis(0), z, CN2, W0, LAM).entries[0, 0, 0, 0]
             expected = -DECAY_CONSTANT * l_strength(z, CN2, LAM, W0)
             assert value.real == pytest.approx(expected, rel=1e-12)
             assert abs(value.imag) < 1e-18
@@ -295,14 +325,17 @@ class TestCouplingStrength:
         u = LGIndex(l=0, r=0)
         v = LGIndex(l=0, r=1)
         # l_m - l_u - l_n + l_v = 1: structurally zero
-        assert coupling_strength(m, n, u, v, Z_R, CN2, W0, LAM) == 0
+        basis = ModeBasis(1)
+        for frequencies in (LAM, (0.9 * OMEGA_C, 1.12 * OMEGA_C)):
+            tensor = coupling_tensor(basis, Z_R, CN2, W0, frequencies).entries
+            a, b, c, d = (basis.position(idx) for idx in (m, n, u, v))
+            assert tensor[a, b, c, d] == 0
 
     def test_cross_frequency_degenerate_reduction(self):
-        omega = 2.0 * math.pi * 299792458.0 / LAM
-        m, u = LGIndex(l=1, r=1), LGIndex(l=1, r=0)
-        single = coupling_strength(m, m, u, u, Z_R, CN2, W0, LAM)
-        cross = coupling_strength(m, m, u, u, Z_R, CN2, W0, (omega, omega))
-        assert cross == pytest.approx(single, rel=1e-12)
+        basis = ModeBasis(1)
+        single = coupling_tensor(basis, Z_R, CN2, W0, LAM).entries
+        cross = coupling_tensor(basis, Z_R, CN2, W0, (OMEGA_C, OMEGA_C)).entries
+        assert np.max(np.abs(cross - single)) < 1e-12 * np.max(np.abs(single))
 
     def test_hermiticity_of_tensor(self):
         basis = ModeBasis(1)
@@ -313,12 +346,13 @@ class TestCouplingStrength:
 
     def test_tensor_matches_elementwise(self):
         basis = ModeBasis(1)
-        tensor = coupling_tensor(basis, 0.4 * Z_R, CN2, W0, LAM).entries
-        for (a, m), (b, n), (c, u), (d, v) in itertools.product(
-            *[list(enumerate(basis.indices))] * 4
-        ):
-            direct = coupling_strength(m, n, u, v, 0.4 * Z_R, CN2, W0, LAM)
-            assert abs(tensor[a, b, c, d] - direct) < 1e-18 + 1e-12 * abs(direct)
+        for frequencies in (LAM, (0.9 * OMEGA_C, 1.12 * OMEGA_C)):
+            tensor = coupling_tensor(basis, 0.4 * Z_R, CN2, W0, frequencies).entries
+            for (a, m), (b, n), (c, u), (d, v) in itertools.product(
+                *[list(enumerate(basis.indices))] * 4
+            ):
+                direct = coupling_element(m, n, u, v, 0.4 * Z_R, CN2, W0, frequencies)
+                assert abs(tensor[a, b, c, d] - direct) < 1e-18 + 1e-12 * abs(direct)
 
     def test_selection_mask_structure(self):
         basis = ModeBasis(2)
@@ -344,24 +378,6 @@ class TestCouplingStrength:
         assert strongest[3] < strongest[2]
         assert strongest[4] < strongest[3]
 
-    def test_tensor_total_rate_field(self):
-        spectrum = SpectrumParams(kappa_0=1e-3)
-        tensor = coupling_tensor(ModeBasis(1), Z_R, CN2, W0, LAM, spectrum=spectrum)
-        assert tensor.total_rate == pytest.approx(big_l_t(LAM, LAM, CN2, spectrum), rel=1e-12)
-        bare = coupling_tensor(ModeBasis(1), Z_R, CN2, W0, LAM)
-        assert bare.total_rate is None
-        assert np.array_equal(bare.entries, tensor.entries)
-
-    def test_total_rate_inclusion(self):
-        spectrum = SpectrumParams(kappa_0=1e-4 / W0)
-        i00 = LGIndex(l=0, r=0)
-        bare = coupling_strength(i00, i00, i00, i00, Z_R, CN2, W0, LAM)
-        full = coupling_strength(
-            i00, i00, i00, i00, Z_R, CN2, W0, LAM,
-            include_total_rate=True, spectrum=spectrum,
-        )
-        assert full - bare == pytest.approx(big_l_t(LAM, LAM, CN2, spectrum), rel=1e-12)
-
     def test_trace_identity_defect_shrinks_with_cutoff(self):
         # sum_n L(n, n, m, u) - delta L_T -> 0 only in the untruncated limit;
         # measure the truncated defect and require monotone improvement
@@ -370,10 +386,10 @@ class TestCouplingStrength:
         for cutoff in range(1, 6):
             basis = ModeBasis(cutoff)
             total = sum(
-                coupling_strength(n, n, i00, i00, Z_R, CN2, W0, LAM)
+                coupling_element(n, n, i00, i00, Z_R, CN2, W0, LAM)
                 for n in basis.indices
             )
-            scale = abs(coupling_strength(i00, i00, i00, i00, Z_R, CN2, W0, LAM))
+            scale = abs(coupling_element(i00, i00, i00, i00, Z_R, CN2, W0, LAM))
             defects.append(abs(total) / scale)
         assert all(b < a for a, b in zip(defects, defects[1:]))
         assert defects[0] > 0.05  # visibly incomplete at N = 1
@@ -406,10 +422,12 @@ class TestNumericOracle:
             assert oracle.real / l_strength(z, CN2, LAM, W0) == pytest.approx(-54.1, abs=0.3)
 
     def test_cross_frequency_oracle_agreement(self):
-        # two-frequency defining integral against the closed form, with the
-        # outer-scale extrapolation, on representative allowed tuples
-        omega_c = 2.0 * math.pi * 299792458.0 / LAM
-        pair = (0.9 * omega_c, 1.12 * omega_c)
+        # two-frequency defining integral against the closed-form tensor the
+        # full-IPE kernel assembles, with the outer-scale extrapolation, on
+        # representative allowed tuples
+        pair = (0.9 * OMEGA_C, 1.12 * OMEGA_C)
+        basis = ModeBasis(2)
+        tensor = coupling_tensor(basis, Z_R, CN2, W0, pair).entries
         tuples = [
             ((0, 0), (0, 0), (0, 0), (0, 0)),
             ((0, 1), (0, 0), (0, 0), (0, 0)),
@@ -418,7 +436,7 @@ class TestNumericOracle:
         ]
         for tl in tuples:
             m, n, u, v = [LGIndex(l=a, r=b) for a, b in tl]
-            closed = coupling_strength(m, n, u, v, Z_R, CN2, W0, pair)
+            closed = tensor[tuple(basis.position(idx) for idx in (m, n, u, v))]
             oracle = coupling_oracle_extrapolated(
                 m, n, u, v, Z_R, CN2, W0, pair, 1e-4 / W0
             )

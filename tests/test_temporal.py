@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from turbulink.entanglement import channel_tensor
 from turbulink.ipe import (
     DensityMatrix,
     SolverConfig,
@@ -16,7 +17,6 @@ from turbulink.temporal import (
     CostGuardError,
     KernelFidelity,
     ResolutionError,
-    apply_channel_single,
     channel_kernel,
     mode_trace,
     transmission_matrix,
@@ -76,6 +76,11 @@ class TestKernel:
             channel_kernel(
                 paper_spec, profile, paper_geometry, grid_order=16,
                 fidelity=KernelFidelity.FULL_IPE,
+            )
+        with pytest.raises(CostGuardError):
+            channel_kernel(
+                paper_spec, profile, paper_geometry, grid_order=4,
+                fidelity=KernelFidelity.FULL_IPE, cutoff=6,
             )
 
 
@@ -217,10 +222,19 @@ class TestTransmissionMatrix:
             )
 
 
+def single_photon_output(kernel, spec, n, max_mode):
+    """Output density over modes 0..max_mode for input mode n, normalized by
+    the mode trace T_n, and the leakage mass above the truncation: the
+    (:, :, n, n) slice of the one-photon channel tensor."""
+    tensor = channel_tensor(kernel, spec, max(max_mode, n) + 1)
+    density = tensor[: max_mode + 1, : max_mode + 1, n, n] / mode_trace(kernel, spec, n)
+    return density, 1.0 - float(np.trace(density))
+
+
 class TestApplyChannel:
     def test_zero_turbulence_pure_output(self, paper_spec, kernel_zero):
         for n in (0, 2, 5):
-            density, leakage = apply_channel_single(kernel_zero, paper_spec, n, 6)
+            density, leakage = single_photon_output(kernel_zero, paper_spec, n, 6)
             expected = np.zeros((7, 7))
             expected[n, n] = 1.0
             assert np.max(np.abs(density - expected)) < 1e-10
@@ -228,7 +242,7 @@ class TestApplyChannel:
 
     def test_diagonal_matches_transmission_row(self, paper_spec, kernel_1e15):
         tm = transmission_matrix(kernel_1e15, paper_spec, 3)
-        density, _ = apply_channel_single(kernel_1e15, paper_spec, 0, 3)
+        density, _ = single_photon_output(kernel_1e15, paper_spec, 0, 3)
         assert np.diag(density).real == pytest.approx(tm.matrix[0], rel=1e-12)
 
     def test_output_nearly_positive(self, paper_spec, kernel_1e15, kernel_1e16):
@@ -236,10 +250,10 @@ class TestApplyChannel:
         # violations stay at the few-1e-3 level (see decisions ledger)
         for kernel in (kernel_1e15, kernel_1e16):
             for n in range(11):
-                density, _ = apply_channel_single(kernel, paper_spec, n, 11)
+                density, _ = single_photon_output(kernel, paper_spec, n, 11)
                 assert np.max(np.abs(density - density.conj().T)) < 1e-12
                 assert np.linalg.eigvalsh(density)[0] > -1e-2
 
     def test_hermitian_output(self, paper_spec, kernel_1e15):
-        density, _ = apply_channel_single(kernel_1e15, paper_spec, 2, 5)
+        density, _ = single_photon_output(kernel_1e15, paper_spec, 2, 5)
         assert np.max(np.abs(density - density.conj().T)) < 1e-14

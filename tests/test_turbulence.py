@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import golden
+from spectrum_oracle import fried_parameter, vonkarman_psd
 
 from turbulink import turbulence
 from turbulink.ipe import DECAY_CONSTANT
@@ -22,12 +23,10 @@ from turbulink.turbulence import (
     TurbulenceProfile,
     big_l_t,
     cn2_at,
-    fried_parameter,
     integrated_l,
     l_cross,
     l_strength,
     path_height,
-    vonkarman_psd,
 )
 
 C = 299792458.0
