@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .entanglement import MAX_PAIR_MODES
-from .lgmodes import MAX_ORACLE_INDEX
+from .lgmodes import MAX_COUPLING_CUTOFF
 from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER
 from .turbulence import CN2_MAX, CN2_MIN, two_pi_c_over
 
@@ -132,7 +132,7 @@ RANGES = {
     "sigma_b_trad": (1e-3, 1e4, "T rad/s"),
     "pump_trad": (1.0, 1e5, "T rad/s"),
     "extinction_per_km": (0.0, 100.0, "1/km"),
-    "cutoff": (0, MAX_ORACLE_INDEX, ""),
+    "cutoff": (0, MAX_COUPLING_CUTOFF, ""),
     "grid_order": (4, MAX_GRID_ORDER, ""),
     "steps": (16, 100000, ""),
     "max_mode": (0, 14, ""),

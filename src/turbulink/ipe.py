@@ -12,13 +12,16 @@ Two truncation schemes of the same coupled mode equations are supported:
 The generator factorizes as  PREF * l(z) * (Gouy-phase dressing of a constant
 tensor): the z dependence of the mode-correlation coefficients is a pure
 phase b(z)^{Gouy order} (b = (1+it)/(1-it), t = z/z_R).  The solver works in
-the rotating frame that removes those phases, leaving a constant sparse
-superoperator plus a diagonal commutator, so one propagation is a few
-hundred sparse matrix-vector products regardless of the path.
+the rotating frame that removes those phases, leaving a constant gain plus a
+diagonal commutator.  Every term conserves Delta = l_u - l_v, so each
+Delta-l sector of the density matrix, a stack of l-blocks, is advanced on
+its own with a dense gain block (`lgmodes.pair_tensor`) and the l-blocks of
+the Lindblad rates; Delta < 0 is the adjoint of Delta > 0, and a
+fundamental input never leaves sector 0.
 
 Every propagation path (`propagate`, `cutoff_bracketing` and the full-IPE
 kernel in `temporal`) advances its state with the one fixed-step `rk4_step`;
-the first two share one rotating-frame derivative built on `generator_parts`.
+the first two share one rotating-frame sector derivative.
 """
 from __future__ import annotations
 
@@ -28,23 +31,10 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .lgmodes import (
-    COUPLING_PREFACTOR,
-    DECAY_CONSTANT,
-    LGIndex,
-    ModeBasis,
-    coefficient_stack,
-    pair_tensor,
-)
-from .turbulence import (
-    LinkGeometry,
-    TurbulenceProfile,
-    cn2_at,
-    integrated_l,
-    l_strength,
-)
+from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, LGIndex, ModeBasis
+from .lgmodes import coefficient_stack, pair_tensor, sector_blocks
+from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, integrated_l, l_strength
 
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
@@ -118,39 +108,36 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class GeneratorParts:
-    """Cutoff-dependent, geometry-independent pieces of the generator.
+    """Cutoff-dependent, geometry-independent generator pieces for the
+    Delta-l sector delta.
 
-    gain0: sparse (S^2, S^2) matrix R0 with R0[(u,v),(m,n)] = normalized
-           coupling at t = 0 (multiply by PREF * l(z) and dress with Gouy
-           phases to get the physical gain superoperator);
-    gamma0: basis-summed rate matrix (Hermitian, same normalization);
-    gouy:  per-mode half Gouy orders r + |l| / 2.
+    gain0: dense sector block of the normalized coupling at t = 0
+           (multiply by PREF * l(z) for the rotating-frame gain);
+    gamma0: basis-summed rate matrix (Hermitian, same normalization), block
+           diagonal in l, as its 2c+1 l-blocks;
+    gouy:  half Gouy orders r + |l| / 2 per (l-block, r).
     """
 
     basis: ModeBasis
-    gain0: sparse.csr_matrix = field(repr=False)
+    delta: int
+    gain0: np.ndarray = field(repr=False)
     gamma0: np.ndarray = field(repr=False)
     gouy: np.ndarray = field(repr=False)
 
 
-def superoperator(tensor: np.ndarray) -> np.ndarray:
-    """Reorder a [m, u, n, v] tensor into the (S^2, S^2) map [(u,v), (m,n)]
-    acting on the row-major vectorized density."""
-    size = tensor.shape[0]
-    return np.transpose(tensor, (1, 3, 0, 2)).reshape(size * size, size * size)
-
-
-@lru_cache(maxsize=8)
-def generator_parts(cutoff: int) -> GeneratorParts:
+@lru_cache(maxsize=32)
+def generator_parts(cutoff: int, delta: int) -> GeneratorParts:
     basis = ModeBasis(cutoff)
+    side, blocks = cutoff + 1, 2 * cutoff + 1
     stack = coefficient_stack(basis, 0.0)
-    tensor = pair_tensor(basis, stack, np.conj(stack))  # [m, u, n, v]
-    return GeneratorParts(
-        basis=basis,
-        gain0=sparse.csr_matrix(superoperator(tensor)),
-        gamma0=np.einsum("nanb->ab", tensor),
-        gouy=np.array([idx.gouy_weight for idx in basis.indices]),
-    )
+    gain0 = pair_tensor(basis, stack, np.conj(stack), delta)
+    if delta == 0:
+        # Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal entries
+        gamma0 = np.einsum("qabpmm->qab", gain0.reshape(blocks, side, side, blocks, side, side))
+    else:
+        gamma0 = generator_parts(cutoff, 0).gamma0
+    gouy = np.array([idx.gouy_weight for idx in basis.indices]).reshape(blocks, side)
+    return GeneratorParts(basis, delta, gain0, gamma0, gouy)
 
 
 def rk4_step(derivative, z: float, state: np.ndarray, h: float) -> np.ndarray:
@@ -163,8 +150,9 @@ def rk4_step(derivative, z: float, state: np.ndarray, h: float) -> np.ndarray:
 
 
 def _derivative(parts: GeneratorParts, scheme: PropagationScheme, profile=None, geom=None):
-    """d rho / dz in the rotating frame: PREF l(z) (R0 rho - [Q rho + rho Q^dagger] / 2)
-    plus the Gouy commutator, the bracket only for LINDBLAD_TRUNCATED.
+    """d rho / dz on one sector (its stack of l-blocks) in the rotating frame:
+    PREF l(z) (R0 rho - [Q rho + rho Q^dagger] / 2) plus the Gouy commutator,
+    the bracket only for LINDBLAD_TRUNCATED.
 
     For TRUNCATED_EXACT the scalar total-rate loss has already been
     cancelled against the diagonal of the gain (the two are equal and the
@@ -173,12 +161,13 @@ def _derivative(parts: GeneratorParts, scheme: PropagationScheme, profile=None, 
     a link (geom None) the generator is frozen at t = 0 with l = 1 and no
     Gouy term, which makes z the path-integrated decay density.
     """
-    size = parts.basis.size
     lindblad = scheme is PropagationScheme.LINDBLAD_TRUNCATED
     frozen = geom is None
     z_r = None if frozen else geom.rayleigh_range
-    gamma0_t = parts.gamma0.T
-    gouy_comm = parts.gouy[:, None] - parts.gouy[None, :]
+    lo_row, lo_col, count = sector_blocks(parts.basis, parts.delta)
+    rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
+    gamma0_t = parts.gamma0.transpose(0, 2, 1)
+    gouy_comm = parts.gouy[rows, :, None] - parts.gouy[cols, None, :]
 
     def derivative(z, rho):
         if frozen:
@@ -186,13 +175,13 @@ def _derivative(parts: GeneratorParts, scheme: PropagationScheme, profile=None, 
         else:
             cn2 = cn2_at(profile, geom, z)
             rate = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
-        out = rate * (parts.gain0 @ rho.reshape(-1)).reshape(size, size)
+        out = rate * (parts.gain0 @ rho.reshape(-1)).reshape(rho.shape)
         if lindblad:
             q = gamma0_t
             if not frozen:
                 phase = np.exp(4j * math.atan2(z, z_r) * parts.gouy)
-                q = (phase[:, None] * gamma0_t) * np.conj(phase)[None, :]
-            out -= 0.5 * rate * (q @ rho + rho @ q.conj().T)
+                q = (phase[:, :, None] * gamma0_t) * np.conj(phase)[:, None, :]
+            out -= 0.5 * rate * (q[rows] @ rho + rho @ q[cols].conj().transpose(0, 2, 1))
         if not frozen:
             theta_rate = z_r / (z_r * z_r + z * z)
             out += 2j * theta_rate * gouy_comm * rho
@@ -202,18 +191,31 @@ def _derivative(parts: GeneratorParts, scheme: PropagationScheme, profile=None, 
 
 
 def _propagate_fixed(rho0, profile, geom, config, steps):
-    parts = generator_parts(config.cutoff)
-    derivative = _derivative(parts, config.scheme, profile, geom)
-    rho = rho0.matrix.astype(complex)
+    # occupied sectors with delta >= 0; only sector 0 holds its own adjoint
+    cutoff, side = config.cutoff, config.cutoff + 1
+    rho = np.zeros(rho0.matrix.shape, dtype=complex)
+    blocks_in = rho0.matrix.reshape(2 * cutoff + 1, side, 2 * cutoff + 1, side)
+    blocks_out = rho.reshape(blocks_in.shape)
     h = geom.path_length / steps
-    z = 0.0
-    for _ in range(steps):
-        rho = rk4_step(derivative, z, rho, h)
-        rho = 0.5 * (rho + rho.conj().T)
-        z += h
+    for delta in range(2 * cutoff + 1):
+        lo_row, lo_col, count = sector_blocks(rho0.basis, delta)
+        p = np.arange(count)
+        state = blocks_in[lo_row + p, :, lo_col + p, :].astype(complex)
+        if not np.any(state):
+            continue
+        derivative = _derivative(generator_parts(cutoff, delta), config.scheme, profile, geom)
+        z = 0.0
+        for _ in range(steps):
+            state = rk4_step(derivative, z, state, h)
+            if delta == 0:
+                state = 0.5 * (state + state.conj().transpose(0, 2, 1))
+            z += h
+        blocks_out[lo_row + p, :, lo_col + p, :] = state
+        blocks_out[lo_col + p, :, lo_row + p, :] = state.conj().transpose(0, 2, 1)
     # undo the rotating-frame (Gouy) gauge at the receiver plane
     theta_f = math.atan2(geom.path_length, geom.rayleigh_range)
-    return np.exp(-2j * theta_f * (parts.gouy[:, None] - parts.gouy[None, :])) * rho
+    gouy = generator_parts(cutoff, 0).gouy.reshape(-1)
+    return np.exp(-2j * theta_f * (gouy[:, None] - gouy[None, :])) * rho
 
 
 def propagate(
@@ -286,12 +288,12 @@ def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
         schemes = (PropagationScheme.TRUNCATED_EXACT, PropagationScheme.LINDBLAD_TRUNCATED)
     results = {}
     for cutoff in cutoffs:
-        parts = generator_parts(cutoff)
-        fundamental = parts.basis.fundamental
+        # sector 0 only; the fundamental is r = 0 of the l = 0 block
+        parts = generator_parts(cutoff, 0)
         for scheme in schemes:
             derivative = _derivative(parts, scheme)
-            rho = np.zeros((parts.basis.size, parts.basis.size), dtype=complex)
-            rho[fundamental, fundamental] = 1.0
+            rho = np.zeros((2 * cutoff + 1, cutoff + 1, cutoff + 1), dtype=complex)
+            rho[cutoff, 0, 0] = 1.0
             probabilities = np.empty(len(l_values))
             tau = 0.0
             base_step = l_values[-1] / 512.0 if l_values[-1] > 0 else 1.0
@@ -303,7 +305,7 @@ def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
                     for _ in range(n_steps):
                         rho = rk4_step(derivative, tau, rho, h)
                     tau = target
-                probabilities[k] = rho[fundamental, fundamental].real
+                probabilities[k] = rho[cutoff, 0, 0].real
             results[(scheme, cutoff)] = probabilities
     return results
 

@@ -12,7 +12,8 @@ Two kernel fidelities:
   FULL_IPE  propagate the cross-frequency coherence over a truncated LG basis
             and read off the fundamental-fundamental element; quadratically
             more expensive, kept as a validation path.  Its generator is
-            `lgmodes.coupling_tensor` at the carrier pair (omega1, omega2),
+            the sector-0 block of the coupling at the carrier pair
+            (omega1, omega2) (`lgmodes.dressed_stacks`, `lgmodes.pair_tensor`),
             advanced with `ipe.rk4_step`; at omega1 = omega2 it is the
             single-frequency propagation of `ipe.propagate`.
 """
@@ -25,19 +26,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ipe import DECAY_CONSTANT, rk4_step, superoperator
-from .lgmodes import ModeBasis, coupling_tensor
+from .ipe import DECAY_CONSTANT, rk4_step
+from .lgmodes import ModeBasis, dressed_stacks, pair_tensor
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
 from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, integrated_l
 
 MAX_GRID_ORDER = 64
 MAX_FULL_IPE_GRID = 12
-# Peak RSS of one full-IPE kernel, measured at cutoffs 1-5, is about
-# 50 MB + 3.1 x 16 S^4 bytes (S = (2c+1)(c+1) modes): the memoized generator,
-# the coupling tensor and its reordered copy are live together.  Cutoff 5 peaks
-# at 0.95 GB; cutoff 6 would need about 3.4 GB, half of a 7 GB machine, and
-# cutoff 7 about 10 GB.
+# Run cost bounds the cutoff: at cutoff 5 one generator rebuild (the sector-0
+# coupling block at a fresh z) takes about 0.02 s on a 2-vCPU machine (0.4 s
+# for the whole-basis tensor it replaced), so one frequency pair at 256 steps
+# takes 11-14 s and a grid-12 kernel (78 pairs) about a quarter of an hour.
 MAX_FULL_IPE_CUTOFF = 5
 
 
@@ -88,28 +88,29 @@ def _cross_frequency_full_ipe(
     """Fundamental-to-fundamental damping of the |omega1><omega2| coherence
     by propagating the cross-frequency block over the truncated LG basis."""
     basis = ModeBasis(cutoff)
-    size = basis.size
+    side = cutoff + 1
 
     # RK4 evaluates its midpoint twice and each step starts where the last
     # one ended, so a one-entry memo saves a third of the rebuilds
     @lru_cache(maxsize=1)
     def generator(z):
         cn2 = cn2_at(profile, geom, z)
-        tensor = coupling_tensor(basis, z, cn2, geom.waist, (omega1, omega2)).entries
-        return superoperator(np.transpose(tensor, (0, 2, 1, 3)))  # (m, n, u, v) -> (m, u, n, v)
+        rate, left, right = dressed_stacks(basis, z, cn2, geom.waist, (omega1, omega2))
+        return rate * pair_tensor(basis, left, right, 0)
 
     def derivative(z, state):
         return generator(z) @ state
 
-    fundamental = basis.fundamental
-    state = np.zeros(size * size, dtype=complex)
-    state[fundamental * size + fundamental] = 1.0
+    # sector 0 only: the fundamental is r = 0 of the l = 0 block
+    fundamental = cutoff * side * side
+    state = np.zeros((2 * cutoff + 1) * side * side, dtype=complex)
+    state[fundamental] = 1.0
     h = geom.path_length / steps
     z = 0.0
     for _ in range(steps):
         state = rk4_step(derivative, z, state, h)
         z += h
-    value = complex(state[fundamental * size + fundamental])
+    value = complex(state[fundamental])
     # off-diagonal frequency pairs acquire a small dispersive phase (the two
     # carriers couple to the mode ladder with different Gouy rotations); the
     # kernel contract is real-valued, so keep the modulus-level real part and

@@ -100,14 +100,22 @@ class TestConfigParsing:
             apply_overrides(RunConfig(), {"kernel_fidelity": "full_ipe", "grid_order": "32"})
 
     def test_full_ipe_cutoff_guard(self):
-        # the dense generator is 1.1 GB at cutoff 6 and 3.3 GB at cutoff 7, with
-        # three copies live; validation alone must refuse them (nothing is built)
+        # a full-IPE kernel above cutoff 5 costs minutes to hours, and no
+        # coupling is assembled above cutoff 6; validation alone must refuse
+        # them (nothing is built)
         full_ipe = replace(RunConfig(), kernel_fidelity="full_ipe", grid_order=8)
         for cutoff in (6, 7, 8):
             with pytest.raises(ConfigError, match="'cutoff'"):
                 validate_config(replace(full_ipe, cutoff=cutoff))
         validate_config(replace(full_ipe, cutoff=5))
-        validate_config(replace(RunConfig(), cutoff=8))  # analytic kernels do not read it
+        validate_config(replace(RunConfig(), cutoff=6))  # analytic kernels do not read it
+
+    def test_cutoff_limited_to_accurate_coupling(self):
+        # the coupling sum is off by 8.4e-4 of its largest entry at cutoff 7
+        for cutoff in ("7", "8"):
+            with pytest.raises(ConfigError, match="'cutoff'"):
+                apply_overrides(RunConfig(), {"cutoff": cutoff})
+        assert main(["--set", "cutoff=7", "beam"]) == EXIT_CONFIG
 
     def test_fixed_mode_outside_pair_modes(self):
         with pytest.raises(ConfigError, match="fixed_mode"):

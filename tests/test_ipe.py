@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_oracle import dense_generator
 from spectrum_oracle import fried_parameter
 
 from turbulink.ipe import (
@@ -14,11 +20,10 @@ from turbulink.ipe import (
     analytic_decay,
     cutoff_bracketing,
     distance_sweep,
-    generator_parts,
     lowest_mode_probability,
     propagate,
 )
-from turbulink.lgmodes import LGIndex, ModeBasis
+from turbulink.lgmodes import MAX_COUPLING_CUTOFF, LGIndex, ModeBasis
 from turbulink.turbulence import LinkGeometry, TurbulenceProfile, cn2_at, l_strength
 
 LAM = 3.95e-6
@@ -38,29 +43,27 @@ def geometry(distance=3.0e4, waist=W0):
 def assemble_superoperator(basis, z, profile, geom, scheme):
     """Oracle: dense superoperator R(z) acting on the row-major vectorized density.
 
-    Built from the solver's own generator parts, but in the lab frame: the
-    gain carries its Gouy phases explicitly and the Lindblad anticommutator
-    is a Kronecker sum, so it shares no code path with the rotating-frame
-    derivative in turbulink.ipe.
+    Built from the dense masked coupling sum over the whole basis, in the
+    lab frame: the gain carries its Gouy phases explicitly and the Lindblad
+    anticommutator is a Kronecker sum, so it shares no code path with the
+    rotating-frame sector derivative in turbulink.ipe.
     """
     size = basis.size
-    parts = generator_parts(basis.cutoff)
+    gain0, gamma0 = dense_generator(basis.cutoff)
     rate = COUPLING_PREFACTOR * l_strength(
         z, cn2_at(profile, geom, z), geom.wavelength, geom.waist
     )
     theta = math.atan2(z, geom.rayleigh_range)
-    diff = parts.gouy[:, None] - parts.gouy[None, :]  # gamma_a - gamma_b on (a, b)
-    # [(u,v),(m,n)] -> (gamma_m - gamma_u) - (gamma_n - gamma_v)
-    phase_exponent = (
-        (diff[None, None, :, :] - diff[:, :, None, None])
-        .transpose(3, 1, 2, 0)
-        .reshape(size * size, size * size)
-    )
-    gain = rate * np.exp(2j * theta * phase_exponent) * parts.gain0.toarray()
+    gouy = np.array([idx.gouy_weight for idx in basis.indices])
+    e = np.exp(2j * theta * gouy)
+    # [(u,v),(m,n)] carries e^{2i theta ((gamma_m - gamma_u) - (gamma_n - gamma_v))}
+    into = (np.conj(e)[:, None] * e[None, :]).reshape(-1)
+    out_of = (e[:, None] * np.conj(e)[None, :]).reshape(-1)
+    gain = rate * (into[:, None] * gain0 * out_of[None, :])
     if scheme is PropagationScheme.TRUNCATED_EXACT:
         return gain
     # Gamma(z)[m, u] carries the phase e^{2i theta (gamma_u - gamma_m)}
-    gamma = rate * np.exp(2j * theta * (parts.gouy[None, :] - parts.gouy[:, None])) * parts.gamma0
+    gamma = rate * np.exp(2j * theta * (gouy[None, :] - gouy[:, None])) * gamma0
     q = gamma.T  # anticommutator matrix Q = Gamma^T, Hermitian
     eye = np.eye(size)
     return gain - 0.5 * (np.kron(q, eye) + np.kron(eye, q.T))
@@ -97,7 +100,6 @@ class TestAssembly:
         basis = ModeBasis(1)
         geom = geometry()
         profile = TurbulenceProfile.from_constant(1e-15)
-        parts = generator_parts(1)
         ls = np.array([idx.l for idx in basis.indices])
         size = basis.size
         for scheme in PropagationScheme:
@@ -134,22 +136,26 @@ class TestPropagation:
             analytic_decay(profile, geom), abs=1e-8
         )
 
-    def test_matches_direct_superoperator_integration(self):
-        # the rotating-frame fast path against brute-force integration of the
-        # dense generator, both schemes, through z ~ 1.8 z_R
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_matches_direct_superoperator_integration(self, cutoff):
+        # the rotating-frame sector path against brute-force integration of
+        # the dense generator, both schemes, through z ~ 1.8 z_R; a random
+        # input occupies every sector, up to |Delta| = 4 at cutoff 2
         profile = TurbulenceProfile.from_constant(1e-16)
         geom = geometry()
-        basis = ModeBasis(1)
+        basis = ModeBasis(cutoff)
         size = basis.size
         rho0 = coherent_state(basis, seed=5)
-        steps = 192
+        # the two frames' RK4 errors differ by O(h^4) times the fastest Gouy
+        # rotation: 3.5e-9 at cutoff 2 and 192 steps, 2.2e-10 at 384
+        steps = 192 * cutoff
         for scheme in PropagationScheme:
             # raw integrator output: the Lindblad-form truncation amplifies
             # coherences far from the waist, so its end state here is not a
             # valid density matrix and only the integration itself is under test
             from turbulink.ipe import _propagate_fixed
 
-            config = SolverConfig(cutoff=1, scheme=scheme, steps=steps)
+            config = SolverConfig(cutoff=cutoff, scheme=scheme, steps=steps)
             fast_matrix = _propagate_fixed(rho0, profile, geom, config, steps)
             vec = rho0.matrix.reshape(-1).astype(complex)
             h = geom.path_length / steps
@@ -222,6 +228,32 @@ class TestPropagation:
         with pytest.raises(SolverError) as err:
             propagate(rho0, profile, geom, config)
         assert err.value.coarse != err.value.fine
+
+    def test_fundamental_at_coupling_limit_in_one_gib(self):
+        # from the fundamental only sector 0 is propagated, so the largest
+        # accepted cutoff runs in a child capped at 1 GiB of address space
+        # (the whole-basis generator alone would need 1.1 GB)
+        code = textwrap.dedent(
+            f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from turbulink.ipe import DensityMatrix, SolverConfig, propagate
+            from turbulink.lgmodes import LGIndex, ModeBasis
+            from turbulink.turbulence import LinkGeometry, TurbulenceProfile
+
+            geom = LinkGeometry(3.0e4, 19.0, 19.0, {W0!r}, {LAM!r})
+            rho0 = DensityMatrix.pure(ModeBasis({MAX_COUPLING_CUTOFF}), LGIndex(l=0, r=0))
+            config = SolverConfig(cutoff={MAX_COUPLING_CUTOFF})
+            rho = propagate(rho0, TurbulenceProfile.from_constant(1e-15), geom, config)
+            assert type(rho) is DensityMatrix and rho.basis.cutoff == {MAX_COUPLING_CUTOFF}
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_basis_mismatch_rejected(self):
         rho0 = DensityMatrix.pure(ModeBasis(1), LGIndex(l=0, r=0))
@@ -309,12 +341,11 @@ class TestCutoffBracketing:
     def test_against_matrix_exponential(self):
         # constant generator: the stepped integration must match expm
         from scipy.linalg import expm
-        from turbulink.ipe import COUPLING_PREFACTOR, generator_parts
 
-        parts = generator_parts(2)
-        size = parts.basis.size
-        fundamental = parts.basis.fundamental
-        operator = COUPLING_PREFACTOR * parts.gain0.toarray()
+        basis = ModeBasis(2)
+        size = basis.size
+        fundamental = basis.fundamental
+        operator = COUPLING_PREFACTOR * dense_generator(2)[0]
         state = np.zeros(size * size, dtype=complex)
         state[fundamental * size + fundamental] = 1.0
         exact = (expm(operator * 0.1) @ state)[fundamental * size + fundamental].real

@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_oracle import dense_pair_tensor, selection_mask
 from series_oracle import series_c_coefficients
 
 from turbulink.lgmodes import (
     COUPLING_PREFACTOR,
     DECAY_CONSTANT,
+    MAX_COUPLING_CUTOFF,
+    MAX_ORACLE_INDEX,
     LGIndex,
     ModeBasis,
     OracleIndexError,
@@ -21,7 +24,8 @@ from turbulink.lgmodes import (
     free_prop_S_numeric,
     gamma_weight_matrix,
     lg_momentum_amplitude,
-    selection_mask,
+    pair_tensor,
+    sector_blocks,
 )
 from turbulink.turbulence import SpectrumParams, big_l_t, l_cross, l_strength
 
@@ -360,6 +364,37 @@ class TestCouplingStrength:
         tensor = coupling_tensor(basis, Z_R, CN2, W0, LAM).entries
         reordered = np.transpose(tensor, (0, 2, 1, 3))  # [m, u, n, v]
         assert np.all(reordered[~mask] == 0)
+
+    @pytest.mark.parametrize("cutoff", [0, 2, 3])
+    def test_sector_blocks_match_dense_sum(self, cutoff):
+        # every Delta-l sector block is its slice of the whole-basis masked sum
+        basis = ModeBasis(cutoff)
+        side = cutoff + 1
+        stack = coefficient_stack(basis, 0.0)
+        dense = dense_pair_tensor(cutoff).reshape((2 * cutoff + 1, side) * 4)
+        scale = np.max(np.abs(dense))
+        for delta in range(-2 * cutoff, 2 * cutoff + 1):
+            lo_row, lo_col, count = sector_blocks(basis, delta)
+            block = pair_tensor(basis, stack, np.conj(stack), delta)
+            assert block.shape == (count * side * side,) * 2
+            block = block.reshape(count, side, side, count, side, side)
+            for p, q in itertools.product(range(count), repeat=2):
+                # dense[m, u, n, v] with l-blocks m, u on the row side, n, v on the column side
+                expected = dense[lo_row + p, :, lo_row + q, :, lo_col + p, :, lo_col + q, :]
+                got = block[q, :, :, p, :, :].transpose(2, 0, 3, 1)  # [r_m, r_u, r_n, r_v]
+                assert np.max(np.abs(got - expected)) < 1e-15 * scale
+
+    def test_coupling_cutoff_limit(self):
+        # the float sum is off by 8.4e-4 of its largest entry at cutoff 7
+        # and by more than the entry itself at 8: nothing is assembled there
+        assert MAX_COUPLING_CUTOFF == 6
+        for cutoff in (MAX_COUPLING_CUTOFF + 1, MAX_ORACLE_INDEX):
+            basis = ModeBasis(cutoff)
+            stack = coefficient_stack(basis, 0.0)
+            with pytest.raises(OracleIndexError, match="cutoff"):
+                pair_tensor(basis, stack, np.conj(stack), 0)
+            with pytest.raises(OracleIndexError):
+                coupling_tensor(basis, Z_R, CN2, W0, LAM)
 
     def test_dominant_transitions_are_azimuthal_neighbors(self):
         # transition strength falls steeply with the azimuthal jump: moving

@@ -12,7 +12,7 @@ from turbulink.ipe import (
     lowest_mode_probability,
     propagate,
 )
-from turbulink.lgmodes import LGIndex, ModeBasis
+from turbulink.lgmodes import LGIndex, ModeBasis, coupling_tensor
 from turbulink.temporal import (
     CostGuardError,
     KernelFidelity,
@@ -21,7 +21,7 @@ from turbulink.temporal import (
     mode_trace,
     transmission_matrix,
 )
-from turbulink.turbulence import LinkGeometry, TurbulenceProfile
+from turbulink.turbulence import LinkGeometry, TurbulenceProfile, cn2_at
 
 C = 299792458.0
 
@@ -146,6 +146,37 @@ class TestFullPropagationKernel:
             geom = replace(paper_geometry, wavelength=2.0 * math.pi * C / omega)
             rho = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, steps=steps))
             assert full.matrix[i, i] == pytest.approx(lowest_mode_probability(rho), rel=1e-9)
+
+    def test_off_diagonal_matches_dense_integration(self, paper_geometry, kernels_8):
+        # the sector-0 kernel against RK4 over the whole-basis coupling
+        # tensor at the carrier pair, every (m, n) coherence carried along
+        _, full = kernels_8
+        profile = TurbulenceProfile.from_constant(1e-16)
+        basis = ModeBasis(2)
+        size = basis.size
+        fundamental = basis.fundamental * (size + 1)
+        steps = 128
+        h = paper_geometry.path_length / steps
+        for i, j in ((0, 7), (3, 4)):
+            pair = (full.omegas[i], full.omegas[j])
+
+            def generator(z):
+                cn2 = cn2_at(profile, paper_geometry, z)
+                entries = coupling_tensor(basis, z, cn2, paper_geometry.waist, pair).entries
+                return entries.reshape(size * size, size * size).T  # [(u, v), (m, n)]
+
+            state = np.zeros(size * size, dtype=complex)
+            state[fundamental] = 1.0
+            z = 0.0
+            for _ in range(steps):
+                start, middle, end = generator(z), generator(z + 0.5 * h), generator(z + h)
+                k1 = start @ state
+                k2 = middle @ (state + 0.5 * h * k1)
+                k3 = middle @ (state + 0.5 * h * k2)
+                k4 = end @ (state + h * k3)
+                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                z += h
+            assert abs(full.matrix[i, j] - state[fundamental].real) < 1e-12
 
     def test_symmetry_and_range(self, kernels_8):
         _, full = kernels_8
