@@ -21,7 +21,10 @@ fundamental input never leaves sector 0.
 
 Every propagation path (`propagate`, `cutoff_bracketing` and the full-IPE
 kernel in `temporal`) advances its state with the one fixed-step `rk4_step`;
-the first two share one rotating-frame sector derivative.
+the first two share one rotating-frame sector derivative.  A run over a link
+evaluates its z-dependent scalars (C_n^2, the rate, the Gouy rate and phases)
+once, vectorized, on the RK4 nodes of `rk4_nodes`, whose last node is exactly
+the path length.
 """
 from __future__ import annotations
 
@@ -140,51 +143,56 @@ def generator_parts(cutoff: int, delta: int) -> GeneratorParts:
     return GeneratorParts(basis, delta, gain0, gamma0, gouy)
 
 
-def rk4_step(derivative, z: float, state: np.ndarray, h: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of d state / dz."""
-    k1 = derivative(z, state)
-    k2 = derivative(z + 0.5 * h, state + 0.5 * h * k1)
-    k3 = derivative(z + 0.5 * h, state + 0.5 * h * k2)
-    k4 = derivative(z + h, state + h * k3)
+def rk4_nodes(profile: TurbulenceProfile, geom: LinkGeometry, steps: int) -> tuple:
+    """(z, C_n^2) on the nodes z_k = k L / (2 steps), k = 0 ... 2 steps, of a
+    fixed-step RK4 run over the link: step s starts at node 2s and has its
+    midpoint at node 2s + 1.  The last node is exactly L."""
+    z = np.linspace(0.0, geom.path_length, 2 * steps + 1)
+    return z, np.broadcast_to(cn2_at(profile, geom, z), z.shape)
+
+
+def rk4_step(derivative, node: int, state: np.ndarray, h: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of d state / dz = derivative(k, state)
+    from node `node` to node + 2 of a half-step node grid (see `rk4_nodes`)."""
+    k1 = derivative(node, state)
+    k2 = derivative(node + 1, state + 0.5 * h * k1)
+    k3 = derivative(node + 1, state + 0.5 * h * k2)
+    k4 = derivative(node + 2, state + h * k3)
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _derivative(parts: GeneratorParts, scheme: PropagationScheme, profile=None, geom=None):
-    """d rho / dz on one sector (its stack of l-blocks) in the rotating frame:
-    PREF l(z) (R0 rho - [Q rho + rho Q^dagger] / 2) plus the Gouy commutator,
-    the bracket only for LINDBLAD_TRUNCATED.
+def _derivative(parts: GeneratorParts, scheme: PropagationScheme, table=None):
+    """d rho / dz at node k on one sector (its stack of l-blocks) in the
+    rotating frame: PREF l(z) (R0 rho - [Q rho + rho Q^dagger] / 2) plus the
+    Gouy commutator, the bracket only for LINDBLAD_TRUNCATED.
 
     For TRUNCATED_EXACT the scalar total-rate loss has already been
     cancelled against the diagonal of the gain (the two are equal and the
     combination is outer-scale free); for LINDBLAD_TRUNCATED the
-    basis-summed anticommutator with Q(z) = Gamma(z)^T replaces it.  Without
-    a link (geom None) the generator is frozen at t = 0 with l = 1 and no
-    Gouy term, which makes z the path-integrated decay density.
+    basis-summed anticommutator with Q(z) = Gamma(z)^T replaces it.  The
+    table holds the rate, Gouy rate and Q phases on a run's `rk4_nodes`;
+    without it the generator is frozen at t = 0 with l = 1 and no Gouy term,
+    which makes z the path-integrated decay density (and k is unused).
     """
     lindblad = scheme is PropagationScheme.LINDBLAD_TRUNCATED
-    frozen = geom is None
-    z_r = None if frozen else geom.rayleigh_range
+    frozen = table is None
     lo_row, lo_col, count = sector_blocks(parts.basis, parts.delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
-    gamma0_t = parts.gamma0.transpose(0, 2, 1)
-    gouy_comm = parts.gouy[rows, :, None] - parts.gouy[cols, None, :]
+    gain, gamma0_t = parts.gain0, parts.gamma0.transpose(0, 2, 1)
+    gouy_comm = 2j * (parts.gouy[rows, :, None] - parts.gouy[cols, None, :])
+    rates, theta_rates, q_phases = (None, None, None) if frozen else table
 
-    def derivative(z, rho):
-        if frozen:
-            rate = COUPLING_PREFACTOR
-        else:
-            cn2 = cn2_at(profile, geom, z)
-            rate = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
-        out = rate * (parts.gain0 @ rho.reshape(-1)).reshape(rho.shape)
+    def derivative(k, rho):
+        rate = COUPLING_PREFACTOR if frozen else rates[k]
+        out = rate * (gain @ rho.reshape(-1)).reshape(rho.shape)
         if lindblad:
             q = gamma0_t
             if not frozen:
-                phase = np.exp(4j * math.atan2(z, z_r) * parts.gouy)
+                phase = q_phases[k]
                 q = (phase[:, :, None] * gamma0_t) * np.conj(phase)[:, None, :]
             out -= 0.5 * rate * (q[rows] @ rho + rho @ q[cols].conj().transpose(0, 2, 1))
         if not frozen:
-            theta_rate = z_r / (z_r * z_r + z * z)
-            out += 2j * theta_rate * gouy_comm * rho
+            out += (theta_rates[k] * gouy_comm) * rho
         return out
 
     return derivative
@@ -197,24 +205,29 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
     blocks_in = rho0.matrix.reshape(2 * cutoff + 1, side, 2 * cutoff + 1, side)
     blocks_out = rho.reshape(blocks_in.shape)
     h = geom.path_length / steps
+    z, cn2 = rk4_nodes(profile, geom, steps)
+    z_r, gouy = geom.rayleigh_range, generator_parts(cutoff, 0).gouy
+    rates = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
+    lindblad = config.scheme is PropagationScheme.LINDBLAD_TRUNCATED
+    q_phases = np.exp(4j * np.arctan2(z, z_r)[:, None, None] * gouy) if lindblad else None
+    # Python floats: a numpy scalar costs more per small-array product
+    table = rates.tolist(), (z_r / (z_r * z_r + z * z)).tolist(), q_phases
     for delta in range(2 * cutoff + 1):
         lo_row, lo_col, count = sector_blocks(rho0.basis, delta)
         p = np.arange(count)
         state = blocks_in[lo_row + p, :, lo_col + p, :].astype(complex)
         if not np.any(state):
             continue
-        derivative = _derivative(generator_parts(cutoff, delta), config.scheme, profile, geom)
-        z = 0.0
-        for _ in range(steps):
-            state = rk4_step(derivative, z, state, h)
+        derivative = _derivative(generator_parts(cutoff, delta), config.scheme, table)
+        for step in range(steps):
+            state = rk4_step(derivative, 2 * step, state, h)
             if delta == 0:
                 state = 0.5 * (state + state.conj().transpose(0, 2, 1))
-            z += h
         blocks_out[lo_row + p, :, lo_col + p, :] = state
         blocks_out[lo_col + p, :, lo_row + p, :] = state.conj().transpose(0, 2, 1)
     # undo the rotating-frame (Gouy) gauge at the receiver plane
-    theta_f = math.atan2(geom.path_length, geom.rayleigh_range)
-    gouy = generator_parts(cutoff, 0).gouy.reshape(-1)
+    theta_f = math.atan2(geom.path_length, z_r)
+    gouy = gouy.reshape(-1)
     return np.exp(-2j * theta_f * (gouy[:, None] - gouy[None, :])) * rho
 
 
@@ -303,7 +316,7 @@ def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
                     n_steps = max(1, int(math.ceil(span / max(base_step, 1e-30))))
                     h = span / n_steps
                     for _ in range(n_steps):
-                        rho = rk4_step(derivative, tau, rho, h)
+                        rho = rk4_step(derivative, 0, rho, h)
                     tau = target
                 probabilities[k] = rho[cutoff, 0, 0].real
             results[(scheme, cutoff)] = probabilities

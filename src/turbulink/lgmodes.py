@@ -21,9 +21,11 @@ to zero, the divergent total-rate piece cancelled analytically) leaves a
 Gamma-function sum over coefficient pairs that conserves
 Delta = l_m - l_n = l_u - l_v.  `pair_tensor` assembles one Delta-l sector
 of it, which the propagators use directly; `coupling_tensor` scatters every
-sector into the dense tensor, at one wavelength or for a pair of angular
-frequencies.  A direct quadrature of the defining integral with a small but
-finite outer scale is kept alongside as an oracle.
+sector into the dense tensor at one wavelength.  Between two carrier
+frequencies the coefficients are real up to diagonal phases, so
+`pair_coupling_assembler` builds the sector-0 coupling of many frequency
+pairs as real GEMMs.  A direct quadrature of the defining integral with a
+small but finite outer scale is kept alongside as an oracle.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mathcore import gamma_fn
-from .turbulence import SPECTRUM_AMPLITUDE, l_cross, l_strength, two_pi_c_over
+from .turbulence import SPECTRUM_AMPLITUDE, l_strength, two_pi_c_over
 
 MAX_ORACLE_INDEX = 8
 # The Gamma-weighted coupling sum cancels: against a 40-digit evaluation its
@@ -419,36 +421,54 @@ def pair_tensor(basis: ModeBasis, left: np.ndarray, right: np.ndarray, delta: in
     return pairs.reshape(count * side * side, count * side * side)
 
 
-def dressed_stacks(basis: ModeBasis, z: float, cn2: float, w0: float, frequencies) -> tuple:
-    """(rate, left, right) with rate * pair_tensor(basis, left, right, delta)
-    the coupling at z; frequencies is a wavelength (m) or an
-    angular-frequency pair (omega1, omega2) in rad/s.  In the pair case each
-    carrier's coefficients take its own Gouy phase and are rescaled from its
-    beam area a_i = (1 + t_i^2) w0^2 to the mean of the two, and l(z) is the
-    two-frequency decay density; omega1 = omega2 gives the single wavelength.
-    """
-    if isinstance(frequencies, tuple):
-        omega1, omega2 = frequencies
-        t1 = z / (math.pi * w0**2 / two_pi_c_over(omega1))
-        t2 = z / (math.pi * w0**2 / two_pi_c_over(omega2))
-        a1 = (1.0 + t1 * t1) * w0**2
-        a2 = (1.0 + t2 * t2) * w0**2
-        a_mean = 0.5 * (a1 + a2)
-        left = coefficient_stack(basis, t1)
-        right = np.conj(coefficient_stack(basis, t2))
-        js = np.arange(left.shape[0])[:, None, None]
-        left *= (a1 / a_mean) ** (0.5 * js)
-        right *= (a2 / a_mean) ** (0.5 * js)
-        return COUPLING_PREFACTOR * l_cross(z, omega1, omega2, cn2, w0), left, right
-    t = z * frequencies / (math.pi * w0**2)
-    left = coefficient_stack(basis, t)
-    return COUPLING_PREFACTOR * l_strength(z, cn2, frequencies, w0), left, np.conj(left)
+def pair_coupling_assembler(cutoff: int, batch: int):
+    """A function (ratio, phase) -> (real, diagonal) for `batch` carrier
+    pairs at one z, given each carrier's a_i / mean(a) and pi/2 + atan t_i as
+    (2, batch) arrays: their sector-0 couplings up to the rate are
+    conj(diagonal)[:, :, None] * real * diagonal[:, None, :] (`pair_tensor`'s
+    layout).  The coefficients are real up to diagonal phases,
+    c_{m,u,j}(t) = e^{i(pi/2 + atan t)(N_m - N_u)} R[j, m, u] with N = 2r + |l|,
+    so real = R^T diag(s1^j) M diag(s2^j) R with s_i^2 = a_i / mean(a).  Each
+    call overwrites the real block the last one returned (fresh arrays would
+    cost more in page faults than the GEMMs)."""
+    if cutoff > MAX_COUPLING_CUTOFF:
+        raise OracleIndexError(f"coupling sum inaccurate beyond cutoff {MAX_COUPLING_CUTOFF}")
+    side, count, side_sq = cutoff + 1, 2 * cutoff + 1, (cutoff + 1) ** 2
+    n = np.array([2 * idx.r + abs(idx.l) for idx in ModeBasis(cutoff).indices])
+    real = (_c0_stack(cutoff) * np.array([1, 1j, -1, -1j])[(n[None, :] - n[:, None]) % 4]).real
+    j_count, count_sq = len(real), count * count
+    # [j, (p, q, r_m, r_u)] over the l-block pairs (p, q), and N of each sector entry (p, r_m, r_n)
+    right = real.reshape(j_count, count, side, count, side).transpose(0, 1, 3, 2, 4).reshape(j_count, -1)
+    left = right.reshape(j_count, count_sq, side_sq).transpose(1, 2, 0)
+    n_row, n_col = np.repeat(n, side), np.tile(n.reshape(count, side), side).reshape(-1)
+    half_j, gamma = 0.5 * np.arange(j_count), gamma_weight_matrix(j_count)
+    # two buffers, each written while the other one holds the operand
+    first, second = np.empty((2, batch * count_sq * side_sq * max(j_count, side_sq)))
+    inner = first[: batch * j_count * count_sq * side_sq].reshape(batch, j_count, count_sq, side_sq)
+    moved = second[: inner.size].reshape(count_sq, j_count, batch, side_sq)
+    blocks = first[: batch * count_sq * side_sq**2].reshape(count, count, side, side, batch, side, side)
+    out = second[: blocks.size].reshape(batch, count, side, side, count, side, side)
+
+    def assemble(ratio: np.ndarray, phase: np.ndarray) -> tuple:
+        # one GEMM per weight matrix, then one per l-block pair over the batch
+        scale = ratio[:, :, None] ** half_j
+        weights = scale[0][:, :, None] * gamma * scale[1][:, None, :]
+        np.matmul(weights, right, out=inner.reshape(batch, j_count, -1))
+        np.copyto(moved, inner.transpose(2, 1, 0, 3))
+        np.matmul(left, moved.reshape(count_sq, j_count, -1), out=blocks.reshape(count_sq, side_sq, -1))
+        # [p, q, r_m, r_u, batch, r_n, r_v] -> [batch, (q, r_u, r_v), (p, r_m, r_n)]
+        np.copyto(out, blocks.transpose(4, 1, 3, 6, 0, 2, 5))
+        diagonal = np.exp(1j * (phase[0][:, None] * n_row - phase[1][:, None] * n_col))
+        return out.reshape(batch, count * side_sq, count * side_sq), diagonal
+
+    return assemble
 
 
 def coupling_tensor(basis: ModeBasis, z: float, cn2: float, w0: float, frequencies) -> CouplingTensor:
-    """The full tensor L_{m,n,u,v}(z) (total-rate part excluded) at a
-    wavelength or a frequency pair (see `dressed_stacks`), sector by sector."""
-    rate, left, right = dressed_stacks(basis, z, cn2, w0, frequencies)
+    """The full tensor L_{m,n,u,v}(z) (total-rate part excluded) at the
+    wavelength `frequencies` (m), sector by sector."""
+    left = coefficient_stack(basis, z * frequencies / (math.pi * w0**2))
+    rate, right = COUPLING_PREFACTOR * l_strength(z, cn2, frequencies, w0), np.conj(left)
     deltas = range(-2 * basis.cutoff, 2 * basis.cutoff + 1)
     blocks = [rate * pair_tensor(basis, left, right, d) for d in deltas]  # guard before allocating
     side = basis.cutoff + 1

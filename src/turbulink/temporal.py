@@ -9,13 +9,14 @@ S_{n,m}, and the per-mode output densities.
 Two kernel fidelities:
   ANALYTIC  pure decay, P = exp(-54.1 * int l(omega1, omega2, z) dz); this is
             the regime in which the reference transmission matrix lives.
-  FULL_IPE  propagate the cross-frequency coherence over a truncated LG basis
-            and read off the fundamental-fundamental element; quadratically
-            more expensive, kept as a validation path.  Its generator is
-            the sector-0 block of the coupling at the carrier pair
-            (omega1, omega2) (`lgmodes.dressed_stacks`, `lgmodes.pair_tensor`),
-            advanced with `ipe.rk4_step`; at omega1 = omega2 it is the
-            single-frequency propagation of `ipe.propagate`.
+  FULL_IPE  carry each |omega1><omega2| coherence over sector 0 of a
+            truncated LG basis and read off the fundamental-fundamental
+            element; kept as a validation path.  Every frequency pair of the
+            grid advances in one batched state through `ipe.rk4_step`, with
+            its z-dependent scalars tabulated once on the RK4 nodes and its
+            coupling built per node by `lgmodes.pair_coupling_assembler`; at
+            omega1 = omega2 it is the single-frequency propagation of
+            `ipe.propagate`.
 """
 from __future__ import annotations
 
@@ -26,18 +27,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ipe import DECAY_CONSTANT, rk4_step
-from .lgmodes import ModeBasis, dressed_stacks, pair_tensor
+from .ipe import DECAY_CONSTANT, rk4_nodes, rk4_step
+from .lgmodes import COUPLING_PREFACTOR, pair_coupling_assembler
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, integrated_l
+from .turbulence import LinkGeometry, TurbulenceProfile, integrated_l, l_cross, two_pi_c_over
 
 MAX_GRID_ORDER = 64
 MAX_FULL_IPE_GRID = 12
-# Run cost bounds the cutoff: at cutoff 5 one generator rebuild (the sector-0
-# coupling block at a fresh z) takes about 0.02 s on a 2-vCPU machine (0.4 s
-# for the whole-basis tensor it replaced), so one frequency pair at 256 steps
-# takes 11-14 s and a grid-12 kernel (78 pairs) about a quarter of an hour.
+# Run cost bounds the cutoff: a grid-12 kernel (78 frequency pairs in one
+# batched RK4) takes 23 s at cutoff 4 and 54 s at cutoff 5 (128 steps; 105 s
+# at 256) on one core of a 2-vCPU x86 VM, at 230 MB peak RSS.
 MAX_FULL_IPE_CUTOFF = 5
 
 
@@ -77,47 +77,43 @@ class ChannelKernel:
         return discrete_modes(self.spec, self.nodes, self.weights, count)
 
 
-def _cross_frequency_full_ipe(
-    omega1: float,
-    omega2: float,
-    profile: TurbulenceProfile,
-    geom: LinkGeometry,
-    cutoff: int,
-    steps: int = 128,
-) -> float:
+def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
     """Fundamental-to-fundamental damping of the |omega1><omega2| coherence
-    by propagating the cross-frequency block over the truncated LG basis."""
-    basis = ModeBasis(cutoff)
-    side = cutoff + 1
-
+    of every frequency pair (omega1[i], omega2[i]), all advanced together on
+    sector 0 of the truncated LG basis."""
+    side, count = cutoff + 1, 2 * cutoff + 1
+    # per node (rows) and pair (columns), the two carriers on a leading axis
+    z, cn2 = rk4_nodes(profile, geom, steps)
+    rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
+    t = z[:, None] / (math.pi * geom.waist**2 / two_pi_c_over(np.stack([omega1, omega2])))[:, None, :]
+    area = 1.0 + t * t  # a_i / w0^2
+    ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
+    del t, area  # only the tables live through the run
+    assemble = pair_coupling_assembler(cutoff, len(omega1))
     # RK4 evaluates its midpoint twice and each step starts where the last
-    # one ended, so a one-entry memo saves a third of the rebuilds
-    @lru_cache(maxsize=1)
-    def generator(z):
-        cn2 = cn2_at(profile, geom, z)
-        rate, left, right = dressed_stacks(basis, z, cn2, geom.waist, (omega1, omega2))
-        return rate * pair_tensor(basis, left, right, 0)
+    # one ended, so a one-entry memo builds every node once
+    generator = lru_cache(maxsize=1)(lambda k: assemble(ratio[:, k], phase[:, k]))
 
-    def derivative(z, state):
-        return generator(z) @ state
+    def derivative(k, state):
+        real, diagonal = generator(k)
+        dressed = diagonal * state  # (re, im) pairs as two columns of one real matmul
+        product = (real @ dressed.view(np.float64).reshape(dressed.shape + (2,))).view(complex)
+        return rate[k][:, None] * np.conj(diagonal) * product[..., 0]
 
-    # sector 0 only: the fundamental is r = 0 of the l = 0 block
-    fundamental = cutoff * side * side
-    state = np.zeros((2 * cutoff + 1) * side * side, dtype=complex)
-    state[fundamental] = 1.0
-    h = geom.path_length / steps
-    z = 0.0
-    for _ in range(steps):
-        state = rk4_step(derivative, z, state, h)
-        z += h
-    value = complex(state[fundamental])
+    state = np.zeros((len(omega1), count * side * side), dtype=complex)
+    fundamental = cutoff * side * side  # r = 0 of the l = 0 block
+    state[:, fundamental] = 1.0
+    for step in range(steps):
+        state = rk4_step(derivative, 2 * step, state, geom.path_length / steps)
+    values = state[:, fundamental]
     # off-diagonal frequency pairs acquire a small dispersive phase (the two
     # carriers couple to the mode ladder with different Gouy rotations); the
     # kernel contract is real-valued, so keep the modulus-level real part and
-    # only fail if the phase stops being a perturbation
-    if abs(value.imag) > 0.05 * max(abs(value.real), 1e-12):
-        raise RuntimeError(f"cross-frequency population has imaginary part {value.imag:.2e}")
-    return float(value.real)
+    # only fail if the phase of some pair stops being a perturbation
+    too_large = np.abs(values.imag) > 0.05 * np.maximum(np.abs(values.real), 1e-12)
+    if np.any(too_large):
+        raise RuntimeError(f"cross-frequency population has imaginary part {values.imag[too_large][0]:.2e}")
+    return values.real
 
 
 def channel_kernel(
@@ -151,10 +147,7 @@ def channel_kernel(
             exponent = DECAY_CONSTANT * integrated_l(profile, geom, (omegas[rows], omegas[cols]))
             values = np.exp(-exponent)
         else:
-            values = [
-                _cross_frequency_full_ipe(omegas[i], omegas[j], profile, geom, cutoff, steps=steps)
-                for i, j in zip(rows, cols)
-            ]
+            values = _cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, geom, cutoff, steps)
         matrix[rows, cols] = matrix[cols, rows] = values
     matrix = matrix * extinction
     return ChannelKernel(

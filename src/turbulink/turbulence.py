@@ -178,19 +178,22 @@ def _check_cn2(cn2: float, allow_zero: bool = False):
         raise ProfileError(f"C_n^2 value {cn2} outside [{CN2_MIN}, {CN2_MAX}] m^-2/3")
 
 
-def path_height(geom: LinkGeometry, z: float) -> float:
-    """Height above the sea surface of the straight chord at path position z.
+def path_height(geom: LinkGeometry, z):
+    """Height above the sea surface of the straight chord at path position z
+    (a float, or an array of positions).
 
     The endpoints sit at their stated heights over a sphere of radius
     earth_radius; the beam travels the straight chord between them (no
     refractive bending), so mid-path points lose the sagitta relative to the
     endpoint heights.
     """
-    if z < 0 or z > geom.path_length:
-        raise ValueError(f"z={z} outside path [0, {geom.path_length}]")
+    z = np.asarray(z, dtype=float)
+    outside = (z < 0) | (z > geom.path_length)
+    if np.any(outside):
+        raise ValueError(f"z={z[outside].flat[0]} outside path [0, {geom.path_length}]")
     ax, dx, dy = _chord(geom)
     s = z / geom.path_length
-    return math.hypot(ax + s * dx, s * dy) - geom.earth_radius
+    return np.hypot(ax + s * dx, s * dy) - geom.earth_radius
 
 
 def _chord(geom: LinkGeometry) -> tuple:
@@ -204,14 +207,17 @@ def _chord(geom: LinkGeometry) -> tuple:
     return r_tx, r_rx * cos_phi - r_tx, r_rx * sin_phi
 
 
-def _table_cn2(profile: TurbulenceProfile, log_height):
-    """Tabulated C_n^2 at log chord height(s), clamped at the table ends."""
+def _table_cn2(profile: TurbulenceProfile, geom: LinkGeometry, z):
+    """Tabulated C_n^2 at the chord height(s) of path position(s) z, clamped
+    at the table ends."""
     log_heights, log_cn2 = profile.log_table
+    log_height = np.log(np.maximum(path_height(geom, z), 1e-12))
     return np.exp(np.interp(log_height, log_heights, log_cn2))
 
 
-def cn2_at(profile: TurbulenceProfile, geom: LinkGeometry, z: float) -> float:
-    """C_n^2 at path position z (constant, or interpolated at the chord height).
+def cn2_at(profile: TurbulenceProfile, geom: LinkGeometry, z):
+    """C_n^2 at path position(s) z (constant, or interpolated at the chord
+    height); a constant profile gives its constant for any z.
 
     Tabulated profiles interpolate log C_n^2 linearly in log height (surface
     profiles are power-law-like, straight lines on that scale), clamped at
@@ -219,8 +225,7 @@ def cn2_at(profile: TurbulenceProfile, geom: LinkGeometry, z: float) -> float:
     """
     if profile.constant is not None:
         return profile.constant
-    height = path_height(geom, z)
-    return float(_table_cn2(profile, math.log(max(height, 1e-12))))
+    return _table_cn2(profile, geom, z)
 
 
 def big_l_t(lambda1: float, lambda2: float, cn2: float, sp: SpectrumParams) -> float:
@@ -247,7 +252,7 @@ def l_cross(z: float, omega1: float, omega2: float, cn2: float, waist: float) ->
     spreading of the two wavelengths enters through the mean of their
     squared normalized distances.
     """
-    if omega1 <= 0 or omega2 <= 0:
+    if np.any(omega1 <= 0) or np.any(omega2 <= 0):
         raise ValueError("frequencies must be positive")
     lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
     t1 = lambda1 * z / (math.pi * waist**2)
@@ -336,10 +341,7 @@ def _path_rule(profile, geom, rayleigh, nodes):
     weights = (half[:, None] * w).reshape(-1)
     if profile.constant is not None:
         return z, weights * profile.constant
-    ax, dx, dy = _chord(geom)
-    s = z / length
-    heights = np.hypot(ax + s * dx, s * dy) - geom.earth_radius
-    return z, weights * _table_cn2(profile, np.log(np.maximum(heights, 1e-12)))
+    return z, weights * _table_cn2(profile, geom, z)
 
 
 def _table_crossings(profile, geom) -> np.ndarray:

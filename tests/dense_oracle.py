@@ -1,18 +1,21 @@
 """Dense masked coupling sum over a whole basis.
 
-An oracle for the Delta-l sector blocks of `lgmodes.pair_tensor`: the
-Gamma-weighted double sum over every (m, u) and (n, v) pair of a coefficient
-stack as one (S^2, S^2) product, zeroed where the azimuthal rule
-l_m - l_u = l_n - l_v fails.  It shares only the coefficients and the Gamma
-weights with the library, never the sector layout.
+An oracle for the Delta-l sector blocks of `lgmodes.pair_tensor` and for the
+two-frequency coupling behind the full-IPE kernel: the Gamma-weighted double
+sum over every (m, u) and (n, v) pair of two coefficient stacks as one
+(S^2, S^2) product, zeroed where the azimuthal rule l_m - l_u = l_n - l_v
+fails.  It shares only the coefficients and the Gamma weights with the
+library, never the sector layout or the real-up-to-phases factorization.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from turbulink.lgmodes import ModeBasis, coefficient_stack, gamma_weight_matrix
+from turbulink.lgmodes import COUPLING_PREFACTOR, ModeBasis, coefficient_stack, gamma_weight_matrix
+from turbulink.turbulence import l_cross, two_pi_c_over
 
 
 def selection_mask(basis: ModeBasis) -> np.ndarray:
@@ -33,6 +36,25 @@ def dense_pair_tensor(cutoff: int) -> np.ndarray:
     tensor = pairs.reshape(size, size, size, size) * selection_mask(basis)
     tensor.setflags(write=False)
     return tensor
+
+
+def dense_pair_coupling(basis: ModeBasis, z: float, cn2: float, w0: float, pair) -> np.ndarray:
+    """entries[m, n, u, v] of the coupling between the carriers of an
+    angular-frequency pair (rad/s) at z (total-rate part excluded): each
+    carrier's coefficients take its own Gouy phase (t_i = z / z_R,i) and are
+    rescaled from its beam area a_i = (1 + t_i^2) w0^2 to the mean of the
+    two, and l(z) is the two-frequency decay density."""
+    size = basis.size
+    t1, t2 = (z / (math.pi * w0**2 / two_pi_c_over(omega)) for omega in pair)
+    a1, a2 = (1.0 + t1 * t1) * w0**2, (1.0 + t2 * t2) * w0**2
+    left, right = coefficient_stack(basis, t1), np.conj(coefficient_stack(basis, t2))
+    js = np.arange(left.shape[0])[:, None, None]
+    left *= (a1 / (0.5 * (a1 + a2))) ** (0.5 * js)
+    right *= (a2 / (0.5 * (a1 + a2))) ** (0.5 * js)
+    sums = left.reshape(-1, size * size).T @ gamma_weight_matrix(len(js)) @ right.reshape(-1, size * size)
+    tensor = sums.reshape(size, size, size, size) * selection_mask(basis)  # [m, u, n, v]
+    rate = COUPLING_PREFACTOR * l_cross(z, pair[0], pair[1], cn2, w0)
+    return rate * tensor.transpose(0, 2, 1, 3)
 
 
 @lru_cache(maxsize=None)

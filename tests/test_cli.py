@@ -253,6 +253,18 @@ class TestSubcommands:
         lines = (tmp_path / "kernel.csv").read_text().splitlines()
         assert len(lines) == 65
 
+    def test_profile_csv_full_ipe_kernel_at_any_length(self, tmp_path):
+        # the last RK4 node used to land a few ulps past this path's end
+        path = tmp_path / "prof.csv"
+        path.write_text("height_m,cn2\n2,1e-15\n50,1e-16\n500,1e-17\n")
+        code = main([
+            "--set", f"output_dir={tmp_path}", "--set", f"profile_csv={path}",
+            "--set", "kernel_fidelity=full_ipe", "--set", "grid_order=8",
+            "--set", "cutoff=1", "--set", "distance_m=16782.6", "kernel",
+        ])
+        assert code == EXIT_OK
+        assert len((tmp_path / "kernel.csv").read_text().splitlines()) == 65
+
     def test_profile_csv_zero_height_exits_config(self, tmp_path, capsys):
         path = tmp_path / "prof.csv"
         path.write_text("height_m,cn2\n0.0,1e-15\n30.0,1e-16\n")

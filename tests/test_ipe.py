@@ -255,6 +255,30 @@ class TestPropagation:
         )
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.parametrize("length, steps", [(4896.6, 256), (16782.6, 128), (16782.6, 256)])
+    def test_tabulated_profile_at_any_link_length(self, length, steps):
+        # accumulating z += h put the last RK4 node a few ulps past the path
+        # end at these lengths, where the chord height is undefined
+        profile = TurbulenceProfile.from_table([(2.0, 1e-15), (50.0, 1e-16), (500.0, 1e-17)])
+        rho0 = DensityMatrix.pure(ModeBasis(1), LGIndex(l=0, r=0))
+        rho = propagate(rho0, profile, geometry(length), SolverConfig(cutoff=1, steps=steps))
+        assert 0.0 < lowest_mode_probability(rho) < 1.0
+
+    def test_rk4_nodes_stay_on_the_path(self):
+        # the half-step nodes of a fixed-step run end exactly at the path
+        # length, so a tabulated profile can be read on every one of them
+        from turbulink.ipe import rk4_nodes
+
+        profile = TurbulenceProfile.from_table([(2.0, 1e-15), (50.0, 1e-16), (500.0, 1e-17)])
+        rng = np.random.default_rng(11)
+        for length in rng.uniform(1.0e3, 3.0e4, 300):
+            geom = geometry(float(length))
+            for steps in (128, 256, 512):
+                z, cn2 = rk4_nodes(profile, geom, steps)
+                assert len(z) == 2 * steps + 1
+                assert z[0] == 0.0 and z[-1] == geom.path_length
+                assert np.all(np.diff(z) > 0) and np.all(cn2 > 0)
+
     def test_basis_mismatch_rejected(self):
         rho0 = DensityMatrix.pure(ModeBasis(1), LGIndex(l=0, r=0))
         with pytest.raises(ValueError):

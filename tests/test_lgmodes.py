@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import dense_pair_tensor, selection_mask
+from dense_oracle import dense_pair_coupling, dense_pair_tensor, selection_mask
 from series_oracle import series_c_coefficients
 
 from turbulink.lgmodes import (
@@ -24,9 +24,11 @@ from turbulink.lgmodes import (
     free_prop_S_numeric,
     gamma_weight_matrix,
     lg_momentum_amplitude,
+    pair_coupling_assembler,
     pair_tensor,
     sector_blocks,
 )
+from turbulink.lgmodes import _c0_stack
 from turbulink.turbulence import SpectrumParams, big_l_t, l_cross, l_strength
 
 W0 = 0.1457
@@ -212,6 +214,16 @@ class TestCoefficients:
         dressed = phases[None, :, :] * coefficient_stack(basis, 0.0)
         assert np.max(np.abs(coefficient_stack(basis, t) - dressed)) < 1e-12
 
+    @pytest.mark.parametrize("cutoff", range(7))
+    def test_real_up_to_diagonal_phases(self, cutoff):
+        # c(0)[j, m, u] = i^{N_m - N_u} x real with N = 2r + |l| = 2 gouy_weight,
+        # so every dressed stack is a real stack conjugated by diagonal phases
+        basis = ModeBasis(cutoff)
+        orders = np.array([2 * idx.r + abs(idx.l) for idx in basis.indices])
+        assert all(idx.gouy_weight == n / 2 for idx, n in zip(basis.indices, orders))
+        quarter_turns = np.array([1, 1j, -1, -1j])[(orders[None, :] - orders[:, None]) % 4]
+        assert np.all((_c0_stack(cutoff) * quarter_turns).imag == 0.0)
+
     @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
     def test_matches_series_oracle(self, t):
         # every pair up to the index guard, against the generating-function
@@ -330,15 +342,14 @@ class TestCouplingStrength:
         v = LGIndex(l=0, r=1)
         # l_m - l_u - l_n + l_v = 1: structurally zero
         basis = ModeBasis(1)
-        for frequencies in (LAM, (0.9 * OMEGA_C, 1.12 * OMEGA_C)):
-            tensor = coupling_tensor(basis, Z_R, CN2, W0, frequencies).entries
-            a, b, c, d = (basis.position(idx) for idx in (m, n, u, v))
-            assert tensor[a, b, c, d] == 0
+        tensor = coupling_tensor(basis, Z_R, CN2, W0, LAM).entries
+        a, b, c, d = (basis.position(idx) for idx in (m, n, u, v))
+        assert tensor[a, b, c, d] == 0
 
     def test_cross_frequency_degenerate_reduction(self):
         basis = ModeBasis(1)
         single = coupling_tensor(basis, Z_R, CN2, W0, LAM).entries
-        cross = coupling_tensor(basis, Z_R, CN2, W0, (OMEGA_C, OMEGA_C)).entries
+        cross = dense_pair_coupling(basis, Z_R, CN2, W0, (OMEGA_C, OMEGA_C))
         assert np.max(np.abs(cross - single)) < 1e-12 * np.max(np.abs(single))
 
     def test_hermiticity_of_tensor(self):
@@ -350,8 +361,12 @@ class TestCouplingStrength:
 
     def test_tensor_matches_elementwise(self):
         basis = ModeBasis(1)
-        for frequencies in (LAM, (0.9 * OMEGA_C, 1.12 * OMEGA_C)):
-            tensor = coupling_tensor(basis, 0.4 * Z_R, CN2, W0, frequencies).entries
+        # the library tensor at a wavelength, the dense oracle at a frequency pair
+        pair = (0.9 * OMEGA_C, 1.12 * OMEGA_C)
+        for frequencies, tensor in (
+            (LAM, coupling_tensor(basis, 0.4 * Z_R, CN2, W0, LAM).entries),
+            (pair, dense_pair_coupling(basis, 0.4 * Z_R, CN2, W0, pair)),
+        ):
             for (a, m), (b, n), (c, u), (d, v) in itertools.product(
                 *[list(enumerate(basis.indices))] * 4
             ):
@@ -384,6 +399,28 @@ class TestCouplingStrength:
                 got = block[q, :, :, p, :, :].transpose(2, 0, 3, 1)  # [r_m, r_u, r_n, r_v]
                 assert np.max(np.abs(got - expected)) < 1e-15 * scale
 
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 3])
+    def test_pair_coupling_matches_dressed_pair_tensor(self, cutoff):
+        # two carriers at t1 and t2, each stack with its own Gouy phase and
+        # area rescaling: the batched real block between its diagonal phases
+        # is the sector-0 block of the dressed stacks, to the rounding of the
+        # cancelling Gamma-weighted sum (1.6e-13 of the largest entry at
+        # cutoff 3 against a 40-digit evaluation)
+        basis = ModeBasis(cutoff)
+        half_j = 0.5 * np.arange(6 * cutoff + 1)[:, None, None]
+        cases = ((0.7, 0.72), (2.0, 1.5), (0.0, 0.3))
+        t = np.array(cases).T
+        area = 1.0 + t * t
+        ratio = area / (0.5 * (area[0] + area[1]))
+        real, diagonal = pair_coupling_assembler(cutoff, len(cases))(ratio, np.arctan(t) + 0.5 * math.pi)
+        assert real.dtype == np.float64
+        for b, (t1, t2) in enumerate(cases):
+            left = coefficient_stack(basis, t1) * ratio[0, b] ** half_j
+            right = np.conj(coefficient_stack(basis, t2)) * ratio[1, b] ** half_j
+            expected = pair_tensor(basis, left, right, 0)
+            got = np.conj(diagonal[b])[:, None] * real[b] * diagonal[b][None, :]
+            assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
     def test_coupling_cutoff_limit(self):
         # the float sum is off by 8.4e-4 of its largest entry at cutoff 7
         # and by more than the entry itself at 8: nothing is assembled there
@@ -395,6 +432,8 @@ class TestCouplingStrength:
                 pair_tensor(basis, stack, np.conj(stack), 0)
             with pytest.raises(OracleIndexError):
                 coupling_tensor(basis, Z_R, CN2, W0, LAM)
+            with pytest.raises(OracleIndexError):
+                pair_coupling_assembler(cutoff, 1)
 
     def test_dominant_transitions_are_azimuthal_neighbors(self):
         # transition strength falls steeply with the azimuthal jump: moving
@@ -457,12 +496,12 @@ class TestNumericOracle:
             assert oracle.real / l_strength(z, CN2, LAM, W0) == pytest.approx(-54.1, abs=0.3)
 
     def test_cross_frequency_oracle_agreement(self):
-        # two-frequency defining integral against the closed-form tensor the
-        # full-IPE kernel assembles, with the outer-scale extrapolation, on
-        # representative allowed tuples
+        # two-frequency defining integral against the closed-form coupling
+        # behind the full-IPE kernel (its dense oracle), with the outer-scale
+        # extrapolation, on representative allowed tuples
         pair = (0.9 * OMEGA_C, 1.12 * OMEGA_C)
         basis = ModeBasis(2)
-        tensor = coupling_tensor(basis, Z_R, CN2, W0, pair).entries
+        tensor = dense_pair_coupling(basis, Z_R, CN2, W0, pair)
         tuples = [
             ((0, 0), (0, 0), (0, 0), (0, 0)),
             ((0, 1), (0, 0), (0, 0), (0, 0)),

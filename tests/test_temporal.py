@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_oracle import dense_pair_coupling
 
 from turbulink.entanglement import channel_tensor
 from turbulink.ipe import (
@@ -12,7 +13,7 @@ from turbulink.ipe import (
     lowest_mode_probability,
     propagate,
 )
-from turbulink.lgmodes import LGIndex, ModeBasis, coupling_tensor
+from turbulink.lgmodes import LGIndex, ModeBasis
 from turbulink.temporal import (
     CostGuardError,
     KernelFidelity,
@@ -148,41 +149,84 @@ class TestFullPropagationKernel:
             assert full.matrix[i, i] == pytest.approx(lowest_mode_probability(rho), rel=1e-9)
 
     def test_off_diagonal_matches_dense_integration(self, paper_geometry, kernels_8):
-        # the sector-0 kernel against RK4 over the whole-basis coupling
-        # tensor at the carrier pair, every (m, n) coherence carried along
+        # the sector-0 kernel against RK4 over the dense whole-basis coupling
+        # at the carrier pair, every (m, n) coherence carried along
         _, full = kernels_8
         profile = TurbulenceProfile.from_constant(1e-16)
-        basis = ModeBasis(2)
-        size = basis.size
-        fundamental = basis.fundamental * (size + 1)
-        steps = 128
-        h = paper_geometry.path_length / steps
         for i, j in ((0, 7), (3, 4)):
             pair = (full.omegas[i], full.omegas[j])
+            expected = dense_fundamental(pair, ModeBasis(2), profile, paper_geometry, 128)
+            assert abs(full.matrix[i, j] - expected.real) < 1e-12
 
-            def generator(z):
-                cn2 = cn2_at(profile, paper_geometry, z)
-                entries = coupling_tensor(basis, z, cn2, paper_geometry.waist, pair).entries
-                return entries.reshape(size * size, size * size).T  # [(u, v), (m, n)]
-
-            state = np.zeros(size * size, dtype=complex)
-            state[fundamental] = 1.0
-            z = 0.0
-            for _ in range(steps):
-                start, middle, end = generator(z), generator(z + 0.5 * h), generator(z + h)
-                k1 = start @ state
-                k2 = middle @ (state + 0.5 * h * k1)
-                k3 = middle @ (state + 0.5 * h * k2)
-                k4 = end @ (state + h * k3)
-                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                z += h
-            assert abs(full.matrix[i, j] - state[fundamental].real) < 1e-12
+    def test_every_pair_matches_dense_integration(self, paper_spec, paper_geometry):
+        profile = TurbulenceProfile.from_constant(1e-16)
+        full = channel_kernel(
+            paper_spec, profile, paper_geometry, grid_order=4,
+            fidelity=KernelFidelity.FULL_IPE, cutoff=1,
+        )
+        for i, j in zip(*np.triu_indices(4)):
+            pair = (full.omegas[i], full.omegas[j])
+            expected = dense_fundamental(pair, ModeBasis(1), profile, paper_geometry, 128)
+            assert abs(full.matrix[i, j] - expected.real) < 1e-12
 
     def test_symmetry_and_range(self, kernels_8):
         _, full = kernels_8
         assert np.array_equal(full.matrix, full.matrix.T)
         assert np.all(full.matrix > 0.0)
         assert np.all(full.matrix <= 1.0)
+
+    def test_matrix_is_real_float64_and_exactly_symmetric(self, kernels_8):
+        _, full = kernels_8
+        assert full.matrix.dtype == np.float64
+        assert np.array_equal(full.matrix, full.matrix.T)
+
+    def test_imaginary_part_guard(self, paper_spec, paper_geometry):
+        # at 1e-15 the dispersive phase of the far off-diagonal pairs is no
+        # longer a perturbation (imaginary part 2.3e-3); every pair is
+        # checked on its own, so no small pair can mask a large one
+        with pytest.raises(RuntimeError, match="imaginary part"):
+            channel_kernel(
+                paper_spec, TurbulenceProfile.from_constant(1e-15), paper_geometry,
+                grid_order=8, fidelity=KernelFidelity.FULL_IPE, cutoff=2,
+            )
+
+    @pytest.mark.parametrize("length, steps", [(4896.6, 256), (16782.6, 128), (16782.6, 256)])
+    def test_tabulated_profile_at_any_link_length(self, paper_spec, length, steps):
+        # accumulating z += h put the last RK4 node a few ulps past the path
+        # end at these lengths, where the chord height is undefined
+        profile = TurbulenceProfile.from_table([(2.0, 1e-15), (50.0, 1e-16), (500.0, 1e-17)])
+        geom = LinkGeometry(length, 19.0, 19.0, 0.1457, 3.95e-6)
+        kernel = channel_kernel(
+            paper_spec, profile, geom, grid_order=4,
+            fidelity=KernelFidelity.FULL_IPE, cutoff=1, steps=steps,
+        )
+        assert np.all((kernel.matrix > 0.0) & (kernel.matrix <= 1.0))
+
+
+def dense_fundamental(pair, basis, profile, geom, steps):
+    """Fundamental-fundamental element after RK4 over the dense whole-basis
+    coupling at the carrier pair (the lab-frame oracle)."""
+    size = basis.size
+    fundamental = basis.fundamental * (size + 1)
+    h = geom.path_length / steps
+
+    def generator(z):
+        cn2 = cn2_at(profile, geom, z)
+        entries = dense_pair_coupling(basis, z, cn2, geom.waist, pair)
+        return entries.reshape(size * size, size * size).T  # [(u, v), (m, n)]
+
+    state = np.zeros(size * size, dtype=complex)
+    state[fundamental] = 1.0
+    z = 0.0
+    for _ in range(steps):
+        start, middle, end = generator(z), generator(z + 0.5 * h), generator(z + h)
+        k1 = start @ state
+        k2 = middle @ (state + 0.5 * h * k1)
+        k3 = middle @ (state + 0.5 * h * k2)
+        k4 = end @ (state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z += h
+    return state[fundamental]
 
 
 class TestModeTrace:
