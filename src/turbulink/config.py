@@ -14,7 +14,8 @@ subset of the common bracketed-section style:
 
 Values are floats, integers, booleans (true/false), double-quoted strings,
 or flat arrays of those.  Every parse error reports line and column; every
-physical value is range-checked against the keys listed in RANGES.
+value must have the type of its RunConfig field (an int passes for a float),
+and every physical value is range-checked against the keys listed in RANGES.
 """
 from __future__ import annotations
 
@@ -29,18 +30,6 @@ from .turbulence import CN2_MAX, CN2_MIN, two_pi_c_over
 
 class ConfigError(ValueError):
     """Malformed or out-of-range configuration."""
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return '"' + value + '"'
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_format_value(v) for v in value) + "]"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
 
 
 def _parse_scalar(token: str, lineno: int, col: int):
@@ -210,7 +199,15 @@ _SECTION_KEYS = {
 
 _KEY_SECTION = {key: section for section, keys in _SECTION_KEYS.items() for key in keys}
 
-_INT_KEYS = {"cutoff", "steps", "grid_order", "max_mode", "pair_modes", "fixed_mode"}
+# value types by the type of a key's RunConfig default (a bool is no int or float)
+_ACCEPTS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _check_type(key: str, value):
+    kind = type(getattr(RunConfig, key))
+    if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"value for '{key}' must be a {kind.__name__}, got {value!r}")
 
 
 def _check_range(key: str, value):
@@ -236,9 +233,6 @@ def config_from_tables(tables: dict) -> RunConfig:
         for key, value in body.items():
             if key not in _SECTION_KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
-            if key in _INT_KEYS:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
             values[key] = value
 
     sweep = tables.get("sweep", {})
@@ -252,6 +246,8 @@ def config_from_tables(tables: dict) -> RunConfig:
         points = sweep[axis]
         if not isinstance(points, list) or not points:
             raise ConfigError(f"sweep axis '{axis}' needs a non-empty array of values")
+        for point in points:
+            _check_type(axis, point)
         sweep_values.append(tuple(points))
     total = 1
     for points in sweep_values:
@@ -270,6 +266,8 @@ def validate_config(config: RunConfig, command: str = ""):
     `command` adds the rules of keys only that subcommand reads, so that
     (say) a coarse kernel grid is not refused over the entangle defaults.
     """
+    for key in _KEY_SECTION:
+        _check_type(key, getattr(config, key))
     for key in RANGES:
         value = getattr(config, key)
         # 0 derives the pump from the carrier wavelength, and switches turbulence off
@@ -322,23 +320,6 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Render a RunConfig in the file grammar; parse(serialize(c)) == c."""
-    lines = []
-    for section, keys in _SECTION_KEYS.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key} = {_format_value(getattr(config, key))}")
-        lines.append("")
-    if config.sweep_axes:
-        lines.append("[sweep]")
-        lines.append(f"axes = {_format_value(list(config.sweep_axes))}")
-        for axis, points in zip(config.sweep_axes, config.sweep_values):
-            lines.append(f"{axis} = {_format_value(list(points))}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     """Apply `key=value` command-line overrides (same keys as the file)."""
     if not overrides:
@@ -347,18 +328,11 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     for key, text in overrides.items():
         if key not in _KEY_SECTION:
             raise ConfigError(f"unknown override key '{key}'")
-        current = getattr(RunConfig(), key)
+        kind = type(getattr(RunConfig, key))
         try:
-            if key in _INT_KEYS:
-                parsed[key] = int(text)
-            elif isinstance(current, bool):
-                parsed[key] = text.lower() in ("1", "true", "yes")
-            elif isinstance(current, float):
-                parsed[key] = float(text)
-            else:
-                parsed[key] = text
-        except ValueError as exc:
-            raise ConfigError(f"override '{key}={text}': {exc}") from exc
+            parsed[key] = _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"override '{key}={text}': not a {kind.__name__}") from None
     updated = replace(config, **parsed)
     validate_config(updated)
     return updated

@@ -9,22 +9,16 @@ Two truncation schemes of the same coupled mode equations are supported:
                     form); the truncated map conserves trace, so the same
                     population is an upper bound that falls with the cutoff.
 
-The generator factorizes as  PREF * l(z) * (Gouy-phase dressing of a constant
-tensor): the z dependence of the mode-correlation coefficients is a pure
-phase b(z)^{Gouy order} (b = (1+it)/(1-it), t = z/z_R).  The solver works in
-the rotating frame that removes those phases, leaving a constant gain plus a
-diagonal commutator.  Every term conserves Delta = l_u - l_v, so each
-Delta-l sector of the density matrix, a stack of l-blocks, is advanced on
-its own with a dense gain block (`lgmodes.pair_tensor`) and the l-blocks of
-the Lindblad rates; Delta < 0 is the adjoint of Delta > 0, and a
-fundamental input never leaves sector 0.
-
-Every propagation path (`propagate`, `cutoff_bracketing` and the full-IPE
-kernel in `temporal`) advances its state with the one fixed-step `rk4_step`;
-the first two share one rotating-frame sector derivative.  A run over a link
-evaluates its z-dependent scalars (C_n^2, the rate, the Gouy rate and phases)
-once, vectorized, on the RK4 nodes of `rk4_nodes`, whose last node is exactly
-the path length.
+In the rotating frame that removes the Gouy phases of the mode-correlation
+coefficients the generator is a fixed gain, a diagonal Gouy commutator and,
+for LINDBLAD_TRUNCATED, a bracket whose phases expand into 2c+1 fixed parts.
+Every term conserves Delta = l_u - l_v, so each Delta-l sector (a stack of
+l-blocks) is advanced on its own as a real coordinate vector under fixed
+real operators (`generator_parts`) weighted by one node table per run, on
+the nodes of `rk4_nodes`; Delta < 0 is the adjoint of Delta > 0, and sector
+0, which a fundamental input never leaves, is Hermitian by construction.
+`propagate`, `cutoff_bracketing` (the stack frozen at t = 0) and the full-IPE
+kernel in `temporal` advance their states with the one fixed-step `rk4_step`.
 """
 from __future__ import annotations
 
@@ -111,36 +105,99 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class GeneratorParts:
-    """Cutoff-dependent, geometry-independent generator pieces for the
-    Delta-l sector delta.
+    """The fixed real operators on the real coordinates (`_layout`) of one
+    Delta-l sector, in node-table order (`_node_table`): the gain (the
+    `lgmodes.pair_tensor` block at t = 0), the Gouy commutator 2i(g_u - g_v),
+    then the cos- and sin-parts Lc_d (d = 0..c) and Ls_d (d = 1..c) of the
+    Lindblad bracket rho -> Q rho + rho Q^dagger, Q(z) = sum_d e^{4i theta d} Q_d.
+    TRUNCATED_EXACT uses the first two: its scalar total-rate loss cancels
+    against the gain's diagonal (the combination is outer-scale free).
 
-    gain0: dense sector block of the normalized coupling at t = 0
-           (multiply by PREF * l(z) for the rotating-frame gain);
-    gamma0: basis-summed rate matrix (Hermitian, same normalization), block
-           diagonal in l, as its 2c+1 l-blocks;
-    gouy:  half Gouy orders r + |l| / 2 per (l-block, r).
+    dense: the first J operators, stacked (J m, m): all of them up to
+    DENSE_SECTOR_SIZE coordinates, else the gain alone; local: the other,
+    block-local ones as their nonzero (rows, columns, values), row j m + i
+    for the j-th of them.
     """
 
-    basis: ModeBasis
-    delta: int
-    gain0: np.ndarray = field(repr=False)
-    gamma0: np.ndarray = field(repr=False)
-    gouy: np.ndarray = field(repr=False)
+    dense: np.ndarray = field(repr=False)
+    local: tuple = field(repr=False)
+
+
+# up to this many coordinates call overhead, not zeros, costs: stack densely
+DENSE_SECTOR_SIZE = 64
+
+
+@lru_cache(maxsize=64)
+def _layout(side: int, hermitian: bool, count: int) -> tuple:
+    """(k, w, v), each (T, m): coordinate i of `count` l-blocks of row-major
+    entries e is Re(sum_t w[t, i] e[k[t, i]]), and the unit vector of
+    coordinate j has the entries v[:, j] at k[:, j].  A Hermitian block holds
+    side^2 reals (T = 2: its diagonal, then Re and Im of its strict upper
+    triangle, read from its Hermitian part), any other Re, then Im, of each entry."""
+    flat, (a, b) = np.arange(side * side), np.triu_indices(side, 1)
+    if hermitian:
+        diag, upper, lower = flat[:: side + 1], a * side + b, b * side + a
+        one, half = np.ones(side), np.full(len(a), 0.5)
+        k = [np.concatenate([diag, upper, upper]), np.concatenate([diag, lower, lower])]
+        w = [np.concatenate([one, half, -1j * half]), np.concatenate([0 * one, half, 1j * half])]
+    else:
+        k, w = [np.tile(flat, 2)], [np.repeat([1, -1j], side * side)]
+    k = np.concatenate([np.stack(k) + p * side * side for p in range(count)], axis=1)
+    w = np.tile(np.stack(w), count)
+    return k, w, np.conj(w) / np.sum(np.abs(w) ** 2, axis=0)
+
+
+def _real_form(op: np.ndarray, layout: tuple) -> np.ndarray:
+    """The real matrix, by index gathering, of the complex-linear map `op`
+    (its last two axes act on row-major entries) in the coordinates `layout`."""
+    k, w, v = layout
+    pairs = np.ndindex(len(k), len(k))
+    return sum((w[a][:, None] * op[..., k[a][:, None], k[b]] * v[b]).real for a, b in pairs)
+
+
+def _coordinates(blocks: np.ndarray, hermitian: bool) -> np.ndarray:
+    """Real coordinates of a (count, side, side) stack of l-blocks."""
+    k, w, _ = _layout(blocks.shape[-1], hermitian, len(blocks))
+    return np.sum(w * blocks.reshape(-1)[k], axis=0).real
+
+
+def _blocks(x: np.ndarray, count: int, side: int, hermitian: bool) -> np.ndarray:
+    """The (count, side, side) stack of l-blocks with real coordinates x."""
+    k, _, v = _layout(side, hermitian, count)
+    entries = np.zeros(count * side * side, dtype=complex)
+    np.add.at(entries, k, v * x)
+    return entries.reshape(count, side, side)
 
 
 @lru_cache(maxsize=32)
 def generator_parts(cutoff: int, delta: int) -> GeneratorParts:
-    basis = ModeBasis(cutoff)
-    side, blocks = cutoff + 1, 2 * cutoff + 1
-    stack = coefficient_stack(basis, 0.0)
-    gain0 = pair_tensor(basis, stack, np.conj(stack), delta)
-    if delta == 0:
-        # Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal entries
-        gamma0 = np.einsum("qabpmm->qab", gain0.reshape(blocks, side, side, blocks, side, side))
-    else:
-        gamma0 = generator_parts(cutoff, 0).gamma0
-    gouy = np.array([idx.gouy_weight for idx in basis.indices]).reshape(blocks, side)
-    return GeneratorParts(basis, delta, gain0, gamma0, gouy)
+    basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
+    lo_row, lo_col, count = sector_blocks(basis, delta)
+    rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
+    stack, r, eye = coefficient_stack(basis, 0.0), np.arange(side), np.eye(side)
+    sector0 = pair_tensor(basis, stack, np.conj(stack), 0)
+    # Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal entries;
+    # Q_d holds the entries r_a - r_b = d of Q(0) = Gamma0^T in each l-block
+    q0 = np.einsum("qabpmm->qba", sector0.reshape((2 * cutoff + 1, side, side) * 2))
+    gain = pair_tensor(basis, stack, np.conj(stack), delta) if delta else sector0
+    gain = _real_form(gain, _layout(side, delta == 0, count))
+    del sector0  # drop the complex blocks before the bracket parts are built
+    masks = (r[:, None] - r == np.arange(-cutoff, side)[:, None, None])[:, None]
+    left, right = q0[rows] * masks, np.conj(q0[cols] * masks[::-1])
+    # t[c + d]: rho -> Q_d rho + rho Q_{-d}^dagger on the row-major l-blocks, d = -c..c
+    t = np.einsum("dpac,be->dpabce", left, eye) + np.einsum("ac,dpbe->dpabce", eye, right)
+    up, down = t.reshape(-1, count, sq, sq)[cutoff:], t.reshape(-1, count, sq, sq)[cutoff::-1]
+    gouy = np.array([idx.gouy_weight for idx in basis.indices]).reshape(-1, side)
+    commutator = np.eye(sq) * 2j * (gouy[rows, :, None] - gouy[cols, None, :]).reshape(count, 1, sq)
+    ops = np.concatenate([commutator[None], up[:1], up[1:] + down[1:], 1j * (up[1:] - down[1:])])
+    local = _real_form(ops, _layout(side, delta == 0, 1))
+    size, nb, (j, block, row, col) = len(gain), local.shape[-1], np.nonzero(local)
+    entries = j * size + block * nb + row, block * nb + col, local[j, block, row, col]
+    if size > DENSE_SECTOR_SIZE:
+        return GeneratorParts(gain, entries)
+    dense = np.zeros((len(local) * size, size))
+    dense[entries[:2]] = entries[2]
+    return GeneratorParts(np.concatenate([gain, dense]), tuple(a[:0] for a in entries))
 
 
 def rk4_nodes(profile: TurbulenceProfile, geom: LinkGeometry, steps: int) -> tuple:
@@ -161,39 +218,32 @@ def rk4_step(derivative, node: int, state: np.ndarray, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _derivative(parts: GeneratorParts, scheme: PropagationScheme, table=None):
-    """d rho / dz at node k on one sector (its stack of l-blocks) in the
-    rotating frame: PREF l(z) (R0 rho - [Q rho + rho Q^dagger] / 2) plus the
-    Gouy commutator, the bracket only for LINDBLAD_TRUNCATED.
+def _node_table(scheme: PropagationScheme, cutoff: int, z, rates, z_r: float) -> np.ndarray:
+    """(nodes, J): the weight of each `GeneratorParts` operator at each node:
+    the rate PREF l(z), the Gouy rate z_R / (z_R^2 + z^2) and, for
+    LINDBLAD_TRUNCATED, -rate/2 cos(4 theta d) and -rate/2 sin(4 theta d),
+    theta = atan(z / z_R): within an l-block Q(z) carries e^{4i theta (r_a - r_b)}."""
+    columns = [rates, z_r / (z_r * z_r + z * z)]
+    if scheme is PropagationScheme.LINDBLAD_TRUNCATED:
+        phase, half = 4.0 * np.arctan2(z, z_r)[:, None] * np.arange(cutoff + 1), -0.5 * rates[:, None]
+        columns += [half * np.cos(phase), half * np.sin(phase[:, 1:])]
+    return np.column_stack(columns)
 
-    For TRUNCATED_EXACT the scalar total-rate loss has already been
-    cancelled against the diagonal of the gain (the two are equal and the
-    combination is outer-scale free); for LINDBLAD_TRUNCATED the
-    basis-summed anticommutator with Q(z) = Gamma(z)^T replaces it.  The
-    table holds the rate, Gouy rate and Q phases on a run's `rk4_nodes`;
-    without it the generator is frozen at t = 0 with l = 1 and no Gouy term,
-    which makes z the path-integrated decay density (and k is unused).
-    """
-    lindblad = scheme is PropagationScheme.LINDBLAD_TRUNCATED
-    frozen = table is None
-    lo_row, lo_col, count = sector_blocks(parts.basis, parts.delta)
-    rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
-    gain, gamma0_t = parts.gain0, parts.gamma0.transpose(0, 2, 1)
-    gouy_comm = 2j * (parts.gouy[rows, :, None] - parts.gouy[cols, None, :])
-    rates, theta_rates, q_phases = (None, None, None) if frozen else table
 
-    def derivative(k, rho):
-        rate = COUPLING_PREFACTOR if frozen else rates[k]
-        out = rate * (gain @ rho.reshape(-1)).reshape(rho.shape)
-        if lindblad:
-            q = gamma0_t
-            if not frozen:
-                phase = q_phases[k]
-                q = (phase[:, :, None] * gamma0_t) * np.conj(phase)[:, None, :]
-            out -= 0.5 * rate * (q[rows] @ rho + rho @ q[cols].conj().transpose(0, 2, 1))
-        if not frozen:
-            out += (theta_rates[k] * gouy_comm) * rho
-        return out
+def _derivative(parts: GeneratorParts, table: np.ndarray):
+    """d x / dz at node k = sum_j table[k, j] (operator j) x: one product with
+    the dense stack and, past it, one bincount over the local entries."""
+    size, n_ops = parts.dense.shape[1], table.shape[1]
+    n_dense = min(n_ops, len(parts.dense) // size)
+    dense, dense_rows = parts.dense[: n_dense * size], list(table[:, :n_dense])
+    local_rows, n_local = list(table[:, n_dense:]), n_ops - n_dense
+    if n_local == 0:
+        return lambda k, x: dense_rows[k] @ (dense @ x).reshape(n_dense, size)
+    rows, cols, values = (a[: np.searchsorted(parts.local[0], n_local * size)] for a in parts.local)
+
+    def derivative(k, x):
+        local = np.bincount(rows, values * x[cols], n_local * size).reshape(n_local, size)
+        return dense_rows[k] @ (dense @ x).reshape(n_dense, size) + local_rows[k] @ local
 
     return derivative
 
@@ -201,34 +251,28 @@ def _derivative(parts: GeneratorParts, scheme: PropagationScheme, table=None):
 def _propagate_fixed(rho0, profile, geom, config, steps):
     # occupied sectors with delta >= 0; only sector 0 holds its own adjoint
     cutoff, side = config.cutoff, config.cutoff + 1
-    rho = np.zeros(rho0.matrix.shape, dtype=complex)
-    blocks_in = rho0.matrix.reshape(2 * cutoff + 1, side, 2 * cutoff + 1, side)
-    blocks_out = rho.reshape(blocks_in.shape)
-    h = geom.path_length / steps
+    rho, shape = np.zeros(rho0.matrix.shape, dtype=complex), (2 * cutoff + 1, side, 2 * cutoff + 1, side)
+    blocks_in, blocks_out = rho0.matrix.reshape(shape), rho.reshape(shape)
+    h, z_r = geom.path_length / steps, geom.rayleigh_range
     z, cn2 = rk4_nodes(profile, geom, steps)
-    z_r, gouy = geom.rayleigh_range, generator_parts(cutoff, 0).gouy
     rates = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
-    lindblad = config.scheme is PropagationScheme.LINDBLAD_TRUNCATED
-    q_phases = np.exp(4j * np.arctan2(z, z_r)[:, None, None] * gouy) if lindblad else None
-    # Python floats: a numpy scalar costs more per small-array product
-    table = rates.tolist(), (z_r / (z_r * z_r + z * z)).tolist(), q_phases
+    table = _node_table(config.scheme, cutoff, z, rates, z_r)
     for delta in range(2 * cutoff + 1):
         lo_row, lo_col, count = sector_blocks(rho0.basis, delta)
         p = np.arange(count)
-        state = blocks_in[lo_row + p, :, lo_col + p, :].astype(complex)
+        state = blocks_in[lo_row + p, :, lo_col + p, :]
         if not np.any(state):
             continue
-        derivative = _derivative(generator_parts(cutoff, delta), config.scheme, table)
+        x = _coordinates(state, delta == 0)
+        derivative = _derivative(generator_parts(cutoff, delta), table)
         for step in range(steps):
-            state = rk4_step(derivative, 2 * step, state, h)
-            if delta == 0:
-                state = 0.5 * (state + state.conj().transpose(0, 2, 1))
+            x = rk4_step(derivative, 2 * step, x, h)
+        state = _blocks(x, count, side, delta == 0)
         blocks_out[lo_row + p, :, lo_col + p, :] = state
         blocks_out[lo_col + p, :, lo_row + p, :] = state.conj().transpose(0, 2, 1)
     # undo the rotating-frame (Gouy) gauge at the receiver plane
-    theta_f = math.atan2(geom.path_length, z_r)
-    gouy = gouy.reshape(-1)
-    return np.exp(-2j * theta_f * (gouy[:, None] - gouy[None, :])) * rho
+    gouy = np.array([idx.gouy_weight for idx in rho0.basis.indices])
+    return np.exp(-2j * math.atan2(geom.path_length, z_r) * (gouy[:, None] - gouy[None, :])) * rho
 
 
 def propagate(
@@ -239,9 +283,10 @@ def propagate(
 ) -> DensityMatrix:
     """Integrate the density matrix from the transmitter to z_f.
 
-    Fixed-step 4th-order Runge-Kutta in the rotating frame; the matrix is
-    re-symmetrized every step.  With check_convergence set, the run is
-    repeated at half the step size and the traces must agree to 1e-8.
+    Fixed-step 4th-order Runge-Kutta in the rotating frame, one occupied
+    Delta-l sector at a time on its real coordinates (sector 0 is Hermitian
+    by construction).  With check_convergence set, the run is repeated at
+    half the step size and the traces must agree to 1e-8.
     """
     if rho0.basis.cutoff != config.cutoff:
         raise ValueError("density matrix basis does not match solver cutoff")
@@ -295,30 +340,32 @@ def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
     l_values}.
     """
     l_values = np.asarray(l_values, dtype=float)
-    if np.any(l_values < 0) or np.any(np.diff(l_values) <= 0):
-        raise ValueError("l_values must be nonnegative and increasing")
+    if len(l_values) == 0 or np.any(l_values < 0) or np.any(np.diff(l_values) <= 0):
+        raise ValueError("l_values must be nonempty, nonnegative and increasing")
     if schemes is None:
         schemes = (PropagationScheme.TRUNCATED_EXACT, PropagationScheme.LINDBLAD_TRUNCATED)
+    base_step = l_values[-1] / 512.0 if l_values[-1] > 0 else 1.0
     results = {}
     for cutoff in cutoffs:
-        # sector 0 only; the fundamental is r = 0 of the l = 0 block
-        parts = generator_parts(cutoff, 0)
+        # sector 0 only; the fundamental is the first coordinate of the l = 0 block
+        parts, fundamental = generator_parts(cutoff, 0), cutoff * (cutoff + 1) ** 2
         for scheme in schemes:
-            derivative = _derivative(parts, scheme)
-            rho = np.zeros((2 * cutoff + 1, cutoff + 1, cutoff + 1), dtype=complex)
-            rho[cutoff, 0, 0] = 1.0
+            weights = _node_table(scheme, cutoff, np.zeros(1), np.full(1, COUPLING_PREFACTOR), 1.0)
+            weights[0, 1] = 0.0  # no Gouy row
+            frozen = _derivative(parts, weights)
+            operator = np.stack([frozen(0, unit) for unit in np.eye(parts.dense.shape[1])], axis=1)
+            x = np.eye(len(operator))[fundamental]
             probabilities = np.empty(len(l_values))
             tau = 0.0
-            base_step = l_values[-1] / 512.0 if l_values[-1] > 0 else 1.0
             for k, target in enumerate(l_values):
                 span = target - tau
                 if span > 0:
                     n_steps = max(1, int(math.ceil(span / max(base_step, 1e-30))))
                     h = span / n_steps
                     for _ in range(n_steps):
-                        rho = rk4_step(derivative, 0, rho, h)
+                        x = rk4_step(lambda _, y: operator @ y, 0, x, h)
                     tau = target
-                probabilities[k] = rho[cutoff, 0, 0].real
+                probabilities[k] = x[fundamental]
             results[(scheme, cutoff)] = probabilities
     return results
 

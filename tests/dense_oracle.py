@@ -1,4 +1,4 @@
-"""Dense masked coupling sum over a whole basis.
+"""Dense masked coupling sum over a whole basis, and the complex sector derivative.
 
 An oracle for the Delta-l sector blocks of `lgmodes.pair_tensor` and for the
 two-frequency coupling behind the full-IPE kernel: the Gamma-weighted double
@@ -6,6 +6,11 @@ sum over every (m, u) and (n, v) pair of two coefficient stacks as one
 (S^2, S^2) product, zeroed where the azimuthal rule l_m - l_u = l_n - l_v
 fails.  It shares only the coefficients and the Gamma weights with the
 library, never the sector layout or the real-up-to-phases factorization.
+
+`complex_sector_derivative` is the rotating-frame derivative of one sector
+written on its complex l-blocks (gain matvec, Lindblad Q rho + rho Q^dagger
+with the node's phases, Gouy commutator): an oracle for the real-coordinate
+operator stack of `ipe.generator_parts`.
 """
 from __future__ import annotations
 
@@ -14,7 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from turbulink.lgmodes import COUPLING_PREFACTOR, ModeBasis, coefficient_stack, gamma_weight_matrix
+from turbulink.lgmodes import (
+    COUPLING_PREFACTOR,
+    ModeBasis,
+    coefficient_stack,
+    gamma_weight_matrix,
+    pair_tensor,
+    sector_blocks,
+)
 from turbulink.turbulence import l_cross, two_pi_c_over
 
 
@@ -69,3 +81,30 @@ def dense_generator(cutoff: int) -> tuple:
     for array in (gain0, gamma0):
         array.setflags(write=False)
     return gain0, gamma0
+
+
+def complex_sector_derivative(cutoff: int, delta: int, lindblad: bool, rates, gouy_rates, thetas):
+    """d rho / dz at node k on sector delta's (count, c+1, c+1) stack of complex
+    l-blocks: rate (R0 rho - [Q rho + rho Q^dagger] / 2) plus the Gouy
+    commutator, the bracket only when `lindblad`; R0 is the `pair_tensor`
+    block at t = 0, Q(z) = Gamma0^T with the phases e^{4i theta g} of the
+    half Gouy orders g, and rates, gouy_rates and thetas are given per node."""
+    basis, side, blocks = ModeBasis(cutoff), cutoff + 1, 2 * cutoff + 1
+    stack = coefficient_stack(basis, 0.0)
+    gain = pair_tensor(basis, stack, np.conj(stack), delta)
+    sector0 = pair_tensor(basis, stack, np.conj(stack), 0).reshape(blocks, side, side, blocks, side, side)
+    gamma0_t = np.einsum("qabpmm->qab", sector0).transpose(0, 2, 1)
+    gouy = np.array([idx.gouy_weight for idx in basis.indices]).reshape(blocks, side)
+    lo_row, lo_col, count = sector_blocks(basis, delta)
+    rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
+    gouy_comm = 2j * (gouy[rows, :, None] - gouy[cols, None, :])
+
+    def derivative(k, rho):
+        out = rates[k] * (gain @ rho.reshape(-1)).reshape(rho.shape)
+        if lindblad:
+            phase = np.exp(4j * thetas[k] * gouy)
+            q = (phase[:, :, None] * gamma0_t) * np.conj(phase)[:, None, :]
+            out -= 0.5 * rates[k] * (q[rows] @ rho + rho @ q[cols].conj().transpose(0, 2, 1))
+        return out + (gouy_rates[k] * gouy_comm) * rho
+
+    return derivative

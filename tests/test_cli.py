@@ -5,13 +5,13 @@ import pytest
 from turbulink import cli
 from turbulink.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, run_subcommand, sweep
 from turbulink.config import (
+    _SECTION_KEYS,
     ConfigError,
     RunConfig,
     apply_overrides,
     config_from_tables,
     parse_config,
     parse_table_text,
-    serialize_config,
     validate_config,
 )
 from turbulink.ipe import SolverError
@@ -30,6 +30,35 @@ cn2 = 1e-15
 sigma_a_trad = 10.0
 sigma_b_trad = 80.0
 """
+
+
+def format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return '"' + value + '"'
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(format_value(v) for v in value) + "]"
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+def serialize_config(config: RunConfig) -> str:
+    """Render a RunConfig in the documented file grammar, every key written."""
+    lines = []
+    for section, keys in _SECTION_KEYS.items():
+        lines.append(f"[{section}]")
+        for key in keys:
+            lines.append(f"{key} = {format_value(getattr(config, key))}")
+        lines.append("")
+    if config.sweep_axes:
+        lines.append("[sweep]")
+        lines.append(f"axes = {format_value(list(config.sweep_axes))}")
+        for axis, points in zip(config.sweep_axes, config.sweep_values):
+            lines.append(f"{axis} = {format_value(list(points))}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 class TestConfigParsing:
@@ -144,6 +173,45 @@ class TestConfigParsing:
         assert run_cli(tmp_path, "--config", str(config_path), "sweep", "entangle") == EXIT_CONFIG
         assert "'pair_modes'" in capsys.readouterr().err
         assert run_cli(tmp_path, "--set", "pair_modes=2", "--set", "fixed_mode=1", "entangle") == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("link", "distance_m", '"30000"'),
+            ("link", "distance_m", "[1000.0, 2000.0]"),
+            ("link", "waist_m", "true"),
+            ("solver", "check_convergence", '"no"'),
+            ("solver", "cutoff", "2.0"),
+            ("solver", "scheme", "1"),
+            ("turbulence", "profile_csv", "1"),
+        ],
+    )
+    def test_wrong_value_type_names_key(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "typed.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(str(path))
+        assert main(["--config", str(path), "validate"]) == EXIT_CONFIG
+        assert f"config error: {path}: value for '{key}'" in capsys.readouterr().err
+
+    def test_int_values_accepted_for_float_keys(self):
+        config = config_from_tables({"link": {"distance_m": 20000}, "sweep": {"axes": ["cn2"], "cn2": [0, 1e-16]}})
+        assert config.distance_m == 20000.0 and config.sweep_values == ((0, 1e-16),)
+
+    def test_sweep_point_types_checked(self):
+        for points in (["0.1", 0.2], [True, 0.2]):
+            with pytest.raises(ConfigError, match="'waist_m'"):
+                config_from_tables({"sweep": {"axes": ["waist_m"], "waist_m": points}})
+        with pytest.raises(ConfigError, match="'cutoff'"):
+            config_from_tables({"sweep": {"axes": ["cutoff"], "cutoff": [1, 2.5]}})
+
+    def test_bool_override_must_be_a_bool_word(self):
+        assert apply_overrides(RunConfig(), {"check_convergence": "true"}).check_convergence
+        assert not apply_overrides(RunConfig(), {"check_convergence": "no"}).check_convergence
+        for text in ("maybe", "2", ""):
+            with pytest.raises(ConfigError, match="check_convergence"):
+                apply_overrides(RunConfig(), {"check_convergence": text})
+        assert main(["--set", "check_convergence=maybe", "validate"]) == EXIT_CONFIG
 
     def test_unread_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown table"):

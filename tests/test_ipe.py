@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import dense_generator
+from dense_oracle import complex_sector_derivative, dense_generator
 from spectrum_oracle import fried_parameter
 
 from turbulink.ipe import (
@@ -114,6 +114,46 @@ class TestAssembly:
 
 def DECAY_CONST_TIMES_L(z, geom):
     return DECAY_CONSTANT * l_strength(z, 1e-15, geom.wavelength, geom.waist)
+
+
+class TestSectorDerivative:
+    @pytest.mark.parametrize("cutoff", range(5))
+    def test_real_coordinates_match_complex_blocks(self, cutoff):
+        # every sector and both schemes, on random states at random nodes of a
+        # 30 km run (theta up to ~1.1 rad); cutoffs 3 and 4 hold the d = 3, 4
+        # Lindblad phase terms.  Sector 0's coordinates hold Hermitian blocks,
+        # so there the oracle's Hermitian part is the reference.  The scale is
+        # the largest entry, but at least rate * |rho| (the size of one term):
+        # at cutoff 0 the Lindblad gain and bracket cancel exactly.
+        from turbulink.ipe import _blocks, _coordinates, _derivative, _node_table, generator_parts, rk4_nodes
+
+        geom, side = geometry(), cutoff + 1
+        z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, 64)
+        z_r = geom.rayleigh_range
+        rates = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0)
+        rng = np.random.default_rng(40 + cutoff)
+        for scheme in PropagationScheme:
+            table = _node_table(scheme, cutoff, z, rates, z_r)
+            lindblad = scheme is PropagationScheme.LINDBLAD_TRUNCATED
+            for delta in range(2 * cutoff + 1):
+                oracle = complex_sector_derivative(
+                    cutoff, delta, lindblad, rates, z_r / (z_r**2 + z**2), np.arctan2(z, z_r)
+                )
+                derivative = _derivative(generator_parts(cutoff, delta), table)
+                count, hermitian = 2 * cutoff + 1 - delta, delta == 0
+                rho = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))
+                if hermitian:
+                    rho = rho + rho.conj().transpose(0, 2, 1)
+                x = _coordinates(rho, hermitian)
+                assert len(x) == (1 if hermitian else 2) * count * side * side
+                assert np.max(np.abs(_blocks(x, count, side, hermitian) - rho)) < 1e-15 * np.max(np.abs(rho))
+                for k in rng.integers(0, len(z), 4):
+                    expected = oracle(k, rho)
+                    if hermitian:
+                        expected = 0.5 * (expected + expected.conj().transpose(0, 2, 1))
+                    got = _blocks(derivative(k, x), count, side, hermitian)
+                    scale = max(np.max(np.abs(expected)), rates[k] * np.max(np.abs(rho)))
+                    assert np.max(np.abs(got - expected)) <= 1e-13 * scale
 
 
 class TestPropagation:
@@ -379,6 +419,8 @@ class TestCutoffBracketing:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cutoff_bracketing([0.1, 0.05], [1])
+        with pytest.raises(ValueError, match="nonempty"):
+            cutoff_bracketing([], [1])
 
 
 class TestDistanceSweep:
