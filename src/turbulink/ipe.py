@@ -18,7 +18,9 @@ real operators (`generator_parts`) weighted by one node table per run, on
 the nodes of `rk4_nodes`; Delta < 0 is the adjoint of Delta > 0, and sector
 0, which a fundamental input never leaves, is Hermitian by construction.
 `propagate`, `cutoff_bracketing` (the stack frozen at t = 0) and the full-IPE
-kernel in `temporal` advance their states with the one fixed-step `rk4_step`.
+kernel in `temporal` advance their states with the one fixed-step `rk4_step`;
+in `propagate` a sector of at most STEP_MATRIX_SIZE coordinates takes the
+same RK4 polynomial as step matrices, every step formed at once.
 """
 from __future__ import annotations
 
@@ -64,6 +66,10 @@ class SolverConfig:
     check_convergence: bool = False
 
     def __post_init__(self):
+        for name in ("steps", "cutoff"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.steps < 16:
             raise ValueError("step count must be >= 16")
         if self.cutoff < 0:
@@ -125,6 +131,12 @@ class GeneratorParts:
 
 # up to this many coordinates call overhead, not zeros, costs: stack densely
 DENSE_SECTOR_SIZE = 64
+# up to this many coordinates (at most DENSE_SECTOR_SIZE: it needs the whole
+# stack dense) `propagate` forms a sector's RK4 step matrices at once
+# (`_step_product`) instead of stepping; on one core the two cost the same
+# near 30.  The matrices of STEP_CHUNK steps are held at a time.
+STEP_MATRIX_SIZE = 24
+STEP_CHUNK = 1024
 
 
 @lru_cache(maxsize=64)
@@ -169,19 +181,28 @@ def _blocks(x: np.ndarray, count: int, side: int, hermitian: bool) -> np.ndarray
     return entries.reshape(count, side, side)
 
 
+@lru_cache(maxsize=8)
+def _sector0(cutoff: int) -> tuple:
+    """(sector 0's gain on its real coordinates, Q(0) = Gamma0^T per l-block):
+    Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal entries."""
+    basis, side = ModeBasis(cutoff), cutoff + 1
+    stack = coefficient_stack(basis, 0.0)
+    sector0 = pair_tensor(basis, stack, np.conj(stack), 0)
+    q0 = np.einsum("qabpmm->qba", sector0.reshape((2 * cutoff + 1, side, side) * 2))
+    return _real_form(sector0, _layout(side, True, 2 * cutoff + 1)), q0
+
+
 @lru_cache(maxsize=32)
 def generator_parts(cutoff: int, delta: int) -> GeneratorParts:
     basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(basis, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
-    stack, r, eye = coefficient_stack(basis, 0.0), np.arange(side), np.eye(side)
-    sector0 = pair_tensor(basis, stack, np.conj(stack), 0)
-    # Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal entries;
-    # Q_d holds the entries r_a - r_b = d of Q(0) = Gamma0^T in each l-block
-    q0 = np.einsum("qabpmm->qba", sector0.reshape((2 * cutoff + 1, side, side) * 2))
-    gain = pair_tensor(basis, stack, np.conj(stack), delta) if delta else sector0
-    gain = _real_form(gain, _layout(side, delta == 0, count))
-    del sector0  # drop the complex blocks before the bracket parts are built
+    r, eye = np.arange(side), np.eye(side)
+    # Q_d holds the entries r_a - r_b = d of Q(0) in each l-block
+    gain, q0 = _sector0(cutoff)
+    if delta:
+        stack = coefficient_stack(basis, 0.0)
+        gain = _real_form(pair_tensor(basis, stack, np.conj(stack), delta), _layout(side, False, count))
     masks = (r[:, None] - r == np.arange(-cutoff, side)[:, None, None])[:, None]
     left, right = q0[rows] * masks, np.conj(q0[cols] * masks[::-1])
     # t[c + d]: rho -> Q_d rho + rho Q_{-d}^dagger on the row-major l-blocks, d = -c..c
@@ -248,6 +269,35 @@ def _derivative(parts: GeneratorParts, table: np.ndarray):
     return derivative
 
 
+def _step_product(parts: GeneratorParts, table: np.ndarray, h: float) -> np.ndarray:
+    """P_{S-1} ... P_0 over the S = len(table) // 2 steps on the node rows
+    `table`: x <- P_s x is `rk4_step` on x' = A_k x, A_k = sum_j table[k, j]
+    (operator j), so P_s = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A_2s,
+    K2 = A_2s+1 (I + h/2 K1), K3 = A_2s+1 (I + h/2 K2), K4 = A_2s+2 (I + h K3).
+    Every step at once from the whole dense stack, then multiplied pairwise."""
+    size, n_ops = parts.dense.shape[1], table.shape[1]
+    a = (table @ parts.dense[: n_ops * size].reshape(n_ops, -1)).reshape(-1, size, size)
+    a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
+    k = a1 @ a0
+    k *= 0.5 * h
+    k += a1  # K2
+    total = k + 0.5 * a0
+    k = a1 @ k
+    k *= 0.5 * h
+    k += a1  # K3
+    total += k
+    k = a2 @ k
+    k *= h
+    k += a2  # K4
+    total += 0.5 * k
+    total *= h / 3.0
+    total += np.eye(size)
+    while len(total) > 1:
+        pairs = len(total) // 2 * 2
+        total = np.concatenate([total[1:pairs:2] @ total[:pairs:2], total[pairs:]])
+    return total[0]
+
+
 def _propagate_fixed(rho0, profile, geom, config, steps):
     # occupied sectors with delta >= 0; only sector 0 holds its own adjoint
     cutoff, side = config.cutoff, config.cutoff + 1
@@ -263,10 +313,14 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
         state = blocks_in[lo_row + p, :, lo_col + p, :]
         if not np.any(state):
             continue
-        x = _coordinates(state, delta == 0)
-        derivative = _derivative(generator_parts(cutoff, delta), table)
-        for step in range(steps):
-            x = rk4_step(derivative, 2 * step, x, h)
+        x, parts = _coordinates(state, delta == 0), generator_parts(cutoff, delta)
+        if len(x) <= STEP_MATRIX_SIZE:
+            for start in range(0, steps, STEP_CHUNK):
+                x = _step_product(parts, table[2 * start : 2 * min(start + STEP_CHUNK, steps) + 1], h) @ x
+        else:
+            derivative = _derivative(parts, table)
+            for step in range(steps):
+                x = rk4_step(derivative, 2 * step, x, h)
         state = _blocks(x, count, side, delta == 0)
         blocks_out[lo_row + p, :, lo_col + p, :] = state
         blocks_out[lo_col + p, :, lo_row + p, :] = state.conj().transpose(0, 2, 1)

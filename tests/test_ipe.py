@@ -13,6 +13,8 @@ from spectrum_oracle import fried_parameter
 from turbulink.ipe import (
     COUPLING_PREFACTOR,
     DECAY_CONSTANT,
+    DENSE_SECTOR_SIZE,
+    STEP_MATRIX_SIZE,
     DensityMatrix,
     PropagationScheme,
     SolverConfig,
@@ -154,6 +156,69 @@ class TestSectorDerivative:
                     got = _blocks(derivative(k, x), count, side, hermitian)
                     scale = max(np.max(np.abs(expected)), rates[k] * np.max(np.abs(rho)))
                     assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+
+
+class TestStepMatrices:
+    def test_threshold_needs_the_dense_stack(self):
+        assert STEP_MATRIX_SIZE <= DENSE_SECTOR_SIZE
+
+    @pytest.mark.parametrize("cutoff", [0, 1])
+    @pytest.mark.parametrize("steps", [17, 256])
+    def test_step_product_matches_rk4_loop(self, cutoff, steps):
+        # every sector of both schemes on random states, with the node table
+        # of a 30 km run; the scale is the largest entry of the result
+        from turbulink.ipe import _derivative, _node_table, _step_product, generator_parts, rk4_nodes, rk4_step
+
+        geom = geometry()
+        z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, steps)
+        rates, h = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), geom.path_length / steps
+        rng = np.random.default_rng(60 + cutoff)
+        for scheme in PropagationScheme:
+            table = _node_table(scheme, cutoff, z, rates, geom.rayleigh_range)
+            for delta in range(2 * cutoff + 1):
+                parts = generator_parts(cutoff, delta)
+                x = rng.normal(size=parts.dense.shape[1])
+                assert len(x) <= STEP_MATRIX_SIZE
+                derivative, expected = _derivative(parts, table), x
+                for step in range(steps):
+                    expected = rk4_step(derivative, 2 * step, expected, h)
+                got = _step_product(parts, table, h) @ x
+                assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("cutoff", [0, 1])
+    def test_propagate_matches_rk4_loop(self, cutoff, monkeypatch):
+        # a random pure input occupies every sector; STEP_MATRIX_SIZE = 0
+        # sends each of them through the rk4_step loop instead, and chunks
+        # of 5 steps leave a short last chunk at every step count here
+        from turbulink import ipe
+
+        profile, geom = TurbulenceProfile.from_constant(1e-16), geometry(distance=2.0e3)
+        rho0 = coherent_state(ModeBasis(cutoff), seed=7)
+        calls, product = [], ipe._step_product
+        monkeypatch.setattr(ipe, "_step_product", lambda *args: calls.append(1) or product(*args))
+        monkeypatch.setattr(ipe, "STEP_CHUNK", 5)
+        for scheme in PropagationScheme:
+            for steps, check in ((17, True), (17, False), (256, True)):
+                config = SolverConfig(cutoff=cutoff, scheme=scheme, steps=steps, check_convergence=check)
+                fast = propagate(rho0, profile, geom, config).matrix
+                with monkeypatch.context() as patch:
+                    patch.setattr(ipe, "STEP_MATRIX_SIZE", 0)
+                    slow = propagate(rho0, profile, geom, config).matrix
+                assert np.max(np.abs(fast - slow)) <= 1e-14
+        assert calls
+
+    def test_generator_parts_match_an_uncached_build(self):
+        # Gamma0 comes from one cached sector-0 build per cutoff
+        from turbulink.ipe import _sector0, generator_parts
+
+        for cutoff in range(5):
+            cached = [generator_parts(cutoff, delta) for delta in range(2 * cutoff + 1)]
+            for delta, parts in enumerate(cached):
+                _sector0.cache_clear()
+                fresh = generator_parts.__wrapped__(cutoff, delta)
+                assert np.array_equal(fresh.dense, parts.dense)
+                assert len(fresh.local) == len(parts.local)
+                assert all(np.array_equal(a, b) for a, b in zip(fresh.local, parts.local))
 
 
 class TestPropagation:
@@ -357,6 +422,12 @@ class TestDensityMatrix:
     def test_step_count_guard(self):
         with pytest.raises(ValueError):
             SolverConfig(steps=8)
+
+    @pytest.mark.parametrize("field, value", [("steps", 256.0), ("cutoff", 1.0), ("steps", True), ("cutoff", False)])
+    def test_integer_settings_only(self, field, value):
+        # a float or bool step count or cutoff used to fail deep inside propagate
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
 
 
 class TestAnalyticDecay:
