@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -264,7 +263,8 @@ def run_validate(config: RunConfig, out=None) -> bool:
     # coupling closed form vs quadrature oracle on a fundamental tuple
     w0, lam, cn2 = config.waist_m, config.wavelength_m, max(config.cn2, 1e-16)
     i00 = LGIndex(l=0, r=0)
-    z = 0.5 * math.pi * w0**2 / lam
+    z_r = _geometry(config).rayleigh_range
+    z = 0.5 * z_r
     closed = lgmodes.coupling_tensor(ModeBasis(0), z, cn2, w0, lam).entries[0, 0, 0, 0]
     oracle = lgmodes.coupling_oracle_extrapolated(i00, i00, i00, i00, z, cn2, w0, lam, 1e-4 / w0)
     rel = abs(closed - oracle) / abs(closed)
@@ -277,7 +277,6 @@ def run_validate(config: RunConfig, out=None) -> bool:
     checks.append(("total_rate_oracle_0.1%", rel_lt < 1e-3, rel_lt))
 
     i10 = LGIndex(l=0, r=1)
-    z_r = math.pi * w0**2 / lam
     s_closed = lgmodes.free_prop_S(i10, i00, z_r)
     s_oracle = lgmodes.free_prop_S_numeric(i10, i00, z_r, w0)
     rel_s = abs(s_closed - s_oracle) * z_r

@@ -10,24 +10,23 @@ Two truncation schemes of the same coupled mode equations are supported:
                     population is an upper bound that falls with the cutoff.
 
 In the rotating frame that removes the Gouy phases of the mode-correlation
-coefficients the generator is a fixed gain, a diagonal Gouy commutator and,
-for LINDBLAD_TRUNCATED, a bracket whose phases expand into 2c+1 fixed parts.
-Every term conserves Delta = l_u - l_v, so each Delta-l sector (a stack of
-l-blocks) is advanced on its own as a real coordinate vector under fixed
-real operators (`generator_parts`) weighted by one node table per run, on
-the nodes of `rk4_nodes`; Delta < 0 is the adjoint of Delta > 0, and sector
+coefficients every term conserves Delta = l_u - l_v, so each Delta-l sector
+(a stack of l-blocks) is advanced on its own as a real coordinate vector x,
+x' = rate(z) A x + gouy(z) C x: one fixed operator A per scheme and the Gouy
+commutator C (`generator_parts`), the two rates tabulated once per run on
+the nodes of `rk4_nodes`.  Delta < 0 is the adjoint of Delta > 0, and sector
 0, which a fundamental input never leaves, is Hermitian by construction.
-`propagate`, `cutoff_bracketing` (the stack frozen at t = 0) and the full-IPE
-kernel in `temporal` advance their states with the one fixed-step `rk4_step`;
-in `propagate` a sector of at most STEP_MATRIX_SIZE coordinates takes the
-same RK4 polynomial as step matrices, every step formed at once.
+`propagate`, `cutoff_bracketing` (A alone, at t = 0) and the full-IPE kernel
+in `temporal` advance their states with the one fixed-step `rk4_step`; in
+`propagate` a sector of at most STEP_MATRIX_SIZE coordinates takes the same
+RK4 polynomial as step matrices, every step formed at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,8 +36,8 @@ from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, integrated_l, l
 
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
-# trace may overshoot 1 by the fixed-step integrator's truncation error at
-# the default step count; 1e-6 is the documented tolerance budget
+# only rounding can lift the trace above 1: the exact truncation loses trace
+# and each RK4 stage of the Lindblad form conserves it; a loose bound
 TRACE_TOL = 1e-6
 
 
@@ -111,30 +110,32 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class GeneratorParts:
-    """The fixed real operators on the real coordinates (`_layout`) of one
-    Delta-l sector, in node-table order (`_node_table`): the gain (the
-    `lgmodes.pair_tensor` block at t = 0), the Gouy commutator 2i(g_u - g_v),
-    then the cos- and sin-parts Lc_d (d = 0..c) and Ls_d (d = 1..c) of the
-    Lindblad bracket rho -> Q rho + rho Q^dagger, Q(z) = sum_d e^{4i theta d} Q_d.
-    TRUNCATED_EXACT uses the first two: its scalar total-rate loss cancels
-    against the gain's diagonal (the combination is outer-scale free).
+    """The fixed real operators of one Delta-l sector on its real coordinates
+    (`_layout`), which obey x' = rate(z) A x + gouy(z) C x.  A is `gain` (the
+    `lgmodes.pair_tensor` block at t = 0; its scalar total-rate loss cancels
+    against the gain's diagonal, so the combination is outer-scale free) or
+    `lindblad` = gain - B / 2, B: rho -> Q rho + rho Q^dagger with Q = Gamma0^T.
+    C, the Gouy commutator 2i(g_u - g_v), turns each (Re, Im) pair:
+    (C x)[i] = turn[i] x[partner[i]], with turn 0 on sector 0's diagonal."""
 
-    dense: the first J operators, stacked (J m, m): all of them up to
-    DENSE_SECTOR_SIZE coordinates, else the gain alone; local: the other,
-    block-local ones as their nonzero (rows, columns, values), row j m + i
-    for the j-th of them.
-    """
+    gain: np.ndarray = field(repr=False)
+    lindblad: np.ndarray = field(repr=False)
+    turn: np.ndarray = field(repr=False)
+    partner: np.ndarray = field(repr=False)
 
-    dense: np.ndarray = field(repr=False)
-    local: tuple = field(repr=False)
+    def operator(self, scheme: PropagationScheme) -> np.ndarray:
+        return self.lindblad if scheme is PropagationScheme.LINDBLAD_TRUNCATED else self.gain
+
+    @cached_property
+    def stacks(self) -> dict:
+        """{scheme: (2, m, m) A of the scheme, then C, as dense matrices}."""
+        rotation = np.eye(len(self.turn))[self.partner] * self.turn[:, None]
+        return {scheme: np.stack([self.operator(scheme), rotation]) for scheme in PropagationScheme}
 
 
-# up to this many coordinates call overhead, not zeros, costs: stack densely
-DENSE_SECTOR_SIZE = 64
-# up to this many coordinates (at most DENSE_SECTOR_SIZE: it needs the whole
-# stack dense) `propagate` forms a sector's RK4 step matrices at once
-# (`_step_product`) instead of stepping; on one core the two cost the same
-# near 30.  The matrices of STEP_CHUNK steps are held at a time.
+# up to this many coordinates `propagate` forms a sector's RK4 step matrices
+# at once (`_step_product`) instead of stepping; on one core the two cost the
+# same near 30.  The matrices of STEP_CHUNK steps are held at a time.
 STEP_MATRIX_SIZE = 24
 STEP_CHUNK = 1024
 
@@ -197,28 +198,22 @@ def generator_parts(cutoff: int, delta: int) -> GeneratorParts:
     basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(basis, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
-    r, eye = np.arange(side), np.eye(side)
-    # Q_d holds the entries r_a - r_b = d of Q(0) in each l-block
     gain, q0 = _sector0(cutoff)
     if delta:
         stack = coefficient_stack(basis, 0.0)
         gain = _real_form(pair_tensor(basis, stack, np.conj(stack), delta), _layout(side, False, count))
-    masks = (r[:, None] - r == np.arange(-cutoff, side)[:, None, None])[:, None]
-    left, right = q0[rows] * masks, np.conj(q0[cols] * masks[::-1])
-    # t[c + d]: rho -> Q_d rho + rho Q_{-d}^dagger on the row-major l-blocks, d = -c..c
-    t = np.einsum("dpac,be->dpabce", left, eye) + np.einsum("ac,dpbe->dpabce", eye, right)
-    up, down = t.reshape(-1, count, sq, sq)[cutoff:], t.reshape(-1, count, sq, sq)[cutoff::-1]
-    gouy = np.array([idx.gouy_weight for idx in basis.indices]).reshape(-1, side)
+    # per l-block on its row-major entries: rho -> Q rho + rho Q^dagger and
+    # the Gouy commutator, in real coordinates, then block-diagonal in the sector
+    gouy, eye = np.array([idx.gouy_weight for idx in basis.indices]).reshape(-1, side), np.eye(side)
+    bracket = np.einsum("pac,be->pabce", q0[rows], eye) + np.einsum("ac,pbe->pabce", eye, np.conj(q0[cols]))
     commutator = np.eye(sq) * 2j * (gouy[rows, :, None] - gouy[cols, None, :]).reshape(count, 1, sq)
-    ops = np.concatenate([commutator[None], up[:1], up[1:] + down[1:], 1j * (up[1:] - down[1:])])
-    local = _real_form(ops, _layout(side, delta == 0, 1))
-    size, nb, (j, block, row, col) = len(gain), local.shape[-1], np.nonzero(local)
-    entries = j * size + block * nb + row, block * nb + col, local[j, block, row, col]
-    if size > DENSE_SECTOR_SIZE:
-        return GeneratorParts(gain, entries)
-    dense = np.zeros((len(local) * size, size))
-    dense[entries[:2]] = entries[2]
-    return GeneratorParts(np.concatenate([gain, dense]), tuple(a[:0] for a in entries))
+    local = _real_form(np.stack([bracket.reshape(count, sq, sq), commutator]), _layout(side, delta == 0, 1))
+    p, ops = np.arange(count), np.zeros((2, count, local.shape[-1], count, local.shape[-1]))
+    ops[:, p, :, p, :] = local.transpose(1, 0, 2, 3)
+    bracket, rotation = ops.reshape(2, len(gain), len(gain))
+    # the commutator turns each (Re, Im) pair: one entry per row at most
+    partner = np.argmax(np.abs(rotation), axis=1)
+    return GeneratorParts(gain, gain - 0.5 * bracket, rotation[np.arange(len(gain)), partner], partner)
 
 
 def rk4_nodes(profile: TurbulenceProfile, geom: LinkGeometry, steps: int) -> tuple:
@@ -239,44 +234,23 @@ def rk4_step(derivative, node: int, state: np.ndarray, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _node_table(scheme: PropagationScheme, cutoff: int, z, rates, z_r: float) -> np.ndarray:
-    """(nodes, J): the weight of each `GeneratorParts` operator at each node:
-    the rate PREF l(z), the Gouy rate z_R / (z_R^2 + z^2) and, for
-    LINDBLAD_TRUNCATED, -rate/2 cos(4 theta d) and -rate/2 sin(4 theta d),
-    theta = atan(z / z_R): within an l-block Q(z) carries e^{4i theta (r_a - r_b)}."""
-    columns = [rates, z_r / (z_r * z_r + z * z)]
-    if scheme is PropagationScheme.LINDBLAD_TRUNCATED:
-        phase, half = 4.0 * np.arctan2(z, z_r)[:, None] * np.arange(cutoff + 1), -0.5 * rates[:, None]
-        columns += [half * np.cos(phase), half * np.sin(phase[:, 1:])]
-    return np.column_stack(columns)
+def _derivative(parts: GeneratorParts, scheme: PropagationScheme, table: np.ndarray):
+    """d x / dz at node k of the node rows `table` = (rate, Gouy rate):
+    rate_k A x + gouy_k C x, with the rotation gouy_k turn tabulated per node
+    (in Python lists: indexing them costs less than indexing arrays)."""
+    operator, partner = parts.operator(scheme), parts.partner
+    rates, turns = list(table[:, 0]), list(table[:, 1:] * parts.turn)
+    return lambda k, x: rates[k] * (operator @ x) + turns[k] * x[partner]
 
 
-def _derivative(parts: GeneratorParts, table: np.ndarray):
-    """d x / dz at node k = sum_j table[k, j] (operator j) x: one product with
-    the dense stack and, past it, one bincount over the local entries."""
-    size, n_ops = parts.dense.shape[1], table.shape[1]
-    n_dense = min(n_ops, len(parts.dense) // size)
-    dense, dense_rows = parts.dense[: n_dense * size], list(table[:, :n_dense])
-    local_rows, n_local = list(table[:, n_dense:]), n_ops - n_dense
-    if n_local == 0:
-        return lambda k, x: dense_rows[k] @ (dense @ x).reshape(n_dense, size)
-    rows, cols, values = (a[: np.searchsorted(parts.local[0], n_local * size)] for a in parts.local)
-
-    def derivative(k, x):
-        local = np.bincount(rows, values * x[cols], n_local * size).reshape(n_local, size)
-        return dense_rows[k] @ (dense @ x).reshape(n_dense, size) + local_rows[k] @ local
-
-    return derivative
-
-
-def _step_product(parts: GeneratorParts, table: np.ndarray, h: float) -> np.ndarray:
+def _step_product(stack: np.ndarray, table: np.ndarray, h: float) -> np.ndarray:
     """P_{S-1} ... P_0 over the S = len(table) // 2 steps on the node rows
-    `table`: x <- P_s x is `rk4_step` on x' = A_k x, A_k = sum_j table[k, j]
-    (operator j), so P_s = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A_2s,
+    `table`: x <- P_s x is `rk4_step` on x' = A_k x, A_k = table[k] @ `stack`,
+    so P_s = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A_2s,
     K2 = A_2s+1 (I + h/2 K1), K3 = A_2s+1 (I + h/2 K2), K4 = A_2s+2 (I + h K3).
-    Every step at once from the whole dense stack, then multiplied pairwise."""
-    size, n_ops = parts.dense.shape[1], table.shape[1]
-    a = (table @ parts.dense[: n_ops * size].reshape(n_ops, -1)).reshape(-1, size, size)
+    Every step at once from the dense stack, then multiplied pairwise."""
+    size = stack.shape[-1]
+    a = (table @ stack.reshape(2, -1)).reshape(-1, size, size)
     a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
     k = a1 @ a0
     k *= 0.5 * h
@@ -306,7 +280,7 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
     h, z_r = geom.path_length / steps, geom.rayleigh_range
     z, cn2 = rk4_nodes(profile, geom, steps)
     rates = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
-    table = _node_table(config.scheme, cutoff, z, rates, z_r)
+    table = np.column_stack([rates, z_r / (z_r * z_r + z * z)])
     for delta in range(2 * cutoff + 1):
         lo_row, lo_col, count = sector_blocks(rho0.basis, delta)
         p = np.arange(count)
@@ -315,10 +289,11 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
             continue
         x, parts = _coordinates(state, delta == 0), generator_parts(cutoff, delta)
         if len(x) <= STEP_MATRIX_SIZE:
+            stack = parts.stacks[config.scheme]
             for start in range(0, steps, STEP_CHUNK):
-                x = _step_product(parts, table[2 * start : 2 * min(start + STEP_CHUNK, steps) + 1], h) @ x
+                x = _step_product(stack, table[2 * start : 2 * min(start + STEP_CHUNK, steps) + 1], h) @ x
         else:
-            derivative = _derivative(parts, table)
+            derivative = _derivative(parts, config.scheme, table)
             for step in range(steps):
                 x = rk4_step(derivative, 2 * step, x, h)
         state = _blocks(x, count, side, delta == 0)
@@ -404,10 +379,7 @@ def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
         # sector 0 only; the fundamental is the first coordinate of the l = 0 block
         parts, fundamental = generator_parts(cutoff, 0), cutoff * (cutoff + 1) ** 2
         for scheme in schemes:
-            weights = _node_table(scheme, cutoff, np.zeros(1), np.full(1, COUPLING_PREFACTOR), 1.0)
-            weights[0, 1] = 0.0  # no Gouy row
-            frozen = _derivative(parts, weights)
-            operator = np.stack([frozen(0, unit) for unit in np.eye(parts.dense.shape[1])], axis=1)
+            operator = COUPLING_PREFACTOR * parts.operator(scheme)
             x = np.eye(len(operator))[fundamental]
             probabilities = np.empty(len(l_values))
             tau = 0.0

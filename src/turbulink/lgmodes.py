@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mathcore import gamma_fn
-from .turbulence import SPECTRUM_AMPLITUDE, l_strength, two_pi_c_over
+from .turbulence import SPECTRUM_AMPLITUDE, l_strength, normalized_distance, two_pi_c_over
 
 MAX_ORACLE_INDEX = 8
 # The Gamma-weighted coupling sum cancels: against a 40-digit evaluation its
@@ -296,8 +296,7 @@ def coupling_numeric_oracle(
         lam1, lam2 = (two_pi_c_over(omega) for omega in frequencies)
     else:
         lam1 = lam2 = float(frequencies)
-    t1 = lam1 * z / (math.pi * w0**2)
-    t2 = lam2 * z / (math.pi * w0**2)
+    t1, t2 = normalized_distance(z, lam1, w0), normalized_distance(z, lam2, w0)
     a1 = (1.0 + t1 * t1) * w0**2
     a2 = (1.0 + t2 * t2) * w0**2
     c1 = c_coefficients(m, u, t1)
@@ -467,7 +466,7 @@ def pair_coupling_assembler(cutoff: int, batch: int):
 def coupling_tensor(basis: ModeBasis, z: float, cn2: float, w0: float, frequencies) -> CouplingTensor:
     """The full tensor L_{m,n,u,v}(z) (total-rate part excluded) at the
     wavelength `frequencies` (m), sector by sector."""
-    left = coefficient_stack(basis, z * frequencies / (math.pi * w0**2))
+    left = coefficient_stack(basis, normalized_distance(z, frequencies, w0))
     rate, right = COUPLING_PREFACTOR * l_strength(z, cn2, frequencies, w0), np.conj(left)
     deltas = range(-2 * basis.cutoff, 2 * basis.cutoff + 1)
     blocks = [rate * pair_tensor(basis, left, right, d) for d in deltas]  # guard before allocating

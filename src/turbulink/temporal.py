@@ -31,7 +31,7 @@ from .ipe import DECAY_CONSTANT, rk4_nodes, rk4_step
 from .lgmodes import COUPLING_PREFACTOR, pair_coupling_assembler
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import LinkGeometry, TurbulenceProfile, integrated_l, l_cross, two_pi_c_over
+from .turbulence import LinkGeometry, TurbulenceProfile, integrated_l, l_cross, normalized_distance, two_pi_c_over
 
 MAX_GRID_ORDER = 64
 MAX_FULL_IPE_GRID = 12
@@ -85,7 +85,7 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     # per node (rows) and pair (columns), the two carriers on a leading axis
     z, cn2 = rk4_nodes(profile, geom, steps)
     rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
-    t = z[:, None] / (math.pi * geom.waist**2 / two_pi_c_over(np.stack([omega1, omega2])))[:, None, :]
+    t = normalized_distance(z[:, None], two_pi_c_over(np.stack([omega1, omega2]))[:, None, :], geom.waist)
     area = 1.0 + t * t  # a_i / w0^2
     ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
     del t, area  # only the tables live through the run

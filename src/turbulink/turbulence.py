@@ -88,6 +88,11 @@ class LinkGeometry:
         return math.pi * self.waist**2 / self.wavelength
 
 
+def normalized_distance(z, wavelength, waist):
+    """t = z / z_R = lambda z / (pi w0^2), the distance in Rayleigh ranges."""
+    return wavelength * z / (math.pi * waist**2)
+
+
 @dataclass(frozen=True)
 class SpectrumParams:
     """Outer-scale wavenumber kappa_0 (1/m) of the von Karman spectrum."""
@@ -241,7 +246,7 @@ def big_l_t(lambda1: float, lambda2: float, cn2: float, sp: SpectrumParams) -> f
 def l_strength(z: float, cn2: float, wavelength: float, waist: float) -> float:
     """Single-wavelength decay density l(z) (the fundamental-mode loss rate
     is 54.1 * l(z) in the pure-decay regime)."""
-    t = wavelength * z / (math.pi * waist**2)
+    t = normalized_distance(z, wavelength, waist)
     return cn2 / wavelength**2 * waist ** (5.0 / 3.0) * (1.0 + t * t) ** (5.0 / 6.0)
 
 
@@ -255,8 +260,7 @@ def l_cross(z: float, omega1: float, omega2: float, cn2: float, waist: float) ->
     if np.any(omega1 <= 0) or np.any(omega2 <= 0):
         raise ValueError("frequencies must be positive")
     lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
-    t1 = lambda1 * z / (math.pi * waist**2)
-    t2 = lambda2 * z / (math.pi * waist**2)
+    t1, t2 = normalized_distance(z, lambda1, waist), normalized_distance(z, lambda2, waist)
     bracket = 1.0 + 0.5 * t1 * t1 + 0.5 * t2 * t2
     return cn2 / (lambda1 * lambda2) * waist ** (5.0 / 3.0) * bracket ** (5.0 / 6.0)
 

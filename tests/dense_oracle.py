@@ -9,8 +9,8 @@ library, never the sector layout or the real-up-to-phases factorization.
 
 `complex_sector_derivative` is the rotating-frame derivative of one sector
 written on its complex l-blocks (gain matvec, Lindblad Q rho + rho Q^dagger
-with the node's phases, Gouy commutator): an oracle for the real-coordinate
-operator stack of `ipe.generator_parts`.
+with the constant Q = Gamma0^T, Gouy commutator): an oracle for the
+real-coordinate operators of `ipe.generator_parts`.
 """
 from __future__ import annotations
 
@@ -83,17 +83,18 @@ def dense_generator(cutoff: int) -> tuple:
     return gain0, gamma0
 
 
-def complex_sector_derivative(cutoff: int, delta: int, lindblad: bool, rates, gouy_rates, thetas):
+def complex_sector_derivative(cutoff: int, delta: int, lindblad: bool, rates, gouy_rates):
     """d rho / dz at node k on sector delta's (count, c+1, c+1) stack of complex
     l-blocks: rate (R0 rho - [Q rho + rho Q^dagger] / 2) plus the Gouy
     commutator, the bracket only when `lindblad`; R0 is the `pair_tensor`
-    block at t = 0, Q(z) = Gamma0^T with the phases e^{4i theta g} of the
-    half Gouy orders g, and rates, gouy_rates and thetas are given per node."""
+    block at t = 0, Q = Gamma0^T (in the rotating frame the loss carries the
+    gain's outflow phases, which cancel), and rates and gouy_rates are given
+    per node."""
     basis, side, blocks = ModeBasis(cutoff), cutoff + 1, 2 * cutoff + 1
     stack = coefficient_stack(basis, 0.0)
     gain = pair_tensor(basis, stack, np.conj(stack), delta)
     sector0 = pair_tensor(basis, stack, np.conj(stack), 0).reshape(blocks, side, side, blocks, side, side)
-    gamma0_t = np.einsum("qabpmm->qab", sector0).transpose(0, 2, 1)
+    q = np.einsum("qabpmm->qab", sector0).transpose(0, 2, 1)
     gouy = np.array([idx.gouy_weight for idx in basis.indices]).reshape(blocks, side)
     lo_row, lo_col, count = sector_blocks(basis, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
@@ -102,8 +103,6 @@ def complex_sector_derivative(cutoff: int, delta: int, lindblad: bool, rates, go
     def derivative(k, rho):
         out = rates[k] * (gain @ rho.reshape(-1)).reshape(rho.shape)
         if lindblad:
-            phase = np.exp(4j * thetas[k] * gouy)
-            q = (phase[:, :, None] * gamma0_t) * np.conj(phase)[:, None, :]
             out -= 0.5 * rates[k] * (q[rows] @ rho + rho @ q[cols].conj().transpose(0, 2, 1))
         return out + (gouy_rates[k] * gouy_comm) * rho
 

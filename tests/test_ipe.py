@@ -13,7 +13,6 @@ from spectrum_oracle import fried_parameter
 from turbulink.ipe import (
     COUPLING_PREFACTOR,
     DECAY_CONSTANT,
-    DENSE_SECTOR_SIZE,
     STEP_MATRIX_SIZE,
     DensityMatrix,
     PropagationScheme,
@@ -64,8 +63,9 @@ def assemble_superoperator(basis, z, profile, geom, scheme):
     gain = rate * (into[:, None] * gain0 * out_of[None, :])
     if scheme is PropagationScheme.TRUNCATED_EXACT:
         return gain
-    # Gamma(z)[m, u] carries the phase e^{2i theta (gamma_u - gamma_m)}
-    gamma = rate * np.exp(2j * theta * (gouy[None, :] - gouy[:, None])) * gamma0
+    # Gamma(z)[m, u] carries the phase e^{2i theta (gamma_m - gamma_u)} of the
+    # gain's outflow from rho_mn, so that the loss balances it
+    gamma = rate * np.exp(2j * theta * (gouy[:, None] - gouy[None, :])) * gamma0
     q = gamma.T  # anticommutator matrix Q = Gamma^T, Hermitian
     eye = np.eye(size)
     return gain - 0.5 * (np.kron(q, eye) + np.kron(eye, q.T))
@@ -122,26 +122,23 @@ class TestSectorDerivative:
     @pytest.mark.parametrize("cutoff", range(5))
     def test_real_coordinates_match_complex_blocks(self, cutoff):
         # every sector and both schemes, on random states at random nodes of a
-        # 30 km run (theta up to ~1.1 rad); cutoffs 3 and 4 hold the d = 3, 4
-        # Lindblad phase terms.  Sector 0's coordinates hold Hermitian blocks,
-        # so there the oracle's Hermitian part is the reference.  The scale is
-        # the largest entry, but at least rate * |rho| (the size of one term):
-        # at cutoff 0 the Lindblad gain and bracket cancel exactly.
-        from turbulink.ipe import _blocks, _coordinates, _derivative, _node_table, generator_parts, rk4_nodes
+        # 30 km run (theta up to ~1.1 rad).  Sector 0's coordinates hold
+        # Hermitian blocks, so there the oracle's Hermitian part is the
+        # reference.  The scale is the largest entry, but at least
+        # rate * |rho| (the size of one term): at cutoff 0 the Lindblad gain
+        # and bracket cancel exactly.
+        from turbulink.ipe import _blocks, _coordinates, _derivative, generator_parts, rk4_nodes
 
         geom, side = geometry(), cutoff + 1
         z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, 64)
         z_r = geom.rayleigh_range
-        rates = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0)
+        rates, gouy_rates = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), z_r / (z_r**2 + z**2)
         rng = np.random.default_rng(40 + cutoff)
         for scheme in PropagationScheme:
-            table = _node_table(scheme, cutoff, z, rates, z_r)
             lindblad = scheme is PropagationScheme.LINDBLAD_TRUNCATED
             for delta in range(2 * cutoff + 1):
-                oracle = complex_sector_derivative(
-                    cutoff, delta, lindblad, rates, z_r / (z_r**2 + z**2), np.arctan2(z, z_r)
-                )
-                derivative = _derivative(generator_parts(cutoff, delta), table)
+                oracle = complex_sector_derivative(cutoff, delta, lindblad, rates, gouy_rates)
+                derivative = _derivative(generator_parts(cutoff, delta), scheme, np.column_stack([rates, gouy_rates]))
                 count, hermitian = 2 * cutoff + 1 - delta, delta == 0
                 rho = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))
                 if hermitian:
@@ -159,30 +156,27 @@ class TestSectorDerivative:
 
 
 class TestStepMatrices:
-    def test_threshold_needs_the_dense_stack(self):
-        assert STEP_MATRIX_SIZE <= DENSE_SECTOR_SIZE
-
     @pytest.mark.parametrize("cutoff", [0, 1])
     @pytest.mark.parametrize("steps", [17, 256])
     def test_step_product_matches_rk4_loop(self, cutoff, steps):
         # every sector of both schemes on random states, with the node table
         # of a 30 km run; the scale is the largest entry of the result
-        from turbulink.ipe import _derivative, _node_table, _step_product, generator_parts, rk4_nodes, rk4_step
+        from turbulink.ipe import _derivative, _step_product, generator_parts, rk4_nodes, rk4_step
 
         geom = geometry()
         z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, steps)
         rates, h = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), geom.path_length / steps
+        table = np.column_stack([rates, geom.rayleigh_range / (geom.rayleigh_range**2 + z**2)])
         rng = np.random.default_rng(60 + cutoff)
         for scheme in PropagationScheme:
-            table = _node_table(scheme, cutoff, z, rates, geom.rayleigh_range)
             for delta in range(2 * cutoff + 1):
                 parts = generator_parts(cutoff, delta)
-                x = rng.normal(size=parts.dense.shape[1])
+                x = rng.normal(size=len(parts.turn))
                 assert len(x) <= STEP_MATRIX_SIZE
-                derivative, expected = _derivative(parts, table), x
+                derivative, expected = _derivative(parts, scheme, table), x
                 for step in range(steps):
                     expected = rk4_step(derivative, 2 * step, expected, h)
-                got = _step_product(parts, table, h) @ x
+                got = _step_product(parts.stacks[scheme], table, h) @ x
                 assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("cutoff", [0, 1])
@@ -216,9 +210,51 @@ class TestStepMatrices:
             for delta, parts in enumerate(cached):
                 _sector0.cache_clear()
                 fresh = generator_parts.__wrapped__(cutoff, delta)
-                assert np.array_equal(fresh.dense, parts.dense)
-                assert len(fresh.local) == len(parts.local)
-                assert all(np.array_equal(a, b) for a, b in zip(fresh.local, parts.local))
+                for name in ("gain", "lindblad", "turn", "partner"):
+                    assert np.array_equal(getattr(fresh, name), getattr(parts, name))
+
+
+class TestLindbladForm:
+    @pytest.mark.parametrize("cutoff", range(1, 5))
+    def test_derivative_conserves_trace(self, cutoff):
+        # d tr rho / dz = 0 for random Hermitian sector-0 states at every
+        # node past the waist of a 30 km run, from the library's operators
+        # alone; the Gouy commutator is traceless, so this holds whatever
+        # the phase convention
+        from turbulink.ipe import _blocks, _coordinates, _derivative, generator_parts, rk4_nodes
+
+        geom, side, count = geometry(), cutoff + 1, 2 * cutoff + 1
+        z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, 64)
+        z_r = geom.rayleigh_range
+        rates, gouy_rates = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), z_r / (z_r**2 + z**2)
+        table = np.column_stack([rates, gouy_rates])
+        derivative = _derivative(generator_parts(cutoff, 0), PropagationScheme.LINDBLAD_TRUNCATED, table)
+        rng = np.random.default_rng(80 + cutoff)
+        for k in range(1, len(z)):
+            rho = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))
+            rho = rho + rho.conj().transpose(0, 2, 1)
+            slope = _blocks(derivative(k, _coordinates(rho, True)), count, side, True)
+            trace = np.trace(slope, axis1=1, axis2=2).sum()
+            assert abs(trace) <= 1e-13 * rates[k] * np.max(np.abs(rho))
+
+    @pytest.mark.parametrize("cutoff", range(1, 7))
+    def test_full_link_trace(self, cutoff):
+        # through propagate, so every DensityMatrix check applies
+        rho = fundamental_run(cutoff, 3.0e4, PropagationScheme.LINDBLAD_TRUNCATED)
+        assert abs(rho.trace - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("cutoff", range(1, 6))
+    def test_schemes_bracket_at_full_link_lengths(self, cutoff):
+        for distance in (1.0e3, 1.0e4, 3.0e4):
+            exact, lindblad = (lowest_mode_probability(fundamental_run(cutoff, distance, s)) for s in PropagationScheme)
+            assert exact <= lindblad + 1e-12
+
+
+def fundamental_run(cutoff, distance, scheme):
+    # from the fundamental at C_n^2 = 1e-15 with the default 256 steps
+    rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=0, r=0))
+    config = SolverConfig(cutoff=cutoff, scheme=scheme)
+    return propagate(rho0, TurbulenceProfile.from_constant(1e-15), geometry(distance), config)
 
 
 class TestPropagation:
@@ -255,9 +291,9 @@ class TestPropagation:
         # rotation: 3.5e-9 at cutoff 2 and 192 steps, 2.2e-10 at 384
         steps = 192 * cutoff
         for scheme in PropagationScheme:
-            # raw integrator output: the Lindblad-form truncation amplifies
-            # coherences far from the waist, so its end state here is not a
-            # valid density matrix and only the integration itself is under test
+            # raw integrator output, before the DensityMatrix checks: only the
+            # integration itself is under test (the full-link trace and
+            # bracket are pinned in TestLindbladForm)
             from turbulink.ipe import _propagate_fixed
 
             config = SolverConfig(cutoff=cutoff, scheme=scheme, steps=steps)
