@@ -3,7 +3,9 @@
     turbulink <subcommand> [--config FILE] [--set key=value ...] [options]
 
 Subcommands: schmidt, beam, coupling, kernel, tmatrix, entangle, validate,
-and sweep (which re-runs another subcommand over the config's sweep axes).
+and sweep.  Each subcommand has one runner, which returns the value a sweep
+point reports and a function that writes the subcommand's own outputs;
+sweep calls the runner at each point of the config's sweep axes.
 The TURBULINK_CONFIG environment variable supplies the default config path.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
@@ -32,25 +34,14 @@ from .config import (
     validate_config,
 )
 from .entanglement import robustness_scan
-from .ipe import SolverError
 from .lgmodes import LGIndex, ModeBasis
 from .schmidt import BiphotonSpec
 from .temporal import KernelFidelity
-from .turbulence import LinkGeometry, ProfileError, QuadratureError, TurbulenceProfile
+from .turbulence import TRAD_S, LinkGeometry, TurbulenceProfile, two_pi_c_over
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-
-GNUPLOT_HINTS = {
-    "schmidt": "columns: n, eigenvalue, weight (renormalized amplitude)",
-    "beam": "columns: cn2 [m^-2/3], distance_m [m], waist_m [m], l_integral, probability",
-    "coupling": "columns: lm, rm, ln, rn, lu, ru, lv, rv, re [1/m], im [1/m]",
-    "kernel": "columns: omega1 [T rad/s], omega2 [T rad/s], P",
-    "tmatrix": "files: tmatrix.csv n, m, S; traces.csv n, T",
-    "entangle": "columns: n, EN_initial, EN_final, fidelity, degenerate_flag",
-    "validate": "stdout lines: PASS/FAIL <check> <measured>",
-}
 
 
 def _geometry(config: RunConfig) -> LinkGeometry:
@@ -70,10 +61,10 @@ def _profile(config: RunConfig) -> TurbulenceProfile:
 
 
 def _spec(config: RunConfig) -> BiphotonSpec:
+    """The source in rad/s; pump_trad = 0 pumps at 2 * 2 pi c / lambda."""
+    pump = config.pump_trad * TRAD_S if config.pump_trad > 0 else 2.0 * two_pi_c_over(config.wavelength_m)
     return BiphotonSpec(
-        sigma_a=config.sigma_a_rad,
-        sigma_b=config.sigma_b_rad,
-        omega_p=config.pump_rad,
+        sigma_a=config.sigma_a_trad * TRAD_S, sigma_b=config.sigma_b_trad * TRAD_S, omega_p=pump
     )
 
 
@@ -112,143 +103,150 @@ def _out_path(config: RunConfig, name: str) -> str:
     return os.path.join(config.output_dir, name)
 
 
-def run_schmidt(config: RunConfig, out=None) -> list:
-    out = out or sys.stdout
+def run_schmidt(config: RunConfig):
+    """The truncation's discarded mass; `write` prints and writes the spectrum."""
     spec = _spec(config)
     source = schmidt.truncated_source(spec, config.max_mode)
-    rows = []
-    for n in range(config.max_mode + 1):
-        lam = schmidt.schmidt_eigenvalue(spec, n)
-        rows.append((n, lam, float(source.weights[n])))
-    print("n,eigenvalue,weight", file=out)
-    for n, lam, weight in rows:
-        print(f"{n},{lam:.6f},{weight:.6f}", file=out)
-    print(f"schmidt_number,{schmidt.schmidt_number(spec):.6f}", file=out)
-    print(f"discarded_mass_percent,{100.0 * source.discarded_mass:.4f}", file=out)
-    print(f"norm_prefactor,{source.norm_prefactor:.6f}", file=out)
-    print(f"probability_prefactor,{1.0 / (1.0 - source.discarded_mass):.6f}", file=out)
-    _write_csv(_out_path(config, "schmidt.csv"), "n,eigenvalue,weight", rows)
-    return rows
+
+    def write(out):
+        rows = [
+            (n, schmidt.schmidt_eigenvalue(spec, n), float(source.weights[n]))
+            for n in range(config.max_mode + 1)
+        ]
+        print("n,eigenvalue,weight", file=out)
+        for n, lam, weight in rows:
+            print(f"{n},{lam:.6f},{weight:.6f}", file=out)
+        print(f"schmidt_number,{schmidt.schmidt_number(spec):.6f}", file=out)
+        print(f"discarded_mass_percent,{100.0 * source.discarded_mass:.4f}", file=out)
+        print(f"norm_prefactor,{source.norm_prefactor:.6f}", file=out)
+        print(f"probability_prefactor,{1.0 / (1.0 - source.discarded_mass):.6f}", file=out)
+        _write_csv(_out_path(config, "schmidt.csv"), "n,eigenvalue,weight", rows)
+
+    return source.discarded_mass, write
 
 
-def run_beam(config: RunConfig, out=None) -> list:
-    out = out or sys.stdout
-    if "distance_m" in config.sweep_axes:
-        distances = list(config.sweep_values[config.sweep_axes.index("distance_m")])
-    else:
-        distances = list(np.geomspace(1e3, 1e5, 25))
-    cn2_family = [1e-13, 1e-14, 1e-15, 1e-16, 1e-17]
-    rows = ipe.distance_sweep(
-        cn2_family,
-        distances,
-        config.wavelength_m,
-        transmitter_height=config.transmitter_height_m,
-        receiver_height=config.receiver_height_m,
-        extinction_per_km=config.extinction_per_km,
+def run_beam(config: RunConfig):
+    """The configured link's pure-decay probability; `write` tabulates the
+    C_n^2 family over the distance axis (or the default grid)."""
+    probability = ipe.analytic_decay(
+        _profile(config), _geometry(config), extinction_per_km=config.extinction_per_km
     )
-    table = [
-        (r["cn2"], r["distance_m"], r["waist_m"], r["l_integral"], r["probability"])
-        for r in rows
-    ]
-    _write_csv(
-        _out_path(config, "beam.csv"),
-        "cn2_m^-2/3,distance_m,waist_m,l_integral,probability",
-        table,
+
+    def write(out):
+        if "distance_m" in config.sweep_axes:
+            distances = list(config.sweep_values[config.sweep_axes.index("distance_m")])
+        else:
+            distances = list(np.geomspace(1e3, 1e5, 25))
+        rows = ipe.distance_sweep(
+            [1e-13, 1e-14, 1e-15, 1e-16, 1e-17],
+            distances,
+            config.wavelength_m,
+            transmitter_height=config.transmitter_height_m,
+            receiver_height=config.receiver_height_m,
+            extinction_per_km=config.extinction_per_km,
+        )
+        keys = ("cn2", "distance_m", "waist_m", "l_integral", "probability")
+        _write_csv(
+            _out_path(config, "beam.csv"),
+            "cn2_m^-2/3,distance_m,waist_m,l_integral,probability",
+            [tuple(r[key] for key in keys) for r in rows],
+        )
+        print(f"wrote {len(rows)} rows to beam.csv", file=out)
+
+    return probability, write
+
+
+def _coupling(config: RunConfig, cutoff: int) -> lgmodes.CouplingTensor:
+    return lgmodes.coupling_tensor(
+        ModeBasis(cutoff), config.distance_m, config.cn2, config.waist_m, config.wavelength_m
     )
-    print(f"wrote {len(table)} rows to beam.csv", file=out)
-    return table
 
 
-def run_coupling(config: RunConfig, out=None) -> list:
-    out = out or sys.stdout
-    basis = ModeBasis(min(config.cutoff, 2))
-    tensor = lgmodes.coupling_tensor(
-        basis,
-        config.distance_m,
-        config.cn2,
-        config.waist_m,
-        config.wavelength_m,
-    )
-    rows = []
-    for a, m in enumerate(basis.indices):
-        for b, n in enumerate(basis.indices):
-            for c, u in enumerate(basis.indices):
-                for d, v in enumerate(basis.indices):
-                    value = tensor.entries[a, b, c, d]
-                    if value != 0:
-                        rows.append(
-                            (m.l, m.r, n.l, n.r, u.l, u.r, v.l, v.r, value.real, value.imag)
-                        )
-    _write_csv(_out_path(config, "coupling.csv"), "lm,rm,ln,rn,lu,ru,lv,rv,re,im", rows)
-    print(f"wrote {len(rows)} nonzero tensor entries to coupling.csv", file=out)
-    return rows
+def run_coupling(config: RunConfig):
+    """The basis-0 fundamental entry; `write` dumps every nonzero entry of
+    the basis at min(cutoff, 2)."""
+    fundamental = _coupling(config, 0).entries[0, 0, 0, 0].real
+
+    def write(out):
+        tensor = _coupling(config, min(config.cutoff, 2))
+        indices = tensor.basis.indices
+        rows = []
+        for a, m in enumerate(indices):
+            for b, n in enumerate(indices):
+                for c, u in enumerate(indices):
+                    for d, v in enumerate(indices):
+                        value = tensor.entries[a, b, c, d]
+                        if value != 0:
+                            rows.append(
+                                (m.l, m.r, n.l, n.r, u.l, u.r, v.l, v.r, value.real, value.imag)
+                            )
+        _write_csv(_out_path(config, "coupling.csv"), "lm,rm,ln,rn,lu,ru,lv,rv,re,im", rows)
+        print(f"wrote {len(rows)} nonzero tensor entries to coupling.csv", file=out)
+
+    return fundamental, write
 
 
-def run_kernel(config: RunConfig, out=None) -> list:
-    out = out or sys.stdout
+def run_kernel(config: RunConfig):
+    """The kernel at the grid's central pair; `write` samples the surface."""
     kernel = _kernel(config)
-    rows = []
-    for i, w1 in enumerate(kernel.omegas):
-        for j, w2 in enumerate(kernel.omegas):
-            rows.append((w1 / 1e12, w2 / 1e12, float(kernel.matrix[i, j])))
-    _write_csv(_out_path(config, "kernel.csv"), "omega1_Trad_s,omega2_Trad_s,P", rows)
-    print(f"wrote {len(rows)} kernel samples to kernel.csv", file=out)
-    return rows
+    mid = kernel.order // 2
+
+    def write(out):
+        rows = [
+            (w1 / TRAD_S, w2 / TRAD_S, float(kernel.matrix[i, j]))
+            for i, w1 in enumerate(kernel.omegas)
+            for j, w2 in enumerate(kernel.omegas)
+        ]
+        _write_csv(_out_path(config, "kernel.csv"), "omega1_Trad_s,omega2_Trad_s,P", rows)
+        print(f"wrote {len(rows)} kernel samples to kernel.csv", file=out)
+
+    return float(kernel.matrix[mid, mid]), write
 
 
-def run_tmatrix(config: RunConfig, out=None):
-    out = out or sys.stdout
-    kernel = _kernel(config)
-    spec = _spec(config)
-    tm = temporal.transmission_matrix(kernel, spec, config.max_mode)
-    rows = [
-        (n, m, float(tm.matrix[n, m]))
-        for n in range(tm.size)
-        for m in range(tm.size)
-    ]
-    _write_csv(_out_path(config, "tmatrix.csv"), "n,m,S", rows)
-    _write_csv(
-        _out_path(config, "traces.csv"),
-        "n,T",
-        [(n, float(tm.traces[n])) for n in range(tm.size)],
-    )
-    for n in range(tm.size):
-        print(",".join(f"{tm.matrix[n, m]:.4f}" for m in range(tm.size)), file=out)
-    return tm
+def run_tmatrix(config: RunConfig):
+    """The smallest diagonal transmission; `write` writes the matrix and traces."""
+    tm = temporal.transmission_matrix(_kernel(config), _spec(config), config.max_mode)
+
+    def write(out):
+        size = range(tm.size)
+        _write_csv(
+            _out_path(config, "tmatrix.csv"),
+            "n,m,S",
+            [(n, m, float(tm.matrix[n, m])) for n in size for m in size],
+        )
+        _write_csv(_out_path(config, "traces.csv"), "n,T", [(n, float(tm.traces[n])) for n in size])
+        for n in size:
+            print(",".join(f"{tm.matrix[n, m]:.4f}" for m in size), file=out)
+
+    return float(np.min(np.diag(tm.matrix))), write
 
 
-def _robustness_rows(config: RunConfig) -> list:
-    """Robustness scan over `config.scan_modes`, shared by the entangle
-    subcommand and its sweep summary."""
-    return robustness_scan(
+def run_entangle(config: RunConfig):
+    """The smallest final log-negativity over the non-degenerate scan rows."""
+    rows = robustness_scan(
         _kernel(config), _spec(config), config.fixed_mode, config.scan_modes, dim=config.pair_modes
     )
 
-
-def run_entangle(config: RunConfig, out=None) -> list:
-    out = out or sys.stdout
-    rows = _robustness_rows(config)
-    table = [
-        (r.n, r.en_initial, r.en_final, r.fidelity, int(r.degenerate))
-        for r in rows
-    ]
-    _write_csv(
-        _out_path(config, "entangle.csv"),
-        "n,EN_initial,EN_final,fidelity,degenerate_flag",
-        table,
-    )
-    for row in table:
-        print(
-            f"n={row[0]} EN_initial={row[1]:.4f} EN_final={row[2]:.4f} "
-            f"fidelity={row[3]:.6f} degenerate={row[4]}",
-            file=out,
+    def write(out):
+        table = [(r.n, r.en_initial, r.en_final, r.fidelity, int(r.degenerate)) for r in rows]
+        _write_csv(
+            _out_path(config, "entangle.csv"),
+            "n,EN_initial,EN_final,fidelity,degenerate_flag",
+            table,
         )
-    return table
+        for row in table:
+            print(
+                f"n={row[0]} EN_initial={row[1]:.4f} EN_final={row[2]:.4f} "
+                f"fidelity={row[3]:.6f} degenerate={row[4]}",
+                file=out,
+            )
+
+    return min(r.en_final for r in rows if not r.degenerate), write
 
 
-def run_validate(config: RunConfig, out=None) -> bool:
-    """Oracle cross-check suite; prints one PASS/FAIL line per check."""
-    out = out or sys.stdout
+def run_validate(config: RunConfig):
+    """Oracle cross-check suite: True iff every check passes; `write` prints
+    one PASS/FAIL line per check."""
     checks = []
 
     rate_constant = turbulence.TOTAL_RATE_CONSTANT
@@ -282,126 +280,95 @@ def run_validate(config: RunConfig, out=None) -> bool:
     rel_s = abs(s_closed - s_oracle) * z_r
     checks.append(("free_prop_oracle_1e-6", rel_s < 1e-6, rel_s))
 
-    all_ok = True
-    for name, ok, measured in checks:
-        all_ok &= bool(ok)
-        print(f"{'PASS' if ok else 'FAIL'} {name} measured={measured}", file=out)
-    return all_ok
+    def write(out):
+        for name, ok, measured in checks:
+            print(f"{'PASS' if ok else 'FAIL'} {name} measured={measured}", file=out)
+
+    return all(ok for _, ok, _ in checks), write
 
 
+# name -> (runner, sweep column or None when it cannot be swept, gnuplot hint)
 _SUBCOMMANDS = {
-    "schmidt": run_schmidt,
-    "beam": run_beam,
-    "coupling": run_coupling,
-    "kernel": run_kernel,
-    "tmatrix": run_tmatrix,
-    "entangle": run_entangle,
-    "validate": run_validate,
+    "schmidt": (run_schmidt, "discarded_mass", "columns: n, eigenvalue, weight (renormalized amplitude)"),
+    "beam": (
+        run_beam,
+        "probability",
+        "columns: cn2 [m^-2/3], distance_m [m], waist_m [m], l_integral, probability",
+    ),
+    "coupling": (
+        run_coupling,
+        "L0000_re",
+        "columns: lm, rm, ln, rn, lu, ru, lv, rv, re [1/m], im [1/m]",
+    ),
+    "kernel": (run_kernel, "P_center", "columns: omega1 [T rad/s], omega2 [T rad/s], P"),
+    "tmatrix": (run_tmatrix, "S_diag_min", "files: tmatrix.csv n, m, S; traces.csv n, T"),
+    "entangle": (
+        run_entangle,
+        "EN_final_min",
+        "columns: n, EN_initial, EN_final, fidelity, degenerate_flag",
+    ),
+    "validate": (run_validate, None, "stdout lines: PASS/FAIL <check> <measured>"),
 }
+
+# ConfigError, ProfileError and the cost guards are ValueErrors (exit 1);
+# SolverError, QuadratureError and the kernel guards are RuntimeErrors (exit 2)
+_FAILURES = (ValueError, RuntimeError)
+
+
+def _failure(exc: Exception) -> int:
+    """Report a failure on stderr; returns its exit code."""
+    if isinstance(exc, ValueError):
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"numeric failure: {exc}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def run_subcommand(name: str, config: RunConfig, out=None) -> int:
-    """Dispatch one subcommand; returns the process exit code."""
-    out = out or sys.stdout
+    """Validate, run and write one subcommand; returns the process exit code."""
     try:
         validate_config(config, name)
-        result = _SUBCOMMANDS[name](config, out=out)
-    except ValueError as exc:  # ConfigError, ProfileError, guard violations
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SolverError, QuadratureError, RuntimeError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if name == "validate" and result is False:
-        return EXIT_NUMERIC
-    return EXIT_OK
+        value, write = _SUBCOMMANDS[name][0](config)
+        write(out or sys.stdout)
+    except _FAILURES as exc:
+        return _failure(exc)
+    return EXIT_NUMERIC if value is False else EXIT_OK
 
 
 def sweep(config: RunConfig, subcommand: str, threads: int = 1, out=None) -> int:
     """Evaluate the Cartesian product of the sweep axes.
 
-    Each point re-runs the subcommand with the axis keys overridden; rows
-    are emitted sorted by axis values regardless of execution order.
+    Each point runs the subcommand's runner with the axis keys overridden
+    and keeps its value; rows are emitted sorted by axis values regardless
+    of execution order.
     """
-    if not config.sweep_axes:
-        print("config error: sweep requires [sweep] axes", file=sys.stderr)
-        return EXIT_CONFIG
-    if subcommand not in _SUBCOMMANDS or subcommand == "validate":
-        print(f"config error: cannot sweep subcommand '{subcommand}'", file=sys.stderr)
-        return EXIT_CONFIG
-
-    points = sorted(itertools.product(*config.sweep_values))
+    run, column, _ = _SUBCOMMANDS.get(subcommand, (None, None, None))
 
     def evaluate(point):
         local = replace(
-            config,
-            sweep_axes=(),
-            sweep_values=(),
-            **dict(zip(config.sweep_axes, point)),
+            config, sweep_axes=(), sweep_values=(), **dict(zip(config.sweep_axes, point))
         )
         validate_config(local, subcommand)
-        summary = _point_summary(subcommand, local)
-        return point, summary
+        return point + (run(local)[0],)
 
     try:
+        if not config.sweep_axes:
+            raise ConfigError("sweep requires [sweep] axes")
+        if column is None:
+            raise ConfigError(f"cannot sweep subcommand '{subcommand}'")
+        points = sorted(itertools.product(*config.sweep_values))
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(evaluate, points))
+                rows = list(pool.map(evaluate, points))
         else:
-            results = [evaluate(p) for p in points]
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SolverError, QuadratureError, RuntimeError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+            rows = [evaluate(p) for p in points]
+    except _FAILURES as exc:
+        return _failure(exc)
 
-    results.sort(key=lambda item: item[0])
-    header = ",".join(config.sweep_axes) + "," + _point_header(subcommand)
-    rows = [tuple(point) + tuple(summary) for point, summary in results]
+    header = ",".join(config.sweep_axes + (column,))
     _write_csv(_out_path(config, f"sweep_{subcommand}.csv"), header, rows)
-    print(f"wrote {len(rows)} sweep rows to sweep_{subcommand}.csv", file=out)
+    print(f"wrote {len(rows)} sweep rows to sweep_{subcommand}.csv", file=out or sys.stdout)
     return EXIT_OK
-
-
-def _point_header(subcommand: str) -> str:
-    return {
-        "beam": "probability",
-        "schmidt": "discarded_mass",
-        "kernel": "P_center",
-        "tmatrix": "S_diag_min",
-        "entangle": "EN_final_min",
-        "coupling": "L0000_re",
-    }[subcommand]
-
-
-def _point_summary(subcommand: str, config: RunConfig) -> tuple:
-    """One scalar summary per sweep point; only the sweep CSV is written."""
-    if subcommand == "beam":
-        geom = _geometry(config)
-        value = ipe.analytic_decay(
-            _profile(config), geom, extinction_per_km=config.extinction_per_km
-        )
-        return (value,)
-    if subcommand == "schmidt":
-        source = schmidt.truncated_source(_spec(config), config.max_mode)
-        return (source.discarded_mass,)
-    if subcommand == "kernel":
-        kernel = _kernel(config)
-        mid = kernel.order // 2
-        return (float(kernel.matrix[mid, mid]),)
-    if subcommand == "tmatrix":
-        tm = temporal.transmission_matrix(_kernel(config), _spec(config), config.max_mode)
-        return (float(np.min(np.diag(tm.matrix))),)
-    if subcommand == "entangle":
-        rows = _robustness_rows(config)
-        return (min(r.en_final for r in rows if not r.degenerate),)
-    if subcommand == "coupling":
-        tensor = lgmodes.coupling_tensor(
-            ModeBasis(0), config.distance_m, config.cn2, config.waist_m, config.wavelength_m
-        )
-        return (tensor.entries[0, 0, 0, 0].real,)
-    raise ConfigError(f"no sweep summary for '{subcommand}'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,10 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.gnuplot_hints:
-        name = args.target if args.command == "sweep" else args.command
-        print(GNUPLOT_HINTS.get(name, "no hints for this subcommand"))
-        return EXIT_OK
     try:
         config = parse_config(args.config) if args.config else RunConfig()
         overrides = {}
@@ -457,12 +420,18 @@ def main(argv=None) -> int:
             overrides[key.strip()] = value.strip()
         config = apply_overrides(config, overrides)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _failure(exc)
+    if args.gnuplot_hints:
+        if args.command != "sweep":
+            print(_SUBCOMMANDS[args.command][2])
+        else:  # the sweep CSV: its axes, then the target's column
+            column = _SUBCOMMANDS.get(args.target, (None, None, None))[1]
+            axes = config.sweep_axes or ("<[sweep] axes>",)
+            print(f"columns: {', '.join(axes + (column,))}" if column else "no hints for this subcommand")
+        return EXIT_OK
     if args.command == "sweep":
         if not args.target:
-            print("config error: sweep needs a target subcommand", file=sys.stderr)
-            return EXIT_CONFIG
+            return _failure(ConfigError("sweep needs a target subcommand"))
         return sweep(config, args.target, threads=args.threads)
     return run_subcommand(args.command, config)
 

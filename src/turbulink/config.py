@@ -13,19 +13,23 @@ subset of the common bracketed-section style:
     waist_m = [0.10, 0.1457, 0.20]
 
 Values are floats, integers, booleans (true/false), double-quoted strings,
-or flat arrays of those.  Every parse error reports line and column; every
-value must have the type of its RunConfig field (an int passes for a float),
-and every physical value is range-checked against the keys listed in RANGES.
+or flat arrays of those.  A '#' starts a comment except inside a string, so
+`profile_csv = "run#1.csv"` names that file.  Every parse error reports line
+and column.  Each key is declared once, as a RunConfig field whose metadata
+holds its table, its range and its allowed values; every value must have
+the type of its field (an int passes for a float), and every physical value
+is range-checked against RANGES, which is derived from those fields.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .entanglement import MAX_PAIR_MODES
+from .ipe import PropagationScheme
 from .lgmodes import MAX_COUPLING_CUTOFF
-from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER
-from .turbulence import CN2_MAX, CN2_MIN, two_pi_c_over
+from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER, KernelFidelity
+from .turbulence import CN2_MAX, CN2_MIN
 
 
 class ConfigError(ValueError):
@@ -57,13 +61,24 @@ def _parse_scalar(token: str, lineno: int, col: int):
             ) from None
 
 
+def _strip_comment(line: str) -> str:
+    """The line up to its first '#' outside a double-quoted string."""
+    quoted = False
+    for col, char in enumerate(line):
+        if char == '"':
+            quoted = not quoted
+        elif char == "#" and not quoted:
+            return line[:col]
+    return line
+
+
 def parse_table_text(text: str) -> dict:
     """Parse the documented key-value/nested-table grammar into nested dicts."""
     tables: dict = {}
     current: dict | None = None
     current_name = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = _strip_comment(raw).rstrip()
         if not line.strip():
             continue
         stripped = line.strip()
@@ -108,26 +123,13 @@ def parse_table_text(text: str) -> dict:
     return tables
 
 
-# key -> (lower, upper, unit label); the upper bounds that a library module
-# enforces are read from that module
-RANGES = {
-    "wavelength_m": (0.3e-6, 15e-6, "m"),
-    "distance_m": (1.0, 5.0e5, "m"),
-    "cn2": (CN2_MIN, CN2_MAX, "m^-2/3"),
-    "waist_m": (1e-3, 10.0, "m"),
-    "transmitter_height_m": (0.1, 1e4, "m"),
-    "receiver_height_m": (0.1, 1e4, "m"),
-    "sigma_a_trad": (1e-3, 1e4, "T rad/s"),
-    "sigma_b_trad": (1e-3, 1e4, "T rad/s"),
-    "pump_trad": (1.0, 1e5, "T rad/s"),
-    "extinction_per_km": (0.0, 100.0, "1/km"),
-    "cutoff": (0, MAX_COUPLING_CUTOFF, ""),
-    "grid_order": (4, MAX_GRID_ORDER, ""),
-    "steps": (16, 100000, ""),
-    "max_mode": (0, 14, ""),
-    "pair_modes": (2, MAX_PAIR_MODES, ""),
-    "fixed_mode": (0, 10, ""),
-}
+def _key(default, section: str, bounds: tuple = (), choices=None, zero_ok: bool = False):
+    """A config key's RunConfig field: its default, its [section], and
+    either its (lower, upper, unit) range, where zero_ok also admits 0, or
+    the Enum whose values it takes."""
+    allowed = tuple(member.value for member in choices or ())
+    metadata = {"section": section, "range": bounds, "choices": allowed, "zero_ok": zero_ok}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -135,45 +137,34 @@ class RunConfig:
     """Validated configuration for every subcommand.
 
     Frequencies in the file are T rad/s (1e12 rad/s); lengths are meters.
+    The upper bounds that a library module enforces are read from that module.
     """
 
-    distance_m: float = 30000.0
-    wavelength_m: float = 3.95e-6
-    waist_m: float = 0.1457
-    transmitter_height_m: float = 19.0
-    receiver_height_m: float = 19.0
-    cn2: float = 1e-15
-    profile_csv: str = ""
-    extinction_per_km: float = 0.0
-    sigma_a_trad: float = 10.0
-    sigma_b_trad: float = 80.0
-    pump_trad: float = 0.0  # 0 -> derived from the wavelength (2 * 2 pi c / lambda)
-    cutoff: int = 4
-    scheme: str = "truncated_exact"
-    steps: int = 256
-    check_convergence: bool = False
-    grid_order: int = 32
-    kernel_fidelity: str = "analytic"
-    max_mode: int = 3
-    pair_modes: int = 12
-    fixed_mode: int = 0
-    output_dir: str = "."
+    distance_m: float = _key(30000.0, "link", (1.0, 5.0e5, "m"))
+    wavelength_m: float = _key(3.95e-6, "link", (0.3e-6, 15e-6, "m"))
+    waist_m: float = _key(0.1457, "link", (1e-3, 10.0, "m"))
+    transmitter_height_m: float = _key(19.0, "link", (0.1, 1e4, "m"))
+    receiver_height_m: float = _key(19.0, "link", (0.1, 1e4, "m"))
+    # 0 switches turbulence off
+    cn2: float = _key(1e-15, "turbulence", (CN2_MIN, CN2_MAX, "m^-2/3"), zero_ok=True)
+    profile_csv: str = _key("", "turbulence")
+    extinction_per_km: float = _key(0.0, "turbulence", (0.0, 100.0, "1/km"))
+    sigma_a_trad: float = _key(10.0, "source", (1e-3, 1e4, "T rad/s"))
+    sigma_b_trad: float = _key(80.0, "source", (1e-3, 1e4, "T rad/s"))
+    # 0 derives the pump from the wavelength (2 * 2 pi c / lambda)
+    pump_trad: float = _key(0.0, "source", (1.0, 1e5, "T rad/s"), zero_ok=True)
+    cutoff: int = _key(4, "solver", (0, MAX_COUPLING_CUTOFF, ""))
+    scheme: str = _key("truncated_exact", "solver", choices=PropagationScheme)
+    steps: int = _key(256, "solver", (16, 100000, ""))
+    check_convergence: bool = _key(False, "solver")
+    grid_order: int = _key(32, "channel", (4, MAX_GRID_ORDER, ""))
+    kernel_fidelity: str = _key("analytic", "channel", choices=KernelFidelity)
+    max_mode: int = _key(3, "channel", (0, 14, ""))
+    pair_modes: int = _key(12, "entangle", (2, MAX_PAIR_MODES, ""))
+    fixed_mode: int = _key(0, "entangle", (0, 10, ""))
+    output_dir: str = _key(".", "output")
     sweep_axes: tuple = ()
     sweep_values: tuple = ()
-
-    @property
-    def pump_rad(self) -> float:
-        if self.pump_trad > 0:
-            return self.pump_trad * 1e12
-        return 2.0 * two_pi_c_over(self.wavelength_m)
-
-    @property
-    def sigma_a_rad(self) -> float:
-        return self.sigma_a_trad * 1e12
-
-    @property
-    def sigma_b_rad(self) -> float:
-        return self.sigma_b_trad * 1e12
 
     @property
     def scan_modes(self) -> range:
@@ -181,23 +172,13 @@ class RunConfig:
         return range(min(11, self.pair_modes - 1))
 
 
+# the config keys, in file order, and the tables derived from their fields
+_KEYS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 _SECTION_KEYS = {
-    "link": (
-        "distance_m",
-        "wavelength_m",
-        "waist_m",
-        "transmitter_height_m",
-        "receiver_height_m",
-    ),
-    "turbulence": ("cn2", "profile_csv", "extinction_per_km"),
-    "source": ("sigma_a_trad", "sigma_b_trad", "pump_trad"),
-    "solver": ("cutoff", "scheme", "steps", "check_convergence"),
-    "channel": ("grid_order", "kernel_fidelity", "max_mode"),
-    "entangle": ("pair_modes", "fixed_mode"),
-    "output": ("output_dir",),
+    section: tuple(key for key, meta in _KEYS.items() if meta["section"] == section)
+    for section in dict.fromkeys(meta["section"] for meta in _KEYS.values())
 }
-
-_KEY_SECTION = {key: section for section, keys in _SECTION_KEYS.items() for key in keys}
+RANGES = {key: meta["range"] for key, meta in _KEYS.items() if meta["range"]}
 
 # value types by the type of a key's RunConfig default (a bool is no int or float)
 _ACCEPTS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
@@ -208,18 +189,6 @@ def _check_type(key: str, value):
     kind = type(getattr(RunConfig, key))
     if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"value for '{key}' must be a {kind.__name__}, got {value!r}")
-
-
-def _check_range(key: str, value):
-    bounds = RANGES.get(key)
-    if bounds is None:
-        return
-    lower, upper, unit = bounds
-    if not (lower <= value <= upper):
-        suffix = f" {unit}" if unit else ""
-        raise ConfigError(
-            f"value for '{key}' out of range: {value} not in [{lower}, {upper}]{suffix}"
-        )
 
 
 def config_from_tables(tables: dict) -> RunConfig:
@@ -239,7 +208,7 @@ def config_from_tables(tables: dict) -> RunConfig:
     axes = tuple(sweep.get("axes", ()))
     sweep_values = []
     for axis in axes:
-        if axis not in _KEY_SECTION:
+        if axis not in _KEYS:
             raise ConfigError(f"sweep axis '{axis}' is not a configurable key")
         if axis not in sweep:
             raise ConfigError(f"sweep axis '{axis}' has no value list in [sweep]")
@@ -266,33 +235,35 @@ def validate_config(config: RunConfig, command: str = ""):
     `command` adds the rules of keys only that subcommand reads, so that
     (say) a coarse kernel grid is not refused over the entangle defaults.
     """
-    for key in _KEY_SECTION:
+    for key in _KEYS:
         _check_type(key, getattr(config, key))
-    for key in RANGES:
+    for key, (lower, upper, unit) in RANGES.items():
         value = getattr(config, key)
-        # 0 derives the pump from the carrier wavelength, and switches turbulence off
-        if key in ("pump_trad", "cn2") and value == 0.0:
-            continue
-        _check_range(key, value)
+        if not (lower <= value <= upper or _KEYS[key]["zero_ok"] and value == 0.0):
+            suffix = f" {unit}" if unit else ""
+            raise ConfigError(
+                f"value for '{key}' out of range: {value} not in [{lower}, {upper}]{suffix}"
+            )
     if config.profile_csv and not os.path.exists(config.profile_csv):
         raise ConfigError(f"value for 'profile_csv' invalid: no such file {config.profile_csv!r}")
-    if config.scheme not in ("truncated_exact", "lindblad_truncated"):
-        raise ConfigError(f"unknown solver scheme '{config.scheme}'")
-    if config.kernel_fidelity not in ("analytic", "full_ipe"):
-        raise ConfigError(f"unknown kernel fidelity '{config.kernel_fidelity}'")
+    for key, meta in _KEYS.items():
+        value = getattr(config, key)
+        if meta["choices"] and value not in meta["choices"]:
+            allowed = ", ".join(map(repr, meta["choices"]))
+            raise ConfigError(f"value for '{key}' must be one of {allowed}, got {value!r}")
     if config.kernel_fidelity == "full_ipe":
         for key, limit in (("grid_order", MAX_FULL_IPE_GRID), ("cutoff", MAX_FULL_IPE_CUTOFF)):
             if getattr(config, key) > limit:
                 raise ConfigError(
                     f"value for '{key}' out of range: full_ipe kernels allow at most {limit}"
                 )
-    if config.max_mode + 1 > config.grid_order // 2:
-        raise ConfigError(
-            f"value for 'max_mode' out of range: {config.max_mode} needs grid_order >= {2 * (config.max_mode + 1)}"
-        )
     if config.fixed_mode >= config.pair_modes:
         raise ConfigError(
             f"value for 'fixed_mode' out of range: {config.fixed_mode} must be below pair_modes = {config.pair_modes}"
+        )
+    if command == "tmatrix" and config.max_mode + 1 > config.grid_order // 2:
+        raise ConfigError(
+            f"value for 'max_mode' out of range: {config.max_mode} needs grid_order >= {2 * (config.max_mode + 1)}"
         )
     if command != "entangle":
         return
@@ -326,7 +297,7 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
         return config
     parsed = {}
     for key, text in overrides.items():
-        if key not in _KEY_SECTION:
+        if key not in _KEYS:
             raise ConfigError(f"unknown override key '{key}'")
         kind = type(getattr(RunConfig, key))
         try:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, LGIndex, ModeBasis
 from .lgmodes import coefficient_stack, pair_tensor, sector_blocks
-from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, integrated_l, l_strength
+from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, extinction_depth, integrated_l, l_strength
 
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
@@ -346,7 +346,6 @@ def lowest_mode_probability(rho: DensityMatrix) -> float:
 def analytic_decay(
     profile: TurbulenceProfile,
     geom: LinkGeometry,
-    frequencies=None,
     extinction_per_km: float = 0.0,
 ) -> float:
     """Pure-decay survival probability exp(-54.1 * int l dz) times extinction.
@@ -354,9 +353,8 @@ def analytic_decay(
     Exact for the single-mode truncation; the weak-turbulence limit of the
     full propagation.
     """
-    exponent = DECAY_CONSTANT * integrated_l(profile, geom, frequencies)
-    extinction = extinction_per_km * geom.path_length / 1000.0
-    return math.exp(-exponent - extinction)
+    exponent = DECAY_CONSTANT * integrated_l(profile, geom)
+    return math.exp(-exponent - extinction_depth(extinction_per_km, geom.path_length))
 
 
 def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
@@ -400,26 +398,20 @@ def distance_sweep(
     cn2_values,
     distances,
     wavelength: float,
-    waist_rule=None,
     transmitter_height: float = 19.0,
     receiver_height: float = 19.0,
     extinction_per_km: float = 0.0,
 ) -> list:
     """Pure-decay link budget over a distance grid for a family of C_n^2 values.
 
-    waist_rule maps distance (m) to the transmitted waist (m); the default
-    is the probability-optimal 0.75 sqrt(lambda z / pi).  Returns a list of
-    row dicts sorted by (cn2, distance).
+    Each distance z gets the probability-optimal waist 0.75 sqrt(lambda z / pi).
+    Returns a list of row dicts sorted by (cn2, distance).
     """
-    if waist_rule is None:
-        def waist_rule(z):
-            return 0.75 * math.sqrt(wavelength * z / math.pi)
-
     rows = []
     for cn2 in sorted(cn2_values):
         profile = TurbulenceProfile.from_constant(cn2)
         for distance in sorted(distances):
-            waist = waist_rule(distance)
+            waist = 0.75 * math.sqrt(wavelength * distance / math.pi)
             geom = LinkGeometry(
                 path_length=distance,
                 transmitter_height=transmitter_height,
@@ -428,7 +420,7 @@ def distance_sweep(
                 wavelength=wavelength,
             )
             l_integral = integrated_l(profile, geom)
-            extinction = extinction_per_km * distance / 1000.0
+            extinction = extinction_depth(extinction_per_km, distance)
             rows.append(
                 {
                     "cn2": cn2,

@@ -212,12 +212,12 @@ def free_prop_S(m: LGIndex, n: LGIndex, z_r: float) -> complex:
     return 0j
 
 
-def free_prop_S_numeric(m: LGIndex, n: LGIndex, z_r: float, w0: float, order: int = 160) -> complex:
+def free_prop_S_numeric(m: LGIndex, n: LGIndex, z_r: float, w0: float) -> complex:
     """Oracle for free_prop_S: (i / 2k) int |K|^2 G_m G_n* d^2K / 4 pi^2 at z = 0."""
     wavelength = math.pi * w0**2 / z_r
     k = 2.0 * math.pi / wavelength
     half = 9.0 / w0
-    axis = np.linspace(-half, half, order)
+    axis = np.linspace(-half, half, 160)
     step = axis[1] - axis[0]
     kx, ky = np.meshgrid(axis, axis, indexing="ij")
     k_r = np.hypot(kx, ky)
@@ -245,11 +245,11 @@ def gamma_weight_matrix(j_count: int) -> np.ndarray:
     return out
 
 
-def _log_radial_grid(lower: float, upper: float, nodes_per_panel: int = 16):
+def _log_radial_grid(lower: float, upper: float):
     # composite Gauss-Legendre panels in v = ln K, one panel per ~half decade
     lo, hi = math.log(lower), math.log(upper)
     panels = max(8, int(math.ceil((hi - lo) / math.log(10.0) * 2.0)))
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
+    gx, gw = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1] - edges[0])
@@ -268,7 +268,6 @@ def coupling_numeric_oracle(
     w0: float,
     frequencies,
     kappa_0: float,
-    angular_points: int = 256,
 ) -> tuple:
     """Quadrature of the defining integral k1 k2 int Phi W_{m,u} W*_{n,v} d^2K / 4 pi^2.
 
@@ -305,8 +304,8 @@ def coupling_numeric_oracle(
     j2 = np.arange(len(c2))
 
     delta_phase = (m.l - u.l) - (n.l - v.l)
-    phis = np.linspace(0.0, 2.0 * math.pi, angular_points, endpoint=False)
-    angular = complex(np.sum(np.exp(1j * delta_phase * phis))) * (2.0 * math.pi / angular_points)
+    phis = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    angular = complex(np.sum(np.exp(1j * delta_phase * phis))) * (2.0 * math.pi / 256)
 
     wavenumbers = (2.0 * math.pi) ** 2 / (lam1 * lam2)
     psd_scale = SPECTRUM_AMPLITUDE * (2.0 * math.pi) ** 3 * cn2
@@ -335,7 +334,6 @@ def coupling_oracle_extrapolated(
     w0: float,
     frequencies,
     kappa_0: float,
-    ratio: float = 2.0,
 ) -> complex:
     """Outer-scale-free oracle value by Richardson extrapolation.
 
@@ -343,16 +341,16 @@ def coupling_oracle_extrapolated(
     leading correction proportional to kappa_0^{1/3} (the von Karman density
     deviates from the pure power law only for K below kappa_0, where the
     subtracted correlation product rises like K^2).  Two oracle runs at
-    kappa_0 and kappa_0 / ratio eliminate that term; what remains is
+    kappa_0 and kappa_0 / 2 eliminate that term; what remains is
     O(kappa_0^{2/3}), far below the comparison tolerances.  Returns the
     total-rate-subtracted value, comparable to the closed form directly.
     """
     val_a, lt_a = coupling_numeric_oracle(m, n, u, v, z, cn2, w0, frequencies, kappa_0)
-    val_b, lt_b = coupling_numeric_oracle(m, n, u, v, z, cn2, w0, frequencies, kappa_0 / ratio)
+    val_b, lt_b = coupling_numeric_oracle(m, n, u, v, z, cn2, w0, frequencies, kappa_0 / 2.0)
     if m == u and n == v:
         val_a -= lt_a
         val_b -= lt_b
-    weight = ratio ** (1.0 / 3.0)
+    weight = 2.0 ** (1.0 / 3.0)
     return (weight * val_b - val_a) / (weight - 1.0)
 
 

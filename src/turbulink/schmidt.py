@@ -74,22 +74,6 @@ def schmidt_number(spec: BiphotonSpec) -> float:
     return (sa * sa + sb * sb) / (2.0 * sa * sb)
 
 
-def mode_amplitude(spec: BiphotonSpec, n: int, omega) -> np.ndarray | float:
-    """Temporal-mode function f_n(omega): the n-th Hermite-Gaussian of the
-    detuning from omega_p / 2, orthonormal under the integral over omega.
-
-    Accepts scalar or array omega.
-    """
-    if n > MAX_HERMITE_ORDER:
-        raise UnsupportedOrderError(
-            f"mode order {n} exceeds supported maximum {MAX_HERMITE_ORDER}"
-        )
-    b = spec.gaussian_scale
-    x = np.sqrt(b) * (np.asarray(omega, dtype=float) - spec.center)
-    value = b**0.25 * hermite_function(n, x)
-    return float(value) if np.ndim(omega) == 0 else value
-
-
 @dataclass(frozen=True)
 class TruncatedSource:
     """Source state truncated to modes 0..max_mode and renormalized.

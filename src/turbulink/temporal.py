@@ -31,7 +31,8 @@ from .ipe import DECAY_CONSTANT, rk4_nodes, rk4_step
 from .lgmodes import COUPLING_PREFACTOR, pair_coupling_assembler
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import LinkGeometry, TurbulenceProfile, integrated_l, l_cross, normalized_distance, two_pi_c_over
+from .turbulence import LinkGeometry, TurbulenceProfile, extinction_depth, integrated_l, l_cross
+from .turbulence import normalized_distance, two_pi_c_over
 
 MAX_GRID_ORDER = 64
 MAX_FULL_IPE_GRID = 12
@@ -139,7 +140,7 @@ def channel_kernel(
     rule = gauss_hermite_rule(grid_order)
     omegas = frequency_grid(spec, rule.nodes)
     matrix = np.ones((grid_order, grid_order))
-    extinction = math.exp(-extinction_per_km * geom.path_length / 1000.0)
+    extinction = math.exp(-extinction_depth(extinction_per_km, geom.path_length))
     if not profile.is_zero:
         # the upper triangle, mirrored: the kernel is exactly symmetric
         rows, cols = np.triu_indices(grid_order)

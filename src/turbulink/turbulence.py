@@ -42,6 +42,12 @@ RELATIVE_ERROR_BOUND = 1e-6
 CHUNK_ELEMENTS = 1 << 13  # (pairs x nodes) block of the broadcast, 64 KB of float64
 
 SPEED_OF_LIGHT = 299792458.0
+TRAD_S = 1e12  # rad/s in one T rad/s, the frequency unit of configs and CSVs
+
+
+def extinction_depth(extinction_per_km, distance):
+    """Optical depth kappa L / 1000 of a flat extinction kappa (1/km) over a distance L (m)."""
+    return extinction_per_km * distance / 1000.0
 
 
 def two_pi_c_over(x):
@@ -73,7 +79,6 @@ class LinkGeometry:
     receiver_height: float
     waist: float
     wavelength: float
-    earth_radius: float = EARTH_RADIUS_M
 
     def __post_init__(self):
         if self.path_length <= 0:
@@ -188,7 +193,7 @@ def path_height(geom: LinkGeometry, z):
     (a float, or an array of positions).
 
     The endpoints sit at their stated heights over a sphere of radius
-    earth_radius; the beam travels the straight chord between them (no
+    EARTH_RADIUS_M; the beam travels the straight chord between them (no
     refractive bending), so mid-path points lose the sagitta relative to the
     endpoint heights.
     """
@@ -198,14 +203,14 @@ def path_height(geom: LinkGeometry, z):
         raise ValueError(f"z={z[outside].flat[0]} outside path [0, {geom.path_length}]")
     ax, dx, dy = _chord(geom)
     s = z / geom.path_length
-    return np.hypot(ax + s * dx, s * dy) - geom.earth_radius
+    return np.hypot(ax + s * dx, s * dy) - EARTH_RADIUS_M
 
 
 def _chord(geom: LinkGeometry) -> tuple:
     """Transmitter x-coordinate A and chord vector D = B - A (the Earth's
     centre at the origin, the transmitter on the x-axis)."""
-    r_tx = geom.earth_radius + geom.transmitter_height
-    r_rx = geom.earth_radius + geom.receiver_height
+    r_tx = EARTH_RADIUS_M + geom.transmitter_height
+    r_rx = EARTH_RADIUS_M + geom.receiver_height
     cos_phi = (r_tx**2 + r_rx**2 - geom.path_length**2) / (2.0 * r_tx * r_rx)
     cos_phi = min(1.0, cos_phi)
     sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi**2))
@@ -356,7 +361,7 @@ def _table_crossings(profile, geom) -> np.ndarray:
     a = dx * dx + dy * dy
     b = 2.0 * ax * dx
     # |A|^2 - (R + h_k)^2 without cancelling two squares of the Earth radius
-    c = (geom.transmitter_height - heights) * (ax + geom.earth_radius + heights)
+    c = (geom.transmitter_height - heights) * (ax + EARTH_RADIUS_M + heights)
     disc = b * b - 4.0 * a * c
     root = np.sqrt(disc[disc >= 0.0])
     q = -0.5 * (b + np.copysign(root, b))

@@ -162,6 +162,21 @@ class TestConfigParsing:
         assert "'pair_modes'" in capsys.readouterr().err
         assert run_cli(tmp_path, "--set", "grid_order=16", "kernel") == EXIT_OK
 
+    def test_max_mode_resolvable_on_grid_only_for_tmatrix(self, tmp_path, capsys):
+        coarse = ("--set", "kernel_fidelity=full_ipe", "--set", "grid_order=4", "--set", "cutoff=1")
+        assert run_cli(tmp_path, *coarse, "kernel") == EXIT_OK  # kernel does not read max_mode
+        assert run_cli(tmp_path, *coarse, "tmatrix") == EXIT_CONFIG
+        assert "'max_mode'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["scheme", "kernel_fidelity"])
+    def test_value_outside_enum_names_key(self, key):
+        with pytest.raises(ConfigError, match=f"value for '{key}' must be one of '"):
+            apply_overrides(RunConfig(), {key: "bogus"})
+
+    def test_hash_inside_string_is_not_a_comment(self):
+        tables = parse_table_text('[turbulence]\nprofile_csv = "run#1.csv"  # a "quoted" comment\n')
+        assert tables == {"turbulence": {"profile_csv": "run#1.csv"}}
+
     def test_scan_without_nondegenerate_row_rejected(self, tmp_path, capsys):
         # pair_modes = 2 scans n < 1, and with fixed_mode = 0 that is the degenerate row only
         assert run_cli(tmp_path, "--set", "pair_modes=2", "entangle") == EXIT_CONFIG
@@ -344,10 +359,10 @@ class TestSubcommands:
         assert "profile height 0.0 m must be > 0" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, monkeypatch):
-        def explode(config, out):
+        def explode(*args, **kwargs):
             raise SolverError("unconverged", 0.0, 1.0)
 
-        monkeypatch.setitem(cli._SUBCOMMANDS, "beam", explode)
+        monkeypatch.setattr(cli.ipe, "distance_sweep", explode)
         assert run_subcommand("beam", RunConfig()) == EXIT_NUMERIC
 
     def test_gnuplot_hints(self, capsys):
@@ -397,6 +412,33 @@ class TestSweep:
             ),
         )
         assert float(probability) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "subcommand, implied",
+        [
+            ("kernel", lambda rows: float(rows[4 * 8 + 4][2])),  # the central pair of grid 8
+            ("tmatrix", lambda rows: min(float(r[2]) for r in rows if r[0] == r[1])),
+            ("coupling", lambda rows: next(float(r[8]) for r in rows if r[:8] == ["0"] * 8)),
+            ("schmidt", lambda rows: 1.0 - sum(float(r[1]) for r in rows)),
+        ],
+    )
+    def test_single_point_matches_direct_run(self, tmp_path, subcommand, implied):
+        block = "\n[channel]\ngrid_order = 8\n\n[sweep]\naxes = [\"waist_m\"]\nwaist_m = [0.2]\n"
+        config_path = self.make_config(tmp_path, block)
+        code = main(["--config", config_path, "--set", f"output_dir={tmp_path}", "sweep", subcommand])
+        assert code == EXIT_OK
+        value = float((tmp_path / f"sweep_{subcommand}.csv").read_text().splitlines()[1].split(",")[1])
+        direct = tmp_path / "direct"
+        code = main(["--config", config_path, "--set", f"output_dir={direct}", "--set", "waist_m=0.2", subcommand])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in (direct / f"{subcommand}.csv").read_text().splitlines()[1:]]
+        assert value == pytest.approx(implied(rows), rel=1e-12)
+
+    def test_gnuplot_hints_name_sweep_columns(self, tmp_path, capsys):
+        block = "\n[sweep]\naxes = [\"cn2\", \"waist_m\"]\ncn2 = [1e-16]\nwaist_m = [0.1]\n"
+        config_path = self.make_config(tmp_path, block)
+        assert main(["--config", config_path, "--gnuplot-hints", "sweep", "tmatrix"]) == EXIT_OK
+        assert capsys.readouterr().out == "columns: cn2, waist_m, S_diag_min\n"
 
     def test_waist_sweep_argmax_reproduces_peak(self, tmp_path):
         waists = [round(0.06 + 0.005 * k, 3) for k in range(41)]

@@ -16,6 +16,7 @@ from turbulink.mathcore import gauss_hermite_rule
 from turbulink.schmidt import frequency_grid
 from turbulink.temporal import channel_kernel
 from turbulink.turbulence import (
+    EARTH_RADIUS_M,
     LinkGeometry,
     ProfileError,
     QuadratureError,
@@ -57,7 +58,7 @@ class TestPathHeight:
 
     def test_midpoint_sagitta_against_circle_chord_oracle(self):
         geom = paper_geom()
-        radius = geom.earth_radius + 19.0
+        radius = EARTH_RADIUS_M + 19.0
         # isosceles chord: midpoint sits at sqrt(r^2 - (L/2)^2) from the center
         expected_sagitta = radius - math.sqrt(radius**2 - (geom.path_length / 2.0) ** 2)
         sagitta = 19.0 - path_height(geom, 1.5e4)
