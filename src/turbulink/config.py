@@ -13,8 +13,8 @@ subset of the common bracketed-section style:
     waist_m = [0.10, 0.1457, 0.20]
 
 Values are floats, integers, booleans (true/false), double-quoted strings,
-or flat arrays of those.  A '#' starts a comment except inside a string, so
-`profile_csv = "run#1.csv"` names that file.  Every parse error reports line
+or flat arrays of those.  A '#' starts a comment and a ',' separates array
+items except inside a string, so `profile_csv = "run#1.csv"` names that file.  Every parse error reports line
 and column.  Each key is declared once, as a RunConfig field whose metadata
 holds its table, its range and its allowed values; every value must have
 the type of its field (an int passes for a float), and every physical value
@@ -61,15 +61,16 @@ def _parse_scalar(token: str, lineno: int, col: int):
             ) from None
 
 
-def _strip_comment(line: str) -> str:
-    """The line up to its first '#' outside a double-quoted string."""
-    quoted = False
-    for col, char in enumerate(line):
+def _split_unquoted(text: str, mark: str) -> list:
+    """`text` split at every `mark` outside a double-quoted string."""
+    pieces, quoted, start = [], False, 0
+    for col, char in enumerate(text):
         if char == '"':
             quoted = not quoted
-        elif char == "#" and not quoted:
-            return line[:col]
-    return line
+        elif char == mark and not quoted:
+            pieces.append(text[start:col])
+            start = col + 1
+    return pieces + [text[start:]]
 
 
 def parse_table_text(text: str) -> dict:
@@ -78,7 +79,7 @@ def parse_table_text(text: str) -> dict:
     current: dict | None = None
     current_name = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).rstrip()
+        line = _split_unquoted(raw, "#")[0].rstrip()
         if not line.strip():
             continue
         stripped = line.strip()
@@ -113,11 +114,8 @@ def parse_table_text(text: str) -> dict:
             if not value_text.endswith("]"):
                 raise ConfigError(f"line {lineno}, column {value_col}: unterminated array")
             inner = value_text[1:-1].strip()
-            items = []
-            if inner:
-                for piece in inner.split(","):
-                    items.append(_parse_scalar(piece, lineno, value_col))
-            current[key] = items
+            pieces = _split_unquoted(inner, ",") if inner else []
+            current[key] = [_parse_scalar(piece, lineno, value_col) for piece in pieces]
         else:
             current[key] = _parse_scalar(value_text, lineno, value_col)
     return tables
@@ -257,16 +255,16 @@ def validate_config(config: RunConfig, command: str = ""):
                 raise ConfigError(
                     f"value for '{key}' out of range: full_ipe kernels allow at most {limit}"
                 )
-    if config.fixed_mode >= config.pair_modes:
-        raise ConfigError(
-            f"value for 'fixed_mode' out of range: {config.fixed_mode} must be below pair_modes = {config.pair_modes}"
-        )
     if command == "tmatrix" and config.max_mode + 1 > config.grid_order // 2:
         raise ConfigError(
             f"value for 'max_mode' out of range: {config.max_mode} needs grid_order >= {2 * (config.max_mode + 1)}"
         )
     if command != "entangle":
         return
+    if config.fixed_mode >= config.pair_modes:
+        raise ConfigError(
+            f"value for 'fixed_mode' out of range: {config.fixed_mode} must be below pair_modes = {config.pair_modes}"
+        )
     if config.pair_modes > config.grid_order // 2:
         raise ConfigError(
             f"value for 'pair_modes' out of range: {config.pair_modes} needs grid_order >= {2 * config.pair_modes}"

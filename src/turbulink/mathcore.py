@@ -1,13 +1,15 @@
 """Special functions and quadrature rules: orthonormal Hermite functions,
 a guarded Gamma function and Gauss-Hermite rules.
 
-Everything here is a pure function of its inputs; the returned objects are
-immutable (or treated as such) and safe to share between threads.
+Everything here is a pure function of its inputs.  Quadrature rules are
+cached per order and their arrays are enforced read-only (writing raises
+ValueError), so one rule is safely shared between threads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -27,27 +29,30 @@ class DomainError(ValueError):
     """Argument outside the function's numerical domain."""
 
 
-def hermite_function(n: int, x):
-    """Orthonormal Hermite function phi_n(x) = (2^n n! sqrt(pi))^{-1/2} H_n(x) e^{-x^2/2}.
+def hermite_functions(count: int, x) -> np.ndarray:
+    """Orthonormal Hermite functions phi_0..phi_{count-1} at x, one row per
+    order: phi_n(x) = (2^n n! sqrt(pi))^{-1/2} H_n(x) e^{-x^2/2}.
 
-    Uses the normalized recurrence phi_{k+1} = x sqrt(2/(k+1)) phi_k
+    One pass of the normalized recurrence phi_{k+1} = x sqrt(2/(k+1)) phi_k
     - sqrt(k/(k+1)) phi_{k-1}, which avoids the factorial overflow of the
     raw polynomial for large n.  Accepts scalars or numpy arrays.
     """
-    if n < 0:
-        raise UnsupportedOrderError(f"order must be >= 0, got {n}")
-    if n > MAX_HERMITE_ORDER:
-        raise UnsupportedOrderError(
-            f"order {n} exceeds supported maximum {MAX_HERMITE_ORDER}"
-        )
+    if not 1 <= count <= MAX_HERMITE_ORDER + 1:
+        raise UnsupportedOrderError(f"order {count - 1} outside [0, {MAX_HERMITE_ORDER}]")
     x = np.asarray(x, dtype=float)
-    phi_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return phi_prev
-    phi = np.sqrt(2.0) * x * phi_prev
-    for k in range(1, n):
-        phi_prev, phi = phi, x * np.sqrt(2.0 / (k + 1)) * phi - np.sqrt(k / (k + 1)) * phi_prev
+    phi = np.empty((count,) + x.shape)
+    phi[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if count > 1:
+        phi[1] = np.sqrt(2.0) * x * phi[0]
+    for k in range(1, count - 1):
+        phi[k + 1] = x * np.sqrt(2.0 / (k + 1)) * phi[k] - np.sqrt(k / (k + 1)) * phi[k - 1]
     return phi
+
+
+def hermite_function(n: int, x):
+    """Orthonormal Hermite function phi_n(x), the last row of
+    `hermite_functions(n + 1, x)`."""
+    return hermite_functions(n + 1, x)[n]
 
 
 def gamma_fn(x: float) -> float:
@@ -79,8 +84,10 @@ class QuadratureRule:
             raise ValueError("quadrature weights must be positive")
 
 
+@lru_cache(maxsize=None)
 def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule of the given order for weight e^{-x^2}.
+    """Gauss-Hermite rule of the given order for weight e^{-x^2}, built once
+    per order with read-only arrays.
 
     Exact for polynomials of degree <= 2*order - 1; nodes are symmetric
     about zero.
@@ -91,4 +98,5 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
             f"[{MIN_QUADRATURE_ORDER}, {MAX_QUADRATURE_ORDER}]"
         )
     nodes, weights = hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)

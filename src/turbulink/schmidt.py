@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import MAX_HERMITE_ORDER, UnsupportedOrderError, hermite_function
+from .mathcore import MAX_HERMITE_ORDER, UnsupportedOrderError, hermite_functions
 
 MAX_EIGENVALUE_INDEX = 200
 
@@ -116,13 +116,14 @@ def frequency_grid(spec: BiphotonSpec, nodes: np.ndarray) -> np.ndarray:
     return spec.center + nodes / math.sqrt(spec.gaussian_scale)
 
 
-def discrete_modes(spec: BiphotonSpec, nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+def discrete_modes(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """Discrete orthonormal temporal-mode vectors on a Gauss-Hermite grid.
 
     Returns an array psi of shape (count, len(nodes)) with
     psi[n, i] = sqrt(w_i) e^{x_i^2 / 2} phi_n(x_i), so that
     sum_i psi[m, i] psi[n, i] = delta_mn at quadrature precision and
-    integrals int f_m f_n g domega become psi_m (g psi_n) sums.
+    integrals int f_m f_n g domega become psi_m (g psi_n) sums.  The vectors
+    depend only on the rule (not on the source bandwidths, which enter
+    through `frequency_grid`); all orders come from one Hermite recurrence.
     """
-    half_gauss = np.sqrt(weights) * np.exp(0.5 * nodes * nodes)
-    return np.array([hermite_function(n, nodes) * half_gauss for n in range(count)])
+    return hermite_functions(count, nodes) * (np.sqrt(weights) * np.exp(0.5 * nodes * nodes))

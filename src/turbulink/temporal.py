@@ -57,12 +57,10 @@ class ResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelKernel:
-    """Decay surface P(omega_i, omega_j) on a Gauss-Hermite frequency grid."""
+    """Decay surface P(omega_i, omega_j) on the Gauss-Hermite frequency grid
+    of order len(omegas)."""
 
-    spec: BiphotonSpec
     omegas: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
     matrix: np.ndarray
 
     @property
@@ -70,12 +68,22 @@ class ChannelKernel:
         return len(self.omegas)
 
     def mode_vectors(self, count: int) -> np.ndarray:
-        """Discrete orthonormal temporal-mode vectors on the kernel grid."""
+        """Discrete orthonormal temporal-mode vectors on the kernel grid (a
+        read-only view of the grid order's mode stack)."""
         if count > self.order // 2:
             raise ResolutionError(
                 f"mode order {count - 1} not resolvable on a grid of {self.order} nodes"
             )
-        return discrete_modes(self.spec, self.nodes, self.weights, count)
+        return _mode_stack(self.order)[:count]
+
+
+@lru_cache(maxsize=None)
+def _mode_stack(order: int) -> np.ndarray:
+    """The order // 2 resolvable mode vectors of a grid order, built once."""
+    rule = gauss_hermite_rule(order)
+    stack = discrete_modes(rule.nodes, rule.weights, order // 2)
+    stack.flags.writeable = False
+    return stack
 
 
 def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
@@ -137,8 +145,7 @@ def channel_kernel(
             f"full propagation kernels are limited to grid order {MAX_FULL_IPE_GRID}"
             f" and cutoff {MAX_FULL_IPE_CUTOFF}"
         )
-    rule = gauss_hermite_rule(grid_order)
-    omegas = frequency_grid(spec, rule.nodes)
+    omegas = frequency_grid(spec, gauss_hermite_rule(grid_order).nodes)
     matrix = np.ones((grid_order, grid_order))
     extinction = math.exp(-extinction_depth(extinction_per_km, geom.path_length))
     if not profile.is_zero:
@@ -150,14 +157,7 @@ def channel_kernel(
         else:
             values = _cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, geom, cutoff, steps)
         matrix[rows, cols] = matrix[cols, rows] = values
-    matrix = matrix * extinction
-    return ChannelKernel(
-        spec=spec,
-        omegas=omegas,
-        nodes=rule.nodes,
-        weights=rule.weights,
-        matrix=matrix,
-    )
+    return ChannelKernel(omegas=omegas, matrix=matrix * extinction)
 
 
 def mode_trace(kernel: ChannelKernel, spec: BiphotonSpec, n: int) -> float:
@@ -191,6 +191,8 @@ def transmission_matrix(kernel: ChannelKernel, spec: BiphotonSpec, max_mode: int
     psi = kernel.mode_vectors(max_mode + 1)
     diag = np.diag(kernel.matrix)
     traces = np.array([float(np.sum(p * p * diag)) for p in psi])
+    if not np.all(traces > 0.0):
+        raise RuntimeError(f"temporal mode {np.argmin(traces)} is fully absorbed (trace 0)")
     overlap = psi[:, None, :] * psi[None, :, :]  # (n, m, grid)
     s = np.einsum("nmi,ij,nmj->nm", overlap, kernel.matrix, overlap)
     return TransmissionMatrix(matrix=s / traces[:, None], traces=traces)

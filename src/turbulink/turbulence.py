@@ -296,8 +296,9 @@ def integrated_l(
     half_sum = 0.5 * (lambda1 * lambda1 + lambda2 * lambda2)
     beam_area = math.pi * geom.waist**2
     rayleigh = beam_area / math.sqrt(float(np.max(half_sum)))
+    panels = _panels(profile, geom, rayleigh)
     fine, coarse = (
-        _path_sum(profile, geom, rayleigh, nodes, half_sum / beam_area**2)
+        _path_sum(profile, geom, panels, nodes, half_sum / beam_area**2)
         for nodes in (PANEL_NODES, PANEL_NODES // 2)
     )
     estimate = np.abs(fine - coarse)
@@ -311,10 +312,10 @@ def integrated_l(
     return float(value) if value.ndim == 0 else value
 
 
-def _path_sum(profile, geom, rayleigh, nodes, scale):
+def _path_sum(profile, geom, panels, nodes, scale):
     """sum_k weight_k C_n^2(z_k) (1 + scale z_k^2)^{5/6} over the path rule,
     for every entry of `scale`, in row blocks of at most CHUNK_ELEMENTS."""
-    z, weighted_cn2 = _path_rule(profile, geom, rayleigh, nodes)
+    z, weighted_cn2 = _path_rule(profile, geom, panels, nodes)
     z2 = z * z
     flat = scale.reshape(-1)
     out = np.empty(flat.shape)
@@ -326,13 +327,13 @@ def _path_sum(profile, geom, rayleigh, nodes, scale):
     return out.reshape(scale.shape)
 
 
-def _path_rule(profile, geom, rayleigh, nodes):
-    """Nodes z_k and weights x C_n^2(z_k) of the composite Gauss-Legendre rule.
+def _panels(profile, geom, rayleigh) -> tuple:
+    """Midpoints and half-widths of the composite rule's panels.
 
     Panels are at most `rayleigh` wide up to GRADING * rayleigh and grow
     geometrically by 1 + 1/GRADING beyond (the decay density is smooth on
     the scale z there); a tabulated profile adds an edge at every crossing
-    of a table height.
+    of a table height.  Both rules of the error estimate share them.
     """
     length = geom.path_length
     uniform_end = min(length, GRADING * rayleigh)
@@ -343,9 +344,14 @@ def _path_rule(profile, geom, rayleigh, nodes):
     ])
     if profile.constant is None:
         edges = np.union1d(edges, _table_crossings(profile, geom))
+    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+
+
+def _path_rule(profile, geom, panels, nodes):
+    """Nodes z_k and weights x C_n^2(z_k) of the composite Gauss-Legendre
+    rule with `nodes` nodes on each of the panels (midpoints, half-widths)."""
+    mid, half = panels
     x, w = _legendre(nodes)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
     z = (mid[:, None] + half[:, None] * x).reshape(-1)
     weights = (half[:, None] * w).reshape(-1)
     if profile.constant is not None:

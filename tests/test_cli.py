@@ -148,10 +148,19 @@ class TestConfigParsing:
 
     def test_fixed_mode_outside_pair_modes(self):
         with pytest.raises(ConfigError, match="fixed_mode"):
-            apply_overrides(RunConfig(), {"pair_modes": "4", "fixed_mode": "6"})
+            validate_config(apply_overrides(RunConfig(), {"pair_modes": "4", "fixed_mode": "6"}), "entangle")
         with pytest.raises(ConfigError, match="fixed_mode"):
-            config_from_tables({"entangle": {"pair_modes": 3, "fixed_mode": 3}})
+            validate_config(config_from_tables({"entangle": {"pair_modes": 3, "fixed_mode": 3}}), "entangle")
         assert main(["--set", "pair_modes=4", "--set", "fixed_mode=6", "entangle"]) == EXIT_CONFIG
+
+    def test_fixed_mode_rule_only_for_entangle(self, tmp_path, capsys):
+        # only the entangle scan reads fixed_mode, so other subcommands run
+        overrides = ("--set", "pair_modes=4", "--set", "fixed_mode=6")
+        assert run_cli(tmp_path, *overrides, "kernel") == EXIT_OK
+        config_path = tmp_path / "sweep.cfg"
+        config_path.write_text("[sweep]\naxes = [\"waist_m\"]\nwaist_m = [0.1, 0.2]\n")
+        assert run_cli(tmp_path, "--config", str(config_path), *overrides, "sweep", "entangle") == EXIT_CONFIG
+        assert "'fixed_mode'" in capsys.readouterr().err
 
     def test_pair_modes_resolvable_on_grid(self, tmp_path, capsys):
         coarse = replace(RunConfig(), grid_order=16)
@@ -176,6 +185,18 @@ class TestConfigParsing:
     def test_hash_inside_string_is_not_a_comment(self):
         tables = parse_table_text('[turbulence]\nprofile_csv = "run#1.csv"  # a "quoted" comment\n')
         assert tables == {"turbulence": {"profile_csv": "run#1.csv"}}
+
+    def test_comma_inside_string_is_not_a_separator(self):
+        tables = parse_table_text('[sweep]\naxes = ["a,b"]\n')
+        assert tables == {"sweep": {"axes": ["a,b"]}}
+        tables = parse_table_text('[sweep]\naxes = ["a,b", "c" ,1.5]\n')
+        assert tables == {"sweep": {"axes": ["a,b", "c", 1.5]}}
+
+    def test_unterminated_string_reports_line_and_column(self):
+        with pytest.raises(ConfigError, match="line 2, column 8: unterminated string"):
+            parse_table_text('[sweep]\naxes = ["a,b]\n')
+        with pytest.raises(ConfigError, match="line 3, column 15: unterminated string"):
+            parse_table_text('[turbulence]\n\nprofile_csv = "run.csv\n')
 
     def test_scan_without_nondegenerate_row_rejected(self, tmp_path, capsys):
         # pair_modes = 2 scans n < 1, and with fixed_mode = 0 that is the degenerate row only
@@ -364,6 +385,12 @@ class TestSubcommands:
 
         monkeypatch.setattr(cli.ipe, "distance_sweep", explode)
         assert run_subcommand("beam", RunConfig()) == EXIT_NUMERIC
+
+    def test_fully_absorbed_mode_is_a_numeric_failure(self, tmp_path, capsys):
+        # every kernel entry underflows to 0, so no transmission row is defined
+        assert run_cli(tmp_path, "--set", "cn2=1e-11", "tmatrix") == EXIT_NUMERIC
+        assert "fully absorbed" in capsys.readouterr().err
+        assert not (tmp_path / "tmatrix.csv").exists()
 
     def test_gnuplot_hints(self, capsys):
         assert main(["--gnuplot-hints", "kernel"]) == EXIT_OK

@@ -11,6 +11,7 @@ from turbulink.mathcore import (
     gamma_fn,
     gauss_hermite_rule,
     hermite_function,
+    hermite_functions,
 )
 
 
@@ -55,6 +56,18 @@ class TestHermite:
             hermite_function(65, 0.0)
         with pytest.raises(UnsupportedOrderError):
             hermite_function(-1, 0.0)
+
+    def test_stack_rows_do_not_depend_on_count(self):
+        x = np.linspace(-9.0, 9.0, 37)
+        stack = hermite_functions(65, x)
+        assert stack.shape == (65, 37)
+        for n in range(65):
+            assert np.array_equal(stack[n], hermite_function(n, x))
+            assert np.array_equal(hermite_functions(n + 1, x), stack[: n + 1])
+        with pytest.raises(UnsupportedOrderError):
+            hermite_functions(0, x)
+        with pytest.raises(UnsupportedOrderError):
+            hermite_functions(66, x)
 
     def test_hermite_functions_orthonormal_at_guard_edge(self):
         # normalized recurrence must stay stable through n = 64
@@ -129,6 +142,13 @@ class TestGaussHermite:
     def test_symmetry(self):
         rule = gauss_hermite_rule(17)
         assert rule.nodes == pytest.approx(-rule.nodes[::-1], abs=1e-14)
+
+    def test_rule_cached_per_order_and_read_only(self):
+        rule = gauss_hermite_rule(32)
+        assert gauss_hermite_rule(32) is rule
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_order_guards(self):
         with pytest.raises(UnsupportedOrderError):

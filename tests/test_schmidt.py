@@ -108,7 +108,7 @@ class TestModeAmplitude:
 
     def test_discrete_modes_orthonormal(self, paper_spec):
         rule = gauss_hermite_rule(64)
-        psi = discrete_modes(paper_spec, rule.nodes, rule.weights, 11)
+        psi = discrete_modes(rule.nodes, rule.weights, 11)
         gram = psi @ psi.T
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 

@@ -4,7 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from dense_oracle import dense_pair_coupling
+from hypothesis import given
+from hypothesis import strategies as st
 
+from turbulink import temporal
+from turbulink.config import RANGES
 from turbulink.entanglement import channel_tensor
 from turbulink.ipe import (
     DensityMatrix,
@@ -14,6 +18,7 @@ from turbulink.ipe import (
     propagate,
 )
 from turbulink.lgmodes import LGIndex, ModeBasis
+from turbulink.mathcore import gauss_hermite_rule, hermite_function
 from turbulink.temporal import (
     CostGuardError,
     KernelFidelity,
@@ -25,6 +30,7 @@ from turbulink.temporal import (
 from turbulink.turbulence import LinkGeometry, TurbulenceProfile, cn2_at
 
 C = 299792458.0
+GRID_ORDERS = (16, 32, 64)
 
 PAPER_MATRIX = np.array(
     [
@@ -295,6 +301,78 @@ class TestTransmissionMatrix:
             assert tm.traces[n] == pytest.approx(
                 mode_trace(kernel_1e15, paper_spec, n), rel=1e-12
             )
+
+
+class TestModeStack:
+    @pytest.mark.parametrize("order", GRID_ORDERS)
+    def test_rows_are_hermite_functions_on_the_rule(self, paper_spec, paper_geometry, order):
+        kernel = channel_kernel(
+            paper_spec, TurbulenceProfile.from_constant(0.0), paper_geometry, grid_order=order
+        )
+        rule = gauss_hermite_rule(order)
+        half_gauss = np.sqrt(rule.weights) * np.exp(0.5 * rule.nodes * rule.nodes)
+        for count in range(1, order // 2 + 1):
+            psi = kernel.mode_vectors(count)
+            assert psi.shape == (count, order)
+            for n in range(count):
+                assert np.array_equal(psi[n], hermite_function(n, rule.nodes) * half_gauss)
+        with pytest.raises(ResolutionError):
+            kernel.mode_vectors(order // 2 + 1)
+
+    def test_stack_is_read_only(self, kernel_1e15):
+        stack = kernel_1e15.mode_vectors(kernel_1e15.order // 2)
+        for view in (stack, kernel_1e15.mode_vectors(3)):
+            with pytest.raises(ValueError):
+                view[0, 0] = 0.0
+
+
+def link_outputs(kernel, spec, max_mode):
+    """Mode traces and, unless a mode is fully absorbed, the transmission matrix."""
+    traces = [mode_trace(kernel, spec, n) for n in range(max_mode + 1)]
+    if min(traces) > 0.0:
+        return traces, transmission_matrix(kernel, spec, max_mode)
+    with pytest.raises(RuntimeError, match="fully absorbed"):
+        transmission_matrix(kernel, spec, max_mode)
+    return traces, None
+
+
+def validator_range(key):
+    """Log-uniform draws over the config validator's range of `key`."""
+    lower, upper, _ = RANGES[key]
+    exponents = st.floats(math.log10(lower), math.log10(upper))
+    return exponents.map(lambda e: min(upper, max(lower, 10.0**e)))
+
+
+class TestLinkProperties:
+    @given(
+        order=st.sampled_from(GRID_ORDERS),
+        data=st.data(),
+        cn2=st.one_of(st.just(0.0), validator_range("cn2")),
+        distance=validator_range("distance_m"),
+        waist=validator_range("waist_m"),
+    )
+    def test_link_outputs(self, paper_spec, order, data, cn2, distance, waist):
+        max_mode = data.draw(st.integers(0, min(RANGES["max_mode"][1], order // 2 - 1)))
+        profile = TurbulenceProfile.from_constant(cn2)
+        geom = LinkGeometry(distance, 19.0, 19.0, waist, 3.95e-6)
+        # the first kernel of this order is built on empty caches
+        gauss_hermite_rule.cache_clear()
+        temporal._mode_stack.cache_clear()
+        first = channel_kernel(paper_spec, profile, geom, grid_order=order)
+        first_traces, first_tm = link_outputs(first, paper_spec, max_mode)
+        for other in GRID_ORDERS:
+            if other != order:
+                channel_kernel(paper_spec, profile, geom, grid_order=other).mode_vectors(other // 2)
+        kernel = channel_kernel(paper_spec, profile, geom, grid_order=order)
+        assert np.array_equal(kernel.matrix, first.matrix)
+        traces, tm = link_outputs(kernel, paper_spec, max_mode)
+        assert traces == first_traces
+        if tm is None:
+            return
+        assert np.array_equal(tm.matrix, first_tm.matrix)
+        assert np.array_equal(tm.traces, traces)
+        assert np.all(tm.matrix >= -5e-3)
+        assert np.all(tm.matrix.sum(axis=1) <= 1.0 + 5e-3)
 
 
 def single_photon_output(kernel, spec, n, max_mode):
