@@ -1,7 +1,7 @@
-"""Run configuration: file format, validation, and serialization.
+"""Run configuration: file reading and validation.
 
-The config file is a small key-value format with nested tables, a strict
-subset of the common bracketed-section style:
+The config file is TOML 1.0, read by the standard library's tomllib, with
+every key inside a table:
 
     # comment
     [link]
@@ -12,13 +12,11 @@ subset of the common bracketed-section style:
     axes = ["waist_m"]
     waist_m = [0.10, 0.1457, 0.20]
 
-Values are floats, integers, booleans (true/false), double-quoted strings,
-or flat arrays of those.  A '#' starts a comment and a ',' separates array
-items except inside a string, so `profile_csv = "run#1.csv"` names that file.  Every parse error reports line
-and column.  Each key is declared once, as a RunConfig field whose metadata
-holds its table, its range and its allowed values; every value must have
-the type of its field (an int passes for a float), and every physical value
-is range-checked against RANGES, which is derived from those fields.
+A parse error carries tomllib's message, which names the line and column.
+Each key is declared once, as a RunConfig field whose metadata holds its
+table, its range and its allowed values; every value must have the type of
+its field (an int passes for a float), and every physical value is
+range-checked against RANGES, which is derived from those fields.
 """
 from __future__ import annotations
 
@@ -36,88 +34,19 @@ class ConfigError(ValueError):
     """Malformed or out-of-range configuration."""
 
 
-def _parse_scalar(token: str, lineno: int, col: int):
-    token = token.strip()
-    if not token:
-        raise ConfigError(f"line {lineno}, column {col}: empty value")
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    if token.startswith('"'):
-        if not (len(token) >= 2 and token.endswith('"')):
-            raise ConfigError(f"line {lineno}, column {col}: unterminated string")
-        return token[1:-1]
-    try:
-        if any(c in token for c in ".eE") and not token.lstrip("+-").isdigit():
-            return float(token)
-        return int(token)
-    except ValueError:
-        try:
-            return float(token)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}, column {col}: cannot parse value {token!r}"
-            ) from None
-
-
-def _split_unquoted(text: str, mark: str) -> list:
-    """`text` split at every `mark` outside a double-quoted string."""
-    pieces, quoted, start = [], False, 0
-    for col, char in enumerate(text):
-        if char == '"':
-            quoted = not quoted
-        elif char == mark and not quoted:
-            pieces.append(text[start:col])
-            start = col + 1
-    return pieces + [text[start:]]
-
-
 def parse_table_text(text: str) -> dict:
-    """Parse the documented key-value/nested-table grammar into nested dicts."""
-    tables: dict = {}
-    current: dict | None = None
-    current_name = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _split_unquoted(raw, "#")[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        col = len(line) - len(line.lstrip()) + 1
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                raise ConfigError(f"line {lineno}, column {col}: unterminated table header")
-            name = stripped[1:-1].strip()
-            if not name:
-                raise ConfigError(f"line {lineno}, column {col}: empty table name")
-            if name in tables:
-                raise ConfigError(f"line {lineno}, column {col}: duplicate table [{name}]")
-            current = {}
-            current_name = name
-            tables[name] = current
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}, column {col}: expected 'key = value'")
-        if current is None:
-            raise ConfigError(f"line {lineno}, column {col}: key outside any [table]")
-        key, _, value_text = stripped.partition("=")
-        key = key.strip()
-        value_text = value_text.strip()
-        value_col = col + len(stripped) - len(value_text)
-        if not key:
-            raise ConfigError(f"line {lineno}, column {col}: empty key")
-        if key in current:
-            raise ConfigError(
-                f"line {lineno}, column {col}: duplicate key {key!r} in [{current_name}]"
-            )
-        if value_text.startswith("["):
-            if not value_text.endswith("]"):
-                raise ConfigError(f"line {lineno}, column {value_col}: unterminated array")
-            inner = value_text[1:-1].strip()
-            pieces = _split_unquoted(inner, ",") if inner else []
-            current[key] = [_parse_scalar(piece, lineno, value_col) for piece in pieces]
-        else:
-            current[key] = _parse_scalar(value_text, lineno, value_col)
+    """Parse TOML text into nested dicts, one per [table]."""
+    # imported here: tomllib's import costs about 4.7 ms after numpy
+    # (python -X importtime), which runs without --config need not pay
+    import tomllib
+
+    try:
+        tables = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(str(exc)) from None
+    for key, value in tables.items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"key {key!r} outside any [table]")
     return tables
 
 

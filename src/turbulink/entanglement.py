@@ -102,15 +102,12 @@ def _pair_density(psi: np.ndarray, tensor: np.ndarray) -> tuple:
     matrix = out.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(size, size)
     matrix = 0.5 * (matrix + matrix.conj().T)
     mass = float(np.trace(matrix).real)
+    if not mass > 0.0:
+        raise RuntimeError(f"pair fully absorbed (transmitted mass {mass:g})")
     return TwoPhotonDensity(dim=dim, matrix=matrix / mass), mass
 
 
-def propagate_pair(
-    state: TwoPhotonState,
-    kernel: ChannelKernel,
-    spec: BiphotonSpec,
-    dim: int | None = None,
-) -> tuple:
+def propagate_pair(state: TwoPhotonState, kernel: ChannelKernel, spec: BiphotonSpec) -> tuple:
     """Send both photons through independent copies of the channel.
 
     Returns (TwoPhotonDensity, transmitted_mass): the density is normalized
@@ -119,12 +116,7 @@ def propagate_pair(
     tensordots (psi over m, conj(psi) over p) and one dim^6 GEMM against the
     channel tensor over (n, q).
     """
-    dim = state.dim if dim is None else dim
-    if dim < state.dim:
-        raise ValueError("target dimension smaller than the state")
-    psi = np.zeros((dim, dim), dtype=complex)
-    psi[: state.dim, : state.dim] = state.coefficients
-    return _pair_density(psi, channel_tensor(kernel, spec, dim))
+    return _pair_density(state.coefficients, channel_tensor(kernel, spec, state.dim))
 
 
 def log_negativity(rho: TwoPhotonDensity) -> float:
@@ -140,9 +132,7 @@ def log_negativity(rho: TwoPhotonDensity) -> float:
 
 def fidelity_to_input(rho: TwoPhotonDensity, state: TwoPhotonState) -> float:
     """Overlap <psi| rho |psi> of the output density with the input state."""
-    psi = np.zeros((rho.dim, rho.dim), dtype=complex)
-    psi[: state.dim, : state.dim] = state.coefficients
-    vec = psi.reshape(-1)
+    vec = state.coefficients.reshape(-1)
     value = complex(vec.conj() @ rho.matrix @ vec)
     return float(value.real)
 

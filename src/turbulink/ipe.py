@@ -357,7 +357,7 @@ def analytic_decay(
     return math.exp(-exponent - extinction_depth(extinction_per_km, geom.path_length))
 
 
-def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
+def cutoff_bracketing(l_values, cutoffs) -> dict:
     """Fundamental-mode population against the path-integrated decay density.
 
     Evaluated in the short-distance regime (t = z/z_R -> 0) where the
@@ -369,14 +369,12 @@ def cutoff_bracketing(l_values, cutoffs, schemes=None) -> dict:
     l_values = np.asarray(l_values, dtype=float)
     if len(l_values) == 0 or np.any(l_values < 0) or np.any(np.diff(l_values) <= 0):
         raise ValueError("l_values must be nonempty, nonnegative and increasing")
-    if schemes is None:
-        schemes = (PropagationScheme.TRUNCATED_EXACT, PropagationScheme.LINDBLAD_TRUNCATED)
     base_step = l_values[-1] / 512.0 if l_values[-1] > 0 else 1.0
     results = {}
     for cutoff in cutoffs:
         # sector 0 only; the fundamental is the first coordinate of the l = 0 block
         parts, fundamental = generator_parts(cutoff, 0), cutoff * (cutoff + 1) ** 2
-        for scheme in schemes:
+        for scheme in (PropagationScheme.TRUNCATED_EXACT, PropagationScheme.LINDBLAD_TRUNCATED):
             operator = COUPLING_PREFACTOR * parts.operator(scheme)
             x = np.eye(len(operator))[fundamental]
             probabilities = np.empty(len(l_values))

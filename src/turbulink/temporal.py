@@ -177,10 +177,6 @@ class TransmissionMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def row_leakage(self, n: int) -> float:
-        """Probability lost to modes above the truncation for input mode n."""
-        return 1.0 - float(self.matrix[n].sum())
-
 
 def transmission_matrix(kernel: ChannelKernel, spec: BiphotonSpec, max_mode: int) -> TransmissionMatrix:
     """S[n, m]: probability of receiving temporal mode m when n was sent.

@@ -273,25 +273,22 @@ def l_cross(z: float, omega1: float, omega2: float, cn2: float, waist: float) ->
 def integrated_l(
     profile: TurbulenceProfile,
     geom: LinkGeometry,
-    frequencies: float | tuple | None = None,
+    frequencies: tuple | None = None,
 ) -> float | np.ndarray:
     """Path integral of the decay density, int_0^{z_f} l(z) dz (dimensionless).
 
     frequencies:
       None          -> use geom.wavelength (single-wavelength l)
-      float         -> that wavelength (m)
       (w1, w2)      -> two-frequency l for the angular-frequency pair (rad/s);
                        arrays broadcast and give an array of integrals
     """
     if frequencies is None:
-        frequencies = geom.wavelength
-    if isinstance(frequencies, tuple):
+        lambda1 = lambda2 = np.asarray(float(geom.wavelength))
+    else:
         omega1, omega2 = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in frequencies))
         if np.any(omega1 <= 0) or np.any(omega2 <= 0):
             raise ValueError("frequencies must be positive")
         lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
-    else:
-        lambda1 = lambda2 = np.asarray(float(frequencies))
     # l(z) = C_n^2(z) w^{5/3} / (lambda1 lambda2) * (1 + half_sum (z / pi w^2)^2)^{5/6}
     half_sum = 0.5 * (lambda1 * lambda1 + lambda2 * lambda2)
     beam_area = math.pi * geom.waist**2

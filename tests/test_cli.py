@@ -1,8 +1,9 @@
+import csv
 from dataclasses import replace
 
 import pytest
 
-from turbulink import cli
+from turbulink import cli, lgmodes
 from turbulink.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, run_subcommand, sweep
 from turbulink.config import (
     _SECTION_KEYS,
@@ -85,7 +86,7 @@ class TestConfigParsing:
             parse_table_text("[link]\ndistance_m = \n")
 
     def test_key_outside_table(self):
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(ConfigError, match=r"'distance_m' outside any \[table\]"):
             parse_table_text("distance_m = 1.0\n")
 
     def test_unknown_keys_rejected(self):
@@ -193,10 +194,14 @@ class TestConfigParsing:
         assert tables == {"sweep": {"axes": ["a,b", "c", 1.5]}}
 
     def test_unterminated_string_reports_line_and_column(self):
-        with pytest.raises(ConfigError, match="line 2, column 8: unterminated string"):
+        with pytest.raises(ConfigError, match="line 2, column 14"):
             parse_table_text('[sweep]\naxes = ["a,b]\n')
-        with pytest.raises(ConfigError, match="line 3, column 15: unterminated string"):
+        with pytest.raises(ConfigError, match="line 3, column 23"):
             parse_table_text('[turbulence]\n\nprofile_csv = "run.csv\n')
+
+    def test_literal_string_keeps_backslashes(self):
+        tables = parse_table_text("[turbulence]\nprofile_csv = 'C:\\data\\cn2.csv'\n")
+        assert tables == {"turbulence": {"profile_csv": "C:\\data\\cn2.csv"}}
 
     def test_scan_without_nondegenerate_row_rejected(self, tmp_path, capsys):
         # pair_modes = 2 scans n < 1, and with fixed_mode = 0 that is the degenerate row only
@@ -319,6 +324,11 @@ class TestSubcommands:
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
 
+    def test_validate_reads_the_library_prefactor(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lgmodes, "COUPLING_PREFACTOR", 8.2)
+        assert run_cli(tmp_path, "validate") == EXIT_NUMERIC
+        assert "FAIL decay_constant_-54.10" in capsys.readouterr().out
+
     def test_beam_family(self, tmp_path):
         code = run_cli(tmp_path, "beam")
         assert code == EXIT_OK
@@ -391,6 +401,12 @@ class TestSubcommands:
         assert run_cli(tmp_path, "--set", "cn2=1e-11", "tmatrix") == EXIT_NUMERIC
         assert "fully absorbed" in capsys.readouterr().err
         assert not (tmp_path / "tmatrix.csv").exists()
+
+    def test_fully_absorbed_pair_is_a_numeric_failure(self, tmp_path, capsys, recwarn):
+        assert run_cli(tmp_path, "--set", "cn2=1e-11", "entangle") == EXIT_NUMERIC
+        assert "pair fully absorbed" in capsys.readouterr().err
+        assert not recwarn.list
+        assert not (tmp_path / "entangle.csv").exists()
 
     def test_gnuplot_hints(self, capsys):
         assert main(["--gnuplot-hints", "kernel"]) == EXIT_OK
@@ -516,6 +532,22 @@ class TestSweep:
             rows = [row.split(",") for row in (direct / "entangle.csv").read_text().splitlines()[1:]]
             assert [int(row[0]) for row in rows] == [0, 1, 2]
             assert en_min == min(float(row[2]) for row in rows if row[4] == "0")
+
+    def test_string_cell_with_comma_is_quoted(self, tmp_path):
+        profile = tmp_path / "heights,cn2.csv"
+        profile.write_text("height_m,cn2\n1.0,1e-15\n100.0,1e-15\n")
+        block = f"\n[sweep]\naxes = [\"profile_csv\"]\nprofile_csv = ['{profile}']\n"
+        config_path = self.make_config(tmp_path, block)
+        code = main([
+            "--config", config_path, "--set", f"output_dir={tmp_path}",
+            "--set", "grid_order=8", "sweep", "kernel",
+        ])
+        assert code == EXIT_OK
+        with open(tmp_path / "sweep_kernel.csv", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["profile_csv", "P_center"]
+        assert [len(row) for row in rows] == [2]
+        assert rows[0][0] == str(profile)
 
     def test_axis_ordering_in_output(self, tmp_path):
         block = "\n[sweep]\naxes = [\"cn2\"]\ncn2 = [1e-14, 1e-16, 1e-15]\n"

@@ -15,6 +15,8 @@ from turbulink.entanglement import (
     propagate_pair,
     robustness_scan,
 )
+from turbulink.temporal import channel_kernel
+from turbulink.turbulence import TurbulenceProfile
 
 
 def single_photon_block(kernel, n, count):
@@ -139,7 +141,7 @@ class TestPropagatePair:
 
     def test_separable_input_factorizes(self, paper_spec, kernel_1e16):
         state = TwoPhotonState.mode_pair(0, 0, 8)
-        rho, _ = propagate_pair(state, kernel_1e16, paper_spec, dim=8)
+        rho, _ = propagate_pair(state, kernel_1e16, paper_spec)
         single = channel_tensor(kernel_1e16, paper_spec, 8)[:, :, 0, 0]
         normalized = single / np.trace(single).real
         expected = np.kron(normalized, normalized)
@@ -245,3 +247,12 @@ class TestRobustnessScan:
         loss_even = initial - log_negativity(rho_even)
         loss_cons = initial - log_negativity(rho_cons)
         assert loss_even < loss_cons
+
+    def test_fully_absorbed_pair_raises(self, paper_spec, paper_geometry):
+        # every kernel entry underflows to 0, so the pair density is undefined
+        kernel = channel_kernel(
+            paper_spec, TurbulenceProfile.from_constant(1e-11), paper_geometry, grid_order=8
+        )
+        assert not kernel.matrix.any()
+        with pytest.raises(RuntimeError, match="pair fully absorbed"):
+            robustness_scan(kernel, paper_spec, 0, range(3), dim=4)

@@ -520,7 +520,7 @@ class TestCutoffBracketing:
         state = np.zeros(size * size, dtype=complex)
         state[fundamental * size + fundamental] = 1.0
         exact = (expm(operator * 0.1) @ state)[fundamental * size + fundamental].real
-        stepped = cutoff_bracketing([0.1], [2], [PropagationScheme.TRUNCATED_EXACT])
+        stepped = cutoff_bracketing([0.1], [2])
         assert stepped[(PropagationScheme.TRUNCATED_EXACT, 2)][0] == pytest.approx(exact, abs=1e-9)
 
     def test_input_validation(self):
