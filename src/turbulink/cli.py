@@ -37,9 +37,8 @@ from .config import (
 )
 from .entanglement import robustness_scan
 from .lgmodes import LGIndex, ModeBasis
-from .schmidt import BiphotonSpec
 from .temporal import KernelFidelity
-from .turbulence import TRAD_S, LinkGeometry, TurbulenceProfile, two_pi_c_over
+from .turbulence import TRAD_S, LinkGeometry, TurbulenceProfile
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -62,17 +61,9 @@ def _profile(config: RunConfig) -> TurbulenceProfile:
     return TurbulenceProfile.from_constant(config.cn2)
 
 
-def _spec(config: RunConfig) -> BiphotonSpec:
-    """The source in rad/s; pump_trad = 0 pumps at 2 * 2 pi c / lambda."""
-    pump = config.pump_trad * TRAD_S if config.pump_trad > 0 else 2.0 * two_pi_c_over(config.wavelength_m)
-    return BiphotonSpec(
-        sigma_a=config.sigma_a_trad * TRAD_S, sigma_b=config.sigma_b_trad * TRAD_S, omega_p=pump
-    )
-
-
 def _kernel(config: RunConfig) -> temporal.ChannelKernel:
     return temporal.channel_kernel(
-        _spec(config),
+        config.spec,
         _profile(config),
         _geometry(config),
         grid_order=config.grid_order,
@@ -96,7 +87,7 @@ def _out_path(config: RunConfig, name: str) -> str:
 
 def run_schmidt(config: RunConfig):
     """The truncation's discarded mass; `write` prints and writes the spectrum."""
-    spec = _spec(config)
+    spec = config.spec
     source = schmidt.truncated_source(spec, config.max_mode)
 
     def write(out):
@@ -191,7 +182,7 @@ def run_kernel(config: RunConfig):
 
 def run_tmatrix(config: RunConfig):
     """The smallest diagonal transmission; `write` writes the matrix and traces."""
-    tm = temporal.transmission_matrix(_kernel(config), _spec(config), config.max_mode)
+    tm = temporal.transmission_matrix(_kernel(config), config.spec, config.max_mode)
 
     def write(out):
         size = range(tm.size)
@@ -210,7 +201,7 @@ def run_tmatrix(config: RunConfig):
 def run_entangle(config: RunConfig):
     """The smallest final log-negativity over the non-degenerate scan rows."""
     rows = robustness_scan(
-        _kernel(config), _spec(config), config.fixed_mode, config.scan_modes, dim=config.pair_modes
+        _kernel(config), config.spec, config.fixed_mode, config.scan_modes, dim=config.pair_modes
     )
 
     def write(out):

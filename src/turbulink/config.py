@@ -20,14 +20,17 @@ range-checked against RANGES, which is derived from those fields.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
 from .entanglement import MAX_PAIR_MODES
 from .ipe import PropagationScheme
 from .lgmodes import MAX_COUPLING_CUTOFF
+from .mathcore import gauss_hermite_rule
+from .schmidt import BiphotonSpec, frequency_grid
 from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER, KernelFidelity
-from .turbulence import CN2_MAX, CN2_MIN
+from .turbulence import CN2_MAX, CN2_MIN, TRAD_S, extinction_depth, two_pi_c_over
 
 
 class ConfigError(ValueError):
@@ -92,6 +95,14 @@ class RunConfig:
     output_dir: str = _key(".", "output")
     sweep_axes: tuple = ()
     sweep_values: tuple = ()
+
+    @property
+    def spec(self) -> BiphotonSpec:
+        """The source in rad/s; pump_trad = 0 pumps at 2 * 2 pi c / lambda."""
+        pump = self.pump_trad * TRAD_S if self.pump_trad > 0 else 2.0 * two_pi_c_over(self.wavelength_m)
+        return BiphotonSpec(
+            sigma_a=self.sigma_a_trad * TRAD_S, sigma_b=self.sigma_b_trad * TRAD_S, omega_p=pump
+        )
 
     @property
     def scan_modes(self) -> range:
@@ -184,6 +195,20 @@ def validate_config(config: RunConfig, command: str = ""):
                 raise ConfigError(
                     f"value for '{key}' out of range: full_ipe kernels allow at most {limit}"
                 )
+    if command in ("kernel", "tmatrix", "entangle"):
+        lowest = frequency_grid(config.spec, gauss_hermite_rule(config.grid_order).nodes)[0]
+        if not lowest > 0:
+            raise ConfigError(
+                f"value for 'pump_trad' out of range: the frequency grid of grid_order {config.grid_order}"
+                f" reaches {lowest / TRAD_S:.6g} T rad/s; raise pump_trad or narrow the bandwidths"
+            )
+    # a flat extinction that underflows leaves no mode to transmit or to entangle
+    depth = extinction_depth(config.extinction_per_km, config.distance_m)
+    if command in ("tmatrix", "entangle") and math.exp(-depth) == 0.0:
+        raise ConfigError(
+            f"value for 'extinction_per_km' out of range: {config.extinction_per_km} over "
+            f"distance_m = {config.distance_m} absorbs every mode (exp underflows to 0)"
+        )
     if command == "tmatrix" and config.max_mode + 1 > config.grid_order // 2:
         raise ConfigError(
             f"value for 'max_mode' out of range: {config.max_mode} needs grid_order >= {2 * (config.max_mode + 1)}"

@@ -30,8 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, LGIndex, ModeBasis
-from .lgmodes import coefficient_stack, pair_tensor, sector_blocks
+from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, LGIndex, ModeBasis, sector_blocks, sector_coupling
 from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, extinction_depth, integrated_l, l_strength
 
 HERMITICITY_TOL = 1e-12
@@ -112,7 +111,7 @@ class DensityMatrix:
 class GeneratorParts:
     """The fixed real operators of one Delta-l sector on its real coordinates
     (`_layout`), which obey x' = rate(z) A x + gouy(z) C x.  A is `gain` (the
-    `lgmodes.pair_tensor` block at t = 0; its scalar total-rate loss cancels
+    `lgmodes.sector_coupling` block at t = 0; its scalar total-rate loss cancels
     against the gain's diagonal, so the combination is outer-scale free) or
     `lindblad` = gain - B / 2, B: rho -> Q rho + rho Q^dagger with Q = Gamma0^T.
     C, the Gouy commutator 2i(g_u - g_v), turns each (Re, Im) pair:
@@ -182,26 +181,14 @@ def _blocks(x: np.ndarray, count: int, side: int, hermitian: bool) -> np.ndarray
     return entries.reshape(count, side, side)
 
 
-@lru_cache(maxsize=8)
-def _sector0(cutoff: int) -> tuple:
-    """(sector 0's gain on its real coordinates, Q(0) = Gamma0^T per l-block):
-    Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal entries."""
-    basis, side = ModeBasis(cutoff), cutoff + 1
-    stack = coefficient_stack(basis, 0.0)
-    sector0 = pair_tensor(basis, stack, np.conj(stack), 0)
-    q0 = np.einsum("qabpmm->qba", sector0.reshape((2 * cutoff + 1, side, side) * 2))
-    return _real_form(sector0, _layout(side, True, 2 * cutoff + 1)), q0
-
-
 @lru_cache(maxsize=32)
 def generator_parts(cutoff: int, delta: int) -> GeneratorParts:
     basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(basis, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
-    gain, q0 = _sector0(cutoff)
-    if delta:
-        stack = coefficient_stack(basis, 0.0)
-        gain = _real_form(pair_tensor(basis, stack, np.conj(stack), delta), _layout(side, False, count))
+    gain = _real_form(sector_coupling(cutoff, delta, 0.0), _layout(side, delta == 0, count))
+    # Q(0) = Gamma0^T per l-block: Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal
+    q0 = np.einsum("qabpmm->qba", sector_coupling(cutoff, 0, 0.0).reshape((2 * cutoff + 1, side, side) * 2))
     # per l-block on its row-major entries: rho -> Q rho + rho Q^dagger and
     # the Gouy commutator, in real coordinates, then block-diagonal in the sector
     gouy, eye = np.array([idx.gouy_weight for idx in basis.indices]).reshape(-1, side), np.eye(side)

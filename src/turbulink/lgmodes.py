@@ -19,16 +19,18 @@ coefficients of a basis are computed once per cutoff.
 Radially integrating W W* against the von Karman spectrum (outer scale sent
 to zero, the divergent total-rate piece cancelled analytically) leaves a
 Gamma-function sum over coefficient pairs that conserves
-Delta = l_m - l_n = l_u - l_v.  `pair_tensor` assembles one Delta-l sector
-of it, which the propagators use directly; `coupling_tensor` scatters every
-sector into the dense tensor at one wavelength.  Between two carrier
-frequencies the coefficients are real up to diagonal phases, so
-`pair_coupling_assembler` builds the sector-0 coupling of many frequency
-pairs as real GEMMs.  A direct quadrature of the defining integral with a
-small but finite outer scale is kept alongside as an oracle.
+Delta = l_m - l_n = l_u - l_v.  The coefficients are real up to diagonal
+phases, so `pair_coupling_assembler`, the one builder of that sum, forms one
+Delta-l sector of it as real GEMMs for a batch of carrier-frequency pairs;
+the single-wavelength block of each sector is cached from one batch-1 call
+and dressed with its phases at each t (`sector_coupling`), which the
+propagators use directly and `coupling_tensor` scatters into the dense
+tensor.  A direct quadrature of the defining integral with a small but
+finite outer scale is kept alongside as an oracle.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -151,18 +153,14 @@ def _c0(m: LGIndex, n: LGIndex) -> np.ndarray:
     return (-1.0) ** (m.r + n.r) * np.convolve(plus, minus)
 
 
-def _gouy_phase(weight_difference, t: float):
-    """Gouy phase b^{g_m - g_n} with b = (1 + it)/(1 - it), g = r + |l|/2."""
-    return np.exp(2j * math.atan(t) * weight_difference)
-
-
 def c_coefficients(m: LGIndex, n: LGIndex, t: float) -> np.ndarray:
     """Correlation-function coefficients c_{m,n,j} at normalized distance t.
 
     Returns the dense j-array (length 2(r_m + r_n) + |l_m| + |l_n| + 1);
     entries with j of the opposite parity to |l_m| + |l_n| are exactly zero.
     """
-    return _c0(m, n) * _gouy_phase(m.gouy_weight - n.gouy_weight, t)
+    # the Gouy phase b^{g_m - g_n}, b = (1 + it)/(1 - it)
+    return _c0(m, n) * np.exp(2j * math.atan(t) * (m.gouy_weight - n.gouy_weight))
 
 
 def lg_momentum_amplitude(idx: LGIndex, K, phi, t: float, w0: float):
@@ -369,22 +367,17 @@ class CouplingTensor:
 
 
 @lru_cache(maxsize=None)
-def _c0_stack(cutoff: int) -> np.ndarray:
-    # read-only; keys are bounded by the index guard
-    basis = ModeBasis(cutoff)
-    stack = np.zeros((6 * cutoff + 1, basis.size, basis.size), dtype=complex)
-    for a, m in enumerate(basis.indices):
-        for b, u in enumerate(basis.indices):
-            values = _c0(m, u)
-            stack[: len(values), a, b] = values
+def _real_stack(cutoff: int) -> np.ndarray:
+    # R[j, P, Q, r_m, r_u] over the l-blocks P of m and Q of u, c_{m,u,j}(0) = i^{N_m - N_u} R[j, m, u]
+    # with N = 2r + |l|; read-only, and keys are bounded by the index guard
+    basis, side = ModeBasis(cutoff), cutoff + 1
+    stack = np.zeros((6 * cutoff + 1, basis.size, basis.size))
+    for (a, m), (b, u) in itertools.product(enumerate(basis.indices), repeat=2):
+        values = _c0(m, u) * (-1j) ** (int(2 * (m.gouy_weight - u.gouy_weight)) % 4)
+        stack[: len(values), a, b] = values.real
+    stack = stack.reshape(-1, 2 * side - 1, side, 2 * side - 1, side).transpose(0, 1, 3, 2, 4).copy()
     stack.setflags(write=False)
     return stack
-
-
-def coefficient_stack(basis: ModeBasis, t: float) -> np.ndarray:
-    """c_{m,u,j} for all basis pairs as a new array of shape (j_count, size, size)."""
-    weights = np.array([idx.gouy_weight for idx in basis.indices])
-    return _c0_stack(basis.cutoff) * _gouy_phase(weights[:, None] - weights[None, :], t)
 
 
 def sector_blocks(basis: ModeBasis, delta: int) -> tuple:
@@ -392,82 +385,91 @@ def sector_blocks(basis: ModeBasis, delta: int) -> tuple:
     return max(delta, 0), max(-delta, 0), 2 * basis.cutoff + 1 - abs(delta)
 
 
-def pair_tensor(basis: ModeBasis, left: np.ndarray, right: np.ndarray, delta: int) -> np.ndarray:
-    """Dense block of the coefficient double sum on the Delta-l sector delta.
-
-    G[(q, r_u, r_v), (p, r_m, r_n)] = sum_{j1 j2} left[j1, m, u] M[j1, j2] right[j2, n, v]
-    over l_m - l_n = l_u - l_v = delta, M the Gamma weights, p and q the
-    sector's l-block pairs (see `sector_blocks`): it maps a sector, stored
-    as its stack of l-blocks, onto itself.  (stack, conj(stack)) gives the
-    single-frequency coupling, dressed stacks the cross-frequency one.
-    """
-    if basis.cutoff > MAX_COUPLING_CUTOFF:
-        raise OracleIndexError(f"coupling sum inaccurate beyond cutoff {MAX_COUPLING_CUTOFF}")
-    j_count, side = left.shape[0], basis.cutoff + 1
-    lo_row, lo_col, count = sector_blocks(basis, delta)
-
-    def blocks(stack, lo):  # one (j, r r') matrix per l-block pair of the sector
-        sub = stack.reshape(j_count, 2 * side - 1, side, 2 * side - 1, side)
-        sub = sub[:, lo : lo + count, :, lo : lo + count, :].transpose(1, 3, 0, 2, 4)
-        return sub.reshape(count * count, j_count, side * side)
-
-    a, b = blocks(left, lo_row), blocks(right, lo_col)
-    pairs = (a.transpose(0, 2, 1) @ gamma_weight_matrix(j_count)) @ b
-    # [(p, q), (r_m, r_u), (r_n, r_v)] -> [(q, r_u, r_v), (p, r_m, r_n)]
-    pairs = pairs.reshape(count, count, side, side, side, side).transpose(1, 3, 5, 0, 2, 4)
-    return pairs.reshape(count * side * side, count * side * side)
+def _sector_orders(cutoff: int, delta: int) -> tuple:
+    """(N_m, N_n), N = 2r + |l|, on each entry (p, r_m, r_n) of sector delta."""
+    lo_row, lo_col, count = sector_blocks(ModeBasis(cutoff), delta)
+    n = 2 * np.arange(cutoff + 1) + np.abs(np.arange(-cutoff, cutoff + 1))[:, None]  # [l-block, r]
+    rows, cols = n[lo_row : lo_row + count, :, None], n[lo_col : lo_col + count, None, :]
+    return tuple(np.broadcast_to(x, (count, cutoff + 1, cutoff + 1)).ravel() for x in (rows, cols))
 
 
-def pair_coupling_assembler(cutoff: int, batch: int):
+def pair_coupling_assembler(cutoff: int, batch: int, delta: int):
     """A function (ratio, phase) -> (real, diagonal) for `batch` carrier
     pairs at one z, given each carrier's a_i / mean(a) and pi/2 + atan t_i as
-    (2, batch) arrays: their sector-0 couplings up to the rate are
-    conj(diagonal)[:, :, None] * real * diagonal[:, None, :] (`pair_tensor`'s
-    layout).  The coefficients are real up to diagonal phases,
-    c_{m,u,j}(t) = e^{i(pi/2 + atan t)(N_m - N_u)} R[j, m, u] with N = 2r + |l|,
-    so real = R^T diag(s1^j) M diag(s2^j) R with s_i^2 = a_i / mean(a).  Each
-    call overwrites the real block the last one returned (fresh arrays would
-    cost more in page faults than the GEMMs)."""
+    (2, batch) arrays: the coefficient double sum on Delta-l sector delta,
+
+        G[(q, r_u, r_v), (p, r_m, r_n)] = sum_{j1 j2} c1[j1, m, u] M[j1, j2] conj(c2[j2, n, v])
+
+    over l_m - l_n = l_u - l_v = delta, M the Gamma weights and p and q the
+    sector's l-block pairs (see `sector_blocks`), is
+    conj(diagonal)[:, :, None] * real * diagonal[:, None, :]; it maps a
+    sector, stored as its stack of l-blocks, onto itself.  The coefficients
+    are real up to diagonal phases, c_{m,u,j}(t) = e^{i(pi/2 + atan t)(N_m - N_u)} R[j, m, u],
+    so real = (R^T W) R with W = diag(s1^j) M diag(s2^j), s_i^2 = a_i / mean(a).
+    Each call overwrites the real block the last one returned (fresh arrays
+    would cost more in page faults than the GEMMs)."""
     if cutoff > MAX_COUPLING_CUTOFF:
         raise OracleIndexError(f"coupling sum inaccurate beyond cutoff {MAX_COUPLING_CUTOFF}")
-    side, count, side_sq = cutoff + 1, 2 * cutoff + 1, (cutoff + 1) ** 2
-    n = np.array([2 * idx.r + abs(idx.l) for idx in ModeBasis(cutoff).indices])
-    real = (_c0_stack(cutoff) * np.array([1, 1j, -1, -1j])[(n[None, :] - n[:, None]) % 4]).real
-    j_count, count_sq = len(real), count * count
-    # [j, (p, q, r_m, r_u)] over the l-block pairs (p, q), and N of each sector entry (p, r_m, r_n)
-    right = real.reshape(j_count, count, side, count, side).transpose(0, 1, 3, 2, 4).reshape(j_count, -1)
-    left = right.reshape(j_count, count_sq, side_sq).transpose(1, 2, 0)
-    n_row, n_col = np.repeat(n, side), np.tile(n.reshape(count, side), side).reshape(-1)
+    side, side_sq = cutoff + 1, (cutoff + 1) ** 2
+    lo_row, lo_col, count = sector_blocks(ModeBasis(cutoff), delta)
+    stack, count_sq = _real_stack(cutoff), count * count
+    j_count = len(stack)
+    # R over the sector's (m, u) l-block pairs as [(p, q, r_m, r_u), j], and
+    # over its (n, v) l-block pairs as [(p, q), j, (r_n, r_v)]
+    rows, cols = (stack[:, lo : lo + count, lo : lo + count] for lo in (lo_row, lo_col))
+    rows, cols = rows.reshape(j_count, -1).T, cols.reshape(j_count, count_sq, -1).transpose(1, 0, 2).copy()
+    n_row, n_col = _sector_orders(cutoff, delta)
     half_j, gamma = 0.5 * np.arange(j_count), gamma_weight_matrix(j_count)
     # two buffers, each written while the other one holds the operand
     first, second = np.empty((2, batch * count_sq * side_sq * max(j_count, side_sq)))
-    inner = first[: batch * j_count * count_sq * side_sq].reshape(batch, j_count, count_sq, side_sq)
-    moved = second[: inner.size].reshape(count_sq, j_count, batch, side_sq)
-    blocks = first[: batch * count_sq * side_sq**2].reshape(count, count, side, side, batch, side, side)
+    inner = first[: batch * count_sq * side_sq * j_count].reshape(batch, count_sq, side_sq, j_count)
+    moved = second[: inner.size].reshape(count_sq, batch, side_sq, j_count)
+    blocks = first[: batch * count_sq * side_sq**2].reshape(count, count, batch, side, side, side, side)
     out = second[: blocks.size].reshape(batch, count, side, side, count, side, side)
 
     def assemble(ratio: np.ndarray, phase: np.ndarray) -> tuple:
-        # one GEMM per weight matrix, then one per l-block pair over the batch
+        # one GEMM R^T W per weight matrix, then one per l-block pair over the batch
         scale = ratio[:, :, None] ** half_j
         weights = scale[0][:, :, None] * gamma * scale[1][:, None, :]
-        np.matmul(weights, right, out=inner.reshape(batch, j_count, -1))
-        np.copyto(moved, inner.transpose(2, 1, 0, 3))
-        np.matmul(left, moved.reshape(count_sq, j_count, -1), out=blocks.reshape(count_sq, side_sq, -1))
-        # [p, q, r_m, r_u, batch, r_n, r_v] -> [batch, (q, r_u, r_v), (p, r_m, r_n)]
-        np.copyto(out, blocks.transpose(4, 1, 3, 6, 0, 2, 5))
+        np.matmul(rows, weights, out=inner.reshape(batch, -1, j_count))
+        np.copyto(moved, inner.transpose(1, 0, 2, 3))
+        np.matmul(moved.reshape(count_sq, -1, j_count), cols, out=blocks.reshape(count_sq, -1, side_sq))
+        # [p, q, batch, r_m, r_u, r_n, r_v] -> [batch, (q, r_u, r_v), (p, r_m, r_n)]
+        np.copyto(out, blocks.transpose(2, 1, 4, 6, 0, 3, 5))
         diagonal = np.exp(1j * (phase[0][:, None] * n_row - phase[1][:, None] * n_col))
         return out.reshape(batch, count * side_sq, count * side_sq), diagonal
 
     return assemble
 
 
+@lru_cache(maxsize=None)
+def _real_sector(cutoff: int, delta: int) -> tuple:
+    # (G, N_m - N_n on each sector entry), both read-only: at one wavelength
+    # s_i = 1, so the real block is the same at every t
+    block = pair_coupling_assembler(cutoff, 1, delta)(np.ones((2, 1)), np.zeros((2, 1)))[0][0].copy()
+    orders = np.subtract(*_sector_orders(cutoff, delta))
+    for array in (block, orders):
+        array.setflags(write=False)
+    return block, orders
+
+
+def sector_coupling(cutoff: int, delta: int, t: float) -> np.ndarray:
+    """The coefficient double sum on Delta-l sector delta at one wavelength
+    and normalized distance t (`pair_coupling_assembler`'s G with c1 = c2):
+    conj(d) G d, G the cached real block, d = e^{i(pi/2 + atan t)(N_m - N_n)}
+    on each sector entry (p, r_m, r_n) with exact quarter turns (zeros stay 0)."""
+    block, orders = _real_sector(cutoff, delta)
+    d = np.array([1, 1j, -1, -1j])[orders % 4] * np.exp(1j * math.atan(t) * orders)
+    return np.conj(d)[:, None] * block * d
+
+
 def coupling_tensor(basis: ModeBasis, z: float, cn2: float, w0: float, frequencies) -> CouplingTensor:
     """The full tensor L_{m,n,u,v}(z) (total-rate part excluded) at the
     wavelength `frequencies` (m), sector by sector."""
-    left = coefficient_stack(basis, normalized_distance(z, frequencies, w0))
-    rate, right = COUPLING_PREFACTOR * l_strength(z, cn2, frequencies, w0), np.conj(left)
+    t = normalized_distance(z, frequencies, w0)
+    rate = COUPLING_PREFACTOR * l_strength(z, cn2, frequencies, w0)
     deltas = range(-2 * basis.cutoff, 2 * basis.cutoff + 1)
-    blocks = [rate * pair_tensor(basis, left, right, d) for d in deltas]  # guard before allocating
+    blocks = [rate * sector_coupling(basis.cutoff, d, t) for d in deltas]  # guard before allocating
     side = basis.cutoff + 1
     # entries[m, n, u, v] split into (l-block, radial index) pairs
     entries = np.zeros((2 * side - 1, side) * 4, dtype=complex)

@@ -49,12 +49,6 @@ def hermite_functions(count: int, x) -> np.ndarray:
     return phi
 
 
-def hermite_function(n: int, x):
-    """Orthonormal Hermite function phi_n(x), the last row of
-    `hermite_functions(n + 1, x)`."""
-    return hermite_functions(n + 1, x)[n]
-
-
 def gamma_fn(x: float) -> float:
     """Gamma function for real arguments away from the poles.
 

@@ -98,7 +98,7 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     area = 1.0 + t * t  # a_i / w0^2
     ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
     del t, area  # only the tables live through the run
-    assemble = pair_coupling_assembler(cutoff, len(omega1))
+    assemble = pair_coupling_assembler(cutoff, len(omega1), 0)
     # RK4 evaluates its midpoint twice and each step starts where the last
     # one ended, so a one-entry memo builds every node once
     generator = lru_cache(maxsize=1)(lambda k: assemble(ratio[:, k], phase[:, k]))

@@ -1,11 +1,12 @@
 """Dense masked coupling sum over a whole basis, and the complex sector derivative.
 
-An oracle for the Delta-l sector blocks of `lgmodes.pair_tensor` and for the
-two-frequency coupling behind the full-IPE kernel: the Gamma-weighted double
-sum over every (m, u) and (n, v) pair of two coefficient stacks as one
-(S^2, S^2) product, zeroed where the azimuthal rule l_m - l_u = l_n - l_v
-fails.  It shares only the coefficients and the Gamma weights with the
-library, never the sector layout or the real-up-to-phases factorization.
+An oracle for the Delta-l sector blocks of `lgmodes.pair_coupling_assembler`,
+at one wavelength and between two carriers: the Gamma-weighted double sum
+over every (m, u) and (n, v) pair of two complex coefficient stacks, each
+built from `c_coefficients` pair by pair, as one (S^2, S^2) product, zeroed
+where the azimuthal rule l_m - l_u = l_n - l_v fails.  It shares only the
+coefficients and the Gamma weights with the library, never the sector layout
+or the real-up-to-phases factorization.
 
 `complex_sector_derivative` is the rotating-frame derivative of one sector
 written on its complex l-blocks (gain matvec, Lindblad Q rho + rho Q^dagger
@@ -22,9 +23,8 @@ import numpy as np
 from turbulink.lgmodes import (
     COUPLING_PREFACTOR,
     ModeBasis,
-    coefficient_stack,
+    c_coefficients,
     gamma_weight_matrix,
-    pair_tensor,
     sector_blocks,
 )
 from turbulink.turbulence import l_cross, two_pi_c_over
@@ -35,6 +35,17 @@ def selection_mask(basis: ModeBasis) -> np.ndarray:
     ls = np.array([idx.l for idx in basis.indices])
     diff = ls[:, None] - ls[None, :]
     return diff[:, :, None, None] == diff[None, None, :, :]
+
+
+def coefficient_stack(basis: ModeBasis, t: float) -> np.ndarray:
+    """c_{m,u,j}(t) of every basis pair as a (6 cutoff + 1, size, size) array,
+    zero past each pair's last coefficient."""
+    stack = np.zeros((6 * basis.cutoff + 1, basis.size, basis.size), dtype=complex)
+    for a, m in enumerate(basis.indices):
+        for b, u in enumerate(basis.indices):
+            values = c_coefficients(m, u, t)
+            stack[: len(values), a, b] = values
+    return stack
 
 
 @lru_cache(maxsize=None)
@@ -48,6 +59,20 @@ def dense_pair_tensor(cutoff: int) -> np.ndarray:
     tensor = pairs.reshape(size, size, size, size) * selection_mask(basis)
     tensor.setflags(write=False)
     return tensor
+
+
+def dense_sector(tensor: np.ndarray, cutoff: int, delta: int) -> np.ndarray:
+    """Sector delta's block [(q, r_u, r_v), (p, r_m, r_n)] sliced from a
+    masked sum tensor[m, u, n, v] (l_m, l_u in row l-blocks lo_row + p, lo_row + q;
+    l_n, l_v in column l-blocks lo_col + p, lo_col + q; see `sector_blocks`)."""
+    side = cutoff + 1
+    lo_row, lo_col, count = sector_blocks(ModeBasis(cutoff), delta)
+    tensor = tensor.reshape((2 * cutoff + 1, side) * 4)
+    row, col = np.arange(lo_row, lo_row + count), np.arange(lo_col, lo_col + count)
+    p, q = np.arange(count)[:, None], np.arange(count)[None, :]
+    # [p, q, r_m, r_u, r_n, r_v] -> [q, r_u, r_v, p, r_m, r_n]
+    block = tensor[row[p], :, row[q], :, col[p], :, col[q], :].transpose(1, 3, 5, 0, 2, 4)
+    return block.reshape(count * side * side, count * side * side)
 
 
 def dense_pair_coupling(basis: ModeBasis, z: float, cn2: float, w0: float, pair) -> np.ndarray:
@@ -86,15 +111,14 @@ def dense_generator(cutoff: int) -> tuple:
 def complex_sector_derivative(cutoff: int, delta: int, lindblad: bool, rates, gouy_rates):
     """d rho / dz at node k on sector delta's (count, c+1, c+1) stack of complex
     l-blocks: rate (R0 rho - [Q rho + rho Q^dagger] / 2) plus the Gouy
-    commutator, the bracket only when `lindblad`; R0 is the `pair_tensor`
-    block at t = 0, Q = Gamma0^T (in the rotating frame the loss carries the
+    commutator, the bracket only when `lindblad`; R0 is the sector's slice of
+    `dense_pair_tensor`, Q = Gamma0^T (in the rotating frame the loss carries the
     gain's outflow phases, which cancel), and rates and gouy_rates are given
     per node."""
     basis, side, blocks = ModeBasis(cutoff), cutoff + 1, 2 * cutoff + 1
-    stack = coefficient_stack(basis, 0.0)
-    gain = pair_tensor(basis, stack, np.conj(stack), delta)
-    sector0 = pair_tensor(basis, stack, np.conj(stack), 0).reshape(blocks, side, side, blocks, side, side)
-    q = np.einsum("qabpmm->qab", sector0).transpose(0, 2, 1)
+    gain = dense_sector(dense_pair_tensor(cutoff), cutoff, delta)
+    q = dense_generator(cutoff)[1].T.reshape(blocks, side, blocks, side)
+    q = q[np.arange(blocks), :, np.arange(blocks), :]  # its l-blocks
     gouy = np.array([idx.gouy_weight for idx in basis.indices]).reshape(blocks, side)
     lo_row, lo_col, count = sector_blocks(basis, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)

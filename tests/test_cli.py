@@ -1,12 +1,21 @@
+import contextlib
 import csv
+import io
+import math
+import re
+import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from turbulink import cli, lgmodes
 from turbulink.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, run_subcommand, sweep
 from turbulink.config import (
+    _KEYS,
     _SECTION_KEYS,
+    RANGES,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -178,6 +187,31 @@ class TestConfigParsing:
         assert run_cli(tmp_path, *coarse, "tmatrix") == EXIT_CONFIG
         assert "'max_mode'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["kernel", "tmatrix", "entangle"])
+    @pytest.mark.parametrize("override", ["pump_trad=100", "sigma_a_trad=1000"])
+    def test_frequency_grid_must_stay_positive(self, tmp_path, capsys, subcommand, override):
+        # the grid omega_p / 2 + x / sqrt(b) reaches omega <= 0 when the
+        # bandwidths are wide against the pump, though each key is in range
+        assert run_cli(tmp_path, "--set", override, subcommand) == EXIT_CONFIG
+        assert "value for 'pump_trad'" in capsys.readouterr().err
+        config_path = tmp_path / "sweep.cfg"
+        config_path.write_text("[sweep]\naxes = [\"pump_trad\"]\npump_trad = [0.0, 100.0]\n")
+        assert run_cli(tmp_path, "--config", str(config_path), "sweep", subcommand) == EXIT_CONFIG
+        assert "value for 'pump_trad'" in capsys.readouterr().err
+        assert run_cli(tmp_path, "--set", override, "schmidt") == EXIT_OK  # no frequency grid
+
+    @pytest.mark.parametrize(
+        "subcommand, code",
+        [("tmatrix", EXIT_CONFIG), ("entangle", EXIT_CONFIG), ("kernel", EXIT_OK), ("beam", EXIT_OK)],
+    )
+    def test_flat_extinction_underflow_refused(self, tmp_path, capsys, subcommand, code):
+        # exp(-100 * 500) underflows to 0 before any turbulence acts: every
+        # mode would be fully absorbed, so the two readers of the modes refuse
+        # it up front; kernel and beam write the finite zeros
+        link = ("--set", "extinction_per_km=100", "--set", "distance_m=500000")
+        assert run_cli(tmp_path, *link, subcommand) == code
+        assert ("value for 'extinction_per_km'" in capsys.readouterr().err) == (code == EXIT_CONFIG)
+
     @pytest.mark.parametrize("key", ["scheme", "kernel_fidelity"])
     def test_value_outside_enum_names_key(self, key):
         with pytest.raises(ConfigError, match=f"value for '{key}' must be one of '"):
@@ -259,6 +293,46 @@ class TestConfigParsing:
             config_from_tables({"run": {"seed": 1}})
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_tables({"turbulence": {"outer_scale_wavenumber": 1.0}})
+
+
+def _in_range(key):
+    # positive float ranges span decades, so their values are drawn log-uniformly
+    lower, upper, _ = RANGES[key]
+    if type(getattr(RunConfig, key)) is int:
+        values = st.integers(lower, upper)
+    elif lower > 0:
+        exponents = st.floats(math.log10(lower), math.log10(upper))
+        values = exponents.map(lambda e: min(max(10.0**e, lower), upper))
+    else:
+        values = st.floats(lower, upper)
+    return st.one_of(st.just(0.0), values) if _KEYS[key]["zero_ok"] else values
+
+
+class TestValidatorProperty:
+    # the numeric failures an analytic-kernel run may end in (exit 2)
+    NUMERIC = ("fully absorbed", "path integral did not converge")
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        subcommand=st.sampled_from(["schmidt", "beam", "kernel", "tmatrix", "entangle"]),
+        values=st.fixed_dictionaries({key: _in_range(key) for key in RANGES}),
+    )
+    def test_accepted_config_runs_or_is_refused_by_key(self, tmp_path, subcommand, values):
+        # every in-range config either runs, is refused naming a key, or ends
+        # in a documented numeric failure, and never warns on the way
+        config = replace(RunConfig(), output_dir=str(tmp_path), **values)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run_subcommand(subcommand, config, out=io.StringIO())
+        assert not caught, [str(w.message) for w in caught]
+        message = err.getvalue()
+        if code == EXIT_CONFIG:
+            assert re.search("'(" + "|".join(_KEYS) + ")'", message), message
+        elif code == EXIT_NUMERIC:
+            assert message.startswith("numeric failure: ") and any(m in message for m in self.NUMERIC), message
+        else:
+            assert code == EXIT_OK and not message
 
 
 def run_cli(tmp_path, *args):

@@ -202,13 +202,14 @@ class TestStepMatrices:
         assert calls
 
     def test_generator_parts_match_an_uncached_build(self):
-        # Gamma0 comes from one cached sector-0 build per cutoff
-        from turbulink.ipe import _sector0, generator_parts
+        # Gamma0 comes from the cached sector-0 block of each cutoff
+        from turbulink.ipe import generator_parts
+        from turbulink.lgmodes import _real_sector
 
         for cutoff in range(5):
             cached = [generator_parts(cutoff, delta) for delta in range(2 * cutoff + 1)]
             for delta, parts in enumerate(cached):
-                _sector0.cache_clear()
+                _real_sector.cache_clear()
                 fresh = generator_parts.__wrapped__(cutoff, delta)
                 for name in ("gain", "lindblad", "turn", "partner"):
                     assert np.array_equal(getattr(fresh, name), getattr(parts, name))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import dense_pair_coupling, dense_pair_tensor, selection_mask
+from dense_oracle import dense_pair_coupling, dense_pair_tensor, dense_sector, selection_mask
 from series_oracle import series_c_coefficients
 
 from turbulink.lgmodes import (
@@ -16,7 +16,6 @@ from turbulink.lgmodes import (
     ModeBasis,
     OracleIndexError,
     c_coefficients,
-    coefficient_stack,
     coupling_numeric_oracle,
     coupling_oracle_extrapolated,
     coupling_tensor,
@@ -25,10 +24,9 @@ from turbulink.lgmodes import (
     gamma_weight_matrix,
     lg_momentum_amplitude,
     pair_coupling_assembler,
-    pair_tensor,
-    sector_blocks,
+    sector_coupling,
 )
-from turbulink.lgmodes import _c0_stack
+from turbulink.lgmodes import _real_sector, _real_stack
 from turbulink.turbulence import SpectrumParams, big_l_t, l_cross, l_strength
 
 W0 = 0.1457
@@ -207,22 +205,27 @@ class TestCoefficients:
             direct = c_coefficients(m, n, t)
             mapped = phase * c_coefficients(m, n, 0.0)
             assert np.max(np.abs(direct - mapped)) < 1e-12
-        # and so does the whole stack of a basis
-        basis = ModeBasis(4)
-        weights = np.array([idx.gouy_weight for idx in basis.indices])
-        phases = b ** (weights[:, None] - weights[None, :])
-        dressed = phases[None, :, :] * coefficient_stack(basis, 0.0)
-        assert np.max(np.abs(coefficient_stack(basis, t) - dressed)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", range(7))
     def test_real_up_to_diagonal_phases(self, cutoff):
         # c(0)[j, m, u] = i^{N_m - N_u} x real with N = 2r + |l| = 2 gouy_weight,
-        # so every dressed stack is a real stack conjugated by diagonal phases
-        basis = ModeBasis(cutoff)
+        # so at any t, c(t)[j, m, u] = e^{i(pi/2 + atan t)(N_m - N_u)} R[j, m, u]
+        # with R the library's one real stack, zero past each pair's length
+        basis, side = ModeBasis(cutoff), cutoff + 1
         orders = np.array([2 * idx.r + abs(idx.l) for idx in basis.indices])
         assert all(idx.gouy_weight == n / 2 for idx, n in zip(basis.indices, orders))
-        quarter_turns = np.array([1, 1j, -1, -1j])[(orders[None, :] - orders[:, None]) % 4]
-        assert np.all((_c0_stack(cutoff) * quarter_turns).imag == 0.0)
+        stack = _real_stack(cutoff)  # [j, l-block of m, l-block of u, r_m, r_u]
+        for (a, m), (b, u) in itertools.product(enumerate(basis.indices), repeat=2):
+            real = stack[:, a // side, b // side, a % side, b % side]
+            quarter_turned = c_coefficients(m, u, 0.0) * (-1j) ** ((orders[a] - orders[b]) % 4)
+            assert np.all(quarter_turned.imag == 0.0)
+            assert np.all(real[len(quarter_turned) :] == 0.0)
+            # both phases are exponentials of arguments up to 12 cutoff (pi/2 + atan 2),
+            # 64 rad at cutoff 6, whose rounding alone reaches 7e-15
+            for t in (0.0, 0.3, 2.0):
+                values = c_coefficients(m, u, t)
+                phase = np.exp(1j * (0.5 * math.pi + math.atan(t)) * (orders[a] - orders[b]))
+                assert np.max(np.abs(values - phase * real[: len(values)])) <= 1e-14 * np.max(np.abs(values))
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
     def test_matches_series_oracle(self, t):
@@ -239,7 +242,7 @@ class TestCoefficients:
         with pytest.raises(OracleIndexError):
             c_coefficients(LGIndex(l=0, r=9), LGIndex(l=0, r=0), 0.0)
         with pytest.raises(OracleIndexError):
-            coefficient_stack(ModeBasis(9), 0.0)
+            _real_stack(9)
 
     def test_oracle_agreement_first_radial(self):
         # (r=1,l=0) x (0,0) against the convolution oracle at 20 wavenumbers
@@ -382,42 +385,37 @@ class TestCouplingStrength:
 
     @pytest.mark.parametrize("cutoff", [0, 2, 3])
     def test_sector_blocks_match_dense_sum(self, cutoff):
-        # every Delta-l sector block is its slice of the whole-basis masked sum
-        basis = ModeBasis(cutoff)
+        # every Delta-l sector block at t = 0 is its slice of the whole-basis masked sum
         side = cutoff + 1
-        stack = coefficient_stack(basis, 0.0)
-        dense = dense_pair_tensor(cutoff).reshape((2 * cutoff + 1, side) * 4)
+        dense = dense_pair_tensor(cutoff)
         scale = np.max(np.abs(dense))
         for delta in range(-2 * cutoff, 2 * cutoff + 1):
-            lo_row, lo_col, count = sector_blocks(basis, delta)
-            block = pair_tensor(basis, stack, np.conj(stack), delta)
+            count = 2 * cutoff + 1 - abs(delta)
+            block = sector_coupling(cutoff, delta, 0.0)
             assert block.shape == (count * side * side,) * 2
-            block = block.reshape(count, side, side, count, side, side)
-            for p, q in itertools.product(range(count), repeat=2):
-                # dense[m, u, n, v] with l-blocks m, u on the row side, n, v on the column side
-                expected = dense[lo_row + p, :, lo_row + q, :, lo_col + p, :, lo_col + q, :]
-                got = block[q, :, :, p, :, :].transpose(2, 0, 3, 1)  # [r_m, r_u, r_n, r_v]
-                assert np.max(np.abs(got - expected)) < 1e-15 * scale
+            assert np.max(np.abs(block - dense_sector(dense, cutoff, delta))) < 1e-15 * scale
+            # its phases are exact quarter turns: every entry is real or imaginary
+            assert np.all((block.real == 0) | (block.imag == 0))
 
     @pytest.mark.parametrize("cutoff", [0, 1, 2, 3])
     def test_pair_coupling_matches_dressed_pair_tensor(self, cutoff):
-        # two carriers at t1 and t2, each stack with its own Gouy phase and
-        # area rescaling: the batched real block between its diagonal phases
-        # is the sector-0 block of the dressed stacks, to the rounding of the
-        # cancelling Gamma-weighted sum (1.6e-13 of the largest entry at
-        # cutoff 3 against a 40-digit evaluation)
+        # two carriers, each stack with its own Gouy phase and area
+        # rescaling (the dense oracle's dressed stacks): the batched real
+        # block between its diagonal phases is the sector-0 slice of the
+        # dense two-frequency sum, to the rounding of the cancelling
+        # Gamma-weighted sum (1.6e-13 of the largest entry at cutoff 3
+        # against a 40-digit evaluation)
         basis = ModeBasis(cutoff)
-        half_j = 0.5 * np.arange(6 * cutoff + 1)[:, None, None]
-        cases = ((0.7, 0.72), (2.0, 1.5), (0.0, 0.3))
-        t = np.array(cases).T
+        pairs = ((0.9 * OMEGA_C, 0.93 * OMEGA_C), (1.1 * OMEGA_C, 0.8 * OMEGA_C), (OMEGA_C, 1.2 * OMEGA_C))
+        z = 1.3 * Z_R
+        t = z / (math.pi * W0**2 / (2.0 * math.pi * 299792458.0 / np.array(pairs).T))
         area = 1.0 + t * t
         ratio = area / (0.5 * (area[0] + area[1]))
-        real, diagonal = pair_coupling_assembler(cutoff, len(cases))(ratio, np.arctan(t) + 0.5 * math.pi)
+        real, diagonal = pair_coupling_assembler(cutoff, len(pairs), 0)(ratio, np.arctan(t) + 0.5 * math.pi)
         assert real.dtype == np.float64
-        for b, (t1, t2) in enumerate(cases):
-            left = coefficient_stack(basis, t1) * ratio[0, b] ** half_j
-            right = np.conj(coefficient_stack(basis, t2)) * ratio[1, b] ** half_j
-            expected = pair_tensor(basis, left, right, 0)
+        for b, pair in enumerate(pairs):
+            dense = dense_pair_coupling(basis, z, CN2, W0, pair) / (COUPLING_PREFACTOR * l_cross(z, *pair, CN2, W0))
+            expected = dense_sector(dense.transpose(0, 2, 1, 3), cutoff, 0)
             got = np.conj(diagonal[b])[:, None] * real[b] * diagonal[b][None, :]
             assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
@@ -426,14 +424,12 @@ class TestCouplingStrength:
         # and by more than the entry itself at 8: nothing is assembled there
         assert MAX_COUPLING_CUTOFF == 6
         for cutoff in (MAX_COUPLING_CUTOFF + 1, MAX_ORACLE_INDEX):
-            basis = ModeBasis(cutoff)
-            stack = coefficient_stack(basis, 0.0)
             with pytest.raises(OracleIndexError, match="cutoff"):
-                pair_tensor(basis, stack, np.conj(stack), 0)
+                pair_coupling_assembler(cutoff, 1, 0)
+            with pytest.raises(OracleIndexError, match="cutoff"):
+                sector_coupling(cutoff, 1, 0.0)
             with pytest.raises(OracleIndexError):
-                coupling_tensor(basis, Z_R, CN2, W0, LAM)
-            with pytest.raises(OracleIndexError):
-                pair_coupling_assembler(cutoff, 1)
+                coupling_tensor(ModeBasis(cutoff), Z_R, CN2, W0, LAM)
 
     def test_dominant_transitions_are_azimuthal_neighbors(self):
         # transition strength falls steeply with the azimuthal jump: moving
@@ -540,31 +536,27 @@ class TestGammaWeights:
         assert weights[1, 1] == pytest.approx(0.5 * math.gamma(1.0 / 6.0), rel=1e-13)
         assert weights[0, 2] == weights[2, 0] == weights[1, 1]
 
-    def test_stack_agrees_with_elements(self):
-        basis = ModeBasis(1)
-        stack = coefficient_stack(basis, 0.6)
-        for a, m in enumerate(basis.indices):
-            for b, n in enumerate(basis.indices):
-                values = c_coefficients(m, n, 0.6)
-                assert np.allclose(stack[: len(values), a, b], values, atol=1e-15)
-                assert np.all(stack[len(values):, a, b] == 0)
-
     def test_stack_is_a_fresh_array(self):
-        basis = ModeBasis(2)
-        first = coefficient_stack(basis, 0.4)
+        # the cached real stack and sector blocks are read-only; each
+        # dressed block is a new array
+        for cached in (_real_stack(2), *_real_sector(2, 1)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 7.0
+        first = sector_coupling(2, 1, 0.4)
         expected = first.copy()
         first[:] = 7.0
-        assert np.array_equal(coefficient_stack(basis, 0.4), expected)
+        assert np.array_equal(sector_coupling(2, 1, 0.4), expected)
 
     def test_stack_memory_bounded_over_distances(self):
-        # one stack per cutoff is kept, not one per distance: a sweep of
-        # fresh distances must not grow memory
+        # one real block per cutoff and sector is kept, not one per
+        # distance: a sweep of fresh distances must not grow memory
         basis = ModeBasis(2)
-        coefficient_stack(basis, 0.0)
+        coupling_tensor(basis, 0.0, CN2, W0, LAM)
         tracemalloc.start()
         try:
             for t in np.linspace(0.01, 3.0, 50):
-                coefficient_stack(basis, float(t))
+                coupling_tensor(basis, float(t) * Z_R, CN2, W0, LAM)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -10,7 +10,6 @@ from turbulink.mathcore import (
     UnsupportedOrderError,
     gamma_fn,
     gauss_hermite_rule,
-    hermite_function,
     hermite_functions,
 )
 
@@ -28,10 +27,10 @@ def hermite_by_expansion(n, x):
 
 
 def hermite_poly(n, x):
-    # H_n(x) read back from the library's orthonormal Hermite function, so
-    # these cases check hermite_function's values and recurrence
+    # H_n(x) read back from the library's orthonormal Hermite functions, so
+    # these cases check hermite_functions' values and recurrence
     scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi)) * math.exp(0.5 * x * x)
-    return float(hermite_function(n, x)) * scale
+    return float(hermite_functions(n + 1, x)[n]) * scale
 
 
 class TestHermite:
@@ -53,16 +52,15 @@ class TestHermite:
 
     def test_order_guard(self):
         with pytest.raises(UnsupportedOrderError):
-            hermite_function(65, 0.0)
+            hermite_functions(66, 0.0)
         with pytest.raises(UnsupportedOrderError):
-            hermite_function(-1, 0.0)
+            hermite_functions(0, 0.0)
 
     def test_stack_rows_do_not_depend_on_count(self):
         x = np.linspace(-9.0, 9.0, 37)
         stack = hermite_functions(65, x)
         assert stack.shape == (65, 37)
         for n in range(65):
-            assert np.array_equal(stack[n], hermite_function(n, x))
             assert np.array_equal(hermite_functions(n + 1, x), stack[: n + 1])
         with pytest.raises(UnsupportedOrderError):
             hermite_functions(0, x)
@@ -74,9 +72,9 @@ class TestHermite:
         rule = gauss_hermite_rule(128)
         weights = rule.weights * np.exp(rule.nodes**2)
         for n in (32, 63, 64):
-            phi_n = hermite_function(n, rule.nodes)
+            phi = hermite_functions(n + 1, rule.nodes)
+            phi_n, phi_m = phi[n], phi[n - 30]
             assert np.dot(weights, phi_n * phi_n) == pytest.approx(1.0, abs=1e-9)
-            phi_m = hermite_function(n - 30, rule.nodes)
             assert abs(np.dot(weights, phi_n * phi_m)) < 1e-9
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from turbulink.mathcore import UnsupportedOrderError, gauss_hermite_rule, hermite_function
+from turbulink.mathcore import UnsupportedOrderError, gauss_hermite_rule, hermite_functions
 from turbulink.schmidt import (
     BiphotonSpec,
     discrete_modes,
@@ -18,7 +18,7 @@ def mode_amplitude(spec: BiphotonSpec, n: int, omega):
     """Temporal-mode function f_n(omega): the n-th Hermite-Gaussian of the
     detuning from omega_p / 2, orthonormal under the integral over omega."""
     b = spec.gaussian_scale
-    value = b**0.25 * hermite_function(n, np.sqrt(b) * (np.asarray(omega, dtype=float) - spec.center))
+    value = b**0.25 * hermite_functions(n + 1, np.sqrt(b) * (np.asarray(omega, dtype=float) - spec.center))[n]
     return float(value) if np.ndim(omega) == 0 else value
 
 

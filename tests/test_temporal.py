@@ -18,7 +18,7 @@ from turbulink.ipe import (
     propagate,
 )
 from turbulink.lgmodes import LGIndex, ModeBasis
-from turbulink.mathcore import gauss_hermite_rule, hermite_function
+from turbulink.mathcore import gauss_hermite_rule, hermite_functions
 from turbulink.temporal import (
     CostGuardError,
     KernelFidelity,
@@ -314,7 +314,7 @@ class TestModeStack:
             psi = kernel.mode_vectors(count)
             assert psi.shape == (count, order)
             for n in range(count):
-                assert np.array_equal(psi[n], hermite_function(n, rule.nodes) * half_gauss)
+                assert np.array_equal(psi[n], hermite_functions(n + 1, rule.nodes)[n] * half_gauss)
         with pytest.raises(ResolutionError):
             kernel.mode_vectors(order // 2 + 1)
 
