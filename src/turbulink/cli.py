@@ -334,8 +334,10 @@ def sweep(config: RunConfig, subcommand: str, threads: int = 1, out=None) -> int
         if column is None:
             raise ConfigError(f"cannot sweep subcommand '{subcommand}'")
         points = sorted(itertools.product(*config.sweep_values))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        # one OS thread per worker: never more than the points or the CPUs
+        workers = min(threads, len(points), os.cpu_count() or 1)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(evaluate, points))
         else:
             rows = [evaluate(p) for p in points]
@@ -365,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a config key (repeatable)",
     )
-    parser.add_argument("--threads", type=int, default=1, help="sweep worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="sweep worker threads (at most one per point and per CPU)"
+    )
     parser.add_argument(
         "--gnuplot-hints",
         action="store_true",

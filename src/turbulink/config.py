@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from .entanglement import MAX_PAIR_MODES
-from .ipe import PropagationScheme
 from .lgmodes import MAX_COUPLING_CUTOFF
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, frequency_grid
@@ -84,9 +83,7 @@ class RunConfig:
     # 0 derives the pump from the wavelength (2 * 2 pi c / lambda)
     pump_trad: float = _key(0.0, "source", (1.0, 1e5, "T rad/s"), zero_ok=True)
     cutoff: int = _key(4, "solver", (0, MAX_COUPLING_CUTOFF, ""))
-    scheme: str = _key("truncated_exact", "solver", choices=PropagationScheme)
     steps: int = _key(256, "solver", (16, 100000, ""))
-    check_convergence: bool = _key(False, "solver")
     grid_order: int = _key(32, "channel", (4, MAX_GRID_ORDER, ""))
     kernel_fidelity: str = _key("analytic", "channel", choices=KernelFidelity)
     max_mode: int = _key(3, "channel", (0, 14, ""))
@@ -119,13 +116,12 @@ _SECTION_KEYS = {
 RANGES = {key: meta["range"] for key, meta in _KEYS.items() if meta["range"]}
 
 # value types by the type of a key's RunConfig default (a bool is no int or float)
-_ACCEPTS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_ACCEPTS = {float: (int, float), int: (int,), str: (str,)}
 
 
 def _check_type(key: str, value):
     kind = type(getattr(RunConfig, key))
-    if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool):
+    if not isinstance(value, _ACCEPTS[kind]) or isinstance(value, bool):
         raise ConfigError(f"value for '{key}' must be a {kind.__name__}, got {value!r}")
 
 
@@ -253,8 +249,8 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
             raise ConfigError(f"unknown override key '{key}'")
         kind = type(getattr(RunConfig, key))
         try:
-            parsed[key] = _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
-        except (KeyError, ValueError):
+            parsed[key] = kind(text)
+        except ValueError:
             raise ConfigError(f"override '{key}={text}': not a {kind.__name__}") from None
     updated = replace(config, **parsed)
     validate_config(updated)

@@ -184,7 +184,7 @@ def _blocks(x: np.ndarray, count: int, side: int, hermitian: bool) -> np.ndarray
 @lru_cache(maxsize=32)
 def generator_parts(cutoff: int, delta: int) -> GeneratorParts:
     basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
-    lo_row, lo_col, count = sector_blocks(basis, delta)
+    lo_row, lo_col, count = sector_blocks(cutoff, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
     gain = _real_form(sector_coupling(cutoff, delta, 0.0), _layout(side, delta == 0, count))
     # Q(0) = Gamma0^T per l-block: Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal
@@ -269,7 +269,7 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
     rates = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
     table = np.column_stack([rates, z_r / (z_r * z_r + z * z)])
     for delta in range(2 * cutoff + 1):
-        lo_row, lo_col, count = sector_blocks(rho0.basis, delta)
+        lo_row, lo_col, count = sector_blocks(cutoff, delta)
         p = np.arange(count)
         state = blocks_in[lo_row + p, :, lo_col + p, :]
         if not np.any(state):

@@ -362,7 +362,6 @@ class CouplingTensor:
     """
 
     basis: ModeBasis
-    z: float
     entries: np.ndarray
 
 
@@ -380,14 +379,15 @@ def _real_stack(cutoff: int) -> np.ndarray:
     return stack
 
 
-def sector_blocks(basis: ModeBasis, delta: int) -> tuple:
-    """(first row l-block, first column l-block, count) of Delta-l sector delta."""
-    return max(delta, 0), max(-delta, 0), 2 * basis.cutoff + 1 - abs(delta)
+def sector_blocks(cutoff: int, delta: int) -> tuple:
+    """(first row l-block, first column l-block, count) of Delta-l sector
+    delta in the basis up to `cutoff`."""
+    return max(delta, 0), max(-delta, 0), 2 * cutoff + 1 - abs(delta)
 
 
 def _sector_orders(cutoff: int, delta: int) -> tuple:
     """(N_m, N_n), N = 2r + |l|, on each entry (p, r_m, r_n) of sector delta."""
-    lo_row, lo_col, count = sector_blocks(ModeBasis(cutoff), delta)
+    lo_row, lo_col, count = sector_blocks(cutoff, delta)
     n = 2 * np.arange(cutoff + 1) + np.abs(np.arange(-cutoff, cutoff + 1))[:, None]  # [l-block, r]
     rows, cols = n[lo_row : lo_row + count, :, None], n[lo_col : lo_col + count, None, :]
     return tuple(np.broadcast_to(x, (count, cutoff + 1, cutoff + 1)).ravel() for x in (rows, cols))
@@ -411,7 +411,7 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int):
     if cutoff > MAX_COUPLING_CUTOFF:
         raise OracleIndexError(f"coupling sum inaccurate beyond cutoff {MAX_COUPLING_CUTOFF}")
     side, side_sq = cutoff + 1, (cutoff + 1) ** 2
-    lo_row, lo_col, count = sector_blocks(ModeBasis(cutoff), delta)
+    lo_row, lo_col, count = sector_blocks(cutoff, delta)
     stack, count_sq = _real_stack(cutoff), count * count
     j_count = len(stack)
     # R over the sector's (m, u) l-block pairs as [(p, q, r_m, r_u), j], and
@@ -474,9 +474,9 @@ def coupling_tensor(basis: ModeBasis, z: float, cn2: float, w0: float, frequenci
     # entries[m, n, u, v] split into (l-block, radial index) pairs
     entries = np.zeros((2 * side - 1, side) * 4, dtype=complex)
     for delta, block in zip(deltas, blocks):
-        lo_row, lo_col, count = sector_blocks(basis, delta)
+        lo_row, lo_col, count = sector_blocks(basis.cutoff, delta)
         p, q = np.arange(count)[:, None], np.arange(count)[None, :]
         # [q, r_u, r_v, p, r_m, r_n] -> [p, q, r_m, r_n, r_u, r_v]
         block = block.reshape(count, side, side, count, side, side).transpose(3, 0, 4, 5, 1, 2)
         entries[lo_row + p, :, lo_col + p, :, lo_row + q, :, lo_col + q, :] = block
-    return CouplingTensor(basis=basis, z=z, entries=entries.reshape((basis.size,) * 4))
+    return CouplingTensor(basis=basis, entries=entries.reshape((basis.size,) * 4))

@@ -83,8 +83,6 @@ class TruncatedSource:
     norm_prefactor the amplitude rescaling (sum of kept eigenvalues)^{-1/2}.
     """
 
-    spec: BiphotonSpec
-    max_mode: int
     weights: np.ndarray
     discarded_mass: float
     norm_prefactor: float
@@ -98,13 +96,7 @@ def truncated_source(spec: BiphotonSpec, max_mode: int) -> TruncatedSource:
     kept = float(lams.sum())
     prefactor = kept**-0.5
     weights = np.sqrt(lams) * prefactor
-    return TruncatedSource(
-        spec=spec,
-        max_mode=max_mode,
-        weights=weights,
-        discarded_mass=1.0 - kept,
-        norm_prefactor=prefactor,
-    )
+    return TruncatedSource(weights=weights, discarded_mass=1.0 - kept, norm_prefactor=prefactor)
 
 
 def frequency_grid(spec: BiphotonSpec, nodes: np.ndarray) -> np.ndarray:

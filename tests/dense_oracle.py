@@ -66,7 +66,7 @@ def dense_sector(tensor: np.ndarray, cutoff: int, delta: int) -> np.ndarray:
     masked sum tensor[m, u, n, v] (l_m, l_u in row l-blocks lo_row + p, lo_row + q;
     l_n, l_v in column l-blocks lo_col + p, lo_col + q; see `sector_blocks`)."""
     side = cutoff + 1
-    lo_row, lo_col, count = sector_blocks(ModeBasis(cutoff), delta)
+    lo_row, lo_col, count = sector_blocks(cutoff, delta)
     tensor = tensor.reshape((2 * cutoff + 1, side) * 4)
     row, col = np.arange(lo_row, lo_row + count), np.arange(lo_col, lo_col + count)
     p, q = np.arange(count)[:, None], np.arange(count)[None, :]
@@ -120,7 +120,7 @@ def complex_sector_derivative(cutoff: int, delta: int, lindblad: bool, rates, go
     q = dense_generator(cutoff)[1].T.reshape(blocks, side, blocks, side)
     q = q[np.arange(blocks), :, np.arange(blocks), :]  # its l-blocks
     gouy = np.array([idx.gouy_weight for idx in basis.indices]).reshape(blocks, side)
-    lo_row, lo_col, count = sector_blocks(basis, delta)
+    lo_row, lo_col, count = sector_blocks(cutoff, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
     gouy_comm = 2j * (gouy[rows, :, None] - gouy[cols, None, :])
 

@@ -79,7 +79,6 @@ class TestConfigParsing:
         assert config.distance_m == 30000.0
         assert config.waist_m == 0.1457
         assert config.cutoff == 4
-        assert config.scheme == "truncated_exact"
         assert config.steps == 256
 
     def test_range_violation_names_key(self, tmp_path):
@@ -212,7 +211,7 @@ class TestConfigParsing:
         assert run_cli(tmp_path, *link, subcommand) == code
         assert ("value for 'extinction_per_km'" in capsys.readouterr().err) == (code == EXIT_CONFIG)
 
-    @pytest.mark.parametrize("key", ["scheme", "kernel_fidelity"])
+    @pytest.mark.parametrize("key", ["kernel_fidelity"])
     def test_value_outside_enum_names_key(self, key):
         with pytest.raises(ConfigError, match=f"value for '{key}' must be one of '"):
             apply_overrides(RunConfig(), {key: "bogus"})
@@ -255,9 +254,9 @@ class TestConfigParsing:
             ("link", "distance_m", '"30000"'),
             ("link", "distance_m", "[1000.0, 2000.0]"),
             ("link", "waist_m", "true"),
-            ("solver", "check_convergence", '"no"'),
+            ("solver", "steps", "true"),
             ("solver", "cutoff", "2.0"),
-            ("solver", "scheme", "1"),
+            ("channel", "kernel_fidelity", "1"),
             ("turbulence", "profile_csv", "1"),
         ],
     )
@@ -280,19 +279,38 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'cutoff'"):
             config_from_tables({"sweep": {"axes": ["cutoff"], "cutoff": [1, 2.5]}})
 
-    def test_bool_override_must_be_a_bool_word(self):
-        assert apply_overrides(RunConfig(), {"check_convergence": "true"}).check_convergence
-        assert not apply_overrides(RunConfig(), {"check_convergence": "no"}).check_convergence
-        for text in ("maybe", "2", ""):
-            with pytest.raises(ConfigError, match="check_convergence"):
-                apply_overrides(RunConfig(), {"check_convergence": text})
-        assert main(["--set", "check_convergence=maybe", "validate"]) == EXIT_CONFIG
-
-    def test_unread_keys_rejected(self):
+    def test_unread_keys_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="unknown table"):
             config_from_tables({"run": {"seed": 1}})
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_tables({"turbulence": {"outer_scale_wavenumber": 1.0}})
+        # no subcommand propagates a density matrix, so the solver's scheme
+        # and step-doubling switch are no config keys
+        for key, value in (("scheme", "lindblad_truncated"), ("check_convergence", True)):
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"[solver]\n{key} = {format_value(value)}\n")
+            with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[solver\]"):
+                parse_config(str(path))
+            assert main(["--set", f"{key}={str(value).lower()}", "validate"]) == EXIT_CONFIG
+            assert f"unknown override key '{key}'" in capsys.readouterr().err
+
+
+def test_every_config_key_is_read(tmp_path):
+    # each subcommand's runner and writer at defaults, and a full-IPE kernel
+    # (the one reader of steps), between them read every config key
+    read = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    config = Recording(output_dir=str(tmp_path))
+    for run, _, _ in cli._SUBCOMMANDS.values():
+        run(config)[1](io.StringIO())
+    full_ipe = Recording(output_dir=str(tmp_path), kernel_fidelity="full_ipe", grid_order=4, cutoff=1, steps=16)
+    cli.run_kernel(full_ipe)[1](io.StringIO())
+    assert sorted(set(_KEYS) - read) == []
 
 
 def _in_range(key):
@@ -571,19 +589,51 @@ class TestSweep:
         best = max(table, key=lambda row: row[1])[0]
         assert abs(best - 0.1457) / 0.1457 < 0.05
 
-    def test_parallel_soundness(self, tmp_path):
-        block = "\n[sweep]\naxes = [\"cn2\"]\ncn2 = [1e-16, 1e-15, 1e-14]\n"
-        config_path = self.make_config(tmp_path, block)
+    @pytest.mark.parametrize("subcommand", ["schmidt", "beam", "coupling", "kernel", "tmatrix", "entangle"])
+    def test_parallel_soundness(self, tmp_path, subcommand):
+        # schmidt reads no link key, so it sweeps a bandwidth
+        sweep_block = "axes = [\"waist_m\"]\nwaist_m = [0.1, 0.1457, 0.2]\n"
+        if subcommand == "schmidt":
+            sweep_block = "axes = [\"sigma_a_trad\"]\nsigma_a_trad = [5.0, 10.0, 20.0]\n"
+        block = "\n[solver]\ncutoff = 1\n\n[channel]\ngrid_order = 8\n\n[entangle]\npair_modes = 4\n\n[sweep]\n"
+        config_path = self.make_config(tmp_path, block + sweep_block)
         outputs = []
-        for threads, sub in (("1", "t1"), ("3", "t3")):
-            out_dir = tmp_path / sub
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"t{threads}"
             code = main([
                 "--config", config_path, "--set", f"output_dir={out_dir}",
-                "--threads", threads, "sweep", "beam",
+                "--threads", threads, "sweep", subcommand,
             ])
             assert code == EXIT_OK
-            outputs.append((out_dir / "sweep_beam.csv").read_bytes())
+            outputs.append((out_dir / f"sweep_{subcommand}.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_thread_pool_bounded_by_points_and_cpus(self, tmp_path, monkeypatch):
+        # a recorder stands in for the pool and runs the points serially
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        config_path = self.make_config(tmp_path, "\n[sweep]\naxes = [\"cn2\"]\ncn2 = [1e-16, 1e-15, 1e-14]\n")
+        for cpus in (8, 2, 1):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            code = main([
+                "--config", config_path, "--set", f"output_dir={tmp_path}", "--threads", "64", "sweep", "beam",
+            ])
+            assert code == EXIT_OK
+        assert workers == [3, 2]  # one CPU runs the points in the calling thread
 
     def test_entangle_sweep_matches_direct_scan(self, tmp_path):
         # the sweep summary scans the same n range as the entangle subcommand,
