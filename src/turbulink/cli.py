@@ -8,7 +8,8 @@ point reports and a function that writes the subcommand's own outputs;
 sweep calls the runner at each point of the config's sweep axes.
 The TURBULINK_CONFIG environment variable supplies the default config path.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure.
+Exit codes: 0 success, 1 configuration or usage error (also an output file
+that cannot be written), 2 numeric failure.
 
 All CSV bodies are deterministic for a fixed config (no timestamps; csv.writer
 renders floats as their shortest round-trip repr); sweep output is assembled
@@ -74,15 +75,15 @@ def _kernel(config: RunConfig) -> temporal.ChannelKernel:
     )
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header + "\n")
-        csv.writer(handle, lineterminator="\n").writerows(rows)
-
-
-def _out_path(config: RunConfig, name: str) -> str:
-    os.makedirs(config.output_dir, exist_ok=True)
-    return os.path.join(config.output_dir, name)
+def _write_csv(config: RunConfig, name: str, header: str, rows) -> None:
+    """Write `name` under output_dir; an OSError becomes a ConfigError on output_dir."""
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+        with open(os.path.join(config.output_dir, name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(header + "\n")
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"value for 'output_dir' unusable: {exc}") from None
 
 
 def run_schmidt(config: RunConfig):
@@ -95,6 +96,7 @@ def run_schmidt(config: RunConfig):
             (n, schmidt.schmidt_eigenvalue(spec, n), float(source.weights[n]))
             for n in range(config.max_mode + 1)
         ]
+        _write_csv(config, "schmidt.csv", "n,eigenvalue,weight", rows)
         print("n,eigenvalue,weight", file=out)
         for n, lam, weight in rows:
             print(f"{n},{lam:.6f},{weight:.6f}", file=out)
@@ -102,7 +104,6 @@ def run_schmidt(config: RunConfig):
         print(f"discarded_mass_percent,{100.0 * source.discarded_mass:.4f}", file=out)
         print(f"norm_prefactor,{source.norm_prefactor:.6f}", file=out)
         print(f"probability_prefactor,{1.0 / (1.0 - source.discarded_mass):.6f}", file=out)
-        _write_csv(_out_path(config, "schmidt.csv"), "n,eigenvalue,weight", rows)
 
     return source.discarded_mass, write
 
@@ -129,7 +130,8 @@ def run_beam(config: RunConfig):
         )
         keys = ("cn2", "distance_m", "waist_m", "l_integral", "probability")
         _write_csv(
-            _out_path(config, "beam.csv"),
+            config,
+            "beam.csv",
             "cn2_m^-2/3,distance_m,waist_m,l_integral,probability",
             [tuple(r[key] for key in keys) for r in rows],
         )
@@ -157,7 +159,7 @@ def run_coupling(config: RunConfig):
             (*indices[a], *indices[b], *indices[c], *indices[d], value.real, value.imag)
             for a, b, c, d, value in zip(*nonzero, tensor.entries[nonzero])
         ]
-        _write_csv(_out_path(config, "coupling.csv"), "lm,rm,ln,rn,lu,ru,lv,rv,re,im", rows)
+        _write_csv(config, "coupling.csv", "lm,rm,ln,rn,lu,ru,lv,rv,re,im", rows)
         print(f"wrote {len(rows)} nonzero tensor entries to coupling.csv", file=out)
 
     return fundamental, write
@@ -174,7 +176,7 @@ def run_kernel(config: RunConfig):
             for i, w1 in enumerate(kernel.omegas)
             for j, w2 in enumerate(kernel.omegas)
         ]
-        _write_csv(_out_path(config, "kernel.csv"), "omega1_Trad_s,omega2_Trad_s,P", rows)
+        _write_csv(config, "kernel.csv", "omega1_Trad_s,omega2_Trad_s,P", rows)
         print(f"wrote {len(rows)} kernel samples to kernel.csv", file=out)
 
     return float(kernel.matrix[mid, mid]), write
@@ -186,12 +188,8 @@ def run_tmatrix(config: RunConfig):
 
     def write(out):
         size = range(tm.size)
-        _write_csv(
-            _out_path(config, "tmatrix.csv"),
-            "n,m,S",
-            [(n, m, float(tm.matrix[n, m])) for n in size for m in size],
-        )
-        _write_csv(_out_path(config, "traces.csv"), "n,T", [(n, float(tm.traces[n])) for n in size])
+        _write_csv(config, "tmatrix.csv", "n,m,S", [(n, m, float(tm.matrix[n, m])) for n in size for m in size])
+        _write_csv(config, "traces.csv", "n,T", [(n, float(tm.traces[n])) for n in size])
         for n in size:
             print(",".join(f"{tm.matrix[n, m]:.4f}" for m in size), file=out)
 
@@ -206,11 +204,7 @@ def run_entangle(config: RunConfig):
 
     def write(out):
         table = [(r.n, r.en_initial, r.en_final, r.fidelity, int(r.degenerate)) for r in rows]
-        _write_csv(
-            _out_path(config, "entangle.csv"),
-            "n,EN_initial,EN_final,fidelity,degenerate_flag",
-            table,
-        )
+        _write_csv(config, "entangle.csv", "n,EN_initial,EN_final,fidelity,degenerate_flag", table)
         for row in table:
             print(
                 f"n={row[0]} EN_initial={row[1]:.4f} EN_final={row[2]:.4f} "
@@ -341,17 +335,23 @@ def sweep(config: RunConfig, subcommand: str, threads: int = 1, out=None) -> int
                 rows = list(pool.map(evaluate, points))
         else:
             rows = [evaluate(p) for p in points]
+        _write_csv(config, f"sweep_{subcommand}.csv", ",".join(config.sweep_axes + (column,)), rows)
     except _FAILURES as exc:
         return _failure(exc)
-
-    header = ",".join(config.sweep_axes + (column,))
-    _write_csv(_out_path(config, f"sweep_{subcommand}.csv"), header, rows)
     print(f"wrote {len(rows)} sweep rows to sweep_{subcommand}.csv", file=out or sys.stdout)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 as config errors: argparse would exit 2, which
+    here means a numeric failure.  --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="turbulink",
         description="Temporal-mode photon propagation through turbulent free-space links",
     )
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a config key (repeatable)",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="sweep worker threads (at most one per point and per CPU)"
+        "--threads", type=int, default=1, help="sweep worker threads, >= 1 (at most one per point and per CPU)"
     )
     parser.add_argument(
         "--gnuplot-hints",
@@ -390,8 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.threads < 1:
+            raise ConfigError(f"argument --threads: must be >= 1, got {args.threads}")
+        if args.target and args.command != "sweep":
+            raise ConfigError(f"unexpected argument {args.target!r}: only 'sweep' takes a target")
         config = parse_config(args.config) if args.config else RunConfig()
         overrides = {}
         for item in args.set:

@@ -178,8 +178,10 @@ def validate_config(config: RunConfig, command: str = ""):
             raise ConfigError(
                 f"value for '{key}' out of range: {value} not in [{lower}, {upper}]{suffix}"
             )
-    if config.profile_csv and not os.path.exists(config.profile_csv):
-        raise ConfigError(f"value for 'profile_csv' invalid: no such file {config.profile_csv!r}")
+    if config.profile_csv and not os.path.isfile(config.profile_csv):
+        raise ConfigError(f"value for 'profile_csv' invalid: {config.profile_csv!r} is not a file")
+    if os.path.exists(config.output_dir) and not os.path.isdir(config.output_dir):
+        raise ConfigError(f"value for 'output_dir' invalid: {config.output_dir!r} is not a directory")
     for key, meta in _KEYS.items():
         value = getattr(config, key)
         if meta["choices"] and value not in meta["choices"]:
@@ -231,7 +233,7 @@ def parse_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         return config_from_tables(parse_table_text(text))

@@ -77,7 +77,7 @@ class TwoPhotonDensity:
             raise ValueError(f"pair density not Hermitian (deviation {deviation:.2e})")
 
 
-def channel_tensor(kernel: ChannelKernel, spec: BiphotonSpec, dim: int) -> np.ndarray:
+def channel_tensor(kernel: ChannelKernel, dim: int) -> np.ndarray:
     """One-photon channel tensor C[u, v, m, n] = int int f_u f_m P f_n f_v.
 
     Maps |f_m><f_n| to sum_{uv} C[u, v, m, n] |f_u><f_v|; real symmetric in
@@ -116,7 +116,7 @@ def propagate_pair(state: TwoPhotonState, kernel: ChannelKernel, spec: BiphotonS
     tensordots (psi over m, conj(psi) over p) and one dim^6 GEMM against the
     channel tensor over (n, q).
     """
-    return _pair_density(state.coefficients, channel_tensor(kernel, spec, state.dim))
+    return _pair_density(state.coefficients, channel_tensor(kernel, state.dim))
 
 
 def log_negativity(rho: TwoPhotonDensity) -> float:
@@ -159,7 +159,7 @@ def robustness_scan(
     The n == fixed_mode row degenerates to a product state; it is reported
     with zero initial negativity and flagged rather than skipped.
     """
-    tensor = channel_tensor(kernel, spec, dim)
+    tensor = channel_tensor(kernel, dim)
     rows = []
     for n in n_range:
         degenerate = n == fixed_mode

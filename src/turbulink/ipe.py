@@ -24,9 +24,9 @@ RK4 polynomial as step matrices, every step formed at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,31 +107,6 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
 
-@dataclass(frozen=True)
-class GeneratorParts:
-    """The fixed real operators of one Delta-l sector on its real coordinates
-    (`_layout`), which obey x' = rate(z) A x + gouy(z) C x.  A is `gain` (the
-    `lgmodes.sector_coupling` block at t = 0; its scalar total-rate loss cancels
-    against the gain's diagonal, so the combination is outer-scale free) or
-    `lindblad` = gain - B / 2, B: rho -> Q rho + rho Q^dagger with Q = Gamma0^T.
-    C, the Gouy commutator 2i(g_u - g_v), turns each (Re, Im) pair:
-    (C x)[i] = turn[i] x[partner[i]], with turn 0 on sector 0's diagonal."""
-
-    gain: np.ndarray = field(repr=False)
-    lindblad: np.ndarray = field(repr=False)
-    turn: np.ndarray = field(repr=False)
-    partner: np.ndarray = field(repr=False)
-
-    def operator(self, scheme: PropagationScheme) -> np.ndarray:
-        return self.lindblad if scheme is PropagationScheme.LINDBLAD_TRUNCATED else self.gain
-
-    @cached_property
-    def stacks(self) -> dict:
-        """{scheme: (2, m, m) A of the scheme, then C, as dense matrices}."""
-        rotation = np.eye(len(self.turn))[self.partner] * self.turn[:, None]
-        return {scheme: np.stack([self.operator(scheme), rotation]) for scheme in PropagationScheme}
-
-
 # up to this many coordinates `propagate` forms a sector's RK4 step matrices
 # at once (`_step_product`) instead of stepping; on one core the two cost the
 # same near 30.  The matrices of STEP_CHUNK steps are held at a time.
@@ -182,7 +157,15 @@ def _blocks(x: np.ndarray, count: int, side: int, hermitian: bool) -> np.ndarray
 
 
 @lru_cache(maxsize=32)
-def generator_parts(cutoff: int, delta: int) -> GeneratorParts:
+def generator_parts(cutoff: int, delta: int) -> tuple:
+    """(operators, turn, partner): one Delta-l sector's real coordinates
+    (`_layout`) obey x' = rate(z) A x + gouy(z) C x.  operators[scheme] is A:
+    for TRUNCATED_EXACT the gain (the `lgmodes.sector_coupling` block at t = 0;
+    its scalar total-rate loss cancels against the gain's diagonal, so it is
+    outer-scale free), for LINDBLAD_TRUNCATED gain - B / 2 with
+    B: rho -> Q rho + rho Q^dagger, Q = Gamma0^T.  C, the Gouy commutator
+    2i(g_u - g_v), turns each (Re, Im) pair: (C x)[i] = turn[i] x[partner[i]],
+    with turn 0 on sector 0's diagonal."""
     basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
@@ -200,7 +183,8 @@ def generator_parts(cutoff: int, delta: int) -> GeneratorParts:
     bracket, rotation = ops.reshape(2, len(gain), len(gain))
     # the commutator turns each (Re, Im) pair: one entry per row at most
     partner = np.argmax(np.abs(rotation), axis=1)
-    return GeneratorParts(gain, gain - 0.5 * bracket, rotation[np.arange(len(gain)), partner], partner)
+    operators = {PropagationScheme.TRUNCATED_EXACT: gain, PropagationScheme.LINDBLAD_TRUNCATED: gain - 0.5 * bracket}
+    return operators, rotation[np.arange(len(gain)), partner], partner
 
 
 def rk4_nodes(profile: TurbulenceProfile, geom: LinkGeometry, steps: int) -> tuple:
@@ -221,42 +205,46 @@ def rk4_step(derivative, node: int, state: np.ndarray, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _derivative(parts: GeneratorParts, scheme: PropagationScheme, table: np.ndarray):
+def _derivative(operator: np.ndarray, turn: np.ndarray, partner: np.ndarray, table: np.ndarray):
     """d x / dz at node k of the node rows `table` = (rate, Gouy rate):
-    rate_k A x + gouy_k C x, with the rotation gouy_k turn tabulated per node
-    (in Python lists: indexing them costs less than indexing arrays)."""
-    operator, partner = parts.operator(scheme), parts.partner
-    rates, turns = list(table[:, 0]), list(table[:, 1:] * parts.turn)
+    rate_k A x + gouy_k C x (see `generator_parts`), with the rotation
+    gouy_k turn tabulated per node (in Python lists: indexing them costs less
+    than indexing arrays)."""
+    rates, turns = list(table[:, 0]), list(table[:, 1:] * turn)
     return lambda k, x: rates[k] * (operator @ x) + turns[k] * x[partner]
 
 
-def _step_product(stack: np.ndarray, table: np.ndarray, h: float) -> np.ndarray:
-    """P_{S-1} ... P_0 over the S = len(table) // 2 steps on the node rows
-    `table`: x <- P_s x is `rk4_step` on x' = A_k x, A_k = table[k] @ `stack`,
+def _step_product(operator, turn, partner, table: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
+    """P_{S-1} ... P_0 x over the S = len(table) // 2 steps on the node rows
+    `table`: x <- P_s x is `rk4_step` on x' = A_k x, A_k = table[k] @ (A, C),
     so P_s = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A_2s,
     K2 = A_2s+1 (I + h/2 K1), K3 = A_2s+1 (I + h/2 K2), K4 = A_2s+2 (I + h K3).
-    Every step at once from the dense stack, then multiplied pairwise."""
-    size = stack.shape[-1]
-    a = (table @ stack.reshape(2, -1)).reshape(-1, size, size)
-    a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
-    k = a1 @ a0
-    k *= 0.5 * h
-    k += a1  # K2
-    total = k + 0.5 * a0
-    k = a1 @ k
-    k *= 0.5 * h
-    k += a1  # K3
-    total += k
-    k = a2 @ k
-    k *= h
-    k += a2  # K4
-    total += 0.5 * k
-    total *= h / 3.0
-    total += np.eye(size)
-    while len(total) > 1:
-        pairs = len(total) // 2 * 2
-        total = np.concatenate([total[1:pairs:2] @ total[:pairs:2], total[pairs:]])
-    return total[0]
+    The dense (A, C) is built once; the step matrices of STEP_CHUNK steps are
+    formed at once, multiplied pairwise and applied to x."""
+    size, steps = len(turn), len(table) // 2
+    stack = np.stack([operator, np.eye(size)[partner] * turn[:, None]]).reshape(2, -1)
+    for start in range(0, steps, STEP_CHUNK):
+        a = (table[2 * start : 2 * min(start + STEP_CHUNK, steps) + 1] @ stack).reshape(-1, size, size)
+        a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
+        k = a1 @ a0
+        k *= 0.5 * h
+        k += a1  # K2
+        total = k + 0.5 * a0
+        k = a1 @ k
+        k *= 0.5 * h
+        k += a1  # K3
+        total += k
+        k = a2 @ k
+        k *= h
+        k += a2  # K4
+        total += 0.5 * k
+        total *= h / 3.0
+        total += np.eye(size)
+        while len(total) > 1:
+            pairs = len(total) // 2 * 2
+            total = np.concatenate([total[1:pairs:2] @ total[:pairs:2], total[pairs:]])
+        x = total[0] @ x
+    return x
 
 
 def _propagate_fixed(rho0, profile, geom, config, steps):
@@ -274,13 +262,11 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
         state = blocks_in[lo_row + p, :, lo_col + p, :]
         if not np.any(state):
             continue
-        x, parts = _coordinates(state, delta == 0), generator_parts(cutoff, delta)
+        x, (operators, turn, partner) = _coordinates(state, delta == 0), generator_parts(cutoff, delta)
         if len(x) <= STEP_MATRIX_SIZE:
-            stack = parts.stacks[config.scheme]
-            for start in range(0, steps, STEP_CHUNK):
-                x = _step_product(stack, table[2 * start : 2 * min(start + STEP_CHUNK, steps) + 1], h) @ x
+            x = _step_product(operators[config.scheme], turn, partner, table, h, x)
         else:
-            derivative = _derivative(parts, config.scheme, table)
+            derivative = _derivative(operators[config.scheme], turn, partner, table)
             for step in range(steps):
                 x = rk4_step(derivative, 2 * step, x, h)
         state = _blocks(x, count, side, delta == 0)
@@ -360,9 +346,9 @@ def cutoff_bracketing(l_values, cutoffs) -> dict:
     results = {}
     for cutoff in cutoffs:
         # sector 0 only; the fundamental is the first coordinate of the l = 0 block
-        parts, fundamental = generator_parts(cutoff, 0), cutoff * (cutoff + 1) ** 2
-        for scheme in (PropagationScheme.TRUNCATED_EXACT, PropagationScheme.LINDBLAD_TRUNCATED):
-            operator = COUPLING_PREFACTOR * parts.operator(scheme)
+        fundamental = cutoff * (cutoff + 1) ** 2
+        for scheme, operator in generator_parts(cutoff, 0)[0].items():
+            operator = COUPLING_PREFACTOR * operator
             x = np.eye(len(operator))[fundamental]
             probabilities = np.empty(len(l_values))
             tau = 0.0

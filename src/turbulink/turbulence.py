@@ -156,24 +156,25 @@ class TurbulenceProfile:
     @classmethod
     def from_csv(cls, path) -> "TurbulenceProfile":
         """Read a two-column `height_m,cn2` CSV with a header row."""
+        try:
+            with open(path, newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProfileError(f"cannot read profile {path}: {exc}") from None
         points = []
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            for lineno, row in enumerate(reader, start=1):
-                if lineno == 1:
-                    if [c.strip() for c in row[:2]] != ["height_m", "cn2"]:
-                        raise ProfileError(
-                            f"{path}: line 1: expected header 'height_m,cn2'"
-                        )
-                    continue
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) < 2:
-                    raise ProfileError(f"{path}: line {lineno}: expected 2 columns")
-                try:
-                    points.append((float(row[0]), float(row[1])))
-                except ValueError as exc:
-                    raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
+        for lineno, row in enumerate(rows, start=1):
+            if lineno == 1:
+                if [c.strip() for c in row[:2]] != ["height_m", "cn2"]:
+                    raise ProfileError(f"{path}: line 1: expected header 'height_m,cn2'")
+                continue
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < 2:
+                raise ProfileError(f"{path}: line {lineno}: expected 2 columns")
+            try:
+                points.append((float(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
         try:
             return cls.from_table(points)
         except ProfileError as exc:

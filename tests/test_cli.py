@@ -512,6 +512,46 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert "0.395" in capsys.readouterr().out
 
+    # argv with {out} (an empty output directory), {file} (a plain file),
+    # {dir} (an empty directory), {sweep} (a two-point sweep config) and
+    # {cfg}/{csv} (a config and a profile that are not UTF-8), and the text
+    # that stderr must name
+    BAD_INVOCATIONS = {
+        "threads_not_an_int": (["--config", "{sweep}", "--threads", "x", "sweep", "beam"], "--threads"),
+        "threads_zero": (["--config", "{sweep}", "--threads", "0", "sweep", "beam"], "--threads"),
+        "threads_negative": (["--config", "{sweep}", "--threads", "-3", "sweep", "beam"], "--threads"),
+        "unknown_command": (["bogus"], "'bogus'"),
+        "unknown_flag": (["--bogus", "schmidt"], "--bogus"),
+        "target_without_sweep": (["schmidt", "extra"], "'extra'"),
+        "output_dir_is_a_file": (["--set", "output_dir={file}", "schmidt"], "'output_dir'"),
+        "output_dir_below_a_file": (["--set", "output_dir={file}/sub", "schmidt"], "{file}/sub"),
+        "sweep_output_dir_below_a_file": (
+            ["--config", "{sweep}", "--set", "output_dir={file}/sub", "sweep", "beam"],
+            "{file}/sub",
+        ),
+        "profile_csv_is_a_directory": (["--set", "profile_csv={dir}", "kernel"], "'profile_csv'"),
+        "config_not_utf8": (["--config", "{cfg}", "schmidt"], "{cfg}"),
+        "profile_csv_not_utf8": (["--set", "profile_csv={csv}", "--set", "grid_order=8", "kernel"], "{csv}"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+    def test_usage_and_path_errors_exit_config(self, tmp_path, capsys, case):
+        paths = {name: tmp_path / name for name in ("out", "file", "dir", "sweep", "cfg", "csv")}
+        paths["out"].mkdir()
+        paths["dir"].mkdir()
+        paths["file"].write_text("not a directory\n")
+        paths["sweep"].write_text(PAPER_CONFIG + '\n[sweep]\naxes = ["waist_m"]\nwaist_m = [0.1, 0.2]\n')
+        paths["cfg"].write_bytes(b"[link]\n# \xe9\ndistance_m = 30000.0\n")
+        paths["csv"].write_bytes(b"height_m,cn2\n1.0,1e-15\n\xff100.0,1e-16\n")
+        argv, named = self.BAD_INVOCATIONS[case]
+        fill = {name: str(path) for name, path in paths.items()}
+        code = main(["--set", f"output_dir={paths['out']}"] + [arg.format(**fill) for arg in argv])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert code == EXIT_CONFIG and not captured.out
+        assert len(lines) == 1 and named.format(**fill) in lines[0], lines
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestSweep:
     def make_config(self, tmp_path, axes_block):

@@ -45,11 +45,11 @@ def random_state(dim, seed):
     return TwoPhotonState(coefficients=psi / np.linalg.norm(psi))
 
 
-def einsum_pair_density(state, kernel, spec):
+def einsum_pair_density(state, kernel):
     """Oracle: the pair map as one unoptimized three-operand einsum (dim^7)."""
     dim = state.dim
     psi = state.coefficients
-    tensor = channel_tensor(kernel, spec, dim)
+    tensor = channel_tensor(kernel, dim)
     # first[u, v, m', n] = sum_m C[u, v, m, m'] psi[m, n]
     first = np.einsum("uvmp,mn->uvpn", tensor, psi)
     out = np.einsum("uvpn,UVnq,pq->uUvV", first, tensor, np.conj(psi))
@@ -116,13 +116,13 @@ class TestLogNegativity:
 
 
 class TestChannelTensor:
-    def test_exchange_symmetry(self, paper_spec, kernel_1e16):
-        tensor = channel_tensor(kernel_1e16, paper_spec, 6)
+    def test_exchange_symmetry(self, kernel_1e16):
+        tensor = channel_tensor(kernel_1e16, 6)
         swapped = np.conj(np.transpose(tensor, (1, 0, 3, 2)))
         assert np.max(np.abs(tensor - swapped)) < 1e-12
 
-    def test_matches_single_photon_channel(self, paper_spec, kernel_1e16):
-        tensor = channel_tensor(kernel_1e16, paper_spec, 5)
+    def test_matches_single_photon_channel(self, kernel_1e16):
+        tensor = channel_tensor(kernel_1e16, 5)
         for n in (0, 3):
             block = single_photon_block(kernel_1e16, n, 5)
             trace = np.trace(tensor[:, :, n, n]).real
@@ -142,7 +142,7 @@ class TestPropagatePair:
     def test_separable_input_factorizes(self, paper_spec, kernel_1e16):
         state = TwoPhotonState.mode_pair(0, 0, 8)
         rho, _ = propagate_pair(state, kernel_1e16, paper_spec)
-        single = channel_tensor(kernel_1e16, paper_spec, 8)[:, :, 0, 0]
+        single = channel_tensor(kernel_1e16, 8)[:, :, 0, 0]
         normalized = single / np.trace(single).real
         expected = np.kron(normalized, normalized)
         assert np.max(np.abs(rho.matrix - expected)) < 1e-10
@@ -160,7 +160,7 @@ class TestPropagatePair:
             "random": random_state(dim, seed=dim),
         }[kind]
         rho, mass = propagate_pair(state, kernel_1e15, paper_spec)
-        expected, expected_mass = einsum_pair_density(state, kernel_1e15, paper_spec)
+        expected, expected_mass = einsum_pair_density(state, kernel_1e15)
         np.testing.assert_allclose(rho.matrix, expected, rtol=0.0, atol=1e-12)
         assert mass == pytest.approx(expected_mass, rel=1e-12)
 

@@ -138,7 +138,8 @@ class TestSectorDerivative:
             lindblad = scheme is PropagationScheme.LINDBLAD_TRUNCATED
             for delta in range(2 * cutoff + 1):
                 oracle = complex_sector_derivative(cutoff, delta, lindblad, rates, gouy_rates)
-                derivative = _derivative(generator_parts(cutoff, delta), scheme, np.column_stack([rates, gouy_rates]))
+                operators, turn, partner = generator_parts(cutoff, delta)
+                derivative = _derivative(operators[scheme], turn, partner, np.column_stack([rates, gouy_rates]))
                 count, hermitian = 2 * cutoff + 1 - delta, delta == 0
                 rho = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))
                 if hermitian:
@@ -170,13 +171,13 @@ class TestStepMatrices:
         rng = np.random.default_rng(60 + cutoff)
         for scheme in PropagationScheme:
             for delta in range(2 * cutoff + 1):
-                parts = generator_parts(cutoff, delta)
-                x = rng.normal(size=len(parts.turn))
+                operators, turn, partner = generator_parts(cutoff, delta)
+                x = rng.normal(size=len(turn))
                 assert len(x) <= STEP_MATRIX_SIZE
-                derivative, expected = _derivative(parts, scheme, table), x
+                derivative, expected = _derivative(operators[scheme], turn, partner, table), x
                 for step in range(steps):
                     expected = rk4_step(derivative, 2 * step, expected, h)
-                got = _step_product(parts.stacks[scheme], table, h) @ x
+                got = _step_product(operators[scheme], turn, partner, table, h, x)
                 assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("cutoff", [0, 1])
@@ -208,11 +209,12 @@ class TestStepMatrices:
 
         for cutoff in range(5):
             cached = [generator_parts(cutoff, delta) for delta in range(2 * cutoff + 1)]
-            for delta, parts in enumerate(cached):
+            for delta, (operators, turn, partner) in enumerate(cached):
                 _real_sector.cache_clear()
-                fresh = generator_parts.__wrapped__(cutoff, delta)
-                for name in ("gain", "lindblad", "turn", "partner"):
-                    assert np.array_equal(getattr(fresh, name), getattr(parts, name))
+                fresh_operators, fresh_turn, fresh_partner = generator_parts.__wrapped__(cutoff, delta)
+                for scheme in PropagationScheme:
+                    assert np.array_equal(fresh_operators[scheme], operators[scheme])
+                assert np.array_equal(fresh_turn, turn) and np.array_equal(fresh_partner, partner)
 
 
 class TestLindbladForm:
@@ -229,7 +231,8 @@ class TestLindbladForm:
         z_r = geom.rayleigh_range
         rates, gouy_rates = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), z_r / (z_r**2 + z**2)
         table = np.column_stack([rates, gouy_rates])
-        derivative = _derivative(generator_parts(cutoff, 0), PropagationScheme.LINDBLAD_TRUNCATED, table)
+        operators, turn, partner = generator_parts(cutoff, 0)
+        derivative = _derivative(operators[PropagationScheme.LINDBLAD_TRUNCATED], turn, partner, table)
         rng = np.random.default_rng(80 + cutoff)
         for k in range(1, len(z)):
             rho = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))

@@ -378,7 +378,7 @@ def single_photon_output(kernel, spec, n, max_mode):
     """Output density over modes 0..max_mode for input mode n, normalized by
     the mode trace T_n, and the leakage mass above the truncation: the
     (:, :, n, n) slice of the one-photon channel tensor."""
-    tensor = channel_tensor(kernel, spec, max(max_mode, n) + 1)
+    tensor = channel_tensor(kernel, max(max_mode, n) + 1)
     density = tensor[: max_mode + 1, : max_mode + 1, n, n] / mode_trace(kernel, spec, n)
     return density, 1.0 - float(np.trace(density))
 
