@@ -239,8 +239,7 @@ def run_validate(config: RunConfig):
     rel = abs(closed - oracle) / abs(closed)
     checks.append(("coupling_oracle_0.5%", rel < 5e-3, rel))
 
-    spectrum = turbulence.SpectrumParams(kappa_0=1e-4 / w0)
-    lt_closed = turbulence.big_l_t(lam, lam, cn2, spectrum)
+    lt_closed = turbulence.big_l_t(lam, lam, cn2, 1e-4 / w0)
     _, lt_oracle = lgmodes.coupling_numeric_oracle(i00, i00, i00, i00, z, cn2, w0, lam, 1e-4 / w0)
     rel_lt = abs(lt_closed - lt_oracle) / lt_closed
     checks.append(("total_rate_oracle_0.1%", rel_lt < 1e-3, rel_lt))
@@ -306,6 +305,11 @@ def run_subcommand(name: str, config: RunConfig, out=None) -> int:
     return EXIT_NUMERIC if value is False else EXIT_OK
 
 
+def _check_threads(threads: int):
+    if threads < 1:
+        raise ConfigError(f"argument --threads: must be >= 1, got {threads}")
+
+
 def sweep(config: RunConfig, subcommand: str, threads: int = 1, out=None) -> int:
     """Evaluate the Cartesian product of the sweep axes.
 
@@ -323,6 +327,7 @@ def sweep(config: RunConfig, subcommand: str, threads: int = 1, out=None) -> int
         return point + (run(local)[0],)
 
     try:
+        _check_threads(threads)
         if not config.sweep_axes:
             raise ConfigError("sweep requires [sweep] axes")
         if column is None:
@@ -392,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.threads < 1:
-            raise ConfigError(f"argument --threads: must be >= 1, got {args.threads}")
+        _check_threads(args.threads)
         if args.target and args.command != "sweep":
             raise ConfigError(f"unexpected argument {args.target!r}: only 'sweep' takes a target")
         config = parse_config(args.config) if args.config else RunConfig()

@@ -16,10 +16,12 @@ x' = rate(z) A x + gouy(z) C x: one fixed operator A per scheme and the Gouy
 commutator C (`generator_parts`), the two rates tabulated once per run on
 the nodes of `rk4_nodes`.  Delta < 0 is the adjoint of Delta > 0, and sector
 0, which a fundamental input never leaves, is Hermitian by construction.
-`propagate`, `cutoff_bracketing` (A alone, at t = 0) and the full-IPE kernel
-in `temporal` advance their states with the one fixed-step `rk4_step`; in
+`propagate` and the full-IPE kernel in `temporal`, whose generators change
+along z, advance their states with the one fixed-step `rk4_step`; in
 `propagate` a sector of at most STEP_MATRIX_SIZE coordinates takes the same
 RK4 polynomial as step matrices, every step formed at once.
+`cutoff_bracketing` freezes the generator at t = 0 (A alone) and takes the
+fundamental entry of exp(l A) from A's eigendecomposition.
 """
 from __future__ import annotations
 
@@ -336,32 +338,23 @@ def cutoff_bracketing(l_values, cutoffs) -> dict:
     Evaluated in the short-distance regime (t = z/z_R -> 0) where the
     generator is proportional to l(z) and the population depends on
     l_I = int l dz alone; this is the collapse that puts both truncation
-    families on a single axis.  Returns {(scheme, cutoff): array over
-    l_values}.
+    families on a single axis.  Each population is the fundamental entry
+    of exp(l A), A the scheme's sector-0 operator at t = 0, from A's
+    eigendecomposition.  Returns {(scheme, cutoff): array over l_values}.
     """
     l_values = np.asarray(l_values, dtype=float)
     if len(l_values) == 0 or np.any(l_values < 0) or np.any(np.diff(l_values) <= 0):
         raise ValueError("l_values must be nonempty, nonnegative and increasing")
-    base_step = l_values[-1] / 512.0 if l_values[-1] > 0 else 1.0
     results = {}
     for cutoff in cutoffs:
         # sector 0 only; the fundamental is the first coordinate of the l = 0 block
         fundamental = cutoff * (cutoff + 1) ** 2
         for scheme, operator in generator_parts(cutoff, 0)[0].items():
-            operator = COUPLING_PREFACTOR * operator
-            x = np.eye(len(operator))[fundamental]
-            probabilities = np.empty(len(l_values))
-            tau = 0.0
-            for k, target in enumerate(l_values):
-                span = target - tau
-                if span > 0:
-                    n_steps = max(1, int(math.ceil(span / max(base_step, 1e-30))))
-                    h = span / n_steps
-                    for _ in range(n_steps):
-                        x = rk4_step(lambda _, y: operator @ y, 0, x, h)
-                    tau = target
-                probabilities[k] = x[fundamental]
-            results[(scheme, cutoff)] = probabilities
+            # x(l) = V exp(l Lambda) V^-1 e_f; A is self-adjoint in the
+            # Hilbert-Schmidt metric, so its spectrum is real and V well conditioned
+            rates, vectors = np.linalg.eig(COUPLING_PREFACTOR * operator)
+            weights = vectors[fundamental] * np.linalg.solve(vectors, np.eye(1, len(vectors), fundamental)[0])
+            results[(scheme, cutoff)] = (np.exp(np.multiply.outer(l_values, rates)) @ weights).real
     return results
 
 

@@ -463,11 +463,11 @@ def sector_coupling(cutoff: int, delta: int, t: float) -> np.ndarray:
     return np.conj(d)[:, None] * block * d
 
 
-def coupling_tensor(basis: ModeBasis, z: float, cn2: float, w0: float, frequencies) -> CouplingTensor:
-    """The full tensor L_{m,n,u,v}(z) (total-rate part excluded) at the
-    wavelength `frequencies` (m), sector by sector."""
-    t = normalized_distance(z, frequencies, w0)
-    rate = COUPLING_PREFACTOR * l_strength(z, cn2, frequencies, w0)
+def coupling_tensor(basis: ModeBasis, z: float, cn2: float, w0: float, wavelength: float) -> CouplingTensor:
+    """The full tensor L_{m,n,u,v}(z) (total-rate part excluded) at one
+    wavelength (m), sector by sector."""
+    t = normalized_distance(z, wavelength, w0)
+    rate = COUPLING_PREFACTOR * l_strength(z, cn2, wavelength, w0)
     deltas = range(-2 * basis.cutoff, 2 * basis.cutoff + 1)
     blocks = [rate * sector_coupling(basis.cutoff, d, t) for d in deltas]  # guard before allocating
     side = basis.cutoff + 1

@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ipe import DECAY_CONSTANT, rk4_nodes, rk4_step
-from .lgmodes import COUPLING_PREFACTOR, pair_coupling_assembler
+from .ipe import rk4_nodes, rk4_step
+from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
 from .turbulence import LinkGeometry, TurbulenceProfile, extinction_depth, integrated_l, l_cross

@@ -99,17 +99,6 @@ def normalized_distance(z, wavelength, waist):
 
 
 @dataclass(frozen=True)
-class SpectrumParams:
-    """Outer-scale wavenumber kappa_0 (1/m) of the von Karman spectrum."""
-
-    kappa_0: float = 1.0
-
-    def __post_init__(self):
-        if self.kappa_0 <= 0:
-            raise ValueError("kappa_0 must be positive")
-
-
-@dataclass(frozen=True)
 class TurbulenceProfile:
     """Structure-constant profile: either constant or tabulated in height.
 
@@ -218,14 +207,6 @@ def _chord(geom: LinkGeometry) -> tuple:
     return r_tx, r_rx * cos_phi - r_tx, r_rx * sin_phi
 
 
-def _table_cn2(profile: TurbulenceProfile, geom: LinkGeometry, z):
-    """Tabulated C_n^2 at the chord height(s) of path position(s) z, clamped
-    at the table ends."""
-    log_heights, log_cn2 = profile.log_table
-    log_height = np.log(np.maximum(path_height(geom, z), 1e-12))
-    return np.exp(np.interp(log_height, log_heights, log_cn2))
-
-
 def cn2_at(profile: TurbulenceProfile, geom: LinkGeometry, z):
     """C_n^2 at path position(s) z (constant, or interpolated at the chord
     height); a constant profile gives its constant for any z.
@@ -236,17 +217,22 @@ def cn2_at(profile: TurbulenceProfile, geom: LinkGeometry, z):
     """
     if profile.constant is not None:
         return profile.constant
-    return _table_cn2(profile, geom, z)
+    log_heights, log_cn2 = profile.log_table
+    log_height = np.log(np.maximum(path_height(geom, z), 1e-12))
+    return np.exp(np.interp(log_height, log_heights, log_cn2))
 
 
-def big_l_t(lambda1: float, lambda2: float, cn2: float, sp: SpectrumParams) -> float:
-    """Total scattering rate k1 k2 int Phi(K) d^2K / 4 pi^2 (units 1/m).
+def big_l_t(lambda1: float, lambda2: float, cn2: float, kappa_0: float) -> float:
+    """Total scattering rate k1 k2 int Phi(K) d^2K / 4 pi^2 (units 1/m) of
+    the von Karman spectrum with outer-scale wavenumber kappa_0 (1/m).
 
     Diverges like kappa_0^{-5/3} as the outer scale grows; the coupling
     tensor cancels it analytically, so this value only appears on its own in
     diagnostics and oracle tests.
     """
-    return TOTAL_RATE_CONSTANT * cn2 / (lambda1 * lambda2) * sp.kappa_0 ** (-5.0 / 3.0)
+    if kappa_0 <= 0:
+        raise ValueError("kappa_0 must be positive")
+    return TOTAL_RATE_CONSTANT * cn2 / (lambda1 * lambda2) * kappa_0 ** (-5.0 / 3.0)
 
 
 def l_strength(z: float, cn2: float, wavelength: float, waist: float) -> float:
@@ -351,10 +337,7 @@ def _path_rule(profile, geom, panels, nodes):
     mid, half = panels
     x, w = _legendre(nodes)
     z = (mid[:, None] + half[:, None] * x).reshape(-1)
-    weights = (half[:, None] * w).reshape(-1)
-    if profile.constant is not None:
-        return z, weights * profile.constant
-    return z, weights * _table_cn2(profile, geom, z)
+    return z, (half[:, None] * w).reshape(-1) * cn2_at(profile, geom, z)
 
 
 def _table_crossings(profile, geom) -> np.ndarray:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 
-from turbulink.turbulence import SPECTRUM_AMPLITUDE, SpectrumParams
+from turbulink.turbulence import SPECTRUM_AMPLITUDE
 
 
-def vonkarman_psd(K: float, cn2: float, sp: SpectrumParams) -> float:
-    """von Karman refractive-index power spectral density at radial wavenumber K."""
-    return SPECTRUM_AMPLITUDE * (2.0 * math.pi) ** 3 * cn2 / (K * K + sp.kappa_0**2) ** (11.0 / 6.0)
+def vonkarman_psd(K: float, cn2: float, kappa_0: float) -> float:
+    """von Karman refractive-index power spectral density at radial wavenumber K,
+    outer-scale wavenumber kappa_0 (1/m)."""
+    return SPECTRUM_AMPLITUDE * (2.0 * math.pi) ** 3 * cn2 / (K * K + kappa_0**2) ** (11.0 / 6.0)
 
 
 def fried_parameter(wavelength: float, cn2: float, z: float) -> float:

@@ -675,6 +675,15 @@ class TestSweep:
             assert code == EXIT_OK
         assert workers == [3, 2]  # one CPU runs the points in the calling thread
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_library_sweep_refuses_threads_below_one(self, tmp_path, capsys, threads):
+        config = RunConfig(output_dir=str(tmp_path), sweep_axes=("waist_m",), sweep_values=((0.1, 0.2),))
+        assert sweep(config, "beam", threads=threads) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.splitlines() == [f"config error: argument --threads: must be >= 1, got {threads}"]
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_entangle_sweep_matches_direct_scan(self, tmp_path):
         # the sweep summary scans the same n range as the entangle subcommand,
         # which stops below pair_modes

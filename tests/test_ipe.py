@@ -514,18 +514,26 @@ class TestCutoffBracketing:
             assert np.all(exact[n] <= lindblad[n] + 1e-12)
 
     def test_against_matrix_exponential(self):
-        # constant generator: the stepped integration must match expm
+        # constant generator: the fundamental entry of expm of the lab-frame
+        # dense oracle, gain0 - (Q x I + I x conj(Q)) / 2 with Q = Gamma0^T
+        # for the Lindblad form
         from scipy.linalg import expm
 
-        basis = ModeBasis(2)
-        size = basis.size
-        fundamental = basis.fundamental
-        operator = COUPLING_PREFACTOR * dense_generator(2)[0]
-        state = np.zeros(size * size, dtype=complex)
-        state[fundamental * size + fundamental] = 1.0
-        exact = (expm(operator * 0.1) @ state)[fundamental * size + fundamental].real
-        stepped = cutoff_bracketing([0.1], [2])
-        assert stepped[(PropagationScheme.TRUNCATED_EXACT, 2)][0] == pytest.approx(exact, abs=1e-9)
+        l_values = [0.01, 0.1, 1.0, 10.0]
+        results = cutoff_bracketing(l_values, range(3))
+        for cutoff in range(3):
+            basis = ModeBasis(cutoff)
+            size = basis.size
+            gain0, gamma0 = dense_generator(cutoff)
+            q, eye = gamma0.T, np.eye(size)
+            operators = {
+                PropagationScheme.TRUNCATED_EXACT: gain0,
+                PropagationScheme.LINDBLAD_TRUNCATED: gain0 - 0.5 * (np.kron(q, eye) + np.kron(eye, np.conj(q))),
+            }
+            entry = basis.fundamental * (size + 1)
+            for scheme, operator in operators.items():
+                exact = [expm(COUPLING_PREFACTOR * l * operator)[entry, entry].real for l in l_values]
+                assert results[(scheme, cutoff)] == pytest.approx(exact, rel=0, abs=1e-13)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

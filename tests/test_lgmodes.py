@@ -27,7 +27,7 @@ from turbulink.lgmodes import (
     sector_coupling,
 )
 from turbulink.lgmodes import _real_sector, _real_stack
-from turbulink.turbulence import SpectrumParams, big_l_t, l_cross, l_strength
+from turbulink.turbulence import big_l_t, l_cross, l_strength
 
 W0 = 0.1457
 LAM = 3.95e-6
@@ -479,7 +479,7 @@ class TestNumericOracle:
         i00 = LGIndex(l=0, r=0)
         kappa0 = 1e-4 / W0
         _, lt = coupling_numeric_oracle(i00, i00, i00, i00, 0.0, CN2, W0, LAM, kappa0)
-        closed = big_l_t(LAM, LAM, CN2, SpectrumParams(kappa_0=kappa0))
+        closed = big_l_t(LAM, LAM, CN2, kappa0)
         assert lt == pytest.approx(closed, rel=1e-3)
 
     def test_fundamental_rate_with_extrapolation(self):
@@ -520,7 +520,7 @@ class TestNumericOracle:
         kappa0 = 1e-4 / W0
         i00 = LGIndex(l=0, r=0)
         _, lt = coupling_numeric_oracle(i00, i00, i00, i00, Z_R, CN2, W0, pair, kappa0)
-        closed = big_l_t(lam1, lam2, CN2, SpectrumParams(kappa_0=kappa0))
+        closed = big_l_t(lam1, lam2, CN2, kappa0)
         assert lt == pytest.approx(closed, rel=1e-3)
 
     def test_positive_outer_scale_required(self):

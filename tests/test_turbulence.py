@@ -20,7 +20,6 @@ from turbulink.turbulence import (
     LinkGeometry,
     ProfileError,
     QuadratureError,
-    SpectrumParams,
     TurbulenceProfile,
     big_l_t,
     cn2_at,
@@ -143,18 +142,15 @@ class TestProfiles:
 
 class TestSpectrum:
     def test_zero_wavenumber_value(self):
-        sp = SpectrumParams(kappa_0=0.5)
         expected = 0.033 * (2.0 * math.pi) ** 3 * 1e-15 / 0.5 ** (11.0 / 3.0)
-        assert vonkarman_psd(0.0, 1e-15, sp) == pytest.approx(expected, rel=1e-13)
+        assert vonkarman_psd(0.0, 1e-15, 0.5) == pytest.approx(expected, rel=1e-13)
 
     def test_inertial_power_law(self):
-        sp = SpectrumParams(kappa_0=1e-4)
-        ratio = vonkarman_psd(2.0, 1e-15, sp) / vonkarman_psd(1.0, 1e-15, sp)
+        ratio = vonkarman_psd(2.0, 1e-15, 1e-4) / vonkarman_psd(1.0, 1e-15, 1e-4)
         assert ratio == pytest.approx(2.0 ** (-11.0 / 3.0), rel=1e-3)
 
     def test_monotone_decreasing(self):
-        sp = SpectrumParams(kappa_0=0.3)
-        values = [vonkarman_psd(k, 1e-15, sp) for k in np.linspace(0, 50, 200)]
+        values = [vonkarman_psd(k, 1e-15, 0.3) for k in np.linspace(0, 50, 200)]
         assert np.all(np.diff(values) < 0)
 
 
@@ -162,7 +158,6 @@ class TestTotalRate:
     def test_degenerate_constant_against_radial_integral(self):
         # independent oracle: quadrature of k^2 Phi over the transverse plane
         lam, cn2, kappa0 = 3.95e-6, 1e-15, 1e-3
-        sp = SpectrumParams(kappa_0=kappa0)
         k = 2.0 * math.pi / lam
         # integrate in u = ln K on composite Gauss-Legendre panels: a smooth
         # bump at the outer scale plus a K^{-5/3} shoulder, both resolved to
@@ -176,23 +171,28 @@ class TestTotalRate:
         u_nodes = (mid[:, None] + half * gx[None, :]).ravel()
         u_weights = np.tile(half * gw, panels)
         K_nodes = np.exp(u_nodes)
-        values = np.array([K * K * vonkarman_psd(K, cn2, sp) for K in K_nodes])
+        values = np.array([K * K * vonkarman_psd(K, cn2, kappa0) for K in K_nodes])
         radial = float(np.dot(u_weights, values))
         oracle = k * k * radial * (2.0 * math.pi) / (4.0 * math.pi**2)
-        value = big_l_t(lam, lam, cn2, sp)
+        value = big_l_t(lam, lam, cn2, kappa0)
         assert value == pytest.approx(oracle, rel=5e-4)
         constant = value * lam**2 * kappa0 ** (5.0 / 3.0) / cn2
         assert constant == pytest.approx(30.86, abs=0.01)
 
     def test_outer_scale_scaling(self):
-        base = big_l_t(3.95e-6, 3.95e-6, 1e-15, SpectrumParams(kappa_0=1.0))
-        doubled = big_l_t(3.95e-6, 3.95e-6, 1e-15, SpectrumParams(kappa_0=2.0))
+        base = big_l_t(3.95e-6, 3.95e-6, 1e-15, 1.0)
+        doubled = big_l_t(3.95e-6, 3.95e-6, 1e-15, 2.0)
         assert doubled / base == pytest.approx(2.0 ** (-5.0 / 3.0), rel=1e-12)
 
     def test_divergence_for_large_outer_scale(self):
-        base = big_l_t(3.95e-6, 3.95e-6, 1e-15, SpectrumParams(kappa_0=1.0))
-        wide = big_l_t(3.95e-6, 3.95e-6, 1e-15, SpectrumParams(kappa_0=0.1))
+        base = big_l_t(3.95e-6, 3.95e-6, 1e-15, 1.0)
+        wide = big_l_t(3.95e-6, 3.95e-6, 1e-15, 0.1)
         assert wide / base == pytest.approx(10.0 ** (5.0 / 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa_0", [0.0, -1.0])
+    def test_positive_outer_scale_required(self, kappa_0):
+        with pytest.raises(ValueError, match="kappa_0 must be positive"):
+            big_l_t(3.95e-6, 3.95e-6, 1e-15, kappa_0)
 
 
 class TestDecayDensity:
