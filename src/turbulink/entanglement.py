@@ -12,6 +12,12 @@ over p (two dim^5 tensordots), then one (dim^2, dim^2) GEMM against C over
 (n, q) (dim^6), so no step costs more than dim^6.  A robustness scan builds
 C once and reuses it for every row.
 
+The arithmetic takes the dtype of its inputs, with numpy's promotion and no
+branch: the mode-pair states, the analytic kernel and the channel tensor are
+real, so a scan row runs real GEMMs and a real symmetric eigen-solve for the
+negativity; a complex state or kernel promotes every step to complex, at
+about twice the cost.
+
 Basis ordering for the pair density is first-photon-major: the matrix index
 of |f_m> |f_n> is m * dim + n.
 """
@@ -30,12 +36,18 @@ MAX_PAIR_MODES = 14
 
 @dataclass(frozen=True)
 class TwoPhotonState:
-    """Pure two-photon state sum_{mn} psi[m, n] |f_m>|f_n>, unit norm."""
+    """Pure two-photon state sum_{mn} psi[m, n] |f_m>|f_n>, unit norm.
+
+    Any array-like is accepted and stored as an array: integer entries
+    become float64, float and complex entries keep their dtype."""
 
     coefficients: np.ndarray
 
     def __post_init__(self):
         psi = np.asarray(self.coefficients)
+        if not np.issubdtype(psi.dtype, np.inexact):
+            psi = psi.astype(np.float64)
+        object.__setattr__(self, "coefficients", psi)
         if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
             raise ValueError("coefficient matrix must be square")
         norm = float(np.sum(np.abs(psi) ** 2))
@@ -50,9 +62,9 @@ class TwoPhotonState:
     def mode_pair(cls, m: int, n: int, dim: int) -> "TwoPhotonState":
         """(|f_m f_m> + |f_n f_n>) / sqrt(2), or the bare |f_m f_m> when
         m == n (the superposition degenerates to a product state)."""
-        if max(m, n) >= dim:
+        if min(m, n) < 0 or max(m, n) >= dim:
             raise ValueError("mode index outside the basis dimension")
-        psi = np.zeros((dim, dim), dtype=complex)
+        psi = np.zeros((dim, dim))
         if m == n:
             psi[m, m] = 1.0
         else:
@@ -97,7 +109,7 @@ def _pair_density(psi: np.ndarray, tensor: np.ndarray) -> tuple:
         raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
     size = dim * dim
     half = np.tensordot(tensor, psi, axes=(2, 0))  # [u, v, p, n]
-    half = np.tensordot(half, np.conj(psi), axes=(2, 0))  # [u, v, n, q]
+    half = np.tensordot(half, psi.conj(), axes=(2, 0))  # [u, v, n, q]; .conj() of real psi is psi
     out = half.reshape(size, size) @ tensor.reshape(size, size).T  # [(u, v), (U, V)]
     matrix = out.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(size, size)
     matrix = 0.5 * (matrix + matrix.conj().T)
@@ -114,7 +126,9 @@ def propagate_pair(state: TwoPhotonState, kernel: ChannelKernel, spec: BiphotonS
     and the mass is the pre-normalization trace (joint survival probability
     within the truncated mode space).  The map is contracted as two dim^5
     tensordots (psi over m, conj(psi) over p) and one dim^6 GEMM against the
-    channel tensor over (n, q).
+    channel tensor over (n, q).  A real state through a real kernel gives
+    a real density (real GEMMs, and a real symmetric eigen-solve in
+    `log_negativity`); a complex state or kernel gives a complex one.
     """
     return _pair_density(state.coefficients, channel_tensor(kernel, state.dim))
 

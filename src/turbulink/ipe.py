@@ -19,7 +19,10 @@ the nodes of `rk4_nodes`.  Delta < 0 is the adjoint of Delta > 0, and sector
 `propagate` and the full-IPE kernel in `temporal`, whose generators change
 along z, advance their states with the one fixed-step `rk4_step`; in
 `propagate` a sector of at most STEP_MATRIX_SIZE coordinates takes the same
-RK4 polynomial as step matrices, every step formed at once.
+RK4 polynomial as step matrices, every step formed at once.  `propagate`
+refuses a step count with h * max rate * rho(A) past RK4's real-axis limit
+before it takes a step: the Lindblad form keeps the trace while it blows
+up, so no check after the run would catch it.
 `cutoff_bracketing` freezes the generator at t = 0 (A alone) and takes the
 fundamental entry of exp(l A) from A's eigendecomposition.
 """
@@ -109,6 +112,9 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
 
+# classical RK4 is stable on the negative real axis for h |lambda| up to 2.785
+RK4_REAL_LIMIT = 2.785
+
 # up to this many coordinates `propagate` forms a sector's RK4 step matrices
 # at once (`_step_product`) instead of stepping; on one core the two cost the
 # same near 30.  The matrices of STEP_CHUNK steps are held at a time.
@@ -189,6 +195,12 @@ def generator_parts(cutoff: int, delta: int) -> tuple:
     return operators, rotation[np.arange(len(gain)), partner], partner
 
 
+@lru_cache(maxsize=64)
+def _spectral_radius(cutoff: int, delta: int, scheme: PropagationScheme) -> float:
+    """Largest |eigenvalue| of a sector's operator A (see `generator_parts`)."""
+    return float(np.max(np.abs(np.linalg.eigvals(generator_parts(cutoff, delta)[0][scheme]))))
+
+
 def rk4_nodes(profile: TurbulenceProfile, geom: LinkGeometry, steps: int) -> tuple:
     """(z, C_n^2) on the nodes z_k = k L / (2 steps), k = 0 ... 2 steps, of a
     fixed-step RK4 run over the link: step s starts at node 2s and has its
@@ -249,21 +261,53 @@ def _step_product(operator, turn, partner, table: np.ndarray, h: float, x: np.nd
     return x
 
 
+def _rate_nodes(profile, geom, steps: int) -> tuple:
+    """(z, coupling rate) on the nodes of a `steps`-step RK4 run."""
+    z, cn2 = rk4_nodes(profile, geom, steps)
+    return z, COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
+
+
+def _check_stable(profile, geom, config, steps: int, rates: np.ndarray, deltas) -> None:
+    """Refuse a run in which h * max rate * rho(A) of an occupied sector
+    (`deltas`) exceeds RK4_REAL_LIMIT.  The row-sum norm of A bounds rho(A)
+    from above, so a sector within the limit on that bound needs no
+    eigenvalues.  The Gouy rotation is left out of the figure."""
+    h_rate = geom.path_length / steps * float(rates.max())
+    radius = 0.0
+    for delta in deltas:
+        operator = generator_parts(config.cutoff, delta)[0][config.scheme]
+        if h_rate * np.linalg.norm(operator, np.inf) > RK4_REAL_LIMIT:
+            radius = max(radius, _spectral_radius(config.cutoff, delta, config.scheme))
+    if h_rate * radius <= RK4_REAL_LIMIT:
+        return
+    # the peak rate may move with the node grid: check the estimate on its own
+    needed = math.ceil(steps * h_rate * radius / RK4_REAL_LIMIT)
+    while geom.path_length / needed * _rate_nodes(profile, geom, needed)[1].max() * radius > RK4_REAL_LIMIT:
+        needed += 1
+    raise ValueError(
+        f"steps = {steps} is unstable for fixed-step RK4: h * max rate * rho(A) ="
+        f" {h_rate * radius:.2f} exceeds {RK4_REAL_LIMIT}; use steps >= {needed}"
+    )
+
+
 def _propagate_fixed(rho0, profile, geom, config, steps):
     # occupied sectors with delta >= 0; only sector 0 holds its own adjoint
     cutoff, side = config.cutoff, config.cutoff + 1
     rho, shape = np.zeros(rho0.matrix.shape, dtype=complex), (2 * cutoff + 1, side, 2 * cutoff + 1, side)
     blocks_in, blocks_out = rho0.matrix.reshape(shape), rho.reshape(shape)
     h, z_r = geom.path_length / steps, geom.rayleigh_range
-    z, cn2 = rk4_nodes(profile, geom, steps)
-    rates = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
+    z, rates = _rate_nodes(profile, geom, steps)
     table = np.column_stack([rates, z_r / (z_r * z_r + z * z)])
+    sectors = {}
     for delta in range(2 * cutoff + 1):
         lo_row, lo_col, count = sector_blocks(cutoff, delta)
         p = np.arange(count)
         state = blocks_in[lo_row + p, :, lo_col + p, :]
-        if not np.any(state):
-            continue
+        if np.any(state):
+            sectors[delta] = (lo_row + p, lo_col + p, state)
+    _check_stable(profile, geom, config, steps, rates, sectors)
+    for delta, (rows, cols, state) in sectors.items():
+        count = len(rows)
         x, (operators, turn, partner) = _coordinates(state, delta == 0), generator_parts(cutoff, delta)
         if len(x) <= STEP_MATRIX_SIZE:
             x = _step_product(operators[config.scheme], turn, partner, table, h, x)
@@ -272,8 +316,8 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
             for step in range(steps):
                 x = rk4_step(derivative, 2 * step, x, h)
         state = _blocks(x, count, side, delta == 0)
-        blocks_out[lo_row + p, :, lo_col + p, :] = state
-        blocks_out[lo_col + p, :, lo_row + p, :] = state.conj().transpose(0, 2, 1)
+        blocks_out[rows, :, cols, :] = state
+        blocks_out[cols, :, rows, :] = state.conj().transpose(0, 2, 1)
     # undo the rotating-frame (Gouy) gauge at the receiver plane
     gouy = np.array([idx.gouy_weight for idx in rho0.basis.indices])
     return np.exp(-2j * math.atan2(geom.path_length, z_r) * (gouy[:, None] - gouy[None, :])) * rho
@@ -289,8 +333,11 @@ def propagate(
 
     Fixed-step 4th-order Runge-Kutta in the rotating frame, one occupied
     Delta-l sector at a time on its real coordinates (sector 0 is Hermitian
-    by construction).  With check_convergence set, the run is repeated at
-    half the step size and the traces must agree to 1e-8.
+    by construction).  A step count with h * max rate * rho(A) above
+    RK4_REAL_LIMIT in an occupied sector is refused up front (ValueError,
+    naming the smallest step count that meets it).  With check_convergence
+    set, the run is repeated at half the step size and the traces must agree
+    to 1e-8.
     """
     if rho0.basis.cutoff != config.cutoff:
         raise ValueError("density matrix basis does not match solver cutoff")

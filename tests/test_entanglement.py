@@ -9,6 +9,7 @@ from turbulink.entanglement import (
     RobustnessRow,
     TwoPhotonDensity,
     TwoPhotonState,
+    _pair_density,
     channel_tensor,
     fidelity_to_input,
     log_negativity,
@@ -82,6 +83,42 @@ class TestStates:
     def test_mode_outside_dimension(self):
         with pytest.raises(ValueError):
             TwoPhotonState.mode_pair(0, 9, 4)
+
+    @pytest.mark.parametrize("m, n", [(-1, 3), (3, -1), (-8, -8)])
+    def test_negative_mode_index(self, m, n):
+        # numpy would wrap -1 round to mode dim - 1
+        with pytest.raises(ValueError, match="mode index outside the basis dimension"):
+            TwoPhotonState.mode_pair(m, n, 8)
+
+    def test_scan_refuses_negative_mode(self, paper_spec, kernel_zero):
+        with pytest.raises(ValueError, match="mode index outside the basis dimension"):
+            robustness_scan(kernel_zero, paper_spec, 0, range(-1, 3), dim=4)
+
+    def test_mode_pair_is_real(self):
+        assert TwoPhotonState.mode_pair(0, 3, 8).coefficients.dtype == np.float64
+        assert TwoPhotonState.mode_pair(2, 2, 6).coefficients.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "entries, dtype",
+        [
+            ([[1, 0], [0, 0]], np.float64),
+            ([[0.6, 0.0], [0.0, 0.8]], np.float64),
+            ([[0.6j, 0], [0, 0.8]], np.complex128),
+        ],
+    )
+    def test_array_like_stored_as_array(self, entries, dtype):
+        state = TwoPhotonState(coefficients=entries)
+        assert isinstance(state.coefficients, np.ndarray)
+        assert state.coefficients.dtype == dtype
+        assert state.dim == 2
+
+    def test_list_state_propagates_like_array(self, paper_spec, kernel_1e16):
+        array = TwoPhotonState.mode_pair(1, 4, 6)
+        listed = TwoPhotonState(coefficients=array.coefficients.tolist())
+        rho_list, mass_list = propagate_pair(listed, kernel_1e16, paper_spec)
+        rho_array, mass_array = propagate_pair(array, kernel_1e16, paper_spec)
+        np.testing.assert_array_equal(rho_list.matrix, rho_array.matrix)
+        assert mass_list == mass_array
 
 
 class TestLogNegativity:
@@ -161,8 +198,16 @@ class TestPropagatePair:
         }[kind]
         rho, mass = propagate_pair(state, kernel_1e15, paper_spec)
         expected, expected_mass = einsum_pair_density(state, kernel_1e15)
+        # real states stay real, complex ones stay complex
+        assert rho.matrix.dtype == state.coefficients.dtype
         np.testing.assert_allclose(rho.matrix, expected, rtol=0.0, atol=1e-12)
         assert mass == pytest.approx(expected_mass, rel=1e-12)
+
+    def test_real_pair_density(self, kernel_1e16):
+        state = TwoPhotonState.mode_pair(0, 5, 10)
+        assert kernel_1e16.matrix.dtype == np.float64
+        rho, _ = _pair_density(state.coefficients, channel_tensor(kernel_1e16, 10))
+        assert rho.matrix.dtype == np.float64
 
     @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
     def test_zero_turbulence_identity_property(self, paper_spec, kernel_zero, dim, seed):
@@ -230,6 +275,20 @@ class TestRobustnessScan:
             rho, mass = propagate_pair(state, kernel_1e16, paper_spec)
             assert row.en_final == pytest.approx(log_negativity(rho), abs=1e-13)
             assert row.fidelity == pytest.approx(fidelity_to_input(rho, state), abs=1e-13)
+            assert row.transmitted_mass == pytest.approx(mass, rel=1e-13)
+
+    @pytest.mark.parametrize("scan", ["scan_1e16", "scan_1e15"])
+    def test_rows_match_complex_arithmetic(self, request, paper_spec, scan):
+        # oracle: the same states cast to complex128, so every step runs the
+        # complex GEMMs and the Hermitian eigen-solve
+        kernel = request.getfixturevalue({"scan_1e16": "kernel_1e16", "scan_1e15": "kernel_1e15"}[scan])
+        tensor = channel_tensor(kernel, 12)
+        for row in request.getfixturevalue(scan):
+            psi = TwoPhotonState.mode_pair(0, row.n, 12).coefficients.astype(np.complex128)
+            rho, mass = _pair_density(psi, tensor)
+            assert rho.matrix.dtype == np.complex128
+            assert row.en_final == pytest.approx(log_negativity(rho), abs=1e-13)
+            assert row.fidelity == pytest.approx(fidelity_to_input(rho, TwoPhotonState(psi)), abs=1e-13)
             assert row.transmitted_mass == pytest.approx(mass, rel=1e-13)
 
     def test_outputs_nearly_positive(self, paper_spec, kernel_1e16):

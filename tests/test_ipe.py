@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,8 +366,9 @@ class TestPropagation:
         assert lowest_mode_probability(out) == pytest.approx(analytic_decay(profile, geom), abs=1e-7)
 
     def test_convergence_flag_raises_on_coarse_stiff_run(self):
-        # 16 steps across a decay exponent of ~200 cannot pass step doubling
-        profile = TurbulenceProfile.from_constant(1e-14)
+        # 16 steps across a decay exponent of ~60 are stable (h * rate * rho(A)
+        # = 2.58) but cannot pass step doubling
+        profile = TurbulenceProfile.from_constant(3e-15)
         geom = geometry()
         rho0 = DensityMatrix.pure(ModeBasis(0), LGIndex(l=0, r=0))
         config = SolverConfig(cutoff=0, steps=16, check_convergence=True)
@@ -423,6 +425,33 @@ class TestPropagation:
                 assert len(z) == 2 * steps + 1
                 assert z[0] == 0.0 and z[-1] == geom.path_length
                 assert np.all(np.diff(z) > 0) and np.all(cn2 > 0)
+
+    @pytest.mark.parametrize("scheme", list(PropagationScheme))
+    @pytest.mark.parametrize("cutoff", [1, 3])
+    def test_unstable_step_count_refused_up_front(self, cutoff, scheme):
+        # h * max rate * rho(A) is 4.1-15 here, past RK4's real-axis limit:
+        # the run overflowed into a trace or positivity error (or LinAlgError)
+        profile = TurbulenceProfile.from_table([(5.0, 3e-14), (60.0, 4e-15), (400.0, 5e-16), (2000.0, 6e-17)])
+        rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=0, r=0))
+        config = SolverConfig(cutoff=cutoff, scheme=scheme, steps=256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any RK4 step overflows
+            with pytest.raises(ValueError, match=r"steps = 256 .* exceeds 2.785; use steps >= ") as err:
+                propagate(rho0, profile, geometry(), config)
+        needed = int(err.value.args[0].rsplit(">= ", 1)[1])
+        with pytest.raises(ValueError, match=f"steps = {needed - 1} "):
+            propagate(rho0, profile, geometry(), SolverConfig(cutoff=cutoff, scheme=scheme, steps=needed - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = propagate(rho0, profile, geometry(), SolverConfig(cutoff=cutoff, scheme=scheme, steps=needed))
+        assert 0.0 <= lowest_mode_probability(rho) <= 1.0
+
+    def test_stiff_run_refused_before_step_doubling(self):
+        # 16 steps across a decay exponent of ~200: h * rate * rho(A) = 8.6
+        rho0 = DensityMatrix.pure(ModeBasis(0), LGIndex(l=0, r=0))
+        config = SolverConfig(cutoff=0, steps=16, check_convergence=True)
+        with pytest.raises(ValueError, match="steps = 16 .* = 8.60 exceeds 2.785; use steps >= 50"):
+            propagate(rho0, TurbulenceProfile.from_constant(1e-14), geometry(), config)
 
     def test_basis_mismatch_rejected(self):
         rho0 = DensityMatrix.pure(ModeBasis(1), LGIndex(l=0, r=0))
