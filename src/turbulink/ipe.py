@@ -16,19 +16,20 @@ x' = rate(z) A x + gouy(z) C x: one fixed operator A per scheme and the Gouy
 commutator C (`generator_parts`), the two rates tabulated once per run on
 the nodes of `rk4_nodes`.  Delta < 0 is the adjoint of Delta > 0, and sector
 0, which a fundamental input never leaves, is Hermitian by construction.
-`propagate` and the full-IPE kernel in `temporal`, whose generators change
-along z, advance their states with the one fixed-step `rk4_step`; in
-`propagate` a sector of at most STEP_MATRIX_SIZE coordinates takes the same
-RK4 polynomial as step matrices, every step formed at once.  `propagate`
-refuses a step count with h * max rate * rho(A) past RK4's real-axis limit
-before it takes a step: the Lindblad form keeps the trace while it blows
-up, so no check after the run would catch it.
-`cutoff_bracketing` freezes the generator at t = 0 (A alone) and takes the
-fundamental entry of exp(l A) from A's eigendecomposition.
+The coordinates are isometric, so every A is symmetric, and one cached
+eigendecomposition per sector and scheme (`sector_spectrum`) serves
+`propagate` and `cutoff_bracketing`, which freezes the generator at t = 0
+(A alone) and takes the fundamental entry of exp(l A).  `propagate` takes
+Lawson's exponential RK4 steps: classical RK4 on the variable that
+e^(-A int rate) takes out of x, so that the stiff rate(z) A part is exact,
+every factor is at most 1 at any step size, and only the Gouy part, which
+is not stiff, is stepped.  `rk4_step` is the explicit step of the full-IPE
+kernel in `temporal`.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -41,7 +42,7 @@ from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, extinction_dept
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
 # only rounding can lift the trace above 1: the exact truncation loses trace
-# and each RK4 stage of the Lindblad form conserves it; a loose bound
+# and each step of the Lindblad form conserves it; a loose bound
 TRACE_TOL = 1e-6
 
 
@@ -112,55 +113,53 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
 
-# classical RK4 is stable on the negative real axis for h |lambda| up to 2.785
-RK4_REAL_LIMIT = 2.785
-
-# up to this many coordinates `propagate` forms a sector's RK4 step matrices
-# at once (`_step_product`) instead of stepping; on one core the two cost the
-# same near 30.  The matrices of STEP_CHUNK steps are held at a time.
+# up to this many coordinates `propagate` forms a sector's step maps at once
+# (`_step_product`) instead of stepping (`_lawson_loop`): the maps cost m^3
+# per step, the loop a nearly fixed call overhead.  It takes STEP_CHUNK
+# steps at a time, so that their coefficients and maps stay bounded.
 STEP_MATRIX_SIZE = 24
-STEP_CHUNK = 1024
+STEP_CHUNK = 256
 
 
 @lru_cache(maxsize=64)
 def _layout(side: int, hermitian: bool, count: int) -> tuple:
-    """(k, w, v), each (T, m): coordinate i of `count` l-blocks of row-major
-    entries e is Re(sum_t w[t, i] e[k[t, i]]), and the unit vector of
-    coordinate j has the entries v[:, j] at k[:, j].  A Hermitian block holds
-    side^2 reals (T = 2: its diagonal, then Re and Im of its strict upper
-    triangle, read from its Hermitian part), any other Re, then Im, of each entry."""
+    """(k, w), each (T, m): coordinate i of `count` l-blocks of row-major
+    entries e is Re(sum_t w[t, i] e[k[t, i]]).  A Hermitian block holds
+    side^2 reals (T = 2: its diagonal, then sqrt(2) Re and sqrt(2) Im of its
+    strict upper triangle, read from its Hermitian part), any other Re, then
+    Im, of each entry.  The coordinates are isometric (Hilbert-Schmidt), so
+    the unit vector of coordinate j has the entries conj(w[:, j]) at k[:, j]."""
     flat, (a, b) = np.arange(side * side), np.triu_indices(side, 1)
     if hermitian:
         diag, upper, lower = flat[:: side + 1], a * side + b, b * side + a
-        one, half = np.ones(side), np.full(len(a), 0.5)
+        one, half = np.ones(side), np.full(len(a), math.sqrt(0.5))
         k = [np.concatenate([diag, upper, upper]), np.concatenate([diag, lower, lower])]
         w = [np.concatenate([one, half, -1j * half]), np.concatenate([0 * one, half, 1j * half])]
     else:
         k, w = [np.tile(flat, 2)], [np.repeat([1, -1j], side * side)]
     k = np.concatenate([np.stack(k) + p * side * side for p in range(count)], axis=1)
-    w = np.tile(np.stack(w), count)
-    return k, w, np.conj(w) / np.sum(np.abs(w) ** 2, axis=0)
+    return k, np.tile(np.stack(w), count)
 
 
 def _real_form(op: np.ndarray, layout: tuple) -> np.ndarray:
     """The real matrix, by index gathering, of the complex-linear map `op`
     (its last two axes act on row-major entries) in the coordinates `layout`."""
-    k, w, v = layout
+    k, w = layout
     pairs = np.ndindex(len(k), len(k))
-    return sum((w[a][:, None] * op[..., k[a][:, None], k[b]] * v[b]).real for a, b in pairs)
+    return sum((w[a][:, None] * op[..., k[a][:, None], k[b]] * np.conj(w[b])).real for a, b in pairs)
 
 
 def _coordinates(blocks: np.ndarray, hermitian: bool) -> np.ndarray:
     """Real coordinates of a (count, side, side) stack of l-blocks."""
-    k, w, _ = _layout(blocks.shape[-1], hermitian, len(blocks))
+    k, w = _layout(blocks.shape[-1], hermitian, len(blocks))
     return np.sum(w * blocks.reshape(-1)[k], axis=0).real
 
 
 def _blocks(x: np.ndarray, count: int, side: int, hermitian: bool) -> np.ndarray:
     """The (count, side, side) stack of l-blocks with real coordinates x."""
-    k, _, v = _layout(side, hermitian, count)
+    k, w = _layout(side, hermitian, count)
     entries = np.zeros(count * side * side, dtype=complex)
-    np.add.at(entries, k, v * x)
+    np.add.at(entries, k, np.conj(w) * x)
     return entries.reshape(count, side, side)
 
 
@@ -171,17 +170,20 @@ def generator_parts(cutoff: int, delta: int) -> tuple:
     for TRUNCATED_EXACT the gain (the `lgmodes.sector_coupling` block at t = 0;
     its scalar total-rate loss cancels against the gain's diagonal, so it is
     outer-scale free), for LINDBLAD_TRUNCATED gain - B / 2 with
-    B: rho -> Q rho + rho Q^dagger, Q = Gamma0^T.  C, the Gouy commutator
-    2i(g_u - g_v), turns each (Re, Im) pair: (C x)[i] = turn[i] x[partner[i]],
-    with turn 0 on sector 0's diagonal."""
+    B: rho -> Q rho + rho Q, Q the Hermitian part of Gamma0^T (Gamma0 is
+    Hermitian; its rounding in the coupling sum is not).  Both are
+    self-adjoint, so A is symmetric.  C, the Gouy commutator 2i(g_u - g_v),
+    turns each (Re, Im) pair: (C x)[i] = turn[i] x[partner[i]], with turn 0
+    on sector 0's diagonal."""
     basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
     gain = _real_form(sector_coupling(cutoff, delta, 0.0), _layout(side, delta == 0, count))
-    # Q(0) = Gamma0^T per l-block: Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal
+    # Q(0) per l-block: Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal
     q0 = np.einsum("qabpmm->qba", sector_coupling(cutoff, 0, 0.0).reshape((2 * cutoff + 1, side, side) * 2))
-    # per l-block on its row-major entries: rho -> Q rho + rho Q^dagger and
-    # the Gouy commutator, in real coordinates, then block-diagonal in the sector
+    q0 = 0.5 * (q0 + np.conj(q0).transpose(0, 2, 1))
+    # per l-block on its row-major entries: rho -> Q rho + rho Q and the
+    # Gouy commutator, in real coordinates, then block-diagonal in the sector
     gouy, eye = np.array([idx.gouy_weight for idx in basis.indices]).reshape(-1, side), np.eye(side)
     bracket = np.einsum("pac,be->pabce", q0[rows], eye) + np.einsum("ac,pbe->pabce", eye, np.conj(q0[cols]))
     commutator = np.eye(sq) * 2j * (gouy[rows, :, None] - gouy[cols, None, :]).reshape(count, 1, sq)
@@ -196,17 +198,29 @@ def generator_parts(cutoff: int, delta: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _spectral_radius(cutoff: int, delta: int, scheme: PropagationScheme) -> float:
-    """Largest |eigenvalue| of a sector's operator A (see `generator_parts`)."""
-    return float(np.max(np.abs(np.linalg.eigvals(generator_parts(cutoff, delta)[0][scheme]))))
+def sector_spectrum(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple:
+    """(values, vectors, rotation), read-only: A = V diag(values) V^T for a
+    sector's operator A (`generator_parts`), V = vectors orthogonal, and the
+    Gouy commutator in that basis, V^T C V.  No eigenvalue lies above 0
+    beyond rounding, so exp(l A) contracts for every l >= 0."""
+    operators, turn, partner = generator_parts(cutoff, delta)
+    values, vectors = np.linalg.eigh(operators[scheme])
+    rotation = vectors.T @ (turn[:, None] * vectors[partner])
+    for array in (values, vectors, rotation):
+        array.setflags(write=False)
+    return values, vectors, rotation
 
 
 def rk4_nodes(profile: TurbulenceProfile, geom: LinkGeometry, steps: int) -> tuple:
     """(z, C_n^2) on the nodes z_k = k L / (2 steps), k = 0 ... 2 steps, of a
-    fixed-step RK4 run over the link: step s starts at node 2s and has its
+    fixed-step run over the link: step s starts at node 2s and has its
     midpoint at node 2s + 1.  The last node is exactly L."""
     z = np.linspace(0.0, geom.path_length, 2 * steps + 1)
     return z, np.broadcast_to(cn2_at(profile, geom, z), z.shape)
+
+
+# classical RK4 is stable on the negative real axis for h |lambda| up to 2.785
+RK4_REAL_LIMIT = 2.785
 
 
 def rk4_step(derivative, node: int, state: np.ndarray, h: float) -> np.ndarray:
@@ -219,75 +233,93 @@ def rk4_step(derivative, node: int, state: np.ndarray, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _derivative(operator: np.ndarray, turn: np.ndarray, partner: np.ndarray, table: np.ndarray):
-    """d x / dz at node k of the node rows `table` = (rate, Gouy rate):
-    rate_k A x + gouy_k C x (see `generator_parts`), with the rotation
-    gouy_k turn tabulated per node (in Python lists: indexing them costs less
-    than indexing arrays)."""
-    rates, turns = list(table[:, 0]), list(table[:, 1:] * turn)
-    return lambda k, x: rates[k] * (operator @ x) + turns[k] * x[partner]
+_workspace = threading.local()
 
 
-def _step_product(operator, turn, partner, table: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
-    """P_{S-1} ... P_0 x over the S = len(table) // 2 steps on the node rows
-    `table`: x <- P_s x is `rk4_step` on x' = A_k x, A_k = table[k] @ (A, C),
-    so P_s = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A_2s,
-    K2 = A_2s+1 (I + h/2 K1), K3 = A_2s+1 (I + h/2 K2), K4 = A_2s+2 (I + h K3).
-    The dense (A, C) is built once; the step matrices of STEP_CHUNK steps are
-    formed at once, multiplied pairwise and applied to x."""
-    size, steps = len(turn), len(table) // 2
-    stack = np.stack([operator, np.eye(size)[partner] * turn[:, None]]).reshape(2, -1)
-    for start in range(0, steps, STEP_CHUNK):
-        a = (table[2 * start : 2 * min(start + STEP_CHUNK, steps) + 1] @ stack).reshape(-1, size, size)
-        a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
-        k = a1 @ a0
-        k *= 0.5 * h
-        k += a1  # K2
-        total = k + 0.5 * a0
-        k = a1 @ k
-        k *= 0.5 * h
-        k += a1  # K3
-        total += k
-        k = a2 @ k
-        k *= h
-        k += a2  # K4
-        total += 0.5 * k
-        total *= h / 3.0
-        total += np.eye(size)
-        while len(total) > 1:
-            pairs = len(total) // 2 * 2
-            total = np.concatenate([total[1:pairs:2] @ total[:pairs:2], total[pairs:]])
-        x = total[0] @ x
-    return x
+def _buffer(name: str, shape: tuple) -> np.ndarray:
+    """An array of `shape` from this thread's buffer `name`, kept between
+    calls: fresh arrays this large page-fault in again whenever the
+    allocator has handed the last ones back to the OS."""
+    size = math.prod(shape)
+    if getattr(_workspace, name, np.empty(0)).size < size:
+        setattr(_workspace, name, np.empty(size))
+    return getattr(_workspace, name)[:size].reshape(shape)
 
 
-def _rate_nodes(profile, geom, steps: int) -> tuple:
-    """(z, coupling rate) on the nodes of a `steps`-step RK4 run."""
-    z, cn2 = rk4_nodes(profile, geom, steps)
-    return z, COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
+def _lawson_factors(table: np.ndarray, h: float, values: np.ndarray) -> tuple:
+    """((a, b, c, d, e, f, j), half) of each step on the node rows `table` =
+    (rate, Gouy rate) for A's eigenvalues `values`, in one (7, m, steps)
+    buffer that the next call overwrites: with ea, eb and e1 = ea eb the
+    factors e^(R values) of a step's first half, second half and whole (R
+    the rate integrated by the quadratic through the step's three nodes)
+    and g0, g1, g2 the Gouy rates on those nodes, (g1 ea, h/2 g0 g1 ea,
+    h/6 g2 e1, h^2/6 g2 eb, e1, h/6 g0 e1, h/3 eb), and half = h/2 g1."""
+    rates, gouy = table[:, 0], table[:, 1]
+    r0, r1, r2, g0, g1, g2 = rates[:-1:2], rates[1::2], rates[2::2], gouy[:-1:2], gouy[1::2], gouy[2::2]
+    out = _buffer("factors", (7, len(values), len(g0)))
+    a, b, c, d, e, f, j = out
+    np.exp(np.multiply.outer(values, h / 24 * (5 * r0 + 8 * r1 - r2), out=a), out=a)
+    np.exp(np.multiply.outer(values, h / 24 * (5 * r2 + 8 * r1 - r0), out=d), out=d)
+    np.multiply(a, d, out=e)
+    np.multiply(e, h / 6 * g2, out=c)
+    np.multiply(e, h / 6 * g0, out=f)
+    np.multiply(d, h / 3, out=j)
+    d *= h * h / 6 * g2
+    a *= g1
+    np.multiply(a, 0.5 * h * g0, out=b)
+    return out, 0.5 * h * g1
 
 
-def _check_stable(profile, geom, config, steps: int, rates: np.ndarray, deltas) -> None:
-    """Refuse a run in which h * max rate * rho(A) of an occupied sector
-    (`deltas`) exceeds RK4_REAL_LIMIT.  The row-sum norm of A bounds rho(A)
-    from above, so a sector within the limit on that bound needs no
-    eigenvalues.  The Gouy rotation is left out of the figure."""
-    h_rate = geom.path_length / steps * float(rates.max())
-    radius = 0.0
-    for delta in deltas:
-        operator = generator_parts(config.cutoff, delta)[0][config.scheme]
-        if h_rate * np.linalg.norm(operator, np.inf) > RK4_REAL_LIMIT:
-            radius = max(radius, _spectral_radius(config.cutoff, delta, config.scheme))
-    if h_rate * radius <= RK4_REAL_LIMIT:
-        return
-    # the peak rate may move with the node grid: check the estimate on its own
-    needed = math.ceil(steps * h_rate * radius / RK4_REAL_LIMIT)
-    while geom.path_length / needed * _rate_nodes(profile, geom, needed)[1].max() * radius > RK4_REAL_LIMIT:
-        needed += 1
-    raise ValueError(
-        f"steps = {steps} is unstable for fixed-step RK4: h * max rate * rho(A) ="
-        f" {h_rate * radius:.2f} exceeds {RK4_REAL_LIMIT}; use steps >= {needed}"
-    )
+def _lawson_loop(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndarray:
+    """Lawson RK4 steps of u in A's eigenbasis (see the module docstring):
+    per step, with p = rotation u and the coefficients of `_lawson_factors`,
+    k2 = rotation (a u + b p), k3 = rotation (a u + half k2),
+    k4 = rotation (c u + d k3) and u <- e u + f p + j (k2 + k3) + k4."""
+    for (a, b, c, d, e, f, j), half in zip(np.moveaxis(factors[0], 2, 0), factors[1]):
+        p, au = rotation @ u, a * u
+        k2 = rotation @ (au + b * p)
+        k3 = rotation @ (au + half * k2)
+        k4 = rotation @ (c * u + d * k3)
+        u = e * u + f * p + j * (k2 + k3) + k4
+    return u
+
+
+def _step_product(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndarray:
+    """`_lawson_loop` as the product of its step maps, formed at once and
+    multiplied pairwise: with R = rotation,
+    P_s = diag(e) + diag(f) R + diag(j) (K2 + K3) + K4, K2 = R (diag(a) + diag(b) R),
+    K3 = R (diag(a) + half K2) and K4 = R (diag(c) + diag(d) K3).  The maps
+    are built with the step index last, so that each product by R, and each
+    diag(x) + diag(y) R (as `pick` [x; y]), is one matrix product."""
+    (a, _, c, d, _, _, j), half = factors
+    m, n = len(u), len(half)
+    pick = np.zeros((m, m, 2, m))  # pick[(i, k), (0, i)] = 1 and pick[(i, k), (1, i)] = R[i, k]
+    pick[range(m), range(m), 0, range(m)] = 1.0
+    pick[range(m), :, 1, range(m)] = rotation
+    pick, turned = pick.reshape(m * m, 2 * m), (rotation @ pick.reshape(m, -1)).reshape(m * m, 2 * m)
+    y, k2, k3, k4 = _buffer("maps", (4, m, m, n))
+    y_rows, k3_rows, k4_rows = (x.reshape(m, m * n) for x in (y, k3, k4))  # [i, (k, step)]
+    y_flat, k2_flat = y.reshape(m * m, n), k2.reshape(m * m, n)  # [(i, k), step]
+    np.matmul(turned, factors[0][:2].reshape(2 * m, n), out=k2_flat)  # K2, from [a; b]
+    np.multiply(k2, half, out=y)
+    y_flat[:: m + 1] += a  # the diagonal: Y3
+    np.matmul(rotation, y_rows, out=k3_rows)
+    np.multiply(k3, d[:, None], out=y)
+    y_flat[:: m + 1] += c  # Y4
+    np.matmul(rotation, y_rows, out=k4_rows)
+    k2 += k3
+    k2 *= j[:, None]
+    k2 += k4
+    np.matmul(pick, factors[0][4:6].reshape(2 * m, n), out=y_flat)  # diag(e) + diag(f) R, from [e; f]
+    # the maps step first, their products ping-ponging between two buffers
+    total, spare = k3.reshape(n, m, m), k4.reshape(n, m, m)
+    np.add(k2, y, out=total.transpose(1, 2, 0))
+    while len(total) > 1:
+        pairs = len(total) // 2
+        np.matmul(total[1 : 2 * pairs : 2], total[: 2 * pairs : 2], out=spare[:pairs])
+        spare[pairs : pairs + len(total) % 2] = total[2 * pairs :]
+        total, spare = spare[: pairs + len(total) % 2], total
+    return total[0] @ u
 
 
 def _propagate_fixed(rho0, profile, geom, config, steps):
@@ -296,26 +328,21 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
     rho, shape = np.zeros(rho0.matrix.shape, dtype=complex), (2 * cutoff + 1, side, 2 * cutoff + 1, side)
     blocks_in, blocks_out = rho0.matrix.reshape(shape), rho.reshape(shape)
     h, z_r = geom.path_length / steps, geom.rayleigh_range
-    z, rates = _rate_nodes(profile, geom, steps)
+    z, cn2 = rk4_nodes(profile, geom, steps)
+    rates = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
     table = np.column_stack([rates, z_r / (z_r * z_r + z * z)])
-    sectors = {}
     for delta in range(2 * cutoff + 1):
         lo_row, lo_col, count = sector_blocks(cutoff, delta)
-        p = np.arange(count)
-        state = blocks_in[lo_row + p, :, lo_col + p, :]
-        if np.any(state):
-            sectors[delta] = (lo_row + p, lo_col + p, state)
-    _check_stable(profile, geom, config, steps, rates, sectors)
-    for delta, (rows, cols, state) in sectors.items():
-        count = len(rows)
-        x, (operators, turn, partner) = _coordinates(state, delta == 0), generator_parts(cutoff, delta)
-        if len(x) <= STEP_MATRIX_SIZE:
-            x = _step_product(operators[config.scheme], turn, partner, table, h, x)
-        else:
-            derivative = _derivative(operators[config.scheme], turn, partner, table)
-            for step in range(steps):
-                x = rk4_step(derivative, 2 * step, x, h)
-        state = _blocks(x, count, side, delta == 0)
+        rows, cols = lo_row + np.arange(count), lo_col + np.arange(count)
+        state = blocks_in[rows, :, cols, :]
+        if not np.any(state):
+            continue
+        values, vectors, rotation = sector_spectrum(cutoff, delta, config.scheme)
+        u = _coordinates(state, delta == 0) @ vectors
+        step = _step_product if len(u) <= STEP_MATRIX_SIZE else _lawson_loop
+        for start in range(0, 2 * steps, 2 * STEP_CHUNK):
+            u = step(rotation, u, _lawson_factors(table[start : start + 2 * STEP_CHUNK + 1], h, values))
+        state = _blocks(vectors @ u, count, side, delta == 0)
         blocks_out[rows, :, cols, :] = state
         blocks_out[cols, :, rows, :] = state.conj().transpose(0, 2, 1)
     # undo the rotating-frame (Gouy) gauge at the receiver plane
@@ -331,13 +358,11 @@ def propagate(
 ) -> DensityMatrix:
     """Integrate the density matrix from the transmitter to z_f.
 
-    Fixed-step 4th-order Runge-Kutta in the rotating frame, one occupied
-    Delta-l sector at a time on its real coordinates (sector 0 is Hermitian
-    by construction).  A step count with h * max rate * rho(A) above
-    RK4_REAL_LIMIT in an occupied sector is refused up front (ValueError,
-    naming the smallest step count that meets it).  With check_convergence
-    set, the run is repeated at half the step size and the traces must agree
-    to 1e-8.
+    Fixed-step Lawson RK4 in the rotating frame, one occupied Delta-l sector
+    at a time on its real coordinates (sector 0 is Hermitian by
+    construction); any step count is stable.  With check_convergence set,
+    the run is repeated at half the step size and the traces must agree to
+    1e-8.
     """
     if rho0.basis.cutoff != config.cutoff:
         raise ValueError("density matrix basis does not match solver cutoff")
@@ -396,11 +421,10 @@ def cutoff_bracketing(l_values, cutoffs) -> dict:
     for cutoff in cutoffs:
         # sector 0 only; the fundamental is the first coordinate of the l = 0 block
         fundamental = cutoff * (cutoff + 1) ** 2
-        for scheme, operator in generator_parts(cutoff, 0)[0].items():
-            # x(l) = V exp(l Lambda) V^-1 e_f; A is self-adjoint in the
-            # Hilbert-Schmidt metric, so its spectrum is real and V well conditioned
-            rates, vectors = np.linalg.eig(COUPLING_PREFACTOR * operator)
-            weights = vectors[fundamental] * np.linalg.solve(vectors, np.eye(1, len(vectors), fundamental)[0])
+        for scheme in PropagationScheme:
+            # x(l) = V exp(l Lambda) V^T e_f with V orthogonal
+            values, vectors, _ = sector_spectrum(cutoff, 0, scheme)
+            rates, weights = COUPLING_PREFACTOR * values, vectors[fundamental] ** 2
             results[(scheme, cutoff)] = (np.exp(np.multiply.outer(l_values, rates)) @ weights).real
     return results
 

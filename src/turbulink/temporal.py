@@ -16,7 +16,8 @@ Two kernel fidelities:
             its z-dependent scalars tabulated once on the RK4 nodes and its
             coupling built per node by `lgmodes.pair_coupling_assembler`; at
             omega1 = omega2 it is the single-frequency propagation of
-            `ipe.propagate`.
+            `ipe.propagate`.  A step count past RK4's stability limit is
+            refused before the first step.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ipe import rk4_nodes, rk4_step
+from .ipe import RK4_REAL_LIMIT, PropagationScheme, rk4_nodes, rk4_step, sector_spectrum
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
@@ -86,11 +87,35 @@ def _mode_stack(order: int) -> np.ndarray:
     return stack
 
 
+def _check_step_count(omega1, omega2, profile, geom, cutoff: int, steps: int) -> None:
+    """Refuse a step count whose h * max rate * rho(A0) exceeds RK4_REAL_LIMIT,
+    A0 the single-wavelength sector-0 operator (`ipe.sector_spectrum`): RK4
+    would overflow into NaN.  Each node's two-carrier block differs from A0
+    by a few percent of rho(A0), so the figure is an estimate, not a bound."""
+    radius = np.max(np.abs(sector_spectrum(cutoff, 0, PropagationScheme.TRUNCATED_EXACT)[0]))
+
+    def figure(count):
+        z, cn2 = rk4_nodes(profile, geom, count)
+        rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
+        return geom.path_length / count * float(rate.max()) * radius
+
+    needed = math.ceil(steps * figure(steps) / RK4_REAL_LIMIT)
+    if needed > steps:
+        # the peak rate may move with the node grid: check the estimate on its own
+        while figure(needed) > RK4_REAL_LIMIT:
+            needed += 1
+        raise ValueError(
+            f"'steps' = {steps} is unstable for the full-IPE kernel's RK4: h * max rate * rho(A0) ="
+            f" {figure(steps):.2f} exceeds {RK4_REAL_LIMIT}; use steps >= {needed}"
+        )
+
+
 def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
     """Fundamental-to-fundamental damping of the |omega1><omega2| coherence
     of every frequency pair (omega1[i], omega2[i]), all advanced together on
     sector 0 of the truncated LG basis."""
     side, count = cutoff + 1, 2 * cutoff + 1
+    _check_step_count(omega1, omega2, profile, geom, cutoff, steps)
     # per node (rows) and pair (columns), the two carriers on a leading axis
     z, cn2 = rk4_nodes(profile, geom, steps)
     rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
@@ -119,7 +144,7 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     # carriers couple to the mode ladder with different Gouy rotations); the
     # kernel contract is real-valued, so keep the modulus-level real part and
     # only fail if the phase of some pair stops being a perturbation
-    too_large = np.abs(values.imag) > 0.05 * np.maximum(np.abs(values.real), 1e-12)
+    too_large = ~(np.abs(values.imag) <= 0.05 * np.maximum(np.abs(values.real), 1e-12))  # NaN too
     if np.any(too_large):
         raise RuntimeError(f"cross-frequency population has imaginary part {values.imag[too_large][0]:.2e}")
     return values.real

@@ -308,7 +308,7 @@ def test_every_config_key_is_read(tmp_path):
     config = Recording(output_dir=str(tmp_path))
     for run, _, _ in cli._SUBCOMMANDS.values():
         run(config)[1](io.StringIO())
-    full_ipe = Recording(output_dir=str(tmp_path), kernel_fidelity="full_ipe", grid_order=4, cutoff=1, steps=16)
+    full_ipe = Recording(output_dir=str(tmp_path), kernel_fidelity="full_ipe", grid_order=4, cutoff=1, steps=32)
     cli.run_kernel(full_ipe)[1](io.StringIO())
     assert sorted(set(_KEYS) - read) == []
 
@@ -326,19 +326,31 @@ def _in_range(key):
     return st.one_of(st.just(0.0), values) if _KEYS[key]["zero_ok"] else values
 
 
+# full-IPE draws stay small, for time: grid order <= 6, cutoff <= 2, steps <= 64
+_FULL_IPE = st.fixed_dictionaries(
+    {"kernel_fidelity": st.just("full_ipe"), "grid_order": st.integers(4, 6), "cutoff": st.integers(0, 2),
+     "steps": st.integers(16, 64)}
+)
+
+
 class TestValidatorProperty:
-    # the numeric failures an analytic-kernel run may end in (exit 2)
-    NUMERIC = ("fully absorbed", "path integral did not converge")
+    # the numeric failures a run may end in (exit 2); the last is the
+    # full-IPE kernel's dispersive-phase guard
+    NUMERIC = ("fully absorbed", "path integral did not converge", "imaginary part")
 
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         subcommand=st.sampled_from(["schmidt", "beam", "kernel", "tmatrix", "entangle"]),
         values=st.fixed_dictionaries({key: _in_range(key) for key in RANGES}),
+        full_ipe=st.one_of(st.just({}), _FULL_IPE),
     )
-    def test_accepted_config_runs_or_is_refused_by_key(self, tmp_path, subcommand, values):
-        # every in-range config either runs, is refused naming a key, or ends
-        # in a documented numeric failure, and never warns on the way
-        config = replace(RunConfig(), output_dir=str(tmp_path), **values)
+    def test_accepted_config_runs_or_is_refused_by_key(self, tmp_path, subcommand, values, full_ipe):
+        # every in-range config either runs to CSVs of finite numbers, is
+        # refused naming a key, or ends in a documented numeric failure, and
+        # never warns on the way
+        for stale in tmp_path.glob("*.csv"):
+            stale.unlink()
+        config = replace(RunConfig(), output_dir=str(tmp_path), **{**values, **full_ipe})
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
@@ -351,6 +363,9 @@ class TestValidatorProperty:
             assert message.startswith("numeric failure: ") and any(m in message for m in self.NUMERIC), message
         else:
             assert code == EXIT_OK and not message
+        for written in tmp_path.glob("*.csv"):
+            cells = [cell for line in written.read_text().splitlines()[1:] for cell in line.split(",")]
+            assert all(math.isfinite(float(cell)) for cell in cells), written.name
 
 
 def run_cli(tmp_path, *args):

@@ -119,7 +119,32 @@ def DECAY_CONST_TIMES_L(z, geom):
     return DECAY_CONSTANT * l_strength(z, 1e-15, geom.wavelength, geom.waist)
 
 
+def spectral_derivative(cutoff, delta, scheme, rates, gouy_rates):
+    """d x / dz at node k, rate_k A x + gouy_k C x, from the eigendecomposition
+    A = V diag(values) V^T and the rotation V^T C V that `propagate` steps with."""
+    from turbulink.ipe import sector_spectrum
+
+    values, vectors, rotation = sector_spectrum(cutoff, delta, scheme)
+
+    def derivative(k, x):
+        u = vectors.T @ x
+        return vectors @ (rates[k] * values * u + gouy_rates[k] * (rotation @ u))
+
+    return derivative
+
+
 class TestSectorDerivative:
+    def test_operators_symmetric_in_isometric_coordinates(self):
+        # every sector operator is self-adjoint in the Hilbert-Schmidt metric,
+        # and with Q the Hermitian part of Gamma0^T it is a symmetric matrix
+        # in the isometric coordinates, up to rounding
+        from turbulink.ipe import generator_parts
+
+        for cutoff in range(7):
+            for delta in range(2 * cutoff + 1):
+                for operator in generator_parts(cutoff, delta)[0].values():
+                    assert np.max(np.abs(operator - operator.T)) <= 1e-15 * np.max(np.abs(operator))
+
     @pytest.mark.parametrize("cutoff", range(5))
     def test_real_coordinates_match_complex_blocks(self, cutoff):
         # every sector and both schemes, on random states at random nodes of a
@@ -128,7 +153,7 @@ class TestSectorDerivative:
         # reference.  The scale is the largest entry, but at least
         # rate * |rho| (the size of one term): at cutoff 0 the Lindblad gain
         # and bracket cancel exactly.
-        from turbulink.ipe import _blocks, _coordinates, _derivative, generator_parts, rk4_nodes
+        from turbulink.ipe import _blocks, _coordinates, rk4_nodes
 
         geom, side = geometry(), cutoff + 1
         z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, 64)
@@ -139,8 +164,7 @@ class TestSectorDerivative:
             lindblad = scheme is PropagationScheme.LINDBLAD_TRUNCATED
             for delta in range(2 * cutoff + 1):
                 oracle = complex_sector_derivative(cutoff, delta, lindblad, rates, gouy_rates)
-                operators, turn, partner = generator_parts(cutoff, delta)
-                derivative = _derivative(operators[scheme], turn, partner, np.column_stack([rates, gouy_rates]))
+                derivative = spectral_derivative(cutoff, delta, scheme, rates, gouy_rates)
                 count, hermitian = 2 * cutoff + 1 - delta, delta == 0
                 rho = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))
                 if hermitian:
@@ -161,9 +185,10 @@ class TestStepMatrices:
     @pytest.mark.parametrize("cutoff", [0, 1])
     @pytest.mark.parametrize("steps", [17, 256])
     def test_step_product_matches_rk4_loop(self, cutoff, steps):
-        # every sector of both schemes on random states, with the node table
-        # of a 30 km run; the scale is the largest entry of the result
-        from turbulink.ipe import _derivative, _step_product, generator_parts, rk4_nodes, rk4_step
+        # the step maps against the Lawson RK4 loop, every sector of both
+        # schemes on random states, with the node table of a 30 km run; the
+        # scale is the largest entry of the result
+        from turbulink.ipe import _lawson_factors, _lawson_loop, _step_product, rk4_nodes, sector_spectrum
 
         geom = geometry()
         z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, steps)
@@ -172,13 +197,12 @@ class TestStepMatrices:
         rng = np.random.default_rng(60 + cutoff)
         for scheme in PropagationScheme:
             for delta in range(2 * cutoff + 1):
-                operators, turn, partner = generator_parts(cutoff, delta)
-                x = rng.normal(size=len(turn))
-                assert len(x) <= STEP_MATRIX_SIZE
-                derivative, expected = _derivative(operators[scheme], turn, partner, table), x
-                for step in range(steps):
-                    expected = rk4_step(derivative, 2 * step, expected, h)
-                got = _step_product(operators[scheme], turn, partner, table, h, x)
+                values, _, rotation = sector_spectrum(cutoff, delta, scheme)
+                u = rng.normal(size=len(values))
+                assert len(u) <= STEP_MATRIX_SIZE
+                factors = _lawson_factors(table, h, values)
+                expected = _lawson_loop(rotation, u, factors)
+                got = _step_product(rotation, u, factors)
                 assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("cutoff", [0, 1])
@@ -203,6 +227,37 @@ class TestStepMatrices:
                 assert np.max(np.abs(fast - slow)) <= 1e-14
         assert calls
 
+    def test_threads_keep_their_own_buffers(self):
+        # the step maps and coefficients live in per-thread buffers: runs in
+        # more threads than cores, switching often, match the serial result
+        # bit for bit (cutoff 1 uses the step maps, cutoff 2 the loop)
+        import threading
+
+        profile, geom = TurbulenceProfile.from_constant(1e-15), geometry()
+        runs = [(cutoff, scheme) for cutoff in (1, 2) for scheme in PropagationScheme]
+
+        def run(cutoff, scheme):
+            rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=0, r=0))
+            return propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, scheme=scheme, steps=300)).matrix
+
+        serial = [run(*args) for args in runs]
+        results, interval = {}, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda i=i: results.update({i: [run(*args) for args in runs]}))
+                for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(results) == len(threads)
+        for matrices in results.values():
+            assert all(np.array_equal(got, expected) for got, expected in zip(matrices, serial))
+
     def test_generator_parts_match_an_uncached_build(self):
         # Gamma0 comes from the cached sector-0 block of each cutoff
         from turbulink.ipe import generator_parts
@@ -225,15 +280,22 @@ class TestLindbladForm:
         # node past the waist of a 30 km run, from the library's operators
         # alone; the Gouy commutator is traceless, so this holds whatever
         # the phase convention
-        from turbulink.ipe import _blocks, _coordinates, _derivative, generator_parts, rk4_nodes
+        from turbulink.ipe import _blocks, _coordinates, generator_parts, rk4_nodes
 
         geom, side, count = geometry(), cutoff + 1, 2 * cutoff + 1
         z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, 64)
         z_r = geom.rayleigh_range
         rates, gouy_rates = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), z_r / (z_r**2 + z**2)
-        table = np.column_stack([rates, gouy_rates])
+        # A and C directly: through A's eigendecomposition the rounding of the
+        # eigenvectors (about 1e-15 each, times eigenvalues up to ~100) leaks
+        # up to 2.3e-13 of rate * |rho| into the trace at cutoffs 2-4; the
+        # integrator's trace over a full link is pinned by test_full_link_trace
         operators, turn, partner = generator_parts(cutoff, 0)
-        derivative = _derivative(operators[PropagationScheme.LINDBLAD_TRUNCATED], turn, partner, table)
+        operator = operators[PropagationScheme.LINDBLAD_TRUNCATED]
+
+        def derivative(k, x):
+            return rates[k] * (operator @ x) + gouy_rates[k] * turn * x[partner]
+
         rng = np.random.default_rng(80 + cutoff)
         for k in range(1, len(z)):
             rho = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))
@@ -292,8 +354,9 @@ class TestPropagation:
         basis = ModeBasis(cutoff)
         size = basis.size
         rho0 = coherent_state(basis, seed=5)
-        # the two frames' RK4 errors differ by O(h^4) times the fastest Gouy
-        # rotation: 3.5e-9 at cutoff 2 and 192 steps, 2.2e-10 at 384
+        # the rotating-frame Lawson steps and the lab-frame RK4 differ by
+        # O(h^4) times the fastest Gouy rotation: 1.9e-10 at cutoff 2 and 384
+        # steps (Lindblad), 1.2e-11 at 768
         steps = 192 * cutoff
         for scheme in PropagationScheme:
             # raw integrator output, before the DensityMatrix checks: only the
@@ -366,12 +429,13 @@ class TestPropagation:
         assert lowest_mode_probability(out) == pytest.approx(analytic_decay(profile, geom), abs=1e-7)
 
     def test_convergence_flag_raises_on_coarse_stiff_run(self):
-        # 16 steps across a decay exponent of ~60 are stable (h * rate * rho(A)
-        # = 2.58) but cannot pass step doubling
-        profile = TurbulenceProfile.from_constant(3e-15)
+        # 16 steps over 30 km leave the stepped Gouy part of the truncated
+        # exact scheme too coarse: the traces at 16 and 32 steps differ by
+        # 2.8e-7 at cutoff 1 (the Lindblad form conserves the trace exactly)
+        profile = TurbulenceProfile.from_constant(1e-15)
         geom = geometry()
-        rho0 = DensityMatrix.pure(ModeBasis(0), LGIndex(l=0, r=0))
-        config = SolverConfig(cutoff=0, steps=16, check_convergence=True)
+        rho0 = DensityMatrix.pure(ModeBasis(1), LGIndex(l=0, r=0))
+        config = SolverConfig(cutoff=1, steps=16, check_convergence=True)
         with pytest.raises(SolverError) as err:
             propagate(rho0, profile, geom, config)
         assert err.value.coarse != err.value.fine
@@ -426,32 +490,31 @@ class TestPropagation:
                 assert z[0] == 0.0 and z[-1] == geom.path_length
                 assert np.all(np.diff(z) > 0) and np.all(cn2 > 0)
 
-    @pytest.mark.parametrize("scheme", list(PropagationScheme))
+    @pytest.mark.parametrize("scheme", list(PropagationScheme), ids=lambda scheme: scheme.value)
     @pytest.mark.parametrize("cutoff", [1, 3])
-    def test_unstable_step_count_refused_up_front(self, cutoff, scheme):
-        # h * max rate * rho(A) is 4.1-15 here, past RK4's real-axis limit:
-        # the run overflowed into a trace or positivity error (or LinAlgError)
+    def test_stiff_tabulated_run_converges(self, cutoff, scheme):
+        # h * max rate * rho(A) is 4.1-15 here, past explicit RK4's real-axis
+        # limit (its run overflowed); every Lawson factor is at most 1, so
+        # the run stays finite and converged
         profile = TurbulenceProfile.from_table([(5.0, 3e-14), (60.0, 4e-15), (400.0, 5e-16), (2000.0, 6e-17)])
         rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=0, r=0))
-        config = SolverConfig(cutoff=cutoff, scheme=scheme, steps=256)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # refused before any RK4 step overflows
-            with pytest.raises(ValueError, match=r"steps = 256 .* exceeds 2.785; use steps >= ") as err:
-                propagate(rho0, profile, geometry(), config)
-        needed = int(err.value.args[0].rsplit(">= ", 1)[1])
-        with pytest.raises(ValueError, match=f"steps = {needed - 1} "):
-            propagate(rho0, profile, geometry(), SolverConfig(cutoff=cutoff, scheme=scheme, steps=needed - 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho = propagate(rho0, profile, geometry(), SolverConfig(cutoff=cutoff, scheme=scheme, steps=needed))
-        assert 0.0 <= lowest_mode_probability(rho) <= 1.0
+            rho = propagate(rho0, profile, geometry(), SolverConfig(cutoff=cutoff, scheme=scheme, steps=256))
+        fine = propagate(rho0, profile, geometry(), SolverConfig(cutoff=cutoff, scheme=scheme, steps=4096))
+        assert np.max(np.abs(rho.matrix - fine.matrix)) <= 1e-8
 
-    def test_stiff_run_refused_before_step_doubling(self):
-        # 16 steps across a decay exponent of ~200: h * rate * rho(A) = 8.6
+    def test_stiff_run_passes_step_doubling(self):
+        # 16 steps across a decay exponent of ~200 (h * rate * rho(A) = 8.6)
         rho0 = DensityMatrix.pure(ModeBasis(0), LGIndex(l=0, r=0))
+        profile = TurbulenceProfile.from_constant(1e-14)
         config = SolverConfig(cutoff=0, steps=16, check_convergence=True)
-        with pytest.raises(ValueError, match="steps = 16 .* = 8.60 exceeds 2.785; use steps >= 50"):
-            propagate(rho0, TurbulenceProfile.from_constant(1e-14), geometry(), config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = propagate(rho0, profile, geometry(), config)
+        fine = propagate(rho0, profile, geometry(), SolverConfig(cutoff=0, steps=4096))
+        assert np.max(np.abs(rho.matrix - fine.matrix)) <= 1e-8
+        assert lowest_mode_probability(rho) == pytest.approx(analytic_decay(profile, geometry()), rel=1e-6)
 
     def test_basis_mismatch_rejected(self):
         rho0 = DensityMatrix.pure(ModeBasis(1), LGIndex(l=0, r=0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,33 @@ class TestFullPropagationKernel:
                 paper_spec, TurbulenceProfile.from_constant(1e-15), paper_geometry,
                 grid_order=8, fidelity=KernelFidelity.FULL_IPE, cutoff=2,
             )
+
+    @pytest.mark.parametrize("cn2, steps, needed", [(1e-13, 256, 4958), (1e-14, 64, 496)])
+    def test_unstable_step_count_refused_up_front(self, paper_spec, paper_geometry, cn2, steps, needed):
+        # h * max rate * rho(A0) is 53.9 and 21.6 here: RK4 overflowed into
+        # a kernel of NaN (1e-13) or an imaginary part of 2.5e134 (1e-14)
+        def kernel(count):
+            return channel_kernel(
+                paper_spec, TurbulenceProfile.from_constant(cn2), paper_geometry,
+                grid_order=8, fidelity=KernelFidelity.FULL_IPE, cutoff=2, steps=count,
+            )
+
+        with pytest.raises(ValueError, match=rf"^'steps' = {steps} .* exceeds 2.785; use steps >= {needed}$"):
+            kernel(steps)
+        with pytest.raises(ValueError, match=rf"^'steps' = {needed - 1} .* use steps >= {needed}$"):
+            kernel(needed - 1)
+
+    def test_imaginary_part_guard_catches_nan(self, paper_spec, paper_geometry, monkeypatch):
+        # past the step guard the 1e-13 run overflows into NaN, which an
+        # ordered comparison with the 5 % bound lets through
+        monkeypatch.setattr(temporal, "_check_step_count", lambda *args: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="imaginary part nan"):
+                channel_kernel(
+                    paper_spec, TurbulenceProfile.from_constant(1e-13), paper_geometry,
+                    grid_order=8, fidelity=KernelFidelity.FULL_IPE, cutoff=2,
+                )
 
     @pytest.mark.parametrize("length, steps", [(4896.6, 256), (16782.6, 128), (16782.6, 256)])
     def test_tabulated_profile_at_any_link_length(self, paper_spec, length, steps):
