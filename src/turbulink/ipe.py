@@ -17,14 +17,13 @@ commutator C (`generator_parts`), the two rates tabulated once per run on
 the nodes of `rk4_nodes`.  Delta < 0 is the adjoint of Delta > 0, and sector
 0, which a fundamental input never leaves, is Hermitian by construction.
 The coordinates are isometric, so every A is symmetric, and one cached
-eigendecomposition per sector and scheme (`sector_spectrum`) serves
-`propagate` and `cutoff_bracketing`, which freezes the generator at t = 0
-(A alone) and takes the fundamental entry of exp(l A).  `propagate` takes
-Lawson's exponential RK4 steps: classical RK4 on the variable that
-e^(-A int rate) takes out of x, so that the stiff rate(z) A part is exact,
-every factor is at most 1 at any step size, and only the Gouy part, which
-is not stiff, is stepped.  `rk4_step` is the explicit step of the full-IPE
-kernel in `temporal`.
+eigendecomposition per sector and scheme (`sector_spectrum`, the module's
+one cache of operators) serves `propagate` and `cutoff_bracketing`, which
+freezes the generator at t = 0 (A alone) and takes the fundamental entry of
+exp(l A).  `propagate` takes Lawson's exponential RK4 steps: classical RK4
+on the variable that e^(-A int rate) takes out of x, so that the stiff
+rate(z) A part is exact, every factor is at most 1 at any step size, and
+only the Gouy part, which is not stiff, is stepped.
 """
 from __future__ import annotations
 
@@ -163,17 +162,15 @@ def _blocks(x: np.ndarray, count: int, side: int, hermitian: bool) -> np.ndarray
     return entries.reshape(count, side, side)
 
 
-@lru_cache(maxsize=32)
-def generator_parts(cutoff: int, delta: int) -> tuple:
-    """(operators, turn, partner): one Delta-l sector's real coordinates
-    (`_layout`) obey x' = rate(z) A x + gouy(z) C x.  operators[scheme] is A:
-    for TRUNCATED_EXACT the gain (the `lgmodes.sector_coupling` block at t = 0;
-    its scalar total-rate loss cancels against the gain's diagonal, so it is
-    outer-scale free), for LINDBLAD_TRUNCATED gain - B / 2 with
-    B: rho -> Q rho + rho Q, Q the Hermitian part of Gamma0^T (Gamma0 is
-    Hermitian; its rounding in the coupling sum is not).  Both are
-    self-adjoint, so A is symmetric.  C, the Gouy commutator 2i(g_u - g_v),
-    turns each (Re, Im) pair: (C x)[i] = turn[i] x[partner[i]], with turn 0
+def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple:
+    """(A, C): one Delta-l sector's real coordinates (`_layout`) obey
+    x' = rate(z) A x + gouy(z) C x.  A is the gain for TRUNCATED_EXACT (the
+    `lgmodes.sector_coupling` block at t = 0; its scalar total-rate loss
+    cancels against the gain's diagonal, so it is outer-scale free), and
+    gain - B / 2 for LINDBLAD_TRUNCATED, with B: rho -> Q rho + rho Q,
+    Q the Hermitian part of Gamma0^T (Gamma0 is Hermitian; its rounding in
+    the coupling sum is not).  Both are self-adjoint, so A is symmetric.
+    C, the Gouy commutator 2i(g_u - g_v), turns each (Re, Im) pair and is 0
     on sector 0's diagonal."""
     basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
@@ -191,10 +188,7 @@ def generator_parts(cutoff: int, delta: int) -> tuple:
     p, ops = np.arange(count), np.zeros((2, count, local.shape[-1], count, local.shape[-1]))
     ops[:, p, :, p, :] = local.transpose(1, 0, 2, 3)
     bracket, rotation = ops.reshape(2, len(gain), len(gain))
-    # the commutator turns each (Re, Im) pair: one entry per row at most
-    partner = np.argmax(np.abs(rotation), axis=1)
-    operators = {PropagationScheme.TRUNCATED_EXACT: gain, PropagationScheme.LINDBLAD_TRUNCATED: gain - 0.5 * bracket}
-    return operators, rotation[np.arange(len(gain)), partner], partner
+    return (gain if scheme is PropagationScheme.TRUNCATED_EXACT else gain - 0.5 * bracket), rotation
 
 
 @lru_cache(maxsize=64)
@@ -203,9 +197,9 @@ def sector_spectrum(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
     sector's operator A (`generator_parts`), V = vectors orthogonal, and the
     Gouy commutator in that basis, V^T C V.  No eigenvalue lies above 0
     beyond rounding, so exp(l A) contracts for every l >= 0."""
-    operators, turn, partner = generator_parts(cutoff, delta)
-    values, vectors = np.linalg.eigh(operators[scheme])
-    rotation = vectors.T @ (turn[:, None] * vectors[partner])
+    operator, commutator = generator_parts(cutoff, delta, scheme)
+    values, vectors = np.linalg.eigh(operator)
+    rotation = vectors.T @ (commutator @ vectors)
     for array in (values, vectors, rotation):
         array.setflags(write=False)
     return values, vectors, rotation
@@ -217,20 +211,6 @@ def rk4_nodes(profile: TurbulenceProfile, geom: LinkGeometry, steps: int) -> tup
     midpoint at node 2s + 1.  The last node is exactly L."""
     z = np.linspace(0.0, geom.path_length, 2 * steps + 1)
     return z, np.broadcast_to(cn2_at(profile, geom, z), z.shape)
-
-
-# classical RK4 is stable on the negative real axis for h |lambda| up to 2.785
-RK4_REAL_LIMIT = 2.785
-
-
-def rk4_step(derivative, node: int, state: np.ndarray, h: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of d state / dz = derivative(k, state)
-    from node `node` to node + 2 of a half-step node grid (see `rk4_nodes`)."""
-    k1 = derivative(node, state)
-    k2 = derivative(node + 1, state + 0.5 * h * k1)
-    k3 = derivative(node + 1, state + 0.5 * h * k2)
-    k4 = derivative(node + 2, state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 _workspace = threading.local()

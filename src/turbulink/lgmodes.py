@@ -37,7 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mathcore import gamma_fn
 from .turbulence import SPECTRUM_AMPLITUDE, l_strength, normalized_distance, two_pi_c_over
 
 MAX_ORACLE_INDEX = 8
@@ -231,14 +230,15 @@ def free_prop_S_numeric(m: LGIndex, n: LGIndex, z_r: float, w0: float) -> comple
 @lru_cache(maxsize=64)
 def gamma_weight_matrix(j_count: int) -> np.ndarray:
     """Weights M[j1, j2] = 2^{-(j1+j2)/2} Gamma((j1+j2)/2 - 5/6) of the
-    coefficient double sum (the radial integral in closed form).  Cached;
-    the returned array is read-only."""
+    coefficient double sum (the radial integral in closed form); the Gamma
+    argument is never an integer, so never a pole.  Cached; the returned
+    array is read-only."""
     js = np.arange(j_count)
     total = js[:, None] + js[None, :]
     out = np.zeros((j_count, j_count))
     for value in np.unique(total):
         half = 0.5 * value
-        out[total == value] = 2.0**-half * gamma_fn(half - 5.0 / 6.0)
+        out[total == value] = 2.0**-half * math.gamma(half - 5.0 / 6.0)
     out.setflags(write=False)
     return out
 

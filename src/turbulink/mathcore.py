@@ -1,5 +1,5 @@
-"""Special functions and quadrature rules: orthonormal Hermite functions,
-a guarded Gamma function and Gauss-Hermite rules.
+"""Special functions and quadrature rules: orthonormal Hermite functions
+and Gauss-Hermite rules.
 
 Everything here is a pure function of its inputs.  Quadrature rules are
 cached per order and their arrays are enforced read-only (writing raises
@@ -7,7 +7,6 @@ ValueError), so one rule is safely shared between threads.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,18 +14,12 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 MAX_HERMITE_ORDER = 64
-MAX_GAMMA_ARG = 50.0
-GAMMA_POLE_TOLERANCE = 1e-9
 MIN_QUADRATURE_ORDER = 2
 MAX_QUADRATURE_ORDER = 128
 
 
 class UnsupportedOrderError(ValueError):
     """Polynomial or quadrature order outside the supported range."""
-
-
-class DomainError(ValueError):
-    """Argument outside the function's numerical domain."""
 
 
 def hermite_functions(count: int, x) -> np.ndarray:
@@ -47,21 +40,6 @@ def hermite_functions(count: int, x) -> np.ndarray:
     for k in range(1, count - 1):
         phi[k + 1] = x * np.sqrt(2.0 / (k + 1)) * phi[k] - np.sqrt(k / (k + 1)) * phi[k - 1]
     return phi
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real arguments away from the poles.
-
-    Negative non-integer arguments are fine (the platform implementation
-    applies the reflection formula); values within GAMMA_POLE_TOLERANCE of a
-    nonpositive integer raise DomainError, as do arguments beyond +-50 where
-    the result would overflow or lose accuracy.
-    """
-    if abs(x) > MAX_GAMMA_ARG:
-        raise DomainError(f"gamma_fn argument {x} outside |x| <= {MAX_GAMMA_ARG}")
-    if x <= GAMMA_POLE_TOLERANCE and abs(x - round(x)) < GAMMA_POLE_TOLERANCE:
-        raise DomainError(f"gamma_fn argument {x} too close to a nonpositive-integer pole")
-    return math.gamma(x)
 
 
 @dataclass(frozen=True)

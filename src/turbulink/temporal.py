@@ -12,12 +12,13 @@ Two kernel fidelities:
   FULL_IPE  carry each |omega1><omega2| coherence over sector 0 of a
             truncated LG basis and read off the fundamental-fundamental
             element; kept as a validation path.  Every frequency pair of the
-            grid advances in one batched state through `ipe.rk4_step`, with
-            its z-dependent scalars tabulated once on the RK4 nodes and its
-            coupling built per node by `lgmodes.pair_coupling_assembler`; at
-            omega1 = omega2 it is the single-frequency propagation of
-            `ipe.propagate`.  A step count past RK4's stability limit is
-            refused before the first step.
+            grid advances in one batched state by classical RK4 steps, with
+            its z-dependent scalars tabulated once on the nodes of
+            `ipe.rk4_nodes` and its coupling built per node by
+            `lgmodes.pair_coupling_assembler`; at omega1 = omega2 it is the
+            single-frequency propagation of `ipe.propagate`.  A step count
+            past RK4's stability limit (RK4_REAL_LIMIT) is refused before the
+            first step.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ipe import RK4_REAL_LIMIT, PropagationScheme, rk4_nodes, rk4_step, sector_spectrum
+from .ipe import PropagationScheme, SolverConfig, rk4_nodes, sector_spectrum
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler
 from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
@@ -41,6 +42,8 @@ MAX_FULL_IPE_GRID = 12
 # batched RK4) takes 23 s at cutoff 4 and 54 s at cutoff 5 (128 steps; 105 s
 # at 256) on one core of a 2-vCPU x86 VM, at 230 MB peak RSS.
 MAX_FULL_IPE_CUTOFF = 5
+# classical RK4 is stable on the negative real axis for h |lambda| up to 2.785
+RK4_REAL_LIMIT = 2.785
 
 
 class KernelFidelity(Enum):
@@ -137,8 +140,13 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     state = np.zeros((len(omega1), count * side * side), dtype=complex)
     fundamental = cutoff * side * side  # r = 0 of the l = 0 block
     state[:, fundamental] = 1.0
-    for step in range(steps):
-        state = rk4_step(derivative, 2 * step, state, geom.path_length / steps)
+    h = geom.path_length / steps
+    for node in range(0, 2 * steps, 2):
+        k1 = derivative(node, state)
+        k2 = derivative(node + 1, state + 0.5 * h * k1)
+        k3 = derivative(node + 1, state + 0.5 * h * k2)
+        k4 = derivative(node + 2, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     values = state[:, fundamental]
     # off-diagonal frequency pairs acquire a small dispersive phase (the two
     # carriers couple to the mode ladder with different Gouy rotations); the
@@ -163,13 +171,13 @@ def channel_kernel(
     """Sample the two-frequency survival probability on the source grid."""
     if grid_order > MAX_GRID_ORDER:
         raise CostGuardError(f"grid order {grid_order} exceeds {MAX_GRID_ORDER}")
-    if fidelity is KernelFidelity.FULL_IPE and (
-        grid_order > MAX_FULL_IPE_GRID or cutoff > MAX_FULL_IPE_CUTOFF
-    ):
-        raise CostGuardError(
-            f"full propagation kernels are limited to grid order {MAX_FULL_IPE_GRID}"
-            f" and cutoff {MAX_FULL_IPE_CUTOFF}"
-        )
+    if fidelity is KernelFidelity.FULL_IPE:
+        SolverConfig(cutoff=cutoff, steps=steps)  # refuses the step counts `propagate` refuses
+        if grid_order > MAX_FULL_IPE_GRID or cutoff > MAX_FULL_IPE_CUTOFF:
+            raise CostGuardError(
+                f"full propagation kernels are limited to grid order {MAX_FULL_IPE_GRID}"
+                f" and cutoff {MAX_FULL_IPE_CUTOFF}"
+            )
     omegas = frequency_grid(spec, gauss_hermite_rule(grid_order).nodes)
     matrix = np.ones((grid_order, grid_order))
     extinction = math.exp(-extinction_depth(extinction_per_km, geom.path_length))

@@ -132,6 +132,8 @@ class TurbulenceProfile:
         if len(points) < 2:
             raise ProfileError("tabulated profile needs at least 2 points")
         heights = [h for h, _ in points]
+        if not all(map(math.isfinite, heights)):
+            raise ProfileError("profile heights must be finite")
         if any(b <= a for a, b in zip(heights, heights[1:])):
             raise ProfileError("profile heights must be strictly increasing")
         if heights[0] <= 0:

@@ -11,7 +11,8 @@ or the real-up-to-phases factorization.
 `complex_sector_derivative` is the rotating-frame derivative of one sector
 written on its complex l-blocks (gain matvec, Lindblad Q rho + rho Q^dagger
 with the constant Q = Gamma0^T, Gouy commutator): an oracle for the
-real-coordinate operators of `ipe.generator_parts`.
+real-coordinate pair (A, C) that `ipe.generator_parts` builds per scheme,
+read through the eigenbasis that `ipe.sector_spectrum` caches.
 """
 from __future__ import annotations
 

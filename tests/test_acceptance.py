@@ -30,7 +30,6 @@ from turbulink.lgmodes import (
     coupling_tensor,
     free_prop_S,
     free_prop_S_numeric,
-    gamma_fn,
 )
 from turbulink.mathcore import gauss_hermite_rule
 from turbulink.schmidt import schmidt_eigenvalue, truncated_source
@@ -75,7 +74,7 @@ def test_criterion_1_schmidt_numbers(paper_spec):
 
 
 def test_criterion_2_constants():
-    decay = 8.1 * gamma_fn(-5.0 / 6.0)
+    decay = 8.1 * math.gamma(-5.0 / 6.0)
     fried = 3.25 / 0.185 ** (5.0 / 3.0)
     ok = (-54.2 <= decay <= -54.0) and (54.0 <= fried <= 54.3)
     assert report(2, "constant reproduction", ok, f"8.1*Gamma(-5/6)={decay:.4f}, 3.25/0.185^(5/3)={fried:.4f}")

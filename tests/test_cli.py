@@ -496,6 +496,18 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert "profile height 0.0 m must be > 0" in capsys.readouterr().err
 
+    def test_profile_csv_nan_height_exits_config(self, tmp_path, capsys):
+        # used to exit 0 with a kernel.csv of NaN
+        path = tmp_path / "prof.csv"
+        path.write_text("height_m,cn2\n2.0,1e-15\nnan,1e-16\n500,1e-17\n")
+        code = main([
+            "--set", f"output_dir={tmp_path}", "--set", f"profile_csv={path}",
+            "--set", "grid_order=8", "kernel",
+        ])
+        assert code == EXIT_CONFIG
+        assert f"{path}: profile heights must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "kernel.csv").exists()
+
     def test_numeric_failure_exit_code(self, monkeypatch):
         def explode(*args, **kwargs):
             raise SolverError("unconverged", 0.0, 1.0)

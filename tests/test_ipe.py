@@ -142,7 +142,8 @@ class TestSectorDerivative:
 
         for cutoff in range(7):
             for delta in range(2 * cutoff + 1):
-                for operator in generator_parts(cutoff, delta)[0].values():
+                for scheme in PropagationScheme:
+                    operator = generator_parts(cutoff, delta, scheme)[0]
                     assert np.max(np.abs(operator - operator.T)) <= 1e-15 * np.max(np.abs(operator))
 
     @pytest.mark.parametrize("cutoff", range(5))
@@ -208,7 +209,7 @@ class TestStepMatrices:
     @pytest.mark.parametrize("cutoff", [0, 1])
     def test_propagate_matches_rk4_loop(self, cutoff, monkeypatch):
         # a random pure input occupies every sector; STEP_MATRIX_SIZE = 0
-        # sends each of them through the rk4_step loop instead, and chunks
+        # sends each of them through `_lawson_loop` instead, and chunks
         # of 5 steps leave a short last chunk at every step count here
         from turbulink import ipe
 
@@ -258,19 +259,18 @@ class TestStepMatrices:
         for matrices in results.values():
             assert all(np.array_equal(got, expected) for got, expected in zip(matrices, serial))
 
-    def test_generator_parts_match_an_uncached_build(self):
+    def test_sector_spectrum_matches_an_uncached_build(self):
         # Gamma0 comes from the cached sector-0 block of each cutoff
-        from turbulink.ipe import generator_parts
+        from turbulink.ipe import sector_spectrum
         from turbulink.lgmodes import _real_sector
 
         for cutoff in range(5):
-            cached = [generator_parts(cutoff, delta) for delta in range(2 * cutoff + 1)]
-            for delta, (operators, turn, partner) in enumerate(cached):
-                _real_sector.cache_clear()
-                fresh_operators, fresh_turn, fresh_partner = generator_parts.__wrapped__(cutoff, delta)
-                for scheme in PropagationScheme:
-                    assert np.array_equal(fresh_operators[scheme], operators[scheme])
-                assert np.array_equal(fresh_turn, turn) and np.array_equal(fresh_partner, partner)
+            for scheme in PropagationScheme:
+                cached = [sector_spectrum(cutoff, delta, scheme) for delta in range(2 * cutoff + 1)]
+                for delta, parts in enumerate(cached):
+                    _real_sector.cache_clear()
+                    fresh = sector_spectrum.__wrapped__(cutoff, delta, scheme)
+                    assert all(np.array_equal(a, b) for a, b in zip(fresh, parts))
 
 
 class TestLindbladForm:
@@ -290,11 +290,10 @@ class TestLindbladForm:
         # eigenvectors (about 1e-15 each, times eigenvalues up to ~100) leaks
         # up to 2.3e-13 of rate * |rho| into the trace at cutoffs 2-4; the
         # integrator's trace over a full link is pinned by test_full_link_trace
-        operators, turn, partner = generator_parts(cutoff, 0)
-        operator = operators[PropagationScheme.LINDBLAD_TRUNCATED]
+        operator, commutator = generator_parts(cutoff, 0, PropagationScheme.LINDBLAD_TRUNCATED)
 
         def derivative(k, x):
-            return rates[k] * (operator @ x) + gouy_rates[k] * turn * x[partner]
+            return rates[k] * (operator @ x) + gouy_rates[k] * (commutator @ x)
 
         rng = np.random.default_rng(80 + cutoff)
         for k in range(1, len(z)):

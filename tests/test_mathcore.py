@@ -5,13 +5,8 @@ import pytest
 from scipy.integrate import quad
 from series_oracle import series_from_terms, series_product
 
-from turbulink.mathcore import (
-    DomainError,
-    UnsupportedOrderError,
-    gamma_fn,
-    gauss_hermite_rule,
-    hermite_functions,
-)
+from turbulink.lgmodes import gamma_weight_matrix
+from turbulink.mathcore import UnsupportedOrderError, gauss_hermite_rule, hermite_functions
 
 
 def hermite_by_expansion(n, x):
@@ -79,34 +74,28 @@ class TestHermite:
 
 
 class TestGamma:
+    # the library calls the platform's math.gamma, also at negative arguments
+    # (reflection); the Gamma weights of the coupling sum read it directly
     def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert math.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
     def test_negative_five_sixths_by_reflection(self):
-        # reflection formula with Gamma(11/6) from an independent integral
+        # reflection formula with Gamma(11/6) from an independent integral;
+        # M[0, 0] = Gamma(-5/6)
         g_11_6 = quad(lambda t: t ** (11.0 / 6.0 - 1.0) * math.exp(-t), 0, 60)[0]
         expected = math.pi / (math.sin(-5.0 * math.pi / 6.0) * g_11_6)
-        assert gamma_fn(-5.0 / 6.0) == pytest.approx(expected, rel=1e-9)
-        assert gamma_fn(-5.0 / 6.0) == pytest.approx(-6.6795, abs=5e-4)
+        assert gamma_weight_matrix(3)[0, 0] == pytest.approx(expected, rel=1e-9)
+        assert gamma_weight_matrix(3)[0, 0] == pytest.approx(-6.6795, abs=5e-4)
 
     def test_one_sixth_by_integral(self):
+        # M[1, 1] = Gamma(1/6) / 2
         expected = quad(lambda t: t ** (1.0 / 6.0 - 1.0) * math.exp(-t), 0, 60)[0]
-        assert gamma_fn(1.0 / 6.0) == pytest.approx(expected, rel=1e-9)
-        assert gamma_fn(1.0 / 6.0) == pytest.approx(5.5663, abs=5e-4)
+        assert 2.0 * gamma_weight_matrix(3)[1, 1] == pytest.approx(expected, rel=1e-9)
+        assert 2.0 * gamma_weight_matrix(3)[1, 1] == pytest.approx(5.5663, abs=5e-4)
 
     @pytest.mark.parametrize("x", [0.3, 1.7, -0.4, -3.3, 7.5, 12.0])
     def test_functional_equation(self, x):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-10)
-
-    def test_pole_guard(self):
-        with pytest.raises(DomainError):
-            gamma_fn(-2.0)
-        with pytest.raises(DomainError):
-            gamma_fn(-3.0 + 1e-12)
-
-    def test_range_guard(self):
-        with pytest.raises(DomainError):
-            gamma_fn(51.0)
+        assert math.gamma(x + 1.0) == pytest.approx(x * math.gamma(x), rel=1e-10)
 
 
 class TestGaussHermite:

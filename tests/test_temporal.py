@@ -212,6 +212,21 @@ class TestFullPropagationKernel:
         with pytest.raises(ValueError, match=rf"^'steps' = {needed - 1} .* use steps >= {needed}$"):
             kernel(needed - 1)
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [(0, "step count must be >= 16"), (15, "step count must be >= 16"),
+         (True, "steps must be an int"), (2.5, "steps must be an int")],
+        ids=["zero", "fifteen", "bool", "float"],
+    )
+    def test_step_count_checked_as_by_propagate(self, paper_spec, paper_geometry, steps, message):
+        # 0 used to raise ZeroDivisionError, True to run one step and 2.5 a
+        # TypeError; the analytic kernel reads no step count
+        profile = TurbulenceProfile.from_constant(1e-16)
+        with pytest.raises(ValueError, match=message):
+            channel_kernel(paper_spec, profile, paper_geometry, grid_order=4,
+                           fidelity=KernelFidelity.FULL_IPE, cutoff=1, steps=steps)
+        channel_kernel(paper_spec, profile, paper_geometry, grid_order=4, steps=steps)
+
     def test_imaginary_part_guard_catches_nan(self, paper_spec, paper_geometry, monkeypatch):
         # past the step guard the 1e-13 run overflows into NaN, which an
         # ordered comparison with the 5 % bound lets through

@@ -121,6 +121,17 @@ class TestProfiles:
         with pytest.raises(ProfileError, match=f"profile height {height} m must be > 0"):
             TurbulenceProfile.from_table(points)
 
+    @pytest.mark.parametrize(
+        "points",
+        [[(2.0, 1e-15), (math.nan, 1e-16), (500.0, 1e-17)], [(2.0, 1e-15), (math.inf, 1e-16)]],
+        ids=["nan", "inf"],
+    )
+    def test_nonfinite_height_rejected(self, points):
+        # every ordered comparison with NaN is false, so neither the order
+        # nor the positivity check saw it; the kernel came out all NaN
+        with pytest.raises(ProfileError, match="profile heights must be finite"):
+            TurbulenceProfile.from_table(points)
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("height_m,cn2\n10.0,1e-13\n100.0,1e-15\n")
