@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, fields, replace
 
 from .entanglement import MAX_PAIR_MODES
 from .lgmodes import MAX_COUPLING_CUTOFF
-from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, frequency_grid
 from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER, KernelFidelity
 from .turbulence import CN2_MAX, CN2_MIN, TRAD_S, extinction_depth, two_pi_c_over
@@ -194,7 +193,7 @@ def validate_config(config: RunConfig, command: str = ""):
                     f"value for '{key}' out of range: full_ipe kernels allow at most {limit}"
                 )
     if command in ("kernel", "tmatrix", "entangle"):
-        lowest = frequency_grid(config.spec, gauss_hermite_rule(config.grid_order).nodes)[0]
+        lowest = frequency_grid(config.spec, config.grid_order)[0]
         if not lowest > 0:
             raise ConfigError(
                 f"value for 'pump_trad' out of range: the frequency grid of grid_order {config.grid_order}"

@@ -51,7 +51,7 @@ class TwoPhotonState:
         if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
             raise ValueError("coefficient matrix must be square")
         norm = float(np.sum(np.abs(psi) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails
             raise ValueError(f"state norm^2 = {norm}, expected 1")
 
     @property
@@ -85,7 +85,7 @@ class TwoPhotonDensity:
         if self.matrix.shape != (size, size):
             raise ValueError("matrix shape does not match mode dimension")
         deviation = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if deviation > 1e-10:
+        if not deviation <= 1e-10:  # NaN fails
             raise ValueError(f"pair density not Hermitian (deviation {deviation:.2e})")
 
 
@@ -135,11 +135,13 @@ def propagate_pair(state: TwoPhotonState, kernel: ChannelKernel, spec: BiphotonS
 
 def log_negativity(rho: TwoPhotonDensity) -> float:
     """E_N = log2(2 N + 1) with N the absolute sum of the negative
-    eigenvalues of the partial transpose over the second photon."""
+    eigenvalues of the partial transpose over the second photon.  That only
+    permutes the entries of the Hermitian density, so `eigvalsh`, which reads
+    one triangle, takes it as it is (TwoPhotonDensity is Hermitian to 1e-10)."""
     dim = rho.dim
     four = rho.matrix.reshape(dim, dim, dim, dim)  # [u, u', v, v']
     swapped = four.transpose(0, 3, 2, 1).reshape(dim * dim, dim * dim)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (swapped + swapped.conj().T))
+    eigenvalues = np.linalg.eigvalsh(swapped)
     negativity = float(-eigenvalues[eigenvalues < 0.0].sum())
     return math.log2(2.0 * negativity + 1.0)
 

@@ -91,7 +91,7 @@ class DensityMatrix:
         if self.matrix.shape != (size, size):
             raise ValueError("matrix shape does not match basis size")
         deviation = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if deviation > HERMITICITY_TOL:
+        if not deviation <= HERMITICITY_TOL:  # NaN fails
             raise ValueError(f"matrix not Hermitian (deviation {deviation:.2e})")
         trace = float(np.trace(self.matrix).real)
         if trace > 1.0 + TRACE_TOL:

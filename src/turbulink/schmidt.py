@@ -4,7 +4,10 @@ The joint spectral amplitude is a product of two Gaussians, one in the sum
 frequency (pump coherence, bandwidth sigma_a) and one in the difference
 frequency (phase matching, bandwidth sigma_b).  Its Schmidt decomposition is
 analytic: geometric eigenvalues and Hermite-Gaussian frequency modes centred
-on half the pump frequency.
+on half the pump frequency.  This module is the one home of their grid:
+the Gauss-Hermite rule of each order, its frequencies and its mode vectors,
+cached per order with read-only arrays (writing raises ValueError), so one
+grid is safely shared between threads.
 
 All spectral quantities are angular frequencies in rad/s.
 """
@@ -12,12 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
-from .mathcore import MAX_HERMITE_ORDER, UnsupportedOrderError, hermite_functions
-
+MAX_HERMITE_ORDER = 64
+MIN_QUADRATURE_ORDER = 2
+MAX_QUADRATURE_ORDER = 128
 MAX_EIGENVALUE_INDEX = 200
+
+
+class UnsupportedOrderError(ValueError):
+    """Polynomial or quadrature order outside the supported range."""
 
 
 @dataclass(frozen=True)
@@ -34,9 +45,9 @@ class BiphotonSpec:
     omega_p: float
 
     def __post_init__(self):
-        if self.sigma_a <= 0 or self.sigma_b <= 0:
+        if not (0 < self.sigma_a < math.inf and 0 < self.sigma_b < math.inf):  # NaN fails
             raise ValueError("bandwidths must be positive")
-        if self.omega_p <= 0:
+        if not 0 < self.omega_p < math.inf:
             raise ValueError("pump frequency must be positive")
 
     @property
@@ -99,23 +110,67 @@ def truncated_source(spec: BiphotonSpec, max_mode: int) -> TruncatedSource:
     return TruncatedSource(weights=weights, discarded_mass=1.0 - kept, norm_prefactor=prefactor)
 
 
-def frequency_grid(spec: BiphotonSpec, nodes: np.ndarray) -> np.ndarray:
-    """Map Gauss-Hermite nodes x to frequencies omega = omega_p/2 + x / sqrt(b).
+def hermite_functions(count: int, x) -> np.ndarray:
+    """Orthonormal Hermite functions phi_0..phi_{count-1} at x, one row per
+    order: phi_n(x) = (2^n n! sqrt(pi))^{-1/2} H_n(x) e^{-x^2/2}.
 
-    On this grid the discrete mode vectors built by `discrete_modes` are
-    orthonormal at quadrature precision.
+    One pass of the normalized recurrence phi_{k+1} = x sqrt(2/(k+1)) phi_k
+    - sqrt(k/(k+1)) phi_{k-1}, which avoids the factorial overflow of the
+    raw polynomial for large n.  Accepts scalars or numpy arrays.
     """
-    return spec.center + nodes / math.sqrt(spec.gaussian_scale)
+    if not 1 <= count <= MAX_HERMITE_ORDER + 1:
+        raise UnsupportedOrderError(f"order {count - 1} outside [0, {MAX_HERMITE_ORDER}]")
+    x = np.asarray(x, dtype=float)
+    phi = np.empty((count,) + x.shape)
+    phi[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if count > 1:
+        phi[1] = np.sqrt(2.0) * x * phi[0]
+    for k in range(1, count - 1):
+        phi[k + 1] = x * np.sqrt(2.0 / (k + 1)) * phi[k] - np.sqrt(k / (k + 1)) * phi[k - 1]
+    return phi
 
 
-def discrete_modes(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
-    """Discrete orthonormal temporal-mode vectors on a Gauss-Hermite grid.
+class QuadratureRule(NamedTuple):
+    """Nodes and weights of a Gauss-Hermite rule (weight e^{-x^2})."""
 
-    Returns an array psi of shape (count, len(nodes)) with
-    psi[n, i] = sqrt(w_i) e^{x_i^2 / 2} phi_n(x_i), so that
-    sum_i psi[m, i] psi[n, i] = delta_mn at quadrature precision and
-    integrals int f_m f_n g domega become psi_m (g psi_n) sums.  The vectors
-    depend only on the rule (not on the source bandwidths, which enter
-    through `frequency_grid`); all orders come from one Hermite recurrence.
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def gauss_hermite_rule(order: int) -> QuadratureRule:
+    """Gauss-Hermite rule of the given order for weight e^{-x^2}, built once
+    per order with read-only arrays.
+
+    Exact for polynomials of degree <= 2*order - 1; nodes are symmetric
+    about zero.
     """
-    return hermite_functions(count, nodes) * (np.sqrt(weights) * np.exp(0.5 * nodes * nodes))
+    if order < MIN_QUADRATURE_ORDER or order > MAX_QUADRATURE_ORDER:
+        raise UnsupportedOrderError(
+            f"quadrature order {order} outside "
+            f"[{MIN_QUADRATURE_ORDER}, {MAX_QUADRATURE_ORDER}]"
+        )
+    nodes, weights = hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights)
+
+
+def frequency_grid(spec: BiphotonSpec, order: int) -> np.ndarray:
+    """Gauss-Hermite nodes x of the given order as frequencies
+    omega = omega_p/2 + x / sqrt(b), on which `discrete_modes(order)` are
+    orthonormal at quadrature precision."""
+    return spec.center + gauss_hermite_rule(order).nodes / math.sqrt(spec.gaussian_scale)
+
+
+@lru_cache(maxsize=None)
+def discrete_modes(order: int) -> np.ndarray:
+    """The order // 2 temporal-mode vectors a Gauss-Hermite grid of the given
+    order resolves, one read-only stack built once per order:
+    psi[n, i] = sqrt(w_i) e^{x_i^2 / 2} phi_n(x_i), so that sum_i psi[m, i]
+    psi[n, i] = delta_mn at quadrature precision and int f_m f_n g domega
+    becomes psi_m (g psi_n).  The source bandwidths enter only through
+    `frequency_grid`; all orders come from one Hermite recurrence."""
+    nodes, weights = gauss_hermite_rule(order)
+    stack = hermite_functions(order // 2, nodes) * (np.sqrt(weights) * np.exp(0.5 * nodes * nodes))
+    stack.flags.writeable = False
+    return stack

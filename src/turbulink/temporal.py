@@ -2,8 +2,9 @@
 
 The channel damps each frequency-basis element |omega1><omega2| of the
 lowest spatial mode by a factor P(omega1, omega2).  Sampling P on the
-Gauss-Hermite grid matched to the source bandwidth turns every temporal-mode
-quantity into a small quadratic form: mode traces, the transmission matrix
+Gauss-Hermite grid matched to the source bandwidth (`schmidt.frequency_grid`)
+turns every temporal-mode quantity into a small quadratic form in the mode
+vectors of `schmidt.discrete_modes`: mode traces, the transmission matrix
 S_{n,m}, and the per-mode output densities.
 
 Two kernel fidelities:
@@ -31,7 +32,6 @@ import numpy as np
 
 from .ipe import PropagationScheme, SolverConfig, rk4_nodes, sector_spectrum
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler
-from .mathcore import gauss_hermite_rule
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
 from .turbulence import LinkGeometry, TurbulenceProfile, extinction_depth, integrated_l, l_cross
 from .turbulence import normalized_distance, two_pi_c_over
@@ -72,22 +72,13 @@ class ChannelKernel:
         return len(self.omegas)
 
     def mode_vectors(self, count: int) -> np.ndarray:
-        """Discrete orthonormal temporal-mode vectors on the kernel grid (a
-        read-only view of the grid order's mode stack)."""
+        """The first `count` discrete orthonormal temporal-mode vectors on the
+        kernel grid: a read-only view of `schmidt.discrete_modes(order)`."""
         if count > self.order // 2:
             raise ResolutionError(
                 f"mode order {count - 1} not resolvable on a grid of {self.order} nodes"
             )
-        return _mode_stack(self.order)[:count]
-
-
-@lru_cache(maxsize=None)
-def _mode_stack(order: int) -> np.ndarray:
-    """The order // 2 resolvable mode vectors of a grid order, built once."""
-    rule = gauss_hermite_rule(order)
-    stack = discrete_modes(rule.nodes, rule.weights, order // 2)
-    stack.flags.writeable = False
-    return stack
+        return discrete_modes(self.order)[:count]
 
 
 def _check_step_count(omega1, omega2, profile, geom, cutoff: int, steps: int) -> None:
@@ -178,7 +169,7 @@ def channel_kernel(
                 f"full propagation kernels are limited to grid order {MAX_FULL_IPE_GRID}"
                 f" and cutoff {MAX_FULL_IPE_CUTOFF}"
             )
-    omegas = frequency_grid(spec, gauss_hermite_rule(grid_order).nodes)
+    omegas = frequency_grid(spec, grid_order)
     matrix = np.ones((grid_order, grid_order))
     extinction = math.exp(-extinction_depth(extinction_per_km, geom.path_length))
     if not profile.is_zero:

@@ -56,6 +56,11 @@ def two_pi_c_over(x):
     return 2.0 * math.pi * SPEED_OF_LIGHT / x
 
 
+def _positive_finite(*values) -> bool:
+    """True when every entry of every value lies in (0, inf); NaN fails."""
+    return all(np.all((0 < v) & (v < math.inf)) for v in values)
+
+
 class ProfileError(ValueError):
     """Malformed turbulence profile (bad table or file)."""
 
@@ -81,11 +86,11 @@ class LinkGeometry:
     wavelength: float
 
     def __post_init__(self):
-        if self.path_length <= 0:
+        if not _positive_finite(self.path_length):
             raise ValueError("path_length must be positive")
-        if self.transmitter_height <= 0 or self.receiver_height <= 0:
+        if not _positive_finite(self.transmitter_height, self.receiver_height):
             raise ValueError("endpoint heights must be positive")
-        if self.waist <= 0 or self.wavelength <= 0:
+        if not _positive_finite(self.waist, self.wavelength):
             raise ValueError("waist and wavelength must be positive")
 
     @property
@@ -251,7 +256,7 @@ def l_cross(z: float, omega1: float, omega2: float, cn2: float, waist: float) ->
     spreading of the two wavelengths enters through the mean of their
     squared normalized distances.
     """
-    if np.any(omega1 <= 0) or np.any(omega2 <= 0):
+    if not _positive_finite(omega1, omega2):
         raise ValueError("frequencies must be positive")
     lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
     t1, t2 = normalized_distance(z, lambda1, waist), normalized_distance(z, lambda2, waist)
@@ -275,7 +280,7 @@ def integrated_l(
         lambda1 = lambda2 = np.asarray(float(geom.wavelength))
     else:
         omega1, omega2 = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in frequencies))
-        if np.any(omega1 <= 0) or np.any(omega2 <= 0):
+        if not _positive_finite(omega1, omega2):
             raise ValueError("frequencies must be positive")
         lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
     # l(z) = C_n^2(z) w^{5/3} / (lambda1 lambda2) * (1 + half_sum (z / pi w^2)^2)^{5/6}

@@ -31,7 +31,6 @@ from turbulink.lgmodes import (
     free_prop_S,
     free_prop_S_numeric,
 )
-from turbulink.mathcore import gauss_hermite_rule
 from turbulink.schmidt import schmidt_eigenvalue, truncated_source
 from turbulink.temporal import channel_kernel, mode_trace, transmission_matrix
 from turbulink.turbulence import (

@@ -80,6 +80,17 @@ class TestStates:
         with pytest.raises(ValueError):
             TwoPhotonState(coefficients=np.eye(3, dtype=complex))
 
+    @pytest.mark.parametrize("entry", [math.nan, complex(0.0, math.nan)])
+    def test_rejects_nan(self, entry):
+        with pytest.raises(ValueError, match="state norm"):
+            TwoPhotonState(coefficients=[[entry, 0.0], [0.0, 0.0]])
+
+    def test_density_rejects_nan(self):
+        matrix = np.eye(4) / 4.0
+        matrix[1, 2] = math.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            TwoPhotonDensity(dim=2, matrix=matrix)
+
     def test_mode_outside_dimension(self):
         with pytest.raises(ValueError):
             TwoPhotonState.mode_pair(0, 9, 4)

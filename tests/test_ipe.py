@@ -538,6 +538,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(basis=basis, matrix=np.array([[1j]], dtype=complex))
 
+    @pytest.mark.parametrize("entry", [math.nan, complex(0.5, math.nan)])
+    def test_rejects_nan(self, entry):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(basis=ModeBasis(0), matrix=np.array([[entry]], dtype=complex))
+
     def test_rejects_trace_above_one(self):
         basis = ModeBasis(0)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from series_oracle import series_from_terms, series_product
 
 from turbulink.lgmodes import gamma_weight_matrix
-from turbulink.mathcore import UnsupportedOrderError, gauss_hermite_rule, hermite_functions
+from turbulink.schmidt import UnsupportedOrderError, gauss_hermite_rule, hermite_functions
 
 
 def hermite_by_expansion(n, x):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from turbulink.mathcore import UnsupportedOrderError, gauss_hermite_rule, hermite_functions
 from turbulink.schmidt import (
     BiphotonSpec,
+    UnsupportedOrderError,
     discrete_modes,
     frequency_grid,
+    gauss_hermite_rule,
+    hermite_functions,
     schmidt_eigenvalue,
     schmidt_number,
     truncated_source,
@@ -99,7 +101,7 @@ class TestModeAmplitude:
     def test_gram_matrix_orthonormal(self, paper_spec):
         rule = gauss_hermite_rule(64)
         b = paper_spec.gaussian_scale
-        omegas = frequency_grid(paper_spec, rule.nodes)
+        omegas = frequency_grid(paper_spec, 64)
         modes = np.array([mode_amplitude(paper_spec, n, omegas) for n in range(11)])
         # int f_m f_n domega with the Gaussian weight folded into the rule
         scaled = modes * np.exp(0.5 * rule.nodes**2) * np.sqrt(rule.weights) / b**0.25
@@ -107,8 +109,7 @@ class TestModeAmplitude:
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 
     def test_discrete_modes_orthonormal(self, paper_spec):
-        rule = gauss_hermite_rule(64)
-        psi = discrete_modes(rule.nodes, rule.weights, 11)
+        psi = discrete_modes(64)[:11]
         gram = psi @ psi.T
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 
@@ -144,3 +145,14 @@ class TestValidation:
             BiphotonSpec(sigma_a=-1.0, sigma_b=1e12, omega_p=1e14)
         with pytest.raises(ValueError):
             BiphotonSpec(sigma_a=1e12, sigma_b=1e12, omega_p=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field, message",
+        [("sigma_a", "bandwidths"), ("sigma_b", "bandwidths"), ("omega_p", "pump frequency")],
+    )
+    def test_non_finite_values_refused(self, field, message, value):
+        params = dict(sigma_a=10e12, sigma_b=80e12, omega_p=9.54e14)
+        params[field] = value
+        with pytest.raises(ValueError, match=f"{message} must be positive"):
+            BiphotonSpec(**params)

@@ -19,7 +19,7 @@ from turbulink.ipe import (
     propagate,
 )
 from turbulink.lgmodes import LGIndex, ModeBasis
-from turbulink.mathcore import gauss_hermite_rule, hermite_functions
+from turbulink.schmidt import discrete_modes, gauss_hermite_rule, hermite_functions
 from turbulink.temporal import (
     CostGuardError,
     KernelFidelity,
@@ -399,7 +399,7 @@ class TestLinkProperties:
         geom = LinkGeometry(distance, 19.0, 19.0, waist, 3.95e-6)
         # the first kernel of this order is built on empty caches
         gauss_hermite_rule.cache_clear()
-        temporal._mode_stack.cache_clear()
+        discrete_modes.cache_clear()
         first = channel_kernel(paper_spec, profile, geom, grid_order=order)
         first_traces, first_tm = link_outputs(first, paper_spec, max_mode)
         for other in GRID_ORDERS:

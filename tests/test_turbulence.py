@@ -12,7 +12,6 @@ from spectrum_oracle import fried_parameter, vonkarman_psd
 
 from turbulink import turbulence
 from turbulink.ipe import DECAY_CONSTANT
-from turbulink.mathcore import gauss_hermite_rule
 from turbulink.schmidt import frequency_grid
 from turbulink.temporal import channel_kernel
 from turbulink.turbulence import (
@@ -301,6 +300,42 @@ class TestIntegratedL:
         assert cross == pytest.approx(single, rel=1e-9)
 
 
+NON_FINITE_FREQUENCIES = {"nan": math.nan, "inf": math.inf, "nan-entry": np.array([1e15, math.nan])}
+
+
+class TestNonFiniteInputs:
+    """NaN fails every positivity check, and an infinite length or
+    frequency is refused with the message of a non-positive one."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("path_length", "path_length"),
+            ("transmitter_height", "endpoint heights"),
+            ("receiver_height", "endpoint heights"),
+            ("waist", "waist and wavelength"),
+            ("wavelength", "waist and wavelength"),
+        ],
+    )
+    def test_link_geometry_refuses(self, field, message, value):
+        with pytest.raises(ValueError, match=f"{message} must be positive"):
+            paper_geom(**{field: value})
+
+    @pytest.mark.parametrize("omega", NON_FINITE_FREQUENCIES.values(), ids=NON_FINITE_FREQUENCIES)
+    def test_l_cross_refuses(self, omega):
+        for pair in ((omega, 1e15), (1e15, omega)):
+            with pytest.raises(ValueError, match="frequencies must be positive"):
+                l_cross(1.0, *pair, 1e-15, 0.1457)
+
+    @pytest.mark.parametrize("omega", NON_FINITE_FREQUENCIES.values(), ids=NON_FINITE_FREQUENCIES)
+    def test_integrated_l_refuses(self, omega):
+        profile = TurbulenceProfile.from_constant(1e-16)
+        for pair in ((omega, 1e15), (1e15, omega)):
+            with pytest.raises(ValueError, match="frequencies must be positive"):
+                integrated_l(profile, paper_geom(), pair)
+
+
 # 30 km over 19 m endpoints sags to 1.4 m mid-path, under the 5 m lowest height
 CROSSING_TABLE = [(5.0, 3e-14), (60.0, 4e-15), (400.0, 5e-16), (2000.0, 6e-17)]
 
@@ -366,7 +401,7 @@ class TestPathRule:
     )
     def test_array_matches_scalar_calls(self, paper_spec, profile):
         geom = paper_geom()
-        omegas = frequency_grid(paper_spec, gauss_hermite_rule(8).nodes)
+        omegas = frequency_grid(paper_spec, 8)
         array = integrated_l(profile, geom, (omegas[:, None], omegas[None, :]))
         assert array.shape == (8, 8)
         scalar = [[integrated_l(profile, geom, (w1, w2)) for w2 in omegas] for w1 in omegas]
