@@ -82,6 +82,8 @@ class TwoPhotonDensity:
 
     def __post_init__(self):
         size = self.dim * self.dim
+        if not isinstance(self.matrix, np.ndarray):
+            raise ValueError(f"matrix must be a numpy array, got {type(self.matrix).__name__}")
         if self.matrix.shape != (size, size):
             raise ValueError("matrix shape does not match mode dimension")
         deviation = np.max(np.abs(self.matrix - self.matrix.conj().T))

@@ -233,12 +233,9 @@ def gamma_weight_matrix(j_count: int) -> np.ndarray:
     coefficient double sum (the radial integral in closed form); the Gamma
     argument is never an integer, so never a pole.  Cached; the returned
     array is read-only."""
+    table = np.array([2.0 ** (-0.5 * k) * math.gamma(0.5 * k - 5.0 / 6.0) for k in range(2 * j_count - 1)])
     js = np.arange(j_count)
-    total = js[:, None] + js[None, :]
-    out = np.zeros((j_count, j_count))
-    for value in np.unique(total):
-        half = 0.5 * value
-        out[total == value] = 2.0**-half * math.gamma(half - 5.0 / 6.0)
+    out = table[js[:, None] + js[None, :]]
     out.setflags(write=False)
     return out
 

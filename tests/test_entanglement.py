@@ -91,6 +91,10 @@ class TestStates:
         with pytest.raises(ValueError, match="not Hermitian"):
             TwoPhotonDensity(dim=2, matrix=matrix)
 
+    def test_density_rejects_a_list(self):
+        with pytest.raises(ValueError, match="matrix"):
+            TwoPhotonDensity(dim=1, matrix=[[1.0]])
+
     def test_mode_outside_dimension(self):
         with pytest.raises(ValueError):
             TwoPhotonState.mode_pair(0, 9, 4)

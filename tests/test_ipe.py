@@ -273,6 +273,64 @@ class TestStepMatrices:
                     assert all(np.array_equal(a, b) for a, b in zip(fresh, parts))
 
 
+def unsplit_spectrum(cutoff, delta, scheme):
+    """Reference for `sector_spectrum` without the reflection split: `eigh`
+    of the whole `generator_parts` A, and the rotation V^T C V."""
+    from turbulink.ipe import generator_parts
+
+    operator, commutator = generator_parts(cutoff, delta, scheme)
+    values, vectors = np.linalg.eigh(operator)
+    return values, vectors, vectors.T @ (commutator @ vectors)
+
+
+class TestReflectionHalves:
+    @pytest.mark.parametrize("cutoff", range(5))
+    def test_sector_spectrum_keeps_the_halves_apart(self, cutoff):
+        # even columns first; the halves share no rotation entry, and a
+        # fundamental input has nothing in the odd half
+        from turbulink.ipe import _coordinates, sector_spectrum
+
+        even, side = (cutoff + 1) ** 3, cutoff + 1
+        fundamental = np.zeros((2 * cutoff + 1, side, side))
+        fundamental[cutoff, 0, 0] = 1.0
+        for scheme in PropagationScheme:
+            values, vectors, rotation = sector_spectrum(cutoff, 0, scheme)
+            assert len(values) - even == cutoff * side * side
+            assert np.all(rotation[:even, even:] == 0) and np.all(rotation[even:, :even] == 0)
+            assert np.max(np.abs(vectors.T @ vectors - np.eye(len(values)))) <= 1e-13
+            assert np.all((_coordinates(fundamental, True) @ vectors)[even:] == 0)
+
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    def test_mirrored_inputs_give_mirrored_outputs(self, cutoff):
+        # isotropic turbulence keeps l -> -l: the run of LG(l=-1) is the
+        # reflection of the run of LG(l=+1); each occupies both halves
+        basis, profile = ModeBasis(cutoff), TurbulenceProfile.from_constant(1e-15)
+        mirror = [basis.position(LGIndex(l=-idx.l, r=idx.r)) for idx in basis.indices]
+        for scheme in PropagationScheme:
+            config = SolverConfig(cutoff=cutoff, scheme=scheme)
+            plus, minus = (
+                propagate(DensityMatrix.pure(basis, LGIndex(l=l, r=0)), profile, geometry(), config).matrix
+                for l in (1, -1)
+            )
+            assert np.max(np.abs(minus[np.ix_(mirror, mirror)] - plus)) <= 1e-13
+
+    @pytest.mark.parametrize("cutoff", range(1, 4))
+    def test_split_matches_an_unsplit_run(self, cutoff, monkeypatch):
+        # a random pure input occupies both halves of sector 0; the same
+        # Lawson steps on the whole sector's eigendecomposition agree
+        from turbulink import ipe
+
+        profile, rho0 = TurbulenceProfile.from_constant(1e-15), coherent_state(ModeBasis(cutoff), seed=11)
+        for scheme in PropagationScheme:
+            config = SolverConfig(cutoff=cutoff, scheme=scheme)
+            split = propagate(rho0, profile, geometry(), config).matrix
+            with monkeypatch.context() as patch:
+                patch.setattr(ipe, "sector_spectrum", unsplit_spectrum)
+                patch.setattr(ipe, "_halves", lambda cutoff, delta, size: (slice(0, size), slice(size, size)))
+                whole = propagate(rho0, profile, geometry(), config).matrix
+            assert np.max(np.abs(split - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
 class TestLindbladForm:
     @pytest.mark.parametrize("cutoff", range(1, 5))
     def test_derivative_conserves_trace(self, cutoff):
@@ -542,6 +600,10 @@ class TestDensityMatrix:
     def test_rejects_nan(self, entry):
         with pytest.raises(ValueError, match="not Hermitian"):
             DensityMatrix(basis=ModeBasis(0), matrix=np.array([[entry]], dtype=complex))
+
+    def test_rejects_a_list(self):
+        with pytest.raises(ValueError, match="matrix"):
+            DensityMatrix(basis=ModeBasis(0), matrix=[[1.0]])
 
     def test_rejects_trace_above_one(self):
         basis = ModeBasis(0)

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,6 +539,19 @@ class TestGammaWeights:
         assert weights[0, 0] == pytest.approx(math.gamma(-5.0 / 6.0), rel=1e-13)
         assert weights[1, 1] == pytest.approx(0.5 * math.gamma(1.0 / 6.0), rel=1e-13)
         assert weights[0, 2] == weights[2, 0] == weights[1, 1]
+
+    def test_coupling_build_leaves_numpy_ma_out(self):
+        # np.unique imports numpy.ma on its first call; the weights read a
+        # table of the Gamma values by index instead
+        code = (
+            "import sys\n"
+            "from turbulink.lgmodes import ModeBasis, coupling_tensor\n"
+            f"coupling_tensor(ModeBasis(2), {Z_R!r}, {CN2!r}, {W0!r}, {LAM!r})\n"
+            "sys.exit('numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
     def test_stack_is_a_fresh_array(self):
         # the cached real stack and sector blocks are read-only; each
