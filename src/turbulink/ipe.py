@@ -17,8 +17,9 @@ commutator C (`generator_parts`), the two rates tabulated once per run on
 the nodes of `rk4_nodes`.  Delta < 0 is the adjoint of Delta > 0, and sector
 0, which a fundamental input never leaves, is Hermitian by construction.
 Isotropic turbulence keeps the reflection l -> -l, which reverses sector 0's
-l-blocks: its even half of (cutoff + 1)^3 coordinates, the only one that a
-fundamental input occupies, and its odd half are solved and stepped apart.
+l-blocks: its even half of (cutoff + 1)^3 coordinates and its odd half are
+solved apart, and a fundamental input, which leaves the odd half empty, is
+stepped on the even half alone.
 The coordinates are isometric, so every A is symmetric, and one cached
 eigendecomposition per sector (or half) and scheme (`sector_spectrum`, the
 module's one cache of operators) serves `propagate` and `cutoff_bracketing`,
@@ -196,24 +197,19 @@ def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
     return (gain if scheme is PropagationScheme.TRUNCATED_EXACT else gain - 0.5 * bracket), rotation
 
 
-def _halves(cutoff: int, delta: int, size: int) -> tuple:
-    """Ranges of `sector_spectrum`'s basis that never mix: sector 0's
-    reflection-even and odd halves, or the whole sector and nothing."""
-    split = (cutoff + 1) ** 3 if delta == 0 else size
-    return slice(0, split), slice(split, size)
-
-
 @lru_cache(maxsize=64)
 def sector_spectrum(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple:
     """(values, vectors, rotation), read-only: A = V diag(values) V^T for a
     sector's operator A (`generator_parts`), V = vectors orthogonal, and the
     Gouy commutator in that basis, V^T C V.  No eigenvalue lies above 0
     beyond rounding, so exp(l A) contracts for every l >= 0.  Sector 0's
-    `_halves` are solved apart, the even columns first, so the rotation is
-    block-diagonal: C keeps the reflection exactly, and the coupling-sum
-    rounding by which A breaks it (1e-14 of max |A| at cutoff 4) is dropped."""
+    reflection-even and odd halves are solved apart, the (cutoff + 1)^3 even
+    columns first, so the rotation is block-diagonal: C keeps the reflection
+    exactly, and the coupling-sum rounding by which A breaks it (1e-14 of
+    max |A| at cutoff 4) is dropped."""
     operator, commutator = generator_parts(cutoff, delta, scheme)
     size = len(operator)
+    split = (cutoff + 1) ** 3 if delta == 0 else size
     if delta == 0:
         # the symmetric orthogonal Q that splits sector 0: coordinate j of Q x is
         # (x_j + x_mirror) / sqrt 2 for l < 0, x_j for l = 0, (x_mirror - x_j) / sqrt 2 for l > 0
@@ -227,7 +223,7 @@ def sector_spectrum(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
 
         operator, commutator = (reflect(reflect(x.T).T) for x in (operator, commutator))
     values, vectors, rotation = np.zeros(size), np.zeros((size, size)), np.zeros((size, size))
-    for part in _halves(cutoff, delta, size):
+    for part in (slice(0, split), slice(split, size)):
         values[part], vectors[part, part] = np.linalg.eigh(operator[part, part])
         rotation[part, part] = vectors[part, part].T @ (commutator[part, part] @ vectors[part, part])
     if delta == 0:
@@ -351,13 +347,14 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
             continue
         values, vectors, rotation = sector_spectrum(cutoff, delta, config.scheme)
         u = _coordinates(state, delta == 0) @ vectors
-        for part in _halves(cutoff, delta, len(u)):
-            if not np.any(u[part]):  # such as sector 0's odd half for a fundamental input
-                continue
-            step = _step_product if len(u[part]) <= STEP_MATRIX_SIZE else _lawson_loop
-            for start in range(0, 2 * steps, 2 * STEP_CHUNK):
-                nodes = table[start : start + 2 * STEP_CHUNK + 1]
-                u[part] = step(rotation[part, part], u[part], _lawson_factors(nodes, h, values[part]))
+        # the rotation never mixes sector 0's halves, so an empty odd half
+        # (a fundamental input's) stays 0 and only the even half is stepped
+        even = (cutoff + 1) ** 3 if delta == 0 else len(u)
+        part = slice(None) if np.any(u[even:]) else slice(0, even)
+        step = _step_product if len(u[part]) <= STEP_MATRIX_SIZE else _lawson_loop
+        for start in range(0, 2 * steps, 2 * STEP_CHUNK):
+            nodes = table[start : start + 2 * STEP_CHUNK + 1]
+            u[part] = step(rotation[part, part], u[part], _lawson_factors(nodes, h, values[part]))
         state = _blocks(vectors @ u, count, side, delta == 0)
         blocks_out[rows, :, cols, :] = state
         blocks_out[cols, :, rows, :] = state.conj().transpose(0, 2, 1)

@@ -326,7 +326,6 @@ class TestReflectionHalves:
             split = propagate(rho0, profile, geometry(), config).matrix
             with monkeypatch.context() as patch:
                 patch.setattr(ipe, "sector_spectrum", unsplit_spectrum)
-                patch.setattr(ipe, "_halves", lambda cutoff, delta, size: (slice(0, size), slice(size, size)))
                 whole = propagate(rho0, profile, geometry(), config).matrix
             assert np.max(np.abs(split - whole)) <= 1e-12 * np.max(np.abs(whole))
 

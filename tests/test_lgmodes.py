@@ -540,16 +540,31 @@ class TestGammaWeights:
         assert weights[1, 1] == pytest.approx(0.5 * math.gamma(1.0 / 6.0), rel=1e-13)
         assert weights[0, 2] == weights[2, 0] == weights[1, 1]
 
+    def test_table_matches_the_per_value_loop(self):
+        # the table read by index gives the weights that a loop over the
+        # distinct j1 + j2 values wrote, bit for bit
+        for j_count in range(1, 60):
+            js = np.arange(j_count)
+            total = js[:, None] + js[None, :]
+            expected = np.zeros((j_count, j_count))
+            for value in np.unique(total):
+                half = 0.5 * value
+                expected[total == value] = 2.0**-half * math.gamma(half - 5.0 / 6.0)
+            assert np.array_equal(gamma_weight_matrix(j_count), expected)
+
     def test_coupling_build_leaves_numpy_ma_out(self):
         # np.unique imports numpy.ma on its first call; the weights read a
-        # table of the Gamma values by index instead
+        # table of the Gamma values by index instead, so a coupling build
+        # adds no numpy.ma import of its own
         code = (
             "import sys\n"
             "from turbulink.lgmodes import ModeBasis, coupling_tensor\n"
+            "before = 'numpy.ma' in sys.modules\n"
             f"coupling_tensor(ModeBasis(2), {Z_R!r}, {CN2!r}, {W0!r}, {LAM!r})\n"
-            "sys.exit('numpy.ma' in sys.modules)"
+            "sys.exit(not before and 'numpy.ma' in sys.modules)"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
 
