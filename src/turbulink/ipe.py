@@ -27,7 +27,8 @@ which freezes the generator at t = 0 (A alone) and takes the fundamental
 entry of exp(l A).  `propagate` takes Lawson's exponential RK4 steps:
 classical RK4 on the variable that e^(-A int rate) takes out of x, so that
 the stiff rate(z) A part is exact, every factor is at most 1 at any step
-size, and only the Gouy part, which is not stiff, is stepped.
+size, and only the Gouy part, which is not stiff, is stepped: a small sector
+by multiplying its step maps, a larger one in a loop that allocates nothing.
 """
 from __future__ import annotations
 
@@ -151,7 +152,7 @@ def _real_form(op: np.ndarray, layout: tuple) -> np.ndarray:
     (its last two axes act on row-major entries) in the coordinates `layout`."""
     k, w = layout
     pairs = np.ndindex(len(k), len(k))
-    return sum((w[a][:, None] * op[..., k[a][:, None], k[b]] * np.conj(w[b])).real for a, b in pairs)
+    return sum((w[a][:, None] * op.take(k[a], axis=-2).take(k[b], axis=-1) * np.conj(w[b])).real for a, b in pairs)
 
 
 def _coordinates(blocks: np.ndarray, hermitian: bool) -> np.ndarray:
@@ -181,9 +182,10 @@ def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
     basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
     rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
-    gain = _real_form(sector_coupling(cutoff, delta, 0.0), _layout(side, delta == 0, count))
+    coupling0 = sector_coupling(cutoff, 0, 0.0)
+    gain = _real_form(sector_coupling(cutoff, delta, 0.0) if delta else coupling0, _layout(side, delta == 0, count))
     # Q(0) per l-block: Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal
-    q0 = np.einsum("qabpmm->qba", sector_coupling(cutoff, 0, 0.0).reshape((2 * cutoff + 1, side, side) * 2))
+    q0 = np.einsum("qabpmm->qba", coupling0.reshape((2 * cutoff + 1, side, side) * 2))
     q0 = 0.5 * (q0 + np.conj(q0).transpose(0, 2, 1))
     # per l-block on its row-major entries: rho -> Q rho + rho Q and the
     # Gouy commutator, in real coordinates, then block-diagonal in the sector
@@ -255,17 +257,19 @@ def _buffer(name: str, shape: tuple) -> np.ndarray:
 
 
 def _lawson_factors(table: np.ndarray, h: float, values: np.ndarray) -> tuple:
-    """((a, b, c, d, e, f, j), half) of each step on the node rows `table` =
-    (rate, Gouy rate) for A's eigenvalues `values`, in one (7, m, steps)
-    buffer that the next call overwrites: with ea, eb and e1 = ea eb the
-    factors e^(R values) of a step's first half, second half and whole (R
-    the rate integrated by the quadratic through the step's three nodes)
-    and g0, g1, g2 the Gouy rates on those nodes, (g1 ea, h/2 g0 g1 ea,
-    h/6 g2 e1, h^2/6 g2 eb, e1, h/6 g0 e1, h/3 eb), and half = h/2 g1."""
+    """(coefficients, half) on the node rows `table` = (rate, Gouy rate) for
+    A's eigenvalues `values`: row s of coefficients is step s's (a, b, e, f,
+    d, c, j), in a buffer that the next call overwrites, step-major in memory
+    for `_lawson_loop` and step-last for `_step_product`'s short rows.  With
+    ea, eb and e1 = ea eb the factors e^(R values) of a step's first and
+    second half and whole (R the rate integrated by the quadratic through its
+    three nodes) and g0, g1, g2 the Gouy rates on those nodes, they are (g1 ea,
+    h/2 g0 g1 ea, e1, h/6 g0 e1, h^2/6 g2 eb, h/6 g2 e1, h/3 eb); half = h/2 g1."""
     rates, gouy = table[:, 0], table[:, 1]
     r0, r1, r2, g0, g1, g2 = rates[:-1:2], rates[1::2], rates[2::2], gouy[:-1:2], gouy[1::2], gouy[2::2]
-    out = _buffer("factors", (7, len(values), len(g0)))
-    a, b, c, d, e, f, j = out
+    m, n = len(values), len(g0)
+    out = _buffer("factors", (n, 7, m)) if m > STEP_MATRIX_SIZE else _buffer("factors", (7, m, n)).transpose(2, 0, 1)
+    a, b, e, f, d, c, j = out.transpose(1, 2, 0)
     np.exp(np.multiply.outer(values, h / 24 * (5 * r0 + 8 * r1 - r2), out=a), out=a)
     np.exp(np.multiply.outer(values, h / 24 * (5 * r2 + 8 * r1 - r0), out=d), out=d)
     np.multiply(a, d, out=e)
@@ -282,14 +286,25 @@ def _lawson_loop(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndar
     """Lawson RK4 steps of u in A's eigenbasis (see the module docstring):
     per step, with p = rotation u and the coefficients of `_lawson_factors`,
     k2 = rotation (a u + b p), k3 = rotation (a u + half k2),
-    k4 = rotation (c u + d k3) and u <- e u + f p + j (k2 + k3) + k4."""
-    for (a, b, c, d, e, f, j), half in zip(np.moveaxis(factors[0], 2, 0), factors[1]):
-        p, au = rotation @ u, a * u
-        k2 = rotation @ (au + b * p)
-        k3 = rotation @ (au + half * k2)
-        k4 = rotation @ (c * u + d * k3)
-        u = e * u + f * p + j * (k2 + k3) + k4
-    return u
+    k4 = rotation (c u + d k3) and u <- e u + f p + j (k2 + k3) + k4.  Each
+    stage is a row of this thread's buffer, u between k3 and p, so that (a u,
+    b p), (c u, d k3) and (e u, f p) are one product each; the result is a
+    view of it.  `rotation` should be C-contiguous: np.dot copies it if not."""
+    (coefficients, halves), stages = factors, _buffer("stages", (12, len(u)))
+    k3, x, p, k2, k4, y, au, bp, eu, fp, dk3, cu = stages
+    k3_u, u_p, ab_p, ef_p, dc_p = stages[0:2], stages[1:3], stages[6:8], stages[8:10], stages[10:12]
+    add, multiply, dot = np.add, np.multiply, np.dot  # the loop is call-bound: local names, positional `out`
+    x[:] = u
+    for ab, ef, dc, j, half in zip(*(coefficients[:, rows] for rows in np.s_[0:2, 2:4, 4:6, 6]), halves):
+        dot(rotation, x, p)
+        multiply(ab, u_p, ab_p)
+        dot(rotation, add(au, bp, y), k2)
+        dot(rotation, add(au, multiply(k2, half, y), y), k3)
+        multiply(dc, k3_u, dc_p)
+        dot(rotation, add(cu, dk3, y), k4)
+        multiply(ef, u_p, ef_p)
+        add(add(add(eu, fp, y), multiply(j, add(k2, k3, k2), k2), y), k4, x)
+    return x
 
 
 def _step_product(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndarray:
@@ -299,7 +314,7 @@ def _step_product(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.nda
     K3 = R (diag(a) + half K2) and K4 = R (diag(c) + diag(d) K3).  The maps
     are built with the step index last, so that each product by R, and each
     diag(x) + diag(y) R (as `pick` [x; y]), is one matrix product."""
-    (a, _, c, d, _, _, j), half = factors
+    (a, _, _, _, d, c, j), half = factors[0].transpose(1, 2, 0), factors[1]  # each [i, step]
     m, n = len(u), len(half)
     pick = np.zeros((m, m, 2, m))  # pick[(i, k), (0, i)] = 1 and pick[(i, k), (1, i)] = R[i, k]
     pick[range(m), range(m), 0, range(m)] = 1.0
@@ -308,7 +323,7 @@ def _step_product(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.nda
     y, k2, k3, k4 = _buffer("maps", (4, m, m, n))
     y_rows, k3_rows, k4_rows = (x.reshape(m, m * n) for x in (y, k3, k4))  # [i, (k, step)]
     y_flat, k2_flat = y.reshape(m * m, n), k2.reshape(m * m, n)  # [(i, k), step]
-    np.matmul(turned, factors[0][:2].reshape(2 * m, n), out=k2_flat)  # K2, from [a; b]
+    np.matmul(turned, factors[0][:, :2].reshape(n, 2 * m).T, out=k2_flat)  # K2, from [a; b]
     np.multiply(k2, half, out=y)
     y_flat[:: m + 1] += a  # the diagonal: Y3
     np.matmul(rotation, y_rows, out=k3_rows)
@@ -318,7 +333,7 @@ def _step_product(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.nda
     k2 += k3
     k2 *= j[:, None]
     k2 += k4
-    np.matmul(pick, factors[0][4:6].reshape(2 * m, n), out=y_flat)  # diag(e) + diag(f) R, from [e; f]
+    np.matmul(pick, factors[0][:, 2:4].reshape(n, 2 * m).T, out=y_flat)  # diag(e) + diag(f) R, from [e; f]
     # the maps step first, their products ping-ponging between two buffers
     total, spare = k3.reshape(n, m, m), k4.reshape(n, m, m)
     np.add(k2, y, out=total.transpose(1, 2, 0))
@@ -353,8 +368,8 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
         part = slice(None) if np.any(u[even:]) else slice(0, even)
         step = _step_product if len(u[part]) <= STEP_MATRIX_SIZE else _lawson_loop
         for start in range(0, 2 * steps, 2 * STEP_CHUNK):
-            nodes = table[start : start + 2 * STEP_CHUNK + 1]
-            u[part] = step(rotation[part, part], u[part], _lawson_factors(nodes, h, values[part]))
+            nodes, block = table[start : start + 2 * STEP_CHUNK + 1], np.ascontiguousarray(rotation[part, part])
+            u[part] = step(block, u[part], _lawson_factors(nodes, h, values[part]))
         state = _blocks(vectors @ u, count, side, delta == 0)
         blocks_out[rows, :, cols, :] = state
         blocks_out[cols, :, rows, :] = state.conj().transpose(0, 2, 1)

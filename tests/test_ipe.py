@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dense_oracle import complex_sector_derivative, dense_generator
+from ipe_oracle import lawson_loop, real_form
 from spectrum_oracle import fried_parameter
 
 from turbulink.ipe import (
@@ -228,17 +229,52 @@ class TestStepMatrices:
                 assert np.max(np.abs(fast - slow)) <= 1e-14
         assert calls
 
+    @pytest.mark.parametrize("cutoff", [2, 3, 4])
+    def test_lawson_loop_matches_the_oracle(self, cutoff, monkeypatch):
+        # the allocation-free loop against the one-expression-per-stage loop
+        # it replaced, bit for bit: every sector (and sector 0's even half,
+        # which `propagate` hands over as a contiguous copy) of both schemes
+        # on random states, then `propagate` of a random pure state, which
+        # occupies every sector, in chunks of 5 steps
+        from turbulink import ipe
+
+        geom = geometry()
+        z, cn2 = ipe.rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, 64)
+        rates, h = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), geom.path_length / 64
+        table = np.column_stack([rates, geom.rayleigh_range / (geom.rayleigh_range**2 + z**2)])
+        rng = np.random.default_rng(80 + cutoff)
+        for scheme in PropagationScheme:
+            for delta in range(2 * cutoff + 1):
+                values, _, rotation = ipe.sector_spectrum(cutoff, delta, scheme)
+                parts = [slice(None), slice(0, (cutoff + 1) ** 3)] if delta == 0 else [slice(None)]
+                for part in parts:
+                    block, u = rotation[part, part], rng.normal(size=len(values[part]))
+                    factors = ipe._lawson_factors(table, h, values[part])
+                    expected = lawson_loop(block, u, factors)
+                    assert np.array_equal(ipe._lawson_loop(np.ascontiguousarray(block), u, factors), expected)
+        profile, geom = TurbulenceProfile.from_constant(1e-16), geometry(distance=2.0e3)
+        rho0 = coherent_state(ModeBasis(cutoff), seed=cutoff)
+        monkeypatch.setattr(ipe, "STEP_CHUNK", 5)
+        for scheme in PropagationScheme:
+            config = SolverConfig(cutoff=cutoff, scheme=scheme, steps=17, check_convergence=True)
+            fast = propagate(rho0, profile, geom, config).matrix
+            with monkeypatch.context() as patch:
+                patch.setattr(ipe, "_lawson_loop", lawson_loop)
+                assert np.array_equal(fast, propagate(rho0, profile, geom, config).matrix)
+
     def test_threads_keep_their_own_buffers(self):
-        # the step maps and coefficients live in per-thread buffers: runs in
-        # more threads than cores, switching often, match the serial result
-        # bit for bit (cutoff 1 uses the step maps, cutoff 2 the loop)
+        # the step maps, coefficients and stages live in per-thread buffers:
+        # runs in more threads than cores, switching often, match the serial
+        # result bit for bit (cutoff 1 uses the step maps, cutoff 2 the loop:
+        # on sector 0's even half for the fundamental, on the whole sector
+        # for LG(l=+1), which fills both halves)
         import threading
 
         profile, geom = TurbulenceProfile.from_constant(1e-15), geometry()
-        runs = [(cutoff, scheme) for cutoff in (1, 2) for scheme in PropagationScheme]
+        runs = [(cutoff, scheme, l) for cutoff in (1, 2) for scheme in PropagationScheme for l in (0, 1)]
 
-        def run(cutoff, scheme):
-            rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=0, r=0))
+        def run(cutoff, scheme, l):
+            rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=l, r=0))
             return propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, scheme=scheme, steps=300)).matrix
 
         serial = [run(*args) for args in runs]
@@ -258,6 +294,20 @@ class TestStepMatrices:
         assert not any(thread.is_alive() for thread in threads) and len(results) == len(threads)
         for matrices in results.values():
             assert all(np.array_equal(got, expected) for got, expected in zip(matrices, serial))
+
+    def test_real_form_matches_the_2d_gather(self, monkeypatch):
+        # the row-then-column gathers give the same operators, bit for bit,
+        # as one broadcast 2-D gather per pair of layout rows
+        from turbulink import ipe
+
+        for cutoff in range(5):
+            for scheme in PropagationScheme:
+                for delta in range(2 * cutoff + 1):
+                    got = ipe.generator_parts(cutoff, delta, scheme)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ipe, "_real_form", real_form)
+                        expected = ipe.generator_parts(cutoff, delta, scheme)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_sector_spectrum_matches_an_uncached_build(self):
         # Gamma0 comes from the cached sector-0 block of each cutoff

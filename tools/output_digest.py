@@ -1,15 +1,21 @@
-"""Digest of every CLI subcommand's output, for checking that a change
-leaves the numbers bit-identical.
+"""Digest of every CLI subcommand's output, and of the `ipe` outputs that
+no subcommand writes, for checking that a change leaves the numbers
+bit-identical.
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
 Runs each subcommand in this process through `turbulink.cli.main`, at three
 override sets, each run in its own temporary output directory, and prints
 one line per run: the command, the override set, the exit code and a
-SHA-256 over stdout, stderr and every file the run wrote.  Point PYTHONPATH
-at another checkout's `src` and diff the two outputs: equal lines mean
-equal outputs.  Paths are relative to a temporary working directory, so a
-message that names one hashes the same on every run.
+SHA-256 over stdout, stderr and every file the run wrote.  Paths are
+relative to a temporary working directory, so a message that names one
+hashes the same on every run.  Then it prints one line per `ipe.propagate`
+run (the fundamental, LG(l=+1) and a seeded random pure state; cutoffs 0-4,
+both schemes, 1 and 30 km at C_n^2 = 1e-15, with and without
+`check_convergence`) with a SHA-256 of the output matrix's bytes, or of the
+message of the error it raised, and one line for `ipe.cutoff_bracketing`
+over cutoffs 0-4.  Point PYTHONPATH at another checkout's `src` and diff
+the two outputs: equal lines mean equal outputs.
 """
 from __future__ import annotations
 
@@ -21,7 +27,12 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
+
+from turbulink import ipe
 from turbulink.cli import main
+from turbulink.lgmodes import LGIndex, ModeBasis
+from turbulink.turbulence import LinkGeometry, TurbulenceProfile
 
 OVERRIDE_SETS = {
     "defaults": (),
@@ -58,6 +69,41 @@ def run(command: str, overrides: tuple, output_dir: str) -> tuple:
     return code, digest.hexdigest()
 
 
+def input_states(cutoff: int) -> dict:
+    """The `propagate` inputs at one cutoff: the fundamental, LG(l=+1) (from
+    cutoff 1) and a random pure state seeded by the cutoff."""
+    basis = ModeBasis(cutoff)
+    states = {"fundamental": ipe.DensityMatrix.pure(basis, LGIndex(l=0, r=0))}
+    if cutoff:
+        states["lg_l+1"] = ipe.DensityMatrix.pure(basis, LGIndex(l=1, r=0))
+    rng = np.random.default_rng(cutoff)
+    vec = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    vec /= np.linalg.norm(vec)
+    states["random_pure"] = ipe.DensityMatrix(basis=basis, matrix=np.outer(vec, vec.conj()))
+    return states
+
+
+def print_ipe_digests():
+    profile = TurbulenceProfile.from_constant(1e-15)
+    for cutoff in range(5):
+        for name, rho0 in input_states(cutoff).items():
+            for scheme in ipe.PropagationScheme:
+                for km in (1, 30):
+                    geom = LinkGeometry(km * 1e3, 19.0, 19.0, 0.1457, 3.95e-6)
+                    for check in (False, True):
+                        config = ipe.SolverConfig(cutoff=cutoff, scheme=scheme, check_convergence=check)
+                        try:
+                            data = ipe.propagate(rho0, profile, geom, config).matrix.tobytes()
+                        except ipe.SolverError as exc:
+                            data = f"raised SolverError: {exc}".encode()
+                        label = f"c{cutoff} {name} {scheme.value} {km} km check={check}"
+                        print(f"propagate\t{label}\t{hashlib.sha256(data).hexdigest()}", flush=True)
+    digest = hashlib.sha256()
+    for (scheme, cutoff), values in ipe.cutoff_bracketing(np.linspace(0, 0.1, 11), range(5)).items():
+        digest.update(f"{scheme.value} {cutoff}".encode() + values.tobytes())
+    print(f"cutoff_bracketing\tcutoffs 0-4\t{digest.hexdigest()}", flush=True)
+
+
 def print_digests():
     with tempfile.TemporaryDirectory() as work:
         home = os.getcwd()
@@ -75,3 +121,4 @@ def print_digests():
 
 if __name__ == "__main__":
     print_digests()
+    print_ipe_digests()
