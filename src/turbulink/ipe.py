@@ -152,7 +152,7 @@ def _real_form(op: np.ndarray, layout: tuple) -> np.ndarray:
     (its last two axes act on row-major entries) in the coordinates `layout`."""
     k, w = layout
     pairs = np.ndindex(len(k), len(k))
-    return sum((w[a][:, None] * op.take(k[a], axis=-2).take(k[b], axis=-1) * np.conj(w[b])).real for a, b in pairs)
+    return sum((w[a][:, None] * op[..., k[a][:, None], k[b]] * np.conj(w[b])).real for a, b in pairs)
 
 
 def _coordinates(blocks: np.ndarray, hermitian: bool) -> np.ndarray:
@@ -256,19 +256,18 @@ def _buffer(name: str, shape: tuple) -> np.ndarray:
     return getattr(_workspace, name)[:size].reshape(shape)
 
 
-def _lawson_factors(table: np.ndarray, h: float, values: np.ndarray) -> tuple:
+def _lawson_factors(table: np.ndarray, h: float, values: np.ndarray, step_major: bool) -> tuple:
     """(coefficients, half) on the node rows `table` = (rate, Gouy rate) for
     A's eigenvalues `values`: row s of coefficients is step s's (a, b, e, f,
-    d, c, j), in a buffer that the next call overwrites, step-major in memory
-    for `_lawson_loop` and step-last for `_step_product`'s short rows.  With
-    ea, eb and e1 = ea eb the factors e^(R values) of a step's first and
-    second half and whole (R the rate integrated by the quadratic through its
+    d, c, j), in a buffer, step-major or step-last, that the next call
+    overwrites.  With ea, eb and e1 = ea eb the factors e^(R values) of a
+    step's halves and whole (R the rate integrated by the quadratic through its
     three nodes) and g0, g1, g2 the Gouy rates on those nodes, they are (g1 ea,
     h/2 g0 g1 ea, e1, h/6 g0 e1, h^2/6 g2 eb, h/6 g2 e1, h/3 eb); half = h/2 g1."""
     rates, gouy = table[:, 0], table[:, 1]
     r0, r1, r2, g0, g1, g2 = rates[:-1:2], rates[1::2], rates[2::2], gouy[:-1:2], gouy[1::2], gouy[2::2]
     m, n = len(values), len(g0)
-    out = _buffer("factors", (n, 7, m)) if m > STEP_MATRIX_SIZE else _buffer("factors", (7, m, n)).transpose(2, 0, 1)
+    out = _buffer("factors", (n, 7, m)) if step_major else _buffer("factors", (7, m, n)).transpose(2, 0, 1)
     a, b, e, f, d, c, j = out.transpose(1, 2, 0)
     np.exp(np.multiply.outer(values, h / 24 * (5 * r0 + 8 * r1 - r2), out=a), out=a)
     np.exp(np.multiply.outer(values, h / 24 * (5 * r2 + 8 * r1 - r0), out=d), out=d)
@@ -366,10 +365,11 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
         # (a fundamental input's) stays 0 and only the even half is stepped
         even = (cutoff + 1) ** 3 if delta == 0 else len(u)
         part = slice(None) if np.any(u[even:]) else slice(0, even)
-        step = _step_product if len(u[part]) <= STEP_MATRIX_SIZE else _lawson_loop
+        # the loop reads a step's coefficients as one block, the maps a row of steps each
+        loop, block = len(u[part]) > STEP_MATRIX_SIZE, np.ascontiguousarray(rotation[part, part])
         for start in range(0, 2 * steps, 2 * STEP_CHUNK):
-            nodes, block = table[start : start + 2 * STEP_CHUNK + 1], np.ascontiguousarray(rotation[part, part])
-            u[part] = step(block, u[part], _lawson_factors(nodes, h, values[part]))
+            factors = _lawson_factors(table[start : start + 2 * STEP_CHUNK + 1], h, values[part], step_major=loop)
+            u[part] = (_lawson_loop if loop else _step_product)(block, u[part], factors)
         state = _blocks(vectors @ u, count, side, delta == 0)
         blocks_out[rows, :, cols, :] = state
         blocks_out[cols, :, rows, :] = state.conj().transpose(0, 2, 1)

@@ -1,7 +1,6 @@
-"""Earlier forms of two `ipe` kernels, kept as references that the current
-ones must match bit for bit: the Lawson RK4 loop written one numpy
-expression per stage, a fresh array for each, and the real form gathered by
-one broadcast 2-D index per pair of layout rows."""
+"""An earlier form of `ipe._lawson_loop`, kept as the reference that the
+current one must match bit for bit: the Lawson RK4 loop written one numpy
+expression per stage, a fresh array for each."""
 from __future__ import annotations
 
 import numpy as np
@@ -21,10 +20,3 @@ def lawson_loop(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndarr
         u = e * u + f * p + j * (k2 + k3) + k4
     return u
 
-
-def real_form(op: np.ndarray, layout: tuple) -> np.ndarray:
-    """`ipe._real_form`: the real matrix of the complex-linear map `op` in
-    the coordinates `layout`."""
-    k, w = layout
-    pairs = np.ndindex(len(k), len(k))
-    return sum((w[a][:, None] * op[..., k[a][:, None], k[b]] * np.conj(w[b])).real for a, b in pairs)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dense_oracle import complex_sector_derivative, dense_generator
-from ipe_oracle import lawson_loop, real_form
+from ipe_oracle import lawson_loop
 from spectrum_oracle import fried_parameter
 
 from turbulink.ipe import (
@@ -202,7 +202,7 @@ class TestStepMatrices:
                 values, _, rotation = sector_spectrum(cutoff, delta, scheme)
                 u = rng.normal(size=len(values))
                 assert len(u) <= STEP_MATRIX_SIZE
-                factors = _lawson_factors(table, h, values)
+                factors = _lawson_factors(table, h, values, step_major=False)
                 expected = _lawson_loop(rotation, u, factors)
                 got = _step_product(rotation, u, factors)
                 assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -249,7 +249,7 @@ class TestStepMatrices:
                 parts = [slice(None), slice(0, (cutoff + 1) ** 3)] if delta == 0 else [slice(None)]
                 for part in parts:
                     block, u = rotation[part, part], rng.normal(size=len(values[part]))
-                    factors = ipe._lawson_factors(table, h, values[part])
+                    factors = ipe._lawson_factors(table, h, values[part], step_major=True)
                     expected = lawson_loop(block, u, factors)
                     assert np.array_equal(ipe._lawson_loop(np.ascontiguousarray(block), u, factors), expected)
         profile, geom = TurbulenceProfile.from_constant(1e-16), geometry(distance=2.0e3)
@@ -294,20 +294,6 @@ class TestStepMatrices:
         assert not any(thread.is_alive() for thread in threads) and len(results) == len(threads)
         for matrices in results.values():
             assert all(np.array_equal(got, expected) for got, expected in zip(matrices, serial))
-
-    def test_real_form_matches_the_2d_gather(self, monkeypatch):
-        # the row-then-column gathers give the same operators, bit for bit,
-        # as one broadcast 2-D gather per pair of layout rows
-        from turbulink import ipe
-
-        for cutoff in range(5):
-            for scheme in PropagationScheme:
-                for delta in range(2 * cutoff + 1):
-                    got = ipe.generator_parts(cutoff, delta, scheme)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(ipe, "_real_form", real_form)
-                        expected = ipe.generator_parts(cutoff, delta, scheme)
-                    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_sector_spectrum_matches_an_uncached_build(self):
         # Gamma0 comes from the cached sector-0 block of each cutoff
