@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from .entanglement import MAX_PAIR_MODES
 from .lgmodes import MAX_COUPLING_CUTOFF
 from .schmidt import BiphotonSpec, frequency_grid
-from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER, KernelFidelity
+from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER, MAX_STEPS, KernelFidelity
 from .turbulence import CN2_MAX, CN2_MIN, TRAD_S, extinction_depth, two_pi_c_over
 
 
@@ -82,7 +82,7 @@ class RunConfig:
     # 0 derives the pump from the wavelength (2 * 2 pi c / lambda)
     pump_trad: float = _key(0.0, "source", (1.0, 1e5, "T rad/s"), zero_ok=True)
     cutoff: int = _key(4, "solver", (0, MAX_COUPLING_CUTOFF, ""))
-    steps: int = _key(256, "solver", (16, 100000, ""))
+    steps: int = _key(256, "solver", (16, MAX_STEPS, ""))
     grid_order: int = _key(32, "channel", (4, MAX_GRID_ORDER, ""))
     kernel_fidelity: str = _key("analytic", "channel", choices=KernelFidelity)
     max_mode: int = _key(3, "channel", (0, 14, ""))

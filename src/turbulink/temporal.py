@@ -19,7 +19,7 @@ Two kernel fidelities:
             `lgmodes.pair_coupling_assembler`; at omega1 = omega2 it is the
             single-frequency propagation of `ipe.propagate`.  A step count
             past RK4's stability limit (RK4_REAL_LIMIT) is refused before the
-            first step.
+            first step, or C_n^2 if the count that passes exceeds MAX_STEPS.
 """
 from __future__ import annotations
 
@@ -44,6 +44,8 @@ MAX_FULL_IPE_GRID = 12
 MAX_FULL_IPE_CUTOFF = 5
 # classical RK4 is stable on the negative real axis for h |lambda| up to 2.785
 RK4_REAL_LIMIT = 2.785
+# the config's `steps` maximum; the step guard names no count past it
+MAX_STEPS = 100000
 
 
 class KernelFidelity(Enum):
@@ -81,26 +83,23 @@ class ChannelKernel:
         return discrete_modes(self.order)[:count]
 
 
-def _check_step_count(omega1, omega2, profile, geom, cutoff: int, steps: int) -> None:
-    """Refuse a step count whose h * max rate * rho(A0) exceeds RK4_REAL_LIMIT,
-    A0 the single-wavelength sector-0 operator (`ipe.sector_spectrum`): RK4
-    would overflow into NaN.  Each node's two-carrier block differs from A0
-    by a few percent of rho(A0), so the figure is an estimate, not a bound."""
+def _check_step_count(rate, profile: TurbulenceProfile, geom: LinkGeometry, cutoff: int, steps: int) -> None:
+    """Refuse a step count whose h * max rate * rho(A0) on the run's own table
+    `rate` exceeds RK4_REAL_LIMIT, A0 the single-wavelength sector-0 operator
+    (`ipe.sector_spectrum`): RK4 would overflow into NaN.  Each node's block
+    differs from A0 by a few percent, so the figure and its count are estimates."""
     radius = np.max(np.abs(sector_spectrum(cutoff, 0, PropagationScheme.TRUNCATED_EXACT)[0]))
-
-    def figure(count):
-        z, cn2 = rk4_nodes(profile, geom, count)
-        rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
-        return geom.path_length / count * float(rate.max()) * radius
-
-    needed = math.ceil(steps * figure(steps) / RK4_REAL_LIMIT)
+    figure = geom.path_length / steps * float(rate.max()) * radius
+    needed = math.ceil(steps * figure / RK4_REAL_LIMIT)
+    if needed > max(steps, MAX_STEPS):
+        raise ValueError(
+            f"{'profile_csv' if profile.table else 'cn2'!r} is too strong for the full-IPE kernel's RK4:"
+            f" h * max rate * rho(A0) = {figure:.3g} at {steps} steps; it needs {needed}, past {MAX_STEPS}"
+        )
     if needed > steps:
-        # the peak rate may move with the node grid: check the estimate on its own
-        while figure(needed) > RK4_REAL_LIMIT:
-            needed += 1
         raise ValueError(
             f"'steps' = {steps} is unstable for the full-IPE kernel's RK4: h * max rate * rho(A0) ="
-            f" {figure(steps):.2f} exceeds {RK4_REAL_LIMIT}; use steps >= {needed}"
+            f" {figure:.2f} exceeds {RK4_REAL_LIMIT}; use steps >= {needed}"
         )
 
 
@@ -109,10 +108,10 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     of every frequency pair (omega1[i], omega2[i]), all advanced together on
     sector 0 of the truncated LG basis."""
     side, count = cutoff + 1, 2 * cutoff + 1
-    _check_step_count(omega1, omega2, profile, geom, cutoff, steps)
     # per node (rows) and pair (columns), the two carriers on a leading axis
     z, cn2 = rk4_nodes(profile, geom, steps)
     rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
+    _check_step_count(rate, profile, geom, cutoff, steps)
     t = normalized_distance(z[:, None], two_pi_c_over(np.stack([omega1, omega2]))[:, None, :], geom.waist)
     area = 1.0 + t * t  # a_i / w0^2
     ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi

@@ -2,11 +2,12 @@
 
 An oracle for the Delta-l sector blocks of `lgmodes.pair_coupling_assembler`,
 at one wavelength and between two carriers: the Gamma-weighted double sum
-over every (m, u) and (n, v) pair of two complex coefficient stacks, each
-built from `c_coefficients` pair by pair, as one (S^2, S^2) product, zeroed
-where the azimuthal rule l_m - l_u = l_n - l_v fails.  It shares only the
-coefficients and the Gamma weights with the library, never the sector layout
-or the real-up-to-phases factorization.
+over every (m, u) and (n, v) pair of two complex coefficient stacks (each
+the t = 0 `c_coefficients` of every pair, built once per basis, times the
+pair's Gouy phase) as one (S^2, S^2) product, zeroed where the azimuthal
+rule l_m - l_u = l_n - l_v fails.  It shares only the coefficients and the
+Gamma weights with the library, never the sector layout or the
+real-up-to-phases factorization.
 
 `complex_sector_derivative` is the rotating-frame derivative of one sector
 written on its complex l-blocks (gain matvec, Lindblad Q rho + rho Q^dagger
@@ -38,15 +39,25 @@ def selection_mask(basis: ModeBasis) -> np.ndarray:
     return diff[:, :, None, None] == diff[None, None, :, :]
 
 
-def coefficient_stack(basis: ModeBasis, t: float) -> np.ndarray:
-    """c_{m,u,j}(t) of every basis pair as a (6 cutoff + 1, size, size) array,
-    zero past each pair's last coefficient."""
+@lru_cache(maxsize=None)
+def _stack_at_waist(basis: ModeBasis) -> tuple:
+    """(c_{m,u,j}(0) of every basis pair as a (6 cutoff + 1, size, size)
+    array, zero past each pair's last coefficient; the Gouy weights g_m)."""
     stack = np.zeros((6 * basis.cutoff + 1, basis.size, basis.size), dtype=complex)
     for a, m in enumerate(basis.indices):
         for b, u in enumerate(basis.indices):
-            values = c_coefficients(m, u, t)
+            values = c_coefficients(m, u, 0.0)
             stack[: len(values), a, b] = values
-    return stack
+    stack.setflags(write=False)
+    return stack, np.array([idx.gouy_weight for idx in basis.indices])
+
+
+def coefficient_stack(basis: ModeBasis, t: float) -> np.ndarray:
+    """c_{m,u,j}(t) of every basis pair as a (6 cutoff + 1, size, size) array,
+    zero past each pair's last coefficient: the t = 0 stack times the Gouy
+    phase b^{g_m - g_u}, b = (1 + it)/(1 - it), as `c_coefficients` takes it."""
+    stack, gouy = _stack_at_waist(basis)
+    return stack * np.exp(2j * math.atan(t) * (gouy[:, None] - gouy[None, :]))
 
 
 @lru_cache(maxsize=None)

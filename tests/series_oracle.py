@@ -37,16 +37,23 @@ def series_from_terms(terms: dict, shape: tuple) -> np.ndarray:
     return out
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
 def _inv_one_minus_d1d2(power: int, shape: tuple) -> np.ndarray:
     # (1 - d1 d2)^{-power}: diagonal binomial coefficients
-    return series_from_terms(
+    return _read_only(series_from_terms(
         {(k, k): math.comb(power - 1 + k, k) for k in range(min(shape))}, shape
-    )
+    ))
 
 
+@lru_cache(maxsize=None)
 def _binomial(value: complex, power: int, size: int) -> np.ndarray:
     # coefficients of (1 - value d)^power up to d^{size - 1}, power >= 0
-    return np.array([math.comb(power, k) * (-value) ** k for k in range(size)], dtype=complex)
+    return _read_only(np.array([math.comb(power, k) * (-value) ** k for k in range(size)], dtype=complex))
 
 
 @lru_cache(maxsize=None)

@@ -6,10 +6,12 @@ model (see the repository notes); every other criterion passes.
 """
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import turbulink
 from turbulink.entanglement import robustness_scan
 from turbulink.ipe import (
     DECAY_CONSTANT,
@@ -332,3 +334,14 @@ def test_criterion_9_property_suites(tmp_path, paper_spec):
         f"sweep determinism {ok_determinism}",
     )
     assert ok
+
+
+def test_each_test_module_names_what_it_checks():
+    # tests/ mirrors src/: test_<name>.py checks the library module <name>,
+    # the oracle module tests/<name>.py, or (test_acceptance) the criteria;
+    # a test module named after deleted code fails here
+    tests, library = Path(__file__).parent, Path(turbulink.__file__).parent
+    for path in sorted(tests.glob("test_*.py")):
+        name = path.stem.removeprefix("test_")
+        oracle = name.endswith("_oracle") and (tests / f"{name}.py").is_file()
+        assert (library / f"{name}.py").is_file() or oracle or name == "acceptance", path.name

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from turbulink import cli, lgmodes
+from turbulink import cli, lgmodes, temporal
 from turbulink.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, run_subcommand, sweep
 from turbulink.config import (
     _KEYS,
@@ -526,6 +526,25 @@ class TestSubcommands:
         assert "pair fully absorbed" in capsys.readouterr().err
         assert not recwarn.list
         assert not (tmp_path / "entangle.csv").exists()
+
+    def test_full_ipe_step_guard_tabulates_no_long_run(self, tmp_path, capsys, monkeypatch):
+        # an accepted draw that needs about 2.4e10 RK4 steps: the guard used
+        # to tabulate nodes at that count and end in numpy's MemoryError
+        counts, nodes = [], temporal.rk4_nodes
+
+        def recording(profile, geom, steps):
+            counts.append(steps)
+            return nodes(profile, geom, steps)
+
+        monkeypatch.setattr(temporal, "rk4_nodes", recording)
+        overrides = (
+            "kernel_fidelity=full_ipe", "grid_order=6", "cutoff=2", "steps=40", "cn2=2.68e-12",
+            "distance_m=344773", "waist_m=0.00413", "wavelength_m=4.60e-6",
+        )
+        assert run_cli(tmp_path, *(arg for item in overrides for arg in ("--set", item)), "kernel") == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: 'cn2' "), lines
+        assert counts and max(counts) <= 100_000
 
     def test_gnuplot_hints(self, capsys):
         assert main(["--gnuplot-hints", "kernel"]) == EXIT_OK

@@ -460,9 +460,10 @@ class TestPropagation:
             fast_matrix = _propagate_fixed(rho0, profile, geom, config, steps)
             vec = rho0.matrix.reshape(-1).astype(complex)
             h = geom.path_length / steps
-            z = 0.0
+            z, r4 = 0.0, assemble_superoperator(basis, 0.0, profile, geom, scheme)
             for _ in range(steps):
-                r1 = assemble_superoperator(basis, z, profile, geom, scheme)
+                # each step starts where the last one ended
+                r1 = r4
                 r2 = assemble_superoperator(basis, z + 0.5 * h, profile, geom, scheme)
                 r4 = assemble_superoperator(basis, z + h, profile, geom, scheme)
                 k1 = r1 @ vec

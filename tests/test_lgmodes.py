@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dense_oracle import dense_pair_coupling, dense_pair_tensor, dense_sector, selection_mask
+from scipy.integrate import quad
 from series_oracle import series_c_coefficients
 
 from turbulink.lgmodes import (
@@ -531,6 +532,31 @@ class TestNumericOracle:
         i00 = LGIndex(l=0, r=0)
         with pytest.raises(ValueError):
             coupling_numeric_oracle(i00, i00, i00, i00, 0.0, CN2, W0, LAM, 0.0)
+
+
+class TestGamma:
+    # the library calls the platform's math.gamma, also at negative arguments
+    # (reflection); the Gamma weights of the coupling sum read it directly
+    def test_half(self):
+        assert math.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+    def test_negative_five_sixths_by_reflection(self):
+        # reflection formula with Gamma(11/6) from an independent integral;
+        # M[0, 0] = Gamma(-5/6)
+        g_11_6 = quad(lambda t: t ** (11.0 / 6.0 - 1.0) * math.exp(-t), 0, 60)[0]
+        expected = math.pi / (math.sin(-5.0 * math.pi / 6.0) * g_11_6)
+        assert gamma_weight_matrix(3)[0, 0] == pytest.approx(expected, rel=1e-9)
+        assert gamma_weight_matrix(3)[0, 0] == pytest.approx(-6.6795, abs=5e-4)
+
+    def test_one_sixth_by_integral(self):
+        # M[1, 1] = Gamma(1/6) / 2
+        expected = quad(lambda t: t ** (1.0 / 6.0 - 1.0) * math.exp(-t), 0, 60)[0]
+        assert 2.0 * gamma_weight_matrix(3)[1, 1] == pytest.approx(expected, rel=1e-9)
+        assert 2.0 * gamma_weight_matrix(3)[1, 1] == pytest.approx(5.5663, abs=5e-4)
+
+    @pytest.mark.parametrize("x", [0.3, 1.7, -0.4, -3.3, 7.5, 12.0])
+    def test_functional_equation(self, x):
+        assert math.gamma(x + 1.0) == pytest.approx(x * math.gamma(x), rel=1e-10)
 
 
 class TestGammaWeights:

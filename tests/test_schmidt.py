@@ -28,6 +28,25 @@ def equal_band_spec():
     return BiphotonSpec(sigma_a=20e12, sigma_b=20e12, omega_p=9.54e14)
 
 
+def hermite_by_expansion(n, x):
+    # independent oracle: explicit monomial sum H_n(x) = n! sum_m (-1)^m / (m! (n-2m)!) (2x)^{n-2m}
+    total = 0.0
+    for m in range(n // 2 + 1):
+        total += (
+            (-1.0) ** m
+            / (math.factorial(m) * math.factorial(n - 2 * m))
+            * (2.0 * x) ** (n - 2 * m)
+        )
+    return math.factorial(n) * total
+
+
+def hermite_poly(n, x):
+    # H_n(x) read back from the library's orthonormal Hermite functions, so
+    # these cases check hermite_functions' values and recurrence
+    scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi)) * math.exp(0.5 * x * x)
+    return float(hermite_functions(n + 1, x)[n]) * scale
+
+
 class TestEigenvalues:
     def test_paper_values(self, paper_spec):
         values = [schmidt_eigenvalue(paper_spec, n) for n in range(4)]
@@ -156,3 +175,94 @@ class TestValidation:
         params[field] = value
         with pytest.raises(ValueError, match=f"{message} must be positive"):
             BiphotonSpec(**params)
+
+
+class TestHermite:
+    def test_h0_is_one(self):
+        assert hermite_poly(0, 3.7) == pytest.approx(1.0, rel=1e-14)
+
+    def test_h2_value(self):
+        assert hermite_poly(2, 1.0) == pytest.approx(2.0, abs=1e-14)
+
+    def test_h5_against_expansion_oracle(self):
+        assert hermite_poly(5, 0.5) == pytest.approx(hermite_by_expansion(5, 0.5), rel=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_recurrence(self, n):
+        for x in np.linspace(-5.0, 5.0, 11):
+            lhs = hermite_poly(n + 1, x)
+            rhs = 2.0 * x * hermite_poly(n, x) - 2.0 * n * hermite_poly(n - 1, x)
+            assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-9)
+
+    def test_order_guard(self):
+        with pytest.raises(UnsupportedOrderError):
+            hermite_functions(66, 0.0)
+        with pytest.raises(UnsupportedOrderError):
+            hermite_functions(0, 0.0)
+
+    def test_stack_rows_do_not_depend_on_count(self):
+        x = np.linspace(-9.0, 9.0, 37)
+        stack = hermite_functions(65, x)
+        assert stack.shape == (65, 37)
+        for n in range(65):
+            assert np.array_equal(hermite_functions(n + 1, x), stack[: n + 1])
+        with pytest.raises(UnsupportedOrderError):
+            hermite_functions(0, x)
+        with pytest.raises(UnsupportedOrderError):
+            hermite_functions(66, x)
+
+    def test_hermite_functions_orthonormal_at_guard_edge(self):
+        # normalized recurrence must stay stable through n = 64
+        rule = gauss_hermite_rule(128)
+        weights = rule.weights * np.exp(rule.nodes**2)
+        for n in (32, 63, 64):
+            phi = hermite_functions(n + 1, rule.nodes)
+            phi_n, phi_m = phi[n], phi[n - 30]
+            assert np.dot(weights, phi_n * phi_n) == pytest.approx(1.0, abs=1e-9)
+            assert abs(np.dot(weights, phi_n * phi_m)) < 1e-9
+
+
+class TestGaussHermite:
+    def test_two_point_rule(self):
+        rule = gauss_hermite_rule(2)
+        assert rule.nodes == pytest.approx([-1.0 / math.sqrt(2), 1.0 / math.sqrt(2)], abs=1e-14)
+        assert rule.weights == pytest.approx([math.sqrt(math.pi) / 2] * 2, rel=1e-14)
+
+    def test_zeroth_moment(self):
+        for order in (2, 8, 40, 128):
+            rule = gauss_hermite_rule(order)
+            assert rule.weights.sum() == pytest.approx(math.sqrt(math.pi), abs=1e-12)
+
+    def test_fourth_moment_order_40(self):
+        rule = gauss_hermite_rule(40)
+        value = np.dot(rule.weights, rule.nodes**4)
+        assert value == pytest.approx(3.0 * math.sqrt(math.pi) / 4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [3, 5, 13])
+    def test_moment_exactness_up_to_2n_minus_1(self, order):
+        rule = gauss_hermite_rule(order)
+        for k in range(2 * order):
+            value = np.dot(rule.weights, rule.nodes**k)
+            if k % 2 == 1:
+                scale = np.dot(rule.weights, np.abs(rule.nodes) ** k)
+                assert abs(value) < 1e-13 * max(scale, 1.0)
+            else:
+                exact = math.gamma((k + 1) / 2.0)
+                assert value == pytest.approx(exact, rel=1e-12)
+
+    def test_symmetry(self):
+        rule = gauss_hermite_rule(17)
+        assert rule.nodes == pytest.approx(-rule.nodes[::-1], abs=1e-14)
+
+    def test_rule_cached_per_order_and_read_only(self):
+        rule = gauss_hermite_rule(32)
+        assert gauss_hermite_rule(32) is rule
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_order_guards(self):
+        with pytest.raises(UnsupportedOrderError):
+            gauss_hermite_rule(1)
+        with pytest.raises(UnsupportedOrderError):
+            gauss_hermite_rule(129)

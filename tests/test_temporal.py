@@ -213,6 +213,20 @@ class TestFullPropagationKernel:
             kernel(needed - 1)
 
     @pytest.mark.parametrize(
+        "profile, key",
+        [(TurbulenceProfile.from_constant(1e-11), "cn2"),
+         (TurbulenceProfile.from_table([(1.0, 1e-11), (100.0, 1e-11)]), "profile_csv")],
+        ids=["constant", "tabulated"],
+    )
+    def test_step_count_past_the_limit_refuses_the_profile(self, paper_spec, paper_geometry, profile, key):
+        # 1e-11 needs about 5e5 steps, more than any run may take
+        with pytest.raises(ValueError, match=rf"^'{key}' is too strong .* it needs \d+, past 100000$"):
+            channel_kernel(
+                paper_spec, profile, paper_geometry,
+                grid_order=8, fidelity=KernelFidelity.FULL_IPE, cutoff=2, steps=256,
+            )
+
+    @pytest.mark.parametrize(
         "steps, message",
         [(0, "step count must be >= 16"), (15, "step count must be >= 16"),
          (True, "steps must be an int"), (2.5, "steps must be an int")],
@@ -266,9 +280,10 @@ def dense_fundamental(pair, basis, profile, geom, steps):
 
     state = np.zeros(size * size, dtype=complex)
     state[fundamental] = 1.0
-    z = 0.0
+    z, end = 0.0, generator(0.0)
     for _ in range(steps):
-        start, middle, end = generator(z), generator(z + 0.5 * h), generator(z + h)
+        # each step starts where the last one ended
+        start, middle, end = end, generator(z + 0.5 * h), generator(z + h)
         k1 = start @ state
         k2 = middle @ (state + 0.5 * h * k1)
         k3 = middle @ (state + 0.5 * h * k2)

@@ -4,7 +4,7 @@ bit-identical.
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
-Runs each subcommand in this process through `turbulink.cli.main`, at three
+Runs each subcommand in this process through `turbulink.cli.main`, at four
 override sets, each run in its own temporary output directory, and prints
 one line per run: the command, the override set, the exit code and a
 SHA-256 over stdout, stderr and every file the run wrote.  Paths are
@@ -38,6 +38,8 @@ OVERRIDE_SETS = {
     "defaults": (),
     "coarse": ("cn2=3.7e-16", "grid_order=16", "max_mode=5"),
     "full_ipe": ("kernel_fidelity=full_ipe", "grid_order=4", "cutoff=1", "cn2=1e-16"),
+    # refused by the full-IPE step guard: "use steps >= 496"
+    "full_ipe_unstable": ("kernel_fidelity=full_ipe", "grid_order=8", "cutoff=2", "cn2=1e-14", "steps=64"),
 }
 COMMANDS = ("schmidt", "beam", "coupling", "kernel", "tmatrix", "entangle", "validate", "sweep tmatrix")
 SWEEP_CONFIG = '[sweep]\naxes = ["waist_m"]\nwaist_m = [0.1, 0.1457]\n'
