@@ -40,34 +40,18 @@ from .config import (
 from .entanglement import robustness_scan
 from .lgmodes import LGIndex, ModeBasis
 from .temporal import KernelFidelity
-from .turbulence import TRAD_S, LinkGeometry, TurbulenceProfile
+from .turbulence import TRAD_S
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 
-def _geometry(config: RunConfig) -> LinkGeometry:
-    return LinkGeometry(
-        path_length=config.distance_m,
-        transmitter_height=config.transmitter_height_m,
-        receiver_height=config.receiver_height_m,
-        waist=config.waist_m,
-        wavelength=config.wavelength_m,
-    )
-
-
-def _profile(config: RunConfig) -> TurbulenceProfile:
-    if config.profile_csv:
-        return TurbulenceProfile.from_csv(config.profile_csv)
-    return TurbulenceProfile.from_constant(config.cn2)
-
-
 def _kernel(config: RunConfig) -> temporal.ChannelKernel:
     return temporal.channel_kernel(
         config.spec,
-        _profile(config),
-        _geometry(config),
+        config.profile(),
+        config.geometry,
         grid_order=config.grid_order,
         fidelity=KernelFidelity(config.kernel_fidelity),
         cutoff=config.cutoff,
@@ -113,7 +97,7 @@ def run_beam(config: RunConfig):
     """The configured link's pure-decay probability; `write` tabulates the
     C_n^2 family over the distance axis (or the default grid)."""
     probability = ipe.analytic_decay(
-        _profile(config), _geometry(config), extinction_per_km=config.extinction_per_km
+        config.profile(), config.geometry, extinction_per_km=config.extinction_per_km
     )
 
     def write(out):
@@ -233,7 +217,7 @@ def run_validate(config: RunConfig):
     # coupling closed form vs quadrature oracle on a fundamental tuple
     w0, lam, cn2 = config.waist_m, config.wavelength_m, max(config.cn2, 1e-16)
     i00 = LGIndex(l=0, r=0)
-    z_r = _geometry(config).rayleigh_range
+    z_r = config.geometry.rayleigh_range
     z = 0.5 * z_r
     closed = lgmodes.coupling_tensor(ModeBasis(0), z, cn2, w0, lam).entries[0, 0, 0, 0]
     oracle = lgmodes.coupling_oracle_extrapolated(i00, i00, i00, i00, z, cn2, w0, lam, 1e-4 / w0)

@@ -24,11 +24,15 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .entanglement import MAX_PAIR_MODES
 from .lgmodes import MAX_COUPLING_CUTOFF
 from .schmidt import BiphotonSpec, frequency_grid
 from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER, MAX_STEPS, KernelFidelity
-from .turbulence import CN2_MAX, CN2_MIN, TRAD_S, extinction_depth, two_pi_c_over
+from .temporal import full_ipe_rate
+from .turbulence import CN2_MAX, CN2_MIN, TRAD_S, LinkGeometry, TurbulenceProfile, extinction_depth
+from .turbulence import two_pi_c_over
 
 
 class ConfigError(ValueError):
@@ -99,6 +103,23 @@ class RunConfig:
         return BiphotonSpec(
             sigma_a=self.sigma_a_trad * TRAD_S, sigma_b=self.sigma_b_trad * TRAD_S, omega_p=pump
         )
+
+    @property
+    def geometry(self) -> LinkGeometry:
+        """The link, in meters."""
+        return LinkGeometry(
+            path_length=self.distance_m,
+            transmitter_height=self.transmitter_height_m,
+            receiver_height=self.receiver_height_m,
+            waist=self.waist_m,
+            wavelength=self.wavelength_m,
+        )
+
+    def profile(self) -> TurbulenceProfile:
+        """The C_n^2 profile: profile_csv read from its file, else constant cn2."""
+        if self.profile_csv:
+            return TurbulenceProfile.from_csv(self.profile_csv)
+        return TurbulenceProfile.from_constant(self.cn2)
 
     @property
     def scan_modes(self) -> range:
@@ -192,12 +213,14 @@ def validate_config(config: RunConfig, command: str = ""):
                 raise ConfigError(
                     f"value for '{key}' out of range: full_ipe kernels allow at most {limit}"
                 )
-    if command in ("kernel", "tmatrix", "entangle"):
-        lowest = frequency_grid(config.spec, config.grid_order)[0]
-        if not lowest > 0:
+    # `validate` also refuses what the kernel commands would refuse of a full-IPE kernel
+    full_ipe = config.kernel_fidelity == "full_ipe" and command in ("kernel", "tmatrix", "entangle", "validate")
+    if command in ("kernel", "tmatrix", "entangle") or full_ipe:
+        omegas = frequency_grid(config.spec, config.grid_order)
+        if not omegas[0] > 0:
             raise ConfigError(
                 f"value for 'pump_trad' out of range: the frequency grid of grid_order {config.grid_order}"
-                f" reaches {lowest / TRAD_S:.6g} T rad/s; raise pump_trad or narrow the bandwidths"
+                f" reaches {omegas[0] / TRAD_S:.6g} T rad/s; raise pump_trad or narrow the bandwidths"
             )
     # a flat extinction that underflows leaves no mode to transmit or to entangle
     depth = extinction_depth(config.extinction_per_km, config.distance_m)
@@ -210,20 +233,24 @@ def validate_config(config: RunConfig, command: str = ""):
         raise ConfigError(
             f"value for 'max_mode' out of range: {config.max_mode} needs grid_order >= {2 * (config.max_mode + 1)}"
         )
-    if command != "entangle":
-        return
-    if config.fixed_mode >= config.pair_modes:
-        raise ConfigError(
-            f"value for 'fixed_mode' out of range: {config.fixed_mode} must be below pair_modes = {config.pair_modes}"
-        )
-    if config.pair_modes > config.grid_order // 2:
-        raise ConfigError(
-            f"value for 'pair_modes' out of range: {config.pair_modes} needs grid_order >= {2 * config.pair_modes}"
-        )
-    if all(n == config.fixed_mode for n in config.scan_modes):
-        raise ConfigError(
-            f"value for 'pair_modes' out of range: {config.pair_modes} scans only "
-            f"n = {config.fixed_mode} = fixed_mode, the degenerate row"
+    if command == "entangle":
+        if config.fixed_mode >= config.pair_modes:
+            raise ConfigError(
+                f"value for 'fixed_mode' out of range: {config.fixed_mode} must be below pair_modes = {config.pair_modes}"
+            )
+        if config.pair_modes > config.grid_order // 2:
+            raise ConfigError(
+                f"value for 'pair_modes' out of range: {config.pair_modes} needs grid_order >= {2 * config.pair_modes}"
+            )
+        if all(n == config.fixed_mode for n in config.scan_modes):
+            raise ConfigError(
+                f"value for 'pair_modes' out of range: {config.pair_modes} scans only "
+                f"n = {config.fixed_mode} = fixed_mode, the degenerate row"
+            )
+    if full_ipe:  # last: the step figure tabulates the rate of every node and frequency pair
+        rows, cols = np.triu_indices(config.grid_order)
+        full_ipe_rate(
+            omegas[rows], omegas[cols], config.profile(), config.geometry, config.cutoff, config.steps
         )
 
 

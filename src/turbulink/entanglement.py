@@ -6,17 +6,22 @@ P(omega1, omega2) P(omega1', omega2'), so the mode-basis map is the tensor
 square of the one-photon channel tensor.  Entanglement is scored by the
 negativity of the partial transpose and by overlap fidelity with the input.
 
-The pair map out[u, U, v, V] = sum psi[m, n] conj(psi[p, q]) C[u, v, m, p]
-C[U, V, n, q] is contracted one index pair at a time: psi over m, conj(psi)
-over p (two dim^5 tensordots), then one (dim^2, dim^2) GEMM against C over
-(n, q) (dim^6), so no step costs more than dim^6.  A robustness scan builds
-C once and reuses it for every row.
+`propagate_pair` takes any state: the pair map out[u, U, v, V] = sum
+psi[m, n] conj(psi[p, q]) C[u, v, m, p] C[U, V, n, q] is contracted one
+index pair at a time, psi over m, conj(psi) over p (two dim^5 tensordots),
+then one (dim^2, dim^2) GEMM against C over (n, q) (dim^6), so no step costs
+more than dim^6.  `log_negativity` and `fidelity_to_input` then read the
+density.  The arithmetic takes the dtype of its inputs, with numpy's
+promotion: a real state through a real kernel runs real GEMMs and a real
+symmetric eigen-solve; a complex state or kernel promotes every step to
+complex, at about twice the cost.
 
-The arithmetic takes the dtype of its inputs, with numpy's promotion and no
-branch: the mode-pair states, the analytic kernel and the channel tensor are
-real, so a scan row runs real GEMMs and a real symmetric eigen-solve for the
-negativity; a complex state or kernel promotes every step to complex, at
-about twice the cost.
+`robustness_scan` sends only the mode pairs (|f_m f_m> + |f_n f_n>)/sqrt(2),
+and builds every row of a scan together from that structure: four
+dim x dim blocks of the channel tensor per row give the transmitted mass,
+the fidelity and the partial transpose, whose spectrum comes from its two
+swap blocks (see `_partial_transpose_blocks`).  The general path above is
+its test oracle.
 
 Basis ordering for the pair density is first-photon-major: the matrix index
 of |f_m> |f_n> is m * dim + n.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,6 +171,66 @@ class RobustnessRow:
     transmitted_mass: float
 
 
+@lru_cache(maxsize=MAX_PAIR_MODES)
+def _swap_gather(dim: int) -> tuple:
+    """Read-only flat indices into P[(u, v), (V, U)] = X[(u, U), (v, V)],
+    X = rho^{T_B}, of the two terms of the symmetric block: X[p, q]
+    ("direct") and X[p, swap q] ("crossed"), each (pairs, pairs) over the
+    pairs p = (p1 <= p2) of the symmetric basis, the off-diagonal pairs
+    (p1 < p2, which also span the antisymmetric block) first."""
+    upper = np.triu_indices(dim, 1)
+    first = np.concatenate([upper[0], np.arange(dim)])
+    second = np.concatenate([upper[1], np.arange(dim)])
+    p1, p2, q1, q2 = first[:, None], second[:, None], first, second
+    direct = ((p1 * dim + q1) * dim + q2) * dim + p2
+    crossed = ((p1 * dim + q2) * dim + q1) * dim + p2
+    direct.flags.writeable = crossed.flags.writeable = False
+    return direct, crossed
+
+
+def _partial_transpose_blocks(blocks: np.ndarray, coef: np.ndarray) -> list:
+    """Stacks of Hermitian blocks whose spectra together are, row by row,
+    the spectrum of the unnormalized partial transpose
+    X = sum_ab coef[r, a, b] C_ab (x) C_ab^T, given blocks[r, a, b] = C_ab.
+
+    X[(u, U), (v, V)] = P[(u, v), (V, U)] for the product
+    P = sum_ab coef C_ab[u, v] C_ab[V, U], one (dim^2, 4) @ (4, dim^2) GEMM
+    per row into one buffer: the blocks are gathered row by row, and no
+    (rows, dim^4) stack of products is held.  For a
+    real kernel X commutes with the photon swap S (C_ab^T = C_ba), so it is
+    block-diagonal on the symmetric (dim (dim + 1) / 2) and antisymmetric
+    (dim (dim - 1) / 2) subspaces, whose blocks are gathered from P (Peres,
+    PRL 77, 1413 (1996); Vidal & Werner, PRA 65, 032314 (2002)).  For a
+    complex Hermitian kernel S X S = conj(X): the blocks do not decouple,
+    and the whole X is returned.
+    """
+    rows, dim = len(blocks), blocks.shape[-1]
+    size = dim * dim
+    factor = blocks.reshape(rows, 4, size)
+    left = np.swapaxes(factor * coef.reshape(rows, 4, 1), 1, 2)
+    product = np.empty((size, size), dtype=factor.dtype)
+    if np.iscomplexobj(factor):
+        whole = np.empty((rows, size, size), dtype=factor.dtype)
+        for r in range(rows):
+            np.matmul(left[r], factor[r], product)
+            whole[r].reshape(4 * (dim,))[...] = product.reshape(4 * (dim,)).transpose(0, 3, 1, 2)
+        return [whole]
+    direct, crossed = _swap_gather(dim)
+    pairs = len(direct)
+    odd = pairs - dim
+    symmetric, antisymmetric = np.empty((rows, pairs, pairs)), np.empty((rows, odd, odd))
+    flat = product.reshape(-1)
+    for r in range(rows):
+        np.matmul(left[r], factor[r], product)
+        straight, swapped = flat[direct], flat[crossed]
+        np.add(straight, swapped, symmetric[r])
+        np.subtract(straight[:odd, :odd], swapped[:odd, :odd], antisymmetric[r])
+    # a diagonal pair's basis vector |p p> has one term, (|p1 p2> + |p2 p1>) / sqrt(2) two
+    symmetric[:, odd:] *= math.sqrt(0.5)
+    symmetric[:, :, odd:] *= math.sqrt(0.5)
+    return [symmetric, antisymmetric]
+
+
 def robustness_scan(
     kernel: ChannelKernel,
     spec: BiphotonSpec,
@@ -174,24 +240,50 @@ def robustness_scan(
 ) -> list:
     """Sweep the second mode of (|f_m f_m> + |f_n f_n>)/sqrt(2) over n.
 
-    The n == fixed_mode row degenerates to a product state; it is reported
-    with zero initial negativity and flagged rather than skipped.
+    The n == fixed_mode row degenerates to the product state |f_m f_m>; it
+    is reported with zero initial negativity and flagged rather than
+    skipped.  With weights w_a (1/sqrt(2) each, or 1 and 0 on the degenerate
+    row) and C_ab = C[:, :, a, b] for a, b in {m, n}, the output is
+    sum_ab w_a w_b C_ab (x) C_ab: its mass is sum_ab w_a w_b (tr C_ab)^2, its
+    overlap with the input comes from the same four blocks at (a, b), and
+    its partial transpose from `_partial_transpose_blocks`.  All rows are
+    computed together; the results equal those of `propagate_pair`,
+    `log_negativity` and `fidelity_to_input` on each row's state up to
+    rounding.  It refuses what that path refuses (dim past MAX_PAIR_MODES,
+    a mode index outside [0, dim), a fully absorbed pair) and a channel
+    tensor that is not finite.
     """
+    if dim > MAX_PAIR_MODES:
+        raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
+    modes = list(n_range)
+    pair = np.array([(fixed_mode, n) for n in modes], dtype=int).reshape(-1, 2)
+    if np.any((pair < 0) | (pair >= dim)):
+        raise ValueError("mode index outside the basis dimension")
     tensor = channel_tensor(kernel, dim)
-    rows = []
-    for n in n_range:
-        degenerate = n == fixed_mode
-        state = TwoPhotonState.mode_pair(fixed_mode, n, dim)
-        en_initial = 0.0 if degenerate else 1.0
-        rho, mass = _pair_density(state.coefficients, tensor)
-        rows.append(
-            RobustnessRow(
-                n=n,
-                en_initial=en_initial,
-                en_final=log_negativity(rho),
-                fidelity=fidelity_to_input(rho, state),
-                degenerate=degenerate,
-                transmitted_mass=mass,
-            )
+    if not np.isfinite(tensor).all():
+        raise ValueError("channel kernel is not finite (NaN or inf in the channel tensor)")
+    weight = np.where(pair[:, :1] == pair[:, 1:], [1.0, 0.0], math.sqrt(0.5))
+    coef = weight[:, :, None] * weight[:, None, :]
+    blocks = tensor.transpose(2, 3, 0, 1)[pair[:, :, None], pair[:, None, :]]  # [r, a, b] = C_ab
+    mass = np.einsum("rab,rab->r", coef, np.trace(blocks, axis1=3, axis2=4) ** 2).real
+    absorbed = ~(mass > 0.0)  # NaN too
+    if absorbed.any():
+        raise RuntimeError(f"pair fully absorbed (transmitted mass {mass[absorbed][0]:g})")
+    # [r, c, d, a, b] = C_ab[pair c, pair d], the output's entries on the input's support
+    corner = blocks[np.arange(len(pair))[:, None, None], :, :, pair[:, :, None], pair[:, None, :]]
+    fidelity = np.einsum("rcd,rab,rcdab->r", coef, coef, corner ** 2).real / mass
+    negativity = sum(
+        -np.minimum(np.linalg.eigvalsh(stack), 0.0).sum(axis=1)
+        for stack in _partial_transpose_blocks(blocks, coef)
+    ) / mass
+    return [
+        RobustnessRow(
+            n=n,
+            en_initial=0.0 if n == fixed_mode else 1.0,
+            en_final=math.log2(2.0 * negativity[r] + 1.0),
+            fidelity=float(fidelity[r]),
+            degenerate=n == fixed_mode,
+            transmitted_mass=float(mass[r]),
         )
-    return rows
+        for r, n in enumerate(modes)
+    ]

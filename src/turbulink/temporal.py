@@ -103,15 +103,25 @@ def _check_step_count(rate, profile: TurbulenceProfile, geom: LinkGeometry, cuto
         )
 
 
+def full_ipe_rate(omega1, omega2, profile: TurbulenceProfile, geom: LinkGeometry, cutoff: int, steps: int) -> tuple:
+    """(z, rate): the RK4 nodes of a full-IPE kernel run and the coupling rate
+    at each node (rows) of each frequency pair (omega1[i], omega2[i])
+    (columns), after `_check_step_count` has refused an unstable step count.
+    The one home of the step figure: `channel_kernel` runs on the table, and
+    `config.validate_config` calls it to refuse the config up front."""
+    z, cn2 = rk4_nodes(profile, geom, steps)
+    rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
+    _check_step_count(rate, profile, geom, cutoff, steps)
+    return z, rate
+
+
 def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
     """Fundamental-to-fundamental damping of the |omega1><omega2| coherence
     of every frequency pair (omega1[i], omega2[i]), all advanced together on
     sector 0 of the truncated LG basis."""
     side, count = cutoff + 1, 2 * cutoff + 1
     # per node (rows) and pair (columns), the two carriers on a leading axis
-    z, cn2 = rk4_nodes(profile, geom, steps)
-    rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
-    _check_step_count(rate, profile, geom, cutoff, steps)
+    z, rate = full_ipe_rate(omega1, omega2, profile, geom, cutoff, steps)
     t = normalized_distance(z[:, None], two_pi_c_over(np.stack([omega1, omega2]))[:, None, :], geom.waist)
     area = 1.0 + t * t  # a_i / w0^2
     ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi

@@ -148,6 +148,24 @@ class TestConfigParsing:
         validate_config(replace(full_ipe, cutoff=5))
         validate_config(replace(RunConfig(), cutoff=6))  # analytic kernels do not read it
 
+    @pytest.mark.parametrize("command", ["kernel", "tmatrix", "entangle", "validate"])
+    def test_full_ipe_step_figure_refused_by_validator(self, command, monkeypatch):
+        # the digest's full_ipe_unstable overrides: the validator refuses them
+        # with the kernel's own message, so `turbulink validate` reports it
+        config = replace(
+            RunConfig(), kernel_fidelity="full_ipe", grid_order=8, cutoff=2, cn2=1e-14, steps=64, pair_modes=4
+        )
+        with pytest.raises(ValueError) as built:
+            cli._kernel(config)
+        assert str(built.value).endswith("use steps >= 496")
+        with pytest.raises(ValueError) as refused:
+            validate_config(config, command)
+        assert str(refused.value) == str(built.value)
+        validate_config(config)  # the figure is a rule of the commands that build a kernel
+        # an analytic config does not pay for the figure
+        monkeypatch.setattr("turbulink.config.full_ipe_rate", None)
+        validate_config(replace(config, kernel_fidelity="analytic"), command)
+
     def test_cutoff_limited_to_accurate_coupling(self):
         # the coupling sum is off by 8.4e-4 of its largest entry at cutoff 7
         for cutoff in ("7", "8"):

@@ -10,13 +10,14 @@ from turbulink.entanglement import (
     TwoPhotonDensity,
     TwoPhotonState,
     _pair_density,
+    _partial_transpose_blocks,
     channel_tensor,
     fidelity_to_input,
     log_negativity,
     propagate_pair,
     robustness_scan,
 )
-from turbulink.temporal import channel_kernel
+from turbulink.temporal import ChannelKernel, channel_kernel
 from turbulink.turbulence import TurbulenceProfile
 
 
@@ -245,6 +246,17 @@ class TestPropagatePair:
         assert fidelity_to_input(rho, other) == pytest.approx(0.0, abs=1e-12)
 
 
+# (kernel fixture, dim, fixed mode, n_range): the CLI's n < min(11, dim - 1)
+# with the first, middle and last fixed mode, and one unordered n_range
+# with a repeated entry
+SCAN_CASES = [
+    pytest.param(kernel, dim, fixed, range(min(11, dim - 1)), id=f"{kernel}-dim{dim}-m{fixed}")
+    for kernel in ("kernel_zero", "kernel_1e16", "kernel_1e15")
+    for dim in (2, 3, 6, 9, 12, 14)
+    for fixed in sorted({0, dim // 2, dim - 1})
+] + [pytest.param("kernel_1e15", 9, 4, (7, 0, 4, 8, 4, 1), id="kernel_1e15-dim9-m4-unordered")]
+
+
 @pytest.fixture(scope="module")
 def scan_1e16(paper_spec, kernel_1e16):
     return robustness_scan(kernel_1e16, paper_spec, 0, range(11), dim=12)
@@ -284,10 +296,61 @@ class TestRobustnessScan:
         for weak, strong in zip(scan_1e16, scan_1e15):
             assert strong.en_final <= weak.en_final + 5e-3
 
-    def test_rows_match_propagate_pair(self, paper_spec, kernel_1e16, scan_1e16):
-        for row in scan_1e16:
-            state = TwoPhotonState.mode_pair(0, row.n, 12)
-            rho, mass = propagate_pair(state, kernel_1e16, paper_spec)
+    @pytest.mark.parametrize("kernel_name, dim, fixed_mode, n_range", SCAN_CASES)
+    def test_rows_match_propagate_pair(self, request, paper_spec, kernel_name, dim, fixed_mode, n_range):
+        # oracle: each row's state through the general pair path
+        kernel = request.getfixturevalue(kernel_name)
+        rows = robustness_scan(kernel, paper_spec, fixed_mode, n_range, dim=dim)
+        assert [row.n for row in rows] == list(n_range)
+        for row in rows:
+            state = TwoPhotonState.mode_pair(fixed_mode, row.n, dim)
+            rho, mass = propagate_pair(state, kernel, paper_spec)
+            assert row.degenerate == (row.n == fixed_mode)
+            assert row.en_initial == (0.0 if row.degenerate else 1.0)
+            assert row.en_final == pytest.approx(log_negativity(rho), abs=1e-13)
+            assert row.fidelity == pytest.approx(fidelity_to_input(rho, state), abs=1e-13)
+            assert row.transmitted_mass == pytest.approx(mass, rel=1e-13)
+
+    @pytest.mark.parametrize("dim, fixed_mode", [(2, 1), (6, 0), (9, 4), (12, 11)])
+    def test_partial_transpose_splits_on_the_swap_blocks(self, kernel_1e15, dim, fixed_mode):
+        # the lemma the scan rests on: through a real kernel each row's
+        # partial transpose commutes with the photon swap, so its spectrum is
+        # that of the scan's symmetric and antisymmetric blocks together
+        tensor = channel_tensor(kernel_1e15, dim)
+        swap = np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)  # |u U> -> |U u>
+        for n in range(dim):
+            state = TwoPhotonState.mode_pair(fixed_mode, n, dim)
+            rho, mass = _pair_density(state.coefficients, tensor)
+            four = (mass * rho.matrix).reshape(dim, dim, dim, dim)
+            transposed = four.transpose(0, 3, 2, 1).reshape(dim * dim, dim * dim)
+            scale = np.abs(transposed).max()
+            assert np.abs(transposed[swap][:, swap] - transposed).max() <= 1e-14 * scale
+            # psi's weights on |f_m f_m> and |f_n f_n>, the latter once only
+            modes = (fixed_mode, n)
+            weights = state.coefficients[modes, modes] * [1.0, n != fixed_mode]
+            blocks = np.array([[tensor[:, :, a, b] for b in modes] for a in modes])
+            stacks = _partial_transpose_blocks(blocks[None], np.outer(weights, weights)[None])
+            assert [stack.shape[1:] for stack in stacks] == [
+                (dim * (dim + 1) // 2,) * 2, (dim * (dim - 1) // 2,) * 2
+            ]
+            spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(stack[0]) for stack in stacks]))
+            expected = np.linalg.eigvalsh(transposed)
+            np.testing.assert_allclose(spectrum, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("dim, fixed_mode", [(3, 2), (6, 0), (12, 11)])
+    def test_complex_hermitian_kernel_rows_match_propagate_pair(self, paper_spec, kernel_1e16, dim, fixed_mode):
+        # a frequency-dependent phase makes the kernel complex Hermitian;
+        # then S X S = conj(X), the swap blocks couple (solving them apart
+        # is off by 0.017-0.14 in E_N here), and the scan solves the whole
+        # partial transpose
+        phase = np.exp(1j * np.linspace(-0.8, 0.8, kernel_1e16.order))
+        kernel = ChannelKernel(
+            omegas=kernel_1e16.omegas, matrix=kernel_1e16.matrix * np.outer(phase, phase.conj())
+        )
+        for row in robustness_scan(kernel, paper_spec, fixed_mode, range(dim), dim=dim):
+            state = TwoPhotonState.mode_pair(fixed_mode, row.n, dim)
+            rho, mass = propagate_pair(state, kernel, paper_spec)
+            assert rho.matrix.dtype == np.complex128
             assert row.en_final == pytest.approx(log_negativity(rho), abs=1e-13)
             assert row.fidelity == pytest.approx(fidelity_to_input(rho, state), abs=1e-13)
             assert row.transmitted_mass == pytest.approx(mass, rel=1e-13)
@@ -329,4 +392,22 @@ class TestRobustnessScan:
         )
         assert not kernel.matrix.any()
         with pytest.raises(RuntimeError, match="pair fully absorbed"):
+            robustness_scan(kernel, paper_spec, 0, range(3), dim=4)
+
+    def test_dimension_guard(self, paper_spec, kernel_1e16):
+        # the g=64 grid resolves 32 modes: the pair limit is what refuses
+        with pytest.raises(ValueError, match="pair propagation limited to 14 modes"):
+            robustness_scan(kernel_1e16, paper_spec, 0, range(3), dim=15)
+
+    @pytest.mark.parametrize("fixed_mode, n_range", [(0, [1, 4]), (4, [0]), (-1, [2]), (1, [2, -3])])
+    def test_mode_outside_dimension(self, paper_spec, kernel_1e16, fixed_mode, n_range):
+        with pytest.raises(ValueError, match="mode index outside the basis dimension"):
+            robustness_scan(kernel_1e16, paper_spec, fixed_mode, n_range, dim=4)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_kernel_refused(self, paper_spec, kernel_1e16, entry):
+        matrix = kernel_1e16.matrix.copy()
+        matrix[3, 5] = matrix[5, 3] = entry
+        kernel = ChannelKernel(omegas=kernel_1e16.omegas, matrix=matrix)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="channel kernel is not finite"):
             robustness_scan(kernel, paper_spec, 0, range(3), dim=4)

@@ -4,7 +4,7 @@ bit-identical.
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
-Runs each subcommand in this process through `turbulink.cli.main`, at four
+Runs each subcommand in this process through `turbulink.cli.main`, at six
 override sets, each run in its own temporary output directory, and prints
 one line per run: the command, the override set, the exit code and a
 SHA-256 over stdout, stderr and every file the run wrote.  Paths are
@@ -40,6 +40,9 @@ OVERRIDE_SETS = {
     "full_ipe": ("kernel_fidelity=full_ipe", "grid_order=4", "cutoff=1", "cn2=1e-16"),
     # refused by the full-IPE step guard: "use steps >= 496"
     "full_ipe_unstable": ("kernel_fidelity=full_ipe", "grid_order=8", "cutoff=2", "cn2=1e-14", "steps=64"),
+    # entangle runs under these two (the sets above refuse it for pair_modes)
+    "scan": ("cn2=3e-16", "pair_modes=9", "fixed_mode=4"),
+    "full_ipe_scan": ("kernel_fidelity=full_ipe", "grid_order=12", "cutoff=1", "cn2=1e-16", "pair_modes=6"),
 }
 COMMANDS = ("schmidt", "beam", "coupling", "kernel", "tmatrix", "entangle", "validate", "sweep tmatrix")
 SWEEP_CONFIG = '[sweep]\naxes = ["waist_m"]\nwaist_m = [0.1, 0.1457]\n'
