@@ -101,12 +101,15 @@ def channel_tensor(kernel: ChannelKernel, dim: int) -> np.ndarray:
     """One-photon channel tensor C[u, v, m, n] = int int f_u f_m P f_n f_v.
 
     Maps |f_m><f_n| to sum_{uv} C[u, v, m, n] |f_u><f_v|; real symmetric in
-    the sense C[u, v, m, n] = C[v, u, n, m].
+    the sense C[u, v, m, n] = C[v, u, n, m].  A tensor with a NaN or
+    infinite entry is refused with a ValueError, for every caller.
     """
     psi = kernel.mode_vectors(dim)  # (dim, grid)
     left = psi[:, None, :] * psi[None, :, :]  # (u, m, grid)
     grid = left.reshape(dim * dim, -1)
     block = grid @ kernel.matrix @ grid.T  # [(u,m), (n,v)]
+    if not np.isfinite(block).all():
+        raise ValueError("channel kernel is not finite (NaN or inf in the channel tensor)")
     return block.reshape(dim, dim, dim, dim).transpose(0, 3, 1, 2)
 
 
@@ -249,9 +252,9 @@ def robustness_scan(
     its partial transpose from `_partial_transpose_blocks`.  All rows are
     computed together; the results equal those of `propagate_pair`,
     `log_negativity` and `fidelity_to_input` on each row's state up to
-    rounding.  It refuses what that path refuses (dim past MAX_PAIR_MODES,
-    a mode index outside [0, dim), a fully absorbed pair) and a channel
-    tensor that is not finite.
+    rounding.  It refuses what that path refuses: dim past MAX_PAIR_MODES,
+    a mode index outside [0, dim), a channel tensor that is not finite and
+    a fully absorbed pair.
     """
     if dim > MAX_PAIR_MODES:
         raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
@@ -260,8 +263,6 @@ def robustness_scan(
     if np.any((pair < 0) | (pair >= dim)):
         raise ValueError("mode index outside the basis dimension")
     tensor = channel_tensor(kernel, dim)
-    if not np.isfinite(tensor).all():
-        raise ValueError("channel kernel is not finite (NaN or inf in the channel tensor)")
     weight = np.where(pair[:, :1] == pair[:, 1:], [1.0, 0.0], math.sqrt(0.5))
     coef = weight[:, :, None] * weight[:, None, :]
     blocks = tensor.transpose(2, 3, 0, 1)[pair[:, :, None], pair[:, None, :]]  # [r, a, b] = C_ab

@@ -21,8 +21,10 @@ to zero, the divergent total-rate piece cancelled analytically) leaves a
 Gamma-function sum over coefficient pairs that conserves
 Delta = l_m - l_n = l_u - l_v.  The coefficients are real up to diagonal
 phases, so `pair_coupling_assembler`, the one builder of that sum, forms one
-Delta-l sector of it as real GEMMs for a batch of carrier-frequency pairs;
-the single-wavelength block of each sector is cached from one batch-1 call
+Delta-l sector of it as real GEMMs for a batch of carrier-frequency pairs,
+multiplying for each pair of l-blocks only the j of its parity (the others
+are zero), and on request only sector 0's reflection-even half; the
+single-wavelength block of each sector is cached from one batch-1 call
 and dressed with its phases at each t (`sector_coupling`), which the
 propagators use directly and `coupling_tensor` scatters into the dense
 tensor.  A direct quadrature of the defining integral with a small but
@@ -144,12 +146,22 @@ def _axis_coefficients(p: int, q: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _axis_product(plus: tuple, minus: tuple) -> np.ndarray:
+    # one displaced-Fock element per circular axis, convolved, given the
+    # quanta (n+ of m, n+ of n) and (n- of m, n- of n): the t = 0 coefficients
+    # up to the sign (-1)^(r_m + r_n), the same array for (n, m); read-only,
+    # and keys are bounded by the index guard
+    out = np.convolve(_axis_coefficients(*plus), _axis_coefficients(*minus))
+    out.setflags(write=False)
+    return out
+
+
 def _c0(m: LGIndex, n: LGIndex) -> np.ndarray:
-    # the t = 0 coefficients: one displaced-Fock element per circular axis
+    # the t = 0 coefficients
     _check_oracle_scale(m, n)
     (pm, qm), (pn, qn) = _circular_quanta(m), _circular_quanta(n)
-    plus, minus = _axis_coefficients(pm, pn), _axis_coefficients(qm, qn)
-    return (-1.0) ** (m.r + n.r) * np.convolve(plus, minus)
+    return (-1.0) ** (m.r + n.r) * _axis_product((pm, pn), (qm, qn))
 
 
 def c_coefficients(m: LGIndex, n: LGIndex, t: float) -> np.ndarray:
@@ -367,11 +379,23 @@ def _real_stack(cutoff: int) -> np.ndarray:
     # R[j, P, Q, r_m, r_u] over the l-blocks P of m and Q of u, c_{m,u,j}(0) = i^{N_m - N_u} R[j, m, u]
     # with N = 2r + |l|; read-only, and keys are bounded by the index guard
     basis, side = ModeBasis(cutoff), cutoff + 1
-    stack = np.zeros((6 * cutoff + 1, basis.size, basis.size))
-    for (a, m), (b, u) in itertools.product(enumerate(basis.indices), repeat=2):
-        values = _c0(m, u) * (-1j) ** (int(2 * (m.gouy_weight - u.gouy_weight)) % 4)
-        stack[: len(values), a, b] = values.real
-    stack = stack.reshape(-1, 2 * side - 1, side, 2 * side - 1, side).transpose(0, 1, 3, 2, 4).copy()
+    _check_oracle_scale(basis.indices[-1])  # r = l = cutoff
+    stack = np.zeros((6 * cutoff + 1, basis.size, basis.size), dtype=complex)
+    quanta = [_circular_quanta(idx) for idx in basis.indices]
+    for (a, (pm, qm)), (b, (pu, qu)) in itertools.combinations_with_replacement(enumerate(quanta), 2):
+        values = _axis_product((pm, pu), (qm, qu))
+        stack[: len(values), a, b] = stack[: len(values), b, a] = values
+    # the sign (-1)^(r_m + r_u), then the quarter turn (-i)^(N_m - N_u), on each
+    # written entry: exact units, applied in the order c_{m,u}(0) takes them,
+    # which keeps even the sign of each zero
+    r = np.array([idx.r for idx in basis.indices])
+    n = 2 * r + np.abs([idx.l for idx in basis.indices])
+    sign = (-1.0) ** (r[:, None] + r[None, :])
+    quarter = np.array([(-1j) ** k for k in range(4)])[(n[:, None] - n[None, :]) % 4]
+    written = np.arange(len(stack))[:, None, None] < n[:, None] + n[None, :] + 1  # the length of c_{m,u}
+    np.multiply(stack, sign, out=stack, where=written)
+    np.multiply(stack, quarter, out=stack, where=written)
+    stack = stack.real.reshape(-1, 2 * side - 1, side, 2 * side - 1, side).transpose(0, 1, 3, 2, 4).copy()
     stack.setflags(write=False)
     return stack
 
@@ -390,7 +414,7 @@ def _sector_orders(cutoff: int, delta: int) -> tuple:
     return tuple(np.broadcast_to(x, (count, cutoff + 1, cutoff + 1)).ravel() for x in (rows, cols))
 
 
-def pair_coupling_assembler(cutoff: int, batch: int, delta: int):
+def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = False):
     """A function (ratio, phase) -> (real, diagonal) for `batch` carrier
     pairs at one z, given each carrier's a_i / mean(a) and pi/2 + atan t_i as
     (2, batch) arrays: the coefficient double sum on Delta-l sector delta,
@@ -403,38 +427,82 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int):
     sector, stored as its stack of l-blocks, onto itself.  The coefficients
     are real up to diagonal phases, c_{m,u,j}(t) = e^{i(pi/2 + atan t)(N_m - N_u)} R[j, m, u],
     so real = (R^T W) R with W = diag(s1^j) M diag(s2^j), s_i^2 = a_i / mean(a).
-    Each call overwrites the real block the last one returned (fresh arrays
-    would cost more in page faults than the GEMMs)."""
+    R[j, m, u] is 0 unless j has the parity of l_m - l_u, so each l-block
+    pair multiplies only the j of its parity.  With `even` (sector 0 only)
+    the map acts on the reflection-even half: the first (cutoff + 1)^3
+    entries (the l-blocks l <= 0) of a sector whose l-blocks l and -l are
+    equal.  Only the row blocks with l <= 0 are built, and each column block
+    is added to its mirror's.  Each call overwrites the real block the last
+    one returned (fresh arrays would cost more in page faults than the GEMMs)."""
     if cutoff > MAX_COUPLING_CUTOFF:
         raise OracleIndexError(f"coupling sum inaccurate beyond cutoff {MAX_COUPLING_CUTOFF}")
+    if even and delta:
+        raise ValueError("only sector 0 has a reflection-even half")
     side, side_sq = cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
-    stack, count_sq = _real_stack(cutoff), count * count
-    j_count = len(stack)
-    # R over the sector's (m, u) l-block pairs as [(p, q, r_m, r_u), j], and
-    # over its (n, v) l-block pairs as [(p, q), j, (r_n, r_v)]
-    rows, cols = (stack[:, lo : lo + count, lo : lo + count] for lo in (lo_row, lo_col))
-    rows, cols = rows.reshape(j_count, -1).T, cols.reshape(j_count, count_sq, -1).transpose(1, 0, 2).copy()
-    n_row, n_col = _sector_orders(cutoff, delta)
-    half_j, gamma = 0.5 * np.arange(j_count), gamma_weight_matrix(j_count)
+    kept = cutoff + 1 if even else count  # the l-blocks of the result
+    stack = _real_stack(cutoff)
+    per_parity = len(stack) // 2 + 1  # j of one parity; the odd ones end in a zero past the stack
+    # the l-block pairs (p, q) built, p the column and q the row block, in
+    # four rectangles of p and q parities: the two with p - q even fill the
+    # slots of parity 0, the two odd ones those of parity 1, the fewer padded
+    # with zero pairs.  On the even half the pairs p < cutoff of a rectangle
+    # are followed by their mirrors 2 cutoff - p, which are added to them.
+    pairs, rectangles = ([], []), []
+    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        ps, qs = range(a, kept, 2), range(b, kept, 2)
+        mirrors = [2 * cutoff - x for x in ps if x < cutoff] if even else []
+        group = pairs[(a + b) % 2]
+        rectangles.append(((a + b) % 2, len(group), ps, qs, len(mirrors) * len(qs)))
+        group += [(x, y) for x in [*ps, *mirrors] for y in qs]
+    width = max(map(len, pairs))
+    p, q = np.zeros((2, 2, width), dtype=int)
+    for e, group in enumerate(pairs):
+        p[e, : len(group)], q[e, : len(group)] = np.reshape(np.array(group, dtype=int), (-1, 2)).T
+    j = np.arange(2)[:, None] + 2 * np.arange(per_parity)  # [parity, k]
+    flat, in_stack = stack.reshape(-1, side_sq), np.minimum(j, len(stack) - 1)[:, None]
+
+    def gather(lo):  # R at [e, slot, k, (r_a, r_b)], 0 on the padding slots and past the stack
+        values = flat[(in_stack * (2 * side - 1) + lo + p[..., None]) * (2 * side - 1) + lo + q[..., None]]
+        values[1, :, -1] = 0.0  # j = 6 cutoff + 1
+        for e, group in enumerate(pairs):
+            values[e, len(group) :] = 0.0
+        return values
+
+    # R over the (m, u) l-block pairs as [e, (slot, r_m, r_u), k], and over
+    # the (n, v) ones as [(e, slot), k, (r_n, r_v)]
+    rows = gather(lo_row).reshape(2, width, per_parity, side_sq).transpose(0, 1, 3, 2).reshape(2, -1, per_parity)
+    cols = gather(lo_col).reshape(2 * width, per_parity, side_sq)
+    n_row, n_col = (n[: kept * side_sq] for n in _sector_orders(cutoff, delta))
+    half_j, gamma = 0.5 * j, gamma_weight_matrix(len(stack) + 1)[j[:, :, None], j[:, None, :]]
     # two buffers, each written while the other one holds the operand
-    first, second = np.empty((2, batch * count_sq * side_sq * max(j_count, side_sq)))
-    inner = first[: batch * count_sq * side_sq * j_count].reshape(batch, count_sq, side_sq, j_count)
-    moved = second[: inner.size].reshape(count_sq, batch, side_sq, j_count)
-    blocks = first[: batch * count_sq * side_sq**2].reshape(count, count, batch, side, side, side, side)
-    out = second[: blocks.size].reshape(batch, count, side, side, count, side, side)
+    inner_size, out_size = rows.shape[1] * 2 * batch * per_parity, batch * (kept * side_sq) ** 2
+    first, second = np.empty(max(inner_size, out_size)), np.empty(2 * width * side_sq * batch * side_sq)
+    inner = first[:inner_size].reshape(2, -1, batch * per_parity)  # [e, (slot, r_m, r_u), (batch, k)]
+    blocks = second.reshape(2 * width, side_sq * batch, side_sq)  # [slot, (r_m, r_u, batch), (r_n, r_v)]
+    out = first[:out_size].reshape(batch, kept, side, side, kept, side, side)
+    # each rectangle, its mirrors added, into the result [batch, q, r_u, r_v, p, r_m, r_n]
+    folds, copies = [], []
+    for e, start, ps, qs, mirrored in rectangles:
+        start, size = e * width + start, len(ps) * len(qs)
+        if mirrored:
+            folds.append((blocks[start : start + mirrored], blocks[start + size : start + size + mirrored]))
+        if size:
+            source = blocks[start : start + size].reshape(len(ps), len(qs), side, side, batch, side, side)
+            copies.append((out[:, qs[0] :: 2, :, :, ps[0] :: 2], source.transpose(4, 1, 3, 6, 0, 2, 5)))
 
     def assemble(ratio: np.ndarray, phase: np.ndarray) -> tuple:
-        # one GEMM R^T W per weight matrix, then one per l-block pair over the batch
-        scale = ratio[:, :, None] ** half_j
-        weights = scale[0][:, :, None] * gamma * scale[1][:, None, :]
-        np.matmul(rows, weights, out=inner.reshape(batch, -1, j_count))
-        np.copyto(moved, inner.transpose(1, 0, 2, 3))
-        np.matmul(moved.reshape(count_sq, -1, j_count), cols, out=blocks.reshape(count_sq, -1, side_sq))
-        # [p, q, batch, r_m, r_u, r_n, r_v] -> [batch, (q, r_u, r_v), (p, r_m, r_n)]
-        np.copyto(out, blocks.transpose(2, 1, 4, 6, 0, 3, 5))
+        # one GEMM R^T W per parity over the batch's weight matrices, then one per slot
+        scale = (ratio[:, :, None, None] ** half_j).transpose(0, 2, 3, 1)  # [carrier, e, k, batch]
+        weights = scale[0][..., None] * gamma[:, :, None, :] * scale[1].transpose(0, 2, 1)[:, None]
+        np.matmul(rows, weights.reshape(2, per_parity, -1), out=inner)
+        np.matmul(inner.reshape(2 * width, -1, per_parity), cols, out=blocks)
+        for direct, mirrors in folds:
+            direct += mirrors
+        for target, source in copies:
+            np.copyto(target, source)
         diagonal = np.exp(1j * (phase[0][:, None] * n_row - phase[1][:, None] * n_col))
-        return out.reshape(batch, count * side_sq, count * side_sq), diagonal
+        return out.reshape(batch, kept * side_sq, kept * side_sq), diagonal
 
     return assemble
 
@@ -442,8 +510,12 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int):
 @lru_cache(maxsize=None)
 def _real_sector(cutoff: int, delta: int) -> tuple:
     # (G, N_m - N_n on each sector entry), both read-only: at one wavelength
-    # s_i = 1, so the real block is the same at every t
-    block = pair_coupling_assembler(cutoff, 1, delta)(np.ones((2, 1)), np.zeros((2, 1)))[0][0].copy()
+    # s_i = 1, so the real block is the same at every t.  With c1 = c2 it is
+    # symmetric; the GEMMs keep that bit for bit up to cutoff 4, but the
+    # cancelling sum rounds its two triangles apart by up to 3e-10 of the
+    # largest entry at cutoff 6, so the mean of both is kept
+    block = pair_coupling_assembler(cutoff, 1, delta)(np.ones((2, 1)), np.zeros((2, 1)))[0][0]
+    block = 0.5 * (block + block.T)
     orders = np.subtract(*_sector_orders(cutoff, delta))
     for array in (block, orders):
         array.setflags(write=False)

@@ -12,11 +12,15 @@ Two kernel fidelities:
             the regime in which the reference transmission matrix lives.
   FULL_IPE  carry each |omega1><omega2| coherence over sector 0 of a
             truncated LG basis and read off the fundamental-fundamental
-            element; kept as a validation path.  Every frequency pair of the
-            grid advances in one batched state by classical RK4 steps, with
-            its z-dependent scalars tabulated once on the nodes of
-            `ipe.rk4_nodes` and its coupling built per node by
-            `lgmodes.pair_coupling_assembler`; at omega1 = omega2 it is the
+            element; kept as a validation path.  The fundamental is even
+            under the reflection l -> -l, which the generator keeps, so only
+            the even half, the (cutoff + 1)^3 entries of the l-blocks
+            l <= 0, is carried.  Every frequency pair of the grid advances
+            in one batched state by classical RK4 steps, with its
+            z-dependent scalars tabulated once on the nodes of
+            `ipe.rk4_nodes` and its coupling built on that half by
+            `lgmodes.pair_coupling_assembler`, for a chunk of successive
+            nodes per call; at omega1 = omega2 it is the
             single-frequency propagation of `ipe.propagate`.  A step count
             past RK4's stability limit (RK4_REAL_LIMIT) is refused before the
             first step, or C_n^2 if the count that passes exceeds MAX_STEPS.
@@ -39,13 +43,20 @@ from .turbulence import normalized_distance, two_pi_c_over
 MAX_GRID_ORDER = 64
 MAX_FULL_IPE_GRID = 12
 # Run cost bounds the cutoff: a grid-12 kernel (78 frequency pairs in one
-# batched RK4) takes 23 s at cutoff 4 and 54 s at cutoff 5 (128 steps; 105 s
-# at 256) on one core of a 2-vCPU x86 VM, at 230 MB peak RSS.
+# batched RK4 on sector 0's even half) takes 1.8 s at cutoff 4 and 8.9 s at
+# cutoff 5 (128 steps; 4.0 s and 16.4 s at 256) on one core of a 2-vCPU x86
+# VM, at 123 MB peak RSS.
 MAX_FULL_IPE_CUTOFF = 5
 # classical RK4 is stable on the negative real axis for h |lambda| up to 2.785
 RK4_REAL_LIMIT = 2.785
 # the config's `steps` maximum; the step guard names no count past it
 MAX_STEPS = 100000
+# the full-IPE kernel builds the coupling blocks of as many successive nodes
+# as hold this many entries (at least one node) in one call, so that a small
+# kernel pays the assembly's per-call cost once per chunk; on a core with
+# 2 MB of L2 this size was fastest at cutoffs 1-3, and 4x larger chunks as
+# slow as one node each (their buffers outgrow the cache)
+FULL_IPE_BLOCK_ENTRIES = 2**16
 
 
 class KernelFidelity(Enum):
@@ -118,26 +129,41 @@ def full_ipe_rate(omega1, omega2, profile: TurbulenceProfile, geom: LinkGeometry
 def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
     """Fundamental-to-fundamental damping of the |omega1><omega2| coherence
     of every frequency pair (omega1[i], omega2[i]), all advanced together on
-    sector 0 of the truncated LG basis."""
-    side, count = cutoff + 1, 2 * cutoff + 1
+    the reflection-even half of sector 0 of the truncated LG basis."""
+    side = cutoff + 1
     # per node (rows) and pair (columns), the two carriers on a leading axis
     z, rate = full_ipe_rate(omega1, omega2, profile, geom, cutoff, steps)
     t = normalized_distance(z[:, None], two_pi_c_over(np.stack([omega1, omega2]))[:, None, :], geom.waist)
     area = 1.0 + t * t  # a_i / w0^2
     ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
     del t, area  # only the tables live through the run
-    assemble = pair_coupling_assembler(cutoff, len(omega1), 0)
-    # RK4 evaluates its midpoint twice and each step starts where the last
-    # one ended, so a one-entry memo builds every node once
-    generator = lru_cache(maxsize=1)(lambda k: assemble(ratio[:, k], phase[:, k]))
+    # the fundamental is reflection-even, and so is every derivative of an
+    # even state, so only the l <= 0 blocks are carried; the blocks of
+    # `chunk` successive nodes are built in one call, on tables padded with
+    # the last node to whole chunks
+    pairs, size = len(omega1), side**3
+    chunk = max(1, min(len(z), FULL_IPE_BLOCK_ENTRIES // (pairs * size * size)))
+    ratio, phase, rate = (np.concatenate([x, x[..., -1:, :].repeat(-len(z) % chunk, axis=-2)], axis=-2)
+                          for x in (ratio, phase, rate))
+    assemble = pair_coupling_assembler(cutoff, chunk * pairs, 0, even=True)
+
+    # RK4 evaluates its midpoint twice, each step starts where the last one
+    # ended and the nodes are read in order, so a one-entry memo builds
+    # every chunk once
+    @lru_cache(maxsize=1)
+    def generator(start):
+        nodes = slice(start, start + chunk)
+        real, diagonal = assemble(ratio[:, nodes].reshape(2, -1), phase[:, nodes].reshape(2, -1))
+        back = rate[nodes].reshape(-1, 1) * np.conj(diagonal)
+        return real.reshape(chunk, pairs, size, size), diagonal.reshape(chunk, pairs, size), back.reshape(chunk, pairs, size)
 
     def derivative(k, state):
-        real, diagonal = generator(k)
+        real, diagonal, back = (x[k % chunk] for x in generator(k - k % chunk))
         dressed = diagonal * state  # (re, im) pairs as two columns of one real matmul
         product = (real @ dressed.view(np.float64).reshape(dressed.shape + (2,))).view(complex)
-        return rate[k][:, None] * np.conj(diagonal) * product[..., 0]
+        return back * product[..., 0]
 
-    state = np.zeros((len(omega1), count * side * side), dtype=complex)
+    state = np.zeros((pairs, size), dtype=complex)
     fundamental = cutoff * side * side  # r = 0 of the l = 0 block
     state[:, fundamental] = 1.0
     h = geom.path_length / steps

@@ -1,0 +1,46 @@
+"""An earlier form of `temporal._cross_frequency_full_ipe`, kept as the
+reference for the even-half kernel: every frequency pair stepped by the
+same classical RK4 on the whole of sector 0, all (2 cutoff + 1)(cutoff + 1)^2
+entries, odd half included, with the whole-sector block of
+`lgmodes.pair_coupling_assembler`."""
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from turbulink.lgmodes import pair_coupling_assembler
+from turbulink.temporal import full_ipe_rate
+from turbulink.turbulence import normalized_distance, two_pi_c_over
+
+
+def whole_sector_fundamental(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
+    """The complex fundamental-to-fundamental element of the |omega1><omega2|
+    coherence of every frequency pair (omega1[i], omega2[i]) after the
+    whole-sector run, before the kernel's imaginary-part guard."""
+    side, count = cutoff + 1, 2 * cutoff + 1
+    z, rate = full_ipe_rate(omega1, omega2, profile, geom, cutoff, steps)
+    t = normalized_distance(z[:, None], two_pi_c_over(np.stack([omega1, omega2]))[:, None, :], geom.waist)
+    area = 1.0 + t * t
+    ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
+    assemble = pair_coupling_assembler(cutoff, len(omega1), 0)
+    generator = lru_cache(maxsize=1)(lambda k: assemble(ratio[:, k], phase[:, k]))
+
+    def derivative(k, state):
+        real, diagonal = generator(k)
+        dressed = diagonal * state
+        product = (real @ dressed.view(np.float64).reshape(dressed.shape + (2,))).view(complex)
+        return rate[k][:, None] * np.conj(diagonal) * product[..., 0]
+
+    state = np.zeros((len(omega1), count * side * side), dtype=complex)
+    fundamental = cutoff * side * side
+    state[:, fundamental] = 1.0
+    h = geom.path_length / steps
+    for node in range(0, 2 * steps, 2):
+        k1 = derivative(node, state)
+        k2 = derivative(node + 1, state + 0.5 * h * k1)
+        k3 = derivative(node + 1, state + 0.5 * h * k2)
+        k4 = derivative(node + 2, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return state[:, fundamental]

@@ -404,6 +404,20 @@ class TestRobustnessScan:
         with pytest.raises(ValueError, match="mode index outside the basis dimension"):
             robustness_scan(kernel_1e16, paper_spec, fixed_mode, n_range, dim=4)
 
+    def test_non_finite_kernel_refused_alike_by_both_paths(self, paper_spec, paper_geometry):
+        # propagate_pair used to report this kernel as a fully absorbed pair
+        # (RuntimeError, transmitted mass nan); the scan refused it with a
+        # ValueError.  Both now get the channel tensor's refusal.
+        kernel = channel_kernel(paper_spec, TurbulenceProfile.from_constant(1e-16), paper_geometry, grid_order=16)
+        matrix = kernel.matrix.copy()
+        matrix[3, 5] = matrix[5, 3] = math.nan
+        kernel = ChannelKernel(omegas=kernel.omegas, matrix=matrix)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="^channel kernel is not finite"):
+                propagate_pair(TwoPhotonState.mode_pair(0, 1, 4), kernel, paper_spec)
+            with pytest.raises(ValueError, match="^channel kernel is not finite"):
+                robustness_scan(kernel, paper_spec, 0, range(3), dim=4)
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
     def test_non_finite_kernel_refused(self, paper_spec, kernel_1e16, entry):
         matrix = kernel_1e16.matrix.copy()

@@ -31,7 +31,7 @@ from turbulink.lgmodes import (
     pair_coupling_assembler,
     sector_coupling,
 )
-from turbulink.lgmodes import _real_sector, _real_stack
+from turbulink.lgmodes import _c0, _real_sector, _real_stack
 from turbulink.turbulence import big_l_t, l_cross, l_strength
 
 W0 = 0.1457
@@ -41,6 +41,25 @@ CN2 = 1e-15
 
 LOW_ORDER = [LGIndex(l=l, r=r) for l in (-2, -1, 0, 1, 2) for r in (0, 1, 2)]
 OMEGA_C = 2.0 * math.pi * 299792458.0 / LAM
+
+
+CARRIER_PAIRS = ((0.9 * OMEGA_C, 0.93 * OMEGA_C), (1.1 * OMEGA_C, 0.8 * OMEGA_C), (OMEGA_C, 1.2 * OMEGA_C))
+
+
+def carrier_tables(z):
+    """(ratio, phase) of `pair_coupling_assembler` for CARRIER_PAIRS at z."""
+    t = z / (math.pi * W0**2 / (2.0 * math.pi * 299792458.0 / np.array(CARRIER_PAIRS).T))
+    area = 1.0 + t * t
+    return area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
+
+
+def dense_pair_sectors(cutoff, delta, z):
+    """Sector delta of the dense two-frequency coefficient sum for each of
+    CARRIER_PAIRS, in the assembler's [(q, r_u, r_v), (p, r_m, r_n)] form."""
+    basis = ModeBasis(cutoff)
+    for pair in CARRIER_PAIRS:
+        dense = dense_pair_coupling(basis, z, CN2, W0, pair) / (COUPLING_PREFACTOR * l_cross(z, *pair, CN2, W0))
+        yield dense_sector(dense.transpose(0, 2, 1, 3), cutoff, delta)
 
 
 def coupling_element(m, n, u, v, z, cn2, w0, frequencies):
@@ -243,6 +262,18 @@ class TestCoefficients:
             assert len(values) == len(expected)
             assert np.max(np.abs(values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("cutoff", range(MAX_COUPLING_CUTOFF + 1))
+    def test_real_stack_matches_the_per_pair_loop(self, cutoff):
+        # the stack applies the sign and the quarter turn to all pairs at
+        # once; the per-pair loop it replaced is the reference, bit for bit
+        basis, side = ModeBasis(cutoff), cutoff + 1
+        expected = np.zeros((6 * cutoff + 1, basis.size, basis.size))
+        for (a, m), (b, u) in itertools.product(enumerate(basis.indices), repeat=2):
+            values = _c0(m, u) * (-1j) ** (int(2 * (m.gouy_weight - u.gouy_weight)) % 4)
+            expected[: len(values), a, b] = values.real
+        expected = expected.reshape(-1, 2 * side - 1, side, 2 * side - 1, side).transpose(0, 1, 3, 2, 4)
+        assert _real_stack(cutoff).tobytes() == np.ascontiguousarray(expected).tobytes()
+
     def test_index_guard(self):
         with pytest.raises(OracleIndexError):
             c_coefficients(LGIndex(l=0, r=9), LGIndex(l=0, r=0), 0.0)
@@ -406,23 +437,51 @@ class TestCouplingStrength:
     def test_pair_coupling_matches_dressed_pair_tensor(self, cutoff):
         # two carriers, each stack with its own Gouy phase and area
         # rescaling (the dense oracle's dressed stacks): the batched real
-        # block between its diagonal phases is the sector-0 slice of the
-        # dense two-frequency sum, to the rounding of the cancelling
-        # Gamma-weighted sum (1.6e-13 of the largest entry at cutoff 3
-        # against a 40-digit evaluation)
-        basis = ModeBasis(cutoff)
-        pairs = ((0.9 * OMEGA_C, 0.93 * OMEGA_C), (1.1 * OMEGA_C, 0.8 * OMEGA_C), (OMEGA_C, 1.2 * OMEGA_C))
-        z = 1.3 * Z_R
-        t = z / (math.pi * W0**2 / (2.0 * math.pi * 299792458.0 / np.array(pairs).T))
-        area = 1.0 + t * t
-        ratio = area / (0.5 * (area[0] + area[1]))
-        real, diagonal = pair_coupling_assembler(cutoff, len(pairs), 0)(ratio, np.arctan(t) + 0.5 * math.pi)
-        assert real.dtype == np.float64
-        for b, pair in enumerate(pairs):
-            dense = dense_pair_coupling(basis, z, CN2, W0, pair) / (COUPLING_PREFACTOR * l_cross(z, *pair, CN2, W0))
-            expected = dense_sector(dense.transpose(0, 2, 1, 3), cutoff, 0)
-            got = np.conj(diagonal[b])[:, None] * real[b] * diagonal[b][None, :]
-            assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+        # block between its diagonal phases is the sector-delta slice of the
+        # dense two-frequency sum for delta = 0, 1 and 2, to the rounding of
+        # the cancelling Gamma-weighted sum (1.6e-13 of the largest entry at
+        # cutoff 3 against a 40-digit evaluation)
+        for delta in range(min(2 * cutoff, 2) + 1):
+            real, diagonal = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), delta)(*carrier_tables(1.3 * Z_R))
+            assert real.dtype == np.float64
+            for b, expected in enumerate(dense_pair_sectors(cutoff, delta, 1.3 * Z_R)):
+                got = np.conj(diagonal[b])[:, None] * real[b] * diagonal[b][None, :]
+                assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("cutoff", range(5))
+    def test_even_half_is_the_folded_sector(self, cutoff):
+        # on a sector 0 whose l-blocks l and -l are equal, the even half's
+        # map is the whole-sector map's rows l <= 0, each column block l < 0
+        # added to its mirror's; the diagonal is the whole one's first entries
+        side, half = cutoff + 1, (cutoff + 1) ** 3
+        tables = carrier_tables(1.3 * Z_R)
+        whole, diagonal = (x.copy() for x in pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), 0)(*tables))
+        even, even_diagonal = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), 0, even=True)(*tables)
+        blocks = whole.reshape(len(CARRIER_PAIRS), 2 * side - 1, side * side, 2 * side - 1, side * side)
+        folded = blocks[:, :side, :, :side].copy()
+        folded[:, :, :, :cutoff] += blocks[:, :side, :, :cutoff:-1]
+        assert even.shape == (len(CARRIER_PAIRS), half, half)
+        assert np.max(np.abs(even - folded.reshape(even.shape))) <= 1e-15 * np.max(np.abs(whole))
+        assert np.array_equal(even_diagonal, diagonal[:, :half])
+        with pytest.raises(ValueError, match="reflection-even half"):
+            pair_coupling_assembler(cutoff, 1, 1, even=True)
+
+    @pytest.mark.parametrize("cutoff", range(MAX_COUPLING_CUTOFF + 1))
+    def test_rows_kept_cover_every_nonzero(self, cutoff, monkeypatch):
+        # R[j, P, Q] is 0 unless j has the parity of l_P - l_Q, and the
+        # assembler reads no other row: with those rows set to NaN every
+        # block it builds is unchanged
+        stack = _real_stack(cutoff)
+        j, p, q = np.ogrid[: len(stack), : 2 * cutoff + 1, : 2 * cutoff + 1]
+        dropped = np.broadcast_to((j - p + q) % 2 == 1, stack.shape[:3])
+        assert not np.any(stack[dropped])
+        poisoned = np.where(dropped[..., None, None], np.nan, stack)
+        tables = (np.ones((2, 1)), np.zeros((2, 1)))
+        cases = [(delta, False) for delta in range(min(2 * cutoff, 2) + 1)] + [(0, True)]
+        expected = [pair_coupling_assembler(cutoff, 1, delta, even)(*tables)[0].copy() for delta, even in cases]
+        monkeypatch.setattr("turbulink.lgmodes._real_stack", lambda _: poisoned)
+        for (delta, even), block in zip(cases, expected):
+            assert np.array_equal(pair_coupling_assembler(cutoff, 1, delta, even)(*tables)[0], block)
 
     def test_coupling_cutoff_limit(self):
         # the float sum is off by 8.4e-4 of its largest entry at cutoff 7

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from dense_oracle import dense_pair_coupling
+from full_ipe_oracle import whole_sector_fundamental
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from turbulink.ipe import (
     propagate,
 )
 from turbulink.lgmodes import LGIndex, ModeBasis
-from turbulink.schmidt import discrete_modes, gauss_hermite_rule, hermite_functions
+from turbulink.schmidt import discrete_modes, frequency_grid, gauss_hermite_rule, hermite_functions
 from turbulink.temporal import (
     CostGuardError,
     KernelFidelity,
@@ -175,6 +176,22 @@ class TestFullPropagationKernel:
             pair = (full.omegas[i], full.omegas[j])
             expected = dense_fundamental(pair, ModeBasis(1), profile, paper_geometry, 128)
             assert abs(full.matrix[i, j] - expected.real) < 1e-12
+
+    @pytest.mark.parametrize("grid_order", [4, 5, 8])
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 3])
+    def test_even_half_matches_whole_sector_oracle(self, paper_spec, paper_geometry, grid_order, cutoff):
+        # the fundamental is reflection-even and so is every derivative of an
+        # even state: stepping the l <= 0 blocks alone gives the same kernel
+        # as RK4 over all of sector 0 (2.2e-16 relative here)
+        profile = TurbulenceProfile.from_constant(1e-16)
+        omegas = frequency_grid(paper_spec, grid_order)
+        rows, cols = np.triu_indices(grid_order)
+        expected = whole_sector_fundamental(omegas[rows], omegas[cols], profile, paper_geometry, cutoff, 128)
+        kernel = channel_kernel(
+            paper_spec, profile, paper_geometry, grid_order=grid_order,
+            fidelity=KernelFidelity.FULL_IPE, cutoff=cutoff, steps=128,
+        )
+        assert np.max(np.abs(kernel.matrix[rows, cols] - expected.real) / expected.real) <= 1e-12
 
     def test_symmetry_and_range(self, kernels_8):
         _, full = kernels_8

@@ -4,7 +4,7 @@ bit-identical.
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
-Runs each subcommand in this process through `turbulink.cli.main`, at six
+Runs each subcommand in this process through `turbulink.cli.main`, at seven
 override sets, each run in its own temporary output directory, and prints
 one line per run: the command, the override set, the exit code and a
 SHA-256 over stdout, stderr and every file the run wrote.  Paths are
@@ -43,6 +43,8 @@ OVERRIDE_SETS = {
     # entangle runs under these two (the sets above refuse it for pair_modes)
     "scan": ("cn2=3e-16", "pair_modes=9", "fixed_mode=4"),
     "full_ipe_scan": ("kernel_fidelity=full_ipe", "grid_order=12", "cutoff=1", "cn2=1e-16", "pair_modes=6"),
+    # a full-IPE kernel above cutoff 1 (tmatrix, entangle and sweep refuse the default modes at g=6)
+    "full_ipe_c3": ("kernel_fidelity=full_ipe", "grid_order=6", "cutoff=3", "cn2=1e-16"),
 }
 COMMANDS = ("schmidt", "beam", "coupling", "kernel", "tmatrix", "entangle", "validate", "sweep tmatrix")
 SWEEP_CONFIG = '[sweep]\naxes = ["waist_m"]\nwaist_m = [0.1, 0.1457]\n'
