@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -83,6 +83,11 @@ class ChannelKernel:
     @property
     def order(self) -> int:
         return len(self.omegas)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """P(omega_i, omega_i): a read-only view of the matrix, taken once."""
+        return self.matrix.diagonal()
 
     def mode_vectors(self, count: int) -> np.ndarray:
         """The first `count` discrete orthonormal temporal-mode vectors on the
@@ -209,7 +214,7 @@ def channel_kernel(
     extinction = math.exp(-extinction_depth(extinction_per_km, geom.path_length))
     if not profile.is_zero:
         # the upper triangle, mirrored: the kernel is exactly symmetric
-        rows, cols = np.triu_indices(grid_order)
+        rows, cols = _upper_triangle(grid_order)
         if fidelity is KernelFidelity.ANALYTIC:
             exponent = DECAY_CONSTANT * integrated_l(profile, geom, (omegas[rows], omegas[cols]))
             values = np.exp(-exponent)
@@ -219,10 +224,22 @@ def channel_kernel(
     return ChannelKernel(omegas=omegas, matrix=matrix * extinction)
 
 
+@lru_cache(maxsize=None)
+def _upper_triangle(order: int) -> tuple:
+    """Read-only (rows, cols) of an order x order kernel's upper triangle."""
+    rows, cols = np.triu_indices(order)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _traces(kernel: ChannelKernel, psi: np.ndarray) -> np.ndarray:
+    """T_n = sum_i psi_n(i)^2 P(omega_i, omega_i) for each row psi_n of psi."""
+    return (psi * psi * kernel.diagonal).sum(axis=-1)
+
+
 def mode_trace(kernel: ChannelKernel, spec: BiphotonSpec, n: int) -> float:
     """Survival probability T_n of the n-th temporal mode (diagonal average)."""
-    psi = kernel.mode_vectors(n + 1)[n]
-    return float(np.sum(psi * psi * np.diag(kernel.matrix)))
+    return float(_traces(kernel, kernel.mode_vectors(n + 1)[n:])[0])
 
 
 @dataclass(frozen=True)
@@ -241,13 +258,13 @@ def transmission_matrix(kernel: ChannelKernel, spec: BiphotonSpec, max_mode: int
     """S[n, m]: probability of receiving temporal mode m when n was sent.
 
     Rows are normalized by the mode traces T_n, so each full row over all
-    modes sums to one; the returned block stops at max_mode.
+    modes sums to one; the returned block stops at max_mode.  T_n S[n, m] =
+    o.Po with o = psi_n * psi_m: one GEMM of the stacked o with P, a row dot.
     """
     psi = kernel.mode_vectors(max_mode + 1)
-    diag = np.diag(kernel.matrix)
-    traces = np.array([float(np.sum(p * p * diag)) for p in psi])
-    if not np.all(traces > 0.0):
+    traces = _traces(kernel, psi)
+    if not (traces > 0.0).all():
         raise RuntimeError(f"temporal mode {np.argmin(traces)} is fully absorbed (trace 0)")
-    overlap = psi[:, None, :] * psi[None, :, :]  # (n, m, grid)
-    s = np.einsum("nmi,ij,nmj->nm", overlap, kernel.matrix, overlap)
+    overlap = (psi[:, None, :] * psi[None, :, :]).reshape(-1, kernel.order)  # ((n, m), grid)
+    s = np.einsum("ki,ki->k", overlap @ kernel.matrix, overlap).reshape(len(psi), len(psi))
     return TransmissionMatrix(matrix=s / traces[:, None], traces=traces)

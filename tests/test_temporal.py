@@ -370,11 +370,18 @@ class TestTransmissionMatrix:
         assert np.max(np.abs(tm64.matrix - tm32.matrix)) < 1e-4
 
     def test_row_normalization_by_traces(self, paper_spec, kernel_1e15):
-        tm = transmission_matrix(kernel_1e15, paper_spec, 3)
-        for n in range(4):
-            assert tm.traces[n] == pytest.approx(
-                mode_trace(kernel_1e15, paper_spec, n), rel=1e-12
-            )
+        # one trace expression: the rows' traces are mode_trace's, bit for bit
+        tm = transmission_matrix(kernel_1e15, paper_spec, 31)
+        assert tm.traces.tolist() == [mode_trace(kernel_1e15, paper_spec, n) for n in range(32)]
+
+    @pytest.mark.parametrize("cn2", [1e-17, 1e-15, 1e-14])
+    @pytest.mark.parametrize(
+        "grid_order, max_mode", [(16, 3), (16, 7), (32, 3), (32, 7), (64, 3), (64, 7), (64, 31)]
+    )
+    def test_matches_three_operand_contraction(self, paper_spec, paper_geometry, grid_order, max_mode, cn2):
+        kernel = channel_kernel(paper_spec, TurbulenceProfile.from_constant(cn2), paper_geometry, grid_order)
+        tm = transmission_matrix(kernel, paper_spec, max_mode)
+        np.testing.assert_allclose(tm.matrix, einsum_transmission(kernel, max_mode), rtol=0.0, atol=1e-14)
 
 
 class TestModeStack:
@@ -398,6 +405,15 @@ class TestModeStack:
         for view in (stack, kernel_1e15.mode_vectors(3)):
             with pytest.raises(ValueError):
                 view[0, 0] = 0.0
+
+
+def einsum_transmission(kernel, max_mode):
+    """Oracle: S[n, m] = sum_ij o_nm(i) P(i, j) o_nm(j) with o_nm = psi_n * psi_m,
+    one three-operand contraction, over the traces sum_i psi_n(i)^2 P(i, i)."""
+    psi = kernel.mode_vectors(max_mode + 1)
+    overlap = psi[:, None, :] * psi[None, :, :]  # (n, m, grid)
+    s = np.einsum("nmi,ij,nmj->nm", overlap, kernel.matrix, overlap)
+    return s / np.einsum("ni,ni,i->n", psi, psi, np.diag(kernel.matrix))[:, None]
 
 
 def link_outputs(kernel, spec, max_mode):

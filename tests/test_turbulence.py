@@ -414,6 +414,25 @@ class TestPathRule:
         with pytest.raises(QuadratureError):
             integrated_l(TurbulenceProfile.from_constant(1e-16), paper_geom())
 
+    def test_tabulated_kernel_leaves_numpy_ma_out(self, paper_spec):
+        # np.union1d's np.unique imports numpy.ma on its first call; the
+        # panel edges are merged in Python, so a tabulated link adds no
+        # numpy.ma import of its own
+        code = (
+            "import sys\n"
+            "from turbulink.schmidt import BiphotonSpec\n"
+            "from turbulink.temporal import channel_kernel\n"
+            "from turbulink.turbulence import LinkGeometry, TurbulenceProfile\n"
+            f"spec = BiphotonSpec({paper_spec.sigma_a!r}, {paper_spec.sigma_b!r}, {paper_spec.omega_p!r})\n"
+            f"profile = TurbulenceProfile.from_table({CROSSING_TABLE!r})\n"
+            "channel_kernel(spec, profile, LinkGeometry(3.0e4, 19.0, 19.0, 0.1457, 3.95e-6), grid_order=8)\n"
+            "sys.exit('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(turbulence.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
     def test_cli_import_leaves_scipy_integrate_out(self):
         # scipy is a test-only dependency: no scipy module at all
         code = (
@@ -425,3 +444,75 @@ class TestPathRule:
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+def union1d_edges(profile, geom, rayleigh):
+    """Oracle: the panel edges as np.linspace, np.geomspace and np.union1d
+    give them (uniform to GRADING Rayleigh ranges, graded beyond, and every
+    table crossing of a tabulated profile)."""
+    length = geom.path_length
+    uniform_end = min(length, turbulence.GRADING * rayleigh)
+    graded = math.ceil(math.log(length / uniform_end) / math.log1p(1.0 / turbulence.GRADING))
+    edges = np.concatenate([
+        np.linspace(0.0, uniform_end, math.ceil(uniform_end / rayleigh) + 1),
+        np.geomspace(uniform_end, length, graded + 1)[1:],
+    ])
+    if profile.constant is None:
+        edges = np.union1d(edges, turbulence._table_crossings(profile, geom))
+    return edges
+
+
+# rayleigh (m) of a 30 km path: all panels uniform, or graded past 8 km
+BRANCHES = {"uniform": 7.0e3, "graded": 1.0e3}
+
+
+class TestPanels:
+    @pytest.mark.parametrize("rayleigh", BRANCHES.values(), ids=BRANCHES)
+    @pytest.mark.parametrize(
+        "profile",
+        [TurbulenceProfile.from_constant(1e-16), TurbulenceProfile.from_table(CROSSING_TABLE)],
+        ids=["constant", "crossing"],
+    )
+    def test_matches_union1d_bit_for_bit(self, profile, rayleigh):
+        edges = union1d_edges(profile, paper_geom(), rayleigh)
+        mid, half = turbulence._panels(profile, paper_geom(), rayleigh)
+        assert mid.tobytes() == (0.5 * (edges[1:] + edges[:-1])).tobytes()
+        assert half.tobytes() == (0.5 * np.diff(edges)).tobytes()
+
+    @pytest.mark.parametrize("rayleigh", BRANCHES.values(), ids=BRANCHES)
+    def test_each_crossing_is_one_edge(self, monkeypatch, rayleigh):
+        # crossings on a uniform edge, on a late (graded, if any) edge
+        # and between edges; each must give exactly one edge
+        geom = paper_geom()
+        plain = union1d_edges(TurbulenceProfile.from_constant(1e-16), geom, rayleigh)
+        on_edges = [plain[3], plain[-4]]
+        between = [0.5 * (plain[1] + plain[2]), 0.5 * (plain[-3] + plain[-2])]
+        crossings = np.array(on_edges + between + on_edges[:1])  # one repeated
+        monkeypatch.setattr(turbulence, "_table_crossings", lambda profile, geom: crossings)
+        mid, half = turbulence._panels(TurbulenceProfile.from_table(CROSSING_TABLE), geom, rayleigh)
+        edges = np.append(mid - half, mid[-1] + half[-1])
+        assert len(edges) == len(plain) + len(between)
+        assert edges[0] == 0.0
+        assert edges[-1] == pytest.approx(geom.path_length, rel=1e-15)
+        assert np.all(half > 0.0) and np.all(np.diff(mid) > 0.0)
+        for crossing in on_edges + between:
+            assert np.count_nonzero(np.isclose(edges, crossing, rtol=0.0, atol=1e-9)) == 1
+
+
+POSITIVITY = {
+    "nan": (math.nan, False),
+    "inf": (math.inf, False),
+    "-inf": (-math.inf, False),
+    "zero": (0.0, False),
+    "negative": (-2.5, False),
+    "int": (3, True),
+    "float64": (np.float64(2.5), True),
+    "0-d": (np.array(2.5), True),
+    "0-d-nan": (np.array(math.nan), False),
+}
+
+
+@pytest.mark.parametrize("value, expected", POSITIVITY.values(), ids=POSITIVITY)
+def test_positive_finite_same_verdict_on_scalars_and_arrays(value, expected):
+    for args in ((value,), (1.0, value), (value, 1.0), (np.array([value]),), (np.array([1.0, value]),)):
+        assert turbulence._positive_finite(*args) == expected

@@ -4,12 +4,13 @@ bit-identical.
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
-Runs each subcommand in this process through `turbulink.cli.main`, at seven
+Runs each subcommand in this process through `turbulink.cli.main`, at nine
 override sets, each run in its own temporary output directory, and prints
 one line per run: the command, the override set, the exit code and a
 SHA-256 over stdout, stderr and every file the run wrote.  Paths are
 relative to a temporary working directory, so a message that names one
-hashes the same on every run.  Then it prints one line per `ipe.propagate`
+hashes the same on every run; the tabulated profile of one set is written
+there too.  Then it prints one line per `ipe.propagate`
 run (the fundamental, LG(l=+1) and a seeded random pure state; cutoffs 0-4,
 both schemes, 1 and 30 km at C_n^2 = 1e-15, with and without
 `check_convergence`) with a SHA-256 of the output matrix's bytes, or of the
@@ -45,9 +46,15 @@ OVERRIDE_SETS = {
     "full_ipe_scan": ("kernel_fidelity=full_ipe", "grid_order=12", "cutoff=1", "cn2=1e-16", "pair_modes=6"),
     # a full-IPE kernel above cutoff 1 (tmatrix, entangle and sweep refuse the default modes at g=6)
     "full_ipe_c3": ("kernel_fidelity=full_ipe", "grid_order=6", "cutoff=3", "cn2=1e-16"),
+    # the default chord sags to 1.4 m mid-path, so it crosses the three lower
+    # table heights twice each: the path rule adds an edge at every crossing
+    "tabulated": ("profile_csv=profile.csv",),
+    # 30 km is about 24 Rayleigh ranges of a 4 cm waist: graded panels past 8
+    "graded": ("waist_m=0.04", "cn2=1e-16"),
 }
 COMMANDS = ("schmidt", "beam", "coupling", "kernel", "tmatrix", "entangle", "validate", "sweep tmatrix")
 SWEEP_CONFIG = '[sweep]\naxes = ["waist_m"]\nwaist_m = [0.1, 0.1457]\n'
+PROFILE_CSV = "height_m,cn2\n2.0,4e-16\n8.0,2e-16\n15.0,1e-16\n40.0,5e-17\n"
 
 
 def run(command: str, overrides: tuple, output_dir: str) -> tuple:
@@ -116,8 +123,9 @@ def print_digests():
         home = os.getcwd()
         os.chdir(work)
         try:
-            with open("sweep.toml", "w", encoding="utf-8") as handle:
-                handle.write(SWEEP_CONFIG)
+            for path, text in (("sweep.toml", SWEEP_CONFIG), ("profile.csv", PROFILE_CSV)):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
             for index, (name, overrides) in enumerate(OVERRIDE_SETS.items()):
                 for number, command in enumerate(COMMANDS):
                     code, digest = run(command, overrides, f"out_{index}_{number}")
