@@ -4,8 +4,9 @@
 
 Subcommands: schmidt, beam, coupling, kernel, tmatrix, entangle, validate,
 and sweep.  Each subcommand has one runner, which returns the value a sweep
-point reports and a function that writes the subcommand's own outputs;
-sweep calls the runner at each point of the config's sweep axes.
+point reports (or a function for it, where only a sweep reads it) and a
+function that writes the subcommand's own outputs; sweep calls the runner
+at each point of the config's sweep axes.
 The TURBULINK_CONFIG environment variable supplies the default config path.
 
 Exit codes: 0 success, 1 configuration or usage error (also an output file
@@ -94,11 +95,12 @@ def run_schmidt(config: RunConfig):
 
 
 def run_beam(config: RunConfig):
-    """The configured link's pure-decay probability; `write` tabulates the
-    C_n^2 family over the distance axis (or the default grid)."""
-    probability = ipe.analytic_decay(
-        config.profile(), config.geometry, extinction_per_km=config.extinction_per_km
-    )
+    """A function for the configured link's pure-decay probability, which
+    only a sweep reads; `write` tabulates the C_n^2 family over the distance
+    axis (or the default grid), not the configured profile."""
+
+    def probability():
+        return ipe.analytic_decay(config.profile(), config.geometry, extinction_per_km=config.extinction_per_km)
 
     def write(out):
         if "distance_m" in config.sweep_axes:
@@ -309,7 +311,8 @@ def sweep(config: RunConfig, subcommand: str, threads: int = 1, out=None) -> int
             config, sweep_axes=(), sweep_values=(), **dict(zip(config.sweep_axes, point))
         )
         validate_config(local, subcommand)
-        return point + (run(local)[0],)
+        value = run(local)[0]
+        return point + (value() if callable(value) else value,)
 
     try:
         _check_threads(threads)

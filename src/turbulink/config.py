@@ -24,15 +24,16 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from .entanglement import MAX_PAIR_MODES
 from .lgmodes import MAX_COUPLING_CUTOFF
 from .schmidt import BiphotonSpec, frequency_grid
-from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER, MAX_STEPS, KernelFidelity
-from .temporal import full_ipe_rate
+from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER, KernelFidelity
 from .turbulence import CN2_MAX, CN2_MIN, TRAD_S, LinkGeometry, TurbulenceProfile, extinction_depth
 from .turbulence import two_pi_c_over
+
+
+# run length bounds the step count of `propagate` and the full-IPE kernel
+MAX_STEPS = 100000
 
 
 class ConfigError(ValueError):
@@ -213,8 +214,8 @@ def validate_config(config: RunConfig, command: str = ""):
                 raise ConfigError(
                     f"value for '{key}' out of range: full_ipe kernels allow at most {limit}"
                 )
-    # `validate` also refuses what the kernel commands would refuse of a full-IPE kernel
-    full_ipe = config.kernel_fidelity == "full_ipe" and command in ("kernel", "tmatrix", "entangle", "validate")
+    # `validate` also refuses the frequency grid of a full-IPE kernel, as the kernel commands do
+    full_ipe = config.kernel_fidelity == "full_ipe" and command == "validate"
     if command in ("kernel", "tmatrix", "entangle") or full_ipe:
         omegas = frequency_grid(config.spec, config.grid_order)
         if not omegas[0] > 0:
@@ -247,11 +248,6 @@ def validate_config(config: RunConfig, command: str = ""):
                 f"value for 'pair_modes' out of range: {config.pair_modes} scans only "
                 f"n = {config.fixed_mode} = fixed_mode, the degenerate row"
             )
-    if full_ipe:  # last: the step figure tabulates the rate of every node and frequency pair
-        rows, cols = np.triu_indices(config.grid_order)
-        full_ipe_rate(
-            omegas[rows], omegas[cols], config.profile(), config.geometry, config.cutoff, config.steps
-        )
 
 
 def parse_config(path: str) -> RunConfig:

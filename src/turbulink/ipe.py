@@ -256,21 +256,27 @@ def _buffer(name: str, shape: tuple) -> np.ndarray:
     return getattr(_workspace, name)[:size].reshape(shape)
 
 
+def half_step_integrals(rates: np.ndarray, h: float) -> tuple:
+    """The rate integrated over the first and over the second half of each
+    step by the quadratic through its three nodes, the rows of `rates`."""
+    r0, r1, r2 = rates[:-1:2], rates[1::2], rates[2::2]
+    return h / 24 * (5 * r0 + 8 * r1 - r2), h / 24 * (5 * r2 + 8 * r1 - r0)
+
+
 def _lawson_factors(table: np.ndarray, h: float, values: np.ndarray, step_major: bool) -> tuple:
     """(coefficients, half) on the node rows `table` = (rate, Gouy rate) for
     A's eigenvalues `values`: row s of coefficients is step s's (a, b, e, f,
     d, c, j), in a buffer, step-major or step-last, that the next call
     overwrites.  With ea, eb and e1 = ea eb the factors e^(R values) of a
-    step's halves and whole (R the rate integrated by the quadratic through its
-    three nodes) and g0, g1, g2 the Gouy rates on those nodes, they are (g1 ea,
-    h/2 g0 g1 ea, e1, h/6 g0 e1, h^2/6 g2 eb, h/6 g2 e1, h/3 eb); half = h/2 g1."""
-    rates, gouy = table[:, 0], table[:, 1]
-    r0, r1, r2, g0, g1, g2 = rates[:-1:2], rates[1::2], rates[2::2], gouy[:-1:2], gouy[1::2], gouy[2::2]
+    step's halves and whole (R from `half_step_integrals`) and g0, g1, g2 the
+    Gouy rates on the step's three nodes, they are (g1 ea, h/2 g0 g1 ea, e1,
+    h/6 g0 e1, h^2/6 g2 eb, h/6 g2 e1, h/3 eb); half = h/2 g1."""
+    g0, g1, g2 = table[:-1:2, 1], table[1::2, 1], table[2::2, 1]
     m, n = len(values), len(g0)
     out = _buffer("factors", (n, 7, m)) if step_major else _buffer("factors", (7, m, n)).transpose(2, 0, 1)
     a, b, e, f, d, c, j = out.transpose(1, 2, 0)
-    np.exp(np.multiply.outer(values, h / 24 * (5 * r0 + 8 * r1 - r2), out=a), out=a)
-    np.exp(np.multiply.outer(values, h / 24 * (5 * r2 + 8 * r1 - r0), out=d), out=d)
+    for factor, integral in zip((a, d), half_step_integrals(table[:, 0], h)):
+        np.exp(np.multiply.outer(values, integral, out=factor), out=factor)
     np.multiply(a, d, out=e)
     np.multiply(e, h / 6 * g2, out=c)
     np.multiply(e, h / 6 * g0, out=f)

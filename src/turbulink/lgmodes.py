@@ -406,7 +406,7 @@ def sector_blocks(cutoff: int, delta: int) -> tuple:
     return max(delta, 0), max(-delta, 0), 2 * cutoff + 1 - abs(delta)
 
 
-def _sector_orders(cutoff: int, delta: int) -> tuple:
+def sector_orders(cutoff: int, delta: int) -> tuple:
     """(N_m, N_n), N = 2r + |l|, on each entry (p, r_m, r_n) of sector delta."""
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
     n = 2 * np.arange(cutoff + 1) + np.abs(np.arange(-cutoff, cutoff + 1))[:, None]  # [l-block, r]
@@ -473,7 +473,7 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = Fa
     # the (n, v) ones as [(e, slot), k, (r_n, r_v)]
     rows = gather(lo_row).reshape(2, width, per_parity, side_sq).transpose(0, 1, 3, 2).reshape(2, -1, per_parity)
     cols = gather(lo_col).reshape(2 * width, per_parity, side_sq)
-    n_row, n_col = (n[: kept * side_sq] for n in _sector_orders(cutoff, delta))
+    n_row, n_col = (n[: kept * side_sq] for n in sector_orders(cutoff, delta))
     half_j, gamma = 0.5 * j, gamma_weight_matrix(len(stack) + 1)[j[:, :, None], j[:, None, :]]
     # two buffers, each written while the other one holds the operand
     inner_size, out_size = rows.shape[1] * 2 * batch * per_parity, batch * (kept * side_sq) ** 2
@@ -516,7 +516,7 @@ def _real_sector(cutoff: int, delta: int) -> tuple:
     # largest entry at cutoff 6, so the mean of both is kept
     block = pair_coupling_assembler(cutoff, 1, delta)(np.ones((2, 1)), np.zeros((2, 1)))[0][0]
     block = 0.5 * (block + block.T)
-    orders = np.subtract(*_sector_orders(cutoff, delta))
+    orders = np.subtract(*sector_orders(cutoff, delta))
     for array in (block, orders):
         array.setflags(write=False)
     return block, orders

@@ -15,15 +15,21 @@ Two kernel fidelities:
             element; kept as a validation path.  The fundamental is even
             under the reflection l -> -l, which the generator keeps, so only
             the even half, the (cutoff + 1)^3 entries of the l-blocks
-            l <= 0, is carried.  Every frequency pair of the grid advances
-            in one batched state by classical RK4 steps, with its
-            z-dependent scalars tabulated once on the nodes of
-            `ipe.rk4_nodes` and its coupling built on that half by
-            `lgmodes.pair_coupling_assembler`, for a chunk of successive
-            nodes per call; at omega1 = omega2 it is the
-            single-frequency propagation of `ipe.propagate`.  A step count
-            past RK4's stability limit (RK4_REAL_LIMIT) is refused before the
-            first step, or C_n^2 if the count that passes exceeds MAX_STEPS.
+            l <= 0, is carried.  With d the diagonal phases of the coupling
+            (`lgmodes.pair_coupling_assembler`), y = d x obeys
+            y' = rate G(z) y + i Phi'(z) y: G the real two-carrier block,
+            Phi' = N_m z_R1 / (z_R1^2 + z^2) - N_n z_R2 / (z_R2^2 + z^2) the
+            carriers' Gouy rates.  Every frequency pair of the grid advances
+            in one batched state by Lawson's exponential RK4 steps around
+            A0, the block at one wavelength: in A0's eigenbasis rate A0 is
+            exact through e^(values int rate), and only rate (G - A0) +
+            i Phi', a few percent of it, is stepped, so any step count is
+            stable.  The z-dependent scalars are tabulated once on the nodes
+            of `ipe.rk4_nodes`, the blocks built for a chunk of successive
+            nodes per call.  At omega1 = omega2, G = A0 and the steps are
+            those of `ipe.propagate`.  The element is complex: its phase is
+            the carriers' dispersion, and `channel_kernel` keeps the real
+            part while that phase stays a perturbation.
 """
 from __future__ import annotations
 
@@ -34,8 +40,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ipe import PropagationScheme, SolverConfig, rk4_nodes, sector_spectrum
-from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler
+from .ipe import SolverConfig, half_step_integrals, rk4_nodes
+from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler, sector_orders
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
 from .turbulence import LinkGeometry, TurbulenceProfile, extinction_depth, integrated_l, l_cross
 from .turbulence import normalized_distance, two_pi_c_over
@@ -43,14 +49,10 @@ from .turbulence import normalized_distance, two_pi_c_over
 MAX_GRID_ORDER = 64
 MAX_FULL_IPE_GRID = 12
 # Run cost bounds the cutoff: a grid-12 kernel (78 frequency pairs in one
-# batched RK4 on sector 0's even half) takes 1.8 s at cutoff 4 and 8.9 s at
-# cutoff 5 (128 steps; 4.0 s and 16.4 s at 256) on one core of a 2-vCPU x86
-# VM, at 123 MB peak RSS.
+# batched Lawson run on sector 0's even half) takes 1.8 s at cutoff 4 and
+# 8.6 s at cutoff 5 (128 steps; 3.7 s and 17.1 s at 256) on one core of a
+# 2-vCPU x86 VM, at 122 MB peak RSS.
 MAX_FULL_IPE_CUTOFF = 5
-# classical RK4 is stable on the negative real axis for h |lambda| up to 2.785
-RK4_REAL_LIMIT = 2.785
-# the config's `steps` maximum; the step guard names no count past it
-MAX_STEPS = 100000
 # the full-IPE kernel builds the coupling blocks of as many successive nodes
 # as hold this many entries (at least one node) in one call, so that a small
 # kernel pays the assembly's per-call cost once per chunk; on a core with
@@ -99,94 +101,77 @@ class ChannelKernel:
         return discrete_modes(self.order)[:count]
 
 
-def _check_step_count(rate, profile: TurbulenceProfile, geom: LinkGeometry, cutoff: int, steps: int) -> None:
-    """Refuse a step count whose h * max rate * rho(A0) on the run's own table
-    `rate` exceeds RK4_REAL_LIMIT, A0 the single-wavelength sector-0 operator
-    (`ipe.sector_spectrum`): RK4 would overflow into NaN.  Each node's block
-    differs from A0 by a few percent, so the figure and its count are estimates."""
-    radius = np.max(np.abs(sector_spectrum(cutoff, 0, PropagationScheme.TRUNCATED_EXACT)[0]))
-    figure = geom.path_length / steps * float(rate.max()) * radius
-    needed = math.ceil(steps * figure / RK4_REAL_LIMIT)
-    if needed > max(steps, MAX_STEPS):
-        raise ValueError(
-            f"{'profile_csv' if profile.table else 'cn2'!r} is too strong for the full-IPE kernel's RK4:"
-            f" h * max rate * rho(A0) = {figure:.3g} at {steps} steps; it needs {needed}, past {MAX_STEPS}"
-        )
-    if needed > steps:
-        raise ValueError(
-            f"'steps' = {steps} is unstable for the full-IPE kernel's RK4: h * max rate * rho(A0) ="
-            f" {figure:.2f} exceeds {RK4_REAL_LIMIT}; use steps >= {needed}"
-        )
-
-
-def full_ipe_rate(omega1, omega2, profile: TurbulenceProfile, geom: LinkGeometry, cutoff: int, steps: int) -> tuple:
-    """(z, rate): the RK4 nodes of a full-IPE kernel run and the coupling rate
-    at each node (rows) of each frequency pair (omega1[i], omega2[i])
-    (columns), after `_check_step_count` has refused an unstable step count.
-    The one home of the step figure: `channel_kernel` runs on the table, and
-    `config.validate_config` calls it to refuse the config up front."""
-    z, cn2 = rk4_nodes(profile, geom, steps)
-    rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
-    _check_step_count(rate, profile, geom, cutoff, steps)
-    return z, rate
-
-
 def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
-    """Fundamental-to-fundamental damping of the |omega1><omega2| coherence
-    of every frequency pair (omega1[i], omega2[i]), all advanced together on
-    the reflection-even half of sector 0 of the truncated LG basis."""
-    side = cutoff + 1
+    """Complex fundamental-to-fundamental element of the |omega1><omega2|
+    coherence of every frequency pair (omega1[i], omega2[i]), all advanced
+    together on the reflection-even half of sector 0 of the truncated LG
+    basis by Lawson RK4 steps around A0 (see the module docstring)."""
+    side, h = cutoff + 1, geom.path_length / steps
+    z, cn2 = rk4_nodes(profile, geom, steps)
     # per node (rows) and pair (columns), the two carriers on a leading axis
-    z, rate = full_ipe_rate(omega1, omega2, profile, geom, cutoff, steps)
-    t = normalized_distance(z[:, None], two_pi_c_over(np.stack([omega1, omega2]))[:, None, :], geom.waist)
-    area = 1.0 + t * t  # a_i / w0^2
-    ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
-    del t, area  # only the tables live through the run
+    rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
+    first, second = half_step_integrals(rate, h)
+    per_range = normalized_distance(1.0, two_pi_c_over(np.stack([omega1, omega2])), geom.waist)[:, None, :]
+    area = 1.0 + (z[:, None] * per_range) ** 2  # a_i / w0^2
+    ratio, gouy = area / (0.5 * (area[0] + area[1])), per_range / area  # gouy: z_R / (z_R^2 + z^2)
     # the fundamental is reflection-even, and so is every derivative of an
     # even state, so only the l <= 0 blocks are carried; the blocks of
     # `chunk` successive nodes are built in one call, on tables padded with
     # the last node to whole chunks
     pairs, size = len(omega1), side**3
     chunk = max(1, min(len(z), FULL_IPE_BLOCK_ENTRIES // (pairs * size * size)))
-    ratio, phase, rate = (np.concatenate([x, x[..., -1:, :].repeat(-len(z) % chunk, axis=-2)], axis=-2)
-                          for x in (ratio, phase, rate))
+    ratio, gouy, rate = (np.concatenate([x, x[..., -1:, :].repeat(-len(z) % chunk, axis=-2)], axis=-2)
+                         for x in (ratio, gouy, rate))
     assemble = pair_coupling_assembler(cutoff, chunk * pairs, 0, even=True)
+    phase = np.zeros((2, chunk * pairs))  # y carries no diagonal phases: the assembler's go unread
+    n_row, n_col = (n[:size] for n in sector_orders(cutoff, 0))
+    # A0, the block at one wavelength, acts on the l <= 0 blocks with each
+    # mirror column block added: D A0 D^-1 is symmetric for D = sqrt 2 on
+    # the l < 0 blocks and 1 on l = 0, so A0 = V diag(values) V^-1 with
+    # V = D^-1 U and V^-1 = U^T D
+    a0 = pair_coupling_assembler(cutoff, 1, 0, even=True)(np.ones((2, 1)), np.zeros((2, 1)))[0][0]
+    scale = np.where(np.arange(size) < cutoff * side * side, math.sqrt(2.0), 1.0)
+    values, vectors = np.linalg.eigh(scale[:, None] * a0 / scale)
+    forward, backward = (vectors / scale[:, None]).T.copy(), scale[:, None] * vectors  # V^T, V^-T
 
-    # RK4 evaluates its midpoint twice, each step starts where the last one
-    # ended and the nodes are read in order, so a one-entry memo builds
-    # every chunk once
+    # each step reads its nodes in order, and its midpoint twice, so a
+    # one-entry memo builds every chunk once
     @lru_cache(maxsize=1)
     def generator(start):
         nodes = slice(start, start + chunk)
-        real, diagonal = assemble(ratio[:, nodes].reshape(2, -1), phase[:, nodes].reshape(2, -1))
-        back = rate[nodes].reshape(-1, 1) * np.conj(diagonal)
-        return real.reshape(chunk, pairs, size, size), diagonal.reshape(chunk, pairs, size), back.reshape(chunk, pairs, size)
+        real = assemble(ratio[:, nodes].reshape(2, -1), phase)[0].reshape(chunk, pairs, size, size)
+        spin = gouy[0, nodes, :, None] * n_row - gouy[1, nodes, :, None] * n_col  # Phi'
+        return real.transpose(0, 1, 3, 2), np.stack([-spin, spin], axis=2)
 
-    def derivative(k, state):
-        real, diagonal, back = (x[k % chunk] for x in generator(k - k % chunk))
-        dressed = diagonal * state  # (re, im) pairs as two columns of one real matmul
-        product = (real @ dressed.view(np.float64).reshape(dressed.shape + (2,))).view(complex)
-        return back * product[..., 0]
+    def stage(k, u):
+        """V^-1 [rate (G - A0) + i Phi'] V u at node k, u each pair's
+        eigencoordinates as two real rows (Re, Im)."""
+        coupling, spin = generator(k - k % chunk)
+        pair_rate = rate[k, :, None, None]
+        y = (u.reshape(-1, size) @ forward).reshape(u.shape)
+        w = np.matmul(y, coupling[k % chunk])
+        w *= pair_rate
+        w += y[:, ::-1] * spin[k % chunk]  # i Phi' (a + ib) = -Phi' b + i Phi' a
+        w = (w.reshape(-1, size) @ backward).reshape(u.shape)
+        w -= pair_rate * values * u
+        return w
 
-    state = np.zeros((pairs, size), dtype=complex)
+    # d and D are 1 on the fundamental (N = 0, l = 0): u starts as V^-1 e_f,
+    # row f of U, and the element is (V u)_f = U[f] . u
     fundamental = cutoff * side * side  # r = 0 of the l = 0 block
-    state[:, fundamental] = 1.0
-    h = geom.path_length / steps
-    for node in range(0, 2 * steps, 2):
-        k1 = derivative(node, state)
-        k2 = derivative(node + 1, state + 0.5 * h * k1)
-        k3 = derivative(node + 1, state + 0.5 * h * k2)
-        k4 = derivative(node + 2, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    values = state[:, fundamental]
-    # off-diagonal frequency pairs acquire a small dispersive phase (the two
-    # carriers couple to the mode ladder with different Gouy rotations); the
-    # kernel contract is real-valued, so keep the modulus-level real part and
-    # only fail if the phase of some pair stops being a perturbation
-    too_large = ~(np.abs(values.imag) <= 0.05 * np.maximum(np.abs(values.real), 1e-12))  # NaN too
-    if np.any(too_large):
-        raise RuntimeError(f"cross-frequency population has imaginary part {values.imag[too_large][0]:.2e}")
-    return values.real
+    u = np.zeros((pairs, 2, size))
+    u[:, 0] = vectors[fundamental]
+    for s in range(steps):
+        ea, eb = (np.exp(np.multiply.outer(x[s], values))[:, None] for x in (first, second))
+        whole, node = ea * eb, 2 * s
+        k1 = stage(node, u)
+        k2 = stage(node + 1, ea * (u + 0.5 * h * k1))
+        k3 = stage(node + 1, ea * u + 0.5 * h * k2)
+        u = whole * u
+        k4 = stage(node + 2, u + h * eb * k3)
+        u += (h / 6.0) * (whole * k1 + 2.0 * eb * (k2 + k3) + k4)
+    element = u @ vectors[fundamental]
+    return element[:, 0] + 1j * element[:, 1]
 
 
 def channel_kernel(
@@ -220,6 +205,14 @@ def channel_kernel(
             values = np.exp(-exponent)
         else:
             values = _cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, geom, cutoff, steps)
+            # off-diagonal frequency pairs acquire a small dispersive phase (the
+            # two carriers couple to the mode ladder with different Gouy
+            # rotations); the kernel contract is real-valued, so keep the real
+            # part and only fail if the phase of some pair stops being a perturbation
+            too_large = ~(np.abs(values.imag) <= 0.05 * np.maximum(np.abs(values.real), 1e-12))  # NaN too
+            if np.any(too_large):
+                raise RuntimeError(f"cross-frequency population has imaginary part {values.imag[too_large][0]:.2e}")
+            values = values.real
         matrix[rows, cols] = matrix[cols, rows] = values
     return ChannelKernel(omegas=omegas, matrix=matrix * extinction)
 

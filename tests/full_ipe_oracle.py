@@ -1,8 +1,10 @@
 """An earlier form of `temporal._cross_frequency_full_ipe`, kept as the
-reference for the even-half kernel: every frequency pair stepped by the
-same classical RK4 on the whole of sector 0, all (2 cutoff + 1)(cutoff + 1)^2
+reference for the kernel: every frequency pair stepped by classical RK4 in
+the lab frame on the whole of sector 0, all (2 cutoff + 1)(cutoff + 1)^2
 entries, odd half included, with the whole-sector block of
-`lgmodes.pair_coupling_assembler`."""
+`lgmodes.pair_coupling_assembler`.  The kernel takes Lawson steps around the
+single-wavelength block on the reflection-even half instead, so the two
+share only the coupling assembly and the node layout of `ipe.rk4_nodes`."""
 from __future__ import annotations
 
 import math
@@ -10,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from turbulink.lgmodes import pair_coupling_assembler
-from turbulink.temporal import full_ipe_rate
-from turbulink.turbulence import normalized_distance, two_pi_c_over
+from turbulink.ipe import rk4_nodes
+from turbulink.lgmodes import COUPLING_PREFACTOR, pair_coupling_assembler
+from turbulink.turbulence import l_cross, normalized_distance, two_pi_c_over
 
 
 def whole_sector_fundamental(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
@@ -20,7 +22,8 @@ def whole_sector_fundamental(omega1, omega2, profile, geom, cutoff: int, steps: 
     coherence of every frequency pair (omega1[i], omega2[i]) after the
     whole-sector run, before the kernel's imaginary-part guard."""
     side, count = cutoff + 1, 2 * cutoff + 1
-    z, rate = full_ipe_rate(omega1, omega2, profile, geom, cutoff, steps)
+    z, cn2 = rk4_nodes(profile, geom, steps)
+    rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
     t = normalized_distance(z[:, None], two_pi_c_over(np.stack([omega1, omega2]))[:, None, :], geom.waist)
     area = 1.0 + t * t
     ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi

@@ -149,22 +149,21 @@ class TestConfigParsing:
         validate_config(replace(RunConfig(), cutoff=6))  # analytic kernels do not read it
 
     @pytest.mark.parametrize("command", ["kernel", "tmatrix", "entangle", "validate"])
-    def test_full_ipe_step_figure_refused_by_validator(self, command, monkeypatch):
-        # the digest's full_ipe_unstable overrides: the validator refuses them
-        # with the kernel's own message, so `turbulink validate` reports it
+    def test_full_ipe_strong_config_runs_to_the_phase_guard(self, command, tmp_path, capsys):
+        # the digest's full_ipe_strong overrides are valid for every command;
+        # each kernel command stops at the kernel's dispersive-phase guard
+        # (exit 2)
         config = replace(
-            RunConfig(), kernel_fidelity="full_ipe", grid_order=8, cutoff=2, cn2=1e-14, steps=64, pair_modes=4
+            RunConfig(), output_dir=str(tmp_path), kernel_fidelity="full_ipe", grid_order=8, cutoff=2,
+            cn2=1e-14, steps=64, pair_modes=4,
         )
-        with pytest.raises(ValueError) as built:
-            cli._kernel(config)
-        assert str(built.value).endswith("use steps >= 496")
-        with pytest.raises(ValueError) as refused:
-            validate_config(config, command)
-        assert str(refused.value) == str(built.value)
-        validate_config(config)  # the figure is a rule of the commands that build a kernel
-        # an analytic config does not pay for the figure
-        monkeypatch.setattr("turbulink.config.full_ipe_rate", None)
-        validate_config(replace(config, kernel_fidelity="analytic"), command)
+        validate_config(config, command)
+        code = run_subcommand(command, config, out=io.StringIO())
+        if command == "validate":
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_NUMERIC
+            assert "imaginary part" in capsys.readouterr().err
 
     def test_cutoff_limited_to_accurate_coupling(self):
         # the coupling sum is off by 8.4e-4 of its largest entry at cutoff 7
@@ -461,6 +460,21 @@ class TestSubcommands:
         assert lines[0].startswith("cn2")
         assert len(lines) == 1 + 5 * 25
 
+    def test_beam_leaves_the_link_decay_to_sweeps(self, tmp_path, monkeypatch):
+        # only `sweep beam` reports the configured link's probability
+        calls, decay = [], cli.ipe.analytic_decay
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return decay(*args, **kwargs)
+
+        monkeypatch.setattr(cli.ipe, "analytic_decay", recording)
+        assert run_cli(tmp_path, "beam") == EXIT_OK
+        assert calls == []
+        config = replace(RunConfig(), output_dir=str(tmp_path), sweep_axes=("waist_m",), sweep_values=((0.1, 0.2),))
+        assert sweep(config, "beam") == EXIT_OK
+        assert len(calls) == 2
+
     def test_determinism_byte_identical(self, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"
@@ -545,9 +559,9 @@ class TestSubcommands:
         assert not recwarn.list
         assert not (tmp_path / "entangle.csv").exists()
 
-    def test_full_ipe_step_guard_tabulates_no_long_run(self, tmp_path, capsys, monkeypatch):
-        # an accepted draw that needs about 2.4e10 RK4 steps: the guard used
-        # to tabulate nodes at that count and end in numpy's MemoryError
+    def test_full_ipe_strong_link_tabulates_only_its_steps(self, tmp_path, monkeypatch):
+        # an accepted draw that classical RK4 would need about 2.4e10 steps
+        # for: Lawson steps run it at its own 40 and tabulate no other count
         counts, nodes = [], temporal.rk4_nodes
 
         def recording(profile, geom, steps):
@@ -559,10 +573,10 @@ class TestSubcommands:
             "kernel_fidelity=full_ipe", "grid_order=6", "cutoff=2", "steps=40", "cn2=2.68e-12",
             "distance_m=344773", "waist_m=0.00413", "wavelength_m=4.60e-6",
         )
-        assert run_cli(tmp_path, *(arg for item in overrides for arg in ("--set", item)), "kernel") == EXIT_CONFIG
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: 'cn2' "), lines
-        assert counts and max(counts) <= 100_000
+        assert run_cli(tmp_path, *(arg for item in overrides for arg in ("--set", item)), "kernel") == EXIT_OK
+        assert counts == [40]
+        rows = list(csv.reader((tmp_path / "kernel.csv").read_text().splitlines()))[1:]
+        assert all(math.isfinite(float(value)) for row in rows for value in row)
 
     def test_gnuplot_hints(self, capsys):
         assert main(["--gnuplot-hints", "kernel"]) == EXIT_OK

@@ -39,8 +39,9 @@ OVERRIDE_SETS = {
     "defaults": (),
     "coarse": ("cn2=3.7e-16", "grid_order=16", "max_mode=5"),
     "full_ipe": ("kernel_fidelity=full_ipe", "grid_order=4", "cutoff=1", "cn2=1e-16"),
-    # refused by the full-IPE step guard: "use steps >= 496"
-    "full_ipe_unstable": ("kernel_fidelity=full_ipe", "grid_order=8", "cutoff=2", "cn2=1e-14", "steps=64"),
+    # a strong link for 64 steps: the kernel's dispersive phase reaches 15 % of
+    # its real part, so the kernel commands stop at the imaginary-part guard
+    "full_ipe_strong": ("kernel_fidelity=full_ipe", "grid_order=8", "cutoff=2", "cn2=1e-14", "steps=64"),
     # entangle runs under these two (the sets above refuse it for pair_modes)
     "scan": ("cn2=3e-16", "pair_modes=9", "fixed_mode=4"),
     "full_ipe_scan": ("kernel_fidelity=full_ipe", "grid_order=12", "cutoff=1", "cn2=1e-16", "pair_modes=6"),
