@@ -415,15 +415,16 @@ def sector_orders(cutoff: int, delta: int) -> tuple:
 
 
 def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = False):
-    """A function (ratio, phase) -> (real, diagonal) for `batch` carrier
-    pairs at one z, given each carrier's a_i / mean(a) and pi/2 + atan t_i as
-    (2, batch) arrays: the coefficient double sum on Delta-l sector delta,
+    """A function ratio -> real for `batch` carrier pairs at one z, given
+    each carrier's a_i / mean(a) as a (2, batch) array: the coefficient
+    double sum on Delta-l sector delta,
 
         G[(q, r_u, r_v), (p, r_m, r_n)] = sum_{j1 j2} c1[j1, m, u] M[j1, j2] conj(c2[j2, n, v])
 
     over l_m - l_n = l_u - l_v = delta, M the Gamma weights and p and q the
-    sector's l-block pairs (see `sector_blocks`), is
-    conj(diagonal)[:, :, None] * real * diagonal[:, None, :]; it maps a
+    sector's l-block pairs (see `sector_blocks`), is conj(d)[:, :, None] *
+    real * d[:, None, :] with the diagonal phases d = e^{i(phi1 N_m - phi2 N_n)},
+    phi_i = pi/2 + atan t_i and (N_m, N_n) from `sector_orders`; it maps a
     sector, stored as its stack of l-blocks, onto itself.  The coefficients
     are real up to diagonal phases, c_{m,u,j}(t) = e^{i(pi/2 + atan t)(N_m - N_u)} R[j, m, u],
     so real = (R^T W) R with W = diag(s1^j) M diag(s2^j), s_i^2 = a_i / mean(a).
@@ -473,7 +474,6 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = Fa
     # the (n, v) ones as [(e, slot), k, (r_n, r_v)]
     rows = gather(lo_row).reshape(2, width, per_parity, side_sq).transpose(0, 1, 3, 2).reshape(2, -1, per_parity)
     cols = gather(lo_col).reshape(2 * width, per_parity, side_sq)
-    n_row, n_col = (n[: kept * side_sq] for n in sector_orders(cutoff, delta))
     half_j, gamma = 0.5 * j, gamma_weight_matrix(len(stack) + 1)[j[:, :, None], j[:, None, :]]
     # two buffers, each written while the other one holds the operand
     inner_size, out_size = rows.shape[1] * 2 * batch * per_parity, batch * (kept * side_sq) ** 2
@@ -491,7 +491,7 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = Fa
             source = blocks[start : start + size].reshape(len(ps), len(qs), side, side, batch, side, side)
             copies.append((out[:, qs[0] :: 2, :, :, ps[0] :: 2], source.transpose(4, 1, 3, 6, 0, 2, 5)))
 
-    def assemble(ratio: np.ndarray, phase: np.ndarray) -> tuple:
+    def assemble(ratio: np.ndarray) -> np.ndarray:
         # one GEMM R^T W per parity over the batch's weight matrices, then one per slot
         scale = (ratio[:, :, None, None] ** half_j).transpose(0, 2, 3, 1)  # [carrier, e, k, batch]
         weights = scale[0][..., None] * gamma[:, :, None, :] * scale[1].transpose(0, 2, 1)[:, None]
@@ -501,8 +501,7 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = Fa
             direct += mirrors
         for target, source in copies:
             np.copyto(target, source)
-        diagonal = np.exp(1j * (phase[0][:, None] * n_row - phase[1][:, None] * n_col))
-        return out.reshape(batch, kept * side_sq, kept * side_sq), diagonal
+        return out.reshape(batch, kept * side_sq, kept * side_sq)
 
     return assemble
 
@@ -514,7 +513,7 @@ def _real_sector(cutoff: int, delta: int) -> tuple:
     # symmetric; the GEMMs keep that bit for bit up to cutoff 4, but the
     # cancelling sum rounds its two triangles apart by up to 3e-10 of the
     # largest entry at cutoff 6, so the mean of both is kept
-    block = pair_coupling_assembler(cutoff, 1, delta)(np.ones((2, 1)), np.zeros((2, 1)))[0][0]
+    block = pair_coupling_assembler(cutoff, 1, delta)(np.ones((2, 1)))[0]
     block = 0.5 * (block + block.T)
     orders = np.subtract(*sector_orders(cutoff, delta))
     for array in (block, orders):

@@ -123,13 +123,12 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     ratio, gouy, rate = (np.concatenate([x, x[..., -1:, :].repeat(-len(z) % chunk, axis=-2)], axis=-2)
                          for x in (ratio, gouy, rate))
     assemble = pair_coupling_assembler(cutoff, chunk * pairs, 0, even=True)
-    phase = np.zeros((2, chunk * pairs))  # y carries no diagonal phases: the assembler's go unread
     n_row, n_col = (n[:size] for n in sector_orders(cutoff, 0))
     # A0, the block at one wavelength, acts on the l <= 0 blocks with each
     # mirror column block added: D A0 D^-1 is symmetric for D = sqrt 2 on
     # the l < 0 blocks and 1 on l = 0, so A0 = V diag(values) V^-1 with
     # V = D^-1 U and V^-1 = U^T D
-    a0 = pair_coupling_assembler(cutoff, 1, 0, even=True)(np.ones((2, 1)), np.zeros((2, 1)))[0][0]
+    a0 = pair_coupling_assembler(cutoff, 1, 0, even=True)(np.ones((2, 1)))[0]
     scale = np.where(np.arange(size) < cutoff * side * side, math.sqrt(2.0), 1.0)
     values, vectors = np.linalg.eigh(scale[:, None] * a0 / scale)
     forward, backward = (vectors / scale[:, None]).T.copy(), scale[:, None] * vectors  # V^T, V^-T
@@ -139,7 +138,7 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     @lru_cache(maxsize=1)
     def generator(start):
         nodes = slice(start, start + chunk)
-        real = assemble(ratio[:, nodes].reshape(2, -1), phase)[0].reshape(chunk, pairs, size, size)
+        real = assemble(ratio[:, nodes].reshape(2, -1)).reshape(chunk, pairs, size, size)
         spin = gouy[0, nodes, :, None] * n_row - gouy[1, nodes, :, None] * n_col  # Phi'
         return real.transpose(0, 1, 3, 2), np.stack([-spin, spin], axis=2)
 

@@ -9,10 +9,18 @@ Path integrals of the decay density use one composite Gauss-Legendre rule in
 z: 16 nodes per panel, panels no wider than the smallest pair Rayleigh range
 up to GRADING of them and graded geometrically beyond, plus a panel edge
 wherever the chord crosses a height of a tabulated profile (the log-log
-interpolation has a kink there).  C_n^2 is sampled once on the nodes and the
-whole set of frequency pairs is one broadcast, since the integrand depends
-on a pair only through lambda1 lambda2 and lambda1^2 + lambda2^2.  The
+interpolation has a kink there).  C_n^2 is sampled once on the nodes.  The
 8-node rule on the same panels gives the error estimate.
+
+A frequency pair enters the path sum only through
+s = (lambda1^2 + lambda2^2) / 2 / (pi w0^2)^2, its prefactor
+1 / (lambda1 lambda2) applied afterwards, so each rule's sum
+F(s) = sum_k W_k (1 + s z_k^2)^{5/6} is one smooth function of s.  A set of
+pairs samples F at n Chebyshev points on [s_min, s_max] and carries it to
+every pair with one barycentric matrix (Berrut & Trefethen, SIAM Rev. 46,
+2004); n (`_chebyshev_degree`) and the matrix depend on the frequencies
+alone.  Where n is not below the number of entries each entry is summed
+directly.
 
 Note on the total-rate constant: evaluating k1 k2 * int Phi d^2K / 4 pi^2
 with the von Karman density gives 30.86 C_n^2 / (lambda1 lambda2 kappa_0^{5/3});
@@ -39,7 +47,9 @@ TOTAL_RATE_CONSTANT = SPECTRUM_AMPLITUDE * 0.6 * 16.0 * math.pi**4  # = 30.857..
 PANEL_NODES = 16  # Gauss-Legendre nodes per path panel; the estimate uses half
 GRADING = 8  # panels past GRADING Rayleigh ranges are 1/GRADING of their start wide
 RELATIVE_ERROR_BOUND = 1e-6
-CHUNK_ELEMENTS = 1 << 13  # (pairs x nodes) block of the broadcast, 64 KB of float64
+CHUNK_ELEMENTS = 1 << 13  # (points in s x nodes) block of a path sum, 64 KB of float64
+UNIT_ROUNDOFF = 2.0**-53  # the interpolation error the Chebyshev degree aims at
+TRANSFER_CACHE = 8  # pair sets whose barycentric matrix is kept
 
 SPEED_OF_LIGHT = 299792458.0
 TRAD_S = 1e12  # rad/s in one T rad/s, the frequency unit of configs and CSVs
@@ -288,16 +298,22 @@ def integrated_l(
     beam_area = math.pi * geom.waist**2
     rayleigh = beam_area / math.sqrt(float(half_sum.max()))
     panels = _panels(profile, geom, rayleigh)
+    # a single entry is summed directly (its cache entry would only evict a grid's)
+    transfer = _chebyshev_transfer(half_sum.tobytes()) if half_sum.size > 1 else None
+    points = half_sum if transfer is None else transfer[0]
     fine, coarse = (
-        _path_sum(profile, geom, panels, nodes, half_sum / beam_area**2)
+        _path_sum(profile, geom, panels, nodes, points / beam_area**2)
         for nodes in (PANEL_NODES, PANEL_NODES // 2)
     )
+    if transfer is not None:
+        fine, coarse = (transfer[1] @ np.stack([fine, coarse], axis=1)).T.reshape((2,) + half_sum.shape)
     estimate = np.abs(fine - coarse)
     if (estimate > RELATIVE_ERROR_BOUND * np.abs(fine)).any():
         worst = np.argmax(estimate - RELATIVE_ERROR_BOUND * np.abs(fine))
         raise QuadratureError(
-            f"path integral did not converge (value={fine.flat[worst]}, "
-            f"error estimate={estimate.flat[worst]})"
+            f"path integral did not converge at wavelengths ({lambda1.flat[worst]:.6g}, "
+            f"{lambda2.flat[worst]:.6g}) m "
+            f"(value={fine.flat[worst]}, error estimate={estimate.flat[worst]})"
         )
     value = geom.waist ** (5.0 / 3.0) / (lambda1 * lambda2) * fine
     return float(value) if value.ndim == 0 else value
@@ -316,6 +332,55 @@ def _path_sum(profile, geom, panels, nodes, scale):
         block += 1.0
         out[start:start + rows] = np.power(block, 5.0 / 6.0, out=block) @ weighted_cn2
     return out.reshape(scale.shape)
+
+
+def _chebyshev_degree(low: float, high: float) -> float:
+    """Number n of Chebyshev points that interpolate a path sum F(s) to the
+    unit roundoff relative to F(low) on [low, high] (any positive multiple of
+    s; inf for an empty interval or one reaching 0 in floats): the least n with
+    4 M rho^{1-n} / (rho - 1) <= UNIT_ROUNDOFF F(low) on the Bernstein
+    ellipse through 0, rho = a + sqrt(a^2 - 1), a = (high + low) / (high - low),
+    where |s| <= high + low and so M <= F(low) ((high + low) / low)^{5/6}."""
+    if not high > low > 0.0:
+        return math.inf
+    a = (high + low) / (high - low)
+    rho = a + math.sqrt(a * a - 1.0)
+    if not rho > 1.0:
+        return math.inf
+    bound = 4.0 * ((high + low) / low) ** (5.0 / 6.0) / (rho - 1.0)
+    return max(1, 1 + math.ceil(math.log(bound / UNIT_ROUNDOFF) / math.log(rho)))
+
+
+@lru_cache(maxsize=TRANSFER_CACHE)
+def _chebyshev_transfer(half_sum: bytes) -> tuple | None:
+    """(points, matrix) for the pair set whose half-sums
+    (lambda1^2 + lambda2^2) / 2 are the float64 bytes `half_sum`: the n
+    Chebyshev points of the first kind on [min, max] and the read-only
+    (entries x n) barycentric matrix that takes values at the points to
+    values at the entries; None where n is not below the number of entries.
+    The half-sums, not s, key it, so every link on one frequency grid shares
+    one matrix."""
+    values = np.frombuffer(half_sum)
+    low, high = float(values.min()), float(values.max())
+    count = _chebyshev_degree(low, high)
+    if count >= values.size:
+        return None
+    angles = (2 * np.arange(count) + 1) * (0.5 * math.pi / count)
+    nodes, weights = np.cos(angles), np.sin(angles)
+    weights[1::2] *= -1.0
+    points = 0.5 * (high + low) + 0.5 * (high - low) * nodes
+    # entry minus point in half-sum units: exact near the low end, where the
+    # entries' positions on [-1, 1] would round to the high end's scale
+    difference = values[:, None] - points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        matrix = weights / difference
+        matrix /= matrix.sum(axis=1, keepdims=True)
+    hits = difference == 0.0  # an entry on a point takes that point's value
+    exact = hits.any(axis=1)
+    matrix[exact] = hits[exact]
+    for array in (points, matrix):
+        array.setflags(write=False)
+    return points, matrix
 
 
 def _panels(profile, geom, rayleigh) -> tuple:

@@ -1,0 +1,40 @@
+"""An earlier form of `turbulence.integrated_l`, kept as the reference for
+its Chebyshev path: every entry's path sum evaluated at that entry, one
+power of (1 + s z_k^2) per entry and quadrature node, on the same panels
+and nodes.  The library still takes this path wherever the Chebyshev
+degree is not below the number of entries, so there the two agree bit for
+bit."""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from turbulink import turbulence
+
+
+def path_sums(profile, geom, frequencies=None) -> tuple:
+    """(fine, coarse): the PANEL_NODES- and PANEL_NODES // 2-node path sums
+    sum_k W_k (1 + s z_k^2)^{5/6} of every entry, without the prefactor."""
+    lambda1, lambda2 = _wavelengths(geom, frequencies)
+    half_sum = 0.5 * (lambda1 * lambda1 + lambda2 * lambda2)
+    beam_area = math.pi * geom.waist**2
+    panels = turbulence._panels(profile, geom, beam_area / math.sqrt(float(half_sum.max())))
+    return tuple(
+        turbulence._path_sum(profile, geom, panels, nodes, half_sum / beam_area**2)
+        for nodes in (turbulence.PANEL_NODES, turbulence.PANEL_NODES // 2)
+    )
+
+
+def per_entry_integrals(profile, geom, frequencies=None):
+    """int_0^{z_f} l(z) dz of every entry, as `integrated_l` returns it."""
+    lambda1, lambda2 = _wavelengths(geom, frequencies)
+    value = geom.waist ** (5.0 / 3.0) / (lambda1 * lambda2) * path_sums(profile, geom, frequencies)[0]
+    return float(value) if value.ndim == 0 else value
+
+
+def _wavelengths(geom, frequencies) -> tuple:
+    if frequencies is None:
+        return (np.asarray(float(geom.wavelength)),) * 2
+    omega1, omega2 = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in frequencies))
+    return turbulence.two_pi_c_over(omega1), turbulence.two_pi_c_over(omega2)

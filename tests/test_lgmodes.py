@@ -30,6 +30,7 @@ from turbulink.lgmodes import (
     lg_momentum_amplitude,
     pair_coupling_assembler,
     sector_coupling,
+    sector_orders,
 )
 from turbulink.lgmodes import _c0, _real_sector, _real_stack
 from turbulink.turbulence import big_l_t, l_cross, l_strength
@@ -47,10 +48,18 @@ CARRIER_PAIRS = ((0.9 * OMEGA_C, 0.93 * OMEGA_C), (1.1 * OMEGA_C, 0.8 * OMEGA_C)
 
 
 def carrier_tables(z):
-    """(ratio, phase) of `pair_coupling_assembler` for CARRIER_PAIRS at z."""
+    """(ratio, phase) for CARRIER_PAIRS at z: each carrier's a_i / mean(a),
+    which `pair_coupling_assembler` takes, and pi/2 + atan t_i."""
     t = z / (math.pi * W0**2 / (2.0 * math.pi * 299792458.0 / np.array(CARRIER_PAIRS).T))
     area = 1.0 + t * t
     return area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
+
+
+def diagonal_phases(phase, cutoff, delta):
+    """e^{i(phi1 N_m - phi2 N_n)} on each entry (p, r_m, r_n) of sector delta
+    for each carrier pair, phi_i the (2, batch) `phase` of `carrier_tables`."""
+    n_row, n_col = sector_orders(cutoff, delta)
+    return np.exp(1j * (phase[0][:, None] * n_row - phase[1][:, None] * n_col))
 
 
 def dense_pair_sectors(cutoff, delta, z):
@@ -441,8 +450,10 @@ class TestCouplingStrength:
         # dense two-frequency sum for delta = 0, 1 and 2, to the rounding of
         # the cancelling Gamma-weighted sum (1.6e-13 of the largest entry at
         # cutoff 3 against a 40-digit evaluation)
+        ratio, phase = carrier_tables(1.3 * Z_R)
         for delta in range(min(2 * cutoff, 2) + 1):
-            real, diagonal = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), delta)(*carrier_tables(1.3 * Z_R))
+            real = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), delta)(ratio)
+            diagonal = diagonal_phases(phase, cutoff, delta)
             assert real.dtype == np.float64
             for b, expected in enumerate(dense_pair_sectors(cutoff, delta, 1.3 * Z_R)):
                 got = np.conj(diagonal[b])[:, None] * real[b] * diagonal[b][None, :]
@@ -452,17 +463,16 @@ class TestCouplingStrength:
     def test_even_half_is_the_folded_sector(self, cutoff):
         # on a sector 0 whose l-blocks l and -l are equal, the even half's
         # map is the whole-sector map's rows l <= 0, each column block l < 0
-        # added to its mirror's; the diagonal is the whole one's first entries
+        # added to its mirror's
         side, half = cutoff + 1, (cutoff + 1) ** 3
-        tables = carrier_tables(1.3 * Z_R)
-        whole, diagonal = (x.copy() for x in pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), 0)(*tables))
-        even, even_diagonal = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), 0, even=True)(*tables)
+        ratio = carrier_tables(1.3 * Z_R)[0]
+        whole = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), 0)(ratio).copy()
+        even = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), 0, even=True)(ratio)
         blocks = whole.reshape(len(CARRIER_PAIRS), 2 * side - 1, side * side, 2 * side - 1, side * side)
         folded = blocks[:, :side, :, :side].copy()
         folded[:, :, :, :cutoff] += blocks[:, :side, :, :cutoff:-1]
         assert even.shape == (len(CARRIER_PAIRS), half, half)
         assert np.max(np.abs(even - folded.reshape(even.shape))) <= 1e-15 * np.max(np.abs(whole))
-        assert np.array_equal(even_diagonal, diagonal[:, :half])
         with pytest.raises(ValueError, match="reflection-even half"):
             pair_coupling_assembler(cutoff, 1, 1, even=True)
 
@@ -476,12 +486,12 @@ class TestCouplingStrength:
         dropped = np.broadcast_to((j - p + q) % 2 == 1, stack.shape[:3])
         assert not np.any(stack[dropped])
         poisoned = np.where(dropped[..., None, None], np.nan, stack)
-        tables = (np.ones((2, 1)), np.zeros((2, 1)))
+        ratio = np.ones((2, 1))
         cases = [(delta, False) for delta in range(min(2 * cutoff, 2) + 1)] + [(0, True)]
-        expected = [pair_coupling_assembler(cutoff, 1, delta, even)(*tables)[0].copy() for delta, even in cases]
+        expected = [pair_coupling_assembler(cutoff, 1, delta, even)(ratio).copy() for delta, even in cases]
         monkeypatch.setattr("turbulink.lgmodes._real_stack", lambda _: poisoned)
         for (delta, even), block in zip(cases, expected):
-            assert np.array_equal(pair_coupling_assembler(cutoff, 1, delta, even)(*tables)[0], block)
+            assert np.array_equal(pair_coupling_assembler(cutoff, 1, delta, even)(ratio), block)
 
     def test_coupling_cutoff_limit(self):
         # the float sum is off by 8.4e-4 of its largest entry at cutoff 7

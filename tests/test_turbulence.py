@@ -1,18 +1,21 @@
 import math
 import os
+import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from path_oracle import path_sums, per_entry_integrals
 from scipy.optimize import golden
 from spectrum_oracle import fried_parameter, vonkarman_psd
 
 from turbulink import turbulence
 from turbulink.ipe import DECAY_CONSTANT
-from turbulink.schmidt import frequency_grid
+from turbulink.schmidt import BiphotonSpec, frequency_grid, gauss_hermite_rule
 from turbulink.temporal import channel_kernel
 from turbulink.turbulence import (
     EARTH_RADIUS_M,
@@ -444,6 +447,135 @@ class TestPathRule:
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+def kernel_pairs(spec, order):
+    """(omega1, omega2) of an order x order kernel's upper triangle, the
+    entries `channel_kernel` integrates."""
+    omegas = frequency_grid(spec, order)
+    rows, cols = np.triu_indices(order)
+    return omegas[rows], omegas[cols]
+
+
+def reaching_down_to(spec, order, fraction):
+    """`spec` with sigma_a = sigma_b widened until its grid of the given order
+    reaches down to `fraction` of the centre frequency."""
+    reach = (1.0 - fraction) * spec.center / gauss_hermite_rule(order).nodes.max()
+    sigma = math.sqrt(2.0) * reach  # 1 / sqrt(b) = sqrt(sigma_a sigma_b / 2)
+    return BiphotonSpec(sigma_a=sigma, sigma_b=sigma, omega_p=spec.omega_p)
+
+
+def interpolated(geom, pairs) -> bool:
+    """Whether `integrated_l` takes the Chebyshev path for these pairs."""
+    half_sum = 0.5 * (turbulence.two_pi_c_over(pairs[0]) ** 2 + turbulence.two_pi_c_over(pairs[1]) ** 2)
+    return turbulence._chebyshev_transfer(half_sum.tobytes()) is not None
+
+
+# the inputs of the Chebyshev path at g = 64: (profile, waist, fraction of
+# the centre frequency the grid reaches down to; None keeps the paper source)
+CHEBYSHEV_LINKS = {
+    "constant": (TurbulenceProfile.from_constant(1e-16), 0.1457, None),
+    "crossing": (TurbulenceProfile.from_table(CROSSING_TABLE), 0.1457, None),
+    "graded": (TurbulenceProfile.from_constant(1e-16), 0.04, None),  # about 24 Rayleigh ranges
+    "wide": (TurbulenceProfile.from_constant(1e-16), 0.04, 0.05),  # 921 points for 2,080 entries
+}
+
+
+class TestChebyshevPath:
+    @pytest.mark.parametrize("profile, waist, fraction", CHEBYSHEV_LINKS.values(), ids=CHEBYSHEV_LINKS)
+    def test_interpolated_integrals_match_per_entry_oracle(self, paper_spec, profile, waist, fraction):
+        spec = paper_spec if fraction is None else reaching_down_to(paper_spec, 64, fraction)
+        geom, pairs = paper_geom(waist=waist), kernel_pairs(spec, 64)
+        assert interpolated(geom, pairs)
+        oracle = per_entry_integrals(profile, geom, pairs)
+        np.testing.assert_allclose(integrated_l(profile, geom, pairs), oracle, rtol=1e-14, atol=0.0)
+
+    def test_widest_band_sums_every_entry(self, paper_spec):
+        # a grid reaching down to 1e-3 of the centre, as wide as the
+        # validator's omega_min > 0 allows for practical purposes: the
+        # ellipse through s = 0 hugs the interval, the degree passes the
+        # number of entries and every entry is summed directly
+        spec = reaching_down_to(paper_spec, 64, 1e-3)
+        pairs = kernel_pairs(spec, 64)
+        assert 0.0 < pairs[0].min() < 1.01e-3 * spec.center
+        lambdas = turbulence.two_pi_c_over(np.array([pairs[0].max(), pairs[0].min()]))
+        assert turbulence._chebyshev_degree(*lambdas**2) >= len(pairs[0])
+        profile, geom = TurbulenceProfile.from_constant(1e-16), paper_geom()
+        assert np.array_equal(integrated_l(profile, geom, pairs), per_entry_integrals(profile, geom, pairs))
+
+    @pytest.mark.parametrize(
+        "profile",
+        [TurbulenceProfile.from_constant(1e-16), TurbulenceProfile.from_table(CROSSING_TABLE)],
+        ids=["constant", "crossing"],
+    )
+    def test_few_entries_sum_every_entry(self, paper_spec, profile):
+        # single wavelength, scalar pairs and a set no larger than its
+        # degree (the 16 diagonal pairs of g = 16 need 25 points) are
+        # summed directly, bit for bit as before
+        geom = paper_geom()
+        assert integrated_l(profile, geom) == per_entry_integrals(profile, geom)
+        omegas = frequency_grid(paper_spec, 16)
+        for pair in [(omegas[0], omegas[-1]), (omegas[3], omegas[3])]:
+            assert integrated_l(profile, geom, pair) == per_entry_integrals(profile, geom, pair)
+        diagonal = (omegas, omegas)
+        assert not interpolated(geom, diagonal)
+        assert np.array_equal(integrated_l(profile, geom, diagonal), per_entry_integrals(profile, geom, diagonal))
+
+    def test_error_estimate_guard_names_worst_pair(self, monkeypatch, paper_spec):
+        # 2 against 1 node per panel on the interpolated path: every pair is
+        # still checked, and the message names the pair furthest over the bound
+        monkeypatch.setattr(turbulence, "PANEL_NODES", 2)
+        profile, geom, pairs = TurbulenceProfile.from_constant(1e-16), paper_geom(), kernel_pairs(paper_spec, 64)
+        assert interpolated(geom, pairs)
+        fine, coarse = path_sums(profile, geom, pairs)
+        worst = np.argmax(np.abs(fine - coarse) - turbulence.RELATIVE_ERROR_BOUND * fine)
+        lambda1, lambda2 = (turbulence.two_pi_c_over(x[worst]) for x in pairs)
+        with pytest.raises(QuadratureError, match=re.escape(f"({lambda1:.6g}, {lambda2:.6g}) m")):
+            integrated_l(profile, geom, pairs)
+
+    def test_degree_rule(self, paper_spec):
+        # the point counts the README quotes at the paper source, and no
+        # finite count where the interval is empty or reaches 0 in floats
+        for order, count in ((16, 25), (32, 33), (64, 50)):
+            lambdas = turbulence.two_pi_c_over(frequency_grid(paper_spec, order)[[-1, 0]])
+            assert turbulence._chebyshev_degree(*lambdas**2) == count
+        for low, high in ((2.0, 2.0), (0.0, 1.0), (1e-17, 1.0)):
+            assert turbulence._chebyshev_degree(low, high) == math.inf
+
+    def test_transfer_cache_keyed_on_frequencies(self, paper_spec):
+        # two links on one grid differ in s but not in the half-sums: one
+        # miss, then a hit; the cache is bounded and its arrays read-only,
+        # since sweep threads share them
+        turbulence._chebyshev_transfer.cache_clear()
+        profile = TurbulenceProfile.from_constant(1e-16)
+        for waist in (0.1457, 0.04):
+            channel_kernel(paper_spec, profile, paper_geom(waist=waist), grid_order=64)
+        info = turbulence._chebyshev_transfer.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert info.maxsize == turbulence.TRANSFER_CACHE
+        pairs = kernel_pairs(paper_spec, 64)
+        half_sum = 0.5 * (turbulence.two_pi_c_over(pairs[0]) ** 2 + turbulence.two_pi_c_over(pairs[1]) ** 2)
+        points, matrix = turbulence._chebyshev_transfer(half_sum.tobytes())
+        assert matrix.shape == (len(half_sum), len(points))
+        assert not points.flags.writeable and not matrix.flags.writeable
+
+    def test_threads_share_the_cache(self, paper_spec):
+        # more grids than the cache keeps, on more threads than cores, with
+        # short switch intervals: every result equals its serial one
+        profile, geom = TurbulenceProfile.from_constant(1e-16), paper_geom()
+        orders = (10, 12, 14, 16, 20, 24, 28, 32, 48, 64)
+        assert len(orders) > turbulence.TRANSFER_CACHE
+        serial = {order: integrated_l(profile, geom, kernel_pairs(paper_spec, order)) for order in orders}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [(order, pool.submit(integrated_l, profile, geom, kernel_pairs(paper_spec, order)))
+                           for _ in range(4) for order in orders]
+                for order, future in futures:
+                    assert np.array_equal(future.result(timeout=60), serial[order])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def union1d_edges(profile, geom, rayleigh):

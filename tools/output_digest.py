@@ -4,7 +4,7 @@ bit-identical.
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
-Runs each subcommand in this process through `turbulink.cli.main`, at nine
+Runs each subcommand in this process through `turbulink.cli.main`, at ten
 override sets, each run in its own temporary output directory, and prints
 one line per run: the command, the override set, the exit code and a
 SHA-256 over stdout, stderr and every file the run wrote.  Paths are
@@ -52,6 +52,8 @@ OVERRIDE_SETS = {
     "tabulated": ("profile_csv=profile.csv",),
     # 30 km is about 24 Rayleigh ranges of a 4 cm waist: graded panels past 8
     "graded": ("waist_m=0.04", "cn2=1e-16"),
+    # the largest analytic grid, with the largest modes tmatrix and entangle take
+    "g64": ("grid_order=64", "max_mode=14", "pair_modes=14"),
 }
 COMMANDS = ("schmidt", "beam", "coupling", "kernel", "tmatrix", "entangle", "validate", "sweep tmatrix")
 SWEEP_CONFIG = '[sweep]\naxes = ["waist_m"]\nwaist_m = [0.1, 0.1457]\n'
