@@ -91,14 +91,34 @@ class ChannelKernel:
         """P(omega_i, omega_i): a read-only view of the matrix, taken once."""
         return self.matrix.diagonal()
 
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """T_n = sum_i psi_n(i)^2 P(omega_i, omega_i) of every resolvable
+        mode, read-only, computed once."""
+        psi = discrete_modes(self.order)
+        traces = (psi * psi * self.diagonal).sum(axis=-1)
+        traces.flags.writeable = False
+        return traces
+
     def mode_vectors(self, count: int) -> np.ndarray:
         """The first `count` discrete orthonormal temporal-mode vectors on the
         kernel grid: a read-only view of `schmidt.discrete_modes(order)`."""
+        _check_index("count", count)
+        self._check_resolvable(count)
+        return discrete_modes(self.order)[:count]
+
+    def _check_resolvable(self, count: int):
         if count > self.order // 2:
             raise ResolutionError(
                 f"mode order {count - 1} not resolvable on a grid of {self.order} nodes"
             )
-        return discrete_modes(self.order)[:count]
+
+
+def _check_index(name: str, value):
+    """Refuse a mode index or count that is not a non-negative int (a bool
+    is refused too: it would read as mode 0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, not {value!r}")
 
 
 def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
@@ -224,14 +244,11 @@ def _upper_triangle(order: int) -> tuple:
     return rows, cols
 
 
-def _traces(kernel: ChannelKernel, psi: np.ndarray) -> np.ndarray:
-    """T_n = sum_i psi_n(i)^2 P(omega_i, omega_i) for each row psi_n of psi."""
-    return (psi * psi * kernel.diagonal).sum(axis=-1)
-
-
 def mode_trace(kernel: ChannelKernel, spec: BiphotonSpec, n: int) -> float:
     """Survival probability T_n of the n-th temporal mode (diagonal average)."""
-    return float(_traces(kernel, kernel.mode_vectors(n + 1)[n:])[0])
+    _check_index("n", n)
+    kernel._check_resolvable(n + 1)
+    return float(kernel.traces[n])
 
 
 @dataclass(frozen=True)
@@ -253,8 +270,9 @@ def transmission_matrix(kernel: ChannelKernel, spec: BiphotonSpec, max_mode: int
     modes sums to one; the returned block stops at max_mode.  T_n S[n, m] =
     o.Po with o = psi_n * psi_m: one GEMM of the stacked o with P, a row dot.
     """
+    _check_index("max_mode", max_mode)
     psi = kernel.mode_vectors(max_mode + 1)
-    traces = _traces(kernel, psi)
+    traces = kernel.traces[: max_mode + 1]
     if not (traces > 0.0).all():
         raise RuntimeError(f"temporal mode {np.argmin(traces)} is fully absorbed (trace 0)")
     overlap = (psi[:, None, :] * psi[None, :, :]).reshape(-1, kernel.order)  # ((n, m), grid)

@@ -9,8 +9,9 @@ Path integrals of the decay density use one composite Gauss-Legendre rule in
 z: 16 nodes per panel, panels no wider than the smallest pair Rayleigh range
 up to GRADING of them and graded geometrically beyond, plus a panel edge
 wherever the chord crosses a height of a tabulated profile (the log-log
-interpolation has a kink there).  C_n^2 is sampled once on the nodes.  The
-8-node rule on the same panels gives the error estimate.
+interpolation has a kink there).  The 8-node rule on the same panels gives
+the error estimate; C_n^2 is sampled on both rules' nodes in one call.  A
+single-wavelength integral does all but its two sums in Python floats.
 
 A frequency pair enters the path sum only through
 s = (lambda1^2 + lambda2^2) / 2 / (pi w0^2)^2, its prefactor
@@ -20,7 +21,10 @@ pairs samples F at n Chebyshev points on [s_min, s_max] and carries it to
 every pair with one barycentric matrix (Berrut & Trefethen, SIAM Rev. 46,
 2004); n (`_chebyshev_degree`) and the matrix depend on the frequencies
 alone.  Where n is not below the number of entries each entry is summed
-directly.
+directly.  A pair set's wavelengths, half-sums, products lambda1 lambda2
+and transfer matrix are built once per set of frequency arrays and kept in
+one bounded cache keyed on the frequencies (`_pair_constants`): two sets
+can share their half-sums and differ in their products.
 
 Note on the total-rate constant: evaluating k1 k2 * int Phi d^2K / 4 pi^2
 with the von Karman density gives 30.86 C_n^2 / (lambda1 lambda2 kappa_0^{5/3});
@@ -33,6 +37,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +54,7 @@ GRADING = 8  # panels past GRADING Rayleigh ranges are 1/GRADING of their start 
 RELATIVE_ERROR_BOUND = 1e-6
 CHUNK_ELEMENTS = 1 << 13  # (points in s x nodes) block of a path sum, 64 KB of float64
 UNIT_ROUNDOFF = 2.0**-53  # the interpolation error the Chebyshev degree aims at
-TRANSFER_CACHE = 8  # pair sets whose barycentric matrix is kept
+TRANSFER_CACHE = 8  # frequency-pair sets whose constants and barycentric matrix are kept
 
 SPEED_OF_LIGHT = 299792458.0
 TRAD_S = 1e12  # rad/s in one T rad/s, the frequency unit of configs and CSVs
@@ -286,43 +291,87 @@ def integrated_l(
       (w1, w2)      -> two-frequency l for the angular-frequency pair (rad/s);
                        arrays broadcast and give an array of integrals
     """
-    if frequencies is None:
-        lambda1 = lambda2 = np.asarray(float(geom.wavelength))
-    else:
-        omega1, omega2 = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in frequencies))
-        if not _positive_finite(omega1, omega2):
-            raise ValueError("frequencies must be positive")
-        lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
     # l(z) = C_n^2(z) w^{5/3} / (lambda1 lambda2) * (1 + half_sum (z / pi w^2)^2)^{5/6}
-    half_sum = 0.5 * (lambda1 * lambda1 + lambda2 * lambda2)
     beam_area = math.pi * geom.waist**2
-    rayleigh = beam_area / math.sqrt(float(half_sum.max()))
-    panels = _panels(profile, geom, rayleigh)
-    # a single entry is summed directly (its cache entry would only evict a grid's)
-    transfer = _chebyshev_transfer(half_sum.tobytes()) if half_sum.size > 1 else None
-    points = half_sum if transfer is None else transfer[0]
-    fine, coarse = (
-        _path_sum(profile, geom, panels, nodes, points / beam_area**2)
-        for nodes in (PANEL_NODES, PANEL_NODES // 2)
-    )
-    if transfer is not None:
-        fine, coarse = (transfer[1] @ np.stack([fine, coarse], axis=1)).T.reshape((2,) + half_sum.shape)
+    if frequencies is None:
+        # one wavelength: everything but the two sums in Python floats
+        wavelength = float(geom.wavelength)
+        half_sum = 0.5 * (wavelength * wavelength + wavelength * wavelength)
+        rules = _path_rules(profile, geom, _panels(profile, geom, beam_area / math.sqrt(half_sum)))
+        fine, coarse = (float(_path_sum(rule, np.array([half_sum / beam_area**2]))[0]) for rule in rules)
+        estimate = abs(fine - coarse)
+        if estimate > RELATIVE_ERROR_BOUND * abs(fine):
+            raise _quadrature_error(wavelength, wavelength, fine, estimate)
+        return geom.waist ** (5.0 / 3.0) / (wavelength * wavelength) * fine
+    pairs = _pair_set(frequencies)
+    rules = _path_rules(profile, geom, _panels(profile, geom, beam_area / math.sqrt(pairs.widest)))
+    points = pairs.half_sum if pairs.transfer is None else pairs.transfer[0]
+    fine, coarse = (_path_sum(rule, points / beam_area**2) for rule in rules)
+    if pairs.transfer is not None:
+        fine, coarse = (pairs.transfer[1] @ np.stack([fine, coarse], axis=1)).T.reshape((2,) + pairs.half_sum.shape)
     estimate = np.abs(fine - coarse)
     if (estimate > RELATIVE_ERROR_BOUND * np.abs(fine)).any():
         worst = np.argmax(estimate - RELATIVE_ERROR_BOUND * np.abs(fine))
-        raise QuadratureError(
-            f"path integral did not converge at wavelengths ({lambda1.flat[worst]:.6g}, "
-            f"{lambda2.flat[worst]:.6g}) m "
-            f"(value={fine.flat[worst]}, error estimate={estimate.flat[worst]})"
-        )
-    value = geom.waist ** (5.0 / 3.0) / (lambda1 * lambda2) * fine
+        raise _quadrature_error(pairs.lambda1.flat[worst], pairs.lambda2.flat[worst],
+                                fine.flat[worst], estimate.flat[worst])
+    value = geom.waist ** (5.0 / 3.0) / pairs.product * fine
     return float(value) if value.ndim == 0 else value
 
 
-def _path_sum(profile, geom, panels, nodes, scale):
-    """sum_k weight_k C_n^2(z_k) (1 + scale z_k^2)^{5/6} over the path rule,
-    for every entry of `scale`, in row blocks of at most CHUNK_ELEMENTS."""
-    z, weighted_cn2 = _path_rule(profile, geom, panels, nodes)
+def _quadrature_error(lambda1, lambda2, value, estimate) -> QuadratureError:
+    return QuadratureError(
+        f"path integral did not converge at wavelengths ({lambda1:.6g}, {lambda2:.6g}) m "
+        f"(value={value}, error estimate={estimate})"
+    )
+
+
+class _PairSet(NamedTuple):
+    """The frequency-only constants of a set of pairs: wavelengths, half-sums
+    (lambda1^2 + lambda2^2) / 2, products lambda1 lambda2 (read-only arrays),
+    the widest half-sum and the Chebyshev transfer (None, or the points and
+    barycentric matrix of `_chebyshev_transfer`)."""
+
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    half_sum: np.ndarray
+    product: np.ndarray
+    widest: float
+    transfer: tuple | None
+
+
+def _pair_set(frequencies) -> _PairSet:
+    """The constants of the broadcast frequency arrays, from the cache keyed on
+    their shape and bytes (so every link on one frequency grid shares it);
+    a single pair is built uncached (its entry would only evict a grid's)."""
+    omega1, omega2 = (np.asarray(f, dtype=float) for f in frequencies)
+    if omega1.shape != omega2.shape:
+        omega1, omega2 = np.broadcast_arrays(omega1, omega2)
+    build = _pair_constants if omega1.size > 1 else _pair_constants.__wrapped__
+    return build(omega1.shape, omega1.tobytes(), omega2.tobytes())
+
+
+@lru_cache(maxsize=TRANSFER_CACHE)
+def _pair_constants(shape: tuple, omega1: bytes, omega2: bytes) -> _PairSet:
+    """The constants of the pairs whose frequencies are the float64 bytes
+    `omega1` and `omega2` of arrays of `shape`; refuses a frequency that is
+    not positive and finite."""
+    omega1, omega2 = (np.frombuffer(x).reshape(shape) for x in (omega1, omega2))
+    if not _positive_finite(omega1, omega2):
+        raise ValueError("frequencies must be positive")
+    lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
+    half_sum = 0.5 * (lambda1 * lambda1 + lambda2 * lambda2)
+    product = lambda1 * lambda2
+    for array in (lambda1, lambda2, half_sum, product):
+        array.setflags(write=False)
+    transfer = _chebyshev_transfer(half_sum.reshape(-1))
+    return _PairSet(lambda1, lambda2, half_sum, product, float(half_sum.max()), transfer)
+
+
+def _path_sum(rule, scale):
+    """sum_k weight_k C_n^2(z_k) (1 + scale z_k^2)^{5/6} over the path rule
+    (nodes, weights x C_n^2), for every entry of the array `scale`, in row
+    blocks of at most CHUNK_ELEMENTS."""
+    z, weighted_cn2 = rule
     z2 = z * z
     flat = scale.reshape(-1)
     out = np.empty(flat.shape)
@@ -351,16 +400,13 @@ def _chebyshev_degree(low: float, high: float) -> float:
     return max(1, 1 + math.ceil(math.log(bound / UNIT_ROUNDOFF) / math.log(rho)))
 
 
-@lru_cache(maxsize=TRANSFER_CACHE)
-def _chebyshev_transfer(half_sum: bytes) -> tuple | None:
-    """(points, matrix) for the pair set whose half-sums
-    (lambda1^2 + lambda2^2) / 2 are the float64 bytes `half_sum`: the n
-    Chebyshev points of the first kind on [min, max] and the read-only
-    (entries x n) barycentric matrix that takes values at the points to
-    values at the entries; None where n is not below the number of entries.
-    The half-sums, not s, key it, so every link on one frequency grid shares
-    one matrix."""
-    values = np.frombuffer(half_sum)
+def _chebyshev_transfer(values: np.ndarray) -> tuple | None:
+    """(points, matrix) for the half-sums `values` (lambda1^2 + lambda2^2) / 2
+    of a pair set: the n Chebyshev points of the first kind on [min, max]
+    and the read-only (entries x n) barycentric matrix that takes values at
+    the points to values at the entries; None where n is not below the
+    number of entries.  It depends on the frequencies alone, not on s, so
+    the pair-set cache keeps it for every link on one frequency grid."""
     low, high = float(values.min()), float(values.max())
     count = _chebyshev_degree(low, high)
     if count >= values.size:
@@ -406,13 +452,16 @@ def _panels(profile, geom, rayleigh) -> tuple:
     return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
 
 
-def _path_rule(profile, geom, panels, nodes):
+def _path_rules(profile, geom, panels) -> tuple:
     """Nodes z_k and weights x C_n^2(z_k) of the composite Gauss-Legendre
-    rule with `nodes` nodes on each of the panels (midpoints, half-widths)."""
+    rules with PANEL_NODES and PANEL_NODES // 2 nodes on each of the panels
+    (midpoints, half-widths), C_n^2 sampled on both rules' nodes in one call."""
     mid, half = panels
-    x, w = _legendre(nodes)
-    z = (mid[:, None] + half[:, None] * x).reshape(-1)
-    return z, (half[:, None] * w).reshape(-1) * cn2_at(profile, geom, z)
+    x, w = _legendre(PANEL_NODES)
+    z = mid[:, None] + half[:, None] * x
+    weighted_cn2 = half[:, None] * w * cn2_at(profile, geom, z)
+    return tuple((z[:, nodes].reshape(-1), weighted_cn2[:, nodes].reshape(-1))
+                 for nodes in (slice(PANEL_NODES), slice(PANEL_NODES, None)))
 
 
 def _table_crossings(profile, geom) -> np.ndarray:
@@ -434,4 +483,7 @@ def _table_crossings(profile, geom) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _legendre(nodes: int) -> tuple:
-    return np.polynomial.legendre.leggauss(nodes)
+    """Nodes and weights of the `nodes`-point Gauss-Legendre rule, followed
+    by those of the nodes // 2 point rule."""
+    rules = [np.polynomial.legendre.leggauss(count) for count in (nodes, nodes // 2)]
+    return tuple(np.concatenate(parts) for parts in zip(*rules))

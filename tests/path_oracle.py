@@ -1,9 +1,9 @@
 """An earlier form of `turbulence.integrated_l`, kept as the reference for
 its Chebyshev path: every entry's path sum evaluated at that entry, one
 power of (1 + s z_k^2) per entry and quadrature node, on the same panels
-and nodes.  The library still takes this path wherever the Chebyshev
-degree is not below the number of entries, so there the two agree bit for
-bit."""
+and nodes, C_n^2 sampled once per rule and the wavelengths recomputed per
+call.  The library still takes this path wherever the Chebyshev degree is
+not below the number of entries, so there the two agree bit for bit."""
 from __future__ import annotations
 
 import math
@@ -21,9 +21,18 @@ def path_sums(profile, geom, frequencies=None) -> tuple:
     beam_area = math.pi * geom.waist**2
     panels = turbulence._panels(profile, geom, beam_area / math.sqrt(float(half_sum.max())))
     return tuple(
-        turbulence._path_sum(profile, geom, panels, nodes, half_sum / beam_area**2)
+        turbulence._path_sum(_path_rule(profile, geom, panels, nodes), half_sum / beam_area**2)
         for nodes in (turbulence.PANEL_NODES, turbulence.PANEL_NODES // 2)
     )
+
+
+def _path_rule(profile, geom, panels, nodes) -> tuple:
+    """Nodes z_k and weights x C_n^2(z_k) of one composite Gauss-Legendre
+    rule, C_n^2 sampled on that rule's nodes alone."""
+    mid, half = panels
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    z = (mid[:, None] + half[:, None] * x).reshape(-1)
+    return z, (half[:, None] * w).reshape(-1) * turbulence.cn2_at(profile, geom, z)
 
 
 def per_entry_integrals(profile, geom, frequencies=None):

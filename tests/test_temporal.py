@@ -355,6 +355,49 @@ class TestModeTrace:
         with pytest.raises(ResolutionError):
             mode_trace(kernel, paper_spec, 4)
 
+    def test_traces_computed_once_and_read_only(self, paper_spec, kernel_1e15):
+        # every resolvable mode's trace, as the per-mode sum over its own row
+        traces = kernel_1e15.traces
+        assert traces is kernel_1e15.traces and not traces.flags.writeable
+        psi = kernel_1e15.mode_vectors(kernel_1e15.order // 2)
+        assert traces.tolist() == [float((row * row * np.diag(kernel_1e15.matrix)).sum()) for row in psi]
+        assert [mode_trace(kernel_1e15, paper_spec, n) for n in range(len(psi))] == traces.tolist()
+
+
+def g16_kernel(spec, geom):
+    return channel_kernel(spec, TurbulenceProfile.from_constant(1e-16), geom, grid_order=16)
+
+
+class TestModeIndices:
+    """A negative or bool mode index is refused by name, never read as a
+    mode counted from the end or as mode 0 or 1."""
+
+    def test_negative_trace_index_not_counted_from_the_end(self, paper_spec, paper_geometry):
+        with pytest.raises(ValueError, match=r"n must be a non-negative int, not -3"):
+            mode_trace(g16_kernel(paper_spec, paper_geometry), paper_spec, -3)
+
+    def test_bool_trace_index_refused(self, paper_spec, paper_geometry):
+        with pytest.raises(ValueError, match=r"n must be a non-negative int, not True"):
+            mode_trace(g16_kernel(paper_spec, paper_geometry), paper_spec, True)
+
+    def test_trace_index_minus_one_refused(self, paper_spec, paper_geometry):
+        with pytest.raises(ValueError, match=r"n must be a non-negative int, not -1"):
+            mode_trace(g16_kernel(paper_spec, paper_geometry), paper_spec, -1)
+
+    def test_negative_max_mode_refused(self, paper_spec, paper_geometry):
+        with pytest.raises(ValueError, match=r"max_mode must be a non-negative int, not -1"):
+            transmission_matrix(g16_kernel(paper_spec, paper_geometry), paper_spec, -1)
+
+    @pytest.mark.parametrize("count", [-1, False, 2.0])
+    def test_mode_vector_count_refused(self, paper_spec, paper_geometry, count):
+        with pytest.raises(ValueError, match=rf"count must be a non-negative int, not {count!r}"):
+            g16_kernel(paper_spec, paper_geometry).mode_vectors(count)
+
+    def test_numpy_ints_accepted(self, paper_spec, paper_geometry):
+        kernel = g16_kernel(paper_spec, paper_geometry)
+        assert mode_trace(kernel, paper_spec, np.int64(3)) == mode_trace(kernel, paper_spec, 3)
+        assert kernel.mode_vectors(np.int64(0)).shape == (0, 16)
+
 
 class TestTransmissionMatrix:
     def test_zero_turbulence_identity(self, paper_spec, kernel_zero):

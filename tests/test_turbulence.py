@@ -467,8 +467,7 @@ def reaching_down_to(spec, order, fraction):
 
 def interpolated(geom, pairs) -> bool:
     """Whether `integrated_l` takes the Chebyshev path for these pairs."""
-    half_sum = 0.5 * (turbulence.two_pi_c_over(pairs[0]) ** 2 + turbulence.two_pi_c_over(pairs[1]) ** 2)
-    return turbulence._chebyshev_transfer(half_sum.tobytes()) is not None
+    return turbulence._pair_set(pairs).transfer is not None
 
 
 # the inputs of the Chebyshev path at g = 64: (profile, waist, fraction of
@@ -543,21 +542,59 @@ class TestChebyshevPath:
             assert turbulence._chebyshev_degree(low, high) == math.inf
 
     def test_transfer_cache_keyed_on_frequencies(self, paper_spec):
-        # two links on one grid differ in s but not in the half-sums: one
+        # two links on one grid differ in s but not in the frequencies: one
         # miss, then a hit; the cache is bounded and its arrays read-only,
         # since sweep threads share them
-        turbulence._chebyshev_transfer.cache_clear()
+        turbulence._pair_constants.cache_clear()
         profile = TurbulenceProfile.from_constant(1e-16)
         for waist in (0.1457, 0.04):
             channel_kernel(paper_spec, profile, paper_geom(waist=waist), grid_order=64)
-        info = turbulence._chebyshev_transfer.cache_info()
+        info = turbulence._pair_constants.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert info.maxsize == turbulence.TRANSFER_CACHE
-        pairs = kernel_pairs(paper_spec, 64)
-        half_sum = 0.5 * (turbulence.two_pi_c_over(pairs[0]) ** 2 + turbulence.two_pi_c_over(pairs[1]) ** 2)
-        points, matrix = turbulence._chebyshev_transfer(half_sum.tobytes())
-        assert matrix.shape == (len(half_sum), len(points))
-        assert not points.flags.writeable and not matrix.flags.writeable
+        pairs = turbulence._pair_set(kernel_pairs(paper_spec, 64))
+        points, matrix = pairs.transfer
+        assert matrix.shape == (len(pairs.half_sum), len(points))
+        for array in (pairs.lambda1, pairs.lambda2, pairs.half_sum, pairs.product, points, matrix):
+            assert not array.flags.writeable
+
+    def test_sets_sharing_half_sums_keep_their_products(self, paper_spec):
+        # a set of g = 64 pairs, and one of equal wavelengths
+        # lambda' = sqrt(half-sum) with byte-equal half-sums but other
+        # products lambda1 lambda2 (kept where lambda'^2 rounds back to the
+        # half-sum, about half the pairs): each is its own cache entry and
+        # matches the per-entry oracle
+        omega1, omega2 = kernel_pairs(paper_spec, 64)
+        lambda1, lambda2 = turbulence.two_pi_c_over(omega1), turbulence.two_pi_c_over(omega2)
+        half_sum = 0.5 * (lambda1 * lambda1 + lambda2 * lambda2)
+        omega_equal = turbulence.two_pi_c_over(np.sqrt(half_sum))
+        lambda_equal = turbulence.two_pi_c_over(omega_equal)
+        kept = 0.5 * (lambda_equal * lambda_equal + lambda_equal * lambda_equal) == half_sum
+        assert kept.sum() > 900
+        first, second = (omega1[kept], omega2[kept]), (omega_equal[kept], omega_equal[kept])
+        turbulence._pair_constants.cache_clear()
+        sets = [turbulence._pair_set(pairs) for pairs in (first, second)]
+        assert sets[0].half_sum.tobytes() == sets[1].half_sum.tobytes()
+        off_diagonal = first[0] != first[1]
+        assert np.all(sets[0].product[off_diagonal] < sets[1].product[off_diagonal])
+        assert turbulence._pair_constants.cache_info().misses == 2
+        geom = paper_geom()
+        for profile in (TurbulenceProfile.from_constant(1e-16), TurbulenceProfile.from_table(CROSSING_TABLE)):
+            for pairs in (first, second):
+                assert interpolated(geom, pairs)
+                oracle = per_entry_integrals(profile, geom, pairs)
+                np.testing.assert_allclose(integrated_l(profile, geom, pairs), oracle, rtol=1e-14, atol=0.0)
+
+    def test_scalar_frequency_broadcasts_against_an_array(self, paper_spec):
+        # one omega1 against the whole grid in omega2, and the reverse: the
+        # two sets share no key but give the same integrals
+        profile, geom = TurbulenceProfile.from_constant(1e-16), paper_geom()
+        omegas = frequency_grid(paper_spec, 64)
+        row = integrated_l(profile, geom, (omegas[5], omegas))
+        assert row.shape == (64,)
+        assert np.array_equal(integrated_l(profile, geom, (omegas, omegas[5])), row)
+        oracle = per_entry_integrals(profile, geom, (omegas[5], omegas))
+        np.testing.assert_allclose(row, oracle, rtol=1e-14, atol=0.0)
 
     def test_threads_share_the_cache(self, paper_spec):
         # more grids than the cache keeps, on more threads than cores, with

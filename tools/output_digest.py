@@ -15,8 +15,14 @@ run (the fundamental, LG(l=+1) and a seeded random pure state; cutoffs 0-4,
 both schemes, 1 and 30 km at C_n^2 = 1e-15, with and without
 `check_convergence`) with a SHA-256 of the output matrix's bytes, or of the
 message of the error it raised, and one line for `ipe.cutoff_bracketing`
-over cutoffs 0-4.  Point PYTHONPATH at another checkout's `src` and diff
-the two outputs: equal lines mean equal outputs.
+over cutoffs 0-4.  Last come the analytic link path's scalar and trace
+outputs, which the subcommands reach only in part (`beam` integrates
+constant profiles alone, and only `tmatrix` writes traces): one line per
+`ipe.analytic_decay` on a constant, a tabulated (PROFILE_CSV) and a graded
+link at 1, 10 and 100 km, and one per `temporal.mode_trace` of every
+resolvable mode of each link's 30 km kernel at g = 16 and 64.  Point
+PYTHONPATH at another checkout's `src` and diff the two outputs: equal
+lines mean equal outputs.
 """
 from __future__ import annotations
 
@@ -27,12 +33,15 @@ import os
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from turbulink import ipe
 from turbulink.cli import main
+from turbulink.config import RunConfig
 from turbulink.lgmodes import LGIndex, ModeBasis
+from turbulink.temporal import channel_kernel, mode_trace
 from turbulink.turbulence import LinkGeometry, TurbulenceProfile
 
 OVERRIDE_SETS = {
@@ -58,6 +67,10 @@ OVERRIDE_SETS = {
 COMMANDS = ("schmidt", "beam", "coupling", "kernel", "tmatrix", "entangle", "validate", "sweep tmatrix")
 SWEEP_CONFIG = '[sweep]\naxes = ["waist_m"]\nwaist_m = [0.1, 0.1457]\n'
 PROFILE_CSV = "height_m,cn2\n2.0,4e-16\n8.0,2e-16\n15.0,1e-16\n40.0,5e-17\n"
+# the links of the analytic-path lines, as (cn2, waist_m) over the default
+# link; None reads PROFILE_CSV.  A 4 cm waist grades the panels past 8
+# Rayleigh ranges from about 5 km on.
+PATH_LINKS = {"constant": (1e-16, 0.1457), "tabulated": (None, 0.1457), "graded": (1e-16, 0.04)}
 
 
 def run(command: str, overrides: tuple, output_dir: str) -> tuple:
@@ -121,6 +134,34 @@ def print_ipe_digests():
     print(f"cutoff_bracketing\tcutoffs 0-4\t{digest.hexdigest()}", flush=True)
 
 
+def print_path_digests():
+    table = [row.split(",") for row in PROFILE_CSV.splitlines()[1:]]
+    for name, (cn2, waist) in PATH_LINKS.items():
+        profile = TurbulenceProfile.from_table(table) if cn2 is None else TurbulenceProfile.from_constant(cn2)
+        config = replace(RunConfig(), waist_m=waist)
+        for km in (1, 10, 100):
+            geom = replace(config, distance_m=km * 1e3).geometry
+            print_value("analytic_decay", f"{name} {km} km", ipe.analytic_decay, profile, geom)
+        for order in (16, 64):
+            print_value("mode_trace", f"{name} 30 km g{order}", mode_traces, config, profile, order)
+
+
+def mode_traces(config: RunConfig, profile, order: int) -> list:
+    """T_n of every mode resolvable on the link's analytic kernel of grid order `order`."""
+    kernel = channel_kernel(config.spec, profile, config.geometry, grid_order=order)
+    return [mode_trace(kernel, config.spec, n) for n in range(order // 2)]
+
+
+def print_value(kind: str, label: str, compute, *args):
+    """One line with a SHA-256 of compute(*args) as float64 bytes, or of
+    the message of the error it raised."""
+    try:
+        data = np.asarray(compute(*args), dtype=float).tobytes()
+    except Exception as exc:
+        data = f"raised {type(exc).__name__}: {exc}".encode()
+    print(f"{kind}\t{label}\t{hashlib.sha256(data).hexdigest()}", flush=True)
+
+
 def print_digests():
     with tempfile.TemporaryDirectory() as work:
         home = os.getcwd()
@@ -140,3 +181,4 @@ def print_digests():
 if __name__ == "__main__":
     print_digests()
     print_ipe_digests()
+    print_path_digests()
