@@ -35,9 +35,19 @@ from functools import lru_cache
 import numpy as np
 
 from .schmidt import BiphotonSpec
-from .temporal import ChannelKernel
+from .temporal import ChannelKernel, _check_index
 
 MAX_PAIR_MODES = 14
+
+
+def _check_modes(dim: int, **modes):
+    """Refuse a mode index that is not an int, or is a bool, as
+    `temporal._check_index` does, and one outside [0, dim)."""
+    for name, value in modes.items():
+        if not (isinstance(value, (int, np.integer)) and value < 0):  # a negative int is out of range
+            _check_index(name, value)
+        if not 0 <= value < dim:
+            raise ValueError("mode index outside the basis dimension")
 
 
 @dataclass(frozen=True)
@@ -68,8 +78,7 @@ class TwoPhotonState:
     def mode_pair(cls, m: int, n: int, dim: int) -> "TwoPhotonState":
         """(|f_m f_m> + |f_n f_n>) / sqrt(2), or the bare |f_m f_m> when
         m == n (the superposition degenerates to a product state)."""
-        if min(m, n) < 0 or max(m, n) >= dim:
-            raise ValueError("mode index outside the basis dimension")
+        _check_modes(dim, m=m, n=n)
         psi = np.zeros((dim, dim))
         if m == n:
             psi[m, m] = 1.0
@@ -253,15 +262,16 @@ def robustness_scan(
     computed together; the results equal those of `propagate_pair`,
     `log_negativity` and `fidelity_to_input` on each row's state up to
     rounding.  It refuses what that path refuses: dim past MAX_PAIR_MODES,
-    a mode index outside [0, dim), a channel tensor that is not finite and
-    a fully absorbed pair.
+    a mode index that is not an int or lies outside [0, dim), a channel
+    tensor that is not finite and a fully absorbed pair.
     """
     if dim > MAX_PAIR_MODES:
         raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
     modes = list(n_range)
+    _check_modes(dim, fixed_mode=fixed_mode)
+    for n in modes:
+        _check_modes(dim, n=n)
     pair = np.array([(fixed_mode, n) for n in modes], dtype=int).reshape(-1, 2)
-    if np.any((pair < 0) | (pair >= dim)):
-        raise ValueError("mode index outside the basis dimension")
     tensor = channel_tensor(kernel, dim)
     weight = np.where(pair[:, :1] == pair[:, 1:], [1.0, 0.0], math.sqrt(0.5))
     coef = weight[:, :, None] * weight[:, None, :]

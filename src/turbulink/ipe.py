@@ -41,6 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, LGIndex, ModeBasis, sector_blocks, sector_coupling
+from .lgmodes import sector_orders
 from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, extinction_depth, integrated_l, l_strength
 
 HERMITICITY_TOL = 1e-12
@@ -177,26 +178,25 @@ def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
     gain - B / 2 for LINDBLAD_TRUNCATED, with B: rho -> Q rho + rho Q,
     Q the Hermitian part of Gamma0^T (Gamma0 is Hermitian; its rounding in
     the coupling sum is not).  Both are self-adjoint, so A is symmetric.
-    C, the Gouy commutator 2i(g_u - g_v), turns each (Re, Im) pair and is 0
-    on sector 0's diagonal."""
-    basis, side, sq = ModeBasis(cutoff), cutoff + 1, (cutoff + 1) ** 2
+    C, the Gouy commutator i(N_m - N_n) (`lgmodes.sector_orders`), turns each
+    (Re, Im) pair and is 0 on sector 0's diagonal."""
+    side, sq = cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
-    rows, cols = slice(lo_row, lo_row + count), slice(lo_col, lo_col + count)
-    coupling0 = sector_coupling(cutoff, 0, 0.0)
-    gain = _real_form(sector_coupling(cutoff, delta, 0.0) if delta else coupling0, _layout(side, delta == 0, count))
-    # Q(0) per l-block: Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal
-    q0 = np.einsum("qabpmm->qba", coupling0.reshape((2 * cutoff + 1, side, side) * 2))
-    q0 = 0.5 * (q0 + np.conj(q0).transpose(0, 2, 1))
-    # per l-block on its row-major entries: rho -> Q rho + rho Q and the
-    # Gouy commutator, in real coordinates, then block-diagonal in the sector
-    gouy, eye = np.array([idx.gouy_weight for idx in basis.indices]).reshape(-1, side), np.eye(side)
-    bracket = np.einsum("pac,be->pabce", q0[rows], eye) + np.einsum("ac,pbe->pabce", eye, np.conj(q0[cols]))
-    commutator = np.eye(sq) * 2j * (gouy[rows, :, None] - gouy[cols, None, :]).reshape(count, 1, sq)
-    local = _real_form(np.stack([bracket.reshape(count, sq, sq), commutator]), _layout(side, delta == 0, 1))
-    p, ops = np.arange(count), np.zeros((2, count, local.shape[-1], count, local.shape[-1]))
+    gain = _real_form(sector_coupling(cutoff, delta, 0.0), _layout(side, delta == 0, count))
+    # per l-block on its row-major entries, in real coordinates, then block-diagonal
+    # in the sector: the Gouy commutator and the Lindblad form's rho -> Q rho + rho Q
+    local = [np.eye(sq) * 1j * np.subtract(*sector_orders(cutoff, delta)).reshape(count, 1, sq)]
+    if scheme is PropagationScheme.LINDBLAD_TRUNCATED:
+        # Q(0) per l-block: Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal
+        q0 = np.einsum("qabpmm->qba", sector_coupling(cutoff, 0, 0.0).reshape((2 * cutoff + 1, side, side) * 2))
+        q0, eye = 0.5 * (q0 + np.conj(q0).transpose(0, 2, 1)), np.eye(side)
+        row, col = q0[lo_row : lo_row + count], np.conj(q0[lo_col : lo_col + count])
+        local.append((np.einsum("pac,be->pabce", row, eye) + np.einsum("ac,pbe->pabce", eye, col)).reshape(-1, sq, sq))
+    local = _real_form(np.stack(local), _layout(side, delta == 0, 1))
+    p, ops = np.arange(count), np.zeros((len(local), count, local.shape[-1], count, local.shape[-1]))
     ops[:, p, :, p, :] = local.transpose(1, 0, 2, 3)
-    bracket, rotation = ops.reshape(2, len(gain), len(gain))
-    return (gain if scheme is PropagationScheme.TRUNCATED_EXACT else gain - 0.5 * bracket), rotation
+    rotation, *bracket = ops.reshape(len(local), len(gain), len(gain))
+    return (gain - 0.5 * bracket[0] if bracket else gain), rotation
 
 
 @lru_cache(maxsize=64)
@@ -379,9 +379,9 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
         state = _blocks(vectors @ u, count, side, delta == 0)
         blocks_out[rows, :, cols, :] = state
         blocks_out[cols, :, rows, :] = state.conj().transpose(0, 2, 1)
-    # undo the rotating-frame (Gouy) gauge at the receiver plane
-    gouy = np.array([idx.gouy_weight for idx in rho0.basis.indices])
-    return np.exp(-2j * math.atan2(geom.path_length, z_r) * (gouy[:, None] - gouy[None, :])) * rho
+    # undo the rotating-frame (Gouy) gauge at the receiver plane (N on sector 0's r_n = 0 entries)
+    orders = sector_orders(cutoff, 0)[0][::side]
+    return np.exp(-1j * math.atan2(geom.path_length, z_r) * (orders[:, None] - orders[None, :])) * rho
 
 
 def propagate(
@@ -449,8 +449,9 @@ def cutoff_bracketing(l_values, cutoffs) -> dict:
     eigendecomposition.  Returns {(scheme, cutoff): array over l_values}.
     """
     l_values = np.asarray(l_values, dtype=float)
-    if len(l_values) == 0 or np.any(l_values < 0) or np.any(np.diff(l_values) <= 0):
-        raise ValueError("l_values must be nonempty, nonnegative and increasing")
+    # increasing from a first value >= 0 to a last one < inf; NaN fails every comparison
+    if not (len(l_values) and 0 <= l_values[0] and l_values[-1] < math.inf and (np.diff(l_values) > 0).all()):
+        raise ValueError("l_values must be nonempty, finite, nonnegative and increasing")
     results = {}
     for cutoff in cutoffs:
         # sector 0 only; the fundamental is the first coordinate of the l = 0 block

@@ -406,12 +406,14 @@ def sector_blocks(cutoff: int, delta: int) -> tuple:
     return max(delta, 0), max(-delta, 0), 2 * cutoff + 1 - abs(delta)
 
 
+@lru_cache(maxsize=64)
 def sector_orders(cutoff: int, delta: int) -> tuple:
-    """(N_m, N_n), N = 2r + |l|, on each entry (p, r_m, r_n) of sector delta."""
+    """(N_m, N_n), N = 2r + |l|, on each entry (p, r_m, r_n) of sector delta; read-only."""
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
     n = 2 * np.arange(cutoff + 1) + np.abs(np.arange(-cutoff, cutoff + 1))[:, None]  # [l-block, r]
-    rows, cols = n[lo_row : lo_row + count, :, None], n[lo_col : lo_col + count, None, :]
-    return tuple(np.broadcast_to(x, (count, cutoff + 1, cutoff + 1)).ravel() for x in (rows, cols))
+    rows, cols = n[lo_row : lo_row + count].repeat(cutoff + 1), np.tile(n[lo_col : lo_col + count], cutoff + 1).ravel()
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = False):

@@ -87,16 +87,11 @@ class ChannelKernel:
         return len(self.omegas)
 
     @cached_property
-    def diagonal(self) -> np.ndarray:
-        """P(omega_i, omega_i): a read-only view of the matrix, taken once."""
-        return self.matrix.diagonal()
-
-    @cached_property
     def traces(self) -> np.ndarray:
         """T_n = sum_i psi_n(i)^2 P(omega_i, omega_i) of every resolvable
         mode, read-only, computed once."""
         psi = discrete_modes(self.order)
-        traces = (psi * psi * self.diagonal).sum(axis=-1)
+        traces = (psi * psi * self.matrix.diagonal()).sum(axis=-1)
         traces.flags.writeable = False
         return traces
 

@@ -61,7 +61,10 @@ TRAD_S = 1e12  # rad/s in one T rad/s, the frequency unit of configs and CSVs
 
 
 def extinction_depth(extinction_per_km, distance):
-    """Optical depth kappa L / 1000 of a flat extinction kappa (1/km) over a distance L (m)."""
+    """Optical depth kappa L / 1000 of a flat extinction kappa (1/km) over a
+    distance L (m); refuses a kappa that is negative or not finite."""
+    if not 0 <= extinction_per_km < math.inf:  # NaN fails
+        raise ValueError(f"extinction_per_km must be finite and >= 0, got {extinction_per_km!r}")
     return extinction_per_km * distance / 1000.0
 
 
@@ -341,13 +344,11 @@ class _PairSet(NamedTuple):
 
 def _pair_set(frequencies) -> _PairSet:
     """The constants of the broadcast frequency arrays, from the cache keyed on
-    their shape and bytes (so every link on one frequency grid shares it);
-    a single pair is built uncached (its entry would only evict a grid's)."""
+    their shape and bytes (so every link on one frequency grid shares it)."""
     omega1, omega2 = (np.asarray(f, dtype=float) for f in frequencies)
     if omega1.shape != omega2.shape:
         omega1, omega2 = np.broadcast_arrays(omega1, omega2)
-    build = _pair_constants if omega1.size > 1 else _pair_constants.__wrapped__
-    return build(omega1.shape, omega1.tobytes(), omega2.tobytes())
+    return _pair_constants(omega1.shape, omega1.tobytes(), omega2.tobytes())
 
 
 @lru_cache(maxsize=TRANSFER_CACHE)

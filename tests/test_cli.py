@@ -228,6 +228,13 @@ class TestConfigParsing:
         assert run_cli(tmp_path, *link, subcommand) == code
         assert ("value for 'extinction_per_km'" in capsys.readouterr().err) == (code == EXIT_CONFIG)
 
+    @pytest.mark.parametrize("subcommand", ["beam", "kernel", "tmatrix", "entangle"])
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_extinction_outside_range_refused(self, tmp_path, capsys, subcommand, value):
+        # the range check names the key before `turbulence.extinction_depth` sees the value
+        assert run_cli(tmp_path, "--set", f"extinction_per_km={value}", subcommand) == EXIT_CONFIG
+        assert "value for 'extinction_per_km' out of range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["kernel_fidelity"])
     def test_value_outside_enum_names_key(self, key):
         with pytest.raises(ConfigError, match=f"value for '{key}' must be one of '"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,13 @@ class TestStates:
         # numpy would wrap -1 round to mode dim - 1
         with pytest.raises(ValueError, match="mode index outside the basis dimension"):
             TwoPhotonState.mode_pair(m, n, 8)
+
+    @pytest.mark.parametrize("m, n, name", [(0.5, 1, "m"), (1, 2.0, "n"), (True, 2, "m"), (0, np.float64(3), "n")])
+    def test_non_int_mode_index(self, m, n, name):
+        # (0.5, 1) used to end in numpy's IndexError
+        value = m if name == "m" else n
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative int, not {re.escape(repr(value))}$"):
+            TwoPhotonState.mode_pair(m, n, 4)
 
     def test_scan_refuses_negative_mode(self, paper_spec, kernel_zero):
         with pytest.raises(ValueError, match="mode index outside the basis dimension"):
@@ -402,6 +410,16 @@ class TestRobustnessScan:
     @pytest.mark.parametrize("fixed_mode, n_range", [(0, [1, 4]), (4, [0]), (-1, [2]), (1, [2, -3])])
     def test_mode_outside_dimension(self, paper_spec, kernel_1e16, fixed_mode, n_range):
         with pytest.raises(ValueError, match="mode index outside the basis dimension"):
+            robustness_scan(kernel_1e16, paper_spec, fixed_mode, n_range, dim=4)
+
+    @pytest.mark.parametrize(
+        "fixed_mode, n_range, name",
+        [(0, [0.5, 1, 2.9], "n"), (1.9, [0, 2], "fixed_mode"), (False, [1], "fixed_mode"), (0, [1, True], "n")],
+    )
+    def test_non_int_mode_refused(self, paper_spec, kernel_1e16, fixed_mode, n_range, name):
+        # [0.5, 1, 2.9] used to compute the rows n = 0 and 2 labelled 0.5 and
+        # 2.9, and fixed_mode = 1.9 to run as 1
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative int"):
             robustness_scan(kernel_1e16, paper_spec, fixed_mode, n_range, dim=4)
 
     def test_non_finite_kernel_refused_alike_by_both_paths(self, paper_spec, paper_geometry):

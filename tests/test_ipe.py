@@ -692,6 +692,12 @@ class TestAnalyticDecay:
             math.exp(-0.1 * 30.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("extinction", [-1.0, math.nan, math.inf])
+    def test_extinction_refused(self, extinction):
+        # -1/km used to give a survival probability of 5.0e12
+        with pytest.raises(ValueError, match="extinction_per_km"):
+            analytic_decay(TurbulenceProfile.from_constant(1e-16), geometry(), extinction_per_km=extinction)
+
 
 class TestCutoffBracketing:
     def test_families_bracket_and_converge(self):
@@ -734,6 +740,10 @@ class TestCutoffBracketing:
             cutoff_bracketing([0.1, 0.05], [1])
         with pytest.raises(ValueError, match="nonempty"):
             cutoff_bracketing([], [1])
+        # [0, nan] used to give NaN populations and [0, inf] a Lindblad population of +inf
+        for last in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                cutoff_bracketing([0.0, last], [1])
 
 
 class TestDistanceSweep:
@@ -770,3 +780,9 @@ class TestDistanceSweep:
         rows = distance_sweep([1e-15, 1e-16], [2.0e4, 1.0e4], LAM)
         keys = [(r["cn2"], r["distance_m"]) for r in rows]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("extinction", [-0.5, math.nan])
+    def test_extinction_refused(self, extinction):
+        # -0.5/km used to give a probability of 1.65, NaN a NaN one
+        with pytest.raises(ValueError, match="extinction_per_km"):
+            distance_sweep([1e-15], [1.0e3], LAM, extinction_per_km=extinction)

@@ -29,6 +29,7 @@ from turbulink.lgmodes import (
     gamma_weight_matrix,
     lg_momentum_amplitude,
     pair_coupling_assembler,
+    sector_blocks,
     sector_coupling,
     sector_orders,
 )
@@ -158,6 +159,21 @@ class TestBasis:
     def test_negative_radial_rejected(self):
         with pytest.raises(ValueError):
             LGIndex(l=0, r=-1)
+
+    @pytest.mark.parametrize("cutoff", range(5))
+    def test_sector_orders_are_twice_the_gouy_weights(self, cutoff):
+        # entry (p, r_m, r_n) of sector delta pairs mode m of row l-block
+        # lo_row + p with mode n of column l-block lo_col + p; the cached
+        # arrays are read-only
+        basis, side = ModeBasis(cutoff), cutoff + 1
+        weights = np.array([idx.gouy_weight for idx in basis.indices]).reshape(-1, side)
+        for delta in range(-2 * cutoff, 2 * cutoff + 1):
+            lo_row, lo_col, count = sector_blocks(cutoff, delta)
+            n_row, n_col = sector_orders(cutoff, delta)
+            entries = itertools.product(range(count), range(side), range(side))
+            expected = [(2 * weights[lo_row + p, a], 2 * weights[lo_col + p, b]) for p, a, b in entries]
+            assert np.array_equal(np.stack([n_row, n_col], axis=1), expected)
+            assert not n_row.flags.writeable and not n_col.flags.writeable
 
 
 class TestMomentumAmplitude:

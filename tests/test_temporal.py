@@ -79,6 +79,13 @@ class TestKernel:
         )
         assert np.all(kernel.matrix == pytest.approx(math.exp(-0.2 * 30.0), rel=1e-12))
 
+    @pytest.mark.parametrize("extinction", [-1.0, math.nan, math.inf])
+    def test_extinction_refused(self, paper_spec, paper_geometry, extinction):
+        # -1/km used to give kernel entries up to 5.6e12
+        profile = TurbulenceProfile.from_constant(1e-16)
+        with pytest.raises(ValueError, match="extinction_per_km"):
+            channel_kernel(paper_spec, profile, paper_geometry, grid_order=8, extinction_per_km=extinction)
+
     def test_grid_guards(self, paper_spec, paper_geometry):
         profile = TurbulenceProfile.from_constant(1e-16)
         with pytest.raises(CostGuardError):

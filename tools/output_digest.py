@@ -4,7 +4,7 @@ bit-identical.
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
-Runs each subcommand in this process through `turbulink.cli.main`, at ten
+Runs each subcommand in this process through `turbulink.cli.main`, at eleven
 override sets, each run in its own temporary output directory, and prints
 one line per run: the command, the override set, the exit code and a
 SHA-256 over stdout, stderr and every file the run wrote.  Paths are
@@ -63,6 +63,9 @@ OVERRIDE_SETS = {
     "graded": ("waist_m=0.04", "cn2=1e-16"),
     # the largest analytic grid, with the largest modes tmatrix and entangle take
     "g64": ("grid_order=64", "max_mode=14", "pair_modes=14"),
+    # a flat extinction (depth 9 over the default 30 km): beam, kernel, tmatrix
+    # and entangle carry its factor, which every set above leaves at 1
+    "extinction": ("extinction_per_km=0.3",),
 }
 COMMANDS = ("schmidt", "beam", "coupling", "kernel", "tmatrix", "entangle", "validate", "sweep tmatrix")
 SWEEP_CONFIG = '[sweep]\naxes = ["waist_m"]\nwaist_m = [0.1, 0.1457]\n'
