@@ -7,6 +7,12 @@ turns every temporal-mode quantity into a small quadratic form in the mode
 vectors of `schmidt.discrete_modes`: mode traces, the transmission matrix
 S_{n,m}, and the per-mode output densities.
 
+One cached, read-only grid object per (spec, order) holds the per-grid
+constants: the frequencies, the rows and columns of the upper triangle
+(the kernel is exactly symmetric: only those entries are computed), each
+entry's position in it (the full matrix is one `take`) and the triangle's
+`turbulence.pair_constants`.
+
 Two kernel fidelities:
   ANALYTIC  pure decay, P = exp(-54.1 * int l(omega1, omega2, z) dz); this is
             the regime in which the reference transmission matrix lives.
@@ -34,6 +40,7 @@ Two kernel fidelities:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -43,8 +50,8 @@ import numpy as np
 from .ipe import SolverConfig, half_step_integrals, rk4_nodes
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler, sector_orders
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import LinkGeometry, TurbulenceProfile, extinction_depth, integrated_l, l_cross
-from .turbulence import normalized_distance, two_pi_c_over
+from .turbulence import TRANSFER_CACHE, LinkGeometry, TurbulenceProfile, extinction_depth, integrated_l, l_cross
+from .turbulence import normalized_distance, pair_constants, two_pi_c_over
 
 MAX_GRID_ORDER = 64
 MAX_FULL_IPE_GRID = 12
@@ -77,7 +84,7 @@ class ResolutionError(ValueError):
 @dataclass(frozen=True)
 class ChannelKernel:
     """Decay surface P(omega_i, omega_j) on the Gauss-Hermite frequency grid
-    of order len(omegas)."""
+    of order len(omegas) (read-only, shared by every kernel on the grid)."""
 
     omegas: np.ndarray
     matrix: np.ndarray
@@ -107,6 +114,21 @@ class ChannelKernel:
             raise ResolutionError(
                 f"mode order {count - 1} not resolvable on a grid of {self.order} nodes"
             )
+
+
+_Grid = namedtuple("_Grid", "omegas rows cols mirror pairs")
+
+
+@lru_cache(maxsize=TRANSFER_CACHE)
+def _source_grid(spec: BiphotonSpec, order: int) -> _Grid:
+    """The grid object of the module docstring; mirror[i, j] is (i, j)'s position in the triangle."""
+    omegas = frequency_grid(spec, order)
+    rows, cols = np.triu_indices(order)
+    mirror = np.empty((order, order), dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(rows.size)
+    for array in (omegas, rows, cols, mirror):
+        array.flags.writeable = False
+    return _Grid(omegas, rows, cols, mirror, pair_constants(omegas[rows], omegas[cols]))
 
 
 def _check_index(name: str, value):
@@ -199,44 +221,32 @@ def channel_kernel(
     steps: int = 128,
 ) -> ChannelKernel:
     """Sample the two-frequency survival probability on the source grid."""
+    _check_index("grid_order", grid_order)
+    if not isinstance(fidelity, KernelFidelity):
+        raise ValueError(f"fidelity must be a KernelFidelity member, not {fidelity!r}")
     if grid_order > MAX_GRID_ORDER:
         raise CostGuardError(f"grid order {grid_order} exceeds {MAX_GRID_ORDER}")
     if fidelity is KernelFidelity.FULL_IPE:
         SolverConfig(cutoff=cutoff, steps=steps)  # refuses the step counts `propagate` refuses
         if grid_order > MAX_FULL_IPE_GRID or cutoff > MAX_FULL_IPE_CUTOFF:
-            raise CostGuardError(
-                f"full propagation kernels are limited to grid order {MAX_FULL_IPE_GRID}"
-                f" and cutoff {MAX_FULL_IPE_CUTOFF}"
-            )
-    omegas = frequency_grid(spec, grid_order)
-    matrix = np.ones((grid_order, grid_order))
+            raise CostGuardError(f"full propagation kernels are limited to grid order {MAX_FULL_IPE_GRID}"
+                                 f" and cutoff {MAX_FULL_IPE_CUTOFF}")
+    grid = _source_grid(spec, grid_order)
     extinction = math.exp(-extinction_depth(extinction_per_km, geom.path_length))
-    if not profile.is_zero:
-        # the upper triangle, mirrored: the kernel is exactly symmetric
-        rows, cols = _upper_triangle(grid_order)
-        if fidelity is KernelFidelity.ANALYTIC:
-            exponent = DECAY_CONSTANT * integrated_l(profile, geom, (omegas[rows], omegas[cols]))
-            values = np.exp(-exponent)
-        else:
-            values = _cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, geom, cutoff, steps)
-            # off-diagonal frequency pairs acquire a small dispersive phase (the
-            # two carriers couple to the mode ladder with different Gouy
-            # rotations); the kernel contract is real-valued, so keep the real
-            # part and only fail if the phase of some pair stops being a perturbation
-            too_large = ~(np.abs(values.imag) <= 0.05 * np.maximum(np.abs(values.real), 1e-12))  # NaN too
-            if np.any(too_large):
-                raise RuntimeError(f"cross-frequency population has imaginary part {values.imag[too_large][0]:.2e}")
-            values = values.real
-        matrix[rows, cols] = matrix[cols, rows] = values
-    return ChannelKernel(omegas=omegas, matrix=matrix * extinction)
-
-
-@lru_cache(maxsize=None)
-def _upper_triangle(order: int) -> tuple:
-    """Read-only (rows, cols) of an order x order kernel's upper triangle."""
-    rows, cols = np.triu_indices(order)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    if profile.is_zero:
+        return ChannelKernel(omegas=grid.omegas, matrix=np.full((grid_order, grid_order), extinction))
+    if fidelity is KernelFidelity.ANALYTIC:
+        values = np.exp(-(DECAY_CONSTANT * integrated_l(profile, geom, grid.pairs)))
+    else:
+        values = _cross_frequency_full_ipe(grid.omegas[grid.rows], grid.omegas[grid.cols], profile, geom, cutoff, steps)
+        # the real part, while the carriers' dispersive phase stays a perturbation
+        too_large = ~(np.abs(values.imag) <= 0.05 * np.maximum(np.abs(values.real), 1e-12))  # NaN too
+        if np.any(too_large):
+            raise RuntimeError(f"cross-frequency population has imaginary part {values.imag[too_large][0]:.2e}")
+        values = values.real
+    matrix = values.take(grid.mirror)  # the upper triangle, mirrored
+    matrix *= extinction
+    return ChannelKernel(omegas=grid.omegas, matrix=matrix)
 
 
 def mode_trace(kernel: ChannelKernel, spec: BiphotonSpec, n: int) -> float:

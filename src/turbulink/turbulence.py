@@ -11,7 +11,7 @@ up to GRADING of them and graded geometrically beyond, plus a panel edge
 wherever the chord crosses a height of a tabulated profile (the log-log
 interpolation has a kink there).  The 8-node rule on the same panels gives
 the error estimate; C_n^2 is sampled on both rules' nodes in one call.  A
-single-wavelength integral does all but its two sums in Python floats.
+single-wavelength integral does all but its sums in Python floats.
 
 A frequency pair enters the path sum only through
 s = (lambda1^2 + lambda2^2) / 2 / (pi w0^2)^2, its prefactor
@@ -22,9 +22,8 @@ every pair with one barycentric matrix (Berrut & Trefethen, SIAM Rev. 46,
 2004); n (`_chebyshev_degree`) and the matrix depend on the frequencies
 alone.  Where n is not below the number of entries each entry is summed
 directly.  A pair set's wavelengths, half-sums, products lambda1 lambda2
-and transfer matrix are built once per set of frequency arrays and kept in
-one bounded cache keyed on the frequencies (`_pair_constants`): two sets
-can share their half-sums and differ in their products.
+and transfer matrix come from `pair_constants`, uncached; a kernel passes
+`integrated_l` the set that its cached source grid keeps (`temporal`).
 
 Note on the total-rate constant: evaluating k1 k2 * int Phi d^2K / 4 pi^2
 with the von Karman density gives 30.86 C_n^2 / (lambda1 lambda2 kappa_0^{5/3});
@@ -52,9 +51,9 @@ TOTAL_RATE_CONSTANT = SPECTRUM_AMPLITUDE * 0.6 * 16.0 * math.pi**4  # = 30.857..
 PANEL_NODES = 16  # Gauss-Legendre nodes per path panel; the estimate uses half
 GRADING = 8  # panels past GRADING Rayleigh ranges are 1/GRADING of their start wide
 RELATIVE_ERROR_BOUND = 1e-6
-CHUNK_ELEMENTS = 1 << 13  # (points in s x nodes) block of a path sum, 64 KB of float64
+CHUNK_ELEMENTS = 1 << 13  # (points in s x fine-rule nodes) of a path-sum block, 64 KB of float64
 UNIT_ROUNDOFF = 2.0**-53  # the interpolation error the Chebyshev degree aims at
-TRANSFER_CACHE = 8  # frequency-pair sets whose constants and barycentric matrix are kept
+TRANSFER_CACHE = 8  # source grids (spec, order) whose pair constants `temporal` keeps
 
 SPEED_OF_LIGHT = 299792458.0
 TRAD_S = 1e12  # rad/s in one T rad/s, the frequency unit of configs and CSVs
@@ -293,6 +292,7 @@ def integrated_l(
       None          -> use geom.wavelength (single-wavelength l)
       (w1, w2)      -> two-frequency l for the angular-frequency pair (rad/s);
                        arrays broadcast and give an array of integrals
+      pair set      -> the same for the pairs of `pair_constants(w1, w2)`
     """
     # l(z) = C_n^2(z) w^{5/3} / (lambda1 lambda2) * (1 + half_sum (z / pi w^2)^2)^{5/6}
     beam_area = math.pi * geom.waist**2
@@ -301,15 +301,15 @@ def integrated_l(
         wavelength = float(geom.wavelength)
         half_sum = 0.5 * (wavelength * wavelength + wavelength * wavelength)
         rules = _path_rules(profile, geom, _panels(profile, geom, beam_area / math.sqrt(half_sum)))
-        fine, coarse = (float(_path_sum(rule, np.array([half_sum / beam_area**2]))[0]) for rule in rules)
+        fine, coarse = (float(x[0]) for x in _path_sums(rules, np.array([half_sum / beam_area**2])))
         estimate = abs(fine - coarse)
         if estimate > RELATIVE_ERROR_BOUND * abs(fine):
             raise _quadrature_error(wavelength, wavelength, fine, estimate)
         return geom.waist ** (5.0 / 3.0) / (wavelength * wavelength) * fine
-    pairs = _pair_set(frequencies)
+    pairs = frequencies if isinstance(frequencies, _PairSet) else pair_constants(*frequencies)
     rules = _path_rules(profile, geom, _panels(profile, geom, beam_area / math.sqrt(pairs.widest)))
     points = pairs.half_sum if pairs.transfer is None else pairs.transfer[0]
-    fine, coarse = (_path_sum(rule, points / beam_area**2) for rule in rules)
+    fine, coarse = _path_sums(rules, points / beam_area**2)
     if pairs.transfer is not None:
         fine, coarse = (pairs.transfer[1] @ np.stack([fine, coarse], axis=1)).T.reshape((2,) + pairs.half_sum.shape)
     estimate = np.abs(fine - coarse)
@@ -329,10 +329,9 @@ def _quadrature_error(lambda1, lambda2, value, estimate) -> QuadratureError:
 
 
 class _PairSet(NamedTuple):
-    """The frequency-only constants of a set of pairs: wavelengths, half-sums
-    (lambda1^2 + lambda2^2) / 2, products lambda1 lambda2 (read-only arrays),
-    the widest half-sum and the Chebyshev transfer (None, or the points and
-    barycentric matrix of `_chebyshev_transfer`)."""
+    """A pair set's wavelengths, half-sums (lambda1^2 + lambda2^2) / 2 and
+    products lambda1 lambda2 (read-only), widest half-sum and Chebyshev
+    transfer (None, or `_chebyshev_transfer`'s points and matrix)."""
 
     lambda1: np.ndarray
     lambda2: np.ndarray
@@ -342,21 +341,10 @@ class _PairSet(NamedTuple):
     transfer: tuple | None
 
 
-def _pair_set(frequencies) -> _PairSet:
-    """The constants of the broadcast frequency arrays, from the cache keyed on
-    their shape and bytes (so every link on one frequency grid shares it)."""
-    omega1, omega2 = (np.asarray(f, dtype=float) for f in frequencies)
-    if omega1.shape != omega2.shape:
-        omega1, omega2 = np.broadcast_arrays(omega1, omega2)
-    return _pair_constants(omega1.shape, omega1.tobytes(), omega2.tobytes())
-
-
-@lru_cache(maxsize=TRANSFER_CACHE)
-def _pair_constants(shape: tuple, omega1: bytes, omega2: bytes) -> _PairSet:
-    """The constants of the pairs whose frequencies are the float64 bytes
-    `omega1` and `omega2` of arrays of `shape`; refuses a frequency that is
-    not positive and finite."""
-    omega1, omega2 = (np.frombuffer(x).reshape(shape) for x in (omega1, omega2))
+def pair_constants(omega1, omega2) -> _PairSet:
+    """The constants of the pairs of the broadcast frequency arrays (rad/s),
+    uncached; refuses a frequency that is not positive and finite."""
+    omega1, omega2 = np.broadcast_arrays(np.asarray(omega1, dtype=float), np.asarray(omega2, dtype=float))
     if not _positive_finite(omega1, omega2):
         raise ValueError("frequencies must be positive")
     lambda1, lambda2 = two_pi_c_over(omega1), two_pi_c_over(omega2)
@@ -368,20 +356,22 @@ def _pair_constants(shape: tuple, omega1: bytes, omega2: bytes) -> _PairSet:
     return _PairSet(lambda1, lambda2, half_sum, product, float(half_sum.max()), transfer)
 
 
-def _path_sum(rule, scale):
-    """sum_k weight_k C_n^2(z_k) (1 + scale z_k^2)^{5/6} over the path rule
-    (nodes, weights x C_n^2), for every entry of the array `scale`, in row
-    blocks of at most CHUNK_ELEMENTS."""
-    z, weighted_cn2 = rule
-    z2 = z * z
-    flat = scale.reshape(-1)
-    out = np.empty(flat.shape)
-    rows = max(1, CHUNK_ELEMENTS // z.size)
+def _path_sums(rules, scale) -> tuple:
+    """(fine, coarse): sum_k weight_k C_n^2(z_k) (1 + scale z_k^2)^{5/6} over both
+    `_path_rules` for every entry of `scale`: one power per row block, then one
+    GEMV per rule.  A block holds at most CHUNK_ELEMENTS fine nodes, as a fine-only
+    pass would: a GEMV's sums depend on where a row falls in its block."""
+    z2, fine_weights, coarse_weights = rules
+    split, flat = fine_weights.size, scale.reshape(-1)
+    fine, coarse = np.empty(flat.shape), np.empty(flat.shape)
+    rows = max(1, CHUNK_ELEMENTS // split)
     for start in range(0, flat.size, rows):
         block = flat[start:start + rows, None] * z2
         block += 1.0
-        out[start:start + rows] = np.power(block, 5.0 / 6.0, out=block) @ weighted_cn2
-    return out.reshape(scale.shape)
+        np.power(block, 5.0 / 6.0, out=block)
+        fine[start:start + rows] = block[:, :split] @ fine_weights
+        coarse[start:start + rows] = block[:, split:] @ coarse_weights
+    return fine.reshape(scale.shape), coarse.reshape(scale.shape)
 
 
 def _chebyshev_degree(low: float, high: float) -> float:
@@ -406,8 +396,7 @@ def _chebyshev_transfer(values: np.ndarray) -> tuple | None:
     of a pair set: the n Chebyshev points of the first kind on [min, max]
     and the read-only (entries x n) barycentric matrix that takes values at
     the points to values at the entries; None where n is not below the
-    number of entries.  It depends on the frequencies alone, not on s, so
-    the pair-set cache keeps it for every link on one frequency grid."""
+    number of entries.  It depends on the frequencies alone, not on s."""
     low, high = float(values.min()), float(values.max())
     count = _chebyshev_degree(low, high)
     if count >= values.size:
@@ -454,15 +443,16 @@ def _panels(profile, geom, rayleigh) -> tuple:
 
 
 def _path_rules(profile, geom, panels) -> tuple:
-    """Nodes z_k and weights x C_n^2(z_k) of the composite Gauss-Legendre
-    rules with PANEL_NODES and PANEL_NODES // 2 nodes on each of the panels
-    (midpoints, half-widths), C_n^2 sampled on both rules' nodes in one call."""
+    """The composite Gauss-Legendre rules with PANEL_NODES and PANEL_NODES // 2
+    nodes on each panel (midpoints, half-widths): every squared node z_k^2, the
+    fine rule's first, and each rule's weights x C_n^2(z_k), sampled in one call."""
     mid, half = panels
     x, w = _legendre(PANEL_NODES)
     z = mid[:, None] + half[:, None] * x
     weighted_cn2 = half[:, None] * w * cn2_at(profile, geom, z)
-    return tuple((z[:, nodes].reshape(-1), weighted_cn2[:, nodes].reshape(-1))
-                 for nodes in (slice(PANEL_NODES), slice(PANEL_NODES, None)))
+    fine, coarse = slice(PANEL_NODES), slice(PANEL_NODES, None)
+    z = np.concatenate([z[:, fine].reshape(-1), z[:, coarse].reshape(-1)])
+    return z * z, weighted_cn2[:, fine].reshape(-1), weighted_cn2[:, coarse].reshape(-1)
 
 
 def _table_crossings(profile, geom) -> np.ndarray:

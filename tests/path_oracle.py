@@ -2,8 +2,9 @@
 its Chebyshev path: every entry's path sum evaluated at that entry, one
 power of (1 + s z_k^2) per entry and quadrature node, on the same panels
 and nodes, C_n^2 sampled once per rule and the wavelengths recomputed per
-call.  The library still takes this path wherever the Chebyshev degree is
-not below the number of entries, so there the two agree bit for bit."""
+call, and each rule's sums taken in a pass of their own.  Where the
+Chebyshev degree is not below the number of entries the library sums every
+entry too, so there the two agree bit for bit."""
 from __future__ import annotations
 
 import math
@@ -21,7 +22,7 @@ def path_sums(profile, geom, frequencies=None) -> tuple:
     beam_area = math.pi * geom.waist**2
     panels = turbulence._panels(profile, geom, beam_area / math.sqrt(float(half_sum.max())))
     return tuple(
-        turbulence._path_sum(_path_rule(profile, geom, panels, nodes), half_sum / beam_area**2)
+        _path_sum(_path_rule(profile, geom, panels, nodes), half_sum / beam_area**2)
         for nodes in (turbulence.PANEL_NODES, turbulence.PANEL_NODES // 2)
     )
 
@@ -33,6 +34,22 @@ def _path_rule(profile, geom, panels, nodes) -> tuple:
     x, w = np.polynomial.legendre.leggauss(nodes)
     z = (mid[:, None] + half[:, None] * x).reshape(-1)
     return z, (half[:, None] * w).reshape(-1) * turbulence.cn2_at(profile, geom, z)
+
+
+def _path_sum(rule, scale):
+    """sum_k weight_k C_n^2(z_k) (1 + scale z_k^2)^{5/6} over one path rule
+    (nodes, weights x C_n^2), for every entry of the array `scale`, in row
+    blocks of at most CHUNK_ELEMENTS."""
+    z, weighted_cn2 = rule
+    z2 = z * z
+    flat = scale.reshape(-1)
+    out = np.empty(flat.shape)
+    rows = max(1, turbulence.CHUNK_ELEMENTS // z.size)
+    for start in range(0, flat.size, rows):
+        block = flat[start:start + rows, None] * z2
+        block += 1.0
+        out[start:start + rows] = np.power(block, 5.0 / 6.0, out=block) @ weighted_cn2
+    return out.reshape(scale.shape)
 
 
 def per_entry_integrals(profile, geom, frequencies=None):

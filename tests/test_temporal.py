@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from turbulink.ipe import (
     propagate,
 )
 from turbulink.lgmodes import LGIndex, ModeBasis
-from turbulink.schmidt import discrete_modes, frequency_grid, gauss_hermite_rule, hermite_functions
+from turbulink.schmidt import BiphotonSpec, discrete_modes, frequency_grid, gauss_hermite_rule, hermite_functions
 from turbulink.temporal import (
     CostGuardError,
     KernelFidelity,
@@ -85,6 +86,35 @@ class TestKernel:
         profile = TurbulenceProfile.from_constant(1e-16)
         with pytest.raises(ValueError, match="extinction_per_km"):
             channel_kernel(paper_spec, profile, paper_geometry, grid_order=8, extinction_per_km=extinction)
+
+    @pytest.mark.parametrize("fidelity", ["analytic", "full_ipe"])
+    def test_fidelity_string_refused(self, paper_spec, paper_geometry, fidelity):
+        # a string failed both `is` tests and ran the full-IPE path without
+        # its step and cost checks: "analytic" gave a full-IPE kernel
+        profile = TurbulenceProfile.from_constant(1e-16)
+        with pytest.raises(ValueError, match=f"fidelity must be a KernelFidelity member, not '{fidelity}'"):
+            channel_kernel(paper_spec, profile, paper_geometry, grid_order=8, fidelity=fidelity)
+
+    @pytest.mark.parametrize("grid_order", [8.0, np.float64(8.0), True, -8, "8"])
+    def test_grid_order_must_be_an_int(self, paper_spec, paper_geometry, grid_order):
+        # refused before the grid cache is read, where 8.0 == 8 would find
+        # the cached g = 8 grid
+        profile = TurbulenceProfile.from_constant(1e-16)
+        channel_kernel(paper_spec, profile, paper_geometry, grid_order=8)
+        message = f"grid_order must be a non-negative int, not {grid_order!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            channel_kernel(paper_spec, profile, paper_geometry, grid_order=grid_order)
+        assert channel_kernel(paper_spec, profile, paper_geometry, grid_order=np.int64(8)).order == 8
+
+    @pytest.mark.parametrize("cn2", [0.0, 1e-16])
+    def test_grid_reaching_below_zero_refused(self, paper_geometry, cn2):
+        # the grid object builds its pair constants up front, so a grid with
+        # a frequency <= 0 is refused without turbulence too (the validator
+        # refuses such a grid for every subcommand)
+        spec = BiphotonSpec(sigma_a=2e15, sigma_b=2e15, omega_p=2e15)
+        assert frequency_grid(spec, 8)[0] < 0
+        with pytest.raises(ValueError, match="frequencies must be positive"):
+            channel_kernel(spec, TurbulenceProfile.from_constant(cn2), paper_geometry, grid_order=8)
 
     def test_grid_guards(self, paper_spec, paper_geometry):
         profile = TurbulenceProfile.from_constant(1e-16)

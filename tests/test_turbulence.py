@@ -13,7 +13,7 @@ from path_oracle import path_sums, per_entry_integrals
 from scipy.optimize import golden
 from spectrum_oracle import fried_parameter, vonkarman_psd
 
-from turbulink import turbulence
+from turbulink import temporal, turbulence
 from turbulink.ipe import DECAY_CONSTANT
 from turbulink.schmidt import BiphotonSpec, frequency_grid, gauss_hermite_rule
 from turbulink.temporal import channel_kernel
@@ -467,7 +467,7 @@ def reaching_down_to(spec, order, fraction):
 
 def interpolated(geom, pairs) -> bool:
     """Whether `integrated_l` takes the Chebyshev path for these pairs."""
-    return turbulence._pair_set(pairs).transfer is not None
+    return turbulence.pair_constants(*pairs).transfer is not None
 
 
 # the inputs of the Chebyshev path at g = 64: (profile, waist, fraction of
@@ -541,22 +541,37 @@ class TestChebyshevPath:
         for low, high in ((2.0, 2.0), (0.0, 1.0), (1e-17, 1.0)):
             assert turbulence._chebyshev_degree(low, high) == math.inf
 
-    def test_transfer_cache_keyed_on_frequencies(self, paper_spec):
-        # two links on one grid differ in s but not in the frequencies: one
-        # miss, then a hit; the cache is bounded and its arrays read-only,
-        # since sweep threads share them
-        turbulence._pair_constants.cache_clear()
+    def test_grid_cache_keyed_on_spec_and_order(self, paper_spec):
+        # two links on one grid differ in s but not in the grid: one miss,
+        # then a hit; another spec of the same order is a grid of its own;
+        # the cache is bounded and every array read-only, since sweep
+        # threads share them
+        temporal._source_grid.cache_clear()
         profile = TurbulenceProfile.from_constant(1e-16)
-        for waist in (0.1457, 0.04):
-            channel_kernel(paper_spec, profile, paper_geom(waist=waist), grid_order=64)
-        info = turbulence._pair_constants.cache_info()
+        kernels = [channel_kernel(paper_spec, profile, paper_geom(waist=waist), grid_order=64)
+                   for waist in (0.1457, 0.04)]
+        info = temporal._source_grid.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert info.maxsize == turbulence.TRANSFER_CACHE
-        pairs = turbulence._pair_set(kernel_pairs(paper_spec, 64))
+        grid = temporal._source_grid(paper_spec, 64)
+        assert kernels[0].omegas is grid.omegas and kernels[1].omegas is grid.omegas
+        assert np.array_equal(grid.omegas, frequency_grid(paper_spec, 64))
+        rows, cols = np.triu_indices(64)
+        assert np.array_equal(grid.rows, rows) and np.array_equal(grid.cols, cols)
+        assert np.array_equal(grid.mirror[rows, cols], np.arange(rows.size))
+        assert np.array_equal(grid.mirror, grid.mirror.T)
+        pairs, uncached = grid.pairs, turbulence.pair_constants(*kernel_pairs(paper_spec, 64))
         points, matrix = pairs.transfer
         assert matrix.shape == (len(pairs.half_sum), len(points))
-        for array in (pairs.lambda1, pairs.lambda2, pairs.half_sum, pairs.product, points, matrix):
+        assert np.array_equal(matrix, uncached.transfer[1])
+        assert np.array_equal(pairs.product, uncached.product)
+        for array in (grid.omegas, grid.rows, grid.cols, grid.mirror, pairs.lambda1, pairs.lambda2,
+                      pairs.half_sum, pairs.product, points, matrix):
             assert not array.flags.writeable
+        other = BiphotonSpec(sigma_a=2.0 * paper_spec.sigma_a, sigma_b=paper_spec.sigma_b, omega_p=paper_spec.omega_p)
+        channel_kernel(other, profile, paper_geom(), grid_order=64)
+        assert temporal._source_grid.cache_info().misses == 2
+        assert not np.array_equal(temporal._source_grid(other, 64).omegas, grid.omegas)
 
     def test_sets_sharing_half_sums_keep_their_products(self, paper_spec):
         # a set of g = 64 pairs, and one of equal wavelengths
@@ -572,12 +587,10 @@ class TestChebyshevPath:
         kept = 0.5 * (lambda_equal * lambda_equal + lambda_equal * lambda_equal) == half_sum
         assert kept.sum() > 900
         first, second = (omega1[kept], omega2[kept]), (omega_equal[kept], omega_equal[kept])
-        turbulence._pair_constants.cache_clear()
-        sets = [turbulence._pair_set(pairs) for pairs in (first, second)]
+        sets = [turbulence.pair_constants(*pairs) for pairs in (first, second)]
         assert sets[0].half_sum.tobytes() == sets[1].half_sum.tobytes()
         off_diagonal = first[0] != first[1]
         assert np.all(sets[0].product[off_diagonal] < sets[1].product[off_diagonal])
-        assert turbulence._pair_constants.cache_info().misses == 2
         geom = paper_geom()
         for profile in (TurbulenceProfile.from_constant(1e-16), TurbulenceProfile.from_table(CROSSING_TABLE)):
             for pairs in (first, second):
@@ -598,21 +611,22 @@ class TestChebyshevPath:
 
     def test_threads_share_the_cache(self, paper_spec):
         # more grids than the cache keeps, on more threads than cores, with
-        # short switch intervals: every result equals its serial one
+        # short switch intervals: every kernel equals its serial one
         profile, geom = TurbulenceProfile.from_constant(1e-16), paper_geom()
         orders = (10, 12, 14, 16, 20, 24, 28, 32, 48, 64)
         assert len(orders) > turbulence.TRANSFER_CACHE
-        serial = {order: integrated_l(profile, geom, kernel_pairs(paper_spec, order)) for order in orders}
+        serial = {order: channel_kernel(paper_spec, profile, geom, grid_order=order).matrix for order in orders}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [(order, pool.submit(integrated_l, profile, geom, kernel_pairs(paper_spec, order)))
+                futures = [(order, pool.submit(channel_kernel, paper_spec, profile, geom, grid_order=order))
                            for _ in range(4) for order in orders]
                 for order, future in futures:
-                    assert np.array_equal(future.result(timeout=60), serial[order])
+                    assert np.array_equal(future.result(timeout=60).matrix, serial[order])
         finally:
             sys.setswitchinterval(interval)
+        assert temporal._source_grid.cache_info().currsize == turbulence.TRANSFER_CACHE
 
 
 def union1d_edges(profile, geom, rayleigh):
