@@ -40,20 +40,21 @@ Two kernel fidelities:
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .ipe import SolverConfig, half_step_integrals, rk4_nodes
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler, sector_orders
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import TRANSFER_CACHE, LinkGeometry, TurbulenceProfile, extinction_depth, integrated_l, l_cross
+from .turbulence import LinkGeometry, TurbulenceProfile, extinction_depth, integrated_l, l_cross
 from .turbulence import normalized_distance, pair_constants, two_pi_c_over
 
 MAX_GRID_ORDER = 64
+TRANSFER_CACHE = 8  # source grids (spec, order) whose constants and Chebyshev transfer are kept
 MAX_FULL_IPE_GRID = 12
 # Run cost bounds the cutoff: a grid-12 kernel (78 frequency pairs in one
 # batched Lawson run on sector 0's even half) takes 1.8 s at cutoff 4 and
@@ -116,12 +117,21 @@ class ChannelKernel:
             )
 
 
-_Grid = namedtuple("_Grid", "omegas rows cols mirror pairs")
+class _Grid(NamedTuple):
+    """The read-only constants of one source grid: the frequencies, the rows
+    and cols of the upper triangle, the mirror index (mirror[i, j] is (i, j)'s
+    position in the triangle) and the triangle's `turbulence.pair_constants`."""
+
+    omegas: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    mirror: np.ndarray
+    pairs: tuple
 
 
 @lru_cache(maxsize=TRANSFER_CACHE)
 def _source_grid(spec: BiphotonSpec, order: int) -> _Grid:
-    """The grid object of the module docstring; mirror[i, j] is (i, j)'s position in the triangle."""
+    """The grid object of the module docstring, built once per (spec, order)."""
     omegas = frequency_grid(spec, order)
     rows, cols = np.triu_indices(order)
     mirror = np.empty((order, order), dtype=np.intp)
@@ -229,8 +239,10 @@ def channel_kernel(
     if fidelity is KernelFidelity.FULL_IPE:
         SolverConfig(cutoff=cutoff, steps=steps)  # refuses the step counts `propagate` refuses
         if grid_order > MAX_FULL_IPE_GRID or cutoff > MAX_FULL_IPE_CUTOFF:
-            raise CostGuardError(f"full propagation kernels are limited to grid order {MAX_FULL_IPE_GRID}"
-                                 f" and cutoff {MAX_FULL_IPE_CUTOFF}")
+            raise CostGuardError(
+                f"full propagation kernels are limited to grid order {MAX_FULL_IPE_GRID}"
+                f" and cutoff {MAX_FULL_IPE_CUTOFF}"
+            )
     grid = _source_grid(spec, grid_order)
     extinction = math.exp(-extinction_depth(extinction_per_km, geom.path_length))
     if profile.is_zero:

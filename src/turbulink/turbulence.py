@@ -53,7 +53,6 @@ GRADING = 8  # panels past GRADING Rayleigh ranges are 1/GRADING of their start 
 RELATIVE_ERROR_BOUND = 1e-6
 CHUNK_ELEMENTS = 1 << 13  # (points in s x fine-rule nodes) of a path-sum block, 64 KB of float64
 UNIT_ROUNDOFF = 2.0**-53  # the interpolation error the Chebyshev degree aims at
-TRANSFER_CACHE = 8  # source grids (spec, order) whose pair constants `temporal` keeps
 
 SPEED_OF_LIGHT = 299792458.0
 TRAD_S = 1e12  # rad/s in one T rad/s, the frequency unit of configs and CSVs
@@ -329,9 +328,10 @@ def _quadrature_error(lambda1, lambda2, value, estimate) -> QuadratureError:
 
 
 class _PairSet(NamedTuple):
-    """A pair set's wavelengths, half-sums (lambda1^2 + lambda2^2) / 2 and
-    products lambda1 lambda2 (read-only), widest half-sum and Chebyshev
-    transfer (None, or `_chebyshev_transfer`'s points and matrix)."""
+    """The frequency-only constants of a set of pairs: wavelengths, half-sums
+    (lambda1^2 + lambda2^2) / 2, products lambda1 lambda2 (read-only arrays),
+    the widest half-sum and the Chebyshev transfer (None, or the points and
+    barycentric matrix of `_chebyshev_transfer`)."""
 
     lambda1: np.ndarray
     lambda2: np.ndarray

@@ -552,7 +552,7 @@ class TestChebyshevPath:
                    for waist in (0.1457, 0.04)]
         info = temporal._source_grid.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert info.maxsize == turbulence.TRANSFER_CACHE
+        assert info.maxsize == temporal.TRANSFER_CACHE
         grid = temporal._source_grid(paper_spec, 64)
         assert kernels[0].omegas is grid.omegas and kernels[1].omegas is grid.omegas
         assert np.array_equal(grid.omegas, frequency_grid(paper_spec, 64))
@@ -614,7 +614,7 @@ class TestChebyshevPath:
         # short switch intervals: every kernel equals its serial one
         profile, geom = TurbulenceProfile.from_constant(1e-16), paper_geom()
         orders = (10, 12, 14, 16, 20, 24, 28, 32, 48, 64)
-        assert len(orders) > turbulence.TRANSFER_CACHE
+        assert len(orders) > temporal.TRANSFER_CACHE
         serial = {order: channel_kernel(paper_spec, profile, geom, grid_order=order).matrix for order in orders}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -626,7 +626,7 @@ class TestChebyshevPath:
                     assert np.array_equal(future.result(timeout=60).matrix, serial[order])
         finally:
             sys.setswitchinterval(interval)
-        assert temporal._source_grid.cache_info().currsize == turbulence.TRANSFER_CACHE
+        assert temporal._source_grid.cache_info().currsize == temporal.TRANSFER_CACHE
 
 
 def union1d_edges(profile, geom, rayleigh):

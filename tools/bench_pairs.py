@@ -1,11 +1,14 @@
 """Paired perfbench runs of two trees, written as one BENCH_*.json.
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --first-seed S
-        [--workloads link_budget ...] [--pairs 10] [--seconds 15]
-        [--note TEXT] [--out BENCH_name.json]
+        [--workloads link_budget ...] [--pairs 10] [--note TEXT]
+        [--out BENCH_name.json]
 
 PARENT_TREE and CHANGE_TREE are two copies of the repository (say, one made
-with `git archive` of the parent commit, and the working tree).  For each
+with `git archive` of the parent commit, and the working tree).  The
+workloads, the end-to-end metrics and the run length S come from the
+trees' BENCHMARK.json (`workloads`, `end_to_end`, `run_seconds`), which
+must agree; --workloads picks some of them, all by default.  For each
 workload, in the order given, pair k runs `python3 perfbench/run.py
 --workload W --seed N --seconds S --trace 0` in both trees back to back on
 one seed N, the parent first in even-numbered pairs and the change first in
@@ -14,7 +17,7 @@ pairs - 1, so no seed repeats across workloads; pick a first seed that was
 not used while the change was written.
 
 The file holds the schema-1 fields of earlier BENCH_*.json files:
-`command` (the perfbench command, with W, N and the seconds), `made_by`
+`command` (the perfbench command, with W, N and S), `made_by`
 (this command, the trees named PARENT_TREE and CHANGE_TREE), `hardware`,
 `note`, `src_sha256` (of the concatenated bytes of each tree's
 src/turbulink/*.py in sorted order), `workloads` (per pair: the seed, the
@@ -39,8 +42,6 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("link_budget", "pair_robustness", "mode_ladder", "cli_cold")
-METRICS = ("setup_s", "wall_s", "job_p50_s", "job_tail_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 SEED_STRIDE = 100
 
@@ -63,7 +64,14 @@ def hardware() -> str:
             "perfbench pins each run to one CPU")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def benchmark(tree: Path) -> tuple:
+    """(workload names, end-to-end metric names, run seconds) of the tree's BENCHMARK.json."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return ([w["name"] for w in spec["workloads"]], [m["name"] for m in spec["end_to_end"]],
+            spec["run_seconds"])
+
+
+def run(tree: Path, workload: str, seed: int, seconds, metrics) -> dict:
     """One `--trace 0` run in `tree`: its correct, attempted and failed
     counts and the value of every end-to-end metric."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -73,13 +81,13 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{tree}: {' '.join(command[1:])} exited {result.returncode}:\n{result.stderr}")
     last = json.loads(result.stdout.strip().splitlines()[-1])
     record = {key: last[key] for key in ("correct", "attempted", "failed")}
-    record.update((name, last["metrics"][name]["value"]) for name in METRICS)
+    record.update((name, last["metrics"][name]["value"]) for name in metrics)
     return record
 
 
-def summarize(pairs: list) -> dict:
+def summarize(pairs: list, metrics) -> dict:
     summary = {"pairs": len(pairs)}
-    for name in METRICS:
+    for name in metrics:
         values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
         entry = {}
         for side in SIDES:
@@ -98,10 +106,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="paired perfbench runs of two trees (see the module docstring)")
     parser.add_argument("parent_tree", type=Path)
     parser.add_argument("change_tree", type=Path)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--note", default="")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
@@ -109,8 +116,14 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     trees = {"parent": args.parent_tree.resolve(), "change": args.change_tree.resolve()}
     for tree in trees.values():
-        if not (tree / "perfbench" / "run.py").is_file() or not (tree / "src" / "turbulink").is_dir():
-            parser.error(f"{tree} holds no perfbench/run.py and src/turbulink")
+        if not all((tree / part).exists() for part in ("BENCHMARK.json", "perfbench/run.py", "src/turbulink")):
+            parser.error(f"{tree} holds no BENCHMARK.json, perfbench/run.py and src/turbulink")
+    names, metrics, seconds = benchmark(trees["change"])
+    if benchmark(trees["parent"]) != (names, metrics, seconds):
+        parser.error("the two trees' BENCHMARK.json differ in workloads, end-to-end metrics or run_seconds")
+    args.workloads = args.workloads or names
+    if not set(args.workloads) <= set(names):
+        parser.error(f"--workloads must be among {', '.join(names)}")
 
     workloads = {}
     for index, workload in enumerate(args.workloads):
@@ -120,16 +133,15 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run(trees[side], workload, seed, args.seconds)
+                pair[side] = run(trees[side], workload, seed, seconds, metrics)
             pairs.append(pair)
             print(f"{workload} seed {seed}: job_p50_s {pair['parent']['job_p50_s']:.6g} -> "
                   f"{pair['change']['job_p50_s']:.6g}, wall_s {pair['parent']['wall_s']:.6g} -> "
                   f"{pair['change']['wall_s']:.6g}", file=sys.stderr, flush=True)
         workloads[workload] = pairs
 
-    seconds = f"{args.seconds:g}"
     made_by = (f"python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workloads {' '.join(args.workloads)} "
-               f"--pairs {args.pairs} --first-seed {args.first_seed} --seconds {seconds}")
+               f"--pairs {args.pairs} --first-seed {args.first_seed}")
     report = {
         "schema": 1,
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0",
@@ -138,7 +150,7 @@ def main(argv=None) -> int:
         "note": args.note,
         "src_sha256": {side: src_sha256(tree) for side, tree in trees.items()},
         "workloads": workloads,
-        "summary": {workload: summarize(pairs) for workload, pairs in workloads.items()},
+        "summary": {workload: summarize(pairs, metrics) for workload, pairs in workloads.items()},
     }
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
