@@ -35,14 +35,15 @@ from functools import lru_cache
 import numpy as np
 
 from .schmidt import BiphotonSpec
-from .temporal import ChannelKernel, _check_index
+from .temporal import ChannelKernel
+from .turbulence import _check_index
 
 MAX_PAIR_MODES = 14
 
 
 def _check_modes(dim: int, **modes):
     """Refuse a mode index that is not an int, or is a bool, as
-    `temporal._check_index` does, and one outside [0, dim)."""
+    `turbulence._check_index` does, and one outside [0, dim)."""
     for name, value in modes.items():
         if not (isinstance(value, (int, np.integer)) and value < 0):  # a negative int is out of range
             _check_index(name, value)

@@ -29,6 +29,11 @@ classical RK4 on the variable that e^(-A int rate) takes out of x, so that
 the stiff rate(z) A part is exact, every factor is at most 1 at any step
 size, and only the Gouy part, which is not stiff, is stepped: a small sector
 by multiplying its step maps, a larger one in a loop that allocates nothing.
+The same cache entry holds what depends only on (cutoff, Delta, scheme) in
+those steps (`_stepping`): each block of the rotation that `propagate`
+steps, C-contiguous, and for a small one the operands of its step maps, so
+that a run computes only its node table, its step coefficients, the maps
+and their product.
 """
 from __future__ import annotations
 
@@ -65,6 +70,13 @@ class PropagationScheme(Enum):
     LINDBLAD_TRUNCATED = "lindblad_truncated"
 
 
+def _check_scheme(scheme):
+    """Refuse a scheme that is not a PropagationScheme member (a string would
+    not compare equal to one and so run as TRUNCATED_EXACT)."""
+    if not isinstance(scheme, PropagationScheme):
+        raise ValueError(f"scheme must be a PropagationScheme member, not {scheme!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Cutoff, scheme and fixed-step integrator settings."""
@@ -83,6 +95,7 @@ class SolverConfig:
             raise ValueError("step count must be >= 16")
         if self.cutoff < 0:
             raise ValueError("cutoff must be >= 0")
+        _check_scheme(self.scheme)
 
 
 @dataclass(frozen=True)
@@ -98,10 +111,10 @@ class DensityMatrix:
             raise ValueError(f"matrix must be a numpy array, got {type(self.matrix).__name__}")
         if self.matrix.shape != (size, size):
             raise ValueError("matrix shape does not match basis size")
-        deviation = np.max(np.abs(self.matrix - self.matrix.conj().T))
+        deviation = abs(self.matrix - self.matrix.conj().T).max()
         if not deviation <= HERMITICITY_TOL:  # NaN fails
             raise ValueError(f"matrix not Hermitian (deviation {deviation:.2e})")
-        trace = float(np.trace(self.matrix).real)
+        trace = float(self.matrix.trace().real)
         if trace > 1.0 + TRACE_TOL:
             raise ValueError(f"trace {trace} exceeds 1")
         lowest = float(np.linalg.eigvalsh(self.matrix)[0])
@@ -159,7 +172,7 @@ def _real_form(op: np.ndarray, layout: tuple) -> np.ndarray:
 def _coordinates(blocks: np.ndarray, hermitian: bool) -> np.ndarray:
     """Real coordinates of a (count, side, side) stack of l-blocks."""
     k, w = _layout(blocks.shape[-1], hermitian, len(blocks))
-    return np.sum(w * blocks.reshape(-1)[k], axis=0).real
+    return (w * blocks.reshape(-1)[k]).sum(axis=0).real
 
 
 def _blocks(x: np.ndarray, count: int, side: int, hermitian: bool) -> np.ndarray:
@@ -180,6 +193,7 @@ def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
     the coupling sum is not).  Both are self-adjoint, so A is symmetric.
     C, the Gouy commutator i(N_m - N_n) (`lgmodes.sector_orders`), turns each
     (Re, Im) pair and is 0 on sector 0's diagonal."""
+    _check_scheme(scheme)  # before `sector_spectrum` caches the key
     side, sq = cutoff + 1, (cutoff + 1) ** 2
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
     gain = _real_form(sector_coupling(cutoff, delta, 0.0), _layout(side, delta == 0, count))
@@ -201,9 +215,10 @@ def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
 
 @lru_cache(maxsize=64)
 def sector_spectrum(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple:
-    """(values, vectors, rotation), read-only: A = V diag(values) V^T for a
-    sector's operator A (`generator_parts`), V = vectors orthogonal, and the
-    Gouy commutator in that basis, V^T C V.  No eigenvalue lies above 0
+    """(values, vectors, rotation, stepping), read-only: A = V diag(values) V^T
+    for a sector's operator A (`generator_parts`), V = vectors orthogonal, the
+    Gouy commutator in that basis, V^T C V, and the operands `propagate`
+    steps it with (`_stepping`).  No eigenvalue lies above 0
     beyond rounding, so exp(l A) contracts for every l >= 0.  Sector 0's
     reflection-even and odd halves are solved apart, the (cutoff + 1)^3 even
     columns first, so the rotation is block-diagonal: C keeps the reflection
@@ -232,15 +247,41 @@ def sector_spectrum(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
         vectors = reflect(vectors)
     for array in (values, vectors, rotation):
         array.setflags(write=False)
-    return values, vectors, rotation
+    return values, vectors, rotation, _stepping(rotation, sorted({split, size}))
+
+
+def _stepping(rotation: np.ndarray, sizes) -> tuple:
+    """(block, pick, turned), read-only, for each size in `sizes`: the
+    leading block of `rotation` of that size, C-contiguous, and the operands
+    of its step maps (`_step_product`), None past STEP_MATRIX_SIZE
+    coordinates."""
+    out = []
+    for m in sizes:
+        block, pick, turned = np.ascontiguousarray(rotation[:m, :m]), None, None
+        if m <= STEP_MATRIX_SIZE:
+            pick = np.zeros((m, m, 2, m))  # pick[(i, k), (0, i)] = 1 and pick[(i, k), (1, i)] = R[i, k]
+            pick[range(m), range(m), 0, range(m)] = 1.0
+            pick[range(m), :, 1, range(m)] = block
+            pick, turned = pick.reshape(m * m, 2 * m), (block @ pick.reshape(m, -1)).reshape(m * m, 2 * m)
+            pick.flags.writeable = turned.flags.writeable = False
+        block.flags.writeable = False
+        out.append((block, pick, turned))
+    return tuple(out)
 
 
 def rk4_nodes(profile: TurbulenceProfile, geom: LinkGeometry, steps: int) -> tuple:
     """(z, C_n^2) on the nodes z_k = k L / (2 steps), k = 0 ... 2 steps, of a
     fixed-step run over the link: step s starts at node 2s and has its
     midpoint at node 2s + 1.  The last node is exactly L."""
-    z = np.linspace(0.0, geom.path_length, 2 * steps + 1)
+    z = _nodes(geom.path_length, steps)
     return z, np.broadcast_to(cn2_at(profile, geom, z), z.shape)
+
+
+def _nodes(length: float, steps: int) -> np.ndarray:
+    """np.linspace(0, length, 2 steps + 1) bit for bit, without its set-up calls."""
+    z = np.arange(2 * steps + 1) * (length / (2 * steps))
+    z[-1] = length
+    return z
 
 
 _workspace = threading.local()
@@ -259,8 +300,8 @@ def _buffer(name: str, shape: tuple) -> np.ndarray:
 def half_step_integrals(rates: np.ndarray, h: float) -> tuple:
     """The rate integrated over the first and over the second half of each
     step by the quadratic through its three nodes, the rows of `rates`."""
-    r0, r1, r2 = rates[:-1:2], rates[1::2], rates[2::2]
-    return h / 24 * (5 * r0 + 8 * r1 - r2), h / 24 * (5 * r2 + 8 * r1 - r0)
+    ends, middle = 5 * rates[::2], 8 * rates[1::2]  # 5 r0 and 5 r2, 8 r1 of every step
+    return h / 24 * (ends[:-1] + middle - rates[2::2]), h / 24 * (ends[1:] + middle - rates[:-1:2])
 
 
 def _lawson_factors(table: np.ndarray, h: float, values: np.ndarray, step_major: bool) -> tuple:
@@ -312,41 +353,42 @@ def _lawson_loop(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndar
     return x
 
 
-def _step_product(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndarray:
+def _step_product(operands: tuple, u: np.ndarray, factors: tuple) -> np.ndarray:
     """`_lawson_loop` as the product of its step maps, formed at once and
-    multiplied pairwise: with R = rotation,
+    multiplied pairwise: with (R, pick, turned) = operands (`_stepping`),
     P_s = diag(e) + diag(f) R + diag(j) (K2 + K3) + K4, K2 = R (diag(a) + diag(b) R),
     K3 = R (diag(a) + half K2) and K4 = R (diag(c) + diag(d) K3).  The maps
     are built with the step index last, so that each product by R, and each
-    diag(x) + diag(y) R (as `pick` [x; y]), is one matrix product."""
+    diag(x) + diag(y) R (as `pick` [x; y], and R pick = turned), is one
+    matrix product."""
+    rotation, pick, turned = operands
     (a, _, _, _, d, c, j), half = factors[0].transpose(1, 2, 0), factors[1]  # each [i, step]
     m, n = len(u), len(half)
-    pick = np.zeros((m, m, 2, m))  # pick[(i, k), (0, i)] = 1 and pick[(i, k), (1, i)] = R[i, k]
-    pick[range(m), range(m), 0, range(m)] = 1.0
-    pick[range(m), :, 1, range(m)] = rotation
-    pick, turned = pick.reshape(m * m, 2 * m), (rotation @ pick.reshape(m, -1)).reshape(m * m, 2 * m)
     y, k2, k3, k4 = _buffer("maps", (4, m, m, n))
     y_rows, k3_rows, k4_rows = (x.reshape(m, m * n) for x in (y, k3, k4))  # [i, (k, step)]
     y_flat, k2_flat = y.reshape(m * m, n), k2.reshape(m * m, n)  # [(i, k), step]
+    diagonal = y_flat[:: m + 1]
     np.matmul(turned, factors[0][:, :2].reshape(n, 2 * m).T, out=k2_flat)  # K2, from [a; b]
     np.multiply(k2, half, out=y)
-    y_flat[:: m + 1] += a  # the diagonal: Y3
+    np.add(diagonal, a, out=diagonal)  # Y3
     np.matmul(rotation, y_rows, out=k3_rows)
     np.multiply(k3, d[:, None], out=y)
-    y_flat[:: m + 1] += c  # Y4
+    np.add(diagonal, c, out=diagonal)  # Y4
     np.matmul(rotation, y_rows, out=k4_rows)
     k2 += k3
     k2 *= j[:, None]
     k2 += k4
     np.matmul(pick, factors[0][:, 2:4].reshape(n, 2 * m).T, out=y_flat)  # diag(e) + diag(f) R, from [e; f]
+    k2 += y
     # the maps step first, their products ping-ponging between two buffers
     total, spare = k3.reshape(n, m, m), k4.reshape(n, m, m)
-    np.add(k2, y, out=total.transpose(1, 2, 0))
+    np.copyto(total, k2.transpose(2, 0, 1))
     while len(total) > 1:
-        pairs = len(total) // 2
+        pairs, odd = divmod(len(total), 2)
         np.matmul(total[1 : 2 * pairs : 2], total[: 2 * pairs : 2], out=spare[:pairs])
-        spare[pairs : pairs + len(total) % 2] = total[2 * pairs :]
-        total, spare = spare[: pairs + len(total) % 2], total
+        if odd:
+            spare[pairs] = total[-1]
+        total, spare = spare[: pairs + odd], total
     return total[0] @ u
 
 
@@ -356,28 +398,31 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
     rho, shape = np.zeros(rho0.matrix.shape, dtype=complex), (2 * cutoff + 1, side, 2 * cutoff + 1, side)
     blocks_in, blocks_out = rho0.matrix.reshape(shape), rho.reshape(shape)
     h, z_r = geom.path_length / steps, geom.rayleigh_range
-    z, cn2 = rk4_nodes(profile, geom, steps)
-    rates = COUPLING_PREFACTOR * l_strength(z, cn2, geom.wavelength, geom.waist)
-    table = np.column_stack([rates, z_r / (z_r * z_r + z * z)])
+    z, table = _nodes(geom.path_length, steps), np.empty((2 * steps + 1, 2))  # [node, (rate, Gouy rate)]
+    rates = l_strength(z, cn2_at(profile, geom, z), geom.wavelength, geom.waist)  # a constant C_n^2 stays a scalar
+    np.multiply(COUPLING_PREFACTOR, rates, out=table[:, 0])
+    np.divide(z_r, z_r * z_r + z * z, out=table[:, 1])
+    # the Delta-l sectors that hold an entry: l-block row - column of the occupied block pairs
+    occupied = set(np.subtract(*np.nonzero(blocks_in.any(axis=(1, 3)))).tolist())
     for delta in range(2 * cutoff + 1):
-        lo_row, lo_col, count = sector_blocks(cutoff, delta)
-        rows, cols = lo_row + np.arange(count), lo_col + np.arange(count)
-        state = blocks_in[rows, :, cols, :]
-        if not np.any(state):
+        if delta not in occupied:
             continue
-        values, vectors, rotation = sector_spectrum(cutoff, delta, config.scheme)
-        u = _coordinates(state, delta == 0) @ vectors
+        lo_row, lo_col, count = sector_blocks(cutoff, delta)
+        rows, cols = np.arange(lo_row, lo_row + count), np.arange(lo_col, lo_col + count)
+        values, vectors, _, stepping = sector_spectrum(cutoff, delta, config.scheme)
+        u = _coordinates(blocks_in[rows, :, cols, :], delta == 0) @ vectors
         # the rotation never mixes sector 0's halves, so an empty odd half
         # (a fundamental input's) stays 0 and only the even half is stepped
-        even = (cutoff + 1) ** 3 if delta == 0 else len(u)
-        part = slice(None) if np.any(u[even:]) else slice(0, even)
+        operands = stepping[bool(u[len(stepping[0][0]) :].any())]
+        part = slice(0, len(operands[0]))
         # the loop reads a step's coefficients as one block, the maps a row of steps each
-        loop, block = len(u[part]) > STEP_MATRIX_SIZE, np.ascontiguousarray(rotation[part, part])
+        loop = part.stop > STEP_MATRIX_SIZE
         for start in range(0, 2 * steps, 2 * STEP_CHUNK):
             factors = _lawson_factors(table[start : start + 2 * STEP_CHUNK + 1], h, values[part], step_major=loop)
-            u[part] = (_lawson_loop if loop else _step_product)(block, u[part], factors)
+            u[part] = _lawson_loop(operands[0], u[part], factors) if loop else _step_product(operands, u[part], factors)
         state = _blocks(vectors @ u, count, side, delta == 0)
-        blocks_out[rows, :, cols, :] = state
+        if delta:  # sector 0 is written once, as its own adjoint
+            blocks_out[rows, :, cols, :] = state
         blocks_out[cols, :, rows, :] = state.conj().transpose(0, 2, 1)
     # undo the rotating-frame (Gouy) gauge at the receiver plane (N on sector 0's r_n = 0 entries)
     orders = sector_orders(cutoff, 0)[0][::side]
@@ -458,7 +503,7 @@ def cutoff_bracketing(l_values, cutoffs) -> dict:
         fundamental = cutoff * (cutoff + 1) ** 2
         for scheme in PropagationScheme:
             # x(l) = V exp(l Lambda) V^T e_f with V orthogonal
-            values, vectors, _ = sector_spectrum(cutoff, 0, scheme)
+            values, vectors, *_ = sector_spectrum(cutoff, 0, scheme)
             rates, weights = COUPLING_PREFACTOR * values, vectors[fundamental] ** 2
             results[(scheme, cutoff)] = (np.exp(np.multiply.outer(l_values, rates)) @ weights).real
     return results

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .turbulence import SPECTRUM_AMPLITUDE, l_strength, normalized_distance, two_pi_c_over
+from .turbulence import SPECTRUM_AMPLITUDE, _check_index, l_strength, normalized_distance, two_pi_c_over
 
 MAX_ORACLE_INDEX = 8
 # The Gamma-weighted coupling sum cancels: against a 40-digit evaluation its
@@ -67,8 +67,8 @@ class LGIndex:
     r: int
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("radial index must be >= 0")
+        _check_index("l", self.l, signed=True)
+        _check_index("r", self.r)
 
     @property
     def gouy_weight(self) -> float:
@@ -89,14 +89,8 @@ class ModeBasis:
     indices: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
-        modes = tuple(
-            LGIndex(l=l, r=r)
-            for l in range(-self.cutoff, self.cutoff + 1)
-            for r in range(self.cutoff + 1)
-        )
-        object.__setattr__(self, "indices", modes)
+        _check_index("cutoff", self.cutoff)  # before the lookup, where 1.0 and True would hit 1
+        object.__setattr__(self, "indices", _basis_indices(self.cutoff))
 
     @property
     def size(self) -> int:
@@ -109,8 +103,14 @@ class ModeBasis:
 
     @property
     def fundamental(self) -> int:
-        """Position of the (r=0, l=0) mode."""
-        return self.position(LGIndex(l=0, r=0))
+        """Position of the (r=0, l=0) mode, the first of the l = 0 block."""
+        return self.cutoff * (self.cutoff + 1)
+
+
+@lru_cache(maxsize=16)
+def _basis_indices(cutoff: int) -> tuple:
+    # a ModeBasis's modes, shared by every basis of the cutoff (LGIndex is frozen)
+    return tuple(LGIndex(l=l, r=r) for l in range(-cutoff, cutoff + 1) for r in range(cutoff + 1))
 
 
 def _check_oracle_scale(*indices: LGIndex):
@@ -402,7 +402,9 @@ def _real_stack(cutoff: int) -> np.ndarray:
 
 def sector_blocks(cutoff: int, delta: int) -> tuple:
     """(first row l-block, first column l-block, count) of Delta-l sector
-    delta in the basis up to `cutoff`."""
+    delta in the basis up to `cutoff`; |delta| is at most 2 cutoff."""
+    if abs(delta) > 2 * cutoff:
+        raise ValueError(f"delta must lie in [-{2 * cutoff}, {2 * cutoff}] at cutoff {cutoff}, not {delta}")
     return max(delta, 0), max(-delta, 0), 2 * cutoff + 1 - abs(delta)
 
 

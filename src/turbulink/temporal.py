@@ -50,7 +50,7 @@ import numpy as np
 from .ipe import SolverConfig, half_step_integrals, rk4_nodes
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler, sector_orders
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import LinkGeometry, TurbulenceProfile, extinction_depth, integrated_l, l_cross
+from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, extinction_depth, integrated_l, l_cross
 from .turbulence import normalized_distance, pair_constants, two_pi_c_over
 
 MAX_GRID_ORDER = 64
@@ -139,13 +139,6 @@ def _source_grid(spec: BiphotonSpec, order: int) -> _Grid:
     for array in (omegas, rows, cols, mirror):
         array.flags.writeable = False
     return _Grid(omegas, rows, cols, mirror, pair_constants(omegas[rows], omegas[cols]))
-
-
-def _check_index(name: str, value):
-    """Refuse a mode index or count that is not a non-negative int (a bool
-    is refused too: it would read as mode 0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative int, not {value!r}")
 
 
 def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:

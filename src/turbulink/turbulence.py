@@ -77,6 +77,14 @@ def _positive_finite(*values) -> bool:
     return all(((0 < v) & (v < math.inf)).all() if isinstance(v, np.ndarray) else 0 < v < math.inf for v in values)
 
 
+def _check_index(name: str, value, signed: bool = False):
+    """Refuse a mode index, count or cutoff that is not an int, or is
+    negative unless `signed` (a bool is refused too: it would read as mode 0
+    or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (value < 0 and not signed):
+        raise ValueError(f"{name} must be a{'n' if signed else ' non-negative'} int, not {value!r}")
+
+
 class ProfileError(ValueError):
     """Malformed turbulence profile (bad table or file)."""
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dense_oracle import complex_sector_derivative, dense_generator
-from ipe_oracle import lawson_loop
+from ipe_oracle import lawson_loop, step_product
 from spectrum_oracle import fried_parameter
 
 from turbulink.ipe import (
@@ -125,7 +125,7 @@ def spectral_derivative(cutoff, delta, scheme, rates, gouy_rates):
     A = V diag(values) V^T and the rotation V^T C V that `propagate` steps with."""
     from turbulink.ipe import sector_spectrum
 
-    values, vectors, rotation = sector_spectrum(cutoff, delta, scheme)
+    values, vectors, rotation, _ = sector_spectrum(cutoff, delta, scheme)
 
     def derivative(k, x):
         u = vectors.T @ x
@@ -199,13 +199,68 @@ class TestStepMatrices:
         rng = np.random.default_rng(60 + cutoff)
         for scheme in PropagationScheme:
             for delta in range(2 * cutoff + 1):
-                values, _, rotation = sector_spectrum(cutoff, delta, scheme)
+                values, _, rotation, stepping = sector_spectrum(cutoff, delta, scheme)
                 u = rng.normal(size=len(values))
                 assert len(u) <= STEP_MATRIX_SIZE
                 factors = _lawson_factors(table, h, values, step_major=False)
                 expected = _lawson_loop(rotation, u, factors)
-                got = _step_product(rotation, u, factors)
+                got = _step_product(stepping[-1], u, factors)
                 assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_step_maps_match_the_reference(self):
+        # the maps on their cached operands against the form that built the
+        # operands on every call, bit for bit: every block of at most
+        # STEP_MATRIX_SIZE coordinates (cutoffs 0-1 with sector 0's odd half,
+        # and at cutoff 2 delta 4 and sector 0's odd half) of both schemes on
+        # random states, with a step count that leaves odd levels in the
+        # product tree and one that does not
+        from turbulink.ipe import _lawson_factors, _step_product, _stepping, rk4_nodes, sector_spectrum
+
+        geom, rng, sizes = geometry(), np.random.default_rng(70), set()
+        for steps in (17, 256):
+            z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, steps)
+            rates, h = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), geom.path_length / steps
+            table = np.column_stack([rates, geom.rayleigh_range / (geom.rayleigh_range**2 + z**2)])
+            for cutoff in range(3):
+                even = (cutoff + 1) ** 3
+                for scheme in PropagationScheme:
+                    for delta in range(2 * cutoff + 1):
+                        values, _, rotation, stepping = sector_spectrum(cutoff, delta, scheme)
+                        blocks = [(values[: len(ops[0])], ops) for ops in stepping]
+                        if delta == 0 and len(values) > even:
+                            odd = np.ascontiguousarray(rotation[even:, even:])
+                            blocks.append((values[even:], _stepping(odd, [len(odd)])[0]))
+                        for part, operands in blocks:
+                            if len(part) > STEP_MATRIX_SIZE:
+                                continue
+                            sizes.add((cutoff, len(part)))
+                            u = rng.normal(size=len(part))
+                            factors = _lawson_factors(table, h, part, step_major=False)
+                            expected = step_product(operands[0], u, factors)
+                            assert np.array_equal(_step_product(operands, u, factors), expected)
+        assert sizes == {(0, 1), (1, 4), (1, 8), (1, 12), (1, 16), (2, 18)}
+
+    def test_stepping_operands_are_cached_read_only(self):
+        # per sector the stepped blocks (sector 0's even half, then the whole
+        # sector), C-contiguous and read-only, the whole one in the rotation's
+        # memory; the map operands only up to STEP_MATRIX_SIZE coordinates
+        from turbulink.ipe import sector_spectrum
+
+        for cutoff in range(4):
+            for scheme in PropagationScheme:
+                for delta in range(2 * cutoff + 1):
+                    entry = sector_spectrum(cutoff, delta, scheme)
+                    assert sector_spectrum(cutoff, delta, scheme) is entry
+                    values, _, rotation, stepping = entry
+                    sizes = {(cutoff + 1) ** 3 if delta == 0 else len(values), len(values)}
+                    assert [len(block) for block, _, _ in stepping] == sorted(sizes)
+                    assert np.shares_memory(stepping[-1][0], rotation)
+                    for block, pick, turned in stepping:
+                        m = len(block)
+                        assert block.flags.c_contiguous and np.array_equal(block, rotation[:m, :m])
+                        assert (pick is None) == (turned is None) == (m > STEP_MATRIX_SIZE)
+                        for array in (block, pick, turned):
+                            assert array is None or not array.flags.writeable
 
     @pytest.mark.parametrize("cutoff", [0, 1])
     def test_propagate_matches_rk4_loop(self, cutoff, monkeypatch):
@@ -245,7 +300,7 @@ class TestStepMatrices:
         rng = np.random.default_rng(80 + cutoff)
         for scheme in PropagationScheme:
             for delta in range(2 * cutoff + 1):
-                values, _, rotation = ipe.sector_spectrum(cutoff, delta, scheme)
+                values, _, rotation, _ = ipe.sector_spectrum(cutoff, delta, scheme)
                 parts = [slice(None), slice(0, (cutoff + 1) ** 3)] if delta == 0 else [slice(None)]
                 for part in parts:
                     block, u = rotation[part, part], rng.normal(size=len(values[part]))
@@ -263,19 +318,24 @@ class TestStepMatrices:
                 assert np.array_equal(fast, propagate(rho0, profile, geom, config).matrix)
 
     def test_threads_keep_their_own_buffers(self):
-        # the step maps, coefficients and stages live in per-thread buffers:
+        # the step maps, coefficients and stages live in per-thread buffers,
+        # and the read-only stepping operands of `sector_spectrum` are shared:
         # runs in more threads than cores, switching often, match the serial
-        # result bit for bit (cutoff 1 uses the step maps, cutoff 2 the loop:
-        # on sector 0's even half for the fundamental, on the whole sector
-        # for LG(l=+1), which fills both halves)
+        # result bit for bit and step with the same operand objects (cutoff 1
+        # uses the step maps, cutoff 2 the loop: on sector 0's even half for
+        # the fundamental, on the whole sector for LG(l=+1), which fills both
+        # halves)
         import threading
+
+        from turbulink.ipe import sector_spectrum
 
         profile, geom = TurbulenceProfile.from_constant(1e-15), geometry()
         runs = [(cutoff, scheme, l) for cutoff in (1, 2) for scheme in PropagationScheme for l in (0, 1)]
 
         def run(cutoff, scheme, l):
             rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=l, r=0))
-            return propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, scheme=scheme, steps=300)).matrix
+            matrix = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, scheme=scheme, steps=300)).matrix
+            return matrix, [sector_spectrum(cutoff, delta, scheme)[3] for delta in range(2 * cutoff + 1)]
 
         serial = [run(*args) for args in runs]
         results, interval = {}, sys.getswitchinterval()
@@ -292,8 +352,10 @@ class TestStepMatrices:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and len(results) == len(threads)
-        for matrices in results.values():
-            assert all(np.array_equal(got, expected) for got, expected in zip(matrices, serial))
+        for outputs in results.values():
+            for (got, operands), (expected, shared) in zip(outputs, serial):
+                assert np.array_equal(got, expected)
+                assert all(a is b for a, b in zip(operands, shared, strict=True))
 
     def test_sector_spectrum_matches_an_uncached_build(self):
         # Gamma0 comes from the cached sector-0 block of each cutoff
@@ -306,17 +368,24 @@ class TestStepMatrices:
                 for delta, parts in enumerate(cached):
                     _real_sector.cache_clear()
                     fresh = sector_spectrum.__wrapped__(cutoff, delta, scheme)
-                    assert all(np.array_equal(a, b) for a, b in zip(fresh, parts))
+                    assert all(np.array_equal(a, b) for a, b in zip(fresh[:3], parts))
+                    # the stepping operands, None where a block is too large for the maps
+                    assert len(fresh[3]) == len(parts[3])
+                    for new, old in zip(fresh[3], parts[3]):
+                        assert all(np.array_equal(a, b) for a, b in zip(new, old))
 
 
 def unsplit_spectrum(cutoff, delta, scheme):
     """Reference for `sector_spectrum` without the reflection split: `eigh`
-    of the whole `generator_parts` A, and the rotation V^T C V."""
-    from turbulink.ipe import generator_parts
+    of the whole `generator_parts` A, the rotation V^T C V, and the stepping
+    operands of that rotation."""
+    from turbulink.ipe import _stepping, generator_parts
 
     operator, commutator = generator_parts(cutoff, delta, scheme)
     values, vectors = np.linalg.eigh(operator)
-    return values, vectors, vectors.T @ (commutator @ vectors)
+    rotation = vectors.T @ (commutator @ vectors)
+    sizes = {(cutoff + 1) ** 3 if delta == 0 else len(values), len(values)}
+    return values, vectors, rotation, _stepping(rotation, sorted(sizes))
 
 
 class TestReflectionHalves:
@@ -330,7 +399,7 @@ class TestReflectionHalves:
         fundamental = np.zeros((2 * cutoff + 1, side, side))
         fundamental[cutoff, 0, 0] = 1.0
         for scheme in PropagationScheme:
-            values, vectors, rotation = sector_spectrum(cutoff, 0, scheme)
+            values, vectors, rotation, _ = sector_spectrum(cutoff, 0, scheme)
             assert len(values) - even == cutoff * side * side
             assert np.all(rotation[:even, even:] == 0) and np.all(rotation[even:, :even] == 0)
             assert np.max(np.abs(vectors.T @ vectors - np.eye(len(values)))) <= 1e-13
@@ -577,9 +646,10 @@ class TestPropagation:
         rng = np.random.default_rng(11)
         for length in rng.uniform(1.0e3, 3.0e4, 300):
             geom = geometry(float(length))
-            for steps in (128, 256, 512):
+            for steps in (16, 17, 128, 256, 512):
                 z, cn2 = rk4_nodes(profile, geom, steps)
                 assert len(z) == 2 * steps + 1
+                assert np.array_equal(z, np.linspace(0.0, geom.path_length, 2 * steps + 1))
                 assert z[0] == 0.0 and z[-1] == geom.path_length
                 assert np.all(np.diff(z) > 0) and np.all(cn2 > 0)
 
@@ -608,6 +678,28 @@ class TestPropagation:
         fine = propagate(rho0, profile, geometry(), SolverConfig(cutoff=0, steps=4096))
         assert np.max(np.abs(rho.matrix - fine.matrix)) <= 1e-8
         assert lowest_mode_probability(rho) == pytest.approx(analytic_decay(profile, geometry()), rel=1e-6)
+
+    @pytest.mark.parametrize("scheme", ["lindblad_truncated", "truncated_exact", "nonsense", None, 1])
+    def test_scheme_must_be_a_member(self, scheme):
+        # a string used to run as TRUNCATED_EXACT, whatever it said, and to
+        # add its own sector_spectrum entries
+        from turbulink.ipe import generator_parts, sector_spectrum
+
+        entries = sector_spectrum.cache_info().currsize
+        message = f"^scheme must be a PropagationScheme member, not {scheme!r}$"
+        for call in (lambda: SolverConfig(cutoff=2, scheme=scheme), lambda: sector_spectrum(1, 0, scheme),
+                     lambda: generator_parts(1, 1, scheme)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert sector_spectrum.cache_info().currsize == entries
+
+    def test_delta_beyond_the_basis_refused(self):
+        from turbulink.ipe import generator_parts, sector_spectrum
+
+        for call in (lambda: sector_spectrum(1, 5, PropagationScheme.TRUNCATED_EXACT),
+                     lambda: generator_parts(0, 1, PropagationScheme.LINDBLAD_TRUNCATED)):
+            with pytest.raises(ValueError, match="^delta must lie in"):
+                call()
 
     def test_basis_mismatch_rejected(self):
         rho0 = DensityMatrix.pure(ModeBasis(1), LGIndex(l=0, r=0))

@@ -160,6 +160,42 @@ class TestBasis:
         with pytest.raises(ValueError):
             LGIndex(l=0, r=-1)
 
+    @pytest.mark.parametrize(
+        "fields, name", [({"l": 0.5, "r": 0}, "l"), ({"l": True, "r": 0}, "l"), ({"l": "0", "r": 0}, "l"),
+                         ({"l": 0, "r": True}, "r"), ({"l": 0, "r": 1.0}, "r"), ({"l": 0, "r": -1}, "r")],
+    )
+    def test_indices_must_be_ints(self, fields, name):
+        # a float index used to be accepted and a bool read as 0 or 1
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            LGIndex(**fields)
+
+    def test_numpy_integer_indices_accepted(self):
+        assert LGIndex(l=np.int64(-2), r=np.int32(1)) == LGIndex(l=-2, r=1)
+        assert ModeBasis(np.int64(2)).indices == ModeBasis(2).indices
+
+    @pytest.mark.parametrize("cutoff", [1.5, 1.0, True, -1, "1", None])
+    def test_cutoff_must_be_a_non_negative_int(self, cutoff):
+        # checked before the per-cutoff index lookup, where 1.0 and True would hit cutoff 1
+        ModeBasis(1)
+        with pytest.raises(ValueError, match=f"^cutoff must be a non-negative int, not {cutoff!r}$"):
+            ModeBasis(cutoff)
+
+    def test_indices_shared_per_cutoff(self):
+        for cutoff in range(5):
+            basis = ModeBasis(cutoff)
+            assert basis.indices is ModeBasis(cutoff).indices
+            assert basis.fundamental == basis.position(LGIndex(l=0, r=0))
+            assert basis.indices[basis.fundamental] == LGIndex(l=0, r=0)
+
+    def test_delta_beyond_the_basis_refused(self):
+        # sector functions used to fail inside a reshape, and sector_blocks
+        # returned a negative count
+        assert sector_blocks(1, 2) == (2, 0, 1) and sector_blocks(1, -2) == (0, 2, 1)
+        for call in (lambda: sector_blocks(1, 7), lambda: sector_blocks(1, -3), lambda: sector_orders(1, 3),
+                     lambda: sector_coupling(1, 9, 0.0), lambda: pair_coupling_assembler(1, 1, -5)):
+            with pytest.raises(ValueError, match="^delta must lie in"):
+                call()
+
     @pytest.mark.parametrize("cutoff", range(5))
     def test_sector_orders_are_twice_the_gouy_weights(self, cutoff):
         # entry (p, r_m, r_n) of sector delta pairs mode m of row l-block

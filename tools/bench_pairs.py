@@ -6,10 +6,10 @@
 
 PARENT_TREE and CHANGE_TREE are two copies of the repository (say, one made
 with `git archive` of the parent commit, and the working tree).  The
-workloads, the end-to-end metrics and the run length S come from the
-trees' BENCHMARK.json (`workloads`, `end_to_end`, `run_seconds`), which
-must agree; --workloads picks some of them, all by default.  For each
-workload, in the order given, pair k runs `python3 perfbench/run.py
+workloads, the end-to-end metrics with their bounds and the run length S
+come from the trees' BENCHMARK.json (`workloads`, `end_to_end`,
+`run_seconds`), which must agree; --workloads picks some of them, all by
+default.  For each workload, in the order given, pair k runs `python3 perfbench/run.py
 --workload W --seed N --seconds S --trace 0` in both trees back to back on
 one seed N, the parent first in even-numbered pairs and the change first in
 odd ones.  Workload i of the list uses the seeds S + 100 i .. S + 100 i +
@@ -24,9 +24,17 @@ src/turbulink/*.py in sorted order), `workloads` (per pair: the seed, the
 side that went first, and each side's correct, attempted, failed and
 end-to-end metrics) and `summary` (per workload and metric: each side's
 statistics.quantiles(n=4) quartiles and median, in how many pairs the change
-was lower and higher, and the ratio of the medians; the failed jobs of each
-side and whether every run was correct).  Progress goes to stderr.  Exits 1
-if a run fails.
+was lower and higher, the ratio of the medians and the `verdict`; the failed
+jobs of each side and whether every run was correct).  Progress, and one
+line per verdict, go to stderr.  Exits 1 if a run fails.
+
+The verdict on a metric, with B its `bound` in BENCHMARK.json (relative to
+the parent's median) and lower better, as for every end-to-end metric there:
+`gain` if the change was lower in at least 9/10 of the pairs (ties count
+for neither) and the medians differ by more than the parent's q3 - q1;
+else `worse` if the change's median exceeds the parent's by more than B;
+else `unresolved` if the parent's q3 - q1 is wider than B, unless every
+change run is below every parent run; else `flat`.
 """
 from __future__ import annotations
 
@@ -65,9 +73,11 @@ def hardware() -> str:
 
 
 def benchmark(tree: Path) -> tuple:
-    """(workload names, end-to-end metric names, run seconds) of the tree's BENCHMARK.json."""
+    """(workload names, {end-to-end metric name: bound}, run seconds) of the tree's BENCHMARK.json."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return ([w["name"] for w in spec["workloads"]], [m["name"] for m in spec["end_to_end"]],
+    if any(m["better"] != "lower" for m in spec["end_to_end"]):
+        raise SystemExit(f"{tree}: the verdicts take every end-to-end metric as better when lower")
+    return ([w["name"] for w in spec["workloads"]], {m["name"]: m["bound"] for m in spec["end_to_end"]},
             spec["run_seconds"])
 
 
@@ -85,9 +95,23 @@ def run(tree: Path, workload: str, seed: int, seconds, metrics) -> dict:
     return record
 
 
-def summarize(pairs: list, metrics) -> dict:
+def verdict(parent: list, change: list, bound: float) -> str:
+    """`gain`, `worse`, `unresolved` or `flat` for one metric's paired runs
+    (see the module docstring)."""
+    q1, median, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+    lower = sum(c < p for p, c in zip(parent, change))
+    if 10 * lower >= 9 * len(parent) and median - statistics.median(change) > q3 - q1:
+        return "gain"
+    if statistics.median(change) > (1 + bound) * median:
+        return "worse"
+    if q3 - q1 > bound * median and not max(change) < min(parent):
+        return "unresolved"
+    return "flat"
+
+
+def summarize(pairs: list, metrics: dict) -> dict:
     summary = {"pairs": len(pairs)}
-    for name in metrics:
+    for name, bound in metrics.items():
         values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
         entry = {}
         for side in SIDES:
@@ -96,6 +120,7 @@ def summarize(pairs: list, metrics) -> dict:
         entry["change_lower_in"] = sum(c < p for p, c in zip(values["parent"], values["change"]))
         entry["change_higher_in"] = sum(c > p for p, c in zip(values["parent"], values["change"]))
         entry["median_ratio"] = round(statistics.median(values["change"]) / statistics.median(values["parent"]), 4)
+        entry["verdict"] = verdict(values["parent"], values["change"], bound)
         summary[name] = entry
     summary["failed_jobs"] = {side: sum(pair[side]["failed"] for pair in pairs) for side in SIDES}
     summary["correct"] = {side: all(pair[side]["correct"] for pair in pairs) for side in SIDES}
@@ -120,7 +145,7 @@ def main(argv=None) -> int:
             parser.error(f"{tree} holds no BENCHMARK.json, perfbench/run.py and src/turbulink")
     names, metrics, seconds = benchmark(trees["change"])
     if benchmark(trees["parent"]) != (names, metrics, seconds):
-        parser.error("the two trees' BENCHMARK.json differ in workloads, end-to-end metrics or run_seconds")
+        parser.error("the two trees' BENCHMARK.json differ in workloads, end-to-end metrics, bounds or run_seconds")
     args.workloads = args.workloads or names
     if not set(args.workloads) <= set(names):
         parser.error(f"--workloads must be among {', '.join(names)}")
@@ -152,6 +177,11 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "summary": {workload: summarize(pairs, metrics) for workload, pairs in workloads.items()},
     }
+    for workload, summary in report["summary"].items():
+        for name in metrics:
+            entry = summary[name]
+            print(f"{workload} {name}: {entry['verdict']} (median ratio {entry['median_ratio']}, "
+                  f"change lower in {entry['change_lower_in']}/{summary['pairs']})", file=sys.stderr)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
