@@ -114,6 +114,9 @@ def channel_tensor(kernel: ChannelKernel, dim: int) -> np.ndarray:
     the sense C[u, v, m, n] = C[v, u, n, m].  A tensor with a NaN or
     infinite entry is refused with a ValueError, for every caller.
     """
+    _check_index("dim", dim)
+    if not dim:
+        raise ValueError("dim must be at least 1, not 0")
     psi = kernel.mode_vectors(dim)  # (dim, grid)
     left = psi[:, None, :] * psi[None, :, :]  # (u, m, grid)
     grid = left.reshape(dim * dim, -1)

@@ -47,7 +47,8 @@ import numpy as np
 
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, LGIndex, ModeBasis, sector_blocks, sector_coupling
 from .lgmodes import sector_orders
-from .turbulence import LinkGeometry, TurbulenceProfile, cn2_at, extinction_depth, integrated_l, l_strength
+from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, _positive_finite, cn2_at, extinction_depth
+from .turbulence import integrated_l, l_strength
 
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
@@ -497,6 +498,8 @@ def cutoff_bracketing(l_values, cutoffs) -> dict:
     # increasing from a first value >= 0 to a last one < inf; NaN fails every comparison
     if not (len(l_values) and 0 <= l_values[0] and l_values[-1] < math.inf and (np.diff(l_values) > 0).all()):
         raise ValueError("l_values must be nonempty, finite, nonnegative and increasing")
+    for cutoff in (cutoffs := list(cutoffs)):  # before the cached spectra, where True and 1.0 hit cutoff 1
+        _check_index("each cutoff", cutoff)
     results = {}
     for cutoff in cutoffs:
         # sector 0 only; the fundamental is the first coordinate of the l = 0 block
@@ -522,6 +525,8 @@ def distance_sweep(
     Each distance z gets the probability-optimal waist 0.75 sqrt(lambda z / pi).
     Returns a list of row dicts sorted by (cn2, distance).
     """
+    if not _positive_finite(*distances):
+        raise ValueError(f"distances must be positive and finite, not {distances!r}")
     rows = []
     for cn2 in sorted(cn2_values):
         profile = TurbulenceProfile.from_constant(cn2)

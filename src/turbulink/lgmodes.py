@@ -17,38 +17,41 @@ b^{g_m - g_n}, b = (1 + it)/(1 - it), g = r + |l|/2, so the t = 0
 coefficients of a basis are computed once per cutoff.
 
 Radially integrating W W* against the von Karman spectrum (outer scale sent
-to zero, the divergent total-rate piece cancelled analytically) leaves a
-Gamma-function sum over coefficient pairs that conserves
-Delta = l_m - l_n = l_u - l_v.  The coefficients are real up to diagonal
-phases, so `pair_coupling_assembler`, the one builder of that sum, forms one
-Delta-l sector of it as real GEMMs for a batch of carrier-frequency pairs,
-multiplying for each pair of l-blocks only the j of its parity (the others
-are zero), and on request only sector 0's reflection-even half; the
-single-wavelength block of each sector is cached from one batch-1 call
-and dressed with its phases at each t (`sector_coupling`), which the
-propagators use directly and `coupling_tensor` scatters into the dense
-tensor.  A direct quadrature of the defining integral with a small but
-finite outer scale is kept alongside as an oracle.
+to zero, the divergent total-rate piece cancelled analytically) conserves
+Delta = l_m - l_n = l_u - l_v and leaves Gamma(-5/6) d_mu d_nv plus
+int y^(-5/6) e^-y (W_mu W*_nv - d_mu d_nv) / y dy, y = K^2 a / 4, W without
+its Gaussian and d the Kronecker delta: a polynomial of degree below
+6 cutoff under the Gauss-Laguerre weight, exact on the 3 cutoff nodes of
+`radial_rule`, where each W comes from the Laguerre recurrence (the
+coefficients' Gamma-weighted double sum cancels, to 4.1e-7 of the largest
+entry at cutoff 6).  `pair_coupling_assembler`, the one builder of the sum,
+forms one Delta-l sector of it for a batch of carrier pairs as one real
+GEMM per pair of l-blocks (W is real up to diagonal phases); the
+single-wavelength block of each sector is cached and dressed with its phases
+at each t (`sector_coupling`), which the propagators use directly and
+`coupling_tensor` scatters into the dense tensor.  A direct quadrature of
+the defining integral with a small but finite outer scale is kept alongside
+as an oracle.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .turbulence import SPECTRUM_AMPLITUDE, _check_index, l_strength, normalized_distance, two_pi_c_over
+from .turbulence import SPECTRUM_AMPLITUDE, _check_cn2, _check_index, _positive_finite, l_strength, normalized_distance
+from .turbulence import two_pi_c_over
 
 MAX_ORACLE_INDEX = 8
-# The Gamma-weighted coupling sum cancels: against a 40-digit evaluation its
-# worst entry is off by 5.5e-11 (cutoff 4), 1.3e-8 (5), 4.1e-7 (6), 8.4e-4 (7)
-# and 1.2 (8) of the largest entry, so no coupling is assembled past 6.
+# The blocks hold 4e-15 of their largest entry up to cutoff 8, but the dense
+# (S, S, S, S) array of `coupling_tensor` takes 1.1 GB at cutoff 6 and 3.3 GB
+# at 7, so no coupling is assembled past 6.
 MAX_COUPLING_CUTOFF = 6
 
-# k^2 * (radial integral constant): the closed-form coupling reads
-# COUPLING_PREFACTOR * l(z) * sum_{j1 j2} 2^{-(j1+j2)/2} Gamma((j1+j2)/2 - 5/6) c c*
+# k^2 * (radial integral constant): the coupling reads COUPLING_PREFACTOR * l(z)
+# times the radial integral of the module docstring
 COUPLING_PREFACTOR = SPECTRUM_AMPLITUDE * 16.0 * math.pi**4 * 2.0 ** (-8.0 / 3.0)  # = 8.1000...
 
 # fundamental-mode decay rate is DECAY_CONSTANT * l(z)
@@ -126,11 +129,6 @@ def _laguerre_coefficients(n: int, alpha: int) -> np.ndarray:
     )
 
 
-def _circular_quanta(idx: LGIndex) -> tuple:
-    """Quanta n+, n- of the two circular oscillators that make up mode idx."""
-    return idx.r + (abs(idx.l) + idx.l) // 2, idx.r + (abs(idx.l) - idx.l) // 2
-
-
 @lru_cache(maxsize=None)
 def _axis_coefficients(p: int, q: int) -> np.ndarray:
     # one oscillator's displaced-Fock element <p|D|q> as coefficients of
@@ -146,22 +144,12 @@ def _axis_coefficients(p: int, q: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _axis_product(plus: tuple, minus: tuple) -> np.ndarray:
-    # one displaced-Fock element per circular axis, convolved, given the
-    # quanta (n+ of m, n+ of n) and (n- of m, n- of n): the t = 0 coefficients
-    # up to the sign (-1)^(r_m + r_n), the same array for (n, m); read-only,
-    # and keys are bounded by the index guard
-    out = np.convolve(_axis_coefficients(*plus), _axis_coefficients(*minus))
-    out.setflags(write=False)
-    return out
-
-
 def _c0(m: LGIndex, n: LGIndex) -> np.ndarray:
-    # the t = 0 coefficients
+    # the t = 0 coefficients: one displaced-Fock element per circular axis,
+    # convolved, given each mode's quanta n+, n- = r + (|l| +- l) / 2
     _check_oracle_scale(m, n)
-    (pm, qm), (pn, qn) = _circular_quanta(m), _circular_quanta(n)
-    return (-1.0) ** (m.r + n.r) * _axis_product((pm, pn), (qm, qn))
+    (pm, pn), (qm, qn) = (tuple(i.r + max(s * i.l, 0) for i in (m, n)) for s in (1, -1))
+    return (-1.0) ** (m.r + n.r) * np.convolve(_axis_coefficients(pm, pn), _axis_coefficients(qm, qn))
 
 
 def c_coefficients(m: LGIndex, n: LGIndex, t: float) -> np.ndarray:
@@ -237,19 +225,6 @@ def free_prop_S_numeric(m: LGIndex, n: LGIndex, z_r: float, w0: float) -> comple
         * np.conj(lg_momentum_amplitude(n, k_r, k_phi, 0.0, w0))
     )
     return complex(0.5j / k * values.sum() * step * step / (4.0 * math.pi**2))
-
-
-@lru_cache(maxsize=64)
-def gamma_weight_matrix(j_count: int) -> np.ndarray:
-    """Weights M[j1, j2] = 2^{-(j1+j2)/2} Gamma((j1+j2)/2 - 5/6) of the
-    coefficient double sum (the radial integral in closed form); the Gamma
-    argument is never an integer, so never a pole.  Cached; the returned
-    array is read-only."""
-    table = np.array([2.0 ** (-0.5 * k) * math.gamma(0.5 * k - 5.0 / 6.0) for k in range(2 * j_count - 1)])
-    js = np.arange(j_count)
-    out = table[js[:, None] + js[None, :]]
-    out.setflags(write=False)
-    return out
 
 
 def _log_radial_grid(lower: float, upper: float):
@@ -374,32 +349,6 @@ class CouplingTensor:
     entries: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _real_stack(cutoff: int) -> np.ndarray:
-    # R[j, P, Q, r_m, r_u] over the l-blocks P of m and Q of u, c_{m,u,j}(0) = i^{N_m - N_u} R[j, m, u]
-    # with N = 2r + |l|; read-only, and keys are bounded by the index guard
-    basis, side = ModeBasis(cutoff), cutoff + 1
-    _check_oracle_scale(basis.indices[-1])  # r = l = cutoff
-    stack = np.zeros((6 * cutoff + 1, basis.size, basis.size), dtype=complex)
-    quanta = [_circular_quanta(idx) for idx in basis.indices]
-    for (a, (pm, qm)), (b, (pu, qu)) in itertools.combinations_with_replacement(enumerate(quanta), 2):
-        values = _axis_product((pm, pu), (qm, qu))
-        stack[: len(values), a, b] = stack[: len(values), b, a] = values
-    # the sign (-1)^(r_m + r_u), then the quarter turn (-i)^(N_m - N_u), on each
-    # written entry: exact units, applied in the order c_{m,u}(0) takes them,
-    # which keeps even the sign of each zero
-    r = np.array([idx.r for idx in basis.indices])
-    n = 2 * r + np.abs([idx.l for idx in basis.indices])
-    sign = (-1.0) ** (r[:, None] + r[None, :])
-    quarter = np.array([(-1j) ** k for k in range(4)])[(n[:, None] - n[None, :]) % 4]
-    written = np.arange(len(stack))[:, None, None] < n[:, None] + n[None, :] + 1  # the length of c_{m,u}
-    np.multiply(stack, sign, out=stack, where=written)
-    np.multiply(stack, quarter, out=stack, where=written)
-    stack = stack.real.reshape(-1, 2 * side - 1, side, 2 * side - 1, side).transpose(0, 1, 3, 2, 4).copy()
-    stack.setflags(write=False)
-    return stack
-
-
 def sector_blocks(cutoff: int, delta: int) -> tuple:
     """(first row l-block, first column l-block, count) of Delta-l sector
     delta in the basis up to `cutoff`; |delta| is at most 2 cutoff."""
@@ -418,6 +367,48 @@ def sector_orders(cutoff: int, delta: int) -> tuple:
     return rows, cols
 
 
+def _laguerre_rows(x, alpha, top: int, first=1.0) -> np.ndarray:
+    """`first` times L_b^(alpha)(x), stacked over b = 0, ..., top, by the
+    three-term recurrence; x, alpha and first broadcast."""
+    rows = np.empty((top + 1,) + np.broadcast(x, alpha, first).shape)
+    rows[0] = first
+    for b in range(top):
+        np.multiply(2 * b + 1 + alpha - x, rows[b], out=rows[b + 1])
+        if b:
+            rows[b + 1] -= (b + alpha) * rows[b - 1]
+        rows[b + 1] /= b + 1
+    return rows
+
+
+@lru_cache(maxsize=None)
+def radial_rule(count: int) -> tuple:
+    """(nodes, weights) of the count-point Gauss-Laguerre rule for
+    int_0^inf y^(-5/6) e^-y f(y) dy, exact up to degree 2 count - 1: the
+    Jacobi matrix's eigenvalues, and Gamma(n + 1/6) / (n! y L_{n-1}^(1/6)(y)^2),
+    n = count, which equals Gamma(n + 1/6) y / (n! (n + 1)^2 L_{n+1}^(-5/6)(y)^2)
+    but from a recurrence stable at the smallest node.  Cached, read-only."""
+    k, alpha = np.arange(count), -5.0 / 6.0
+    jacobi = np.diag(2 * k + 1 + alpha) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), -1)  # eigvalsh reads L
+    nodes = np.linalg.eigvalsh(jacobi)
+    slope = _laguerre_rows(nodes, alpha + 1, count - 1)[-1]
+    weights = math.gamma(count + 1 + alpha) / (math.factorial(count) * nodes * slope**2)
+    for array in (nodes, weights):
+        array.setflags(write=False)
+    return nodes, weights
+
+
+def _axis_values(x: np.ndarray, top: int) -> np.ndarray:
+    # F[b (top + 1) + g, ...] = sqrt(b!/(b+g)!) x^(g/2) L_b^(g)(x) over x's
+    # shape for b, g <= top: the one-axis displaced-Fock element between
+    # quanta b + g and b without its quarter turns
+    g, flat = np.arange(top + 1)[:, None], np.ravel(x)
+    powers = np.cumprod(np.concatenate([np.ones((1, flat.size)), np.tile(np.sqrt(flat), (top, 1))]), axis=0)
+    rows = _laguerre_rows(flat, g, top, powers)  # [b, g, x]
+    factorial = np.array([math.factorial(k) for k in range(2 * top + 1)], dtype=float)
+    rows *= np.sqrt(factorial[: top + 1, None] / factorial[np.add.outer(range(top + 1), range(top + 1))])[..., None]
+    return rows.reshape((-1,) + np.shape(x))
+
+
 def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = False):
     """A function ratio -> real for `batch` carrier pairs at one z, given
     each carrier's a_i / mean(a) as a (2, batch) array: the coefficient
@@ -429,83 +420,70 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = Fa
     sector's l-block pairs (see `sector_blocks`), is conj(d)[:, :, None] *
     real * d[:, None, :] with the diagonal phases d = e^{i(phi1 N_m - phi2 N_n)},
     phi_i = pi/2 + atan t_i and (N_m, N_n) from `sector_orders`; it maps a
-    sector, stored as its stack of l-blocks, onto itself.  The coefficients
-    are real up to diagonal phases, c_{m,u,j}(t) = e^{i(pi/2 + atan t)(N_m - N_u)} R[j, m, u],
-    so real = (R^T W) R with W = diag(s1^j) M diag(s2^j), s_i^2 = a_i / mean(a).
-    R[j, m, u] is 0 unless j has the parity of l_m - l_u, so each l-block
-    pair multiplies only the j of its parity.  With `even` (sector 0 only)
-    the map acts on the reflection-even half: the first (cutoff + 1)^3
-    entries (the l-blocks l <= 0) of a sector whose l-blocks l and -l are
-    equal.  Only the row blocks with l <= 0 are built, and each column block
-    is added to its mirror's.  Each call overwrites the real block the last
-    one returned (fresh arrays would cost more in page faults than the GEMMs)."""
+    sector, stored as its stack of l-blocks, onto itself.  The real block is
+    the radial integral of the module docstring on `radial_rule`'s nodes y_k,
+    Gamma(-5/6) e e^T + sum_k w_k (A1[k] A2[k]^T - e e^T) / y_k, A_i[k] carrier
+    i's real W_mu at x = s_i^2 y_k / 2, s_i^2 = a_i / mean(a), e the Kronecker
+    delta of (m, u): one GEMM D1^T D2 per pair of l-blocks, D_i = diag(sqrt(w
+    / y)) (A_i - e), and e h2^T + h1 e^T + Gamma(-5/6) e e^T on the pairs q = p,
+    h_i = D_i^T sqrt(w / y).  With `even` (sector 0 only) the map acts on the
+    reflection-even half: the first (cutoff + 1)^3 entries (the l-blocks
+    l <= 0) of a sector whose l-blocks l and -l are equal; only the row blocks
+    l <= 0 are built, each column block with its mirror's added.  Each call
+    overwrites the real block the last one returned (fresh arrays would cost
+    more in page faults than the GEMMs)."""
     if cutoff > MAX_COUPLING_CUTOFF:
-        raise OracleIndexError(f"coupling sum inaccurate beyond cutoff {MAX_COUPLING_CUTOFF}")
+        raise OracleIndexError(f"coupling blocks are not built beyond cutoff {MAX_COUPLING_CUTOFF}")
     if even and delta:
         raise ValueError("only sector 0 has a reflection-even half")
-    side, side_sq = cutoff + 1, (cutoff + 1) ** 2
+    side, top = cutoff + 1, 2 * cutoff
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
-    kept = cutoff + 1 if even else count  # the l-blocks of the result
-    stack = _real_stack(cutoff)
-    per_parity = len(stack) // 2 + 1  # j of one parity; the odd ones end in a zero past the stack
-    # the l-block pairs (p, q) built, p the column and q the row block, in
-    # four rectangles of p and q parities: the two with p - q even fill the
-    # slots of parity 0, the two odd ones those of parity 1, the fewer padded
-    # with zero pairs.  On the even half the pairs p < cutoff of a rectangle
-    # are followed by their mirrors 2 cutoff - p, which are added to them.
-    pairs, rectangles = ([], []), []
-    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        ps, qs = range(a, kept, 2), range(b, kept, 2)
-        mirrors = [2 * cutoff - x for x in ps if x < cutoff] if even else []
-        group = pairs[(a + b) % 2]
-        rectangles.append(((a + b) % 2, len(group), ps, qs, len(mirrors) * len(qs)))
-        group += [(x, y) for x in [*ps, *mirrors] for y in qs]
-    width = max(map(len, pairs))
-    p, q = np.zeros((2, 2, width), dtype=int)
-    for e, group in enumerate(pairs):
-        p[e, : len(group)], q[e, : len(group)] = np.reshape(np.array(group, dtype=int), (-1, 2)).T
-    j = np.arange(2)[:, None] + 2 * np.arange(per_parity)  # [parity, k]
-    flat, in_stack = stack.reshape(-1, side_sq), np.minimum(j, len(stack) - 1)[:, None]
-
-    def gather(lo):  # R at [e, slot, k, (r_a, r_b)], 0 on the padding slots and past the stack
-        values = flat[(in_stack * (2 * side - 1) + lo + p[..., None]) * (2 * side - 1) + lo + q[..., None]]
-        values[1, :, -1] = 0.0  # j = 6 cutoff + 1
-        for e, group in enumerate(pairs):
-            values[e, len(group) :] = 0.0
-        return values
-
-    # R over the (m, u) l-block pairs as [e, (slot, r_m, r_u), k], and over
-    # the (n, v) ones as [(e, slot), k, (r_n, r_v)]
-    rows = gather(lo_row).reshape(2, width, per_parity, side_sq).transpose(0, 1, 3, 2).reshape(2, -1, per_parity)
-    cols = gather(lo_col).reshape(2 * width, per_parity, side_sq)
-    half_j, gamma = 0.5 * j, gamma_weight_matrix(len(stack) + 1)[j[:, :, None], j[:, None, :]]
-    # two buffers, each written while the other one holds the operand
-    inner_size, out_size = rows.shape[1] * 2 * batch * per_parity, batch * (kept * side_sq) ** 2
-    first, second = np.empty(max(inner_size, out_size)), np.empty(2 * width * side_sq * batch * side_sq)
-    inner = first[:inner_size].reshape(2, -1, batch * per_parity)  # [e, (slot, r_m, r_u), (batch, k)]
-    blocks = second.reshape(2 * width, side_sq * batch, side_sq)  # [slot, (r_m, r_u, batch), (r_n, r_v)]
-    out = first[:out_size].reshape(batch, kept, side, side, kept, side, side)
-    # each rectangle, its mirrors added, into the result [batch, q, r_u, r_v, p, r_m, r_n]
-    folds, copies = [], []
-    for e, start, ps, qs, mirrored in rectangles:
-        start, size = e * width + start, len(ps) * len(qs)
-        if mirrored:
-            folds.append((blocks[start : start + mirrored], blocks[start + size : start + size + mirrored]))
-        if size:
-            source = blocks[start : start + size].reshape(len(ps), len(qs), side, side, batch, side, side)
-            copies.append((out[:, qs[0] :: 2, :, :, ps[0] :: 2], source.transpose(4, 1, 3, 6, 0, 2, 5)))
+    kept = cutoff + 1 if even else count
+    nodes, weights = radial_rule(max(1, 3 * cutoff))
+    root, size = np.sqrt(weights / nodes), len(nodes)
+    # operand entries [carrier, q, p, r_u, r_m]: u = (l-block q, r_u), m = (l-block p, r_m),
+    # of the row l-blocks for carrier 1 and the column ones for carrier 2
+    lo, q, p, r_u, r_m = np.ix_([lo_row, lo_col], range(kept), range(count), range(side), range(side))
+    l_m, l_u = lo + p - cutoff, lo + q - cutoff
+    plus_m, plus_u, minus_m, minus_u = (r + np.maximum(s * l, 0) for s in (1, -1) for r, l in ((r_m, l_m), (r_u, l_u)))
+    # D is the product of two rows of a table [s F, -s F, F] per carrier, s = sqrt(w / y) and
+    # F the `_axis_values`: s F, negated where (-1)^(r_m + r_u) i^{|a-b|} (-i)^{a-b} per axis
+    # is -1 (a the quanta of m), and F; for m = u, s (L_p L_q - 1) replaces it (p, q the quanta)
+    rows, odd = (top + 1) ** 2, (r_m + r_u + np.minimum(plus_m - plus_u, 0) + np.minimum(minus_m - minus_u, 0)) % 2
+    plus, minus = (np.minimum(a, b) * (top + 1) + np.abs(a - b) for a, b in ((plus_m, plus_u), (minus_m, minus_u)))
+    offset = 3 * rows * np.arange(2).reshape(2, 1, 1, 1, 1, 1)  # each carrier's table
+    gather = (np.stack([plus + odd * rows, minus + 2 * rows], axis=1) + offset).ravel()
+    carrier, pu, qu = np.arange(2)[:, None, None], plus_u[:, :, 0, :, 0], minus_u[:, :, 0, :, 0]  # [c, q, r] of m = u
+    table, scale = np.empty((2, 3 * rows, batch, size)), np.tile(root, (batch, 1))
+    factors = np.empty((2, 2, kept * count * side**2, batch, size))  # [carrier, axis, (q, p, r_u, r_m), b, k]
+    same = factors[:, 0].reshape(2, kept * count, side**2, batch, size)[:, :: count + 1]  # the pairs q = p
+    product = np.empty((batch, kept, count, side**2, side**2))  # [b, q, p, (r_u, r_m), (r_v, r_n)]
+    on_same = product.reshape(batch, kept * count, side**2, side**2)[:, :: count + 1]
+    out = np.empty((batch, kept, side, side, kept, side, side))
+    identity = math.gamma(-5.0 / 6.0) * np.eye(side).ravel()
 
     def assemble(ratio: np.ndarray) -> np.ndarray:
-        # one GEMM R^T W per parity over the batch's weight matrices, then one per slot
-        scale = (ratio[:, :, None, None] ** half_j).transpose(0, 2, 3, 1)  # [carrier, e, k, batch]
-        weights = scale[0][..., None] * gamma[:, :, None, :] * scale[1].transpose(0, 2, 1)[:, None]
-        np.matmul(rows, weights.reshape(2, per_parity, -1), out=inner)
-        np.matmul(inner.reshape(2 * width, -1, per_parity), cols, out=blocks)
-        for direct, mirrors in folds:
-            direct += mirrors
-        for target, source in copies:
-            np.copyto(target, source)
-        return out.reshape(batch, kept * side_sq, kept * side_sq)
+        values = np.moveaxis(_axis_values(x := 0.5 * ratio[..., None] * nodes, top), 1, 0)
+        np.multiply(values, scale, out=table[:, :rows])
+        np.negative(table[:, :rows], out=table[:, rows : 2 * rows])
+        table[:, 2 * rows :] = values
+        np.take(table.reshape(-1, batch, size), gather, axis=0, out=factors.reshape(-1, batch, size), mode="clip")
+        d = np.multiply(factors[:, 0], factors[:, 1], out=factors[:, 0])  # sqrt(w / y) A
+        # D = sqrt(w / y) (A - e): for m = u, L_p L_q - 1 = E_p L_q + E_q with E_n = L_n - 1 =
+        # -sqrt(x) sum_{k <= n} F(k, k - 1) / sqrt(k), whose terms have one sign at small x
+        terms = values[:, 1 :: top + 1] * (-np.sqrt(x)[:, None] / np.sqrt(np.arange(1.0, top + 2))[:, None, None])
+        less = np.concatenate([np.zeros_like(values[:, :1]), np.cumsum(terms[:, :-1], axis=1)], axis=1)
+        same[:, :, :: side + 1] = (less[carrier, pu] * values[carrier, qu * (top + 1)] + less[carrier, qu]) * scale
+        h = np.einsum("cqibk,k->cbqi", same, root)  # one loop per entry: (m, u) and (u, m) agree to the bit
+        d = d.reshape(2, kept, count, side**2, batch, size).transpose(0, 4, 1, 2, 3, 5)
+        np.matmul(d[0], d[1].swapaxes(-1, -2), out=product)
+        on_same[:, :, :: side + 1] += (h[1] + identity)[:, :, None]  # e (h2 + Gamma e)^T
+        on_same[:, :, :, :: side + 1] += h[0][..., None]  # h1 e^T
+        if even:  # each column block's mirror, 2 cutoff - p for p < cutoff
+            product[:, :, :cutoff] += product[:, :, :cutoff:-1]
+        blocks = product.reshape(batch, kept, count, side, side, side, side)[:, :, :kept]
+        np.copyto(out, blocks.transpose(0, 1, 3, 5, 2, 4, 6))
+        return out.reshape(batch, kept * side**2, kept * side**2)
 
     return assemble
 
@@ -513,12 +491,10 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = Fa
 @lru_cache(maxsize=None)
 def _real_sector(cutoff: int, delta: int) -> tuple:
     # (G, N_m - N_n on each sector entry), both read-only: at one wavelength
-    # s_i = 1, so the real block is the same at every t.  With c1 = c2 it is
-    # symmetric; the GEMMs keep that bit for bit up to cutoff 4, but the
-    # cancelling sum rounds its two triangles apart by up to 3e-10 of the
-    # largest entry at cutoff 6, so the mean of both is kept
+    # s_i = 1, so the real block is the same at every t, and D1 = D2 = D on
+    # sector 0, whose GEMM is D^T D.  G is symmetric: an entry and its
+    # mirror are the same sum of the same products
     block = pair_coupling_assembler(cutoff, 1, delta)(np.ones((2, 1)))[0]
-    block = 0.5 * (block + block.T)
     orders = np.subtract(*sector_orders(cutoff, delta))
     for array in (block, orders):
         array.setflags(write=False)
@@ -537,7 +513,14 @@ def sector_coupling(cutoff: int, delta: int, t: float) -> np.ndarray:
 
 def coupling_tensor(basis: ModeBasis, z: float, cn2: float, w0: float, wavelength: float) -> CouplingTensor:
     """The full tensor L_{m,n,u,v}(z) (total-rate part excluded) at one
-    wavelength (m), sector by sector."""
+    wavelength (m), sector by sector.  A negative or non-finite z, w0 or
+    wavelength, or a C_n^2 outside the profile range (0 allowed), is refused."""
+    _check_cn2(cn2, allow_zero=True)
+    for name, value in (("w0", w0), ("wavelength", wavelength)):
+        if not _positive_finite(value):
+            raise ValueError(f"{name} must be positive and finite, not {value!r}")
+    if not 0 <= z < math.inf:
+        raise ValueError(f"z must be finite and >= 0, not {z!r}")
     t = normalized_distance(z, wavelength, w0)
     rate = COUPLING_PREFACTOR * l_strength(z, cn2, wavelength, w0)
     deltas = range(-2 * basis.cutoff, 2 * basis.cutoff + 1)

@@ -21,6 +21,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from .turbulence import _check_index
+
 MAX_HERMITE_ORDER = 64
 MIN_QUADRATURE_ORDER = 2
 MAX_QUADRATURE_ORDER = 128
@@ -67,6 +69,7 @@ def schmidt_eigenvalue(spec: BiphotonSpec, n: int) -> float:
     The sequence is geometric with ratio ((sa - sb) / (sa + sb))^2, so large
     n is evaluated as lambda_0 * ratio^n.
     """
+    _check_index("n", n, signed=True)  # an out-of-range int is an UnsupportedOrderError
     if n < 0 or n > MAX_EIGENVALUE_INDEX:
         raise UnsupportedOrderError(f"eigenvalue index {n} outside [0, {MAX_EIGENVALUE_INDEX}]")
     sa, sb = spec.sigma_a, spec.sigma_b
@@ -101,6 +104,7 @@ class TruncatedSource:
 
 def truncated_source(spec: BiphotonSpec, max_mode: int) -> TruncatedSource:
     """Truncate the Schmidt expansion at max_mode and renormalize to unit norm."""
+    _check_index("max_mode", max_mode, signed=True)
     if max_mode < 0 or max_mode > MAX_HERMITE_ORDER:
         raise UnsupportedOrderError(f"max_mode {max_mode} outside [0, {MAX_HERMITE_ORDER}]")
     lams = np.array([schmidt_eigenvalue(spec, n) for n in range(max_mode + 1)])
@@ -159,6 +163,7 @@ def frequency_grid(spec: BiphotonSpec, order: int) -> np.ndarray:
     """Gauss-Hermite nodes x of the given order as frequencies
     omega = omega_p/2 + x / sqrt(b), on which `discrete_modes(order)` are
     orthonormal at quadrature precision."""
+    _check_index("order", order, signed=True)  # before the cached rule, where 3.0 and True would hit 3 and 1
     return spec.center + gauss_hermite_rule(order).nodes / math.sqrt(spec.gaussian_scale)
 
 

@@ -57,9 +57,9 @@ MAX_GRID_ORDER = 64
 TRANSFER_CACHE = 8  # source grids (spec, order) whose constants and Chebyshev transfer are kept
 MAX_FULL_IPE_GRID = 12
 # Run cost bounds the cutoff: a grid-12 kernel (78 frequency pairs in one
-# batched Lawson run on sector 0's even half) takes 1.8 s at cutoff 4 and
-# 8.6 s at cutoff 5 (128 steps; 3.7 s and 17.1 s at 256) on one core of a
-# 2-vCPU x86 VM, at 122 MB peak RSS.
+# batched Lawson run on sector 0's even half, 128 steps over 30 km) takes
+# 7.1 s at cutoff 4 and 20.7 s at cutoff 5 on one core of a 2-vCPU x86 VM,
+# at 103 MB and 219 MB peak RSS.
 MAX_FULL_IPE_CUTOFF = 5
 # the full-IPE kernel builds the coupling blocks of as many successive nodes
 # as hold this many entries (at least one node) in one call, so that a small

@@ -1,13 +1,19 @@
 """Dense masked coupling sum over a whole basis, and the complex sector derivative.
 
 An oracle for the Delta-l sector blocks of `lgmodes.pair_coupling_assembler`,
-at one wavelength and between two carriers: the Gamma-weighted double sum
-over every (m, u) and (n, v) pair of two complex coefficient stacks (each
-the t = 0 `c_coefficients` of every pair, built once per basis, times the
-pair's Gouy phase) as one (S^2, S^2) product, zeroed where the azimuthal
-rule l_m - l_u = l_n - l_v fails.  It shares only the coefficients and the
-Gamma weights with the library, never the sector layout or the
-real-up-to-phases factorization.
+at one wavelength and between two carriers: the radial integral over every
+(m, u) and (n, v) pair on the nodes y_k of `lgmodes.radial_rule`,
+
+    T = Gamma(-5/6) e e^T + sum_k w_k (W1[k] conj(W2[k])^T - e e^T) / y_k,
+
+as one (S^2, S^2) product of two complex stacks of correlations W_mu (each
+the two one-axis elements of `lgmodes._axis_values` with their quarter
+turns and sign, as `c_coefficients` takes them, times the pair's Gouy
+phase), zeroed where the azimuthal rule l_m - l_u = l_n - l_v fails; e is
+the Kronecker delta of (m, u), split off the same way as in the library.
+It shares only the node rule and the axis values with the library, never
+the sector layout or the real-up-to-phases factorization; the accuracy of
+the sum itself is checked against `exact_oracle`.
 
 `complex_sector_derivative` is the rotating-frame derivative of one sector
 written on its complex l-blocks (gain matvec, Lindblad Q rho + rho Q^dagger
@@ -22,13 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from turbulink.lgmodes import (
-    COUPLING_PREFACTOR,
-    ModeBasis,
-    c_coefficients,
-    gamma_weight_matrix,
-    sector_blocks,
-)
+from turbulink.lgmodes import COUPLING_PREFACTOR, ModeBasis, radial_rule, sector_blocks
+from turbulink.lgmodes import _axis_values
 from turbulink.turbulence import l_cross, two_pi_c_over
 
 
@@ -39,36 +40,52 @@ def selection_mask(basis: ModeBasis) -> np.ndarray:
     return diff[:, :, None, None] == diff[None, None, :, :]
 
 
-@lru_cache(maxsize=None)
-def _stack_at_waist(basis: ModeBasis) -> tuple:
-    """(c_{m,u,j}(0) of every basis pair as a (6 cutoff + 1, size, size)
-    array, zero past each pair's last coefficient; the Gouy weights g_m)."""
-    stack = np.zeros((6 * basis.cutoff + 1, basis.size, basis.size), dtype=complex)
-    for a, m in enumerate(basis.indices):
-        for b, u in enumerate(basis.indices):
-            values = c_coefficients(m, u, 0.0)
-            stack[: len(values), a, b] = values
-    stack.setflags(write=False)
-    return stack, np.array([idx.gouy_weight for idx in basis.indices])
+def node_stack(basis: ModeBasis, t: float, ratio: float = 1.0) -> np.ndarray:
+    """W_mu - e_mu of every basis pair on the nodes, [k, m, u], at normalized
+    distance t and x = ratio y_k / 2: W_mu is the t = 0 product of two
+    one-axis elements i^{|a-b|} F(a, b) times (-1)^(r_m + r_u), times the
+    Gouy phase b^{g_m - g_u}, b = (1 + it)/(1 - it).  For m = u, W_mm =
+    L_p L_q (p, q the quanta of m), and W_mm - 1 is formed from L_n - 1 =
+    -x sum_{k < n} L_k^(1)(x) / (k + 1), which does not cancel at small x."""
+    cutoff, top = basis.cutoff, 2 * basis.cutoff
+    x = 0.5 * ratio * radial_rule(max(1, 3 * cutoff))[0]
+    flat = _axis_values(x, top)  # [b (top + 1) + (a - b), k]
+    values = flat.reshape(top + 1, top + 1, -1)
+    slope = flat[1 : top * (top + 1) : top + 1]  # F(k + 1, k) = x^(1/2) L_k^(1) / sqrt(k + 1)
+    slope = -np.sqrt(x) * slope / np.sqrt(np.arange(1.0, top + 1))[:, None]
+    less = np.concatenate([np.zeros((1, len(x))), np.cumsum(slope, axis=0)])  # L_n - 1
+    r = np.array([idx.r for idx in basis.indices])
+    plus = np.array([idx.r + max(idx.l, 0) for idx in basis.indices])
+    minus = np.array([idx.r + max(-idx.l, 0) for idx in basis.indices])
+    gouy = np.array([idx.gouy_weight for idx in basis.indices])
+    turns = np.abs(plus[:, None] - plus) + np.abs(minus[:, None] - minus)
+    unit = 1j**turns * (-1.0) ** (r[:, None] + r) * np.exp(2j * math.atan(t) * (gouy[:, None] - gouy))
+    plus_pair, minus_pair = ((np.minimum.outer(n, n), np.abs(np.subtract.outer(n, n))) for n in (plus, minus))
+    stack = unit * np.moveaxis(values[plus_pair] * values[minus_pair], -1, 0)
+    diagonal = np.arange(basis.size)
+    stack[:, diagonal, diagonal] = (less[plus] * less[minus] + less[plus] + less[minus]).T
+    return stack
 
 
-def coefficient_stack(basis: ModeBasis, t: float) -> np.ndarray:
-    """c_{m,u,j}(t) of every basis pair as a (6 cutoff + 1, size, size) array,
-    zero past each pair's last coefficient: the t = 0 stack times the Gouy
-    phase b^{g_m - g_u}, b = (1 + it)/(1 - it), as `c_coefficients` takes it."""
-    stack, gouy = _stack_at_waist(basis)
-    return stack * np.exp(2j * math.atan(t) * (gouy[:, None] - gouy[None, :]))
+def node_sum(left: np.ndarray, right: np.ndarray, cutoff: int) -> np.ndarray:
+    """T[(m, u), (n, v)] from two stacks of W - e [k, m, u], the second
+    conjugated: D1^T conj(D2) + e conj(h2)^T + h1 e^T + Gamma(-5/6) e e^T
+    with D_i = diag(sqrt(w / y)) (W_i - e) and h_i = D_i^T sqrt(w / y)."""
+    nodes, weights = radial_rule(max(1, 3 * cutoff))
+    root = np.sqrt(weights / nodes)
+    e = np.eye(left.shape[-1]).reshape(-1)
+    d1, d2 = (stack.reshape(len(nodes), -1) * root[:, None] for stack in (left, right))
+    h1, h2 = root @ d1, root @ d2
+    return d1.T @ np.conj(d2) + np.outer(e, np.conj(h2)) + np.outer(h1, e) + math.gamma(-5.0 / 6.0) * np.outer(e, e)
 
 
 @lru_cache(maxsize=None)
 def dense_pair_tensor(cutoff: int) -> np.ndarray:
-    """T[m, u, n, v] = sum_{j1 j2} c[j1, m, u] M[j1, j2] conj(c[j2, n, v]) at
-    t = 0, masked; read-only."""
+    """T[m, u, n, v] at t = 0 on one wavelength, masked; read-only."""
     basis = ModeBasis(cutoff)
     size = basis.size
-    stack = coefficient_stack(basis, 0.0).reshape(-1, size * size)
-    pairs = stack.T @ gamma_weight_matrix(stack.shape[0]) @ np.conj(stack)
-    tensor = pairs.reshape(size, size, size, size) * selection_mask(basis)
+    stack = node_stack(basis, 0.0)
+    tensor = node_sum(stack, stack, cutoff).reshape(size, size, size, size) * selection_mask(basis)
     tensor.setflags(write=False)
     return tensor
 
@@ -96,12 +113,8 @@ def dense_pair_coupling(basis: ModeBasis, z: float, cn2: float, w0: float, pair)
     size = basis.size
     t1, t2 = (z / (math.pi * w0**2 / two_pi_c_over(omega)) for omega in pair)
     a1, a2 = (1.0 + t1 * t1) * w0**2, (1.0 + t2 * t2) * w0**2
-    left, right = coefficient_stack(basis, t1), np.conj(coefficient_stack(basis, t2))
-    js = np.arange(left.shape[0])[:, None, None]
-    left *= (a1 / (0.5 * (a1 + a2))) ** (0.5 * js)
-    right *= (a2 / (0.5 * (a1 + a2))) ** (0.5 * js)
-    sums = left.reshape(-1, size * size).T @ gamma_weight_matrix(len(js)) @ right.reshape(-1, size * size)
-    tensor = sums.reshape(size, size, size, size) * selection_mask(basis)  # [m, u, n, v]
+    left, right = (node_stack(basis, t, a / (0.5 * (a1 + a2))) for t, a in ((t1, a1), (t2, a2)))
+    tensor = node_sum(left, right, basis.cutoff).reshape(size, size, size, size) * selection_mask(basis)  # [m, u, n, v]
     rate = COUPLING_PREFACTOR * l_cross(z, pair[0], pair[1], cn2, w0)
     return rate * tensor.transpose(0, 2, 1, 3)
 

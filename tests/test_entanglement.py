@@ -190,6 +190,13 @@ class TestChannelTensor:
             assert np.max(np.abs(tensor[:, :, n, n] / trace - block / np.trace(block))) < 1e-12
 
 
+    @pytest.mark.parametrize("dim", [0, -1, 2.0, True])
+    def test_dim_must_be_a_positive_int(self, kernel_1e16, dim):
+        # dim 0 used to fail inside a reshape
+        with pytest.raises(ValueError, match="^dim must be"):
+            channel_tensor(kernel_1e16, dim)
+
+
 class TestPropagatePair:
     def test_zero_turbulence_exact(self, paper_spec, kernel_zero):
         state = TwoPhotonState.mode_pair(0, 3, 12)

@@ -837,6 +837,14 @@ class TestCutoffBracketing:
             with pytest.raises(ValueError, match="finite"):
                 cutoff_bracketing([0.0, last], [1])
 
+    @pytest.mark.parametrize("cutoff", [True, 1.0, 1.5, -1, "1"])
+    def test_cutoffs_must_be_non_negative_ints(self, cutoff):
+        # with cutoff 1 cached, True and 1.0 used to return cutoff-1 results
+        # keyed by them; in a fresh process True and 1.5 failed inside range
+        cutoff_bracketing([0.0, 0.1], [1])
+        with pytest.raises(ValueError, match="^each cutoff must be a non-negative int"):
+            cutoff_bracketing([0.0, 0.1], [0, cutoff])
+
 
 class TestDistanceSweep:
     def test_orderings(self):
@@ -872,6 +880,12 @@ class TestDistanceSweep:
         rows = distance_sweep([1e-15, 1e-16], [2.0e4, 1.0e4], LAM)
         keys = [(r["cn2"], r["distance_m"]) for r in rows]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("distance", [-1.0, 0.0, math.nan, math.inf])
+    def test_distances_must_be_positive_and_finite(self, distance):
+        # -1 m used to fail with "math domain error"
+        with pytest.raises(ValueError, match="^distances must be positive and finite"):
+            distance_sweep([1e-15], [1.0e3, distance], LAM)
 
     @pytest.mark.parametrize("extinction", [-0.5, math.nan])
     def test_extinction_refused(self, extinction):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dense_oracle import dense_pair_coupling, dense_pair_tensor, dense_sector, selection_mask
+from exact_oracle import exact_entry
 from scipy.integrate import quad
 from series_oracle import series_c_coefficients
 
@@ -26,14 +27,14 @@ from turbulink.lgmodes import (
     coupling_tensor,
     free_prop_S,
     free_prop_S_numeric,
-    gamma_weight_matrix,
     lg_momentum_amplitude,
     pair_coupling_assembler,
+    radial_rule,
     sector_blocks,
     sector_coupling,
     sector_orders,
 )
-from turbulink.lgmodes import _c0, _real_sector, _real_stack
+from turbulink.lgmodes import _axis_coefficients, _axis_values, _real_sector
 from turbulink.turbulence import big_l_t, l_cross, l_strength
 
 W0 = 0.1457
@@ -72,6 +73,14 @@ def dense_pair_sectors(cutoff, delta, z):
         yield dense_sector(dense.transpose(0, 2, 1, 3), cutoff, delta)
 
 
+def gamma_weights(j_count):
+    """M[j1, j2] = 2^{-(j1+j2)/2} Gamma((j1+j2)/2 - 5/6): the radial integral
+    of the coefficient double sum in closed form, which the library's node
+    rule replaces (the Gamma argument is never an integer, so never a pole)."""
+    half = 0.5 * np.add.outer(np.arange(j_count), np.arange(j_count))
+    return 2.0**-half * np.vectorize(math.gamma)(half - 5.0 / 6.0)
+
+
 def coupling_element(m, n, u, v, z, cn2, w0, frequencies):
     """Reference L_{m,n,u,v}(z), one element at a time: the Gamma-weighted
     double sum over the coefficient arrays of (m, u) and (n, v).
@@ -99,7 +108,7 @@ def coupling_element(m, n, u, v, z, cn2, w0, frequencies):
         t = frequencies * z / (math.pi * w0**2)
         c1, c2 = c_coefficients(m, u, t), c_coefficients(n, v, t)
         rate = l_strength(z, cn2, frequencies, w0)
-    weights = gamma_weight_matrix(max(len(c1), len(c2)))[: len(c1), : len(c2)]
+    weights = gamma_weights(max(len(c1), len(c2)))[: len(c1), : len(c2)]
     return COUPLING_PREFACTOR * rate * complex(c1 @ weights @ np.conj(c2))
 
 
@@ -295,16 +304,14 @@ class TestCoefficients:
     def test_real_up_to_diagonal_phases(self, cutoff):
         # c(0)[j, m, u] = i^{N_m - N_u} x real with N = 2r + |l| = 2 gouy_weight,
         # so at any t, c(t)[j, m, u] = e^{i(pi/2 + atan t)(N_m - N_u)} R[j, m, u]
-        # with R the library's one real stack, zero past each pair's length
-        basis, side = ModeBasis(cutoff), cutoff + 1
+        # with R real, the factorization the coupling blocks are built on
+        basis = ModeBasis(cutoff)
         orders = np.array([2 * idx.r + abs(idx.l) for idx in basis.indices])
         assert all(idx.gouy_weight == n / 2 for idx, n in zip(basis.indices, orders))
-        stack = _real_stack(cutoff)  # [j, l-block of m, l-block of u, r_m, r_u]
         for (a, m), (b, u) in itertools.product(enumerate(basis.indices), repeat=2):
-            real = stack[:, a // side, b // side, a % side, b % side]
             quarter_turned = c_coefficients(m, u, 0.0) * (-1j) ** ((orders[a] - orders[b]) % 4)
             assert np.all(quarter_turned.imag == 0.0)
-            assert np.all(real[len(quarter_turned) :] == 0.0)
+            real = quarter_turned.real
             # both phases are exponentials of arguments up to 12 cutoff (pi/2 + atan 2),
             # 64 rad at cutoff 6, whose rounding alone reaches 7e-15
             for t in (0.0, 0.3, 2.0):
@@ -324,22 +331,26 @@ class TestCoefficients:
             assert np.max(np.abs(values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("cutoff", range(MAX_COUPLING_CUTOFF + 1))
-    def test_real_stack_matches_the_per_pair_loop(self, cutoff):
-        # the stack applies the sign and the quarter turn to all pairs at
-        # once; the per-pair loop it replaced is the reference, bit for bit
-        basis, side = ModeBasis(cutoff), cutoff + 1
-        expected = np.zeros((6 * cutoff + 1, basis.size, basis.size))
-        for (a, m), (b, u) in itertools.product(enumerate(basis.indices), repeat=2):
-            values = _c0(m, u) * (-1j) ** (int(2 * (m.gouy_weight - u.gouy_weight)) % 4)
-            expected[: len(values), a, b] = values.real
-        expected = expected.reshape(-1, 2 * side - 1, side, 2 * side - 1, side).transpose(0, 1, 3, 2, 4)
-        assert _real_stack(cutoff).tobytes() == np.ascontiguousarray(expected).tobytes()
+    def test_node_values_match_the_coefficients(self, cutoff):
+        # the recurrence values of each one-axis element at the rule's nodes
+        # (and at twice them) are its coefficient series summed there, up
+        # to the quarter turns, for every quanta pair a cutoff reads; the
+        # series' own rounding is bounded by the sum of its terms' moduli
+        nodes = radial_rule(max(1, 3 * cutoff))[0]
+        x = np.stack([0.5 * nodes, nodes])[..., None]
+        values = _axis_values(x[..., 0], 2 * cutoff)
+        assert values.shape == ((2 * cutoff + 1) ** 2, 2, len(nodes))
+        for a, b in itertools.product(range(2 * cutoff + 1), repeat=2):
+            coefficients = (_axis_coefficients(a, b) * (-1j) ** abs(a - b)).real
+            terms = coefficients * x ** (0.5 * np.arange(len(coefficients)))
+            error = np.abs(values[min(a, b) * (2 * cutoff + 1) + abs(a - b)] - terms.sum(axis=-1))
+            assert np.all(error <= 1e-14 * np.abs(terms).sum(axis=-1))
 
     def test_index_guard(self):
         with pytest.raises(OracleIndexError):
             c_coefficients(LGIndex(l=0, r=9), LGIndex(l=0, r=0), 0.0)
         with pytest.raises(OracleIndexError):
-            _real_stack(9)
+            sector_coupling(9, 0, 0.0)
 
     def test_oracle_agreement_first_radial(self):
         # (r=1,l=0) x (0,0) against the convolution oracle at 20 wavenumbers
@@ -435,6 +446,19 @@ class TestCouplingStrength:
             assert abs(value.imag) < 1e-18
             assert value.real / l_strength(z, CN2, LAM, W0) == pytest.approx(-54.10, abs=0.02)
 
+    @pytest.mark.parametrize(
+        "z, cn2, w0, wavelength, message",
+        [(Z_R, -1.0, W0, LAM, "C_n\\^2"), (Z_R, math.nan, W0, LAM, "C_n\\^2"), (-100.0, CN2, W0, LAM, "^z must"),
+         (math.nan, CN2, W0, LAM, "^z must"), (math.inf, CN2, W0, LAM, "^z must"), (Z_R, CN2, 0.0, LAM, "^w0 must"),
+         (Z_R, CN2, W0, -LAM, "^wavelength must")],
+    )
+    def test_bad_physical_inputs_refused(self, z, cn2, w0, wavelength, message):
+        # C_n^2 = -1 used to give entries up to 5.9e11, z = -100 a sign-flipped
+        # tensor, z = nan NaN entries and w0 = 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match=message):
+            coupling_tensor(ModeBasis(1), z, cn2, w0, wavelength)
+        assert not np.any(coupling_tensor(ModeBasis(1), Z_R, 0.0, W0, LAM).entries)
+
     def test_selection_rule(self):
         m = LGIndex(l=1, r=0)
         n = LGIndex(l=0, r=0)
@@ -499,9 +523,7 @@ class TestCouplingStrength:
         # two carriers, each stack with its own Gouy phase and area
         # rescaling (the dense oracle's dressed stacks): the batched real
         # block between its diagonal phases is the sector-delta slice of the
-        # dense two-frequency sum for delta = 0, 1 and 2, to the rounding of
-        # the cancelling Gamma-weighted sum (1.6e-13 of the largest entry at
-        # cutoff 3 against a 40-digit evaluation)
+        # dense two-frequency sum for delta = 0, 1 and 2
         ratio, phase = carrier_tables(1.3 * Z_R)
         for delta in range(min(2 * cutoff, 2) + 1):
             real = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), delta)(ratio)
@@ -528,26 +550,9 @@ class TestCouplingStrength:
         with pytest.raises(ValueError, match="reflection-even half"):
             pair_coupling_assembler(cutoff, 1, 1, even=True)
 
-    @pytest.mark.parametrize("cutoff", range(MAX_COUPLING_CUTOFF + 1))
-    def test_rows_kept_cover_every_nonzero(self, cutoff, monkeypatch):
-        # R[j, P, Q] is 0 unless j has the parity of l_P - l_Q, and the
-        # assembler reads no other row: with those rows set to NaN every
-        # block it builds is unchanged
-        stack = _real_stack(cutoff)
-        j, p, q = np.ogrid[: len(stack), : 2 * cutoff + 1, : 2 * cutoff + 1]
-        dropped = np.broadcast_to((j - p + q) % 2 == 1, stack.shape[:3])
-        assert not np.any(stack[dropped])
-        poisoned = np.where(dropped[..., None, None], np.nan, stack)
-        ratio = np.ones((2, 1))
-        cases = [(delta, False) for delta in range(min(2 * cutoff, 2) + 1)] + [(0, True)]
-        expected = [pair_coupling_assembler(cutoff, 1, delta, even)(ratio).copy() for delta, even in cases]
-        monkeypatch.setattr("turbulink.lgmodes._real_stack", lambda _: poisoned)
-        for (delta, even), block in zip(cases, expected):
-            assert np.array_equal(pair_coupling_assembler(cutoff, 1, delta, even)(ratio), block)
-
     def test_coupling_cutoff_limit(self):
-        # the float sum is off by 8.4e-4 of its largest entry at cutoff 7
-        # and by more than the entry itself at 8: nothing is assembled there
+        # the blocks would be accurate past 6, but coupling_tensor's dense
+        # (S, S, S, S) array is about 1.1 GB at cutoff 6: nothing is assembled there
         assert MAX_COUPLING_CUTOFF == 6
         for cutoff in (MAX_COUPLING_CUTOFF + 1, MAX_ORACLE_INDEX):
             with pytest.raises(OracleIndexError, match="cutoff"):
@@ -590,6 +595,61 @@ class TestCouplingStrength:
         assert all(b < a for a, b in zip(defects, defects[1:]))
         assert defects[0] > 0.05  # visibly incomplete at N = 1
         assert defects[-1] < 0.03  # and an order closer by N = 5
+
+
+class TestExactCoupling:
+    """Coupling entries against the exact rational sum of tests/exact_oracle.py."""
+
+    @staticmethod
+    def sector_entries(cutoff, delta, positions):
+        """(position in sector_coupling's block, exact entry) for each (row, column)."""
+        side, indices = cutoff + 1, ModeBasis(cutoff).indices
+        lo_row, lo_col, count = sector_blocks(cutoff, delta)
+        for i, j in positions:
+            q, r_u, r_v = np.unravel_index(i, (count, side, side))
+            p, r_m, r_n = np.unravel_index(j, (count, side, side))
+            m, u = indices[(lo_row + p) * side + r_m], indices[(lo_row + q) * side + r_u]
+            n, v = indices[(lo_col + p) * side + r_n], indices[(lo_col + q) * side + r_v]
+            yield (i, j), exact_entry(m, u, n, v)
+
+    @pytest.mark.parametrize("cutoff", range(3))
+    def test_every_entry_up_to_cutoff_2(self, cutoff):
+        for delta in range(-2 * cutoff, 2 * cutoff + 1):
+            block = sector_coupling(cutoff, delta, 0.0)
+            positions = itertools.product(range(len(block)), repeat=2)
+            worst = max(abs(block[at] - exact) for at, exact in self.sector_entries(cutoff, delta, positions))
+            assert worst <= 1e-13 * np.max(np.abs(block))
+
+    def test_sector_coupling_at_cutoff_6(self):
+        # the Gamma-weighted coefficient sum was off by 4.1e-7 of the largest entry here
+        rng = np.random.default_rng(6)
+        for delta in (0, 1, 5, 12):
+            block = sector_coupling(6, delta, 0.0)
+            positions = [(i, i) for i in range(0, len(block), 3 if delta else 1)]
+            positions += [tuple(ij) for ij in rng.integers(0, len(block), (60, 2))]
+            worst = max(abs(block[at] - exact) for at, exact in self.sector_entries(6, delta, positions))
+            assert worst <= 1e-12 * np.max(np.abs(block))
+
+    def test_coupling_tensor_at_cutoff_4(self):
+        # entries[m, n, u, v] = rate T[m, u, n, v](0) e^{2i atan t (g_m - g_u - g_n + g_v)};
+        # the Gamma-weighted coefficient sum was off by 5.5e-11 of the largest entry here
+        z, basis = 3e3, ModeBasis(4)
+        entries = coupling_tensor(basis, z, CN2, W0, LAM).entries
+        rate, t = COUPLING_PREFACTOR * l_strength(z, CN2, LAM, W0), z / Z_R
+        indices, rng = basis.indices, np.random.default_rng(4)
+        picks = [(a, b, a, b) for a in range(0, basis.size, 2) for b in range(basis.size)]  # u = m, v = n
+        for _ in range(400):
+            a, b, c = rng.integers(0, basis.size, 3)
+            l_v = indices[b].l - indices[a].l + indices[c].l
+            r_v = int(rng.integers(0, basis.cutoff + 1))
+            if abs(l_v) <= basis.cutoff:
+                picks.append((a, b, c, basis.position(LGIndex(l=l_v, r=r_v))))
+        worst = 0.0
+        for a, b, c, d in picks:
+            m, n, u, v = (indices[k] for k in (a, b, c, d))
+            phase = np.exp(2j * math.atan(t) * (m.gouy_weight - u.gouy_weight - n.gouy_weight + v.gouy_weight))
+            worst = max(worst, abs(entries[a, b, c, d] - rate * phase * exact_entry(m, u, n, v)))
+        assert worst <= 1e-13 * np.max(np.abs(entries))
 
 
 class TestNumericOracle:
@@ -657,23 +717,30 @@ class TestNumericOracle:
 
 class TestGamma:
     # the library calls the platform's math.gamma, also at negative arguments
-    # (reflection); the Gamma weights of the coupling sum read it directly
+    # (reflection): Gamma(-5/6) is the k = 0 term of every coupling block,
+    # and the weights of the radial node rule sum to Gamma(1/6)
     def test_half(self):
         assert math.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
     def test_negative_five_sixths_by_reflection(self):
         # reflection formula with Gamma(11/6) from an independent integral;
-        # M[0, 0] = Gamma(-5/6)
+        # the fundamental's entry of every block is Gamma(-5/6) alone
         g_11_6 = quad(lambda t: t ** (11.0 / 6.0 - 1.0) * math.exp(-t), 0, 60)[0]
         expected = math.pi / (math.sin(-5.0 * math.pi / 6.0) * g_11_6)
-        assert gamma_weight_matrix(3)[0, 0] == pytest.approx(expected, rel=1e-9)
-        assert gamma_weight_matrix(3)[0, 0] == pytest.approx(-6.6795, abs=5e-4)
+        for cutoff in range(3):
+            side = cutoff + 1
+            fundamental = cutoff * side * side  # (l = 0 block, r_m = r_n = 0) of sector 0
+            entry = sector_coupling(cutoff, 0, 0.0)[fundamental, fundamental]
+            assert entry == math.gamma(-5.0 / 6.0)
+            assert entry.real == pytest.approx(expected, rel=1e-9)
+            assert entry.real == pytest.approx(-6.6795, abs=5e-4)
 
     def test_one_sixth_by_integral(self):
-        # M[1, 1] = Gamma(1/6) / 2
+        # the weights of every rule sum to Gamma(1/6) (M[1, 1] = Gamma(1/6) / 2)
         expected = quad(lambda t: t ** (1.0 / 6.0 - 1.0) * math.exp(-t), 0, 60)[0]
-        assert 2.0 * gamma_weight_matrix(3)[1, 1] == pytest.approx(expected, rel=1e-9)
-        assert 2.0 * gamma_weight_matrix(3)[1, 1] == pytest.approx(5.5663, abs=5e-4)
+        for count in range(1, 3 * MAX_COUPLING_CUTOFF + 1):
+            assert radial_rule(count)[1].sum() == pytest.approx(expected, rel=1e-9)
+            assert radial_rule(count)[1].sum() == pytest.approx(5.5663, abs=5e-4)
 
     @pytest.mark.parametrize("x", [0.3, 1.7, -0.4, -3.3, 7.5, 12.0])
     def test_functional_equation(self, x):
@@ -682,22 +749,18 @@ class TestGamma:
 
 class TestGammaWeights:
     def test_matrix_values(self):
-        weights = gamma_weight_matrix(3)
-        assert weights[0, 0] == pytest.approx(math.gamma(-5.0 / 6.0), rel=1e-13)
-        assert weights[1, 1] == pytest.approx(0.5 * math.gamma(1.0 / 6.0), rel=1e-13)
-        assert weights[0, 2] == weights[2, 0] == weights[1, 1]
-
-    def test_table_matches_the_per_value_loop(self):
-        # the table read by index gives the weights that a loop over the
-        # distinct j1 + j2 values wrote, bit for bit
-        for j_count in range(1, 60):
-            js = np.arange(j_count)
-            total = js[:, None] + js[None, :]
-            expected = np.zeros((j_count, j_count))
-            for value in np.unique(total):
-                half = 0.5 * value
-                expected[total == value] = 2.0**-half * math.gamma(half - 5.0 / 6.0)
-            assert np.array_equal(gamma_weight_matrix(j_count), expected)
+        # the rule reproduces each Gamma weight of the coefficient double sum:
+        # M[j1, j2] = 2^-k Gamma(k - 5/6) = 2^-k sum_i w_i y_i^(k-1) for
+        # k = (j1 + j2) / 2 from 1 to 2 count, and M[0, 0] = Gamma(-5/6) is
+        # the term the blocks split off
+        for count in range(1, 3 * MAX_COUPLING_CUTOFF + 1):
+            nodes, weights = radial_rule(count)
+            assert np.all(np.diff(nodes) > 0) and nodes[0] > 0 and np.all(weights > 0)
+            k = np.arange(1, 2 * count + 1)
+            moments = 2.0**-k * (weights * nodes ** (k[:, None] - 1)).sum(axis=1)
+            expected = np.diag(gamma_weights(2 * count + 1))[1:]
+            assert np.max(np.abs(moments / expected - 1.0)) <= 1e-12
+        assert gamma_weights(3)[0, 0] == math.gamma(-5.0 / 6.0)
 
     def test_coupling_build_leaves_numpy_ma_out(self):
         # np.unique imports numpy.ma on its first call; the weights read a
@@ -716,9 +779,9 @@ class TestGammaWeights:
         assert result.returncode == 0, result.stderr
 
     def test_stack_is_a_fresh_array(self):
-        # the cached real stack and sector blocks are read-only; each
+        # the cached node rule and sector blocks are read-only; each
         # dressed block is a new array
-        for cached in (_real_stack(2), *_real_sector(2, 1)):
+        for cached in (*radial_rule(6), *_real_sector(2, 1)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[0] = 7.0

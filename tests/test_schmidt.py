@@ -77,6 +77,14 @@ class TestEigenvalues:
         with pytest.raises(UnsupportedOrderError):
             schmidt_eigenvalue(paper_spec, 201)
 
+    @pytest.mark.parametrize("n", [1.5, True, 2.0, "1"])
+    def test_index_must_be_an_int(self, paper_spec, n):
+        # 1.5 and True used to return values
+        with pytest.raises(ValueError, match="^n must be an int"):
+            schmidt_eigenvalue(paper_spec, n)
+        with pytest.raises(UnsupportedOrderError):
+            schmidt_eigenvalue(paper_spec, -1)
+
 
 class TestSchmidtNumber:
     def test_paper_value(self, paper_spec):
@@ -127,6 +135,14 @@ class TestModeAmplitude:
         gram = scaled @ scaled.T
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 
+    @pytest.mark.parametrize("order", [3.0, True, 2.5])
+    def test_grid_order_must_be_an_int(self, paper_spec, order):
+        # checked before the cached rule; 3.0 used to fail with a TypeError
+        # from numpy, or hit the cached order-3 rule
+        frequency_grid(paper_spec, 3)
+        with pytest.raises(ValueError, match="^order must be an int"):
+            frequency_grid(paper_spec, order)
+
     def test_discrete_modes_orthonormal(self, paper_spec):
         psi = discrete_modes(64)[:11]
         gram = psi @ psi.T
@@ -138,6 +154,14 @@ class TestModeAmplitude:
 
 
 class TestTruncatedSource:
+    @pytest.mark.parametrize("max_mode", [2.5, True, 3.0])
+    def test_max_mode_must_be_an_int(self, paper_spec, max_mode):
+        # 2.5 used to fail with a TypeError from range
+        with pytest.raises(ValueError, match="^max_mode must be an int"):
+            truncated_source(paper_spec, max_mode)
+        with pytest.raises(UnsupportedOrderError):
+            truncated_source(paper_spec, -1)
+
     def test_paper_discarded_mass(self, paper_spec):
         source = truncated_source(paper_spec, 3)
         assert source.discarded_mass == pytest.approx(0.134, abs=1e-3)

@@ -23,13 +23,29 @@ link at 1, 10 and 100 km, and one per `temporal.mode_trace` of every
 resolvable mode of each link's 30 km kernel at g = 16 and 64.  Point
 PYTHONPATH at another checkout's `src` and diff the two outputs: equal
 lines mean equal outputs.
+
+The hashes only say that a line changed.  To see by how much:
+
+    PYTHONPATH=src python tools/output_digest.py --save values.npz > digest.txt
+    PYTHONPATH=src python tools/output_digest.py --compare old.npz new.npz
+
+`--save` also writes the values behind each line to an .npz file: every
+number in the stdout, stderr and files of a CLI run (in order of
+appearance, files sorted by name), the real and imaginary parts of a
+`propagate` matrix, the bracketing populations, and each path output; a
+line that raised saves no values.  `--compare` prints, for each line of the
+first save, its largest absolute difference over its largest magnitude in
+the first save (0 where both are equal or empty), or why it cannot be
+compared (missing, or a different number of values).
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -74,6 +90,19 @@ PROFILE_CSV = "height_m,cn2\n2.0,4e-16\n8.0,2e-16\n15.0,1e-16\n40.0,5e-17\n"
 # link; None reads PROFILE_CSV.  A 4 cm waist grades the panels past 8
 # Rayleigh ranges from about 5 km on.
 PATH_LINKS = {"constant": (1e-16, 0.1457), "tabulated": (None, 0.1457), "graded": (1e-16, 0.04)}
+NUMBER = re.compile(rb"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+VALUES = {}  # line label -> the float64 values behind it, for --save
+
+
+def emit(label: str, digest: str, values) -> None:
+    """Print one digest line and keep its values."""
+    print(f"{label}\t{digest}", flush=True)
+    VALUES[label] = np.asarray(values, dtype=float).ravel()
+
+
+def numbers(data: bytes) -> list:
+    """Every number written in a text output, in order."""
+    return [float(token) for token in NUMBER.findall(data)]
 
 
 def run(command: str, overrides: tuple, output_dir: str) -> tuple:
@@ -93,13 +122,16 @@ def run(command: str, overrides: tuple, output_dir: str) -> tuple:
             except Exception as exc:  # a CLI process would end in a traceback
                 code = f"raised {type(exc).__name__}"
                 print(exc, file=sys.stderr)
-    digest = hashlib.sha256()
+    digest, values = hashlib.sha256(), []
     for stream in (stdout, stderr):
         digest.update(stream.getvalue().encode() + b"\0")
+        values += numbers(stream.getvalue().encode())
     for name in sorted(os.listdir(output_dir)):
         with open(os.path.join(output_dir, name), "rb") as handle:
-            digest.update(name.encode() + b"\0" + handle.read() + b"\0")
-    return code, digest.hexdigest()
+            data = handle.read()
+        digest.update(name.encode() + b"\0" + data + b"\0")
+        values += numbers(data)
+    return code, digest.hexdigest(), values
 
 
 def input_states(cutoff: int) -> dict:
@@ -126,15 +158,17 @@ def print_ipe_digests():
                     for check in (False, True):
                         config = ipe.SolverConfig(cutoff=cutoff, scheme=scheme, check_convergence=check)
                         try:
-                            data = ipe.propagate(rho0, profile, geom, config).matrix.tobytes()
+                            matrix = ipe.propagate(rho0, profile, geom, config).matrix
+                            data, values = matrix.tobytes(), matrix.view(float)
                         except ipe.SolverError as exc:
-                            data = f"raised SolverError: {exc}".encode()
+                            data, values = f"raised SolverError: {exc}".encode(), []
                         label = f"c{cutoff} {name} {scheme.value} {km} km check={check}"
-                        print(f"propagate\t{label}\t{hashlib.sha256(data).hexdigest()}", flush=True)
-    digest = hashlib.sha256()
+                        emit(f"propagate\t{label}", hashlib.sha256(data).hexdigest(), values)
+    digest, populations = hashlib.sha256(), []
     for (scheme, cutoff), values in ipe.cutoff_bracketing(np.linspace(0, 0.1, 11), range(5)).items():
         digest.update(f"{scheme.value} {cutoff}".encode() + values.tobytes())
-    print(f"cutoff_bracketing\tcutoffs 0-4\t{digest.hexdigest()}", flush=True)
+        populations.append(values)
+    emit("cutoff_bracketing\tcutoffs 0-4", digest.hexdigest(), np.concatenate(populations))
 
 
 def print_path_digests():
@@ -159,10 +193,11 @@ def print_value(kind: str, label: str, compute, *args):
     """One line with a SHA-256 of compute(*args) as float64 bytes, or of
     the message of the error it raised."""
     try:
-        data = np.asarray(compute(*args), dtype=float).tobytes()
+        values = np.asarray(compute(*args), dtype=float)
+        data = values.tobytes()
     except Exception as exc:
-        data = f"raised {type(exc).__name__}: {exc}".encode()
-    print(f"{kind}\t{label}\t{hashlib.sha256(data).hexdigest()}", flush=True)
+        values, data = [], f"raised {type(exc).__name__}: {exc}".encode()
+    emit(f"{kind}\t{label}", hashlib.sha256(data).hexdigest(), values)
 
 
 def print_digests():
@@ -175,13 +210,42 @@ def print_digests():
                     handle.write(text)
             for index, (name, overrides) in enumerate(OVERRIDE_SETS.items()):
                 for number, command in enumerate(COMMANDS):
-                    code, digest = run(command, overrides, f"out_{index}_{number}")
-                    print(f"{command}\t{name}\t{code}\t{digest}", flush=True)
+                    code, digest, values = run(command, overrides, f"out_{index}_{number}")
+                    emit(f"{command}\t{name}", f"{code}\t{digest}", values)
         finally:
             os.chdir(home)
 
 
+def compare(first: str, second: str):
+    """Each line's largest absolute difference over its largest magnitude."""
+    saves = []
+    for path in (first, second):
+        with np.load(path) as data:
+            saves.append({str(label): data[f"v{i}"] for i, label in enumerate(data["labels"])})
+    for label, old in saves[0].items():
+        new = saves[1].get(label)
+        if new is None:
+            change = "missing in the second save"
+        elif new.shape != old.shape:
+            change = f"{old.size} values against {new.size}"
+        else:
+            equal = (old == new) | (np.isnan(old) & np.isnan(new))
+            with np.errstate(invalid="ignore"):
+                difference = np.max(np.abs(old - new), where=~equal, initial=0.0)
+            change = f"{difference / (np.max(np.abs(old), initial=0.0) or 1.0):.3g}"
+        print(f"{label}\t{change}")
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--save", metavar="NPZ", help="also write the values behind each line here")
+    parser.add_argument("--compare", nargs=2, metavar=("FIRST", "SECOND"), help="compare two saves and exit")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        sys.exit()
     print_digests()
     print_ipe_digests()
     print_path_digests()
+    if args.save:
+        np.savez(args.save, labels=np.array(list(VALUES)), **{f"v{i}": v for i, v in enumerate(VALUES.values())})
