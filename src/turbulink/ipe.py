@@ -190,8 +190,7 @@ def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
     `lgmodes.sector_coupling` block at t = 0; its scalar total-rate loss
     cancels against the gain's diagonal, so it is outer-scale free), and
     gain - B / 2 for LINDBLAD_TRUNCATED, with B: rho -> Q rho + rho Q,
-    Q the Hermitian part of Gamma0^T (Gamma0 is Hermitian; its rounding in
-    the coupling sum is not).  Both are self-adjoint, so A is symmetric.
+    Q = Gamma0^T, Hermitian.  Both are self-adjoint, so A is symmetric.
     C, the Gouy commutator i(N_m - N_n) (`lgmodes.sector_orders`), turns each
     (Re, Im) pair and is 0 on sector 0's diagonal."""
     _check_scheme(scheme)  # before `sector_spectrum` caches the key
@@ -204,8 +203,7 @@ def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
     if scheme is PropagationScheme.LINDBLAD_TRUNCATED:
         # Q(0) per l-block: Gamma0[u, v] = sum_n T[n, u, n, v] runs over sector 0's diagonal
         q0 = np.einsum("qabpmm->qba", sector_coupling(cutoff, 0, 0.0).reshape((2 * cutoff + 1, side, side) * 2))
-        q0, eye = 0.5 * (q0 + np.conj(q0).transpose(0, 2, 1)), np.eye(side)
-        row, col = q0[lo_row : lo_row + count], np.conj(q0[lo_col : lo_col + count])
+        row, col, eye = q0[lo_row : lo_row + count], np.conj(q0[lo_col : lo_col + count]), np.eye(side)
         local.append((np.einsum("pac,be->pabce", row, eye) + np.einsum("ac,pbe->pabce", eye, col)).reshape(-1, sq, sq))
     local = _real_form(np.stack(local), _layout(side, delta == 0, 1))
     p, ops = np.arange(count), np.zeros((len(local), count, local.shape[-1], count, local.shape[-1]))

@@ -24,12 +24,19 @@ its Gaussian and d the Kronecker delta: a polynomial of degree below
 6 cutoff under the Gauss-Laguerre weight, exact on the 3 cutoff nodes of
 `radial_rule`, where each W comes from the Laguerre recurrence (the
 coefficients' Gamma-weighted double sum cancels, to 4.1e-7 of the largest
-entry at cutoff 6).  `pair_coupling_assembler`, the one builder of the sum,
+entry at cutoff 6).  `pair_coupling_blocks`, the one builder of the sum,
 forms one Delta-l sector of it for a batch of carrier pairs as one real
 GEMM per pair of l-blocks (W is real up to diagonal phases); the
 single-wavelength block of each sector is cached and dressed with its phases
 at each t (`sector_coupling`), which the propagators use directly and
-`coupling_tensor` scatters into the dense tensor.  A direct quadrature of
+`coupling_tensor` scatters into the dense tensor.  Two carriers' real block
+depends on rho = a1 / mean(a) alone (a2 / mean(a) = 2 - rho), each entry as
+P(rho) (rho (2 - rho))^(pi/2), P of degree at most 6 cutoff and pi the
+parity of the entry's l-block difference (each D_i entry is s_i^pi times a
+polynomial in s_i^2; an entry's two carriers, and its mirror in the even
+fold, share pi): `even_ratio_interpolant` interpolates sector 0's even half
+from 6 cutoff + 1 Chebyshev points in rho, exact up to rounding (Berrut &
+Trefethen, SIAM Rev. 46, 2004).  A direct quadrature of
 the defining integral with a small but finite outer scale is kept alongside
 as an oracle.
 """
@@ -41,8 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .turbulence import SPECTRUM_AMPLITUDE, _check_cn2, _check_index, _positive_finite, l_strength, normalized_distance
-from .turbulence import two_pi_c_over
+from .turbulence import SPECTRUM_AMPLITUDE, _check_cn2, _check_index, _positive_finite, barycentric_matrix, l_strength
+from .turbulence import normalized_distance, two_pi_c_over
 
 MAX_ORACLE_INDEX = 8
 # The blocks hold 4e-15 of their largest entry up to cutoff 8, but the dense
@@ -409,10 +416,10 @@ def _axis_values(x: np.ndarray, top: int) -> np.ndarray:
     return rows.reshape((-1,) + np.shape(x))
 
 
-def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = False):
-    """A function ratio -> real for `batch` carrier pairs at one z, given
-    each carrier's a_i / mean(a) as a (2, batch) array: the coefficient
-    double sum on Delta-l sector delta,
+def pair_coupling_blocks(cutoff: int, delta: int, ratio: np.ndarray, even: bool = False) -> np.ndarray:
+    """The real blocks of a batch of carrier pairs at one z, given each
+    carrier's a_i / mean(a) as a (2, batch) `ratio`: the coefficient double
+    sum on Delta-l sector delta,
 
         G[(q, r_u, r_v), (p, r_m, r_n)] = sum_{j1 j2} c1[j1, m, u] M[j1, j2] conj(c2[j2, n, v])
 
@@ -429,14 +436,12 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = Fa
     h_i = D_i^T sqrt(w / y).  With `even` (sector 0 only) the map acts on the
     reflection-even half: the first (cutoff + 1)^3 entries (the l-blocks
     l <= 0) of a sector whose l-blocks l and -l are equal; only the row blocks
-    l <= 0 are built, each column block with its mirror's added.  Each call
-    overwrites the real block the last one returned (fresh arrays would cost
-    more in page faults than the GEMMs)."""
+    l <= 0 are built, each column block with its mirror's added."""
     if cutoff > MAX_COUPLING_CUTOFF:
         raise OracleIndexError(f"coupling blocks are not built beyond cutoff {MAX_COUPLING_CUTOFF}")
     if even and delta:
         raise ValueError("only sector 0 has a reflection-even half")
-    side, top = cutoff + 1, 2 * cutoff
+    side, top, batch = cutoff + 1, 2 * cutoff, ratio.shape[1]
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
     kept = cutoff + 1 if even else count
     nodes, weights = radial_rule(max(1, 3 * cutoff))
@@ -459,33 +464,54 @@ def pair_coupling_assembler(cutoff: int, batch: int, delta: int, even: bool = Fa
     same = factors[:, 0].reshape(2, kept * count, side**2, batch, size)[:, :: count + 1]  # the pairs q = p
     product = np.empty((batch, kept, count, side**2, side**2))  # [b, q, p, (r_u, r_m), (r_v, r_n)]
     on_same = product.reshape(batch, kept * count, side**2, side**2)[:, :: count + 1]
-    out = np.empty((batch, kept, side, side, kept, side, side))
     identity = math.gamma(-5.0 / 6.0) * np.eye(side).ravel()
 
-    def assemble(ratio: np.ndarray) -> np.ndarray:
-        values = np.moveaxis(_axis_values(x := 0.5 * ratio[..., None] * nodes, top), 1, 0)
-        np.multiply(values, scale, out=table[:, :rows])
-        np.negative(table[:, :rows], out=table[:, rows : 2 * rows])
-        table[:, 2 * rows :] = values
-        np.take(table.reshape(-1, batch, size), gather, axis=0, out=factors.reshape(-1, batch, size), mode="clip")
-        d = np.multiply(factors[:, 0], factors[:, 1], out=factors[:, 0])  # sqrt(w / y) A
-        # D = sqrt(w / y) (A - e): for m = u, L_p L_q - 1 = E_p L_q + E_q with E_n = L_n - 1 =
-        # -sqrt(x) sum_{k <= n} F(k, k - 1) / sqrt(k), whose terms have one sign at small x
-        terms = values[:, 1 :: top + 1] * (-np.sqrt(x)[:, None] / np.sqrt(np.arange(1.0, top + 2))[:, None, None])
-        less = np.concatenate([np.zeros_like(values[:, :1]), np.cumsum(terms[:, :-1], axis=1)], axis=1)
-        same[:, :, :: side + 1] = (less[carrier, pu] * values[carrier, qu * (top + 1)] + less[carrier, qu]) * scale
-        h = np.einsum("cqibk,k->cbqi", same, root)  # one loop per entry: (m, u) and (u, m) agree to the bit
-        d = d.reshape(2, kept, count, side**2, batch, size).transpose(0, 4, 1, 2, 3, 5)
-        np.matmul(d[0], d[1].swapaxes(-1, -2), out=product)
-        on_same[:, :, :: side + 1] += (h[1] + identity)[:, :, None]  # e (h2 + Gamma e)^T
-        on_same[:, :, :, :: side + 1] += h[0][..., None]  # h1 e^T
-        if even:  # each column block's mirror, 2 cutoff - p for p < cutoff
-            product[:, :, :cutoff] += product[:, :, :cutoff:-1]
-        blocks = product.reshape(batch, kept, count, side, side, side, side)[:, :, :kept]
-        np.copyto(out, blocks.transpose(0, 1, 3, 5, 2, 4, 6))
-        return out.reshape(batch, kept * side**2, kept * side**2)
+    values = np.moveaxis(_axis_values(x := 0.5 * ratio[..., None] * nodes, top), 1, 0)
+    np.multiply(values, scale, out=table[:, :rows])
+    np.negative(table[:, :rows], out=table[:, rows : 2 * rows])
+    table[:, 2 * rows :] = values
+    np.take(table.reshape(-1, batch, size), gather, axis=0, out=factors.reshape(-1, batch, size), mode="clip")
+    d = np.multiply(factors[:, 0], factors[:, 1], out=factors[:, 0])  # sqrt(w / y) A
+    # D = sqrt(w / y) (A - e): for m = u, L_p L_q - 1 = E_p L_q + E_q with E_n = L_n - 1 =
+    # -sqrt(x) sum_{k <= n} F(k, k - 1) / sqrt(k), whose terms have one sign at small x
+    terms = values[:, 1 :: top + 1] * (-np.sqrt(x)[:, None] / np.sqrt(np.arange(1.0, top + 2))[:, None, None])
+    less = np.concatenate([np.zeros_like(values[:, :1]), np.cumsum(terms[:, :-1], axis=1)], axis=1)
+    same[:, :, :: side + 1] = (less[carrier, pu] * values[carrier, qu * (top + 1)] + less[carrier, qu]) * scale
+    h = np.einsum("cqibk,k->cbqi", same, root)  # one loop per entry: (m, u) and (u, m) agree to the bit
+    d = d.reshape(2, kept, count, side**2, batch, size).transpose(0, 4, 1, 2, 3, 5)
+    np.matmul(d[0], d[1].swapaxes(-1, -2), out=product)
+    on_same[:, :, :: side + 1] += (h[1] + identity)[:, :, None]  # e (h2 + Gamma e)^T
+    on_same[:, :, :, :: side + 1] += h[0][..., None]  # h1 e^T
+    if even:  # each column block's mirror, 2 cutoff - p for p < cutoff
+        product[:, :, :cutoff] += product[:, :, :cutoff:-1]
+    blocks = product.reshape(batch, kept, count, side, side, side, side)[:, :, :kept]
+    return blocks.transpose(0, 1, 3, 5, 2, 4, 6).reshape(batch, kept * side**2, kept * side**2)
 
-    return assemble
+
+def even_ratio_interpolant(cutoff: int, spread: float):
+    """A function rho -> blocks: for each rho of a 1-D array within `spread` of
+    1, the real block of `pair_coupling_blocks(cutoff, 0, ., even=True)` on
+    the carriers (rho, 2 - rho), transposed, in one fresh (len(rho), E, E)
+    array.  The blocks are built once at 6 cutoff + 1 (1 at spread 0)
+    Chebyshev points 1 + spread sin(.), the middle one exactly 1, their odd
+    entries divided by sqrt(rho (2 - rho)); a call is one GEMM of barycentric
+    weights, times sqrt(rho (2 - rho)) on the odd entries, against them.  A rho
+    on a point takes that point's block bit for bit."""
+    count = 6 * cutoff + 1 if spread > 0.0 else 1
+    angles = (2 * np.arange(count) + 1 - count) * (0.5 * math.pi / count)
+    points, weights = 1.0 + spread * np.sin(angles), np.cos(angles) * (-1.0) ** np.arange(count)
+    blocks = pair_coupling_blocks(cutoff, 0, np.stack([points, 2.0 - points]), even=True)
+    flat, size = blocks.transpose(0, 2, 1).reshape(count, -1), len(blocks[0])
+    block = np.arange(size) // (cutoff + 1) ** 2
+    odd = np.subtract.outer(block, block).ravel() % 2 == 1
+    stack = np.concatenate([np.where(odd, 0.0, flat), np.where(odd, flat, 0.0) / np.sqrt(points * (2.0 - points))[:, None]])
+
+    def interpolate(ratio: np.ndarray) -> np.ndarray:
+        matrix = barycentric_matrix(ratio, points, weights)
+        matrix = np.concatenate([matrix, matrix * np.sqrt(ratio * (2.0 - ratio))[:, None]], axis=1)
+        return (matrix @ stack).reshape(len(ratio), size, size)
+
+    return interpolate
 
 
 @lru_cache(maxsize=None)
@@ -494,7 +520,7 @@ def _real_sector(cutoff: int, delta: int) -> tuple:
     # s_i = 1, so the real block is the same at every t, and D1 = D2 = D on
     # sector 0, whose GEMM is D^T D.  G is symmetric: an entry and its
     # mirror are the same sum of the same products
-    block = pair_coupling_assembler(cutoff, 1, delta)(np.ones((2, 1)))[0]
+    block = pair_coupling_blocks(cutoff, delta, np.ones((2, 1)))[0]
     orders = np.subtract(*sector_orders(cutoff, delta))
     for array in (block, orders):
         array.setflags(write=False)
@@ -503,7 +529,7 @@ def _real_sector(cutoff: int, delta: int) -> tuple:
 
 def sector_coupling(cutoff: int, delta: int, t: float) -> np.ndarray:
     """The coefficient double sum on Delta-l sector delta at one wavelength
-    and normalized distance t (`pair_coupling_assembler`'s G with c1 = c2):
+    and normalized distance t (`pair_coupling_blocks`'s G with c1 = c2):
     conj(d) G d, G the cached real block, d = e^{i(pi/2 + atan t)(N_m - N_n)}
     on each sector entry (p, r_m, r_n) with exact quarter turns (zeros stay 0)."""
     block, orders = _real_sector(cutoff, delta)

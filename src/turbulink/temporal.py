@@ -22,7 +22,7 @@ Two kernel fidelities:
             under the reflection l -> -l, which the generator keeps, so only
             the even half, the (cutoff + 1)^3 entries of the l-blocks
             l <= 0, is carried.  With d the diagonal phases of the coupling
-            (`lgmodes.pair_coupling_assembler`), y = d x obeys
+            (`lgmodes.pair_coupling_blocks`), y = d x obeys
             y' = rate G(z) y + i Phi'(z) y: G the real two-carrier block,
             Phi' = N_m z_R1 / (z_R1^2 + z^2) - N_n z_R2 / (z_R2^2 + z^2) the
             carriers' Gouy rates.  Every frequency pair of the grid advances
@@ -31,9 +31,12 @@ Two kernel fidelities:
             exact through e^(values int rate), and only rate (G - A0) +
             i Phi', a few percent of it, is stepped, so any step count is
             stable.  The z-dependent scalars are tabulated once on the nodes
-            of `ipe.rk4_nodes`, the blocks built for a chunk of successive
-            nodes per call.  At omega1 = omega2, G = A0 and the steps are
-            those of `ipe.propagate`.  The element is complex: its phase is
+            of `ipe.rk4_nodes`.  G depends on a node and pair only through
+            carrier 1's beam-area ratio, so the blocks of a chunk of
+            successive nodes are one GEMM of `lgmodes.even_ratio_interpolant`
+            (6 cutoff + 1 blocks built per kernel).  At omega1 = omega2 the
+            ratio is 1, G = A0 bit for bit and the steps are those of
+            `ipe.propagate`.  The element is complex: its phase is
             the carriers' dispersion, and `channel_kernel` keeps the real
             part while that phase stays a perturbation.
 """
@@ -48,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ipe import SolverConfig, half_step_integrals, rk4_nodes
-from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, pair_coupling_assembler, sector_orders
+from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, even_ratio_interpolant, sector_orders
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
 from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, extinction_depth, integrated_l, l_cross
 from .turbulence import normalized_distance, pair_constants, two_pi_c_over
@@ -58,14 +61,13 @@ TRANSFER_CACHE = 8  # source grids (spec, order) whose constants and Chebyshev t
 MAX_FULL_IPE_GRID = 12
 # Run cost bounds the cutoff: a grid-12 kernel (78 frequency pairs in one
 # batched Lawson run on sector 0's even half, 128 steps over 30 km) takes
-# 7.1 s at cutoff 4 and 20.7 s at cutoff 5 on one core of a 2-vCPU x86 VM,
-# at 103 MB and 219 MB peak RSS.
+# 1.2 s at cutoff 4 and 4.6 s at cutoff 5 on one core of a 2-vCPU x86 VM,
+# at 61 MB and 144 MB peak RSS.
 MAX_FULL_IPE_CUTOFF = 5
-# the full-IPE kernel builds the coupling blocks of as many successive nodes
-# as hold this many entries (at least one node) in one call, so that a small
-# kernel pays the assembly's per-call cost once per chunk; on a core with
-# 2 MB of L2 this size was fastest at cutoffs 1-3, and 4x larger chunks as
-# slow as one node each (their buffers outgrow the cache)
+# the full-IPE kernel interpolates the coupling blocks of as many successive
+# nodes as hold this many entries (at least one node) in one GEMM; grid 4-12
+# kernels at cutoffs 1-4 ran as fast from 2**15 to 2**18, and g = 4,
+# cutoff 1 took 1.8x as long at 2**12
 FULL_IPE_BLOCK_ENTRIES = 2**16
 
 
@@ -153,22 +155,20 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     first, second = half_step_integrals(rate, h)
     per_range = normalized_distance(1.0, two_pi_c_over(np.stack([omega1, omega2])), geom.waist)[:, None, :]
     area = 1.0 + (z[:, None] * per_range) ** 2  # a_i / w0^2
-    ratio, gouy = area / (0.5 * (area[0] + area[1])), per_range / area  # gouy: z_R / (z_R^2 + z^2)
+    ratio, gouy = area[0] / (0.5 * (area[0] + area[1])), per_range / area  # gouy: z_R / (z_R^2 + z^2)
     # the fundamental is reflection-even, and so is every derivative of an
-    # even state, so only the l <= 0 blocks are carried; the blocks of
-    # `chunk` successive nodes are built in one call, on tables padded with
-    # the last node to whole chunks
+    # even state, so only the l <= 0 blocks are carried; they depend on a
+    # node and pair through carrier 1's ratio alone, and the blocks of
+    # `chunk` successive nodes are interpolated in one call
     pairs, size = len(omega1), side**3
-    chunk = max(1, min(len(z), FULL_IPE_BLOCK_ENTRIES // (pairs * size * size)))
-    ratio, gouy, rate = (np.concatenate([x, x[..., -1:, :].repeat(-len(z) % chunk, axis=-2)], axis=-2)
-                         for x in (ratio, gouy, rate))
-    assemble = pair_coupling_assembler(cutoff, chunk * pairs, 0, even=True)
+    chunk = max(1, FULL_IPE_BLOCK_ENTRIES // (pairs * size * size))
+    interpolate = even_ratio_interpolant(cutoff, float(np.max(np.abs(ratio - 1.0))))
     n_row, n_col = (n[:size] for n in sector_orders(cutoff, 0))
-    # A0, the block at one wavelength, acts on the l <= 0 blocks with each
-    # mirror column block added: D A0 D^-1 is symmetric for D = sqrt 2 on
-    # the l < 0 blocks and 1 on l = 0, so A0 = V diag(values) V^-1 with
-    # V = D^-1 U and V^-1 = U^T D
-    a0 = pair_coupling_assembler(cutoff, 1, 0, even=True)(np.ones((2, 1)))[0]
+    # A0, the block at one wavelength (ratio 1), acts on the l <= 0 blocks
+    # with each mirror column block added: D A0 D^-1 is symmetric for
+    # D = sqrt 2 on the l < 0 blocks and 1 on l = 0, so A0 = V diag(values)
+    # V^-1 with V = D^-1 U and V^-1 = U^T D
+    a0 = interpolate(np.ones(1))[0].T
     scale = np.where(np.arange(size) < cutoff * side * side, math.sqrt(2.0), 1.0)
     values, vectors = np.linalg.eigh(scale[:, None] * a0 / scale)
     forward, backward = (vectors / scale[:, None]).T.copy(), scale[:, None] * vectors  # V^T, V^-T
@@ -178,9 +178,9 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     @lru_cache(maxsize=1)
     def generator(start):
         nodes = slice(start, start + chunk)
-        real = assemble(ratio[:, nodes].reshape(2, -1)).reshape(chunk, pairs, size, size)
+        coupling = interpolate(ratio[nodes].ravel()).reshape(-1, pairs, size, size)
         spin = gouy[0, nodes, :, None] * n_row - gouy[1, nodes, :, None] * n_col  # Phi'
-        return real.transpose(0, 1, 3, 2), np.stack([-spin, spin], axis=2)
+        return coupling, np.stack([-spin, spin], axis=2)
 
     def stage(k, u):
         """V^-1 [rate (G - A0) + i Phi'] V u at node k, u each pair's

@@ -413,18 +413,24 @@ def _chebyshev_transfer(values: np.ndarray) -> tuple | None:
     nodes, weights = np.cos(angles), np.sin(angles)
     weights[1::2] *= -1.0
     points = 0.5 * (high + low) + 0.5 * (high - low) * nodes
-    # entry minus point in half-sum units: exact near the low end, where the
-    # entries' positions on [-1, 1] would round to the high end's scale
+    # in half-sum units, not on [-1, 1]: exact near the low end, where the
+    # entries' positions would round to the high end's scale
+    matrix = barycentric_matrix(values, points, weights)
+    for array in (points, matrix):
+        array.setflags(write=False)
+    return points, matrix
+
+
+def barycentric_matrix(values: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The matrix that takes values at `points` (barycentric `weights`) to the
+    interpolant at the 1-D `values`; a value on a point takes that point's."""
     difference = values[:, None] - points
     with np.errstate(divide="ignore", invalid="ignore"):
         matrix = weights / difference
         matrix /= matrix.sum(axis=1, keepdims=True)
-    hits = difference == 0.0  # an entry on a point takes that point's value
-    exact = hits.any(axis=1)
-    matrix[exact] = hits[exact]
-    for array in (points, matrix):
-        array.setflags(write=False)
-    return points, matrix
+    hits = difference == 0.0
+    np.copyto(matrix, hits, where=hits.any(axis=1, keepdims=True))
+    return matrix
 
 
 def _panels(profile, geom, rayleigh) -> tuple:

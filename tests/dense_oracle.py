@@ -1,6 +1,6 @@
 """Dense masked coupling sum over a whole basis, and the complex sector derivative.
 
-An oracle for the Delta-l sector blocks of `lgmodes.pair_coupling_assembler`,
+An oracle for the Delta-l sector blocks of `lgmodes.pair_coupling_blocks`,
 at one wavelength and between two carriers: the radial integral over every
 (m, u) and (n, v) pair on the nodes y_k of `lgmodes.radial_rule`,
 

@@ -2,7 +2,7 @@
 reference for the kernel: every frequency pair stepped by classical RK4 in
 the lab frame on the whole of sector 0, all (2 cutoff + 1)(cutoff + 1)^2
 entries, odd half included, with the whole-sector real block of
-`lgmodes.pair_coupling_assembler` between its diagonal phases, which this
+`lgmodes.pair_coupling_blocks` between its diagonal phases, which this
 module forms itself.  The kernel takes Lawson steps around the
 single-wavelength block on the reflection-even half instead, so the two
 share only the coupling assembly and the node layout of `ipe.rk4_nodes`."""
@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from turbulink.ipe import rk4_nodes
-from turbulink.lgmodes import COUPLING_PREFACTOR, pair_coupling_assembler, sector_orders
+from turbulink.lgmodes import COUPLING_PREFACTOR, pair_coupling_blocks, sector_orders
 from turbulink.turbulence import l_cross, normalized_distance, two_pi_c_over
 
 
@@ -28,14 +28,13 @@ def whole_sector_fundamental(omega1, omega2, profile, geom, cutoff: int, steps: 
     t = normalized_distance(z[:, None], two_pi_c_over(np.stack([omega1, omega2]))[:, None, :], geom.waist)
     area = 1.0 + t * t
     ratio, phase = area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
-    assemble = pair_coupling_assembler(cutoff, len(omega1), 0)
     n_row, n_col = sector_orders(cutoff, 0)
 
     @lru_cache(maxsize=1)
     def generator(k):
         # the real block and its diagonal phases e^{i(phi1 N_m - phi2 N_n)}
         diagonal = np.exp(1j * (phase[0, k][:, None] * n_row - phase[1, k][:, None] * n_col))
-        return assemble(ratio[:, k]), diagonal
+        return pair_coupling_blocks(cutoff, 0, ratio[:, k]), diagonal
 
     def derivative(k, state):
         real, diagonal = generator(k)

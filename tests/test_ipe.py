@@ -137,7 +137,7 @@ def spectral_derivative(cutoff, delta, scheme, rates, gouy_rates):
 class TestSectorDerivative:
     def test_operators_symmetric_in_isometric_coordinates(self):
         # every sector operator is self-adjoint in the Hilbert-Schmidt metric,
-        # and with Q the Hermitian part of Gamma0^T it is a symmetric matrix
+        # and with Q = Gamma0^T (exactly Hermitian) it is a symmetric matrix
         # in the isometric coordinates, up to rounding
         from turbulink.ipe import generator_parts
 

@@ -25,17 +25,18 @@ from turbulink.lgmodes import (
     coupling_numeric_oracle,
     coupling_oracle_extrapolated,
     coupling_tensor,
+    even_ratio_interpolant,
     free_prop_S,
     free_prop_S_numeric,
     lg_momentum_amplitude,
-    pair_coupling_assembler,
+    pair_coupling_blocks,
     radial_rule,
     sector_blocks,
     sector_coupling,
     sector_orders,
 )
 from turbulink.lgmodes import _axis_coefficients, _axis_values, _real_sector
-from turbulink.turbulence import big_l_t, l_cross, l_strength
+from turbulink.turbulence import barycentric_matrix, big_l_t, l_cross, l_strength
 
 W0 = 0.1457
 LAM = 3.95e-6
@@ -51,7 +52,7 @@ CARRIER_PAIRS = ((0.9 * OMEGA_C, 0.93 * OMEGA_C), (1.1 * OMEGA_C, 0.8 * OMEGA_C)
 
 def carrier_tables(z):
     """(ratio, phase) for CARRIER_PAIRS at z: each carrier's a_i / mean(a),
-    which `pair_coupling_assembler` takes, and pi/2 + atan t_i."""
+    which `pair_coupling_blocks` takes, and pi/2 + atan t_i."""
     t = z / (math.pi * W0**2 / (2.0 * math.pi * 299792458.0 / np.array(CARRIER_PAIRS).T))
     area = 1.0 + t * t
     return area / (0.5 * (area[0] + area[1])), np.arctan(t) + 0.5 * math.pi
@@ -64,9 +65,26 @@ def diagonal_phases(phase, cutoff, delta):
     return np.exp(1j * (phase[0][:, None] * n_row - phase[1][:, None] * n_col))
 
 
+def chebyshev_ratio_interpolation(cutoff, spread, count, rho):
+    """The even-half blocks at each `rho` as `even_ratio_interpolant` forms
+    them, from `count` Chebyshev points instead: each entry over
+    (rho (2 - rho))^(pi/2), pi its l-block parity, interpolated by
+    `barycentric_matrix` and multiplied back."""
+    angles = (2 * np.arange(count) + 1 - count) * (0.5 * math.pi / count)
+    points, weights = 1.0 + spread * np.sin(angles), np.cos(angles) * (-1.0) ** np.arange(count)
+    blocks = pair_coupling_blocks(cutoff, 0, np.stack([points, 2.0 - points]), even=True)
+    block = np.arange(blocks.shape[1]) // (cutoff + 1) ** 2
+    parity = np.subtract.outer(block, block) % 2
+
+    def power(ratio):
+        return np.sqrt(ratio * (2.0 - ratio))[:, None, None] ** parity
+
+    return np.einsum("rk,kij->rij", barycentric_matrix(rho, points, weights), blocks / power(points)) * power(rho)
+
+
 def dense_pair_sectors(cutoff, delta, z):
     """Sector delta of the dense two-frequency coefficient sum for each of
-    CARRIER_PAIRS, in the assembler's [(q, r_u, r_v), (p, r_m, r_n)] form."""
+    CARRIER_PAIRS, in `pair_coupling_blocks`' [(q, r_u, r_v), (p, r_m, r_n)] form."""
     basis = ModeBasis(cutoff)
     for pair in CARRIER_PAIRS:
         dense = dense_pair_coupling(basis, z, CN2, W0, pair) / (COUPLING_PREFACTOR * l_cross(z, *pair, CN2, W0))
@@ -201,7 +219,7 @@ class TestBasis:
         # returned a negative count
         assert sector_blocks(1, 2) == (2, 0, 1) and sector_blocks(1, -2) == (0, 2, 1)
         for call in (lambda: sector_blocks(1, 7), lambda: sector_blocks(1, -3), lambda: sector_orders(1, 3),
-                     lambda: sector_coupling(1, 9, 0.0), lambda: pair_coupling_assembler(1, 1, -5)):
+                     lambda: sector_coupling(1, 9, 0.0), lambda: pair_coupling_blocks(1, -5, np.ones((2, 1)))):
             with pytest.raises(ValueError, match="^delta must lie in"):
                 call()
 
@@ -526,7 +544,7 @@ class TestCouplingStrength:
         # dense two-frequency sum for delta = 0, 1 and 2
         ratio, phase = carrier_tables(1.3 * Z_R)
         for delta in range(min(2 * cutoff, 2) + 1):
-            real = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), delta)(ratio)
+            real = pair_coupling_blocks(cutoff, delta, ratio)
             diagonal = diagonal_phases(phase, cutoff, delta)
             assert real.dtype == np.float64
             for b, expected in enumerate(dense_pair_sectors(cutoff, delta, 1.3 * Z_R)):
@@ -540,15 +558,51 @@ class TestCouplingStrength:
         # added to its mirror's
         side, half = cutoff + 1, (cutoff + 1) ** 3
         ratio = carrier_tables(1.3 * Z_R)[0]
-        whole = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), 0)(ratio).copy()
-        even = pair_coupling_assembler(cutoff, len(CARRIER_PAIRS), 0, even=True)(ratio)
+        whole = pair_coupling_blocks(cutoff, 0, ratio)
+        even = pair_coupling_blocks(cutoff, 0, ratio, even=True)
         blocks = whole.reshape(len(CARRIER_PAIRS), 2 * side - 1, side * side, 2 * side - 1, side * side)
         folded = blocks[:, :side, :, :side].copy()
         folded[:, :, :, :cutoff] += blocks[:, :side, :, :cutoff:-1]
         assert even.shape == (len(CARRIER_PAIRS), half, half)
         assert np.max(np.abs(even - folded.reshape(even.shape))) <= 1e-15 * np.max(np.abs(whole))
         with pytest.raises(ValueError, match="reflection-even half"):
-            pair_coupling_assembler(cutoff, 1, 1, even=True)
+            pair_coupling_blocks(cutoff, 1, np.ones((2, 1)), even=True)
+
+    @staticmethod
+    def ratios(spread):
+        """The ends of [1 - spread, 1 + spread] and 40 seeded ratios inside."""
+        return np.concatenate([[1.0 - spread, 1.0 + spread], 1.0 + spread * np.random.default_rng(7).uniform(-1, 1, 40)])
+
+    @pytest.mark.parametrize("spread", [1e-3, 0.1, 0.31, 0.5])
+    @pytest.mark.parametrize("cutoff", range(6))
+    def test_ratio_interpolant_matches_direct_blocks(self, cutoff, spread):
+        # each entry is P(rho) (rho (2 - rho))^(pi/2), P of degree at most
+        # 6 cutoff: 6 cutoff + 1 points give it up to rounding (2e-15 here)
+        rho = self.ratios(spread)
+        direct = pair_coupling_blocks(cutoff, 0, np.stack([rho, 2.0 - rho]), even=True)
+        got = even_ratio_interpolant(cutoff, spread)(rho).transpose(0, 2, 1)
+        assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_two_fewer_ratio_points_miss(self, cutoff):
+        # the degree bound is tight: the same interpolation on 6 cutoff - 1
+        # points errs by 1.4e-6 at cutoff 1 and 4.6e-11 at cutoff 2, so the
+        # test above would see the interpolant's count drop
+        rho = self.ratios(0.31)
+        direct = pair_coupling_blocks(cutoff, 0, np.stack([rho, 2.0 - rho]), even=True)
+        got = chebyshev_ratio_interpolation(cutoff, 0.31, 6 * cutoff - 1, rho)
+        assert np.max(np.abs(got - direct)) > 1e-12 * np.max(np.abs(direct))
+        exact = chebyshev_ratio_interpolation(cutoff, 0.31, 6 * cutoff + 1, rho)
+        assert np.max(np.abs(exact - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("cutoff", range(6))
+    def test_ratio_one_takes_the_single_wavelength_block(self, cutoff):
+        # the middle point is exactly 1, so equal carriers get A0 bit for
+        # bit; at spread 0 the one point is 1 (a stack of 6 cutoff + 1 equal
+        # points would sum that many copies of A0)
+        a0 = pair_coupling_blocks(cutoff, 0, np.ones((2, 1)), even=True).transpose(0, 2, 1)
+        for spread in (0.0, 1e-3, 0.31):
+            assert np.array_equal(even_ratio_interpolant(cutoff, spread)(np.ones(3)), np.repeat(a0, 3, axis=0))
 
     def test_coupling_cutoff_limit(self):
         # the blocks would be accurate past 6, but coupling_tensor's dense
@@ -556,7 +610,7 @@ class TestCouplingStrength:
         assert MAX_COUPLING_CUTOFF == 6
         for cutoff in (MAX_COUPLING_CUTOFF + 1, MAX_ORACLE_INDEX):
             with pytest.raises(OracleIndexError, match="cutoff"):
-                pair_coupling_assembler(cutoff, 1, 0)
+                pair_coupling_blocks(cutoff, 0, np.ones((2, 1)))
             with pytest.raises(OracleIndexError, match="cutoff"):
                 sector_coupling(cutoff, 1, 0.0)
             with pytest.raises(OracleIndexError):

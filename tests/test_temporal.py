@@ -195,6 +195,19 @@ class TestFullPropagationKernel:
             rho = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, steps=steps))
             assert full.matrix[i, i] == pytest.approx(lowest_mode_probability(rho), rel=1e-12)
 
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_equal_frequencies_alone_match_single_frequency_propagation(self, paper_spec, paper_geometry, cutoff):
+        # with only equal-frequency pairs every beam-area ratio is 1, so the
+        # coupling interpolant spans no spread: its one point is A0
+        profile = TurbulenceProfile.from_constant(1e-16)
+        omegas = frequency_grid(paper_spec, 4)[1:3]
+        pairs = temporal._cross_frequency_full_ipe(omegas, omegas, profile, paper_geometry, cutoff, 128)
+        rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=0, r=0))
+        for omega, value in zip(omegas, pairs.real):
+            geom = replace(paper_geometry, wavelength=2.0 * math.pi * C / omega)
+            rho = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, steps=128))
+            assert value == pytest.approx(lowest_mode_probability(rho), rel=1e-12)
+
     def test_off_diagonal_matches_dense_integration(self, paper_spec, paper_geometry):
         # the sector-0 kernel against RK4 over the dense whole-basis coupling
         # at the carrier pair, every (m, n) coherence carried along; each

@@ -11,8 +11,11 @@ pass to pass), over an untimed warm-up pass (first calls, cold caches) and
 `--passes` timed passes per seed.  Prints, per job class and over all
 jobs, the median time of a job on each side and their ratio NEW / OLD,
 then the total, and whether every job's outputs were `np.array_equal` on
-both sides (NaN equal to NaN) in every pass.  Exits 1 if some output
-differed.
+both sides (NaN equal to NaN) in every pass.  Where they were not, it
+prints, per job class, the largest |new - old| over the largest |old| of
+the differing outputs' numbers, as `output_digest.py --compare` sizes a
+line, so that a change exact up to rounding can be sized here.  Exits 1 if
+some output differed.
 
 Only the timed call of each job into turbulink is timed, as perfbench times
 it, but without perfbench's calibration scaling, on interleaved runs of
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import math
 import statistics
 import sys
 import tempfile
@@ -90,6 +94,37 @@ def same(a, b) -> bool:
         return np.array_equal(a, b)
 
 
+def numbers(output) -> np.ndarray:
+    """Every number of a job output as one float array, in the order `same`
+    compares them (dict items by key, enums by value, the real parts of a
+    complex array before its imaginary parts); strings and other objects
+    add none."""
+    if isinstance(output, Enum):
+        return numbers(output.value)
+    if isinstance(output, dict):
+        parts = [numbers(x) for key in sorted(output, key=repr) for x in (key, output[key])]
+    elif isinstance(output, (list, tuple)):
+        parts = [numbers(x) for x in output]
+    else:
+        array = np.asarray(output)
+        parts = [array.real.ravel(), array.imag.ravel()] if array.dtype.kind == "c" else [array.ravel()]
+        parts = [x.astype(float) for x in parts if x.dtype.kind in "biuf"]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def relative_change(old, new) -> float:
+    """The largest |new - old| over the largest |old| of two job outputs'
+    numbers (NaN equal to NaN; over 1 where every old number is 0), or inf
+    if they hold different counts of numbers."""
+    a, b = numbers(old), numbers(new)
+    if a.shape != b.shape:
+        return math.inf
+    equal = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        difference = np.max(np.abs(a - b), where=~equal, initial=0.0)
+    return difference / (np.max(np.abs(a), where=~np.isnan(a), initial=0.0) or 1.0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -101,7 +136,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     times = {}  # class -> ([old seconds], [new seconds])
-    differing = []
+    differing, changes = [], {}  # class -> largest relative change
     with tempfile.TemporaryDirectory() as work:
         for seed in args.seeds:
             job_list = joblib.job_list(args.workload, seed)
@@ -125,7 +160,9 @@ def main(argv=None) -> int:
                         pair[0].append(elapsed[0])
                         pair[1].append(elapsed[1])
                     if not same(*outputs):
-                        differing.append((seed, number, position, job_class(job)))
+                        name = job_class(job)
+                        differing.append((seed, number, position, name))
+                        changes[name] = max(relative_change(*outputs), changes.get(name, 0.0))
 
     print(f"{args.workload}: seeds {args.seeds}, {args.passes} passes, medians per job")
     print(f"{'class':<28}{'jobs':>6}{'old ms':>10}{'new ms':>10}{'new/old':>9}")
@@ -143,6 +180,9 @@ def main(argv=None) -> int:
     if differing:
         print(f"outputs differ on {len(differing)} job runs, first: seed {differing[0][0]},"
               f" pass {differing[0][1]}, job {differing[0][2]} ({differing[0][3]})")
+        print(f"{'class':<28}{'largest |new - old| / largest |old|':>38}")
+        for name in sorted(changes):
+            print(f"{name:<28}{changes[name]:>38.3g}")
         return 1
     print("outputs np.array_equal on both sides for every job")
     return 0
