@@ -8,8 +8,8 @@ at one wavelength and between two carriers: the radial integral over every
 
 as one (S^2, S^2) product of two complex stacks of correlations W_mu (each
 the two one-axis elements of `lgmodes._axis_values` with their quarter
-turns and sign, as `c_coefficients` takes them, times the pair's Gouy
-phase), zeroed where the azimuthal rule l_m - l_u = l_n - l_v fails; e is
+turns and sign, as `quadrature_oracle.c_coefficients` takes them, times
+the pair's Gouy phase), zeroed where the azimuthal rule l_m - l_u = l_n - l_v fails; e is
 the Kronecker delta of (m, u), split off the same way as in the library.
 It shares only the node rule and the axis values with the library, never
 the sector layout or the real-up-to-phases factorization; the accuracy of

@@ -1,7 +1,7 @@
 """Generating-function extraction of the LG correlation coefficients.
 
-An independent oracle for `lgmodes.c_coefficients`, which is a closed form.
-Here c_{m,n,j} comes from derivative extraction of a two-parameter
+An independent oracle for `quadrature_oracle.c_coefficients`, which is a
+closed form.  Here c_{m,n,j} comes from derivative extraction of a two-parameter
 generating function, done in truncated bivariate power-series arithmetic:
 a series is a complex array s[i, j], the coefficient of d1^i d2^j, cut at
 the radial indices (r_m, r_n) being extracted.  Every coefficient is exact
@@ -113,6 +113,6 @@ def _extract(r1: int, L1: int, r2: int, L2: int, pair_max: int, t: float) -> np.
 
 def series_c_coefficients(m, n, t: float) -> np.ndarray:
     """c_{m,n,j} at normalized distance t by series extraction; same layout
-    as `lgmodes.c_coefficients`."""
+    as `quadrature_oracle.c_coefficients`."""
     pair_max = (abs(m.l) + abs(n.l) - abs(m.l - n.l)) // 2
     return _extract(m.r, abs(m.l), n.r, abs(n.l), pair_max, float(t)).copy()

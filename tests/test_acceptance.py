@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from quadrature_oracle import _log_radial_grid, c_coefficients, coupling_numeric_oracle, free_prop_S_numeric
 
 import turbulink
 from turbulink.entanglement import robustness_scan
@@ -23,16 +24,7 @@ from turbulink.ipe import (
     lowest_mode_probability,
     propagate,
 )
-from turbulink.lgmodes import (
-    LGIndex,
-    ModeBasis,
-    _log_radial_grid,
-    c_coefficients,
-    coupling_numeric_oracle,
-    coupling_tensor,
-    free_prop_S,
-    free_prop_S_numeric,
-)
+from turbulink.lgmodes import LGIndex, ModeBasis, coupling_tensor, free_prop_S
 from turbulink.schmidt import schmidt_eigenvalue, truncated_source
 from turbulink.temporal import channel_kernel, mode_trace, transmission_matrix
 from turbulink.turbulence import (

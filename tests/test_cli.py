@@ -6,9 +6,11 @@ import re
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from quadrature_oracle import coupling_numeric_oracle, coupling_oracle_extrapolated, free_prop_S_numeric
 
 from turbulink import cli, lgmodes, temporal
 from turbulink.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, run_subcommand, sweep
@@ -25,6 +27,7 @@ from turbulink.config import (
     validate_config,
 )
 from turbulink.ipe import SolverError
+from turbulink.lgmodes import LGIndex
 
 PAPER_CONFIG = """
 # paper-default channel
@@ -454,6 +457,28 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
+
+    @pytest.mark.parametrize("overrides", [{}, {"cn2": 3.7e-16}, {"waist_m": 0.04, "cn2": 1e-16}, {"waist_m": 0.05}])
+    def test_validate_quadratures_are_the_general_oracles(self, overrides):
+        # validate's quadratures of the fundamental tuple and of the (r=1, l=0)
+        # free-propagation element equal the general oracles of
+        # tests/quadrature_oracle.py to the bit, at the (cn2, waist_m) of
+        # tools/output_digest.py's defaults, coarse and graded sets and at a
+        # 5 cm waist, so neither copy can drift without this failing; also
+        # over 41 C_n^2 and 21 waists around the config's, where a real
+        # radial sum or scaling, or a real exponential in the free-propagation
+        # integrand, moves some of the values (not always the config's)
+        config = replace(RunConfig(), **overrides)
+        w0, lam, z_r = config.waist_m, config.wavelength_m, config.geometry.rayleigh_range
+        i00, i10 = LGIndex(l=0, r=0), LGIndex(l=0, r=1)
+        for cn2 in (max(config.cn2, 1e-16), *np.geomspace(1e-16, 1e-12, 41)):
+            args = (0.5 * z_r, float(cn2), w0, lam, 1e-4 / w0)
+            oracle, l_t = cli._fundamental_coupling_quadrature(*args)
+            assert oracle == coupling_oracle_extrapolated(i00, i00, i00, i00, *args)
+            assert l_t == coupling_numeric_oracle(i00, i00, i00, i00, *args)[1]
+        for waist in map(float, (w0, *w0 * np.geomspace(0.25, 4.0, 21))):
+            z_r = replace(config, waist_m=waist).geometry.rayleigh_range
+            assert cli._free_prop_quadrature(z_r, waist) == free_prop_S_numeric(i10, i00, z_r, waist)
 
     def test_validate_reads_the_library_prefactor(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lgmodes, "COUPLING_PREFACTOR", 8.2)

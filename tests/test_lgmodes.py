@@ -10,6 +10,16 @@ import numpy as np
 import pytest
 from dense_oracle import dense_pair_coupling, dense_pair_tensor, dense_sector, selection_mask
 from exact_oracle import exact_entry
+from quadrature_oracle import (
+    MAX_ORACLE_INDEX,
+    OracleIndexError,
+    _axis_coefficients,
+    c_coefficients,
+    coupling_numeric_oracle,
+    coupling_oracle_extrapolated,
+    free_prop_S_numeric,
+    lg_momentum_amplitude,
+)
 from scipy.integrate import quad
 from series_oracle import series_c_coefficients
 
@@ -17,25 +27,19 @@ from turbulink.lgmodes import (
     COUPLING_PREFACTOR,
     DECAY_CONSTANT,
     MAX_COUPLING_CUTOFF,
-    MAX_ORACLE_INDEX,
+    CouplingCutoffError,
     LGIndex,
     ModeBasis,
-    OracleIndexError,
-    c_coefficients,
-    coupling_numeric_oracle,
-    coupling_oracle_extrapolated,
     coupling_tensor,
     even_ratio_interpolant,
     free_prop_S,
-    free_prop_S_numeric,
-    lg_momentum_amplitude,
     pair_coupling_blocks,
     radial_rule,
     sector_blocks,
     sector_coupling,
     sector_orders,
 )
-from turbulink.lgmodes import _axis_coefficients, _axis_values, _real_sector
+from turbulink.lgmodes import _axis_values, _real_sector
 from turbulink.turbulence import barycentric_matrix, big_l_t, l_cross, l_strength
 
 W0 = 0.1457
@@ -222,6 +226,16 @@ class TestBasis:
                      lambda: sector_coupling(1, 9, 0.0), lambda: pair_coupling_blocks(1, -5, np.ones((2, 1)))):
             with pytest.raises(ValueError, match="^delta must lie in"):
                 call()
+        # a bool, float or negative cutoff and a non-int delta are refused by
+        # name, also after cutoff 1's entries are cached: True ran as cutoff
+        # 1, 1.5 gave float counts and -1 read "delta must lie in [--2, -2]"
+        sector_coupling(1, 0, 0.0)
+        sector_orders(1, 0)
+        for call, name in ((lambda: sector_coupling(True, 0, 0.0), "cutoff"), (lambda: sector_blocks(1.5, 0), "cutoff"),
+                           (lambda: sector_coupling(-1, 0, 0.0), "cutoff"), (lambda: sector_orders(1.0, 0), "cutoff"),
+                           (lambda: sector_blocks(1, 1.0), "delta"), (lambda: sector_coupling(1, True, 0.0), "delta")):
+            with pytest.raises(ValueError, match=f"^{name} must be a"):
+                call()
 
     @pytest.mark.parametrize("cutoff", range(5))
     def test_sector_orders_are_twice_the_gouy_weights(self, cutoff):
@@ -367,7 +381,7 @@ class TestCoefficients:
     def test_index_guard(self):
         with pytest.raises(OracleIndexError):
             c_coefficients(LGIndex(l=0, r=9), LGIndex(l=0, r=0), 0.0)
-        with pytest.raises(OracleIndexError):
+        with pytest.raises(CouplingCutoffError):
             sector_coupling(9, 0, 0.0)
 
     def test_oracle_agreement_first_radial(self):
@@ -453,6 +467,13 @@ class TestFreeProp:
     def test_pure_imaginary(self):
         for m, n in itertools.product(LOW_ORDER, LOW_ORDER):
             assert free_prop_S(m, n, Z_R).real == 0.0
+
+    @pytest.mark.parametrize("z_r", [0.0, -Z_R, math.nan, math.inf])
+    def test_bad_rayleigh_range_refused(self, z_r):
+        # z_r = 0 raised a ZeroDivisionError, NaN gave nan+nanj and a negative
+        # z_r a sign-flipped element
+        with pytest.raises(ValueError, match="^z_r must be positive and finite"):
+            free_prop_S(LGIndex(l=0, r=1), LGIndex(l=0, r=0), z_r)
 
 
 class TestCouplingStrength:
@@ -583,6 +604,20 @@ class TestCouplingStrength:
         got = even_ratio_interpolant(cutoff, spread)(rho).transpose(0, 2, 1)
         assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("ratio", [np.ones(3), np.ones((3, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]),
+                                       np.array([[1.0, -0.5], [1.0, 2.5]]), np.array([[np.nan], [1.0]]),
+                                       np.array([[np.inf], [1.0]])])
+    def test_bad_ratio_refused(self, ratio):
+        # a 1-D ratio raised an IndexError, and a ratio <= 0 or NaN gave NaN blocks
+        with pytest.raises(ValueError, match="^ratio must be a \\(2, batch\\) array of positive finite values"):
+            pair_coupling_blocks(1, 0, ratio)
+
+    @pytest.mark.parametrize("spread", [math.nan, -0.1, 1.0, 1.5])
+    def test_bad_spread_refused(self, spread):
+        # a negative spread ran as 0, and 1.5 gave NaN blocks with RuntimeWarnings
+        with pytest.raises(ValueError, match="^spread must lie in \\[0, 1\\)"):
+            even_ratio_interpolant(1, spread)
+
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_two_fewer_ratio_points_miss(self, cutoff):
         # the degree bound is tight: the same interpolation on 6 cutoff - 1
@@ -609,11 +644,11 @@ class TestCouplingStrength:
         # (S, S, S, S) array is about 1.1 GB at cutoff 6: nothing is assembled there
         assert MAX_COUPLING_CUTOFF == 6
         for cutoff in (MAX_COUPLING_CUTOFF + 1, MAX_ORACLE_INDEX):
-            with pytest.raises(OracleIndexError, match="cutoff"):
+            with pytest.raises(CouplingCutoffError, match="cutoff"):
                 pair_coupling_blocks(cutoff, 0, np.ones((2, 1)))
-            with pytest.raises(OracleIndexError, match="cutoff"):
+            with pytest.raises(CouplingCutoffError, match="cutoff"):
                 sector_coupling(cutoff, 1, 0.0)
-            with pytest.raises(OracleIndexError):
+            with pytest.raises(CouplingCutoffError):
                 coupling_tensor(ModeBasis(cutoff), Z_R, CN2, W0, LAM)
 
     def test_dominant_transitions_are_azimuthal_neighbors(self):
@@ -795,6 +830,12 @@ class TestGamma:
         for count in range(1, 3 * MAX_COUPLING_CUTOFF + 1):
             assert radial_rule(count)[1].sum() == pytest.approx(expected, rel=1e-9)
             assert radial_rule(count)[1].sum() == pytest.approx(5.5663, abs=5e-4)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rule_needs_a_node(self, count):
+        # radial_rule(0) raised an IndexError
+        with pytest.raises(ValueError, match="^count must be at least 1"):
+            radial_rule(count)
 
     @pytest.mark.parametrize("x", [0.3, 1.7, -0.4, -3.3, 7.5, 12.0])
     def test_functional_equation(self, x):
