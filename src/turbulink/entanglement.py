@@ -42,13 +42,13 @@ MAX_PAIR_MODES = 14
 
 
 def _check_modes(dim: int, **modes):
-    """Refuse a mode index that is not an int, or is a bool, as
-    `turbulence._check_index` does, and one outside [0, dim)."""
+    """Refuse a dim or mode index that is not an int (`turbulence._check_index`)
+    and a mode index outside [0, dim)."""
+    _check_index("dim", dim)
     for name, value in modes.items():
-        if not (isinstance(value, (int, np.integer)) and value < 0):  # a negative int is out of range
-            _check_index(name, value)
+        _check_index(name, value, signed=True)
         if not 0 <= value < dim:
-            raise ValueError("mode index outside the basis dimension")
+            raise ValueError(f"mode index outside the basis dimension: {name} = {value}, dim = {dim}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,7 @@ class TwoPhotonDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _check_index("dim", self.dim)
         size = self.dim * self.dim
         if not isinstance(self.matrix, np.ndarray):
             raise ValueError(f"matrix must be a numpy array, got {type(self.matrix).__name__}")
@@ -269,10 +270,10 @@ def robustness_scan(
     a mode index that is not an int or lies outside [0, dim), a channel
     tensor that is not finite and a fully absorbed pair.
     """
+    _check_modes(dim, fixed_mode=fixed_mode)
     if dim > MAX_PAIR_MODES:
         raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
     modes = list(n_range)
-    _check_modes(dim, fixed_mode=fixed_mode)
     for n in modes:
         _check_modes(dim, n=n)
     pair = np.array([(fixed_mode, n) for n in modes], dtype=int).reshape(-1, 2)

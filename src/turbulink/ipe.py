@@ -47,8 +47,8 @@ import numpy as np
 
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, LGIndex, ModeBasis, sector_blocks, sector_coupling
 from .lgmodes import sector_orders
-from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, _positive_finite, cn2_at, extinction_depth
-from .turbulence import integrated_l, l_strength
+from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, _check_member, _positive_finite, cn2_at
+from .turbulence import extinction_depth, integrated_l, l_strength
 
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
@@ -71,13 +71,6 @@ class PropagationScheme(Enum):
     LINDBLAD_TRUNCATED = "lindblad_truncated"
 
 
-def _check_scheme(scheme):
-    """Refuse a scheme that is not a PropagationScheme member (a string would
-    not compare equal to one and so run as TRUNCATED_EXACT)."""
-    if not isinstance(scheme, PropagationScheme):
-        raise ValueError(f"scheme must be a PropagationScheme member, not {scheme!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Cutoff, scheme and fixed-step integrator settings."""
@@ -88,15 +81,11 @@ class SolverConfig:
     check_convergence: bool = False
 
     def __post_init__(self):
-        for name in ("steps", "cutoff"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _check_index("steps", self.steps)
+        _check_index("cutoff", self.cutoff)
         if self.steps < 16:
             raise ValueError("step count must be >= 16")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
-        _check_scheme(self.scheme)
+        _check_member("scheme", self.scheme, PropagationScheme)
 
 
 @dataclass(frozen=True)
@@ -193,9 +182,9 @@ def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
     Q = Gamma0^T, Hermitian.  Both are self-adjoint, so A is symmetric.
     C, the Gouy commutator i(N_m - N_n) (`lgmodes.sector_orders`), turns each
     (Re, Im) pair and is 0 on sector 0's diagonal."""
-    _check_scheme(scheme)  # before `sector_spectrum` caches the key
-    side, sq = cutoff + 1, (cutoff + 1) ** 2
+    _check_member("scheme", scheme, PropagationScheme)
     lo_row, lo_col, count = sector_blocks(cutoff, delta)
+    side, sq = cutoff + 1, (cutoff + 1) ** 2
     gain = _real_form(sector_coupling(cutoff, delta, 0.0), _layout(side, delta == 0, count))
     # per l-block on its row-major entries, in real coordinates, then block-diagonal
     # in the sector: the Gouy commutator and the Lindblad form's rho -> Q rho + rho Q
@@ -212,7 +201,7 @@ def generator_parts(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple
     return (gain - 0.5 * bracket[0] if bracket else gain), rotation
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: True and 1.0 reach `generator_parts`, not cutoff 1's entry
 def sector_spectrum(cutoff: int, delta: int, scheme: PropagationScheme) -> tuple:
     """(values, vectors, rotation, stepping), read-only: A = V diag(values) V^T
     for a sector's operator A (`generator_parts`), V = vectors orthogonal, the
@@ -272,6 +261,7 @@ def rk4_nodes(profile: TurbulenceProfile, geom: LinkGeometry, steps: int) -> tup
     """(z, C_n^2) on the nodes z_k = k L / (2 steps), k = 0 ... 2 steps, of a
     fixed-step run over the link: step s starts at node 2s and has its
     midpoint at node 2s + 1.  The last node is exactly L."""
+    _check_index("steps", steps)
     z = _nodes(geom.path_length, steps)
     return z, np.broadcast_to(cn2_at(profile, geom, z), z.shape)
 
@@ -496,16 +486,13 @@ def cutoff_bracketing(l_values, cutoffs) -> dict:
     # increasing from a first value >= 0 to a last one < inf; NaN fails every comparison
     if not (len(l_values) and 0 <= l_values[0] and l_values[-1] < math.inf and (np.diff(l_values) > 0).all()):
         raise ValueError("l_values must be nonempty, finite, nonnegative and increasing")
-    for cutoff in (cutoffs := list(cutoffs)):  # before the cached spectra, where True and 1.0 hit cutoff 1
-        _check_index("each cutoff", cutoff)
     results = {}
     for cutoff in cutoffs:
-        # sector 0 only; the fundamental is the first coordinate of the l = 0 block
-        fundamental = cutoff * (cutoff + 1) ** 2
         for scheme in PropagationScheme:
-            # x(l) = V exp(l Lambda) V^T e_f with V orthogonal
+            # x(l) = V exp(l Lambda) V^T e_f with V orthogonal; sector 0 only,
+            # the fundamental the first coordinate of the l = 0 block
             values, vectors, *_ = sector_spectrum(cutoff, 0, scheme)
-            rates, weights = COUPLING_PREFACTOR * values, vectors[fundamental] ** 2
+            rates, weights = COUPLING_PREFACTOR * values, vectors[cutoff * (cutoff + 1) ** 2] ** 2
             results[(scheme, cutoff)] = (np.exp(np.multiply.outer(l_values, rates)) @ weights).real
     return results
 
@@ -523,6 +510,8 @@ def distance_sweep(
     Each distance z gets the probability-optimal waist 0.75 sqrt(lambda z / pi).
     Returns a list of row dicts sorted by (cn2, distance).
     """
+    if not _positive_finite(wavelength):
+        raise ValueError(f"wavelength must be positive and finite, not {wavelength!r}")
     if not _positive_finite(*distances):
         raise ValueError(f"distances must be positive and finite, not {distances!r}")
     rows = []

@@ -92,7 +92,6 @@ class ModeBasis:
     indices: tuple = field(init=False)
 
     def __post_init__(self):
-        _check_index("cutoff", self.cutoff)  # before the lookup, where 1.0 and True would hit 1
         object.__setattr__(self, "indices", _basis_indices(self.cutoff))
 
     @property
@@ -110,9 +109,10 @@ class ModeBasis:
         return self.cutoff * (self.cutoff + 1)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # as `sector_orders`
 def _basis_indices(cutoff: int) -> tuple:
     # a ModeBasis's modes, shared by every basis of the cutoff (LGIndex is frozen)
+    _check_index("cutoff", cutoff)
     return tuple(LGIndex(l=l, r=r) for l in range(-cutoff, cutoff + 1) for r in range(cutoff + 1))
 
 
@@ -183,13 +183,14 @@ def _laguerre_rows(x, alpha, top: int, first=1.0) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # as `sector_orders`
 def radial_rule(count: int) -> tuple:
     """(nodes, weights) of the count-point Gauss-Laguerre rule for
     int_0^inf y^(-5/6) e^-y f(y) dy, exact up to degree 2 count - 1: the
     Jacobi matrix's eigenvalues, and Gamma(n + 1/6) / (n! y L_{n-1}^(1/6)(y)^2),
     n = count, which equals Gamma(n + 1/6) y / (n! (n + 1)^2 L_{n+1}^(-5/6)(y)^2)
     but from a recurrence stable at the smallest node.  Cached, read-only."""
+    _check_index("count", count, signed=True)
     if not count >= 1:
         raise ValueError(f"count must be at least 1, not {count!r}")
     k, alpha = np.arange(count), -5.0 / 6.0
@@ -235,14 +236,14 @@ def pair_coupling_blocks(cutoff: int, delta: int, ratio: np.ndarray, even: bool 
     reflection-even half: the first (cutoff + 1)^3 entries (the l-blocks
     l <= 0) of a sector whose l-blocks l and -l are equal; only the row blocks
     l <= 0 are built, each column block with its mirror's added."""
-    if cutoff > MAX_COUPLING_CUTOFF:
-        raise CouplingCutoffError(f"coupling blocks are not built beyond cutoff {MAX_COUPLING_CUTOFF}")
     if even and delta:
         raise ValueError("only sector 0 has a reflection-even half")
+    lo_row, lo_col, count = sector_blocks(cutoff, delta)
+    if cutoff > MAX_COUPLING_CUTOFF:
+        raise CouplingCutoffError(f"coupling blocks are not built beyond cutoff {MAX_COUPLING_CUTOFF}")
     if np.ndim(ratio) != 2 or len(ratio) != 2 or not _positive_finite(np.asarray(ratio)):
         raise ValueError(f"ratio must be a (2, batch) array of positive finite values, not {ratio!r}")
     side, top, batch = cutoff + 1, 2 * cutoff, ratio.shape[1]
-    lo_row, lo_col, count = sector_blocks(cutoff, delta)
     kept = cutoff + 1 if even else count
     nodes, weights = radial_rule(max(1, 3 * cutoff))
     root, size = np.sqrt(weights / nodes), len(nodes)
@@ -297,6 +298,7 @@ def even_ratio_interpolant(cutoff: int, spread: float):
     entries divided by sqrt(rho (2 - rho)); a call is one GEMM of barycentric
     weights, times sqrt(rho (2 - rho)) on the odd entries, against them.  A rho
     on a point takes that point's block bit for bit."""
+    _check_index("cutoff", cutoff)
     if not 0.0 <= spread < 1.0:
         raise ValueError(f"spread must lie in [0, 1), not {spread!r}")
     count = 6 * cutoff + 1 if spread > 0.0 else 1

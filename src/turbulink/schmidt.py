@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .turbulence import _check_index
+from .turbulence import _check_index, _positive_finite
 
 MAX_HERMITE_ORDER = 64
 MIN_QUADRATURE_ORDER = 2
@@ -47,10 +47,9 @@ class BiphotonSpec:
     omega_p: float
 
     def __post_init__(self):
-        if not (0 < self.sigma_a < math.inf and 0 < self.sigma_b < math.inf):  # NaN fails
-            raise ValueError("bandwidths must be positive")
-        if not 0 < self.omega_p < math.inf:
-            raise ValueError("pump frequency must be positive")
+        for name, value in vars(self).items():
+            if not _positive_finite(value):
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
     @property
     def gaussian_scale(self) -> float:
@@ -71,7 +70,7 @@ def schmidt_eigenvalue(spec: BiphotonSpec, n: int) -> float:
     """
     _check_index("n", n, signed=True)  # an out-of-range int is an UnsupportedOrderError
     if n < 0 or n > MAX_EIGENVALUE_INDEX:
-        raise UnsupportedOrderError(f"eigenvalue index {n} outside [0, {MAX_EIGENVALUE_INDEX}]")
+        raise UnsupportedOrderError(f"eigenvalue index n = {n} outside [0, {MAX_EIGENVALUE_INDEX}]")
     sa, sb = spec.sigma_a, spec.sigma_b
     lam0 = 4.0 * sa * sb / (sa + sb) ** 2
     ratio = ((sa - sb) / (sa + sb)) ** 2
@@ -122,8 +121,9 @@ def hermite_functions(count: int, x) -> np.ndarray:
     - sqrt(k/(k+1)) phi_{k-1}, which avoids the factorial overflow of the
     raw polynomial for large n.  Accepts scalars or numpy arrays.
     """
+    _check_index("count", count, signed=True)  # an out-of-range int is an UnsupportedOrderError
     if not 1 <= count <= MAX_HERMITE_ORDER + 1:
-        raise UnsupportedOrderError(f"order {count - 1} outside [0, {MAX_HERMITE_ORDER}]")
+        raise UnsupportedOrderError(f"count {count} outside [1, {MAX_HERMITE_ORDER + 1}]")
     x = np.asarray(x, dtype=float)
     phi = np.empty((count,) + x.shape)
     phi[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -141,7 +141,7 @@ class QuadratureRule(NamedTuple):
     weights: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 is refused, not served order 3's rule
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Gauss-Hermite rule of the given order for weight e^{-x^2}, built once
     per order with read-only arrays.
@@ -149,6 +149,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     Exact for polynomials of degree <= 2*order - 1; nodes are symmetric
     about zero.
     """
+    _check_index("order", order, signed=True)
     if order < MIN_QUADRATURE_ORDER or order > MAX_QUADRATURE_ORDER:
         raise UnsupportedOrderError(
             f"quadrature order {order} outside "
@@ -163,11 +164,10 @@ def frequency_grid(spec: BiphotonSpec, order: int) -> np.ndarray:
     """Gauss-Hermite nodes x of the given order as frequencies
     omega = omega_p/2 + x / sqrt(b), on which `discrete_modes(order)` are
     orthonormal at quadrature precision."""
-    _check_index("order", order, signed=True)  # before the cached rule, where 3.0 and True would hit 3 and 1
     return spec.center + gauss_hermite_rule(order).nodes / math.sqrt(spec.gaussian_scale)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # as `gauss_hermite_rule`, which checks the order
 def discrete_modes(order: int) -> np.ndarray:
     """The order // 2 temporal-mode vectors a Gauss-Hermite grid of the given
     order resolves, one read-only stack built once per order:

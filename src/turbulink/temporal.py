@@ -53,8 +53,8 @@ import numpy as np
 from .ipe import SolverConfig, half_step_integrals, rk4_nodes
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, even_ratio_interpolant, sector_orders
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, extinction_depth, integrated_l, l_cross
-from .turbulence import normalized_distance, pair_constants, two_pi_c_over
+from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, _check_member, extinction_depth, integrated_l
+from .turbulence import l_cross, normalized_distance, pair_constants, two_pi_c_over
 
 MAX_GRID_ORDER = 64
 TRANSFER_CACHE = 8  # source grids (spec, order) whose constants and Chebyshev transfer are kept
@@ -225,8 +225,7 @@ def channel_kernel(
 ) -> ChannelKernel:
     """Sample the two-frequency survival probability on the source grid."""
     _check_index("grid_order", grid_order)
-    if not isinstance(fidelity, KernelFidelity):
-        raise ValueError(f"fidelity must be a KernelFidelity member, not {fidelity!r}")
+    _check_member("fidelity", fidelity, KernelFidelity)
     if grid_order > MAX_GRID_ORDER:
         raise CostGuardError(f"grid order {grid_order} exceeds {MAX_GRID_ORDER}")
     if fidelity is KernelFidelity.FULL_IPE:

@@ -85,6 +85,13 @@ def _check_index(name: str, value, signed: bool = False):
         raise ValueError(f"{name} must be a{'n' if signed else ' non-negative'} int, not {value!r}")
 
 
+def _check_member(name: str, value, kind: type):
+    """Refuse a value that is not a member of the Enum `kind` (a string would
+    compare unequal to every member and run as the caller's fallback)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__} member, not {value!r}")
+
+
 class ProfileError(ValueError):
     """Malformed turbulence profile (bad table or file)."""
 
@@ -110,12 +117,9 @@ class LinkGeometry:
     wavelength: float
 
     def __post_init__(self):
-        if not _positive_finite(self.path_length):
-            raise ValueError("path_length must be positive")
-        if not _positive_finite(self.transmitter_height, self.receiver_height):
-            raise ValueError("endpoint heights must be positive")
-        if not _positive_finite(self.waist, self.wavelength):
-            raise ValueError("waist and wavelength must be positive")
+        for name, value in vars(self).items():
+            if not _positive_finite(value):
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
     @property
     def rayleigh_range(self) -> float:
@@ -259,10 +263,13 @@ def big_l_t(lambda1: float, lambda2: float, cn2: float, kappa_0: float) -> float
 
     Diverges like kappa_0^{-5/3} as the outer scale grows; the coupling
     tensor cancels it analytically, so this value only appears on its own in
-    diagnostics and oracle tests.
+    diagnostics and oracle tests.  Refuses a wavelength or kappa_0 that is
+    not positive and finite, and a C_n^2 outside the profile range (0 allowed).
     """
-    if kappa_0 <= 0:
-        raise ValueError("kappa_0 must be positive")
+    for name, value in (("lambda1", lambda1), ("lambda2", lambda2), ("kappa_0", kappa_0)):
+        if not _positive_finite(value):
+            raise ValueError(f"{name} must be positive and finite, not {value!r}")
+    _check_cn2(cn2, allow_zero=True)
     return TOTAL_RATE_CONSTANT * cn2 / (lambda1 * lambda2) * kappa_0 ** (-5.0 / 3.0)
 
 
@@ -291,19 +298,19 @@ def l_cross(z: float, omega1: float, omega2: float, cn2: float, waist: float) ->
 def integrated_l(
     profile: TurbulenceProfile,
     geom: LinkGeometry,
-    frequencies: tuple | None = None,
+    pairs: _PairSet | None = None,
 ) -> float | np.ndarray:
     """Path integral of the decay density, int_0^{z_f} l(z) dz (dimensionless).
 
-    frequencies:
+    pairs:
       None          -> use geom.wavelength (single-wavelength l)
-      (w1, w2)      -> two-frequency l for the angular-frequency pair (rad/s);
-                       arrays broadcast and give an array of integrals
-      pair set      -> the same for the pairs of `pair_constants(w1, w2)`
+      pair set      -> two-frequency l for each pair of `pair_constants(w1, w2)`
+                       (angular frequencies in rad/s, broadcast): a float for
+                       scalar frequencies, else an array of integrals
     """
     # l(z) = C_n^2(z) w^{5/3} / (lambda1 lambda2) * (1 + half_sum (z / pi w^2)^2)^{5/6}
     beam_area = math.pi * geom.waist**2
-    if frequencies is None:
+    if pairs is None:
         # one wavelength: everything but the two sums in Python floats
         wavelength = float(geom.wavelength)
         half_sum = 0.5 * (wavelength * wavelength + wavelength * wavelength)
@@ -313,7 +320,8 @@ def integrated_l(
         if estimate > RELATIVE_ERROR_BOUND * abs(fine):
             raise _quadrature_error(wavelength, wavelength, fine, estimate)
         return geom.waist ** (5.0 / 3.0) / (wavelength * wavelength) * fine
-    pairs = frequencies if isinstance(frequencies, _PairSet) else pair_constants(*frequencies)
+    if not isinstance(pairs, _PairSet):
+        raise ValueError(f"pairs must be None or a pair_constants set, not {type(pairs).__name__}")
     rules = _path_rules(profile, geom, _panels(profile, geom, beam_area / math.sqrt(pairs.widest)))
     points = pairs.half_sum if pairs.transfer is None else pairs.transfer[0]
     fine, coarse = _path_sums(rules, points / beam_area**2)

@@ -111,7 +111,7 @@ class TestStates:
     def test_non_int_mode_index(self, m, n, name):
         # (0.5, 1) used to end in numpy's IndexError
         value = m if name == "m" else n
-        with pytest.raises(ValueError, match=f"^{name} must be a non-negative int, not {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, not {re.escape(repr(value))}$"):
             TwoPhotonState.mode_pair(m, n, 4)
 
     def test_scan_refuses_negative_mode(self, paper_spec, kernel_zero):
@@ -426,7 +426,7 @@ class TestRobustnessScan:
     def test_non_int_mode_refused(self, paper_spec, kernel_1e16, fixed_mode, n_range, name):
         # [0.5, 1, 2.9] used to compute the rows n = 0 and 2 labelled 0.5 and
         # 2.9, and fixed_mode = 1.9 to run as 1
-        with pytest.raises(ValueError, match=f"^{name} must be a non-negative int"):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
             robustness_scan(kernel_1e16, paper_spec, fixed_mode, n_range, dim=4)
 
     def test_non_finite_kernel_refused_alike_by_both_paths(self, paper_spec, paper_geometry):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -840,10 +841,17 @@ class TestCutoffBracketing:
     @pytest.mark.parametrize("cutoff", [True, 1.0, 1.5, -1, "1"])
     def test_cutoffs_must_be_non_negative_ints(self, cutoff):
         # with cutoff 1 cached, True and 1.0 used to return cutoff-1 results
-        # keyed by them; in a fresh process True and 1.5 failed inside range
+        # keyed by them, and sector_spectrum cutoff 1's spectrum; in a fresh
+        # process True and 1.5 failed inside range
+        from turbulink.ipe import sector_spectrum
+
         cutoff_bracketing([0.0, 0.1], [1])
-        with pytest.raises(ValueError, match="^each cutoff must be a non-negative int"):
+        message = f"^cutoff must be a non-negative int, not {re.escape(repr(cutoff))}$"
+        with pytest.raises(ValueError, match=message):
             cutoff_bracketing([0.0, 0.1], [0, cutoff])
+        for scheme in PropagationScheme:
+            with pytest.raises(ValueError, match=message):
+                sector_spectrum(cutoff, 0, scheme)
 
 
 class TestDistanceSweep:

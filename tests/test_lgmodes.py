@@ -831,10 +831,13 @@ class TestGamma:
             assert radial_rule(count)[1].sum() == pytest.approx(expected, rel=1e-9)
             assert radial_rule(count)[1].sum() == pytest.approx(5.5663, abs=5e-4)
 
-    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("count", [0, -1, True, 2.5])
     def test_rule_needs_a_node(self, count):
-        # radial_rule(0) raised an IndexError
-        with pytest.raises(ValueError, match="^count must be at least 1"):
+        # radial_rule(0) raised an IndexError, True ran as the cached count 1
+        # and 2.5 failed with a TypeError from numpy
+        radial_rule(1)
+        message = "an int" if isinstance(count, (bool, float)) else "at least 1"
+        with pytest.raises(ValueError, match=f"^count must be {message}, not {count!r}$"):
             radial_rule(count)
 
     @pytest.mark.parametrize("x", [0.3, 1.7, -0.4, -3.3, 7.5, 12.0])

@@ -135,13 +135,17 @@ class TestModeAmplitude:
         gram = scaled @ scaled.T
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 
-    @pytest.mark.parametrize("order", [3.0, True, 2.5])
+    @pytest.mark.parametrize("order", [3.0, True, 2.5, 6.0])
     def test_grid_order_must_be_an_int(self, paper_spec, order):
-        # checked before the cached rule; 3.0 used to fail with a TypeError
-        # from numpy, or hit the cached order-3 rule
+        # checked by the cached rule on a miss (its cache is typed): 3.0
+        # used to fail with a TypeError from numpy in the rule and the modes,
+        # or to hit the cached order-3 grid; the rule and the modes took no check
         frequency_grid(paper_spec, 3)
-        with pytest.raises(ValueError, match="^order must be an int"):
-            frequency_grid(paper_spec, order)
+        discrete_modes(6)
+        for call in (frequency_grid, lambda spec, order: gauss_hermite_rule(order),
+                     lambda spec, order: discrete_modes(order)):
+            with pytest.raises(ValueError, match=f"^order must be an int, not {order!r}$"):
+                call(paper_spec, order)
 
     def test_discrete_modes_orthonormal(self, paper_spec):
         psi = discrete_modes(64)[:11]
@@ -191,13 +195,15 @@ class TestValidation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
-        "field, message",
-        [("sigma_a", "bandwidths"), ("sigma_b", "bandwidths"), ("omega_p", "pump frequency")],
+        "field",
+        ["sigma_a", "sigma_b", "omega_p"],
+        # each case keeps its id from when the bandwidths shared a message
+        ids=["sigma_a-bandwidths", "sigma_b-bandwidths", "omega_p-pump frequency"],
     )
-    def test_non_finite_values_refused(self, field, message, value):
+    def test_non_finite_values_refused(self, field, value):
         params = dict(sigma_a=10e12, sigma_b=80e12, omega_p=9.54e14)
         params[field] = value
-        with pytest.raises(ValueError, match=f"{message} must be positive"):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, not {value}$"):
             BiphotonSpec(**params)
 
 
@@ -223,6 +229,10 @@ class TestHermite:
             hermite_functions(66, 0.0)
         with pytest.raises(UnsupportedOrderError):
             hermite_functions(0, 0.0)
+        # 2.5 used to fail with a TypeError from numpy, and True to run as 1
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match=f"^count must be an int, not {count!r}$"):
+                hermite_functions(count, 0.0)
 
     def test_stack_rows_do_not_depend_on_count(self):
         x = np.linspace(-9.0, 9.0, 37)

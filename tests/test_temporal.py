@@ -303,7 +303,7 @@ class TestFullPropagationKernel:
     @pytest.mark.parametrize(
         "steps, message",
         [(0, "step count must be >= 16"), (15, "step count must be >= 16"),
-         (True, "steps must be an int"), (2.5, "steps must be an int")],
+         (True, "steps must be a non-negative int"), (2.5, "steps must be a non-negative int")],
         ids=["zero", "fifteen", "bool", "float"],
     )
     def test_step_count_checked_as_by_propagate(self, paper_spec, paper_geometry, steps, message):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from path_oracle import path_sums, per_entry_integrals
 from scipy.optimize import golden
 from spectrum_oracle import fried_parameter, vonkarman_psd
 
-from turbulink import temporal, turbulence
+from turbulink import entanglement, ipe, lgmodes, schmidt, temporal, turbulence
 from turbulink.ipe import DECAY_CONSTANT
 from turbulink.schmidt import BiphotonSpec, frequency_grid, gauss_hermite_rule
 from turbulink.temporal import channel_kernel
@@ -28,6 +29,7 @@ from turbulink.turbulence import (
     integrated_l,
     l_cross,
     l_strength,
+    pair_constants,
     path_height,
 )
 
@@ -202,9 +204,10 @@ class TestTotalRate:
         wide = big_l_t(3.95e-6, 3.95e-6, 1e-15, 0.1)
         assert wide / base == pytest.approx(10.0 ** (5.0 / 3.0), rel=1e-12)
 
-    @pytest.mark.parametrize("kappa_0", [0.0, -1.0])
+    @pytest.mark.parametrize("kappa_0", [0.0, -1.0, math.nan, math.inf])
     def test_positive_outer_scale_required(self, kappa_0):
-        with pytest.raises(ValueError, match="kappa_0 must be positive"):
+        # NaN used to return nan
+        with pytest.raises(ValueError, match="^kappa_0 must be positive and finite"):
             big_l_t(3.95e-6, 3.95e-6, 1e-15, kappa_0)
 
 
@@ -299,7 +302,7 @@ class TestIntegratedL:
         profile = TurbulenceProfile.from_constant(1e-16)
         omega = 2.0 * math.pi * C / geom.wavelength
         single = integrated_l(profile, geom)
-        cross = integrated_l(profile, geom, (omega, omega))
+        cross = integrated_l(profile, geom, pair_constants(omega, omega))
         assert cross == pytest.approx(single, rel=1e-9)
 
 
@@ -312,17 +315,14 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
-        "field, message",
-        [
-            ("path_length", "path_length"),
-            ("transmitter_height", "endpoint heights"),
-            ("receiver_height", "endpoint heights"),
-            ("waist", "waist and wavelength"),
-            ("wavelength", "waist and wavelength"),
-        ],
+        "field",
+        ["path_length", "transmitter_height", "receiver_height", "waist", "wavelength"],
+        # each case keeps its id from when the heights, and the waist and wavelength, shared a message
+        ids=["path_length-path_length", "transmitter_height-endpoint heights", "receiver_height-endpoint heights",
+             "waist-waist and wavelength", "wavelength-waist and wavelength"],
     )
-    def test_link_geometry_refuses(self, field, message, value):
-        with pytest.raises(ValueError, match=f"{message} must be positive"):
+    def test_link_geometry_refuses(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, not {value}$"):
             paper_geom(**{field: value})
 
     @pytest.mark.parametrize("omega", NON_FINITE_FREQUENCIES.values(), ids=NON_FINITE_FREQUENCIES)
@@ -333,9 +333,13 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("omega", NON_FINITE_FREQUENCIES.values(), ids=NON_FINITE_FREQUENCIES)
     def test_integrated_l_refuses(self, omega):
+        # the set's constants refuse the frequencies; the bare pair, once
+        # read as a second form of the argument, is refused by name
         profile = TurbulenceProfile.from_constant(1e-16)
         for pair in ((omega, 1e15), (1e15, omega)):
             with pytest.raises(ValueError, match="frequencies must be positive"):
+                integrated_l(profile, paper_geom(), pair_constants(*pair))
+            with pytest.raises(ValueError, match="^pairs must be None or a pair_constants set, not tuple$"):
                 integrated_l(profile, paper_geom(), pair)
 
 
@@ -405,11 +409,11 @@ class TestPathRule:
     def test_array_matches_scalar_calls(self, paper_spec, profile):
         geom = paper_geom()
         omegas = frequency_grid(paper_spec, 8)
-        array = integrated_l(profile, geom, (omegas[:, None], omegas[None, :]))
+        array = integrated_l(profile, geom, pair_constants(omegas[:, None], omegas[None, :]))
         assert array.shape == (8, 8)
-        scalar = [[integrated_l(profile, geom, (w1, w2)) for w2 in omegas] for w1 in omegas]
+        scalar = [[integrated_l(profile, geom, pair_constants(w1, w2)) for w2 in omegas] for w1 in omegas]
         np.testing.assert_allclose(array, scalar, rtol=1e-14, atol=0.0)
-        assert isinstance(integrated_l(profile, geom, (omegas[0], omegas[1])), float)
+        assert isinstance(integrated_l(profile, geom, pair_constants(omegas[0], omegas[1])), float)
 
     def test_error_estimate_guard(self, monkeypatch):
         # 2 against 1 node per panel: the estimate is far above the 1e-6 bound
@@ -487,7 +491,7 @@ class TestChebyshevPath:
         geom, pairs = paper_geom(waist=waist), kernel_pairs(spec, 64)
         assert interpolated(geom, pairs)
         oracle = per_entry_integrals(profile, geom, pairs)
-        np.testing.assert_allclose(integrated_l(profile, geom, pairs), oracle, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(integrated_l(profile, geom, pair_constants(*pairs)), oracle, rtol=1e-14, atol=0.0)
 
     def test_widest_band_sums_every_entry(self, paper_spec):
         # a grid reaching down to 1e-3 of the centre, as wide as the
@@ -500,7 +504,8 @@ class TestChebyshevPath:
         lambdas = turbulence.two_pi_c_over(np.array([pairs[0].max(), pairs[0].min()]))
         assert turbulence._chebyshev_degree(*lambdas**2) >= len(pairs[0])
         profile, geom = TurbulenceProfile.from_constant(1e-16), paper_geom()
-        assert np.array_equal(integrated_l(profile, geom, pairs), per_entry_integrals(profile, geom, pairs))
+        value = integrated_l(profile, geom, pair_constants(*pairs))
+        assert np.array_equal(value, per_entry_integrals(profile, geom, pairs))
 
     @pytest.mark.parametrize(
         "profile",
@@ -515,10 +520,11 @@ class TestChebyshevPath:
         assert integrated_l(profile, geom) == per_entry_integrals(profile, geom)
         omegas = frequency_grid(paper_spec, 16)
         for pair in [(omegas[0], omegas[-1]), (omegas[3], omegas[3])]:
-            assert integrated_l(profile, geom, pair) == per_entry_integrals(profile, geom, pair)
+            assert integrated_l(profile, geom, pair_constants(*pair)) == per_entry_integrals(profile, geom, pair)
         diagonal = (omegas, omegas)
         assert not interpolated(geom, diagonal)
-        assert np.array_equal(integrated_l(profile, geom, diagonal), per_entry_integrals(profile, geom, diagonal))
+        value = integrated_l(profile, geom, pair_constants(*diagonal))
+        assert np.array_equal(value, per_entry_integrals(profile, geom, diagonal))
 
     def test_error_estimate_guard_names_worst_pair(self, monkeypatch, paper_spec):
         # 2 against 1 node per panel on the interpolated path: every pair is
@@ -530,7 +536,7 @@ class TestChebyshevPath:
         worst = np.argmax(np.abs(fine - coarse) - turbulence.RELATIVE_ERROR_BOUND * fine)
         lambda1, lambda2 = (turbulence.two_pi_c_over(x[worst]) for x in pairs)
         with pytest.raises(QuadratureError, match=re.escape(f"({lambda1:.6g}, {lambda2:.6g}) m")):
-            integrated_l(profile, geom, pairs)
+            integrated_l(profile, geom, pair_constants(*pairs))
 
     def test_degree_rule(self, paper_spec):
         # the point counts the README quotes at the paper source, and no
@@ -596,16 +602,17 @@ class TestChebyshevPath:
             for pairs in (first, second):
                 assert interpolated(geom, pairs)
                 oracle = per_entry_integrals(profile, geom, pairs)
-                np.testing.assert_allclose(integrated_l(profile, geom, pairs), oracle, rtol=1e-14, atol=0.0)
+                value = integrated_l(profile, geom, pair_constants(*pairs))
+                np.testing.assert_allclose(value, oracle, rtol=1e-14, atol=0.0)
 
     def test_scalar_frequency_broadcasts_against_an_array(self, paper_spec):
         # one omega1 against the whole grid in omega2, and the reverse: the
         # two sets share no key but give the same integrals
         profile, geom = TurbulenceProfile.from_constant(1e-16), paper_geom()
         omegas = frequency_grid(paper_spec, 64)
-        row = integrated_l(profile, geom, (omegas[5], omegas))
+        row = integrated_l(profile, geom, pair_constants(omegas[5], omegas))
         assert row.shape == (64,)
-        assert np.array_equal(integrated_l(profile, geom, (omegas, omegas[5])), row)
+        assert np.array_equal(integrated_l(profile, geom, pair_constants(omegas, omegas[5])), row)
         oracle = per_entry_integrals(profile, geom, (omegas[5], omegas))
         np.testing.assert_allclose(row, oracle, rtol=1e-14, atol=0.0)
 
@@ -699,3 +706,111 @@ POSITIVITY = {
 def test_positive_finite_same_verdict_on_scalars_and_arrays(value, expected):
     for args in ((value,), (1.0, value), (value, 1.0), (np.array([value]),), (np.array([1.0, value]),)):
         assert turbulence._positive_finite(*args) == expected
+
+
+# The refusal contract: every public function and dataclass that takes a mode
+# index, count, cutoff, order or dim refuses each of INDEX_VALUES (-1 only
+# where the argument may not be negative) with a ValueError subclass whose
+# message names the argument.  Arguments typed LGIndex are covered by
+# LGIndex's row; RobustnessRow is the record that robustness_scan fills, not
+# an input.  The link and source parameters refuse each of POSITIVE_VALUES
+# (zero only where it is not allowed).  Each row: the call of the bad value
+# x, the argument's name in the message, and whether -1 (or zero) is valid.
+FULL_IPE = temporal.KernelFidelity.FULL_IPE
+EXACT = ipe.PropagationScheme.TRUNCATED_EXACT
+INDEX_ARGUMENTS = {
+    "schmidt_eigenvalue": (lambda c, x: schmidt.schmidt_eigenvalue(c.spec, x), "n", False),
+    "truncated_source": (lambda c, x: schmidt.truncated_source(c.spec, x), "max_mode", False),
+    "hermite_functions": (lambda c, x: schmidt.hermite_functions(x, 0.0), "count", False),
+    "gauss_hermite_rule": (lambda c, x: schmidt.gauss_hermite_rule(x), "order", False),
+    "frequency_grid": (lambda c, x: schmidt.frequency_grid(c.spec, x), "order", False),
+    "discrete_modes": (lambda c, x: schmidt.discrete_modes(x), "order", False),
+    "LGIndex-l": (lambda c, x: lgmodes.LGIndex(l=x, r=0), "l", True),
+    "LGIndex-r": (lambda c, x: lgmodes.LGIndex(l=0, r=x), "r", False),
+    "ModeBasis": (lambda c, x: lgmodes.ModeBasis(x), "cutoff", False),
+    "sector_blocks-cutoff": (lambda c, x: lgmodes.sector_blocks(x, 0), "cutoff", False),
+    "sector_blocks-delta": (lambda c, x: lgmodes.sector_blocks(1, x), "delta", True),
+    "sector_orders-cutoff": (lambda c, x: lgmodes.sector_orders(x, 0), "cutoff", False),
+    "sector_orders-delta": (lambda c, x: lgmodes.sector_orders(1, x), "delta", True),
+    "radial_rule": (lambda c, x: lgmodes.radial_rule(x), "count", False),
+    "pair_coupling_blocks-cutoff": (lambda c, x: lgmodes.pair_coupling_blocks(x, 0, np.ones((2, 1))), "cutoff", False),
+    "pair_coupling_blocks-delta": (lambda c, x: lgmodes.pair_coupling_blocks(1, x, np.ones((2, 1))), "delta", True),
+    "even_ratio_interpolant": (lambda c, x: lgmodes.even_ratio_interpolant(x, 0.1), "cutoff", False),
+    "sector_coupling-cutoff": (lambda c, x: lgmodes.sector_coupling(x, 0, 0.0), "cutoff", False),
+    "sector_coupling-delta": (lambda c, x: lgmodes.sector_coupling(1, x, 0.0), "delta", True),
+    "SolverConfig-cutoff": (lambda c, x: ipe.SolverConfig(cutoff=x), "cutoff", False),
+    "SolverConfig-steps": (lambda c, x: ipe.SolverConfig(steps=x), "steps", False),
+    "generator_parts-cutoff": (lambda c, x: ipe.generator_parts(x, 0, EXACT), "cutoff", False),
+    "generator_parts-delta": (lambda c, x: ipe.generator_parts(1, x, EXACT), "delta", True),
+    "sector_spectrum-cutoff": (lambda c, x: ipe.sector_spectrum(x, 0, EXACT), "cutoff", False),
+    "sector_spectrum-delta": (lambda c, x: ipe.sector_spectrum(1, x, EXACT), "delta", True),
+    "rk4_nodes": (lambda c, x: ipe.rk4_nodes(c.profile, c.geom, x), "steps", False),
+    "cutoff_bracketing": (lambda c, x: ipe.cutoff_bracketing([0.0, 0.1], [x]), "cutoff", False),
+    "mode_vectors": (lambda c, x: c.kernel.mode_vectors(x), "count", False),
+    "channel_kernel-grid_order": (
+        lambda c, x: temporal.channel_kernel(c.spec, c.profile, c.geom, grid_order=x), "grid_order", False),
+    "channel_kernel-cutoff": (
+        lambda c, x: temporal.channel_kernel(c.spec, c.profile, c.geom, 4, FULL_IPE, cutoff=x), "cutoff", False),
+    "channel_kernel-steps": (
+        lambda c, x: temporal.channel_kernel(c.spec, c.profile, c.geom, 4, FULL_IPE, steps=x), "steps", False),
+    "mode_trace": (lambda c, x: temporal.mode_trace(c.kernel, c.spec, x), "n", False),
+    "transmission_matrix": (lambda c, x: temporal.transmission_matrix(c.kernel, c.spec, x), "max_mode", False),
+    "mode_pair-m": (lambda c, x: entanglement.TwoPhotonState.mode_pair(x, 1, 4), "m", False),
+    "mode_pair-n": (lambda c, x: entanglement.TwoPhotonState.mode_pair(0, x, 4), "n", False),
+    "mode_pair-dim": (lambda c, x: entanglement.TwoPhotonState.mode_pair(0, 1, x), "dim", False),
+    "TwoPhotonDensity": (lambda c, x: entanglement.TwoPhotonDensity(dim=x, matrix=np.eye(1)), "dim", False),
+    "channel_tensor": (lambda c, x: entanglement.channel_tensor(c.kernel, x), "dim", False),
+    "robustness_scan-fixed_mode": (
+        lambda c, x: entanglement.robustness_scan(c.kernel, c.spec, x, [1], dim=4), "fixed_mode", False),
+    "robustness_scan-n_range": (
+        lambda c, x: entanglement.robustness_scan(c.kernel, c.spec, 0, [1, x], dim=4), "n", False),
+    "robustness_scan-dim": (lambda c, x: entanglement.robustness_scan(c.kernel, c.spec, 0, [1], dim=x), "dim", False),
+}
+INDEX_VALUES = {"True": True, "1.0": 1.0, "1.5": 1.5, "-1": -1, "str": "1", "nan": math.nan}
+POSITIVE_ARGUMENTS = {
+    **{
+        f"LinkGeometry-{field}": (lambda c, x, field=field: paper_geom(**{field: x}), field, False)
+        for field in ("path_length", "transmitter_height", "receiver_height", "waist", "wavelength")
+    },
+    **{
+        f"BiphotonSpec-{field}": (
+            lambda c, x, field=field: BiphotonSpec(**{**vars(c.spec), field: x}), field, False)
+        for field in ("sigma_a", "sigma_b", "omega_p")
+    },
+    "big_l_t-lambda1": (lambda c, x: big_l_t(x, 3.95e-6, 1e-15, 1.0), "lambda1", False),
+    "big_l_t-lambda2": (lambda c, x: big_l_t(3.95e-6, x, 1e-15, 1.0), "lambda2", False),
+    "big_l_t-cn2": (lambda c, x: big_l_t(3.95e-6, 3.95e-6, x, 1.0), r"C_n\^2", True),
+    "big_l_t-kappa_0": (lambda c, x: big_l_t(3.95e-6, 3.95e-6, 1e-15, x), "kappa_0", False),
+    "distance_sweep-cn2_values": (lambda c, x: ipe.distance_sweep([x], [1e3], 3.95e-6), r"C_n\^2", True),
+    "distance_sweep-distances": (lambda c, x: ipe.distance_sweep([1e-15], [1e3, x], 3.95e-6), "distances", False),
+    "distance_sweep-wavelength": (lambda c, x: ipe.distance_sweep([1e-15], [1e3], x), "wavelength", False),
+    **{
+        f"distance_sweep-{name}": (
+            lambda c, x, name=name: ipe.distance_sweep([1e-15], [1e3], 3.95e-6, **{name: x}), name, zero_valid)
+        for name, zero_valid in (("transmitter_height", False), ("receiver_height", False), ("extinction_per_km", True))
+    },
+}
+POSITIVE_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": 0.0, "negative": -2.5}
+CONTRACT = [
+    pytest.param(call, name, value, id=f"{label}-{value_id}")
+    for arguments, values, exempt in (
+        (INDEX_ARGUMENTS, INDEX_VALUES, "-1"), (POSITIVE_ARGUMENTS, POSITIVE_VALUES, "zero"))
+    for label, (call, name, valid) in arguments.items()
+    for value_id, value in values.items()
+    if not (valid and value_id == exempt)
+]
+
+
+@pytest.fixture(scope="module")
+def contract(paper_spec, paper_geometry):
+    """The valid arguments around each bad one: the paper source and link,
+    a zero-turbulence profile and its grid-8 kernel."""
+    zero = TurbulenceProfile.from_constant(0.0)
+    kernel = channel_kernel(paper_spec, zero, paper_geometry, grid_order=8)
+    return SimpleNamespace(spec=paper_spec, geom=paper_geometry, profile=zero, kernel=kernel)
+
+
+@pytest.mark.parametrize("call, name, value", CONTRACT)
+def test_refusal_contract(contract, call, name, value):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(contract, value)
