@@ -112,12 +112,14 @@ def channel_tensor(kernel: ChannelKernel, dim: int) -> np.ndarray:
     """One-photon channel tensor C[u, v, m, n] = int int f_u f_m P f_n f_v.
 
     Maps |f_m><f_n| to sum_{uv} C[u, v, m, n] |f_u><f_v|; real symmetric in
-    the sense C[u, v, m, n] = C[v, u, n, m].  A tensor with a NaN or
-    infinite entry is refused with a ValueError, for every caller.
+    the sense C[u, v, m, n] = C[v, u, n, m].  A dim past MAX_PAIR_MODES and a
+    tensor with a NaN or infinite entry raise a ValueError, for every caller.
     """
     _check_index("dim", dim)
     if not dim:
         raise ValueError("dim must be at least 1, not 0")
+    if dim > MAX_PAIR_MODES:
+        raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
     psi = kernel.mode_vectors(dim)  # (dim, grid)
     left = psi[:, None, :] * psi[None, :, :]  # (u, m, grid)
     grid = left.reshape(dim * dim, -1)
@@ -130,8 +132,6 @@ def channel_tensor(kernel: ChannelKernel, dim: int) -> np.ndarray:
 def _pair_density(psi: np.ndarray, tensor: np.ndarray) -> tuple:
     """Apply C (x) C to |psi><psi| and normalize; returns (density, mass)."""
     dim = psi.shape[0]
-    if dim > MAX_PAIR_MODES:
-        raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
     size = dim * dim
     half = np.tensordot(tensor, psi, axes=(2, 0))  # [u, v, p, n]
     half = np.tensordot(half, psi.conj(), axes=(2, 0))  # [u, v, n, q]; .conj() of real psi is psi
@@ -271,8 +271,6 @@ def robustness_scan(
     tensor that is not finite and a fully absorbed pair.
     """
     _check_modes(dim, fixed_mode=fixed_mode)
-    if dim > MAX_PAIR_MODES:
-        raise ValueError(f"pair propagation limited to {MAX_PAIR_MODES} modes")
     modes = list(n_range)
     for n in modes:
         _check_modes(dim, n=n)

@@ -27,13 +27,13 @@ which freezes the generator at t = 0 (A alone) and takes the fundamental
 entry of exp(l A).  `propagate` takes Lawson's exponential RK4 steps:
 classical RK4 on the variable that e^(-A int rate) takes out of x, so that
 the stiff rate(z) A part is exact, every factor is at most 1 at any step
-size, and only the Gouy part, which is not stiff, is stepped: a small sector
-by multiplying its step maps, a larger one in a loop that allocates nothing.
-The same cache entry holds what depends only on (cutoff, Delta, scheme) in
-those steps (`_stepping`): each block of the rotation that `propagate`
-steps, C-contiguous, and for a small one the operands of its step maps, so
-that a run computes only its node table, its step coefficients, the maps
-and their product.
+size, and only the Gouy part, which is not stiff, is stepped.  The one
+stepper serves `temporal`'s full-IPE kernel too: `_lawson_factors` writes
+the coefficients of a chunk of steps (`_step_chunks`) and `_lawson_loop`
+steps any state through an operator callback (a small sector multiplies its
+step maps instead, `_step_product`).  The cache entry holds what depends
+only on (cutoff, Delta, scheme) in those steps (`_stepping`): each stepped
+block of the rotation, C-contiguous, and a small one's step-map operands.
 """
 from __future__ import annotations
 
@@ -125,10 +125,11 @@ class DensityMatrix:
 
 # up to this many coordinates `propagate` forms a sector's step maps at once
 # (`_step_product`) instead of stepping (`_lawson_loop`): the maps cost m^3
-# per step, the loop a nearly fixed call overhead.  It takes STEP_CHUNK
-# steps at a time, so that their coefficients and maps stay bounded.
+# per step, the loop a nearly fixed call overhead
 STEP_MATRIX_SIZE = 24
-STEP_CHUNK = 256
+# the step coefficients are written for at most 256 steps at a time, fewer
+# where they would pass this many entries (`_step_chunks`)
+STEP_ENTRIES = 2**17
 
 
 @lru_cache(maxsize=64)
@@ -286,27 +287,34 @@ def _buffer(name: str, shape: tuple) -> np.ndarray:
     return getattr(_workspace, name)[:size].reshape(shape)
 
 
-def half_step_integrals(rates: np.ndarray, h: float) -> tuple:
-    """The rate integrated over the first and over the second half of each
-    step by the quadratic through its three nodes, the rows of `rates`."""
+def _step_chunks(steps: int, row: int) -> list:
+    """The node slices of a run's successive chunks of steps: 256 steps, or as
+    many (at least one) as keep 7 coefficient rows of `row` within STEP_ENTRIES."""
+    size = max(1, min(256, STEP_ENTRIES // (7 * row)))
+    return [slice(2 * s, 2 * (s + size) + 1) for s in range(0, steps, size)]
+
+
+def _lawson_factors(rates: np.ndarray, gouy, h: float, values: np.ndarray, step_major: bool) -> tuple:
+    """(coefficients, halves) on the nodes of `rates` (a column per pair, or
+    none) and `gouy` (a node column, or a constant) for A's eigenvalues
+    `values`: row s of coefficients is step s's (a, b, e, f, d, c, j), each
+    of shape rates.shape[1:] + values.shape, in a buffer, step-major or
+    step-last, that the next call overwrites.  With ea, eb and e1 = ea eb the
+    factors e^(R values) of a step's halves and whole (R the rate integrated
+    over each half by the quadratic through the step's three nodes) and g0,
+    g1, g2 the Gouy rates on those nodes, they are (g1 ea, h/2 g0 g1 ea, e1,
+    h/6 g0 e1, h^2/6 g2 eb, h/6 g2 e1, h/3 eb); halves[s] = h/2 g1."""
     ends, middle = 5 * rates[::2], 8 * rates[1::2]  # 5 r0 and 5 r2, 8 r1 of every step
-    return h / 24 * (ends[:-1] + middle - rates[2::2]), h / 24 * (ends[1:] + middle - rates[:-1:2])
-
-
-def _lawson_factors(table: np.ndarray, h: float, values: np.ndarray, step_major: bool) -> tuple:
-    """(coefficients, half) on the node rows `table` = (rate, Gouy rate) for
-    A's eigenvalues `values`: row s of coefficients is step s's (a, b, e, f,
-    d, c, j), in a buffer, step-major or step-last, that the next call
-    overwrites.  With ea, eb and e1 = ea eb the factors e^(R values) of a
-    step's halves and whole (R from `half_step_integrals`) and g0, g1, g2 the
-    Gouy rates on the step's three nodes, they are (g1 ea, h/2 g0 g1 ea, e1,
-    h/6 g0 e1, h^2/6 g2 eb, h/6 g2 e1, h/3 eb); half = h/2 g1."""
-    g0, g1, g2 = table[:-1:2, 1], table[1::2, 1], table[2::2, 1]
-    m, n = len(values), len(g0)
-    out = _buffer("factors", (n, 7, m)) if step_major else _buffer("factors", (7, m, n)).transpose(2, 0, 1)
-    a, b, e, f, d, c, j = out.transpose(1, 2, 0)
-    for factor, integral in zip((a, d), half_step_integrals(table[:, 0], h)):
-        np.exp(np.multiply.outer(values, integral, out=factor), out=factor)
+    integrals = h / 24 * (ends[:-1] + middle - rates[2::2]), h / 24 * (ends[1:] + middle - rates[:-1:2])
+    n, row = len(middle), middle.shape[1:] + values.shape
+    buffer = _buffer("factors", (n, 7) + row if step_major else (7,) + row + (n,))
+    out = buffer if step_major else buffer.transpose(-1, *range(len(row) + 1))  # [step, coefficient, row]
+    a, b, e, f, d, c, j = out.transpose(*range(1, len(row) + 2), 0)  # step last: per-step values broadcast
+    gouy = gouy if isinstance(gouy, np.ndarray) else np.full(len(rates), gouy)
+    g0, g1, g2 = gouy[:-1:2], gouy[1::2], gouy[2::2]
+    for factor, integral in zip((a, d), integrals):
+        integral = integral.T.reshape(middle.shape[1:] + (1,) * values.ndim + (n,))
+        np.exp(np.multiply(values[..., None], integral, out=factor), out=factor)
     np.multiply(a, d, out=e)
     np.multiply(e, h / 6 * g2, out=c)
     np.multiply(e, h / 6 * g0, out=f)
@@ -317,26 +325,29 @@ def _lawson_factors(table: np.ndarray, h: float, values: np.ndarray, step_major:
     return out, 0.5 * h * g1
 
 
-def _lawson_loop(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndarray:
+def _lawson_loop(apply, u: np.ndarray, factors: tuple) -> np.ndarray:
     """Lawson RK4 steps of u in A's eigenbasis (see the module docstring):
-    per step, with p = rotation u and the coefficients of `_lawson_factors`,
-    k2 = rotation (a u + b p), k3 = rotation (a u + half k2),
-    k4 = rotation (c u + d k3) and u <- e u + f p + j (k2 + k3) + k4.  Each
+    apply(node, x, out) writes the stepped part of the derivative at a node,
+    N_node x, into `out`, and step s reads nodes 2s, 2s + 1, 2s + 1 and 2s + 2.
+    Per step, with p = N_2s u and the coefficients of `_lawson_factors`,
+    k2 = N_2s+1 (a u + b p), k3 = N_2s+1 (a u + half k2),
+    k4 = N_2s+2 (c u + d k3) and u <- e u + f p + j (k2 + k3) + k4.  Each
     stage is a row of this thread's buffer, u between k3 and p, so that (a u,
     b p), (c u, d k3) and (e u, f p) are one product each; the result is a
-    view of it.  `rotation` should be C-contiguous: np.dot copies it if not."""
-    (coefficients, halves), stages = factors, _buffer("stages", (12, len(u)))
+    view of it."""
+    (coefficients, halves), stages = factors, _buffer("stages", (12,) + u.shape)
     k3, x, p, k2, k4, y, au, bp, eu, fp, dk3, cu = stages
     k3_u, u_p, ab_p, ef_p, dc_p = stages[0:2], stages[1:3], stages[6:8], stages[8:10], stages[10:12]
-    add, multiply, dot = np.add, np.multiply, np.dot  # the loop is call-bound: local names, positional `out`
+    add, multiply = np.add, np.multiply  # the loop is call-bound: local names, positional `out`
     x[:] = u
-    for ab, ef, dc, j, half in zip(*(coefficients[:, rows] for rows in np.s_[0:2, 2:4, 4:6, 6]), halves):
-        dot(rotation, x, p)
+    rows = (coefficients[:, part] for part in np.s_[0:2, 2:4, 4:6, 6])
+    for node, ab, ef, dc, j, half in zip(range(0, 2 * len(halves), 2), *rows, halves):
+        apply(node, x, p)
         multiply(ab, u_p, ab_p)
-        dot(rotation, add(au, bp, y), k2)
-        dot(rotation, add(au, multiply(k2, half, y), y), k3)
+        apply(node + 1, add(au, bp, y), k2)
+        apply(node + 1, add(au, multiply(k2, half, y), y), k3)
         multiply(dc, k3_u, dc_p)
-        dot(rotation, add(cu, dk3, y), k4)
+        apply(node + 2, add(cu, dk3, y), k4)
         multiply(ef, u_p, ef_p)
         add(add(add(eu, fp, y), multiply(j, add(k2, k3, k2), k2), y), k4, x)
     return x
@@ -386,11 +397,9 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
     cutoff, side = config.cutoff, config.cutoff + 1
     rho, shape = np.zeros(rho0.matrix.shape, dtype=complex), (2 * cutoff + 1, side, 2 * cutoff + 1, side)
     blocks_in, blocks_out = rho0.matrix.reshape(shape), rho.reshape(shape)
-    h, z_r = geom.path_length / steps, geom.rayleigh_range
-    z, table = _nodes(geom.path_length, steps), np.empty((2 * steps + 1, 2))  # [node, (rate, Gouy rate)]
-    rates = l_strength(z, cn2_at(profile, geom, z), geom.wavelength, geom.waist)  # a constant C_n^2 stays a scalar
-    np.multiply(COUPLING_PREFACTOR, rates, out=table[:, 0])
-    np.divide(z_r, z_r * z_r + z * z, out=table[:, 1])
+    h, z_r, z = geom.path_length / steps, geom.rayleigh_range, _nodes(geom.path_length, steps)
+    rates = COUPLING_PREFACTOR * l_strength(z, cn2_at(profile, geom, z), geom.wavelength, geom.waist)
+    gouy = z_r / (z_r * z_r + z * z)
     # the Delta-l sectors that hold an entry: l-block row - column of the occupied block pairs
     occupied = set(np.subtract(*np.nonzero(blocks_in.any(axis=(1, 3)))).tolist())
     for delta in range(2 * cutoff + 1):
@@ -404,11 +413,12 @@ def _propagate_fixed(rho0, profile, geom, config, steps):
         # (a fundamental input's) stays 0 and only the even half is stepped
         operands = stepping[bool(u[len(stepping[0][0]) :].any())]
         part = slice(0, len(operands[0]))
-        # the loop reads a step's coefficients as one block, the maps a row of steps each
-        loop = part.stop > STEP_MATRIX_SIZE
-        for start in range(0, 2 * steps, 2 * STEP_CHUNK):
-            factors = _lawson_factors(table[start : start + 2 * STEP_CHUNK + 1], h, values[part], step_major=loop)
-            u[part] = _lawson_loop(operands[0], u[part], factors) if loop else _step_product(operands, u[part], factors)
+        # the loop reads a step's coefficients as one block, the maps a row of steps each;
+        # the loop's operator is the rotation block at every node
+        loop, rotate = part.stop > STEP_MATRIX_SIZE, lambda node, x, out, r=operands[0], dot=np.dot: dot(r, x, out)
+        for nodes in _step_chunks(steps, part.stop):
+            factors = _lawson_factors(rates[nodes], gouy[nodes], h, values[part], step_major=loop)
+            u[part] = _lawson_loop(rotate, u[part], factors) if loop else _step_product(operands, u[part], factors)
         state = _blocks(vectors @ u, count, side, delta == 0)
         if delta:  # sector 0 is written once, as its own adjoint
             blocks_out[rows, :, cols, :] = state

@@ -26,19 +26,18 @@ Two kernel fidelities:
             y' = rate G(z) y + i Phi'(z) y: G the real two-carrier block,
             Phi' = N_m z_R1 / (z_R1^2 + z^2) - N_n z_R2 / (z_R2^2 + z^2) the
             carriers' Gouy rates.  Every frequency pair of the grid advances
-            in one batched state by Lawson's exponential RK4 steps around
-            A0, the block at one wavelength: in A0's eigenbasis rate A0 is
-            exact through e^(values int rate), and only rate (G - A0) +
-            i Phi', a few percent of it, is stepped, so any step count is
-            stable.  The z-dependent scalars are tabulated once on the nodes
-            of `ipe.rk4_nodes`.  G depends on a node and pair only through
+            in one batched state by `ipe.propagate`'s Lawson RK4 stepper
+            (per-pair rates, Gouy rate 1) around A0, the block at one
+            wavelength: in A0's eigenbasis rate A0 is exact, and only
+            rate (G - A0) + i Phi', a few percent of it, is stepped, so any
+            step count is stable.  G depends on a node and pair only through
             carrier 1's beam-area ratio, so the blocks of a chunk of
             successive nodes are one GEMM of `lgmodes.even_ratio_interpolant`
             (6 cutoff + 1 blocks built per kernel).  At omega1 = omega2 the
-            ratio is 1, G = A0 bit for bit and the steps are those of
-            `ipe.propagate`.  The element is complex: its phase is
-            the carriers' dispersion, and `channel_kernel` keeps the real
-            part while that phase stays a perturbation.
+            ratio is 1, G = A0 bit for bit and the steps are `propagate`'s.
+            The element is complex: its phase is the carriers' dispersion,
+            and `channel_kernel` keeps the real part while that phase stays
+            a perturbation.
 """
 from __future__ import annotations
 
@@ -50,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ipe import SolverConfig, half_step_integrals, rk4_nodes
+from .ipe import SolverConfig, _lawson_factors, _lawson_loop, _step_chunks, rk4_nodes
 from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, even_ratio_interpolant, sector_orders
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
 from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, _check_member, extinction_depth, integrated_l
@@ -152,7 +151,6 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     z, cn2 = rk4_nodes(profile, geom, steps)
     # per node (rows) and pair (columns), the two carriers on a leading axis
     rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
-    first, second = half_step_integrals(rate, h)
     per_range = normalized_distance(1.0, two_pi_c_over(np.stack([omega1, omega2])), geom.waist)[:, None, :]
     area = 1.0 + (z[:, None] * per_range) ** 2  # a_i / w0^2
     ratio, gouy = area[0] / (0.5 * (area[0] + area[1])), per_range / area  # gouy: z_R / (z_R^2 + z^2)
@@ -177,13 +175,14 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     # one-entry memo builds every chunk once
     @lru_cache(maxsize=1)
     def generator(start):
+        generator.cache_clear()  # the last chunk is let go before the next is built
         nodes = slice(start, start + chunk)
         coupling = interpolate(ratio[nodes].ravel()).reshape(-1, pairs, size, size)
         spin = gouy[0, nodes, :, None] * n_row - gouy[1, nodes, :, None] * n_col  # Phi'
         return coupling, np.stack([-spin, spin], axis=2)
 
-    def stage(k, u):
-        """V^-1 [rate (G - A0) + i Phi'] V u at node k, u each pair's
+    def stage(k, u, out):
+        """out = V^-1 [rate (G - A0) + i Phi'] V u at node k, u each pair's
         eigencoordinates as two real rows (Re, Im)."""
         coupling, spin = generator(k - k % chunk)
         pair_rate = rate[k, :, None, None]
@@ -191,24 +190,17 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
         w = np.matmul(y, coupling[k % chunk])
         w *= pair_rate
         w += y[:, ::-1] * spin[k % chunk]  # i Phi' (a + ib) = -Phi' b + i Phi' a
-        w = (w.reshape(-1, size) @ backward).reshape(u.shape)
-        w -= pair_rate * values * u
-        return w
+        np.matmul(w.reshape(-1, size), backward, out=out.reshape(-1, size))
+        out -= pair_rate * values * u
 
     # d and D are 1 on the fundamental (N = 0, l = 0): u starts as V^-1 e_f,
     # row f of U, and the element is (V u)_f = U[f] . u
     fundamental = cutoff * side * side  # r = 0 of the l = 0 block
     u = np.zeros((pairs, 2, size))
     u[:, 0] = vectors[fundamental]
-    for s in range(steps):
-        ea, eb = (np.exp(np.multiply.outer(x[s], values))[:, None] for x in (first, second))
-        whole, node = ea * eb, 2 * s
-        k1 = stage(node, u)
-        k2 = stage(node + 1, ea * (u + 0.5 * h * k1))
-        k3 = stage(node + 1, ea * u + 0.5 * h * k2)
-        u = whole * u
-        k4 = stage(node + 2, u + h * eb * k3)
-        u += (h / 6.0) * (whole * k1 + 2.0 * eb * (k2 + k3) + k4)
+    for nodes in _step_chunks(steps, pairs * size):
+        factors = _lawson_factors(rate[nodes], 1.0, h, values[None], step_major=True)
+        u = _lawson_loop(lambda k, x, out, first=nodes.start: stage(first + k, x, out), u, factors)
     element = u @ vectors[fundamental]
     return element[:, 0] + 1j * element[:, 1]
 

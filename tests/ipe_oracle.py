@@ -1,26 +1,32 @@
 """Earlier forms of `ipe._lawson_loop` and `ipe._step_product`, kept as the
 references that the current ones must match bit for bit: the Lawson RK4
-loop written one numpy expression per stage, a fresh array for each, and
-the step maps with their operands built on every call."""
+loop written one numpy expression per stage, a fresh array for each (on the
+operator the caller hands over), and the step maps with their operands
+built on every call."""
 from __future__ import annotations
 
 import numpy as np
 
 
-def lawson_loop(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndarray:
-    """`ipe._lawson_loop` on the coefficients of `ipe._lawson_factors`: per
-    step, with p = rotation u, k2 = rotation (a u + b p),
-    k3 = rotation (a u + half k2), k4 = rotation (c u + d k3) and
-    u <- e u + f p + j (k2 + k3) + k4."""
+def lawson_loop(apply, u: np.ndarray, factors: tuple) -> np.ndarray:
+    """`ipe._lawson_loop` on the coefficients of `ipe._lawson_factors`, with
+    N_k x the operator that apply(k, x, out) writes into `out`: per step s,
+    with p = N_2s u, k2 = N_2s+1 (a u + b p), k3 = N_2s+1 (a u + half k2),
+    k4 = N_2s+2 (c u + d k3) and u <- e u + f p + j (k2 + k3) + k4."""
+
+    def operator(node, x):
+        out = np.empty_like(x)
+        apply(node, x, out)
+        return out
+
     coefficients, halves = factors
-    for (a, b, e, f, d, c, j), half in zip(coefficients, halves):
-        p, au = rotation @ u, a * u
-        k2 = rotation @ (au + b * p)
-        k3 = rotation @ (au + half * k2)
-        k4 = rotation @ (c * u + d * k3)
+    for s, ((a, b, e, f, d, c, j), half) in enumerate(zip(coefficients, halves)):
+        p, au = operator(2 * s, u), a * u
+        k2 = operator(2 * s + 1, au + b * p)
+        k3 = operator(2 * s + 1, au + half * k2)
+        k4 = operator(2 * s + 2, c * u + d * k3)
         u = e * u + f * p + j * (k2 + k3) + k4
     return u
-
 
 
 def step_product(rotation: np.ndarray, u: np.ndarray, factors: tuple) -> np.ndarray:

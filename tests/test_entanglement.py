@@ -410,9 +410,16 @@ class TestRobustnessScan:
             robustness_scan(kernel, paper_spec, 0, range(3), dim=4)
 
     def test_dimension_guard(self, paper_spec, kernel_1e16):
-        # the g=64 grid resolves 32 modes: the pair limit is what refuses
-        with pytest.raises(ValueError, match="pair propagation limited to 14 modes"):
-            robustness_scan(kernel_1e16, paper_spec, 0, range(3), dim=15)
+        # the g=64 grid resolves 32 modes: the pair limit is what refuses,
+        # in `channel_tensor`, which both pair paths call
+        calls = (
+            lambda: robustness_scan(kernel_1e16, paper_spec, 0, range(3), dim=15),
+            lambda: propagate_pair(TwoPhotonState.mode_pair(0, 1, 15), kernel_1e16, paper_spec),
+            lambda: channel_tensor(kernel_1e16, 15),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="pair propagation limited to 14 modes"):
+                call()
 
     @pytest.mark.parametrize("fixed_mode, n_range", [(0, [1, 4]), (4, [0]), (-1, [2]), (1, [2, -3])])
     def test_mode_outside_dimension(self, paper_spec, kernel_1e16, fixed_mode, n_range):

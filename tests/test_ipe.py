@@ -184,6 +184,11 @@ class TestSectorDerivative:
                     assert np.max(np.abs(got - expected)) <= 1e-13 * scale
 
 
+def five_step_chunks(steps, row):
+    """`ipe._step_chunks` with chunks of 5 steps, whatever the row."""
+    return [slice(2 * s, 2 * s + 11) for s in range(0, steps, 5)]
+
+
 class TestStepMatrices:
     @pytest.mark.parametrize("cutoff", [0, 1])
     @pytest.mark.parametrize("steps", [17, 256])
@@ -196,15 +201,15 @@ class TestStepMatrices:
         geom = geometry()
         z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, steps)
         rates, h = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), geom.path_length / steps
-        table = np.column_stack([rates, geom.rayleigh_range / (geom.rayleigh_range**2 + z**2)])
+        gouy = geom.rayleigh_range / (geom.rayleigh_range**2 + z**2)
         rng = np.random.default_rng(60 + cutoff)
         for scheme in PropagationScheme:
             for delta in range(2 * cutoff + 1):
                 values, _, rotation, stepping = sector_spectrum(cutoff, delta, scheme)
                 u = rng.normal(size=len(values))
                 assert len(u) <= STEP_MATRIX_SIZE
-                factors = _lawson_factors(table, h, values, step_major=False)
-                expected = _lawson_loop(rotation, u, factors)
+                factors = _lawson_factors(rates, gouy, h, values, step_major=False)
+                expected = _lawson_loop(lambda node, x, out: np.dot(rotation, x, out), u, factors)
                 got = _step_product(stepping[-1], u, factors)
                 assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -221,7 +226,7 @@ class TestStepMatrices:
         for steps in (17, 256):
             z, cn2 = rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, steps)
             rates, h = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), geom.path_length / steps
-            table = np.column_stack([rates, geom.rayleigh_range / (geom.rayleigh_range**2 + z**2)])
+            gouy = geom.rayleigh_range / (geom.rayleigh_range**2 + z**2)
             for cutoff in range(3):
                 even = (cutoff + 1) ** 3
                 for scheme in PropagationScheme:
@@ -236,7 +241,7 @@ class TestStepMatrices:
                                 continue
                             sizes.add((cutoff, len(part)))
                             u = rng.normal(size=len(part))
-                            factors = _lawson_factors(table, h, part, step_major=False)
+                            factors = _lawson_factors(rates, gouy, h, part, step_major=False)
                             expected = step_product(operands[0], u, factors)
                             assert np.array_equal(_step_product(operands, u, factors), expected)
         assert sizes == {(0, 1), (1, 4), (1, 8), (1, 12), (1, 16), (2, 18)}
@@ -263,6 +268,23 @@ class TestStepMatrices:
                         for array in (block, pick, turned):
                             assert array is None or not array.flags.writeable
 
+    @pytest.mark.parametrize("steps", [1, 17, 256, 4096])
+    @pytest.mark.parametrize("row", [1, STEP_MATRIX_SIZE, 125, 78 * 216, 10**6])
+    def test_step_chunks(self, steps, row):
+        # successive chunks of the largest step count, at most 256, whose
+        # coefficients fit the entry budget (at least one step) cover the
+        # run; the step maps, whose product tree groups by chunk, always get
+        # chunks of 256
+        from turbulink.ipe import STEP_ENTRIES, _step_chunks
+
+        chunks = _step_chunks(steps, row)
+        size = (chunks[0].stop - chunks[0].start - 1) // 2
+        assert [nodes.start for nodes in chunks] == list(range(0, 2 * steps, 2 * size))
+        assert all(nodes.stop - nodes.start == 2 * size + 1 for nodes in chunks)
+        assert 1 <= size <= 256 and (size == 1 or 7 * row * size <= STEP_ENTRIES)
+        assert size == 256 or 7 * row * (size + 1) > STEP_ENTRIES
+        assert size == 256 or row > STEP_MATRIX_SIZE
+
     @pytest.mark.parametrize("cutoff", [0, 1])
     def test_propagate_matches_rk4_loop(self, cutoff, monkeypatch):
         # a random pure input occupies every sector; STEP_MATRIX_SIZE = 0
@@ -274,7 +296,7 @@ class TestStepMatrices:
         rho0 = coherent_state(ModeBasis(cutoff), seed=7)
         calls, product = [], ipe._step_product
         monkeypatch.setattr(ipe, "_step_product", lambda *args: calls.append(1) or product(*args))
-        monkeypatch.setattr(ipe, "STEP_CHUNK", 5)
+        monkeypatch.setattr(ipe, "_step_chunks", five_step_chunks)
         for scheme in PropagationScheme:
             for steps, check in ((17, True), (17, False), (256, True)):
                 config = SolverConfig(cutoff=cutoff, scheme=scheme, steps=steps, check_convergence=check)
@@ -297,7 +319,7 @@ class TestStepMatrices:
         geom = geometry()
         z, cn2 = ipe.rk4_nodes(TurbulenceProfile.from_constant(1e-15), geom, 64)
         rates, h = COUPLING_PREFACTOR * l_strength(z, cn2, LAM, W0), geom.path_length / 64
-        table = np.column_stack([rates, geom.rayleigh_range / (geom.rayleigh_range**2 + z**2)])
+        gouy = geom.rayleigh_range / (geom.rayleigh_range**2 + z**2)
         rng = np.random.default_rng(80 + cutoff)
         for scheme in PropagationScheme:
             for delta in range(2 * cutoff + 1):
@@ -305,12 +327,14 @@ class TestStepMatrices:
                 parts = [slice(None), slice(0, (cutoff + 1) ** 3)] if delta == 0 else [slice(None)]
                 for part in parts:
                     block, u = rotation[part, part], rng.normal(size=len(values[part]))
-                    factors = ipe._lawson_factors(table, h, values[part], step_major=True)
-                    expected = lawson_loop(block, u, factors)
-                    assert np.array_equal(ipe._lawson_loop(np.ascontiguousarray(block), u, factors), expected)
+                    factors = ipe._lawson_factors(rates, gouy, h, values[part], step_major=True)
+                    expected = lawson_loop(lambda node, x, out: np.matmul(block, x, out=out), u, factors)
+                    contiguous = np.ascontiguousarray(block)
+                    got = ipe._lawson_loop(lambda node, x, out: np.dot(contiguous, x, out), u, factors)
+                    assert np.array_equal(got, expected)
         profile, geom = TurbulenceProfile.from_constant(1e-16), geometry(distance=2.0e3)
         rho0 = coherent_state(ModeBasis(cutoff), seed=cutoff)
-        monkeypatch.setattr(ipe, "STEP_CHUNK", 5)
+        monkeypatch.setattr(ipe, "_step_chunks", five_step_chunks)
         for scheme in PropagationScheme:
             config = SolverConfig(cutoff=cutoff, scheme=scheme, steps=17, check_convergence=True)
             fast = propagate(rho0, profile, geom, config).matrix
@@ -318,32 +342,44 @@ class TestStepMatrices:
                 patch.setattr(ipe, "_lawson_loop", lawson_loop)
                 assert np.array_equal(fast, propagate(rho0, profile, geom, config).matrix)
 
-    def test_threads_keep_their_own_buffers(self):
+    def test_threads_keep_their_own_buffers(self, paper_spec):
         # the step maps, coefficients and stages live in per-thread buffers,
         # and the read-only stepping operands of `sector_spectrum` are shared:
         # runs in more threads than cores, switching often, match the serial
         # result bit for bit and step with the same operand objects (cutoff 1
         # uses the step maps, cutoff 2 the loop: on sector 0's even half for
         # the fundamental, on the whole sector for LG(l=+1), which fills both
-        # halves)
+        # halves); full-IPE kernels (g = 4, cutoffs 1-2), which step through
+        # the same loop and buffers, run between them
         import threading
+        from functools import partial
 
         from turbulink.ipe import sector_spectrum
+        from turbulink.temporal import KernelFidelity, channel_kernel
 
         profile, geom = TurbulenceProfile.from_constant(1e-15), geometry()
-        runs = [(cutoff, scheme, l) for cutoff in (1, 2) for scheme in PropagationScheme for l in (0, 1)]
 
-        def run(cutoff, scheme, l):
+        def propagation(cutoff, scheme, l):
             rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=l, r=0))
             matrix = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, scheme=scheme, steps=300)).matrix
             return matrix, [sector_spectrum(cutoff, delta, scheme)[3] for delta in range(2 * cutoff + 1)]
 
-        serial = [run(*args) for args in runs]
+        def kernel(cutoff):
+            # at 1e-15 the kernel's phase would trip its guard
+            weak = TurbulenceProfile.from_constant(1e-16)
+            return channel_kernel(paper_spec, weak, geom, 4, KernelFidelity.FULL_IPE, cutoff=cutoff).matrix, []
+
+        propagations = [
+            partial(propagation, cutoff, scheme, l) for cutoff in (1, 2) for scheme in PropagationScheme for l in (0, 1)
+        ]
+        kernels = [partial(kernel, cutoff) for cutoff in (1, 2, 2, 1)]
+        runs = [run for three in zip(propagations[::2], kernels, propagations[1::2]) for run in three]
+        serial = [run() for run in runs]
         results, interval = {}, sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(target=lambda i=i: results.update({i: [run(*args) for args in runs]}))
+                threading.Thread(target=lambda i=i: results.update({i: [run() for run in runs]}))
                 for i in range(6)
             ]
             for thread in threads:

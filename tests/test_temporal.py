@@ -8,6 +8,7 @@ from dense_oracle import dense_pair_coupling
 from full_ipe_oracle import whole_sector_fundamental
 from hypothesis import given
 from hypothesis import strategies as st
+from ipe_oracle import lawson_loop
 
 from turbulink import temporal
 from turbulink.config import RANGES
@@ -207,6 +208,20 @@ class TestFullPropagationKernel:
             geom = replace(paper_geometry, wavelength=2.0 * math.pi * C / omega)
             rho = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, steps=128))
             assert value == pytest.approx(lowest_mode_probability(rho), rel=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_steps_match_the_loop_oracle(self, paper_spec, paper_geometry, cutoff, monkeypatch):
+        # the kernel steps through `ipe._lawson_loop` with its own operator;
+        # the one-expression-per-stage loop on the same operator and
+        # coefficients gives every pair's element bit for bit (at cutoff 2
+        # the 128 steps come in two chunks)
+        profile = TurbulenceProfile.from_constant(1e-16)
+        omegas = frequency_grid(paper_spec, 4)
+        rows, cols = np.triu_indices(4)
+        fast = temporal._cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, paper_geometry, cutoff, 128)
+        monkeypatch.setattr(temporal, "_lawson_loop", lawson_loop)
+        slow = temporal._cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, paper_geometry, cutoff, 128)
+        assert np.array_equal(fast, slow)
 
     def test_off_diagonal_matches_dense_integration(self, paper_spec, paper_geometry):
         # the sector-0 kernel against RK4 over the dense whole-basis coupling
