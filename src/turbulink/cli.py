@@ -9,6 +9,10 @@ function that writes the subcommand's own outputs; sweep calls the runner
 at each point of the config's sweep axes.
 The TURBULINK_CONFIG environment variable supplies the default config path.
 
+Importing this module loads only config, schmidt, temporal and turbulence;
+each runner imports the other modules it calls (lgmodes, ipe, entanglement)
+when it runs, and sweep imports its thread pool only when it starts one.
+
 Exit codes: 0 success, 1 configuration or usage error (also an output file
 that cannot be written), 2 numeric failure.
 
@@ -25,12 +29,11 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from . import ipe, lgmodes, schmidt, temporal, turbulence
+from . import schmidt, temporal, turbulence
 from .config import (
     ConfigError,
     RunConfig,
@@ -38,8 +41,6 @@ from .config import (
     parse_config,
     validate_config,
 )
-from .entanglement import robustness_scan
-from .lgmodes import LGIndex, ModeBasis
 from .temporal import KernelFidelity
 from .turbulence import TRAD_S
 
@@ -98,6 +99,7 @@ def run_beam(config: RunConfig):
     """A function for the configured link's pure-decay probability, which
     only a sweep reads; `write` tabulates the C_n^2 family over the distance
     axis (or the default grid), not the configured profile."""
+    from . import ipe
 
     def probability():
         return ipe.analytic_decay(config.profile(), config.geometry, extinction_per_km=config.extinction_per_km)
@@ -127,9 +129,11 @@ def run_beam(config: RunConfig):
     return probability, write
 
 
-def _coupling(config: RunConfig, cutoff: int) -> lgmodes.CouplingTensor:
+def _coupling(config: RunConfig, cutoff: int):
+    from . import lgmodes
+
     return lgmodes.coupling_tensor(
-        ModeBasis(cutoff), config.distance_m, config.cn2, config.waist_m, config.wavelength_m
+        lgmodes.ModeBasis(cutoff), config.distance_m, config.cn2, config.waist_m, config.wavelength_m
     )
 
 
@@ -185,6 +189,8 @@ def run_tmatrix(config: RunConfig):
 
 def run_entangle(config: RunConfig):
     """The smallest final log-negativity over the non-degenerate scan rows."""
+    from .entanglement import robustness_scan
+
     rows = robustness_scan(
         _kernel(config), config.spec, config.fixed_mode, config.scan_modes, dim=config.pair_modes
     )
@@ -253,12 +259,14 @@ def _free_prop_quadrature(z_r: float, w0: float) -> complex:
 def run_validate(config: RunConfig):
     """Oracle cross-check suite: True iff every check passes; `write` prints
     one PASS/FAIL line per check."""
+    from . import lgmodes
+
     checks = []
 
     rate_constant = turbulence.TOTAL_RATE_CONSTANT
     checks.append(("total_rate_constant_30.86", abs(rate_constant - 30.86) < 0.01, rate_constant))
 
-    decay = lgmodes.COUPLING_PREFACTOR * math.gamma(-5.0 / 6.0)
+    decay = turbulence.COUPLING_PREFACTOR * math.gamma(-5.0 / 6.0)
     checks.append(("decay_constant_-54.10", -54.2 < decay < -54.0, decay))
 
     fried = 3.25 / 0.185 ** (5.0 / 3.0)
@@ -266,10 +274,10 @@ def run_validate(config: RunConfig):
 
     # coupling closed form vs quadrature oracle on a fundamental tuple
     w0, lam, cn2 = config.waist_m, config.wavelength_m, max(config.cn2, 1e-16)
-    i00 = LGIndex(l=0, r=0)
+    i00 = lgmodes.LGIndex(l=0, r=0)
     z_r = config.geometry.rayleigh_range
     z = 0.5 * z_r
-    closed = lgmodes.coupling_tensor(ModeBasis(0), z, cn2, w0, lam).entries[0, 0, 0, 0]
+    closed = lgmodes.coupling_tensor(lgmodes.ModeBasis(0), z, cn2, w0, lam).entries[0, 0, 0, 0]
     oracle, lt_oracle = _fundamental_coupling_quadrature(z, cn2, w0, lam, 1e-4 / w0)
     rel = abs(closed - oracle) / abs(closed)
     checks.append(("coupling_oracle_0.5%", rel < 5e-3, rel))
@@ -278,7 +286,7 @@ def run_validate(config: RunConfig):
     rel_lt = abs(lt_closed - lt_oracle) / lt_closed
     checks.append(("total_rate_oracle_0.1%", rel_lt < 1e-3, rel_lt))
 
-    i10 = LGIndex(l=0, r=1)
+    i10 = lgmodes.LGIndex(l=0, r=1)
     s_closed = lgmodes.free_prop_S(i10, i00, z_r)
     s_oracle = _free_prop_quadrature(z_r, w0)
     rel_s = abs(s_closed - s_oracle) * z_r
@@ -371,6 +379,8 @@ def sweep(config: RunConfig, subcommand: str, threads: int = 1, out=None) -> int
         # one OS thread per worker: never more than the points or the CPUs
         workers = min(threads, len(points), os.cpu_count() or 1)
         if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(evaluate, points))
         else:

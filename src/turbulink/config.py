@@ -24,12 +24,10 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from .entanglement import MAX_PAIR_MODES
-from .lgmodes import MAX_COUPLING_CUTOFF
 from .schmidt import BiphotonSpec, frequency_grid
 from .temporal import MAX_FULL_IPE_CUTOFF, MAX_FULL_IPE_GRID, MAX_GRID_ORDER, KernelFidelity
 from .turbulence import CN2_MAX, CN2_MIN, TRAD_S, LinkGeometry, TurbulenceProfile, extinction_depth
-from .turbulence import two_pi_c_over
+from .turbulence import MAX_COUPLING_CUTOFF, MAX_PAIR_MODES, two_pi_c_over
 
 
 # run length bounds the step count of `propagate` and the full-IPE kernel
@@ -70,7 +68,7 @@ class RunConfig:
     """Validated configuration for every subcommand.
 
     Frequencies in the file are T rad/s (1e12 rad/s); lengths are meters.
-    The upper bounds that a library module enforces are read from that module.
+    The upper bounds that the library enforces are read from where it defines them.
     """
 
     distance_m: float = _key(30000.0, "link", (1.0, 5.0e5, "m"))

@@ -36,9 +36,7 @@ import numpy as np
 
 from .schmidt import BiphotonSpec
 from .temporal import ChannelKernel
-from .turbulence import _check_index
-
-MAX_PAIR_MODES = 14
+from .turbulence import MAX_PAIR_MODES, _check_index
 
 
 def _check_modes(dim: int, **modes):

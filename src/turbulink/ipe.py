@@ -45,10 +45,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, LGIndex, ModeBasis, sector_blocks, sector_coupling
-from .lgmodes import sector_orders
-from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, _check_member, _positive_finite, cn2_at
-from .turbulence import extinction_depth, integrated_l, l_strength
+from .lgmodes import LGIndex, ModeBasis, sector_blocks, sector_coupling, sector_orders
+from .turbulence import COUPLING_PREFACTOR, DECAY_CONSTANT, LinkGeometry, TurbulenceProfile, _check_index, _check_member
+from .turbulence import _positive_finite, cn2_at, extinction_depth, integrated_l, l_strength
 
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9

@@ -42,20 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .turbulence import SPECTRUM_AMPLITUDE, _check_cn2, _check_index, _positive_finite, barycentric_matrix, l_strength
-from .turbulence import normalized_distance
-
-# The blocks hold 4e-15 of their largest entry up to cutoff 8, but the dense
-# (S, S, S, S) array of `coupling_tensor` takes 1.1 GB at cutoff 6 and 3.3 GB
-# at 7, so no coupling is assembled past 6.
-MAX_COUPLING_CUTOFF = 6
-
-# k^2 * (radial integral constant): the coupling reads COUPLING_PREFACTOR * l(z)
-# times the radial integral of the module docstring
-COUPLING_PREFACTOR = SPECTRUM_AMPLITUDE * 16.0 * math.pi**4 * 2.0 ** (-8.0 / 3.0)  # = 8.1000...
-
-# fundamental-mode decay rate is DECAY_CONSTANT * l(z)
-DECAY_CONSTANT = COUPLING_PREFACTOR * abs(math.gamma(-5.0 / 6.0))  # = 54.100...
+from .turbulence import COUPLING_PREFACTOR, DECAY_CONSTANT, MAX_COUPLING_CUTOFF  # DECAY_CONSTANT is re-exported
+from .turbulence import _check_cn2, _check_index, _positive_finite, barycentric_matrix, l_strength, normalized_distance
 
 
 class CouplingCutoffError(ValueError):

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .turbulence import _check_index, _positive_finite
 
@@ -155,6 +154,8 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
             f"quadrature order {order} outside "
             f"[{MIN_QUADRATURE_ORDER}, {MAX_QUADRATURE_ORDER}]"
         )
+    from numpy.polynomial.hermite import hermgauss
+
     nodes, weights = hermgauss(order)
     nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)

@@ -49,11 +49,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ipe import SolverConfig, _lawson_factors, _lawson_loop, _step_chunks, rk4_nodes
-from .lgmodes import COUPLING_PREFACTOR, DECAY_CONSTANT, even_ratio_interpolant, sector_orders
 from .schmidt import BiphotonSpec, discrete_modes, frequency_grid
-from .turbulence import LinkGeometry, TurbulenceProfile, _check_index, _check_member, extinction_depth, integrated_l
-from .turbulence import l_cross, normalized_distance, pair_constants, two_pi_c_over
+from .turbulence import COUPLING_PREFACTOR, DECAY_CONSTANT, LinkGeometry, TurbulenceProfile, _check_index, _check_member
+from .turbulence import extinction_depth, integrated_l, l_cross, normalized_distance, pair_constants, two_pi_c_over
 
 MAX_GRID_ORDER = 64
 TRANSFER_CACHE = 8  # source grids (spec, order) whose constants and Chebyshev transfer are kept
@@ -147,6 +145,9 @@ def _cross_frequency_full_ipe(omega1, omega2, profile, geom, cutoff: int, steps:
     coherence of every frequency pair (omega1[i], omega2[i]), all advanced
     together on the reflection-even half of sector 0 of the truncated LG
     basis by Lawson RK4 steps around A0 (see the module docstring)."""
+    from .ipe import _lawson_factors, _lawson_loop, _step_chunks, rk4_nodes
+    from .lgmodes import even_ratio_interpolant, sector_orders
+
     side, h = cutoff + 1, geom.path_length / steps
     z, cn2 = rk4_nodes(profile, geom, steps)
     # per node (rows) and pair (columns), the two carriers on a leading axis
@@ -221,6 +222,8 @@ def channel_kernel(
     if grid_order > MAX_GRID_ORDER:
         raise CostGuardError(f"grid order {grid_order} exceeds {MAX_GRID_ORDER}")
     if fidelity is KernelFidelity.FULL_IPE:
+        from .ipe import SolverConfig
+
         SolverConfig(cutoff=cutoff, steps=steps)  # refuses the step counts `propagate` refuses
         if grid_order > MAX_FULL_IPE_GRID or cutoff > MAX_FULL_IPE_CUTOFF:
             raise CostGuardError(

@@ -48,6 +48,19 @@ CN2_MAX = 1e-11
 # k1 k2 * int Phi(K) d^2K / 4 pi^2 = TOTAL_RATE_CONSTANT * C_n^2 / (l1 l2 kappa_0^{5/3})
 TOTAL_RATE_CONSTANT = SPECTRUM_AMPLITUDE * 0.6 * 16.0 * math.pi**4  # = 30.857...
 
+# k^2 * (radial integral constant): the coupling reads COUPLING_PREFACTOR * l(z)
+# times the radial integral of the `lgmodes` docstring
+COUPLING_PREFACTOR = SPECTRUM_AMPLITUDE * 16.0 * math.pi**4 * 2.0 ** (-8.0 / 3.0)  # = 8.1000...
+
+# fundamental-mode decay rate is DECAY_CONSTANT * l(z)
+DECAY_CONSTANT = COUPLING_PREFACTOR * abs(math.gamma(-5.0 / 6.0))  # = 54.100...
+
+# The coupling blocks of `lgmodes` hold 4e-15 of their largest entry up to
+# cutoff 8, but the dense (S, S, S, S) array of `lgmodes.coupling_tensor`
+# takes 1.1 GB at cutoff 6 and 3.3 GB at 7, so no coupling is assembled past 6.
+MAX_COUPLING_CUTOFF = 6
+MAX_PAIR_MODES = 14  # temporal modes per photon of `entanglement`'s pair state
+
 PANEL_NODES = 16  # Gauss-Legendre nodes per path panel; the estimate uses half
 GRADING = 8  # panels past GRADING Rayleigh ranges are 1/GRADING of their start wide
 RELATIVE_ERROR_BOUND = 1e-6

@@ -1,10 +1,15 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import coupling_numeric_oracle, coupling_oracle_extrapolated, free_prop_S_numeric
 
-from turbulink import cli, lgmodes, temporal
+from turbulink import cli, ipe, turbulence
 from turbulink.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, run_subcommand, sweep
 from turbulink.config import (
     _KEYS,
@@ -55,6 +60,12 @@ def format_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
+
+
+def run_fresh(code: str, *args) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a new interpreter that imports this turbulink."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -340,6 +351,14 @@ def test_every_config_key_is_read(tmp_path):
     assert sorted(set(_KEYS) - read) == []
 
 
+def test_cli_import_loads_no_runner_module():
+    # each runner imports the modules it calls, and sweep its thread pool
+    absent = ("turbulink.ipe", "turbulink.lgmodes", "turbulink.entanglement", "concurrent.futures", "numpy.polynomial")
+    code = f"import sys, turbulink.cli\nsys.exit(' '.join(m for m in {absent!r} if m in sys.modules) or None)"
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
 def _in_range(key):
     # positive float ranges span decades, so their values are drawn log-uniformly
     lower, upper, _ = RANGES[key]
@@ -481,7 +500,7 @@ class TestSubcommands:
             assert cli._free_prop_quadrature(z_r, waist) == free_prop_S_numeric(i10, i00, z_r, waist)
 
     def test_validate_reads_the_library_prefactor(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(lgmodes, "COUPLING_PREFACTOR", 8.2)
+        monkeypatch.setattr(turbulence, "COUPLING_PREFACTOR", 8.2)
         assert run_cli(tmp_path, "validate") == EXIT_NUMERIC
         assert "FAIL decay_constant_-54.10" in capsys.readouterr().out
 
@@ -494,13 +513,13 @@ class TestSubcommands:
 
     def test_beam_leaves_the_link_decay_to_sweeps(self, tmp_path, monkeypatch):
         # only `sweep beam` reports the configured link's probability
-        calls, decay = [], cli.ipe.analytic_decay
+        calls, decay = [], ipe.analytic_decay
 
         def recording(*args, **kwargs):
             calls.append(args)
             return decay(*args, **kwargs)
 
-        monkeypatch.setattr(cli.ipe, "analytic_decay", recording)
+        monkeypatch.setattr(ipe, "analytic_decay", recording)
         assert run_cli(tmp_path, "beam") == EXIT_OK
         assert calls == []
         config = replace(RunConfig(), output_dir=str(tmp_path), sweep_axes=("waist_m",), sweep_values=((0.1, 0.2),))
@@ -576,7 +595,7 @@ class TestSubcommands:
         def explode(*args, **kwargs):
             raise SolverError("unconverged", 0.0, 1.0)
 
-        monkeypatch.setattr(cli.ipe, "distance_sweep", explode)
+        monkeypatch.setattr(ipe, "distance_sweep", explode)
         assert run_subcommand("beam", RunConfig()) == EXIT_NUMERIC
 
     def test_fully_absorbed_mode_is_a_numeric_failure(self, tmp_path, capsys):
@@ -594,13 +613,13 @@ class TestSubcommands:
     def test_full_ipe_strong_link_tabulates_only_its_steps(self, tmp_path, monkeypatch):
         # an accepted draw that classical RK4 would need about 2.4e10 steps
         # for: Lawson steps run it at its own 40 and tabulate no other count
-        counts, nodes = [], temporal.rk4_nodes
+        counts, nodes = [], ipe.rk4_nodes
 
         def recording(profile, geom, steps):
             counts.append(steps)
             return nodes(profile, geom, steps)
 
-        monkeypatch.setattr(temporal, "rk4_nodes", recording)
+        monkeypatch.setattr(ipe, "rk4_nodes", recording)
         overrides = (
             "kernel_fidelity=full_ipe", "grid_order=6", "cutoff=2", "steps=40", "cn2=2.68e-12",
             "distance_m=344773", "waist_m=0.00413", "wavelength_m=4.60e-6",
@@ -758,6 +777,31 @@ class TestSweep:
             outputs.append((out_dir / f"sweep_{subcommand}.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_full_ipe_sweep_makes_its_first_imports_in_two_threads(self, tmp_path):
+        # a fresh process has loaded neither ipe nor lgmodes when its two
+        # workers start, so both threads make the first import of each;
+        # their rows are the serial run's, byte for byte
+        block = (
+            "\n[solver]\ncutoff = 1\n\n[channel]\ngrid_order = 4\nkernel_fidelity = \"full_ipe\"\n\n"
+            "[sweep]\naxes = [\"waist_m\"]\nwaist_m = [0.1, 0.1457, 0.2, 0.3]\n"
+        )
+        config_path = self.make_config(tmp_path, block)
+        code = (
+            "import os, sys\n"
+            "from turbulink import cli\n"
+            "os.cpu_count = lambda: 2  # two workers on any machine\n"
+            "assert not {'turbulink.ipe', 'turbulink.lgmodes'} & set(sys.modules)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"t{threads}"
+            args = ("--config", config_path, "--set", f"output_dir={out_dir}", "--threads", threads, "sweep", "kernel")
+            result = run_fresh(code, *args)
+            assert result.returncode == 0, result.stderr
+            outputs.append((out_dir / "sweep_kernel.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_thread_pool_bounded_by_points_and_cpus(self, tmp_path, monkeypatch):
         # a recorder stands in for the pool and runs the points serially
         workers = []
@@ -775,7 +819,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         config_path = self.make_config(tmp_path, "\n[sweep]\naxes = [\"cn2\"]\ncn2 = [1e-16, 1e-15, 1e-14]\n")
         for cpus in (8, 2, 1):
             monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from ipe_oracle import lawson_loop
 
-from turbulink import temporal
+from turbulink import ipe, temporal
 from turbulink.config import RANGES
 from turbulink.entanglement import channel_tensor
 from turbulink.ipe import (
@@ -219,7 +219,7 @@ class TestFullPropagationKernel:
         omegas = frequency_grid(paper_spec, 4)
         rows, cols = np.triu_indices(4)
         fast = temporal._cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, paper_geometry, cutoff, 128)
-        monkeypatch.setattr(temporal, "_lawson_loop", lawson_loop)
+        monkeypatch.setattr(ipe, "_lawson_loop", lawson_loop)
         slow = temporal._cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, paper_geometry, cutoff, 128)
         assert np.array_equal(fast, slow)
 
