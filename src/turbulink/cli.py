@@ -146,9 +146,10 @@ def run_coupling(config: RunConfig):
         tensor = _coupling(config, min(config.cutoff, 2))
         indices = [(index.l, index.r) for index in tensor.basis.indices]
         nonzero = np.nonzero(tensor.entries)  # in C order, (a, b, c, d) = (m, n, u, v)
+        values = tensor.entries[nonzero]
         rows = [
-            (*indices[a], *indices[b], *indices[c], *indices[d], value.real, value.imag)
-            for a, b, c, d, value in zip(*nonzero, tensor.entries[nonzero])
+            (*indices[a], *indices[b], *indices[c], *indices[d], real, imag)
+            for a, b, c, d, real, imag in zip(*(n.tolist() for n in nonzero), values.real.tolist(), values.imag.tolist())
         ]
         _write_csv(config, "coupling.csv", "lm,rm,ln,rn,lu,ru,lv,rv,re,im", rows)
         print(f"wrote {len(rows)} nonzero tensor entries to coupling.csv", file=out)
@@ -162,11 +163,8 @@ def run_kernel(config: RunConfig):
     mid = kernel.order // 2
 
     def write(out):
-        rows = [
-            (w1 / TRAD_S, w2 / TRAD_S, float(kernel.matrix[i, j]))
-            for i, w1 in enumerate(kernel.omegas)
-            for j, w2 in enumerate(kernel.omegas)
-        ]
+        omegas, matrix = (kernel.omegas / TRAD_S).tolist(), kernel.matrix.tolist()
+        rows = [(w1, w2, p) for w1, row in zip(omegas, matrix) for w2, p in zip(omegas, row)]
         _write_csv(config, "kernel.csv", "omega1_Trad_s,omega2_Trad_s,P", rows)
         print(f"wrote {len(rows)} kernel samples to kernel.csv", file=out)
 

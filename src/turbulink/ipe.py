@@ -28,12 +28,31 @@ entry of exp(l A).  `propagate` takes Lawson's exponential RK4 steps:
 classical RK4 on the variable that e^(-A int rate) takes out of x, so that
 the stiff rate(z) A part is exact, every factor is at most 1 at any step
 size, and only the Gouy part, which is not stiff, is stepped.  The one
-stepper serves `temporal`'s full-IPE kernel too: `_lawson_factors` writes
+stepper serves `cross_frequency_elements` too: `_lawson_factors` writes
 the coefficients of a chunk of steps (`_step_chunks`) and `_lawson_loop`
 steps any state through an operator callback (a small sector multiplies its
 step maps instead, `_step_product`).  The cache entry holds what depends
 only on (cutoff, Delta, scheme) in those steps (`_stepping`): each stepped
 block of the rotation, C-contiguous, and a small one's step-map operands.
+
+`cross_frequency_elements`, the full-IPE kernel of `temporal`, carries each
+|omega1><omega2| coherence of a list of frequency pairs over sector 0 and
+reads off the fundamental-fundamental element.  The fundamental is even
+under the reflection, so only the even half, the (cutoff + 1)^3 entries of
+the l-blocks l <= 0, is carried.  With d the diagonal phases of the coupling
+(`lgmodes.pair_coupling_blocks`), y = d x obeys y' = rate G(z) y + i Phi'(z) y:
+G the real two-carrier block, Phi' = N_m z_R1 / (z_R1^2 + z^2) -
+N_n z_R2 / (z_R2^2 + z^2) the carriers' Gouy rates.  Every pair advances in
+one batched state by the Lawson steps above (per-pair rates, Gouy rate 1)
+around A0, the block at one wavelength: in A0's eigenbasis rate A0 is exact,
+and only rate (G - A0) + i Phi', a few percent of it, is stepped, so any
+step count is stable.  G depends on a node and pair only through carrier 1's
+beam-area ratio, so the blocks of a chunk of successive nodes are one GEMM
+of `lgmodes.even_ratio_interpolant` (6 cutoff + 1 blocks built per call).
+At omega1 = omega2 the ratio is 1, G = A0 bit for bit and the steps are
+`propagate`'s.  The element is complex: its phase is the carriers'
+dispersion, and `temporal.channel_kernel` keeps the real part while that
+phase stays a perturbation.
 """
 from __future__ import annotations
 
@@ -45,9 +64,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lgmodes import LGIndex, ModeBasis, sector_blocks, sector_coupling, sector_orders
+from .lgmodes import LGIndex, ModeBasis, even_ratio_interpolant, sector_blocks, sector_coupling, sector_orders
 from .turbulence import COUPLING_PREFACTOR, DECAY_CONSTANT, LinkGeometry, TurbulenceProfile, _check_index, _check_member
-from .turbulence import _positive_finite, cn2_at, extinction_depth, integrated_l, l_strength
+from .turbulence import _positive_finite, cn2_at, extinction_depth, integrated_l, l_cross, l_strength
+from .turbulence import normalized_distance, two_pi_c_over
 
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
@@ -129,6 +149,11 @@ STEP_MATRIX_SIZE = 24
 # the step coefficients are written for at most 256 steps at a time, fewer
 # where they would pass this many entries (`_step_chunks`)
 STEP_ENTRIES = 2**17
+# the full-IPE kernel interpolates the coupling blocks of as many successive
+# nodes as hold this many entries (at least one node) in one GEMM; grid 4-12
+# kernels at cutoffs 1-4 ran as fast from 2**15 to 2**18, and g = 4,
+# cutoff 1 took 1.8x as long at 2**12
+FULL_IPE_BLOCK_ENTRIES = 2**16
 
 
 @lru_cache(maxsize=64)
@@ -456,6 +481,69 @@ def propagate(
             )
         final = refined
     return DensityMatrix(basis=rho0.basis, matrix=final)
+
+
+def cross_frequency_elements(omega1, omega2, profile, geom, cutoff: int, steps: int) -> np.ndarray:
+    """Complex fundamental-to-fundamental element of the |omega1><omega2|
+    coherence of every frequency pair (omega1[i], omega2[i]), all advanced
+    together on the reflection-even half of sector 0 of the truncated LG
+    basis by Lawson RK4 steps around A0 (see the module docstring)."""
+    side, h = cutoff + 1, geom.path_length / steps
+    z, cn2 = rk4_nodes(profile, geom, steps)
+    # per node (rows) and pair (columns), the two carriers on a leading axis
+    rate = COUPLING_PREFACTOR * l_cross(z[:, None], omega1, omega2, cn2[:, None], geom.waist)
+    per_range = normalized_distance(1.0, two_pi_c_over(np.stack([omega1, omega2])), geom.waist)[:, None, :]
+    area = 1.0 + (z[:, None] * per_range) ** 2  # a_i / w0^2
+    ratio, gouy = area[0] / (0.5 * (area[0] + area[1])), per_range / area  # gouy: z_R / (z_R^2 + z^2)
+    # the fundamental is reflection-even, and so is every derivative of an
+    # even state, so only the l <= 0 blocks are carried; they depend on a
+    # node and pair through carrier 1's ratio alone, and the blocks of
+    # `chunk` successive nodes are interpolated in one call
+    pairs, size = len(omega1), side**3
+    chunk = max(1, FULL_IPE_BLOCK_ENTRIES // (pairs * size * size))
+    interpolate = even_ratio_interpolant(cutoff, float(np.max(np.abs(ratio - 1.0))))
+    n_row, n_col = (n[:size] for n in sector_orders(cutoff, 0))
+    # A0, the block at one wavelength (ratio 1), acts on the l <= 0 blocks
+    # with each mirror column block added: D A0 D^-1 is symmetric for
+    # D = sqrt 2 on the l < 0 blocks and 1 on l = 0, so A0 = V diag(values)
+    # V^-1 with V = D^-1 U and V^-1 = U^T D
+    a0 = interpolate(np.ones(1))[0].T
+    scale = np.where(np.arange(size) < cutoff * side * side, math.sqrt(2.0), 1.0)
+    values, vectors = np.linalg.eigh(scale[:, None] * a0 / scale)
+    forward, backward = (vectors / scale[:, None]).T.copy(), scale[:, None] * vectors  # V^T, V^-T
+
+    # each step reads its nodes in order, and its midpoint twice, so a
+    # one-entry memo builds every chunk once
+    @lru_cache(maxsize=1)
+    def generator(start):
+        generator.cache_clear()  # the last chunk is let go before the next is built
+        nodes = slice(start, start + chunk)
+        coupling = interpolate(ratio[nodes].ravel()).reshape(-1, pairs, size, size)
+        spin = gouy[0, nodes, :, None] * n_row - gouy[1, nodes, :, None] * n_col  # Phi'
+        return coupling, np.stack([-spin, spin], axis=2)
+
+    def stage(k, u, out):
+        """out = V^-1 [rate (G - A0) + i Phi'] V u at node k, u each pair's
+        eigencoordinates as two real rows (Re, Im)."""
+        coupling, spin = generator(k - k % chunk)
+        pair_rate = rate[k, :, None, None]
+        y = (u.reshape(-1, size) @ forward).reshape(u.shape)
+        w = np.matmul(y, coupling[k % chunk])
+        w *= pair_rate
+        w += y[:, ::-1] * spin[k % chunk]  # i Phi' (a + ib) = -Phi' b + i Phi' a
+        np.matmul(w.reshape(-1, size), backward, out=out.reshape(-1, size))
+        out -= pair_rate * values * u
+
+    # d and D are 1 on the fundamental (N = 0, l = 0): u starts as V^-1 e_f,
+    # row f of U, and the element is (V u)_f = U[f] . u
+    fundamental = cutoff * side * side  # r = 0 of the l = 0 block
+    u = np.zeros((pairs, 2, size))
+    u[:, 0] = vectors[fundamental]
+    for nodes in _step_chunks(steps, pairs * size):
+        factors = _lawson_factors(rate[nodes], 1.0, h, values[None], step_major=True)
+        u = _lawson_loop(lambda k, x, out, first=nodes.start: stage(first + k, x, out), u, factors)
+    element = u @ vectors[fundamental]
+    return element[:, 0] + 1j * element[:, 1]
 
 
 def lowest_mode_probability(rho: DensityMatrix) -> float:

@@ -80,6 +80,7 @@ class ModeBasis:
     indices: tuple = field(init=False)
 
     def __post_init__(self):
+        _check_index("cutoff", self.cutoff)  # ahead of the cache, which cannot hash a list
         object.__setattr__(self, "indices", _basis_indices(self.cutoff))
 
     @property
@@ -100,7 +101,6 @@ class ModeBasis:
 @lru_cache(maxsize=16, typed=True)  # as `sector_orders`
 def _basis_indices(cutoff: int) -> tuple:
     # a ModeBasis's modes, shared by every basis of the cutoff (LGIndex is frozen)
-    _check_index("cutoff", cutoff)
     return tuple(LGIndex(l=l, r=r) for l in range(-cutoff, cutoff + 1) for r in range(cutoff + 1))
 
 

@@ -236,7 +236,7 @@ def path_height(geom: LinkGeometry, z):
     endpoint heights.
     """
     z = np.asarray(z, dtype=float)
-    outside = (z < 0) | (z > geom.path_length)
+    outside = ~((0 <= z) & (z <= geom.path_length))  # NaN too
     if outside.any():
         raise ValueError(f"z={z[outside].flat[0]} outside path [0, {geom.path_length}]")
     ax, dx, dy = _chord(geom)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 Criterion 7's monotonicity clause fails by design of the turbulence-only
 model (see the repository notes); every other criterion passes.
 """
+import ast
 import itertools
 import math
 from pathlib import Path
@@ -337,3 +338,16 @@ def test_each_test_module_names_what_it_checks():
         name = path.stem.removeprefix("test_")
         oracle = name.endswith("_oracle") and (tests / f"{name}.py").is_file()
         assert (library / f"{name}.py").is_file() or oracle or name == "acceptance", path.name
+
+
+def test_modules_import_no_private_names_but_the_shared_checkers():
+    # a module reads another's internals only through its public names; the
+    # exception is turbulence's argument checkers, which every module shares
+    shared = {"_check_index", "_check_member", "_positive_finite", "_check_cn2"}
+    for path in sorted(Path(turbulink.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("turbulink")):
+                module = (node.module or "").rpartition(".")[2]
+                private = [a.name for a in node.names if a.name.startswith("_") and not (
+                    module == "turbulence" and a.name in shared)]
+                assert not private, f"{path.name}:{node.lineno} imports {private} from {module}"

@@ -5,11 +5,13 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from dense_oracle import complex_sector_derivative, dense_generator
+from full_ipe_oracle import KERNEL_STEPS, dense_fundamental, extrapolated
 from ipe_oracle import lawson_loop, step_product
 from spectrum_oracle import fried_parameter
 
@@ -22,14 +24,17 @@ from turbulink.ipe import (
     SolverConfig,
     SolverError,
     analytic_decay,
+    cross_frequency_elements,
     cutoff_bracketing,
     distance_sweep,
     lowest_mode_probability,
     propagate,
 )
 from turbulink.lgmodes import MAX_COUPLING_CUTOFF, LGIndex, ModeBasis
+from turbulink.schmidt import frequency_grid
 from turbulink.turbulence import LinkGeometry, TurbulenceProfile, cn2_at, l_strength
 
+C = 299792458.0
 LAM = 3.95e-6
 W0 = 0.1457
 
@@ -747,6 +752,73 @@ class TestPropagation:
                 geometry(),
                 SolverConfig(cutoff=2),
             )
+
+
+class TestCrossFrequencyElements:
+    """`cross_frequency_elements`, the full-IPE kernel's pair stepping;
+    `test_temporal` checks the kernels `channel_kernel` samples from it."""
+
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_equal_frequencies_alone_match_single_frequency_propagation(self, paper_spec, paper_geometry, cutoff):
+        # with only equal-frequency pairs every beam-area ratio is 1, so the
+        # coupling interpolant spans no spread: its one point is A0
+        profile = TurbulenceProfile.from_constant(1e-16)
+        omegas = frequency_grid(paper_spec, 4)[1:3]
+        pairs = cross_frequency_elements(omegas, omegas, profile, paper_geometry, cutoff, 128)
+        rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=0, r=0))
+        for omega, value in zip(omegas, pairs.real):
+            geom = replace(paper_geometry, wavelength=2.0 * math.pi * C / omega)
+            rho = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, steps=128))
+            assert value == pytest.approx(lowest_mode_probability(rho), rel=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_steps_match_the_loop_oracle(self, paper_spec, paper_geometry, cutoff, monkeypatch):
+        # the elements step through `ipe._lawson_loop` with their own operator;
+        # the one-expression-per-stage loop on the same operator and
+        # coefficients gives every pair's element bit for bit (at cutoff 2
+        # the 128 steps come in two chunks)
+        from turbulink import ipe
+
+        profile = TurbulenceProfile.from_constant(1e-16)
+        omegas = frequency_grid(paper_spec, 4)
+        rows, cols = np.triu_indices(4)
+        fast = cross_frequency_elements(omegas[rows], omegas[cols], profile, paper_geometry, cutoff, 128)
+        monkeypatch.setattr(ipe, "_lawson_loop", lawson_loop)
+        slow = cross_frequency_elements(omegas[rows], omegas[cols], profile, paper_geometry, cutoff, 128)
+        assert np.array_equal(fast, slow)
+
+    def test_off_diagonal_matches_dense_integration(self, paper_spec, paper_geometry):
+        # the sector-0 elements against RK4 over the dense whole-basis coupling
+        # at the carrier pair, every (m, n) coherence carried along; each
+        # pair is stepped on its own, so only the two checked are run
+        profile = TurbulenceProfile.from_constant(1e-16)
+        omegas = frequency_grid(paper_spec, 8)
+        pairs = omegas[[0, 3]], omegas[[7, 4]]
+        full = cross_frequency_elements(*pairs, profile, paper_geometry, 2, KERNEL_STEPS)
+        for value, pair in zip(full.real, zip(*pairs)):
+            expected = extrapolated(dense_fundamental, pair, ModeBasis(2), profile, paper_geometry)
+            assert abs(value - expected.real) < 1e-12
+
+
+    @pytest.mark.parametrize(
+        "profile, steps",
+        [(TurbulenceProfile.from_constant(1e-13), 256),
+         (TurbulenceProfile.from_constant(1e-14), 64),
+         (TurbulenceProfile.from_constant(1e-11), 256),
+         (TurbulenceProfile.from_table([(1.0, 1e-11), (100.0, 1e-11)]), 256)],
+        ids=["1e-13", "1e-14", "1e-11", "tabulated"],
+    )
+    def test_strong_turbulence_converges_at_any_step_count(self, paper_spec, paper_geometry, profile, steps):
+        # far past classical RK4's limit (h * max rate * rho(A0) is 53.9 at
+        # 1e-13 and 256 steps): Lawson steps take the A0 part exactly, so each
+        # count is finite and converged
+        omegas = frequency_grid(paper_spec, 8)
+        pairs = omegas[[0, 0, 3]], omegas[[0, 7, 4]]  # each pair is stepped on its own
+        coarse, fine = (
+            cross_frequency_elements(*pairs, profile, paper_geometry, 2, count) for count in (steps, 1024)
+        )
+        assert np.all(np.isfinite(coarse))
+        assert np.max(np.abs(coarse - fine)) <= 1e-8
 
 
 class TestDensityMatrix:

@@ -4,13 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from dense_oracle import dense_pair_coupling
-from full_ipe_oracle import whole_sector_fundamental
+from full_ipe_oracle import KERNEL_STEPS, dense_fundamental, extrapolated, whole_sector_fundamental
 from hypothesis import given
 from hypothesis import strategies as st
-from ipe_oracle import lawson_loop
 
-from turbulink import ipe, temporal
+from turbulink import ipe
 from turbulink.config import RANGES
 from turbulink.entanglement import channel_tensor
 from turbulink.ipe import (
@@ -30,13 +28,10 @@ from turbulink.temporal import (
     mode_trace,
     transmission_matrix,
 )
-from turbulink.turbulence import LinkGeometry, TurbulenceProfile, cn2_at, l_cross
+from turbulink.turbulence import LinkGeometry, TurbulenceProfile, l_cross
 
 C = 299792458.0
 GRID_ORDERS = (16, 32, 64)
-# the full-IPE kernel's steps in the oracle comparisons: it errs there by at
-# most 1.6e-13 of the largest entry, the extrapolated RK4 oracles by 1.4e-13
-KERNEL_STEPS = 512
 
 PAPER_MATRIX = np.array(
     [
@@ -196,45 +191,6 @@ class TestFullPropagationKernel:
             rho = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, steps=steps))
             assert full.matrix[i, i] == pytest.approx(lowest_mode_probability(rho), rel=1e-12)
 
-    @pytest.mark.parametrize("cutoff", [1, 2])
-    def test_equal_frequencies_alone_match_single_frequency_propagation(self, paper_spec, paper_geometry, cutoff):
-        # with only equal-frequency pairs every beam-area ratio is 1, so the
-        # coupling interpolant spans no spread: its one point is A0
-        profile = TurbulenceProfile.from_constant(1e-16)
-        omegas = frequency_grid(paper_spec, 4)[1:3]
-        pairs = temporal._cross_frequency_full_ipe(omegas, omegas, profile, paper_geometry, cutoff, 128)
-        rho0 = DensityMatrix.pure(ModeBasis(cutoff), LGIndex(l=0, r=0))
-        for omega, value in zip(omegas, pairs.real):
-            geom = replace(paper_geometry, wavelength=2.0 * math.pi * C / omega)
-            rho = propagate(rho0, profile, geom, SolverConfig(cutoff=cutoff, steps=128))
-            assert value == pytest.approx(lowest_mode_probability(rho), rel=1e-12)
-
-    @pytest.mark.parametrize("cutoff", [1, 2])
-    def test_steps_match_the_loop_oracle(self, paper_spec, paper_geometry, cutoff, monkeypatch):
-        # the kernel steps through `ipe._lawson_loop` with its own operator;
-        # the one-expression-per-stage loop on the same operator and
-        # coefficients gives every pair's element bit for bit (at cutoff 2
-        # the 128 steps come in two chunks)
-        profile = TurbulenceProfile.from_constant(1e-16)
-        omegas = frequency_grid(paper_spec, 4)
-        rows, cols = np.triu_indices(4)
-        fast = temporal._cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, paper_geometry, cutoff, 128)
-        monkeypatch.setattr(ipe, "_lawson_loop", lawson_loop)
-        slow = temporal._cross_frequency_full_ipe(omegas[rows], omegas[cols], profile, paper_geometry, cutoff, 128)
-        assert np.array_equal(fast, slow)
-
-    def test_off_diagonal_matches_dense_integration(self, paper_spec, paper_geometry):
-        # the sector-0 kernel against RK4 over the dense whole-basis coupling
-        # at the carrier pair, every (m, n) coherence carried along; each
-        # pair is stepped on its own, so only the two checked are run
-        profile = TurbulenceProfile.from_constant(1e-16)
-        omegas = frequency_grid(paper_spec, 8)
-        pairs = omegas[[0, 3]], omegas[[7, 4]]
-        full = temporal._cross_frequency_full_ipe(*pairs, profile, paper_geometry, 2, KERNEL_STEPS)
-        for value, pair in zip(full.real, zip(*pairs)):
-            expected = extrapolated(dense_fundamental, pair, ModeBasis(2), profile, paper_geometry)
-            assert abs(value - expected.real) < 1e-12
-
     def test_every_pair_matches_dense_integration(self, paper_spec, paper_geometry):
         profile = TurbulenceProfile.from_constant(1e-16)
         full = channel_kernel(
@@ -292,19 +248,10 @@ class TestFullPropagationKernel:
         ids=["1e-13", "1e-14", "1e-11", "tabulated"],
     )
     def test_strong_turbulence_runs_at_any_step_count(self, paper_spec, paper_geometry, profile, steps, refused):
-        # far past classical RK4's limit (h * max rate * rho(A0) is 53.9 at
-        # 1e-13 and 256 steps): Lawson steps take the A0 part exactly, so each
-        # count is finite and converged.  At 1e-14 the dispersive phase is no
+        # far past classical RK4's limit the elements are finite and
+        # converged (`test_ipe`); at 1e-14 the dispersive phase is no
         # perturbation (15 % of the real part), so that kernel stops at the
         # imaginary-part guard
-        omegas = frequency_grid(paper_spec, 8)
-        pairs = omegas[[0, 0, 3]], omegas[[0, 7, 4]]  # each pair is stepped on its own
-        coarse, fine = (
-            temporal._cross_frequency_full_ipe(*pairs, profile, paper_geometry, 2, count) for count in (steps, 1024)
-        )
-        assert np.all(np.isfinite(coarse))
-        assert np.max(np.abs(coarse - fine)) <= 1e-8
-
         def kernel():
             return channel_kernel(paper_spec, profile, paper_geometry, grid_order=8,
                                   fidelity=KernelFidelity.FULL_IPE, cutoff=2, steps=steps)
@@ -338,7 +285,7 @@ class TestFullPropagationKernel:
             rate[len(rate) // 2, 0] = np.nan
             return rate
 
-        monkeypatch.setattr(temporal, "l_cross", rate_with_nan)
+        monkeypatch.setattr(ipe, "l_cross", rate_with_nan)
         with pytest.raises(RuntimeError, match="imaginary part nan"):
             channel_kernel(
                 paper_spec, TurbulenceProfile.from_constant(1e-16), paper_geometry,
@@ -356,42 +303,6 @@ class TestFullPropagationKernel:
             fidelity=KernelFidelity.FULL_IPE, cutoff=1, steps=steps,
         )
         assert np.all((kernel.matrix > 0.0) & (kernel.matrix <= 1.0))
-
-
-def extrapolated(oracle, *args):
-    """An RK4 oracle's value (its last argument the step count) from 128 and
-    256 steps: RK4 errs as h^4, so (16 fine - coarse) / 15 cancels the
-    leading term.  That leaves 1.4e-13 of the largest entry on these links,
-    as little as 1024 steps would, at three eighths of the cost."""
-    coarse, fine = (oracle(*args, steps) for steps in (128, 256))
-    return (16 * fine - coarse) / 15
-
-
-def dense_fundamental(pair, basis, profile, geom, steps):
-    """Fundamental-fundamental element after RK4 over the dense whole-basis
-    coupling at the carrier pair (the lab-frame oracle)."""
-    size = basis.size
-    fundamental = basis.fundamental * (size + 1)
-    h = geom.path_length / steps
-
-    def generator(z):
-        cn2 = cn2_at(profile, geom, z)
-        entries = dense_pair_coupling(basis, z, cn2, geom.waist, pair)
-        return entries.reshape(size * size, size * size).T  # [(u, v), (m, n)]
-
-    state = np.zeros(size * size, dtype=complex)
-    state[fundamental] = 1.0
-    z, end = 0.0, generator(0.0)
-    for _ in range(steps):
-        # each step starts where the last one ended
-        start, middle, end = end, generator(z + 0.5 * h), generator(z + h)
-        k1 = start @ state
-        k2 = middle @ (state + 0.5 * h * k1)
-        k3 = middle @ (state + 0.5 * h * k2)
-        k4 = end @ (state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        z += h
-    return state[fundamental]
 
 
 class TestModeTrace:

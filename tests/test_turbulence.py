@@ -789,8 +789,13 @@ POSITIVE_ARGUMENTS = {
             lambda c, x, name=name: ipe.distance_sweep([1e-15], [1e3], 3.95e-6, **{name: x}), name, zero_valid)
         for name, zero_valid in (("transmitter_height", False), ("receiver_height", False), ("extinction_per_km", True))
     },
+    "path_height": (lambda c, x: turbulence.path_height(c.geom, x), "z", True),
 }
 POSITIVE_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": 0.0, "negative": -2.5}
+# a cutoff given as a list, which no cache can hash, is refused by name
+# wherever the check runs ahead of every cache
+LIST_CUTOFF = ("ModeBasis", "sector_blocks-cutoff", "pair_coupling_blocks-cutoff", "even_ratio_interpolant",
+               "SolverConfig-cutoff", "generator_parts-cutoff", "channel_kernel-cutoff")
 CONTRACT = [
     pytest.param(call, name, value, id=f"{label}-{value_id}")
     for arguments, values, exempt in (
@@ -798,7 +803,7 @@ CONTRACT = [
     for label, (call, name, valid) in arguments.items()
     for value_id, value in values.items()
     if not (valid and value_id == exempt)
-]
+] + [pytest.param(INDEX_ARGUMENTS[label][0], "cutoff", [1], id=f"{label}-list") for label in LIST_CUTOFF]
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,11 @@ run (the fundamental, LG(l=+1) and a seeded random pure state; cutoffs 0-4,
 both schemes, 1 and 30 km at C_n^2 = 1e-15, with and without
 `check_convergence`) with a SHA-256 of the output matrix's bytes, or of the
 message of the error it raised, and one line for `ipe.cutoff_bracketing`
-over cutoffs 0-4.  Last come the analytic link path's scalar and trace
+over cutoffs 0-4.  One line per `ipe.cross_frequency_elements` run hashes
+the complex full-IPE elements of a grid's upper triangle before
+`channel_kernel`'s guard and real part (which `kernel.csv` would drop), at
+FULL_IPE_ELEMENTS on the default 30 km link at C_n^2 = 1e-15 and 1e-16, 128
+steps.  Last come the analytic link path's scalar and trace
 outputs, which the subcommands reach only in part (`beam` integrates
 constant profiles alone, and only `tmatrix` writes traces): one line per
 `ipe.analytic_decay` on a constant, a tabulated (PROFILE_CSV) and a graded
@@ -32,7 +36,8 @@ The hashes only say that a line changed.  To see by how much:
 `--save` also writes the values behind each line to an .npz file: every
 number in the stdout, stderr and files of a CLI run (in order of
 appearance, files sorted by name), the real and imaginary parts of a
-`propagate` matrix, the bracketing populations, and each path output; a
+`propagate` matrix, the bracketing populations, the (Re, Im) pairs of the
+full-IPE elements, and each path output; a
 line that raised saves no values.  `--compare` prints, for each line of the
 first save, its largest absolute difference over its largest magnitude in
 the first save (0 where both are equal or empty), or why it cannot be
@@ -57,6 +62,7 @@ from turbulink import ipe
 from turbulink.cli import main
 from turbulink.config import RunConfig
 from turbulink.lgmodes import LGIndex, ModeBasis
+from turbulink.schmidt import frequency_grid
 from turbulink.temporal import channel_kernel, mode_trace
 from turbulink.turbulence import LinkGeometry, TurbulenceProfile
 
@@ -90,6 +96,8 @@ PROFILE_CSV = "height_m,cn2\n2.0,4e-16\n8.0,2e-16\n15.0,1e-16\n40.0,5e-17\n"
 # link; None reads PROFILE_CSV.  A 4 cm waist grades the panels past 8
 # Rayleigh ranges from about 5 km on.
 PATH_LINKS = {"constant": (1e-16, 0.1457), "tabulated": (None, 0.1457), "graded": (1e-16, 0.04)}
+# (grid order, cutoff) of the full-IPE element lines
+FULL_IPE_ELEMENTS = ((4, 1), (4, 2), (8, 2), (8, 3))
 NUMBER = re.compile(rb"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 VALUES = {}  # line label -> the float64 values behind it, for --save
 
@@ -171,6 +179,23 @@ def print_ipe_digests():
     emit("cutoff_bracketing\tcutoffs 0-4", digest.hexdigest(), np.concatenate(populations))
 
 
+def print_full_ipe_digests():
+    config = RunConfig()
+    for cn2 in (1e-15, 1e-16):
+        profile = TurbulenceProfile.from_constant(cn2)
+        for order, cutoff in FULL_IPE_ELEMENTS:
+            label = f"g{order} c{cutoff} cn2={cn2:g} 128 steps"
+            print_value("cross_frequency_elements", label, full_ipe_elements, config, profile, order, cutoff)
+
+
+def full_ipe_elements(config: RunConfig, profile, order: int, cutoff: int) -> np.ndarray:
+    """The elements over the upper triangle of the link's grid of order
+    `order`, as (Re, Im) float64 pairs: the bytes of the complex output."""
+    omegas = frequency_grid(config.spec, order)
+    rows, cols = np.triu_indices(order)
+    return ipe.cross_frequency_elements(omegas[rows], omegas[cols], profile, config.geometry, cutoff, 128).view(float)
+
+
 def print_path_digests():
     table = [row.split(",") for row in PROFILE_CSV.splitlines()[1:]]
     for name, (cn2, waist) in PATH_LINKS.items():
@@ -246,6 +271,7 @@ if __name__ == "__main__":
         sys.exit()
     print_digests()
     print_ipe_digests()
+    print_full_ipe_digests()
     print_path_digests()
     if args.save:
         np.savez(args.save, labels=np.array(list(VALUES)), **{f"v{i}": v for i, v in enumerate(VALUES.values())})
